@@ -7,10 +7,12 @@ method of images:
 
 * instant release of mass Q at r0:
       c = Q * (4 pi D tau)^(-3/2) * exp(-|r - r0 - v tau|^2 / (4 D tau))
-* continuous release at constant rate Q (no wind):
-      c = Q / (4 pi D d) * erfc(d / (2 sqrt(D tau)))
-* moving or rate-varying continuous sources: adaptive Simpson quadrature of
-  the instant kernel over the emission history;
+* continuous release at constant rate Q from a static point, wind included:
+  Carslaw & Jaeger's moving point source in the wind's frame (see
+  unit_continuous_kernel), Q / (4 pi D d) * erfc(d / (2 sqrt(D tau))) in
+  still air; the steady state is its tau -> infinity limit;
+* moving sources and time-varying rates: adaptive Simpson quadrature of the
+  instant kernel over the emission history;
 * superposition over source lists (the equation is linear).
 
 Reflecting boundaries restrict the wind so the image construction stays
@@ -246,16 +248,10 @@ class FieldQuery:
     def from_grid(cls, xs: Sequence[float], ys: Sequence[float],
                   zs: Sequence[float], times: Sequence[float]) -> "FieldQuery":
         """Cartesian product ordered t-major, then x, y, z."""
-        pts, ts = [], []
-        for t in times:
-            for x in xs:
-                for y in ys:
-                    for z in zs:
-                        pts.append((float(x), float(y), float(z)))
-                        ts.append(seconds(t))
-        if not pts:
-            return cls(np.zeros((0, 3)), np.zeros(0))
-        return cls(np.array(pts), np.array(ts))
+        axes = [[seconds(t) for t in times], xs, ys, zs]
+        tt, xx, yy, zz = np.meshgrid(*(np.asarray(a, dtype=float) for a in axes),
+                                     indexing="ij")
+        return cls(np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()]), tt.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +333,90 @@ def image_points(env: Environment, src_point: np.ndarray) -> np.ndarray:
     return np.array([flip * p + off for flip, off in image_transforms(env)])
 
 
+# (-1)^k (2k - 1)!! for k = 8 .. 0: the asymptotic series of erfcx in 1 / (2 x^2).
+_ERFCX_SERIES = [(-1) ** k * math.prod(range(1, 2 * k, 2)) for k in range(8, -1, -1)]
+
+
+def _erfcx(x: np.ndarray) -> np.ndarray:
+    """Scaled complementary error function exp(x^2) erfc(x) for x >= 0.
+
+    Below 26 the product is formed from the exact math.erfc (exp(676) is
+    still finite); from 26 on, eight terms of the asymptotic series
+    erfcx(x) = (1 / (x sqrt(pi))) sum_k (-1)^k (2k - 1)!! / (2 x^2)^k are
+    exact to double precision.
+    """
+    near = x < 26.0
+    if near.all():
+        return np.exp(x * x) * np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+    out = np.empty_like(x)
+    out[near] = _erfcx(x[near])
+    xf = x[~near]
+    out[~near] = np.polyval(_ERFCX_SERIES, 0.5 / (xf * xf)) / (xf * math.sqrt(math.pi))
+    return out
+
+
+def _pair_kernel(d: np.ndarray, v_dot_dr: np.ndarray, tau: np.ndarray,
+                 diffusivity: float, speed: float) -> np.ndarray:
+    """Per-unit-rate field of one (image source, observer) pair, d > 0 and
+    tau > 0 (tau may be inf). With a = v . dr / 2D, b = |v| d / 2D and
+    y, x = (d -+ |v| tau) / 2 sqrt(D tau) the bracket is
+    e^(a - b) erfc(y) + e^(a + b) erfc(x). Writing erfc(x) = e^(-x^2) erfcx(x)
+    gives both terms the factor e^(a - b - y^2) = e^(a + b - x^2) <= e^(a - b)
+    <= 1 (as v . dr <= |v| d), so no exponent evaluated is positive."""
+    steady = 2.0 * np.exp((v_dot_dr - speed * d) / (2.0 * diffusivity))
+    bracket = steady.copy()
+    fin = np.isfinite(tau)
+    df, vdr, four_dt = d[fin], v_dot_dr[fin], 4.0 * diffusivity * tau[fin]
+    drift = speed * tau[fin]
+    width = np.sqrt(four_dt)
+    y = (df - drift) / width
+    damp = np.exp(vdr / (2.0 * diffusivity) - (df * df + drift * drift) / four_dt)
+    near = damp * _erfcx(np.abs(y))  # exp(a - b) erfc(|y|)
+    far = near if speed == 0.0 else damp * _erfcx((df + drift) / width)
+    bracket[fin] = np.where(y >= 0.0, near, steady[fin] - near) + far
+    return bracket / (8.0 * math.pi * diffusivity * d)
+
+
+_BLOCK_PAIRS = 2 ** 13
+
+
+def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
+                           obs_points: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Concentration per unit emission rate of a static source that has
+    emitted at a constant rate for tau seconds, vectorized over N
+    evaluations and summed over the mirror images of image_transforms(env).
+
+    With dr = r - r0, d = |dr| and wind v, each image contributes
+        exp(v . dr / 2D) / (8 pi D d)
+        * [exp(-|v| d / 2D) erfc((d - |v| tau) / (2 sqrt(D tau)))
+           + exp(|v| d / 2D) erfc((d + |v| tau) / (2 sqrt(D tau)))];
+    tau = inf gives the steady kernel exp((v . dr - |v| d) / 2D) / (4 pi D d).
+    The exponents are combined before evaluation, so the result is finite
+    for any |v| d / D. src_points and obs_points broadcast as in
+    unit_instant_kernel. Entries with tau <= 0 are 0; an entry whose
+    observer sits on the source itself is +inf (one on a mirror image only
+    skips that image, which happens only outside the domain).
+    """
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    src = np.broadcast_to(np.atleast_2d(src_points), (taus.size, 3))
+    obs = np.broadcast_to(np.atleast_2d(obs_points), (taus.size, 3))
+    flips, offsets = map(np.array, zip(*image_transforms(env)))
+    out = np.zeros(taus.size)
+    block = max(1, _BLOCK_PAIRS // len(flips))
+    for lo in range(0, taus.size, block):
+        sl = slice(lo, lo + block)
+        dr = obs[sl, None, :] - (src[sl, None, :] * flips + offsets)  # (n, M, 3)
+        d = np.sqrt((dr * dr).sum(axis=2))
+        tau = taus[sl, None].repeat(len(flips), axis=1)
+        live = (tau > 0.0) & (d >= _SINGULAR_DIST)
+        kern = np.zeros(d.shape)
+        kern[live] = _pair_kernel(d[live], (dr @ env.wind_arr)[live], tau[live],
+                                  env.diffusivity, env.wind.speed)
+        out[sl] = kern.sum(axis=1)
+        out[sl][(taus[sl] > 0.0) & (d[:, 0] < _SINGULAR_DIST)] = np.inf
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Adaptive quadrature
 # ---------------------------------------------------------------------------
@@ -410,63 +490,31 @@ def concentration_instant(src: SourceSpec, env: Environment, r, t) -> float:
     return float(src.strength * val)
 
 
-def _erfc_sum(env: Environment, r0: np.ndarray, obs: np.ndarray,
-              rate: float, tau: float) -> float:
-    d_scale = 2.0 * math.sqrt(env.diffusivity * tau)
-    total = 0.0
-    for i, p in enumerate(image_points(env, r0)):
-        d = math.dist(tuple(p), tuple(obs))
-        if d < _SINGULAR_DIST:
-            if i == 0:
-                raise SingularPoint(
-                    "continuous-source field diverges at the source position"
-                )
-            continue  # image coincides with observer only on the boundary itself
-        total += rate / (4.0 * math.pi * env.diffusivity * d) * math.erfc(d / d_scale)
-    return total
+_ON_SOURCE = "continuous-source field diverges at the source position"
+
+
+def _static_continuous(src: SourceSpec, env: Environment, r, tau: float) -> float:
+    obs = as_position(r).as_array()
+    val = unit_continuous_kernel(env, src.position.as_array(), obs, [tau])[0]
+    if math.isinf(val):
+        raise SingularPoint(_ON_SOURCE)
+    return float(src.strength * val)
 
 
 def concentration_continuous(src: SourceSpec, env: Environment, r, t,
                              quadrature_tol: float = DEFAULT_QUADRATURE_TOL) -> float:
-    """Field of a continuous source; closed form when windless and static.
+    """Field of a continuous source; closed form when static at a constant rate.
 
-    A static constant-rate source with no wind uses the erfc solution
-    (summed over mirror images). Wind or a time-varying rate falls back to
-    adaptive quadrature of the instant kernel over the emission history.
+    A static constant-rate source, with or without wind, uses
+    unit_continuous_kernel (summed over mirror images). A moving source or
+    a time-varying rate falls back to adaptive quadrature of the instant
+    kernel over the emission history.
     """
     if src.kind is not SourceKind.CONTINUOUS:
         raise ValueError("concentration_continuous expects a continuous source")
-    if src.is_moving:
+    if src.is_moving or callable(src.strength):
         return concentration_moving_source(src, env, r, t, quadrature_tol)
-    t = seconds(t)
-    tau = t - src.start_time
-    if tau <= 0:
-        return 0.0
-    obs = as_position(r).as_array()
-    r0 = src.position.as_array()
-    if not env.has_wind and not callable(src.strength):
-        return _erfc_sum(env, r0, obs, src.strength, tau)
-    return _emission_quadrature(src, env, obs, t, quadrature_tol)
-
-
-def continuous_point_concentration(env: Environment, source_point, rate: float,
-                                   emission_start: float, obs_point, t: float,
-                                   quadrature_tol: float = DEFAULT_QUADRATURE_TOL
-                                   ) -> float:
-    """Low-overhead scalar field of a static constant-rate continuous source.
-
-    Equivalent to concentration_continuous on a freshly built SourceSpec but
-    without constructing one; used in hot loops (dose accumulation)."""
-    tau = t - emission_start
-    if tau <= 0:
-        return 0.0
-    r0 = np.asarray(source_point, dtype=float)
-    obs = np.asarray(obs_point, dtype=float)
-    if not env.has_wind:
-        return _erfc_sum(env, r0, obs, rate, tau)
-    src = SourceSpec.continuous(rate, position=Position.from_array(r0),
-                                start_time=emission_start)
-    return _emission_quadrature(src, env, obs, t, quadrature_tol)
+    return _static_continuous(src, env, r, seconds(t) - src.start_time)
 
 
 def concentration_steady(src: SourceSpec, env: Environment, r) -> float:
@@ -475,51 +523,11 @@ def concentration_steady(src: SourceSpec, env: Environment, r) -> float:
     With wind v the steady kernel is
         exp((v . dr - |v| d) / (2 D)) / (4 pi D d),
     which reduces to 1 / (4 pi D d) in still air; mirror images are summed
-    for reflecting boundaries.
+    for reflecting boundaries. It is unit_continuous_kernel at tau = inf.
     """
     if src.kind is not SourceKind.CONTINUOUS or src.is_moving or callable(src.strength):
         raise ValueError("steady state is defined for static constant-rate sources")
-    obs = as_position(r).as_array()
-    v = env.wind_arr
-    v_mag = float(np.linalg.norm(v))
-    total = 0.0
-    for i, p in enumerate(image_points(env, src.position.as_array())):
-        dr = obs - p
-        d = float(np.linalg.norm(dr))
-        if d < _SINGULAR_DIST:
-            if i == 0:
-                raise SingularPoint("steady field diverges at the source position")
-            continue
-        kernel = 1.0 / (4.0 * math.pi * env.diffusivity * d)
-        if v_mag > 0.0:
-            kernel *= math.exp((float(v @ dr) - v_mag * d) / (2.0 * env.diffusivity))
-        total += kernel
-    return src.strength * total
-
-
-def steady_kernel_batch(env: Environment, src_points: np.ndarray,
-                        obs_points: np.ndarray) -> np.ndarray:
-    """Per-unit-rate steady concentration for every (source, observer) pair.
-
-    Returns a (G, S) matrix for G candidate source points and S observers;
-    pairs closer than the singularity guard get +inf. Vectorized equivalent
-    of concentration_steady with rate 1, used by grid searches.
-    """
-    src = np.atleast_2d(np.asarray(src_points, dtype=float))
-    obs = np.atleast_2d(np.asarray(obs_points, dtype=float))
-    v = env.wind_arr
-    v_mag = float(np.linalg.norm(v))
-    out = np.zeros((src.shape[0], obs.shape[0]))
-    for flip, off in image_transforms(env):
-        imaged = src * flip[None, :] + off[None, :]
-        dr = obs[None, :, :] - imaged[:, None, :]
-        d = np.linalg.norm(dr, axis=2)
-        with np.errstate(divide="ignore"):
-            kern = 1.0 / (4.0 * math.pi * env.diffusivity * d)
-        if v_mag > 0.0:
-            kern = kern * np.exp((dr @ v - v_mag * d) / (2.0 * env.diffusivity))
-        out += np.where(d < _SINGULAR_DIST, np.inf, kern)
-    return out
+    return _static_continuous(src, env, r, math.inf)
 
 
 def _emission_quadrature(src: SourceSpec, env: Environment, obs: np.ndarray,
@@ -591,7 +599,7 @@ def _evaluate_chunk(scenario: Scenario, positions: np.ndarray, times: np.ndarray
             taus = times - src.start_time
             r0 = src.point_at(src.start_time)
             out += src.strength * unit_instant_kernel(env, r0, positions, taus)
-        else:
+        elif src.is_moving or callable(src.strength):
             for i in range(times.size):
                 try:
                     out[i] += concentration_continuous(
@@ -599,6 +607,12 @@ def _evaluate_chunk(scenario: Scenario, positions: np.ndarray, times: np.ndarray
                     )
                 except VirodyneError as exc:
                     failures.append((i, exc))
+        else:
+            kern = unit_continuous_kernel(env, src.position.as_array(), positions,
+                                          times - src.start_time)
+            singular = np.isinf(kern)
+            failures += [(int(i), SingularPoint(_ON_SOURCE)) for i in np.flatnonzero(singular)]
+            out += src.strength * np.where(singular, 0.0, kern)
     return out, failures
 
 

@@ -473,18 +473,17 @@ def impulse_response_from_scenario(
     samples_per_slot: int = 8,
 ) -> ChannelImpulseResponse:
     """Derive taps from the physical channel: tap l is the mean
-    concentration at the receiver during slot l after a one-slot emission."""
-    from .channel import SourceSpec, concentration_continuous
+    concentration at the receiver during slot l after a one-slot emission,
+    whose field is the constant-rate field minus itself delayed one slot."""
+    from .channel import unit_continuous_kernel
+    from .core import as_position
 
-    def rate(t: float) -> float:
-        return rate_kg_s if t < symbol_interval else 0.0
+    r0, r = (as_position(p).as_array() for p in (source_position, receiver_position))
+    ts = symbol_interval * (np.arange(n_taps)[:, None]
+                            + np.linspace(0.0, 1.0, samples_per_slot + 1))
 
-    src = SourceSpec.continuous(rate, position=source_position, start_time=0.0)
-    taps = np.zeros(n_taps)
-    for l in range(n_taps):
-        ts = np.linspace(l * symbol_interval, (l + 1) * symbol_interval,
-                         samples_per_slot + 1)
-        vals = [concentration_continuous(src, env, receiver_position, t)
-                for t in ts]
-        taps[l] = np.trapezoid(vals, ts) / symbol_interval
+    def field(taus: np.ndarray) -> np.ndarray:
+        return rate_kg_s * unit_continuous_kernel(env, r0, r, taus.ravel()).reshape(taus.shape)
+
+    taps = np.trapezoid(field(ts) - field(ts - symbol_interval), ts, axis=1) / symbol_interval
     return ChannelImpulseResponse(taps=taps, symbol_interval=symbol_interval)

@@ -14,9 +14,10 @@ became contagious (infection time plus latency). This trades accuracy for
 tractability and makes a step cost linear in (susceptibles x infected x
 breath samples).
 
-Dose computations for distinct susceptibles are independent and run on the
-shared worker pool; state transitions are applied single-threaded in agent
-order from one stream, so runs are reproducible for any thread count.
+Each susceptible's dose over a step is one batched call of the static
+continuous-source kernel over (infected x breath samples); there is no
+worker pool. State transitions are applied in agent order from one stream,
+so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from typing import Iterable
 
 import numpy as np
 
-from . import parallel
-from .channel import Environment, continuous_point_concentration
+from .channel import Environment, unit_continuous_kernel
 from .core import rng_stream
+from .errors import SingularPoint
 from .mobility import Trajectory
 
 
@@ -130,16 +131,14 @@ def accumulate_dose(
     if not infected:
         return 0.0
     ts = _dose_sample_times(t0, t1, agent.breathing_rate)
-    conc = np.zeros(ts.size)
-    for i, s in enumerate(ts):
-        pos = agent.trajectory.point_at(s)
-        total = 0.0
-        for other, emit_start in infected:
-            total += continuous_point_concentration(
-                env, other.trajectory.point_at(s), other.emission_rate,
-                emit_start, pos, s,
-            )
-        conc[i] = total
+    sources = np.concatenate([other.trajectory.points_at(ts) for other, _ in infected])
+    observers = np.tile(agent.trajectory.points_at(ts), (len(infected), 1))
+    taus = (ts[None, :] - np.array([em for _, em in infected])[:, None]).ravel()
+    kern = unit_continuous_kernel(env, sources, observers, taus)
+    if np.isinf(kern).any():
+        raise SingularPoint("continuous-source field diverges at the source position")
+    rates = np.array([other.emission_rate for other, _ in infected])
+    conc = (rates[:, None] * kern.reshape(len(infected), ts.size)).sum(axis=0)
     return float(np.trapezoid(conc, ts))
 
 
@@ -163,15 +162,9 @@ def step(
     susceptible = np.where(~np.isfinite(since))[0]
 
     increments = np.zeros(len(agents))
-    if susceptible.size and infected_set:
-        def worker(_idx: int, sl: slice) -> np.ndarray:
-            ids = susceptible[sl]
-            return np.array([
-                accumulate_dose(agents[i], infected_set, env, t0, t1) for i in ids
-            ])
-
-        parts = parallel.map_chunks(worker, susceptible.size, chunk_size=4)
-        increments[susceptible] = np.concatenate(parts)
+    if infected_set:
+        for i in susceptible:
+            increments[i] = accumulate_dose(agents[i], infected_set, env, t0, t1)
 
     # Transitions: one uniform draw per susceptible, in agent order.
     k = config.dose_coefficient

@@ -22,15 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import (
-    Environment,
-    SourceSpec,
-    concentration_instant,
-    concentration_steady,
-    steady_kernel_batch,
-)
-from .core import Position, as_position
-from .errors import Unidentifiable
+from .channel import Environment, unit_continuous_kernel, unit_instant_kernel
+from .core import Position, as_position, seconds
+from .errors import SingularPoint, Unidentifiable
 
 DEFAULT_CONDITION_THRESHOLD = 1e8
 
@@ -76,25 +70,29 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 0")
 
 
-def _unit_model(source_kind: str, env: Environment
-                ) -> Callable[[np.ndarray, SensorReading], float]:
-    """Per-unit-intensity forward model c_i = Q * g_i(r0)."""
+def _unit_model(source_kind: str, env: Environment,
+                readings: Sequence[SensorReading]
+                ) -> Callable[[np.ndarray], np.ndarray]:
+    """Per-unit-intensity forward model c_i = Q * g_i(r0), batched: maps G
+    candidate positions (G, 3) to the (G, S) matrix of every reading's g_i.
+    Sources emit from t = 0; a steady source is the continuous one at
+    tau = inf."""
     if source_kind == "steady":
-        def g(r0: np.ndarray, reading: SensorReading) -> float:
-            src = SourceSpec.continuous(1.0, position=Position.from_array(r0))
-            return concentration_steady(src, env, reading.position)
-    elif source_kind == "instant":
-        def g(r0: np.ndarray, reading: SensorReading) -> float:
-            src = SourceSpec.instant(Position.from_array(r0), 1.0)
-            return concentration_instant(src, env, reading.position, reading.time)
-    elif source_kind == "continuous":
-        from .channel import concentration_continuous
-
-        def g(r0: np.ndarray, reading: SensorReading) -> float:
-            src = SourceSpec.continuous(1.0, position=Position.from_array(r0))
-            return concentration_continuous(src, env, reading.position, reading.time)
+        kernel, times = unit_continuous_kernel, [math.inf] * len(readings)
+    elif source_kind in ("instant", "continuous"):
+        kernel = unit_instant_kernel if source_kind == "instant" else unit_continuous_kernel
+        times = [seconds(r.time) for r in readings]
     else:
         raise ValueError(f"unknown source kind: {source_kind!r}")
+    sensors = np.array([r.position.as_array() for r in readings])
+
+    def g(r0s: np.ndarray) -> np.ndarray:
+        r0s = np.atleast_2d(r0s)
+        vals = kernel(env, np.repeat(r0s, len(readings), axis=0),
+                      np.tile(sensors, (len(r0s), 1)), np.tile(times, len(r0s)))
+        if np.isinf(vals).any():
+            raise SingularPoint("the forward model diverges at a sensor position")
+        return vals.reshape(len(r0s), len(readings))
     return g
 
 
@@ -200,30 +198,25 @@ def localize(
     if np.abs(y).max() == 0.0:
         raise Unidentifiable("all readings are zero; any zero-rate source fits")
     w = np.array([1.0 / r.sigma**2 for r in readings])
-    g = _unit_model(source_kind, env)
+    g = _unit_model(source_kind, env, readings)
     sensor_pts = np.array([r.position.as_array() for r in readings])
 
-    def g_vector(r0: np.ndarray) -> np.ndarray:
+    def g_matrix(r0s: np.ndarray) -> np.ndarray:
         # Guard the singularity at sensor positions: a source exactly on a
         # sensor cannot be scored, so nudge the evaluation point.
-        d = np.linalg.norm(sensor_pts - r0, axis=1)
-        if d.min() < 1e-9:
-            r0 = r0 + 1e-9
-        return np.array([g(r0, r) for r in readings])
+        r0s = np.atleast_2d(r0s)
+        d = np.linalg.norm(sensor_pts[None, :, :] - r0s[:, None, :], axis=2)
+        return g(np.where(d.min(axis=1)[:, None] < 1e-9, r0s + 1e-9, r0s))
 
     def objective(r0: np.ndarray) -> float:
-        return _profiled_residual(g_vector(r0), y, w)[1]
+        return _profiled_residual(g_matrix(r0)[0], y, w)[1]
 
     lo, hi = _search_box(readings, config)
     n = config.grid_resolution
     axes = [np.linspace(lo[k], hi[k], n) for k in range(3)]
     xx, yy, zz = np.meshgrid(*axes, indexing="ij")
     grid_pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-    if source_kind == "steady":
-        g_mat = steady_kernel_batch(env, grid_pts, sensor_pts)  # (G, S)
-        g_mat = np.where(np.isfinite(g_mat), g_mat, 0.0)
-    else:
-        g_mat = np.array([g_vector(pt) for pt in grid_pts])
+    g_mat = g_matrix(grid_pts)  # (G, S)
     denom = (w[None, :] * g_mat**2).sum(axis=1)
     num = (w[None, :] * y[None, :] * g_mat).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -241,7 +234,7 @@ def localize(
         final_pt, final_val = refined, f_ref
     else:  # simplex never beats the grid optimum
         final_pt, final_val = best_pt, best_val
-    q, res = _profiled_residual(g_vector(final_pt), y, w)
+    q, res = _profiled_residual(g_matrix(final_pt)[0], y, w)
     return SourceEstimate(
         position=Position.from_array(final_pt),
         rate=q,
@@ -280,12 +273,12 @@ def crlb_diagnostics(
         raise Unidentifiable("no readings")
     degenerate_geometry = _geometry_rank(readings) < 3
     r0 = as_position(position).as_array()
-    g = _unit_model(source_kind, env)
+    g = _unit_model(source_kind, env, readings)
     w = np.array([1.0 / r.sigma for r in readings])
 
     def model(theta: np.ndarray) -> np.ndarray:
         pos, q = theta[:3], theta[3]
-        return w * q * np.array([g(pos, r) for r in readings])
+        return w * q * g(pos)[0]
 
     theta0 = np.concatenate([r0, [float(rate)]])
     steps = np.array([1e-4, 1e-4, 1e-4, max(1e-6, 1e-6 * abs(rate))])

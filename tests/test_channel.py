@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from virodyne import channel
 from virodyne.channel import (
     Environment,
     FieldQuery,
+    FreeSpace,
     HalfSpaceReflecting,
     RectangularDuctReflecting,
     Scenario,
@@ -16,12 +18,13 @@ from virodyne.channel import (
     concentration_moving_source,
     concentration_multi_source,
     concentration_steady,
-    continuous_point_concentration,
     evaluate_field,
     image_points,
+    unit_continuous_kernel,
     unit_instant_kernel,
 )
 from virodyne.core import Velocity
+from virodyne.epidemic import Agent, accumulate_dose
 from virodyne.errors import OutOfRange, QuadratureFailure, SingularPoint
 from virodyne.mobility import Trajectory
 
@@ -136,12 +139,101 @@ class TestContinuous:
         assert concentration_continuous(src, ENV40, r, 60.0) < \
             concentration_continuous(const, ENV40, r, 60.0)
 
-    def test_fast_scalar_helper_matches(self):
-        src = SourceSpec.continuous(1.3, position=(1, 0, 2), start_time=2.0)
-        a = concentration_continuous(src, ENV40, (4, 4, 4), 9.0)
-        b = continuous_point_concentration(ENV40, (1, 0, 2), 1.3, 2.0,
-                                           (4, 4, 4), 9.0)
-        assert a == b
+
+# Each boundary with the wind components its image construction admits.
+_BOUNDARIES = {
+    "free": (FreeSpace(), np.array([1.0, 1.0, 1.0])),
+    "half": (HalfSpaceReflecting(), np.array([1.0, 1.0, 0.0])),
+    "duct": (RectangularDuctReflecting(3.0, 2.5, image_order=3),
+             np.array([1.0, 0.0, 0.0])),
+}
+
+
+@st.composite
+def static_source_cases(draw):
+    """(env, source point, observer, tau) for a static source inside the
+    domain and an observer 1.5-6 m away; the distance floor and D <= 1 keep
+    the 1e-11 oracle quadrature within a few hundred thousand nodes."""
+    kind = draw(st.sampled_from(sorted(_BOUNDARIES)))
+    boundary, admissible = _BOUNDARIES[kind]
+    wind = admissible * np.array([draw(st.floats(-2.0, 2.0)) for _ in range(3)])
+    env = Environment(diffusivity=draw(st.floats(0.1, 1.0)),
+                      wind=Velocity(*wind), boundary=boundary)
+    if kind == "duct":
+        y0, z0 = draw(st.floats(0.1, 2.9)), draw(st.floats(0.1, 2.4))
+        y, z = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 2.5))
+    elif kind == "half":
+        y0, z0 = 0.0, draw(st.floats(0.1, 3.0))
+        y, z = draw(st.floats(-4.0, 4.0)), draw(st.floats(0.0, 4.0))
+    else:
+        y0, z0 = 0.0, 0.0
+        y, z = draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))
+    dist = draw(st.floats(1.5, 6.0))
+    dx = math.sqrt(max(dist**2 - (y - y0) ** 2 - (z - z0) ** 2, 0.0))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    src = np.array([0.0, y0, z0])
+    obs = np.array([sign * dx, y, z])
+    return env, src, obs, draw(st.floats(0.5, 500.0))
+
+
+class TestContinuousKernel:
+    @given(static_source_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_static_trajectory_quadrature(self, case):
+        env, src, obs, tau = case
+        traj = Trajectory.static(src, 0.0, tau)
+        moving = SourceSpec.continuous(1.0, trajectory=traj)
+        oracle = concentration_moving_source(moving, env, obs, tau,
+                                             quadrature_tol=1e-11)
+        got = unit_continuous_kernel(env, src, obs, [tau])[0]
+        assert got == pytest.approx(oracle, rel=1e-9)
+
+    @given(static_source_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_infinite_tau_is_explicit_steady_sum(self, case):
+        env, src, obs, _ = case
+        v = env.wind_arr
+        expect = 0.0
+        for p in image_points(env, src):
+            dr = obs - p
+            d = float(np.linalg.norm(dr))
+            expect += math.exp((float(v @ dr) - float(np.linalg.norm(v)) * d)
+                               / (2.0 * env.diffusivity)) / (4.0 * math.pi * env.diffusivity * d)
+        got = unit_continuous_kernel(env, src, obs, [math.inf])[0]
+        assert got == pytest.approx(expect, rel=1e-12)
+
+    def test_erfcx_matches_scipy_on_both_branches(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(30.0, 1e6, 50)])
+        assert channel._erfcx(x) == pytest.approx(special.erfcx(x), rel=2e-13)
+
+    def test_hostile_exponents_stay_finite(self):
+        # |v| d / 2D = 2.5e4: exp of either exponent alone overflows.
+        D, d = 1e-3, 10.0
+        env = Environment(diffusivity=D, wind=Velocity(5.0, 0.0, 0.0))
+        obs = np.array([[d, 0.0, 0.0], [-d, 0.0, 0.0]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            down, up = unit_continuous_kernel(env, np.zeros(3), obs, [1e3, 1e3])
+        assert down == pytest.approx(1.0 / (4 * math.pi * D * d), rel=1e-12)
+        assert up == 0.0
+
+    def test_static_wind_never_takes_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("static constant-rate source sent to quadrature")
+
+        monkeypatch.setattr(channel, "adaptive_emission_integral", no_quadrature)
+        env = Environment(diffusivity=0.5, wind=Velocity(0.3, 0.1, 0.0),
+                          boundary=HalfSpaceReflecting())
+        src = SourceSpec.continuous(2e-3, position=(1.0, 2.0, 1.5), start_time=5.0)
+        q = FieldQuery.from_grid([0.0, 4.0], [1.0, 3.0], [0.5, 2.0], [3.0, 60.0])
+        field_vals = evaluate_field(q, Scenario(env, [src]))
+        assert np.isfinite(field_vals).all() and field_vals.max() > 0.0
+        infected = Agent(0, Trajectory.static((1.0, 2.0, 1.5), 0.0, 60.0),
+                         emission_rate=2e-3)
+        sus = Agent(1, Trajectory.straight_line((5.0, 2.0, 1.5), (0.1, 0.0, 0.0),
+                                                0.0, 60.0), emission_rate=0.0)
+        dose = accumulate_dose(sus, [(infected, 5.0)], env, 40.0, 50.0)
+        assert math.isfinite(dose) and dose > 0.0
 
 
 class TestMovingSource:
@@ -269,6 +361,21 @@ class TestBoundaries:
 
 
 class TestEvaluateField:
+    def test_from_grid_matches_nested_loops(self):
+        xs, ys, zs = [0.0, 1.5, 3.0], [-1.0, 2.0], [0.25, 0.5, 0.75, 1.0]
+        times = [0.0, 2.5, 10.0]
+        pts, ts = [], []
+        for t in times:
+            for x in xs:
+                for y in ys:
+                    for z in zs:
+                        pts.append((x, y, z))
+                        ts.append(t)
+        q = FieldQuery.from_grid(xs, ys, zs, times)
+        assert np.array_equal(q.positions, np.array(pts))
+        assert np.array_equal(q.times, np.array(ts))
+        assert len(FieldQuery.from_grid(xs, [], zs, times)) == 0
+
     def test_empty_query(self):
         q = FieldQuery.from_pairs([])
         out = evaluate_field(q, Scenario(ENV40, [SourceSpec.instant((0, 0, 0), 1.0)]))

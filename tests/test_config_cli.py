@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +101,17 @@ class TestConfig:
 
 
 class TestCli:
+    def test_import_leaves_scipy_out(self):
+        # The runtime is numpy-only; scipy is a test oracle. Importing
+        # scipy.special alone takes about 0.33 s, which every CLI start would pay.
+        import virodyne
+
+        env = dict(os.environ, PYTHONPATH=str(Path(virodyne.__file__).parents[1]))
+        code = "import sys, virodyne.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["field", "--bogus"]) == 2
 
@@ -275,3 +289,20 @@ class TestFileIo:
         assert cir.taps.sum() > 0
         # the tail decays once the one-slot puff has washed past
         assert cir.taps[-1] < cir.taps.max()
+
+    def test_impulse_response_matches_emission_window_quadrature(self):
+        # Oracle: the one-slot field by a fine trapezoid of the instant
+        # kernel over the emission window, then each slot's mean over the
+        # same 9 sample times the builder uses.
+        import virodyne as v
+        from virodyne.channel import unit_instant_kernel
+        from virodyne.detection import impulse_response_from_scenario
+        env = v.Environment(diffusivity=5.0, wind=(0.5, 0.0, 0.0))
+        r0, r = np.zeros(3), np.array([2.0, 0.5, 0.0])
+        cir = impulse_response_from_scenario(env, r0, r, rate_kg_s=2.0,
+                                             symbol_interval=1.0, n_taps=6)
+        s = np.linspace(0.0, 1.0, 40001)
+        for l in range(1, 6):
+            ts = np.linspace(l, l + 1.0, 9)
+            c = [2.0 * np.trapezoid(unit_instant_kernel(env, r0, r, t - s), s) for t in ts]
+            assert cir.taps[l] == pytest.approx(np.trapezoid(c, ts), rel=1e-8)
