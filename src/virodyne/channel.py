@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -307,30 +308,40 @@ def unit_instant_kernel(env: Environment, src_points: np.ndarray,
 
 def image_transforms(env: Environment) -> list[tuple[np.ndarray, np.ndarray]]:
     """Affine maps (flip, offset) sending a source point to each of its
-    mirror images: image = flip * p + offset. The identity comes first."""
-    b = env.boundary
+    mirror images: image = flip * p + offset. The identity comes first.
+    The maps are read-only rows of _image_stack, built once per boundary."""
+    return list(zip(*_image_stack(env.boundary)))
+
+
+@lru_cache(maxsize=64)
+def _image_stack(b: Boundary) -> tuple[np.ndarray, np.ndarray]:
+    """Flips and offsets of the image maps as read-only (M, 3) arrays."""
     ident = (np.ones(3), np.zeros(3))
     if isinstance(b, FreeSpace):
-        return [ident]
-    if isinstance(b, HalfSpaceReflecting):
-        return [ident, (np.array([1.0, 1.0, -1.0]), np.zeros(3))]
-    maps = []
-    for sy in (1.0, -1.0):
-        for ny in _reflected_offsets(b.width, b.image_order):
-            for sz in (1.0, -1.0):
-                for nz in _reflected_offsets(b.height, b.image_order):
-                    flip = np.array([1.0, sy, sz])
-                    off = np.array([0.0, ny, nz])
-                    maps.append((flip, off))
-    # Identity first for singularity checks.
-    maps.sort(key=lambda m: 0 if (m[0] == 1.0).all() and (m[1] == 0.0).all() else 1)
-    return maps
+        maps = [ident]
+    elif isinstance(b, HalfSpaceReflecting):
+        maps = [ident, (np.array([1.0, 1.0, -1.0]), np.zeros(3))]
+    else:
+        maps = []
+        for sy in (1.0, -1.0):
+            for ny in _reflected_offsets(b.width, b.image_order):
+                for sz in (1.0, -1.0):
+                    for nz in _reflected_offsets(b.height, b.image_order):
+                        flip = np.array([1.0, sy, sz])
+                        off = np.array([0.0, ny, nz])
+                        maps.append((flip, off))
+        # Identity first for singularity checks.
+        maps.sort(key=lambda m: 0 if (m[0] == 1.0).all() and (m[1] == 0.0).all() else 1)
+    flips, offsets = map(np.array, zip(*maps))
+    flips.setflags(write=False)
+    offsets.setflags(write=False)
+    return flips, offsets
 
 
 def image_points(env: Environment, src_point: np.ndarray) -> np.ndarray:
     """Explicit mirror-source positions for a point source (primary first)."""
-    p = np.asarray(src_point, dtype=float)
-    return np.array([flip * p + off for flip, off in image_transforms(env)])
+    flips, offsets = _image_stack(env.boundary)
+    return flips * np.asarray(src_point, dtype=float) + offsets
 
 
 # (-1)^k (2k - 1)!! for k = 8 .. 0: the asymptotic series of erfcx in 1 / (2 x^2).
@@ -400,7 +411,7 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     src = np.broadcast_to(np.atleast_2d(src_points), (taus.size, 3))
     obs = np.broadcast_to(np.atleast_2d(obs_points), (taus.size, 3))
-    flips, offsets = map(np.array, zip(*image_transforms(env)))
+    flips, offsets = _image_stack(env.boundary)
     out = np.zeros(taus.size)
     block = max(1, _BLOCK_PAIRS // len(flips))
     for lo in range(0, taus.size, block):

@@ -7,8 +7,9 @@ into the current sample. Three detectors are provided:
 
 * symbol threshold: y[n] >= theta decides 1 (the threshold is the
   receiver-side sensitivity knob, exposed as a plain parameter);
-* sequence maximum likelihood: exhaustive search for short frames, a
-  dynamic-programming trellis beyond, identical results where both apply;
+* sequence maximum likelihood: one Viterbi trellis over the last L - 1
+  bits, batched over frames; on equal metrics it keeps the path whose
+  dropped bit is 0, then the lowest end state;
 * non-coherent first difference: decides on y[n] - y[n-1] without any
   channel model.
 
@@ -21,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
 from typing import Union
 
 import numpy as np
@@ -30,8 +29,6 @@ import numpy as np
 from . import parallel
 from .core import rng_stream
 from .errors import EmptyObservation, MissingChannelModel
-
-_EXHAUSTIVE_LIMIT = 20  # frames up to this many bits may use brute-force ML
 
 
 @dataclass(frozen=True)
@@ -164,43 +161,35 @@ def default_threshold(cir: ChannelImpulseResponse) -> float:
     return float(cir.taps[0]) / 2.0
 
 
-def _gaussian_loglik(y: np.ndarray, x: np.ndarray, sigma: float) -> float:
-    # Constant terms dropped; only differences matter for detection.
-    return float(-((y - x) ** 2).sum() / (2.0 * sigma**2))
+_log = np.frompyfunc(math.log, 1, 1)
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
 
-def _poisson_loglik(y: np.ndarray, x: np.ndarray, alpha: float) -> float:
-    k = np.rint(alpha * y)
-    lam = alpha * x
-    ll = 0.0
-    for ki, li in zip(k, lam):
-        if li <= 0.0:
-            if ki > 0:
-                return -math.inf
-            continue
-        ll += ki * math.log(li) - li - math.lgamma(ki + 1.0)
-    return float(ll)
+def _sample_loglik(y: np.ndarray, x: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Log-likelihood of each received sample y given its noiseless level x
+    (arrays broadcast), constant terms dropped.
+
+    Gaussian: -(y - x)^2 / 2 sigma^2. Poisson with k = rint(alpha y) counts
+    and mean lam = alpha x: k log lam - lam - lgamma(k + 1), which is 0 for
+    lam <= 0 and k = 0 and -inf for lam <= 0 and k != 0. log and lgamma are
+    the exact math-module functions, applied elementwise.
+    """
+    if isinstance(noise, GaussianNoise):
+        return -((y - x) ** 2) / (2.0 * noise.sigma**2)
+    k = np.rint(noise.alpha * y)
+    lam = noise.alpha * x
+    live = lam > 0.0
+    log_lam = np.zeros(lam.shape)
+    log_lam[live] = _log(lam[live])
+    ll = k * log_lam - lam - _lgamma(k + 1.0).astype(float)
+    return np.where(live, ll, np.where(k != 0, -np.inf, 0.0))
 
 
 def _sequence_loglik(y: np.ndarray, bits: np.ndarray,
                      cir: ChannelImpulseResponse, noise: NoiseModel) -> float:
     x = modulate(bits, cir)
     n = min(x.size, y.size)
-    if isinstance(noise, GaussianNoise):
-        return _gaussian_loglik(y[:n], x[:n], noise.sigma)
-    return _poisson_loglik(y[:n], x[:n], noise.alpha)
-
-
-@lru_cache(maxsize=8)
-def _candidate_bits_cached(n_bits: int) -> np.ndarray:
-    return np.array(list(product((0, 1), repeat=n_bits)), dtype=float)
-
-
-def _candidate_bits(n_bits: int) -> np.ndarray:
-    # Keep only small tables resident; a 20-bit table alone is ~170 MB.
-    if n_bits <= 14:
-        return _candidate_bits_cached(n_bits)
-    return np.array(list(product((0, 1), repeat=n_bits)), dtype=float)
+    return float(_sample_loglik(y[:n], x[:n], noise).sum())
 
 
 def _convolve_rows(bits: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -212,80 +201,47 @@ def _convolve_rows(bits: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _detect_sequence_exhaustive(y: np.ndarray, n_bits: int,
-                                cir: ChannelImpulseResponse,
-                                noise: NoiseModel) -> tuple[np.ndarray, float]:
-    cands = _candidate_bits(n_bits)
-    clean = _convolve_rows(cands, cir.taps)
-    m = min(clean.shape[1], y.size)
-    if isinstance(noise, GaussianNoise):
-        ll = -((y[None, :m] - clean[:, :m]) ** 2).sum(axis=1) / (2 * noise.sigma**2)
-    else:
-        k = np.rint(noise.alpha * y[:m])
-        lam = noise.alpha * clean[:, :m]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(lam > 0, k[None, :] * np.log(lam) - lam,
-                             np.where(k[None, :] > 0, -np.inf, 0.0))
-        ll = terms.sum(axis=1) - sum(math.lgamma(ki + 1.0) for ki in k)
-    best = int(np.argmax(ll))
-    return cands[best].astype(int), float(ll[best])
+def _viterbi(y: np.ndarray, n_bits: int, cir: ChannelImpulseResponse,
+             noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-likelihood bits behind each received frame (Forney 1973).
 
-
-def _sample_metric(y_i: float, x_i: float, noise: NoiseModel) -> float:
-    if isinstance(noise, GaussianNoise):
-        return -((y_i - x_i) ** 2) / (2.0 * noise.sigma**2)
-    k = round(noise.alpha * y_i)
-    lam = noise.alpha * x_i
-    if lam <= 0.0:
-        return 0.0 if k == 0 else -math.inf
-    return k * math.log(lam) - lam - math.lgamma(k + 1.0)
-
-
-def _detect_sequence_viterbi(y: np.ndarray, n_bits: int,
-                             cir: ChannelImpulseResponse,
-                             noise: NoiseModel) -> tuple[np.ndarray, float]:
-    """Trellis over the last (L-1) bits; processes all n_bits + L - 1
-    samples, with the tail bits pinned to 0."""
+    y holds F frames of n_bits + L - 1 samples; returns the (F, n_bits) bits
+    and each frame's log-likelihood. A state is the last L - 1 bits, the
+    newest in bit 0, and the history before a frame is all zeros. Tail
+    samples pin the bit to 0. On equal metrics the predecessor whose
+    dropped (oldest) bit is 0 wins, then the lowest end state.
+    """
     taps = cir.taps
-    L = taps.size
-    mem = L - 1
-    n_states = 1 << mem
-    n_samples = min(y.size, n_bits + mem)
-
-    metric = np.full(n_states, -math.inf)
-    metric[0] = 0.0  # history before the frame is all zeros
-    back: list[np.ndarray] = []
+    mem = taps.size - 1
+    n_frames, n_samples = y.shape
+    # Branch (next state s, dropped bit d): the L-bit window w = s | d << mem,
+    # newest bit in bit 0, comes from state w >> 1 and expects sample x[w].
+    window = np.arange(1 << mem)[:, None] | (np.arange(2) << mem)
+    newest = window & 1
+    x = newest * taps[0]
+    for l in range(1, mem + 1):
+        x = x + taps[l] * ((window >> l) & 1)
+    prev = window >> 1
+    metric = np.full((n_frames, 1 << mem), -np.inf)
+    metric[:, 0] = 0.0
+    back = np.empty((n_samples, n_frames, 1 << mem), dtype=np.int8)
     for i in range(n_samples):
-        new_metric = np.full(n_states, -math.inf)
-        choice = np.full(n_states, -1, dtype=int)
-        allowed_bits = (0, 1) if i < n_bits else (0,)
-        for state in range(n_states):
-            if metric[state] == -math.inf:
-                continue
-            # state encodes bits b[i-1] ... b[i-mem], LSB = most recent.
-            for b in allowed_bits:
-                x_i = b * taps[0]
-                for l in range(1, min(L, i + 1)):
-                    x_i += taps[l] * ((state >> (l - 1)) & 1)
-                m = metric[state] + _sample_metric(float(y[i]), float(x_i), noise)
-                nxt = ((state << 1) | b) & (n_states - 1) if mem else 0
-                if m > new_metric[nxt]:
-                    new_metric[nxt] = m
-                    choice[nxt] = (state << 1) | b
-        back.append(choice)
-        metric = new_metric
-    end_state = int(np.argmax(metric))
-    best_ll = float(metric[end_state])
-    bits_rev = []
-    state = end_state
+        branch = metric[:, prev] + _sample_loglik(y[:, i, None, None], x, noise)
+        if i >= n_bits:
+            branch[:, newest == 1] = -np.inf
+        take = branch[..., 1] > branch[..., 0]
+        back[i] = take
+        metric = np.where(take, branch[..., 1], branch[..., 0])
+    frames = np.arange(n_frames)
+    state = np.argmax(metric, axis=1)
+    ll = metric[frames, state]
+    bits = np.empty((n_frames, n_bits), dtype=int)
     for i in range(n_samples - 1, -1, -1):
-        full = back[i][state if mem else 0]
-        b = full & 1
+        w = state | (back[i, frames, state].astype(np.intp) << mem)
         if i < n_bits:
-            bits_rev.append(int(b))
-        state = (full >> 1) & (n_states - 1) if mem else 0
-    bits = np.array(bits_rev[::-1], dtype=int)
-    return bits, best_ll
+            bits[:, i] = w & 1
+        state = w >> 1
+    return bits, ll
 
 
 def detect(frame: ReceivedFrame, cir: ChannelImpulseResponse | None,
@@ -324,11 +280,8 @@ def detect(frame: ReceivedFrame, cir: ChannelImpulseResponse | None,
         n_bits = y.size - (cir.memory - 1)
         if n_bits <= 0:
             return DetectionResult(bits=np.zeros(0, dtype=int), log_likelihood=0.0)
-        if n_bits <= _EXHAUSTIVE_LIMIT:
-            bits, ll = _detect_sequence_exhaustive(y, n_bits, cir, frame.noise)
-        else:
-            bits, ll = _detect_sequence_viterbi(y, n_bits, cir, frame.noise)
-        return DetectionResult(bits=bits, log_likelihood=ll)
+        bits, ll = _viterbi(y[None, :], n_bits, cir, frame.noise)
+        return DetectionResult(bits=bits[0], log_likelihood=float(ll[0]))
     raise TypeError(f"unknown detector mode: {mode!r}")
 
 
@@ -381,19 +334,25 @@ def error_probability(
         raise ValueError("trials must be >= 1")
     if bits_per_frame < 1:
         raise ValueError("bits_per_frame must be >= 1")
-
-    vector_mode = isinstance(config.mode, (SymbolThreshold, NonCoherentDifference))
+    if not isinstance(config.mode, (SymbolThreshold, SequenceML, NonCoherentDifference)):
+        raise TypeError(f"unknown detector mode: {config.mode!r}")
 
     def worker(chunk_idx: int, sl: slice) -> tuple[int, int, np.ndarray]:
         stream = rng_stream(seed, chunk_idx)
         n_frames = sl.stop - sl.start
-        table = np.zeros((2, 2), dtype=np.int64)
-        if vector_mode:
-            bits = (stream.uniform(size=(n_frames, bits_per_frame))
-                    < config.p1).astype(int)
+        n = bits_per_frame
+        if isinstance(config.mode, SequenceML):
+            # Per frame, in stream order: its bits, then its noise.
+            bits = np.empty((n_frames, n), dtype=int)
+            noisy = np.empty((n_frames, n + cir.memory - 1))
+            for f in range(n_frames):
+                bits[f] = stream.uniform(size=n) < config.p1
+                noisy[f] = apply_noise(modulate(bits[f], cir), noise, stream)
+            decided, _ = _viterbi(noisy, n, cir, noise)
+        else:
+            bits = (stream.uniform(size=(n_frames, n)) < config.p1).astype(int)
             clean = _convolve_rows(bits.astype(float), cir.taps)
             noisy = apply_noise(clean, noise, stream)
-            n = bits_per_frame
             if isinstance(config.mode, SymbolThreshold):
                 theta = (default_threshold(cir) if config.mode.theta is None
                          else config.mode.theta)
@@ -403,21 +362,7 @@ def error_probability(
                                       axis=1)
                 decided = ((noisy[:, :n] - prev)
                            >= config.mode.theta_delta).astype(int)
-            errors = int((decided != bits).sum())
-            total = bits.size
-            np.add.at(table, (bits.ravel(), decided.ravel()), 1)
-            return errors, total, table
-        errors = 0
-        total = 0
-        for _ in range(n_frames):
-            bits = (stream.uniform(size=bits_per_frame) < config.p1).astype(int)
-            clean = modulate(bits, cir)
-            noisy = apply_noise(clean, noise, stream)
-            decided = detect(ReceivedFrame(noisy, noise), cir, config).bits
-            errors += int((decided != bits).sum())
-            total += bits_per_frame
-            np.add.at(table, (bits, decided), 1)
-        return errors, total, table
+        return int((decided != bits).sum()), bits.size, joint_counts(bits, decided)
 
     parts = parallel.map_chunks(worker, trials, chunk_size)
     bit_errors = sum(p[0] for p in parts)
@@ -458,9 +403,10 @@ def joint_counts(sent, decided, n_symbols: int = 2) -> np.ndarray:
     d = np.asarray(decided, dtype=int)
     if s.shape != d.shape:
         raise ValueError("sent and decided must have matching shapes")
-    table = np.zeros((n_symbols, n_symbols), dtype=np.int64)
-    np.add.at(table, (s.ravel(), d.ravel()), 1)
-    return table
+    if s.size and (min(s.min(), d.min()) < 0 or max(s.max(), d.max()) >= n_symbols):
+        raise ValueError(f"symbols must lie in [0, {n_symbols})")
+    return np.bincount((n_symbols * s + d).ravel(),
+                       minlength=n_symbols * n_symbols).reshape(n_symbols, n_symbols)
 
 
 def impulse_response_from_scenario(

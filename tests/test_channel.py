@@ -360,6 +360,55 @@ class TestBoundaries:
         assert len(image_points(env_d, np.array([0, 0.5, 0.5]))) == (2 * 7) ** 2
 
 
+class TestImageTransforms:
+    DUCT = RectangularDuctReflecting(1.0, 2.0, image_order=2)
+
+    @staticmethod
+    def built_afresh(boundary):
+        """The image maps written out: identity first, then the duct's
+        (y flip, y offset, z flip, z offset) sweep in loop order."""
+        ident = ([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        if isinstance(boundary, FreeSpace):
+            return [ident]
+        if isinstance(boundary, HalfSpaceReflecting):
+            return [ident, ([1.0, 1.0, -1.0], [0.0, 0.0, 0.0])]
+        order = boundary.image_order
+        rest = [([1.0, sy, sz], [0.0, 2 * boundary.width * ny, 2 * boundary.height * nz])
+                for sy in (1.0, -1.0) for ny in range(-order, order + 1)
+                for sz in (1.0, -1.0) for nz in range(-order, order + 1)]
+        rest.remove(ident)
+        return [ident] + rest
+
+    @pytest.mark.parametrize("boundary", [FreeSpace(), HalfSpaceReflecting(), DUCT])
+    def test_maps_equal_a_fresh_build(self, boundary):
+        maps = channel.image_transforms(Environment(diffusivity=1.0, boundary=boundary))
+        want = self.built_afresh(boundary)
+        assert len(maps) == len(want)
+        for (flip, off), (w_flip, w_off) in zip(maps, want):
+            assert flip.tolist() == w_flip and off.tolist() == w_off
+
+    def test_second_call_does_not_rebuild(self, monkeypatch):
+        calls = []
+        build = channel._reflected_offsets
+        monkeypatch.setattr(channel, "_reflected_offsets",
+                            lambda *a: calls.append(a) or build(*a))
+        duct = RectangularDuctReflecting(3.0, 2.5, image_order=4)
+        env = Environment(diffusivity=1.0, boundary=duct)
+        channel._image_stack.cache_clear()
+        first = channel.image_transforms(env)
+        n_calls = len(calls)
+        second = channel.image_transforms(Environment(diffusivity=2.0, boundary=duct))
+        assert n_calls > 0 and len(calls) == n_calls
+        assert len(first) == len(second) == (2 * 9) ** 2
+
+    def test_maps_are_read_only(self):
+        env = Environment(diffusivity=1.0, boundary=self.DUCT)
+        for flip, off in channel.image_transforms(env):
+            assert not flip.flags.writeable and not off.flags.writeable
+        with pytest.raises(ValueError):
+            channel.image_transforms(env)[0][1][2] = 5.0
+
+
 class TestEvaluateField:
     def test_from_grid_matches_nested_loops(self):
         xs, ys, zs = [0.0, 1.5, 3.0], [-1.0, 2.0], [0.25, 0.5, 0.75, 1.0]

@@ -178,6 +178,17 @@ class TestCli:
         assert 0.0 <= doc["mi_bits"] <= 1.0
         assert doc["meta"]["seed"] == "3"
 
+    def test_module_entry_point_runs(self, tmp_path):
+        import virodyne
+
+        env = dict(os.environ, PYTHONPATH=str(Path(virodyne.__file__).parents[1]))
+        cfg = str(REPO_CONFIGS / "detect_demo.cfg")
+        by_module, in_process = tmp_path / "module.json", tmp_path / "main.json"
+        subprocess.run([sys.executable, "-m", "virodyne.cli", "detect", "--config",
+                        cfg, "--out", str(by_module)], env=env, timeout=120, check=True)
+        assert main(["detect", "--config", cfg, "--out", str(in_process)]) == 0
+        assert by_module.read_bytes() == in_process.read_bytes()
+
     def test_epidemic_outputs(self, tmp_path):
         cfg_text = (REPO_CONFIGS / "epidemic_demo.cfg").read_text()
         cfg_text = cfg_text.replace("horizon_s = 600", "horizon_s = 60")

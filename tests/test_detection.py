@@ -14,8 +14,7 @@ from virodyne.detection import (
     ReceivedFrame,
     SequenceML,
     SymbolThreshold,
-    _detect_sequence_exhaustive,
-    _detect_sequence_viterbi,
+    _viterbi,
     apply_noise,
     default_threshold,
     detect,
@@ -29,6 +28,36 @@ from virodyne.errors import EmptyObservation, MissingChannelModel
 
 CIR1 = ChannelImpulseResponse(taps=[1.0], symbol_interval=1.0)
 CIR2 = ChannelImpulseResponse(taps=[2.0, 1.0], symbol_interval=1.0)
+
+
+def frame_logliks(y, cands, cir, noise):
+    """Log-likelihood of received samples y under each candidate bit row,
+    constant terms dropped as in detection."""
+    cands = np.atleast_2d(cands)
+    clean = np.zeros((cands.shape[0], cands.shape[1] + cir.memory - 1))
+    for l, tap in enumerate(cir.taps):
+        clean[:, l:l + cands.shape[1]] += tap * cands
+    if isinstance(noise, GaussianNoise):
+        return -((y - clean) ** 2).sum(axis=1) / (2 * noise.sigma**2)
+    k = np.rint(noise.alpha * y)
+    lam = noise.alpha * clean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(lam > 0, k * np.log(lam) - lam
+                         - np.array([math.lgamma(ki + 1.0) for ki in k]),
+                         np.where(k != 0, -np.inf, 0.0))
+    return terms.sum(axis=1)
+
+
+def exhaustive_ml(y, n_bits, cir, noise):
+    """Oracle: score all 2^n_bits frames (n_bits <= 12). Returns the best
+    frame, its log-likelihood and whether it beats every other frame."""
+    assert n_bits <= 12
+    cands = (np.arange(2**n_bits)[:, None] >> np.arange(n_bits)[::-1]) & 1
+    ll = frame_logliks(y, cands, cir, noise)
+    order = np.argsort(ll)[::-1]
+    best, second = ll[order[0]], (ll[order[1]] if ll.size > 1 else -np.inf)
+    unique = best - second > 1e-9 * max(1.0, abs(best))
+    return cands[order[0]], float(best), bool(unique)
 
 
 class TestModulate:
@@ -75,19 +104,24 @@ class TestDetect:
         for _ in range(40):
             bits = (stream.uniform(size=9) < 0.5).astype(int)
             y = apply_noise(modulate(bits, CIR2), noise, stream)
-            be, le = _detect_sequence_exhaustive(y, 9, CIR2, noise)
-            bv, lv = _detect_sequence_viterbi(y, 9, CIR2, noise)
-            assert (be == bv).all()
-            assert le == pytest.approx(lv, rel=1e-9)
+            be, le, _ = exhaustive_ml(y, 9, CIR2, noise)
+            out = detect(ReceivedFrame(y, noise), CIR2, DetectorConfig(SequenceML()))
+            assert (be == out.bits).all()
+            assert out.log_likelihood == pytest.approx(le, rel=1e-12)
 
     def test_viterbi_handles_frames_beyond_exhaustive_limit(self):
-        # 24 bits exceeds the brute-force cutoff, exercising the trellis.
+        # 24 bits is past what the oracle can enumerate: score the decided
+        # frame and each of its one-bit neighbours instead.
         stream = rng_stream(14, 0)
         bits = (stream.uniform(size=24) < 0.5).astype(int)
         noise = GaussianNoise(0.05)
         y = apply_noise(modulate(bits, CIR2), noise, stream)
         out = detect(ReceivedFrame(y, noise), CIR2, DetectorConfig(SequenceML()))
         assert (out.bits == bits).all()
+        neighbours = out.bits ^ np.eye(24, dtype=int)
+        ll = frame_logliks(y, np.vstack([out.bits, neighbours]), CIR2, noise)
+        assert out.log_likelihood == pytest.approx(ll[0], rel=1e-12)
+        assert (ll[1:] < ll[0]).all()
 
     def test_exhaustive_equals_viterbi_poisson(self):
         stream = rng_stream(6, 0)
@@ -95,9 +129,64 @@ class TestDetect:
         for _ in range(25):
             bits = (stream.uniform(size=7) < 0.5).astype(int)
             y = apply_noise(modulate(bits, CIR2), noise, stream)
-            be, _ = _detect_sequence_exhaustive(y, 7, CIR2, noise)
-            bv, _ = _detect_sequence_viterbi(y, 7, CIR2, noise)
-            assert (be == bv).all()
+            be, le, _ = exhaustive_ml(y, 7, CIR2, noise)
+            out = detect(ReceivedFrame(y, noise), CIR2, DetectorConfig(SequenceML()))
+            assert (be == out.bits).all()
+            assert out.log_likelihood == pytest.approx(le, rel=1e-12)
+
+    @given(taps=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+           poisson=st.booleans(), level=st.floats(0.0, 1.0),
+           p1=st.floats(0.05, 0.95), n_bits=st.integers(1, 12),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_trellis_matches_exhaustive_oracle(self, taps, poisson, level, p1,
+                                               n_bits, seed):
+        # alpha down to 1 and sigma up to 2: low counts make exact ties common.
+        cir = ChannelImpulseResponse(taps=taps, symbol_interval=1.0)
+        noise = (PoissonNoise(1.0 + 59.0 * level) if poisson
+                 else GaussianNoise(0.05 + 1.95 * level))
+        stream = rng_stream(seed, 0)
+        frames = []
+        for _ in range(4):
+            bits = (stream.uniform(size=n_bits) < p1).astype(int)
+            frames.append(apply_noise(modulate(bits, cir), noise, stream))
+        got_bits, got_ll = _viterbi(np.array(frames), n_bits, cir, noise)
+        for y, b, ll in zip(frames, got_bits, got_ll):
+            want_bits, want_ll, unique = exhaustive_ml(y, n_bits, cir, noise)
+            assert ll == pytest.approx(want_ll, rel=1e-12)
+            if unique:
+                assert (b == want_bits).all()
+
+    @pytest.mark.parametrize("taps, y, winner, rival", [
+        # "10" and "01" both leave squared errors (0.25, 0, 0.25).
+        ((1.0, 1.0), (0.5, 1.0, 0.5), [1, 0], [0, 1]),
+        # One tap: the decided bit is the dropped bit.
+        ((1.0,), (0.5,), [0], [1]),
+    ])
+    def test_tie_keeps_dropped_bit_zero(self, taps, y, winner, rival):
+        cir = ChannelImpulseResponse(taps=taps, symbol_interval=1.0)
+        noise = GaussianNoise(0.5)
+        ll = frame_logliks(np.array(y), [winner, rival], cir, noise)
+        assert ll[0] == ll[1]
+        out = detect(ReceivedFrame(y, noise), cir, DetectorConfig(SequenceML()))
+        assert out.bits.tolist() == winner
+        assert out.log_likelihood == ll[0]
+
+    @pytest.mark.parametrize("noise", [GaussianNoise(0.4), PoissonNoise(3.0)])
+    def test_threshold_loglik_scores_decided_bits(self, noise):
+        stream = rng_stream(8, 0)
+        bits = (stream.uniform(size=20) < 0.5).astype(int)
+        y = apply_noise(modulate(bits, CIR2), noise, stream)
+        out = detect(ReceivedFrame(y, noise), CIR2, DetectorConfig(SymbolThreshold(None)))
+        want = frame_logliks(y, out.bits, CIR2, noise)[0]
+        assert out.log_likelihood == pytest.approx(want, rel=1e-12)
+
+    def test_count_at_zero_mean_is_impossible(self):
+        # A first tap of 0 makes the mean 0 at sample 0 under every frame.
+        cir = ChannelImpulseResponse(taps=[0.0, 1.0], symbol_interval=1.0)
+        frame = ReceivedFrame([0.5, 1.0, 0.0], PoissonNoise(2.0))
+        for mode in (SequenceML(), SymbolThreshold(0.5)):
+            assert detect(frame, cir, DetectorConfig(mode)).log_likelihood == -math.inf
 
     @given(st.floats(0.1, 100.0))
     @settings(max_examples=30, deadline=None)
@@ -209,6 +298,21 @@ class TestMutualInformation:
         np.add.at(table, (bits, quantized), 1)
         mi_quant = mutual_information(table)
         assert mi_decided <= mi_quant + 1e-3
+
+    @pytest.mark.parametrize("n_symbols", [2, 3])
+    def test_joint_counts_equal_add_at(self, n_symbols):
+        rng = rng_stream(21, 0)
+        sent = rng.integers(0, n_symbols, size=(64, 33))
+        decided = rng.integers(0, n_symbols, size=(64, 33))
+        table = np.zeros((n_symbols, n_symbols), dtype=np.int64)
+        np.add.at(table, (sent.ravel(), decided.ravel()), 1)
+        got = joint_counts(sent, decided, n_symbols)
+        assert got.dtype == table.dtype
+        assert (got == table).all()
+        with pytest.raises(ValueError):
+            joint_counts([0, n_symbols], [0, 0], n_symbols)
+        with pytest.raises(ValueError):
+            joint_counts([0, 1], [-1, 0], n_symbols)
 
     def test_counts_validation(self):
         with pytest.raises(ValueError):
