@@ -9,6 +9,9 @@
 #
 # Usage: scripts/orf3a_reproduction.sh ALIGNED_ORF3A.fasta OUTPUT_DIR
 #
+# The commands run as `python3 -m virodyne.cli`, so the package must be
+# importable: install it, or run from a checkout with PYTHONPATH=src.
+#
 # With a sufficiently deep alignment the entropy profile shows hot-spots
 # around positions 57, 172, and 223, and the transversion-restricted
 # direction report at position 57 ranks histidine first (the well-known
@@ -26,10 +29,10 @@ FASTA="$1"
 OUT="$2"
 mkdir -p "$OUT"
 
-virodyne entropy --fasta "$FASTA" --alphabet aa --out "$OUT/orf3a_entropy.csv"
-virodyne hotspots --fasta "$FASTA" --alphabet aa --top 10 \
+python3 -m virodyne.cli entropy --fasta "$FASTA" --alphabet aa --out "$OUT/orf3a_entropy.csv"
+python3 -m virodyne.cli hotspots --fasta "$FASTA" --alphabet aa --top 10 \
     --out "$OUT/orf3a_hotspots.json"
-virodyne direction --fasta "$FASTA" --alphabet aa --position 57 \
+python3 -m virodyne.cli direction --fasta "$FASTA" --alphabet aa --position 57 \
     --q 1e-3 --gamma 0.1 --mode tv --level aa \
     --out "$OUT/orf3a_q57_direction.json"
 

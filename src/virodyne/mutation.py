@@ -39,6 +39,10 @@ from .seqstat import Alphabet, AlignmentMatrix, column_distribution
 
 ROW_SUM_TOL = 1e-12
 
+# Amino-acid state index of every codon, in CODONS order.
+_CODON_AMINO = np.array([AMINO_STATE_INDEX[STANDARD_GENETIC_CODE.translate(c)]
+                         for c in CODONS])
+
 
 @dataclass(frozen=True)
 class KimuraParams:
@@ -156,12 +160,7 @@ def codon_matrix(base: SubstitutionMatrix) -> SubstitutionMatrix:
 
 def uniform_codon_weights() -> np.ndarray:
     """Uniform weight over the synonymous codons of each amino acid."""
-    w = np.zeros(64)
-    for aa in AMINO_STATES:
-        codons = STANDARD_GENETIC_CODE.codons_for(aa)
-        for c in codons:
-            w[CODON_INDEX[c]] = 1.0 / len(codons)
-    return w
+    return 1.0 / np.bincount(_CODON_AMINO)[_CODON_AMINO]
 
 
 def empirical_codon_weights(codon_counts: Mapping[str, float]) -> np.ndarray:
@@ -175,15 +174,8 @@ def empirical_codon_weights(codon_counts: Mapping[str, float]) -> np.ndarray:
         if count < 0:
             raise InvalidWeights(f"negative count for codon {codon!r}")
         w[CODON_INDEX[codon]] = float(count)
-    for aa in AMINO_STATES:
-        codons = STANDARD_GENETIC_CODE.codons_for(aa)
-        idx = [CODON_INDEX[c] for c in codons]
-        total = w[idx].sum()
-        if total > 0:
-            w[idx] /= total
-        else:
-            w[idx] = 1.0 / len(idx)
-    return w
+    total = np.bincount(_CODON_AMINO, weights=w, minlength=21)[_CODON_AMINO]
+    return np.divide(w, total, out=uniform_codon_weights(), where=total > 0)
 
 
 def _validate_weights(weights: np.ndarray) -> np.ndarray:
@@ -192,9 +184,8 @@ def _validate_weights(weights: np.ndarray) -> np.ndarray:
         raise InvalidWeights(f"codon weights must have shape (64,), got {w.shape}")
     if (w < 0).any() or not np.isfinite(w).all():
         raise InvalidWeights("codon weights must be finite and >= 0")
-    for aa in AMINO_STATES:
-        idx = [CODON_INDEX[c] for c in STANDARD_GENETIC_CODE.codons_for(aa)]
-        total = w[idx].sum()
+    totals = np.bincount(_CODON_AMINO, weights=w, minlength=21)
+    for aa, total in zip(AMINO_STATES, totals):
         if abs(total - 1.0) > 1e-9:
             raise InvalidWeights(
                 f"weights for {aa!r} sum to {total}, expected 1"
@@ -216,8 +207,7 @@ def amino_matrix(codon: SubstitutionMatrix,
                           else codon_weights)
     # Aggregation matrix: codon -> amino acid membership.
     agg = np.zeros((64, 21))
-    for c in CODONS:
-        agg[CODON_INDEX[c], AMINO_STATE_INDEX[STANDARD_GENETIC_CODE.translate(c)]] = 1.0
+    agg[np.arange(64), _CODON_AMINO] = 1.0
     weighted = w[:, None] * codon.matrix           # (64, 64)
     m = agg.T @ weighted @ agg                     # (21, 21)
     return SubstitutionMatrix(level="amino", states=tuple(AMINO_STATES), matrix=m)
@@ -283,15 +273,14 @@ def _codon_column(alignment: AlignmentMatrix, position: int) -> dict[str, int]:
             f"amino position {position} needs nucleotide columns up to "
             f"{j0 + 3}, alignment length is {alignment.length}"
         )
-    counts: dict[str, int] = {}
-    sub = alignment.matrix[:, j0:j0 + 3]
     ok = alignment.mask[:, j0:j0 + 3].all(axis=1)
-    for row in sub[ok]:
-        codon = "".join(row)
-        counts[codon] = counts.get(codon, 0) + 1
-    if not counts:
+    bases = alignment.alphabet.code_index[alignment.matrix[ok, j0:j0 + 3]]
+    if bases.size == 0:
         raise NoData(f"no complete codons at amino position {position}")
-    return counts
+    codes, first, counts = np.unique(bases @ (16, 4, 1), return_index=True,
+                                     return_counts=True)
+    order = np.argsort(first)  # first-occurrence order, as rows were read
+    return {CODONS[c]: int(n) for c, n in zip(codes[order], counts[order])}
 
 
 def mutation_direction(
@@ -315,44 +304,30 @@ def mutation_direction(
         dist = column_distribution(alignment, position)
         if alignment.alphabet is not Alphabet.NUCLEOTIDE:
             raise ValueError("base-level direction needs a nucleotide alignment")
-        source = dist.probabilities
-        report_matrix = base
-        source_dict = {s: float(p) for s, p in zip(NUCLEOTIDES, source) if p > 0}
-        targets = _rank_targets(source, report_matrix)
-        return DirectionReport(level=level, mode=mode, position=position,
-                               source=source_dict, targets=targets)
-
-    cod = codon_matrix(base)
-    if level == "codon":
+        source, matrix = dist.probabilities, base
+    elif level == "codon":
         counts = _codon_column(alignment, position)
         total = sum(counts.values())
+        source_dict = {c: n / total for c, n in counts.items()}
         source = np.zeros(64)
-        for c, n in counts.items():
-            source[CODON_INDEX[c]] = n / total
-        targets = _rank_targets(source, cod)
-        source_dict = {c: float(source[CODON_INDEX[c]]) for c in counts}
-        return DirectionReport(level=level, mode=mode, position=position,
-                               source=source_dict, targets=targets)
-
-    if level == "amino":
+        source[[CODON_INDEX[c] for c in counts]] = list(source_dict.values())
+        matrix = codon_matrix(base)
+    elif level == "amino":
         if alignment.alphabet is Alphabet.NUCLEOTIDE:
             counts = _codon_column(alignment, position)
             weights = empirical_codon_weights(counts) if codon_weights is None \
                 else _validate_weights(codon_weights)
             total = sum(counts.values())
-            source = np.zeros(21)
-            for c, n in counts.items():
-                aa = STANDARD_GENETIC_CODE.translate(c)
-                source[AMINO_STATE_INDEX[aa]] += n / total
+            source = np.bincount(_CODON_AMINO[[CODON_INDEX[c] for c in counts]],
+                                 [n / total for n in counts.values()], minlength=21)
         else:
-            dist = column_distribution(alignment, position)
-            source = dist.probabilities
+            source = column_distribution(alignment, position).probabilities
             weights = (uniform_codon_weights() if codon_weights is None
                        else _validate_weights(codon_weights))
-        am = amino_matrix(cod, weights)
-        targets = _rank_targets(source, am)
-        source_dict = {s: float(p) for s, p in zip(AMINO_STATES, source) if p > 0}
-        return DirectionReport(level=level, mode=mode, position=position,
-                               source=source_dict, targets=targets)
-
-    raise ValueError("level must be 'base', 'codon', or 'amino'")
+        matrix = amino_matrix(codon_matrix(base), weights)
+    else:
+        raise ValueError("level must be 'base', 'codon', or 'amino'")
+    if level != "codon":  # codon sources keep first-occurrence order
+        source_dict = {s: float(p) for s, p in zip(matrix.states, source) if p > 0}
+    return DirectionReport(level=level, mode=mode, position=position,
+                           source=source_dict, targets=_rank_targets(source, matrix))

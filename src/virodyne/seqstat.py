@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import enum
 import io
-import math
+import string
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, TextIO, Union
 
 import numpy as np
@@ -44,6 +45,16 @@ class Alphabet(enum.Enum):
     def size(self) -> int:
         return len(self.symbols)
 
+    @cached_property
+    def code_index(self) -> np.ndarray:
+        """Read-only 256-entry table from an ASCII code to its index in
+        `symbols`; every other code (gap, ambiguity, anything else) maps to
+        `size`."""
+        table = np.full(256, self.size, dtype=np.intp)
+        table[np.frombuffer(self.symbols.encode(), np.uint8)] = np.arange(self.size)
+        table.setflags(write=False)
+        return table
+
 
 @dataclass(frozen=True)
 class FastaRecord:
@@ -61,6 +72,15 @@ def parse_fasta(source: Union[str, TextIO], alphabet: Alphabet) -> list[FastaRec
     """
     handle = io.StringIO(source) if isinstance(source, str) else source
     allowed = set(alphabet.symbols) | {GAP, alphabet.ambiguity}
+    nucleotide = alphabet is Alphabet.NUCLEOTIDE
+    # A line made only of these ASCII characters and whitespace needs no
+    # per-character scan. The check runs on the raw line: 'ß'.upper() is 'SS'.
+    accepted = "".join(allowed) + ("U" if nucleotide else "")
+    plain = accepted + accepted.lower()
+    drop_plain = str.maketrans("", "", plain + string.whitespace)
+    # Both cases to upper case (U and u to T), whitespace dropped.
+    normalize = str.maketrans(plain, accepted.replace("U", "T") * 2,
+                              string.whitespace)
     records: list[FastaRecord] = []
     ident: str | None = None
     chunks: list[str] = []
@@ -88,12 +108,15 @@ def parse_fasta(source: Union[str, TextIO], alphabet: Alphabet) -> list[FastaRec
             continue
         if ident is None:
             raise ParseError("sequence data before any '>' header", line_no, 1)
+        if not line.translate(drop_plain):
+            chunks.append(line.translate(normalize))
+            continue
         cleaned = []
         for col, ch in enumerate(line, start=1):
             if ch.isspace():
                 continue
             up = ch.upper()
-            if alphabet is Alphabet.NUCLEOTIDE and up == "U":
+            if nucleotide and up == "U":
                 up = "T"
             if up not in allowed:
                 raise ParseError(f"invalid {alphabet.value} symbol {ch!r}",
@@ -108,6 +131,8 @@ def parse_fasta(source: Union[str, TextIO], alphabet: Alphabet) -> list[FastaRec
 
 def write_fasta(records: Iterable[FastaRecord], width: int = 60) -> str:
     """Serialize records back to FASTA text (round-trips through parse)."""
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     out = []
     for rec in records:
         out.append(f">{rec.identifier}")
@@ -121,7 +146,7 @@ class AlignmentMatrix:
     """Equal-length residue rows with a validity mask (gaps/ambiguity False)."""
 
     ids: tuple[str, ...]
-    matrix: np.ndarray        # (n, L) of single characters
+    matrix: np.ndarray        # (n, L) uint8 ASCII codes of the residues
     mask: np.ndarray          # (n, L) bool, True where residue is countable
     alphabet: Alphabet
     truncated_rows: int = 0   # rows shortened in non-strict mode
@@ -162,10 +187,10 @@ def build_alignment(records: Iterable[FastaRecord], alphabet: Alphabet,
             offenders,
         )
     truncated = sum(1 for n in lengths if n > target)
-    rows = [list(r.sequence[:target]) for r in recs]
-    matrix = np.array(rows, dtype="U1")
-    countable = set(alphabet.symbols)
-    mask = np.isin(matrix, list(countable))
+    # Non-ASCII (possible only in hand-built records) becomes a masked '?'.
+    joined = "".join(r.sequence[:target] for r in recs).encode("ascii", "replace")
+    matrix = np.frombuffer(joined, dtype=np.uint8).reshape(len(recs), target)
+    mask = alphabet.code_index[matrix] < alphabet.size
     return AlignmentMatrix(
         ids=tuple(r.identifier for r in recs),
         matrix=matrix,
@@ -187,27 +212,33 @@ class PositionDistribution:
                                             self.probabilities)}
 
 
+def _symbol_counts(codes: np.ndarray, alphabet: Alphabet) -> np.ndarray:
+    """(k, L) float counts of each alphabet symbol in every column of the
+    (n, L) code block; masked codes fall into a dropped (k+1)-th bin."""
+    k = alphabet.size
+    L = codes.shape[1]
+    flat = alphabet.code_index[codes]   # a fresh array, so in place is safe
+    flat *= L
+    flat += np.arange(L)
+    bins = np.bincount(flat.ravel(), minlength=(k + 1) * L)
+    return bins.reshape(k + 1, L)[:k].astype(float)
+
+
 def column_distribution(alignment: AlignmentMatrix, position: int,
                         pseudocount: float = 0.0) -> PositionDistribution:
     """Residue distribution of one column, gaps and ambiguity excluded."""
     if pseudocount < 0:
         raise ValueError("pseudocount must be >= 0")
-    residues, mask = alignment.column(position)
-    valid = residues[mask]
-    if valid.size == 0:
+    residues, _ = alignment.column(position)
+    counts = _symbol_counts(residues[:, None], alignment.alphabet)[:, 0]
+    valid = counts.sum()
+    if valid == 0:
         raise NoData(f"column {position} holds no unmasked residues")
-    symbols = alignment.alphabet.symbols
-    counts = np.array([(valid == s).sum() for s in symbols], dtype=float)
-    total = counts.sum() + pseudocount * len(symbols)
+    total = valid + pseudocount * alignment.alphabet.size
     probs = (counts + pseudocount) / total
     return PositionDistribution(position=position, probabilities=probs,
-                                effective_count=int(valid.size),
+                                effective_count=int(valid),
                                 alphabet=alignment.alphabet)
-
-
-def _entropy_bits(probs: np.ndarray) -> float:
-    nz = probs[probs > 0]
-    return float(-(nz * np.log2(nz)).sum())
 
 
 @dataclass(frozen=True)
@@ -236,26 +267,18 @@ def positional_entropy(alignment: AlignmentMatrix,
     """
     if pseudocount < 0:
         raise ValueError("pseudocount must be >= 0")
-    L = alignment.length
-    ent = np.full(L, np.nan)
-    n_eff = np.zeros(L, dtype=int)
-    symbols = list(alignment.alphabet.symbols)
-    k = len(symbols)
-    # Column-wise counts in one pass per symbol.
-    counts = np.zeros((k, L))
-    for si, s in enumerate(symbols):
-        counts[si] = ((alignment.matrix == s) & alignment.mask).sum(axis=0)
+    ent = np.full(alignment.length, np.nan)
+    k = alignment.alphabet.size
+    counts = _symbol_counts(alignment.matrix, alignment.alphabet)
     totals = counts.sum(axis=0)
-    n_eff = totals.astype(int)
     defined = totals > 0
     denom = totals[defined] + pseudocount * k
     probs = (counts[:, defined] + pseudocount) / denom
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(probs > 0, probs * np.log2(probs), 0.0)
-    ent[defined] = -terms.sum(axis=0)
     # Clamp the tiny negative zeros that float arithmetic produces.
-    ent[defined] = np.maximum(ent[defined], 0.0)
-    return EntropyProfile(entropies=ent, n_effective=n_eff,
+    ent[defined] = np.maximum(-terms.sum(axis=0), 0.0)
+    return EntropyProfile(entropies=ent, n_effective=totals.astype(int),
                           alphabet=alignment.alphabet)
 
 
@@ -275,14 +298,12 @@ def hotspots(profile: EntropyProfile, top_k: int | None = None,
     if (top_k is None) == (min_entropy is None):
         raise ValueError("choose exactly one of top_k or min_entropy")
     ent = profile.entropies
-    candidates = [
-        Hotspot(position=i + 1, entropy=float(ent[i]))
-        for i in range(profile.length)
-        if math.isfinite(ent[i])
-    ]
-    candidates.sort(key=lambda h: (-h.entropy, h.position))
+    finite = np.flatnonzero(np.isfinite(ent))
+    ranked = finite[np.lexsort((finite, -ent[finite]))]
     if top_k is not None:
         if top_k < 0:
             raise ValueError("top_k must be >= 0")
-        return candidates[:min(top_k, len(candidates))]
-    return [h for h in candidates if h.entropy >= min_entropy]
+        chosen = ranked[:top_k]
+    else:
+        chosen = ranked[ent[ranked] >= min_entropy]
+    return [Hotspot(position=int(i) + 1, entropy=float(ent[i])) for i in chosen]

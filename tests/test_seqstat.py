@@ -68,11 +68,16 @@ class TestParseFasta:
         assert again == recs
 
     @given(st.lists(st.text(alphabet="ACGT-N", min_size=1, max_size=80),
-                    min_size=1, max_size=8))
+                    min_size=1, max_size=8), st.integers(1, 90))
     @settings(max_examples=50, deadline=None)
-    def test_round_trip_property(self, seqs):
+    def test_round_trip_property(self, seqs, width):
         recs = [FastaRecord(f"id{i}", s) for i, s in enumerate(seqs)]
-        assert parse_fasta(write_fasta(recs), Alphabet.NUCLEOTIDE) == recs
+        assert parse_fasta(write_fasta(recs, width), Alphabet.NUCLEOTIDE) == recs
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_write_rejects_width_below_one(self, width):
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            write_fasta([FastaRecord("a", "ACGT")], width=width)
 
 
 class TestBuildAlignment:
@@ -97,6 +102,11 @@ class TestBuildAlignment:
     def test_mask_marks_gaps_and_ambiguity(self):
         aln = make_alignment(["A-GN"])
         assert aln.mask.tolist() == [[True, False, True, False]]
+
+    def test_matrix_holds_ascii_codes(self):
+        aln = make_alignment(["acgu", "N-TT"])
+        assert aln.matrix.dtype == np.uint8
+        assert aln.matrix.tobytes() == b"ACGTN-TT"
 
 
 class TestEntropy:
