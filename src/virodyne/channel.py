@@ -7,17 +7,27 @@ method of images:
 
 * instant release of mass Q at r0:
       c = Q * (4 pi D tau)^(-3/2) * exp(-|r - r0 - v tau|^2 / (4 D tau))
-* continuous release at constant rate Q from a static point, wind included:
+* continuous release at constant rate Q, static or moving, wind included:
   Carslaw & Jaeger's moving point source in the wind's frame (see
   unit_continuous_kernel), Q / (4 pi D d) * erfc(d / (2 sqrt(D tau))) in
-  still air; the steady state is its tau -> infinity limit;
-* moving sources and time-varying rates: adaptive Simpson quadrature of the
-  instant kernel over the emission history;
+  still air; the steady state is its tau -> infinity limit. A trajectory
+  is piecewise linear, and each piece is that closed form seen from the
+  point the piece extrapolates to at the observation time, in the wind
+  minus the piece's velocity;
+* time-varying rates: adaptive Simpson quadrature of the instant kernel
+  over the emission history (concentration_moving_source), which is also
+  the independent check of the closed forms;
 * superposition over source lists (the equation is linear).
 
 Reflecting boundaries restrict the wind so the image construction stays
 exact: a half-space (plane z=0) admits no vertical wind, a rectangular duct
-(unbounded x, reflecting y/z walls) admits wind along x only.
+(unbounded x, reflecting y/z walls) admits wind along x only. The images
+have two representations, on purpose: continuous sources sum over the
+explicit image list of image_transforms, (2(2n+1))^2 images for a duct of
+image_order n, because each image needs its own distance; the instant
+kernel is a product of per-axis image sums (_axis_factor), 2(2n+1) factors
+per axis, which is far cheaper for the Gaussian and exact because it
+separates by axis.
 
 Everything here is a pure function of its inputs and safe to call
 concurrently; batch evaluation partitions the query across worker threads
@@ -367,64 +377,126 @@ def _erfcx(x: np.ndarray) -> np.ndarray:
 
 
 def _pair_kernel(d: np.ndarray, v_dot_dr: np.ndarray, tau: np.ndarray,
-                 diffusivity: float, speed: float) -> np.ndarray:
-    """Per-unit-rate field of one (image source, observer) pair, d > 0 and
-    tau > 0 (tau may be inf). With a = v . dr / 2D, b = |v| d / 2D and
-    y, x = (d -+ |v| tau) / 2 sqrt(D tau) the bracket is
-    e^(a - b) erfc(y) + e^(a + b) erfc(x). Writing erfc(x) = e^(-x^2) erfcx(x)
-    gives both terms the factor e^(a - b - y^2) = e^(a + b - x^2) <= e^(a - b)
-    <= 1 (as v . dr <= |v| d), so no exponent evaluated is positive."""
+                 diffusivity: float, speed: float | np.ndarray) -> np.ndarray:
+    """Per-unit-rate field of (image source, observer) pairs, d > 0 and
+    tau > 0 (tau may be inf), all in one drift v or each in its own (speed
+    is |v|, one value or one per pair). With
+    a = v . dr / 2D, b = |v| d / 2D and y, x = (d -+ |v| tau) / 2 sqrt(D tau)
+    the bracket is e^(a - b) erfc(y) + e^(a + b) erfc(x). Writing
+    erfc(x) = e^(-x^2) erfcx(x) gives both terms the factor
+    e^(a - b - y^2) = e^(a + b - x^2) <= e^(a - b) <= 1 (as v . dr <= |v| d),
+    so no exponent evaluated is positive. In still air (|v| = 0) the two
+    terms are equal and one erfcx serves both."""
+    per_pair = isinstance(speed, np.ndarray)
     steady = 2.0 * np.exp((v_dot_dr - speed * d) / (2.0 * diffusivity))
     bracket = steady.copy()
     fin = np.isfinite(tau)
     df, vdr, four_dt = d[fin], v_dot_dr[fin], 4.0 * diffusivity * tau[fin]
-    drift = speed * tau[fin]
+    drift = (speed[fin] if per_pair else speed) * tau[fin]
     width = np.sqrt(four_dt)
     y = (df - drift) / width
     damp = np.exp(vdr / (2.0 * diffusivity) - (df * df + drift * drift) / four_dt)
     near = damp * _erfcx(np.abs(y))  # exp(a - b) erfc(|y|)
-    far = near if speed == 0.0 else damp * _erfcx((df + drift) / width)
+    if per_pair:
+        far = near.copy()
+        windy = drift > 0.0
+        far[windy] = damp[windy] * _erfcx((df[windy] + drift[windy]) / width[windy])
+    else:
+        far = near if speed == 0.0 else damp * _erfcx((df + drift) / width)
     bracket[fin] = np.where(y >= 0.0, near, steady[fin] - near) + far
     return bracket / (8.0 * math.pi * diffusivity * d)
 
 
-_BLOCK_PAIRS = 2 ** 13
+def _on_path_kernel(tau_lo: np.ndarray, tau_hi: np.ndarray, diffusivity: float,
+                    speed: np.ndarray) -> np.ndarray:
+    """The d -> 0 limit of K(tau_hi) - K(tau_lo) for 0 < tau_lo < tau_hi:
+    (4 pi D)^(-3/2) * integral of s^(-3/2) e^(-c s) ds over [tau_lo, tau_hi],
+    c = |v|^2 / 4D, whose antiderivative is -T(s) with
+    T(s) = 2 e^(-c s) (1 - sqrt(pi c s) erfcx(sqrt(c s))) / sqrt(s)."""
+    def tail(s):
+        z = np.sqrt(speed * speed * s / (4.0 * diffusivity))
+        return 2.0 * np.exp(-z * z) * (1.0 - math.sqrt(math.pi) * z * _erfcx(z)) / np.sqrt(s)
+
+    return (tail(tau_lo) - tail(tau_hi)) / (4.0 * math.pi * diffusivity) ** 1.5
+
+
+# (pairs, 3) float temporaries of 96 KiB stay under the allocator's default
+# mmap threshold (128 KiB in glibc), so blocks reuse heap memory instead of
+# faulting in fresh pages on every block.
+_BLOCK_PAIRS = 2 ** 12
 
 
 def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
-                           obs_points: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Concentration per unit emission rate of a static source that has
-    emitted at a constant rate for tau seconds, vectorized over N
-    evaluations and summed over the mirror images of image_transforms(env).
+                           obs_points: np.ndarray, taus: np.ndarray,
+                           velocity: np.ndarray | None = None,
+                           taus_end: np.ndarray | None = None) -> np.ndarray:
+    """Concentration per unit emission rate of a source that has emitted at
+    a constant rate for tau seconds, vectorized over N evaluations and
+    summed over the mirror images of image_transforms(env).
 
-    With dr = r - r0, d = |dr| and wind v, each image contributes
-        exp(v . dr / 2D) / (8 pi D d)
+    With dr = r - r0, d = |dr| and drift v, each image contributes
+        K(tau) = exp(v . dr / 2D) / (8 pi D d)
         * [exp(-|v| d / 2D) erfc((d - |v| tau) / (2 sqrt(D tau)))
            + exp(|v| d / 2D) erfc((d + |v| tau) / (2 sqrt(D tau)))];
     tau = inf gives the steady kernel exp((v . dr - |v| d) / 2D) / (4 pi D d).
     The exponents are combined before evaluation, so the result is finite
-    for any |v| d / D. src_points and obs_points broadcast as in
-    unit_instant_kernel. Entries with tau <= 0 are 0; an entry whose
-    observer sits on the source itself is +inf (one on a mirror image only
-    skips that image, which happens only outside the domain).
+    for any |v| d / D. For a static source v is the wind w.
+
+    A source moving at constant velocity u (velocity, (N, 3) or (3,)) is,
+    seen at the observation time, a static source at the point it occupies
+    then (src_points, extrapolated along u) in the wind w - u; a mirror
+    image moves with flip * u, so it drifts with w - flip * u (Carslaw &
+    Jaeger 1959). Emission that stopped taus_end seconds before the
+    observation contributes K(taus) - K(taus_end); K(0) = 0.
+
+    src_points and obs_points broadcast as in unit_instant_kernel. Entries
+    with tau <= taus_end are 0. An entry whose observer sits on the source
+    while it still emits (taus_end = 0) is +inf; one on a stopped emission
+    point takes the d -> 0 limit, and one on a mirror image only skips that
+    image, which happens only outside the domain.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    src = np.broadcast_to(np.atleast_2d(src_points), (taus.size, 3))
-    obs = np.broadcast_to(np.atleast_2d(obs_points), (taus.size, 3))
+    n = taus.size
+    src = np.broadcast_to(np.atleast_2d(src_points), (n, 3))
+    obs = np.broadcast_to(np.atleast_2d(obs_points), (n, 3))
+    vel = None if velocity is None else np.broadcast_to(np.atleast_2d(velocity), (n, 3))
+    ends = None if taus_end is None else np.broadcast_to(np.asarray(taus_end, float), (n,))
     flips, offsets = _image_stack(env.boundary)
-    out = np.zeros(taus.size)
-    block = max(1, _BLOCK_PAIRS // len(flips))
-    for lo in range(0, taus.size, block):
+    m = len(flips)
+    D = env.diffusivity
+    out = np.zeros(n)
+    block = max(1, _BLOCK_PAIRS // m)
+    for lo in range(0, n, block):
         sl = slice(lo, lo + block)
         dr = obs[sl, None, :] - (src[sl, None, :] * flips + offsets)  # (n, M, 3)
         d = np.sqrt((dr * dr).sum(axis=2))
-        tau = taus[sl, None].repeat(len(flips), axis=1)
-        live = (tau > 0.0) & (d >= _SINGULAR_DIST)
+        if vel is None:
+            v_dot_dr, speed = dr @ env.wind_arr, env.wind.speed
+        else:
+            drift = env.wind_arr - vel[sl, None, :] * flips
+            v_dot_dr = (dr * drift).sum(axis=2)
+            speed = np.sqrt((drift * drift).sum(axis=2))
+        def speed_of(pairs):
+            return speed if vel is None else speed[pairs]
+
+        tau = taus[sl, None].repeat(m, axis=1)
+        end = 0.0 if ends is None else ends[sl, None].repeat(m, axis=1)
+        live = (tau > end) & (d >= _SINGULAR_DIST)
         kern = np.zeros(d.shape)
-        kern[live] = _pair_kernel(d[live], (dr @ env.wind_arr)[live], tau[live],
-                                  env.diffusivity, env.wind.speed)
+        kern[live] = _pair_kernel(d[live], v_dot_dr[live], tau[live], D, speed_of(live))
+        if ends is not None:
+            stopped = live & (end > 0.0)
+            kern[stopped] -= _pair_kernel(d[stopped], v_dot_dr[stopped], end[stopped],
+                                          D, speed_of(stopped))
+            np.maximum(kern, 0.0, out=kern)
+            on_path = (tau > end) & (end > 0.0) & (d < _SINGULAR_DIST)
+            if on_path.any():
+                kern[on_path] = _on_path_kernel(end[on_path], tau[on_path], D,
+                                                speed_of(on_path))
+            end = end[:, 0]
+        emitting = taus[sl] > end if ends is None else (taus[sl] > end) & (end == 0.0)
         out[sl] = kern.sum(axis=1)
-        out[sl][(taus[sl] > 0.0) & (d[:, 0] < _SINGULAR_DIST)] = np.inf
+        out[sl][emitting & (d[:, 0] < _SINGULAR_DIST)] = np.inf
     return out
 
 
@@ -432,9 +504,7 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
 # Adaptive quadrature
 # ---------------------------------------------------------------------------
 
-def _simpson_sum(fs: np.ndarray, h: float) -> float:
-    return float(h / 3.0 * (fs[0] + fs[-1] + 4.0 * fs[1:-1:2].sum()
-                            + 2.0 * fs[2:-2:2].sum()))
+_QUADRATURE_BLOCK = 4096
 
 
 def adaptive_emission_integral(
@@ -448,27 +518,31 @@ def adaptive_emission_integral(
 
     Converges when the Richardson error estimate |S_2n - S_n| / 15 drops
     below rel_tol relative to the integral; raises QuadratureFailure with
-    the best estimate otherwise. Deterministic for fixed inputs.
+    the best estimate otherwise. Deterministic for fixed inputs. Only
+    running sums are kept (the two end values, the nodes added at the last
+    level and all older interior nodes), and each level's new nodes are
+    evaluated _QUADRATURE_BLOCK at a time, so memory stays bounded however
+    deep the refinement goes.
     """
     if b <= a:
         return 0.0
-    n0 = 16
-    xs = np.linspace(a, b, n0 + 1)
-    fs = f_vec(xs)
-    h = (b - a) / n0
-    s_prev = _simpson_sum(fs, h)
+    n = 16
+    fs = f_vec(np.linspace(a, b, n + 1))
+    h = (b - a) / n
+    ends, odd, even = fs[0] + fs[-1], fs[1:-1:2].sum(), fs[2:-2:2].sum()
+    s_prev = float(h / 3.0 * (ends + 4.0 * odd + 2.0 * even))
     err = math.inf
     s = s_prev
     for _ in range(max_levels):
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        fm = f_vec(mids)
-        xs2 = np.empty(xs.size + mids.size)
-        fs2 = np.empty_like(xs2)
-        xs2[0::2], xs2[1::2] = xs, mids
-        fs2[0::2], fs2[1::2] = fs, fm
-        xs, fs = xs2, fs2
+        # The new nodes are the midpoints of the n current intervals.
+        even += odd
         h *= 0.5
-        s = _simpson_sum(fs, h)
+        odd = 0.0
+        for lo in range(0, n, _QUADRATURE_BLOCK):
+            j = np.arange(lo, min(lo + _QUADRATURE_BLOCK, n))
+            odd += f_vec(a + (2 * j + 1) * h).sum()
+        n *= 2
+        s = float(h / 3.0 * (ends + 4.0 * odd + 2.0 * even))
         scale = max(abs(s), abs(s_prev))
         if scale == 0.0:
             return 0.0
@@ -502,30 +576,95 @@ def concentration_instant(src: SourceSpec, env: Environment, r, t) -> float:
 
 
 _ON_SOURCE = "continuous-source field diverges at the source position"
+_TRAJECTORY_SLACK = 1e-9
+_BLOCK_WINDOWS = 2 ** 16
 
 
-def _static_continuous(src: SourceSpec, env: Environment, r, tau: float) -> float:
-    obs = as_position(r).as_array()
-    val = unit_continuous_kernel(env, src.position.as_array(), obs, [tau])[0]
-    if math.isinf(val):
-        raise SingularPoint(_ON_SOURCE)
-    return float(src.strength * val)
+def _past_trajectory(src: SourceSpec, t: float) -> OutOfRange:
+    return OutOfRange(f"trajectory ends at {src.trajectory.t_end} s but the field "
+                      f"was requested at t={t} s")
+
+
+def _trajectory_pieces(traj: Trajectory):
+    """The path as constant-velocity pieces: emission window (start, stop),
+    reference knot (time, point) and velocity. Before t_start the source
+    holds the first knot and after t_end the last, as the quadrature's
+    clipping does."""
+    ts, ps = traj.times, traj.points
+    start = np.concatenate([[-math.inf], ts])
+    stop = np.concatenate([ts, [math.inf]])
+    ref_t = np.concatenate([ts[:1], ts])
+    ref_p = np.vstack([ps[:1], ps])
+    vel = np.zeros((ts.size + 1, 3))
+    vel[1:-1] = np.diff(ps, axis=0) / np.diff(ts)[:, None]
+    return start, stop, ref_t, ref_p, vel
+
+
+def _moving_unit_field(src: SourceSpec, env: Environment, positions: np.ndarray,
+                       times: np.ndarray) -> np.ndarray:
+    """Unit-rate field of a constant-rate source on a trajectory: for every
+    (point, piece) pair whose emission window [max(start, start_time),
+    min(stop, t)] is not empty, one unit_continuous_kernel evaluation of the
+    piece's extrapolated position and velocity, blocked over points."""
+    start, stop, ref_t, ref_p, vel = _trajectory_pieces(src.trajectory)
+    first = np.maximum(start, src.start_time)
+    out = np.zeros(times.size)
+    rows = max(1, _BLOCK_WINDOWS // first.size)
+    for lo in range(0, times.size, rows):
+        t = times[lo:lo + rows]
+        last = np.minimum(stop, t[:, None])
+        i, k = np.nonzero(last > first)
+        ti = t[i]
+        kern = unit_continuous_kernel(
+            env, ref_p[k] + vel[k] * (ti - ref_t[k])[:, None], positions[lo + i],
+            ti - first[k], velocity=vel[k], taus_end=ti - last[i, k])
+        out[lo:lo + t.size] = np.bincount(i, weights=kern, minlength=t.size)
+    return out
+
+
+def _constant_rate_field(src: SourceSpec, env: Environment, positions: np.ndarray,
+                         times: np.ndarray
+                         ) -> tuple[np.ndarray, list[tuple[int, Exception]]]:
+    """Field of a constant-rate continuous source, static or moving, at each
+    (position, time), and the indices that failed: SingularPoint on the
+    emitting source, OutOfRange past the end of its trajectory."""
+    late = np.zeros(times.size, dtype=bool)
+    if src.trajectory is None:
+        kern = unit_continuous_kernel(env, src.position.as_array(), positions,
+                                      times - src.start_time)
+    else:
+        late = (times > src.trajectory.t_end + _TRAJECTORY_SLACK) & (times > src.start_time)
+        kern = _moving_unit_field(src, env, positions, times)
+    singular = np.isinf(kern) & ~late
+    failures = sorted(
+        [(int(i), _past_trajectory(src, float(times[i]))) for i in np.flatnonzero(late)]
+        + [(int(i), SingularPoint(_ON_SOURCE)) for i in np.flatnonzero(singular)],
+        key=lambda f: f[0])
+    return src.strength * np.where(late | singular, 0.0, kern), failures
+
+
+def _constant_rate_at(src: SourceSpec, env: Environment, r, t: float) -> float:
+    values, failures = _constant_rate_field(src, env, as_position(r).as_array()[None, :],
+                                            np.array([t]))
+    if failures:
+        raise failures[0][1]
+    return float(values[0])
 
 
 def concentration_continuous(src: SourceSpec, env: Environment, r, t,
                              quadrature_tol: float = DEFAULT_QUADRATURE_TOL) -> float:
-    """Field of a continuous source; closed form when static at a constant rate.
+    """Field of a continuous source; closed form at a constant rate.
 
-    A static constant-rate source, with or without wind, uses
-    unit_continuous_kernel (summed over mirror images). A moving source or
-    a time-varying rate falls back to adaptive quadrature of the instant
-    kernel over the emission history.
+    A constant-rate source, static or moving, with or without wind, uses
+    unit_continuous_kernel (summed over mirror images; a trajectory piece by
+    piece). Only a time-varying rate falls back to adaptive quadrature of
+    the instant kernel over the emission history, to quadrature_tol.
     """
     if src.kind is not SourceKind.CONTINUOUS:
         raise ValueError("concentration_continuous expects a continuous source")
-    if src.is_moving or callable(src.strength):
+    if callable(src.strength):
         return concentration_moving_source(src, env, r, t, quadrature_tol)
-    return _static_continuous(src, env, r, seconds(t) - src.start_time)
+    return _constant_rate_at(src, env, r, seconds(t))
 
 
 def concentration_steady(src: SourceSpec, env: Environment, r) -> float:
@@ -538,7 +677,7 @@ def concentration_steady(src: SourceSpec, env: Environment, r) -> float:
     """
     if src.kind is not SourceKind.CONTINUOUS or src.is_moving or callable(src.strength):
         raise ValueError("steady state is defined for static constant-rate sources")
-    return _static_continuous(src, env, r, math.inf)
+    return _constant_rate_at(src, env, r, math.inf)
 
 
 def _emission_quadrature(src: SourceSpec, env: Environment, obs: np.ndarray,
@@ -546,11 +685,8 @@ def _emission_quadrature(src: SourceSpec, env: Environment, obs: np.ndarray,
     a = src.start_time
     if t <= a:
         return 0.0
-    if src.trajectory is not None and t > src.trajectory.t_end + 1e-9:
-        raise OutOfRange(
-            f"trajectory ends at {src.trajectory.t_end} s but the field was "
-            f"requested at t={t} s"
-        )
+    if src.trajectory is not None and t > src.trajectory.t_end + _TRAJECTORY_SLACK:
+        raise _past_trajectory(src, t)
 
     def integrand(ss: np.ndarray) -> np.ndarray:
         taus = t - ss
@@ -566,16 +702,35 @@ def _emission_quadrature(src: SourceSpec, env: Environment, obs: np.ndarray,
             rates = src.strength
         return rates * kern
 
-    return adaptive_emission_integral(integrand, a, t, rel_tol)
+    # The integrand has a kink at every knot; integrating between knots
+    # keeps the Richardson estimate from converging falsely across one.
+    cuts = [a, t]
+    if src.trajectory is not None:
+        knots = src.trajectory.times
+        cuts[1:1] = knots[(knots > a) & (knots < t)].tolist()
+    total, bound, failed = 0.0, 0.0, 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        try:
+            total += adaptive_emission_integral(integrand, lo, hi, rel_tol)
+        except QuadratureFailure as exc:
+            total, bound, failed = total + exc.estimate, bound + exc.error_bound, failed + 1
+    if failed:
+        raise QuadratureFailure(
+            f"emission quadrature did not reach rel_tol={rel_tol} on {failed} of "
+            f"{len(cuts) - 1} pieces (estimate {total}, error bound {bound})",
+            estimate=total, error_bound=bound,
+        )
+    return total
 
 
 def concentration_moving_source(src: SourceSpec, env: Environment, r, t,
                                 quadrature_tol: float = DEFAULT_QUADRATURE_TOL) -> float:
-    """Field of a moving (or rate-varying) continuous source.
+    """Field of a continuous source by quadrature of the instant kernel over
+    its emission history, to quadrature_tol.
 
-    Quadrature of the instant kernel over the emission history; the
-    trajectory must cover [start_time, t]. A static trajectory reproduces
-    concentration_continuous to within the quadrature tolerance.
+    The only route for a time-varying rate. For a constant rate,
+    concentration_continuous is the exact closed form and this is its
+    independent check; the trajectory must cover [start_time, t].
     """
     if src.kind is not SourceKind.CONTINUOUS:
         raise ValueError("concentration_moving_source expects a continuous source")
@@ -610,20 +765,18 @@ def _evaluate_chunk(scenario: Scenario, positions: np.ndarray, times: np.ndarray
             taus = times - src.start_time
             r0 = src.point_at(src.start_time)
             out += src.strength * unit_instant_kernel(env, r0, positions, taus)
-        elif src.is_moving or callable(src.strength):
+        elif callable(src.strength):
             for i in range(times.size):
                 try:
-                    out[i] += concentration_continuous(
+                    out[i] += concentration_moving_source(
                         src, env, positions[i], times[i], quadrature_tol
                     )
                 except VirodyneError as exc:
                     failures.append((i, exc))
         else:
-            kern = unit_continuous_kernel(env, src.position.as_array(), positions,
-                                          times - src.start_time)
-            singular = np.isinf(kern)
-            failures += [(int(i), SingularPoint(_ON_SOURCE)) for i in np.flatnonzero(singular)]
-            out += src.strength * np.where(singular, 0.0, kern)
+            values, fails = _constant_rate_field(src, env, positions, times)
+            out += values
+            failures += fails
     return out, failures
 
 

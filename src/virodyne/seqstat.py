@@ -212,15 +212,23 @@ class PositionDistribution:
                                             self.probabilities)}
 
 
+_COUNT_BLOCK = 2 ** 20  # codes per bincount
+
+
 def _symbol_counts(codes: np.ndarray, alphabet: Alphabet) -> np.ndarray:
     """(k, L) float counts of each alphabet symbol in every column of the
-    (n, L) code block; masked codes fall into a dropped (k+1)-th bin."""
+    (n, L) code block; masked codes fall into a dropped (k+1)-th bin.
+    Rows are counted in blocks of about _COUNT_BLOCK codes, so the index
+    array stays bounded for deep alignments."""
     k = alphabet.size
     L = codes.shape[1]
-    flat = alphabet.code_index[codes]   # a fresh array, so in place is safe
-    flat *= L
-    flat += np.arange(L)
-    bins = np.bincount(flat.ravel(), minlength=(k + 1) * L)
+    bins = np.zeros((k + 1) * L, dtype=np.intp)
+    rows = max(1, _COUNT_BLOCK // max(L, 1))
+    for lo in range(0, codes.shape[0], rows):
+        flat = alphabet.code_index[codes[lo:lo + rows]]  # fresh: in place is safe
+        flat *= L
+        flat += np.arange(L)
+        bins += np.bincount(flat.ravel(), minlength=(k + 1) * L)
     return bins.reshape(k + 1, L)[:k].astype(float)
 
 

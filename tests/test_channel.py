@@ -1,9 +1,13 @@
 import math
+import os
+import runpy
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import quadrature_oracle
 from virodyne import channel
 from virodyne.channel import (
     Environment,
@@ -25,10 +29,17 @@ from virodyne.channel import (
 )
 from virodyne.core import Velocity
 from virodyne.epidemic import Agent, accumulate_dose
-from virodyne.errors import OutOfRange, QuadratureFailure, SingularPoint
+from virodyne.errors import (
+    FieldEvaluationError,
+    OutOfRange,
+    QuadratureFailure,
+    SingularPoint,
+)
 from virodyne.mobility import Trajectory
 
 ENV40 = Environment(diffusivity=40.0)
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 
 class TestInstant:
@@ -266,6 +277,304 @@ class TestMovingSource:
         a = concentration_moving_source(src, ENV40, (20, 3, 1), 30.0)
         b = concentration_moving_source(src, ENV40, (20, 3, 1), 30.0)
         assert a == b
+
+
+# Path and observer boxes per boundary: (path lo, path hi, observer lo, observer hi).
+_MOVING_BOXES = {
+    "free": ((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (-4.0, -4.0, -4.0), (4.0, 4.0, 4.0)),
+    "half": ((-2.0, -2.0, 0.2), (2.0, 2.0, 2.5), (-4.0, -4.0, 0.0), (4.0, 4.0, 4.0)),
+    "duct": ((-2.0, 0.2, 0.2), (2.0, 2.8, 2.3), (-4.0, 0.0, 0.0), (4.0, 3.0, 2.5)),
+}
+
+
+def _path_distance(traj, obs):
+    ss = np.linspace(traj.t_start, traj.t_end, 2001)
+    return float(np.linalg.norm(traj.points_at(ss) - obs, axis=1).min())
+
+
+@st.composite
+def moving_source_cases(draw):
+    """(env, source, observer, t): a unit-rate source on a 2-4 knot path
+    inside the domain (vertical motion included, so mirror images move
+    against the source), wind up to 0.96 m/s, a start time before the path,
+    at its first knot or inside a piece, t at a later knot or anywhere up to
+    the last one, and the observer at least 0.75 m from the whole path."""
+    kind = draw(st.sampled_from(sorted(_BOUNDARIES)))
+    boundary, admissible = _BOUNDARIES[kind]
+    if kind == "duct":
+        boundary = RectangularDuctReflecting(3.0, 2.5, image_order=draw(st.integers(2, 3)))
+    wind = admissible * np.array([draw(st.floats(-0.55, 0.55)) for _ in range(3)])
+    env = Environment(diffusivity=draw(st.floats(0.2, 1.0)), wind=Velocity(*wind),
+                      boundary=boundary)
+    plo, phi, olo, ohi = _MOVING_BOXES[kind]
+
+    def point(lo, hi):
+        return [draw(st.floats(a, b)) for a, b in zip(lo, hi)]
+
+    n_knots = draw(st.integers(2, 4))
+    times = 3.0 + np.concatenate([[0.0], np.cumsum([draw(st.floats(1.0, 8.0))
+                                                    for _ in range(n_knots - 1)])])
+    traj = Trajectory(times, np.array([point(plo, phi) for _ in range(n_knots)]))
+    start = draw(st.sampled_from(["before", "first", "inside"]))
+    if start == "before":
+        start_time = times[0] - draw(st.floats(0.5, 3.0))
+    elif start == "first":
+        start_time = times[0]
+    else:
+        k = draw(st.integers(0, n_knots - 2))
+        start_time = times[k] + draw(st.floats(0.05, 0.95)) * (times[k + 1] - times[k])
+    later = [float(s) for s in times if s > start_time + 0.1]
+    if later and draw(st.booleans()):
+        t = draw(st.sampled_from(later))
+    else:
+        t = start_time + draw(st.floats(0.1, 1.0)) * (times[-1] - start_time)
+    obs = np.array(point(olo, ohi))
+    assume(_path_distance(traj, obs) >= 0.75)
+    return env, SourceSpec.continuous(1.0, trajectory=traj, start_time=start_time), obs, t
+
+
+class TestMovingClosedForm:
+    @given(moving_source_cases())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_matches_quadrature(self, case):
+        # At quadrature_tol=1e-11 the oracle's Richardson test accepts two
+        # coincidentally close coarse levels about once in 4500 draws (off
+        # by up to 6e-9, where the closed form matches a 1e-14 quadrature
+        # to 3e-15); at 1e-12 it held to 8e-11 over 9000 draws.
+        env, src, obs, t = case
+        oracle = concentration_moving_source(src, env, obs, t, quadrature_tol=1e-12)
+        got = concentration_continuous(src, env, obs, t)
+        assert got == pytest.approx(oracle, rel=1e-9)
+        batch = evaluate_field(FieldQuery(obs[None, :], [t]), Scenario(env, [src]))
+        assert batch[0] == pytest.approx(got, rel=1e-14)
+
+    def test_observer_on_current_position_is_singular(self):
+        traj = Trajectory(np.array([0.0, 10.0, 20.0]),
+                          np.array([[0.0, 0.0, 1.0], [10.0, 0.0, 1.0], [10.0, 5.0, 1.0]]))
+        src = SourceSpec.continuous(1.0, trajectory=traj)
+        env = Environment(diffusivity=0.5, boundary=HalfSpaceReflecting())
+        here = traj.point_at(15.0)
+        with pytest.raises(SingularPoint):
+            concentration_continuous(src, env, here, 15.0)
+        q = FieldQuery.from_pairs([((3.0, 2.0, 1.0), 15.0), (here, 15.0),
+                                   ((10.0, 0.0, 1.0), 10.0)])  # at a knot
+        with pytest.raises(FieldEvaluationError) as err:
+            evaluate_field(q, Scenario(env, [src]))
+        assert [(i, type(e)) for i, e in err.value.failures] == \
+            [(1, SingularPoint), (2, SingularPoint)]
+
+    @pytest.mark.parametrize("wind", [0.0, 0.4])
+    def test_observer_on_earlier_path_is_finite(self, wind):
+        traj = Trajectory(np.array([0.0, 10.0, 20.0]),
+                          np.array([[0.0, 0.0, 1.0], [10.0, 0.0, 1.0], [10.0, 5.0, 1.0]]))
+        src = SourceSpec.continuous(1.0, trajectory=traj)
+        env = Environment(diffusivity=0.5, wind=Velocity(wind, 0.0, 0.0),
+                          boundary=HalfSpaceReflecting())
+        for obs, t in [((4.0, 0.0, 1.0), 8.0),     # same piece, passed 4 s ago
+                       ((4.0, 0.0, 1.0), 15.0),    # an older piece
+                       ((10.0, 0.0, 1.0), 17.0)]:  # the knot where it turned
+            got = concentration_continuous(src, env, obs, t)
+            oracle = concentration_moving_source(src, env, obs, t, quadrature_tol=1e-10)
+            assert math.isfinite(got)
+            assert got == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("wind", [0.0, 0.4])
+    def test_observer_on_extrapolated_point_takes_the_limit(self, wind):
+        # At t = 15 the first piece's extrapolation 0 + (1, 0, 0) * 15 lands
+        # exactly on the observer (d = 0, emission stopped 5 s ago): the
+        # two kernel terms are both infinite, their difference is not.
+        traj = Trajectory(np.array([0.0, 10.0, 20.0]),
+                          np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [10.0, 5.0, 0.0]]))
+        src = SourceSpec.continuous(1.0, trajectory=traj)
+        env = Environment(diffusivity=0.5, wind=Velocity(wind, 0.0, 0.0))
+        obs = (15.0, 0.0, 0.0)
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            got = concentration_continuous(src, env, obs, 15.0)
+        oracle = concentration_moving_source(src, env, obs, 15.0, quadrature_tol=1e-10)
+        assert got == pytest.approx(oracle, rel=1e-6)
+        # and it joins the field just off that point continuously
+        near = concentration_continuous(src, env, (15.0, 1e-5, 0.0), 15.0)
+        assert near == pytest.approx(got, rel=1e-4)
+
+    def test_beyond_trajectory_end_is_out_of_range(self):
+        traj = Trajectory.straight_line((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.0, 10.0)
+        src = SourceSpec.continuous(1.0, trajectory=traj)
+        with pytest.raises(OutOfRange):
+            concentration_continuous(src, ENV40, (5.0, 1.0, 1.0), 10.5)
+        q = FieldQuery.from_pairs([((5.0, 1.0, 1.0), 9.0), ((5.0, 1.0, 1.0), 10.5),
+                                   ((5.0, 1.0, 1.0), 12.0), ((5.0, 1.0, 1.0), 10.0 + 5e-10)])
+        with pytest.raises(FieldEvaluationError) as err:
+            evaluate_field(q, Scenario(ENV40, [src]))
+        assert [(i, type(e)) for i, e in err.value.failures] == \
+            [(1, OutOfRange), (2, OutOfRange)]
+        # Inside the 1e-9 s slack the source holds its last knot, so it
+        # still emits there.
+        slack = concentration_continuous(src, ENV40, (5.0, 1.0, 1.0), 10.0 + 5e-10)
+        oracle = concentration_moving_source(src, ENV40, (5.0, 1.0, 1.0), 10.0 + 5e-10)
+        assert slack == pytest.approx(oracle, rel=1e-5)
+        with pytest.raises(SingularPoint):
+            concentration_continuous(src, ENV40, (10.0, 0.0, 1.0), 10.0 + 5e-10)
+
+    def test_start_before_trajectory_holds_first_knot(self):
+        traj = Trajectory.straight_line((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 5.0, 20.0)
+        src = SourceSpec.continuous(1.0, trajectory=traj, start_time=0.0)
+        env = Environment(diffusivity=0.5, wind=Velocity(0.2, 0.1, 0.0),
+                          boundary=HalfSpaceReflecting())
+        obs, t = (4.0, 1.5, 0.5), 12.0
+        got = concentration_continuous(src, env, obs, t)
+        oracle = concentration_moving_source(src, env, obs, t, quadrature_tol=1e-11)
+        assert got == pytest.approx(oracle, rel=1e-9)
+        # = the static hold over [0, 5] plus the moving part from 5 s on.
+        late = SourceSpec.continuous(1.0, trajectory=traj, start_time=5.0)
+        static = concentration_continuous(
+            SourceSpec.continuous(1.0, position=(0.0, 0.0, 1.0)), env, obs, t)
+        static_late = concentration_continuous(
+            SourceSpec.continuous(1.0, position=(0.0, 0.0, 1.0)), env, obs, t - 5.0)
+        assert got == pytest.approx(static - static_late
+                                    + concentration_continuous(late, env, obs, t), rel=1e-12)
+        assert concentration_continuous(src, env, obs, 0.0) == 0.0
+
+    def test_callable_rate_still_takes_quadrature(self, monkeypatch):
+        calls = []
+        quad = channel.adaptive_emission_integral
+        monkeypatch.setattr(channel, "adaptive_emission_integral",
+                            lambda *a, **k: calls.append(a[1:3]) or quad(*a, **k))
+        traj = Trajectory.straight_line((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.0, 20.0)
+        pulse = SourceSpec.continuous(lambda s: 1.0 if s < 5.0 else 0.0, trajectory=traj)
+        const = SourceSpec.continuous(1.0, trajectory=traj)
+        concentration_continuous(const, ENV40, (3.0, 2.0, 1.0), 10.0)
+        evaluate_field(FieldQuery.from_pairs([((3.0, 2.0, 1.0), 10.0)]),
+                       Scenario(ENV40, [const]))
+        assert calls == []
+        a = concentration_continuous(pulse, ENV40, (3.0, 2.0, 1.0), 10.0)
+        b = evaluate_field(FieldQuery.from_pairs([((3.0, 2.0, 1.0), 10.0)]),
+                           Scenario(ENV40, [pulse]))[0]
+        assert len(calls) == 2 and a == b
+        assert 0.0 < a < concentration_continuous(const, ENV40, (3.0, 2.0, 1.0), 10.0)
+
+    def test_singular_passage_reports_singular_point(self):
+        # The observer sits on the path at the passage instant: the closed
+        # form reports the divergence itself, where the quadrature (still
+        # the oracle, see test_quadrature_failure_at_singular_passage)
+        # fails to converge.
+        traj = Trajectory.straight_line((0, 0, 25), (2, 0, 0), 0.0, 100.0)
+        src = SourceSpec.continuous(1.0, trajectory=traj)
+        q = FieldQuery.from_pairs([((35, 0, 25), 17.5), ((35, 0, 25), 20.0)])
+        with pytest.raises(FieldEvaluationError) as err:
+            evaluate_field(q, Scenario(ENV40, [src]))
+        assert [(i, type(e)) for i, e in err.value.failures] == [(0, SingularPoint)]
+
+    @pytest.mark.parametrize("kind", sorted(_BOUNDARIES))
+    def test_constant_rate_moving_never_takes_quadrature(self, kind, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("constant-rate moving source sent to quadrature")
+
+        monkeypatch.setattr(channel, "adaptive_emission_integral", no_quadrature)
+        boundary, admissible = _BOUNDARIES[kind]
+        env = Environment(diffusivity=0.5, wind=Velocity(*(0.3 * admissible)),
+                          boundary=boundary)
+        traj = Trajectory(np.array([0.0, 20.0, 40.0]),
+                          np.array([[-1.0, 0.5, 0.5], [1.0, 2.0, 1.5], [0.0, 1.0, 2.0]]))
+        src = SourceSpec.continuous(2e-3, trajectory=traj, start_time=5.0)
+        q = FieldQuery.from_grid([-2.0, 3.0], [0.25, 2.75], [0.25, 2.25], [3.0, 30.0, 40.0])
+        vals = evaluate_field(q, Scenario(env, [src]))
+        assert np.isfinite(vals).all() and vals.max() > 0.0
+        assert concentration_continuous(src, env, (3.0, 0.25, 0.25), 30.0) == \
+            pytest.approx(vals[q.times.tolist().index(30.0) + 4], rel=1e-14)
+
+    @pytest.mark.parametrize("boundary", ["", "halfspace", "duct"])
+    def test_walk_past_cli_never_takes_quadrature(self, boundary, tmp_path, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("walk-past field sent to quadrature")
+
+        monkeypatch.setattr(channel, "adaptive_emission_integral", no_quadrature)
+        cfg = os.path.join(CONFIGS, "walk_past.cfg")
+        if boundary:
+            text = open(cfg, encoding="utf-8").read()
+            extra = f"boundary = {boundary}\n"
+            if boundary == "duct":
+                extra += "duct_width_m = 10\nduct_height_m = 50\nimage_order = 2\n"
+            cfg = tmp_path / "walk.cfg"
+            cfg.write_text(text.replace("diffusivity_m2s = 40.0\n",
+                                        "diffusivity_m2s = 40.0\n" + extra))
+        out = tmp_path / "grid.csv"
+        monkeypatch.setattr(sys, "argv", ["virodyne", "field", "--config", str(cfg),
+                                          "--speed", "2", "--time", "60", "--out", str(out)])
+        monkeypatch.delitem(sys.modules, "virodyne.cli", raising=False)
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("virodyne.cli", run_name="__main__")
+        assert done.value.code == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()
+                if ln and not ln.startswith("#")][1:]
+        c = np.array([float(r[4]) for r in rows])
+        assert len(c) == 101 and np.isfinite(c).all() and c.max() > 0.0
+
+
+class TestEmissionQuadrature:
+    """The bounded-memory Simpson refinement against the version that kept
+    every node (tests/quadrature_oracle.py)."""
+
+    WALK = Trajectory.straight_line((0.0, 0.0, 25.0), (2.0, 0.0, 0.0), 0.0, 100.0)
+    BENT = Trajectory(np.array([0.0, 5.0, 12.0]),
+                      np.array([[0.0, 1.0, 1.0], [3.0, 2.0, 1.5], [2.0, 0.5, 0.3]]))
+    DUCT = Environment(diffusivity=1.0, wind=Velocity(0.3, 0.0, 0.0),
+                       boundary=RectangularDuctReflecting(3.0, 2.5, image_order=3))
+
+    @classmethod
+    def integrands(cls):
+        def emission(env, traj, obs, t):
+            return lambda ss: unit_instant_kernel(env, traj.points_at(ss), np.array(obs), t - ss)
+
+        return [
+            ("smooth", lambda x: np.exp(-x) * np.sin(3.0 * x) + 2.0, 0.0, 5.0, 1e-13),
+            ("kink", lambda x: np.abs(x - 1.0 / 3.0) ** 1.5 + np.cos(x), 0.0, 1.0, 1e-13),
+            ("walk", emission(ENV40, cls.WALK, (35.0, 0.0, 20.0), 30.0), 0.0, 30.0, 1e-12),
+            ("duct", emission(cls.DUCT, cls.BENT, (1.5, 1.5, 1.0), 12.0), 0.0, 12.0, 1e-13),
+        ]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_matches_full_node_reference(self, case):
+        _, f, a, b, tol = self.integrands()[case]
+        sizes = []
+
+        def recording(x):
+            sizes.append(x.size)
+            return f(x)
+
+        got = channel.adaptive_emission_integral(recording, a, b, tol)
+        want = quadrature_oracle.adaptive_emission_integral(f, a, b, tol)
+        assert got == pytest.approx(want, rel=1e-14)
+        assert max(sizes) <= channel._QUADRATURE_BLOCK
+
+    def test_deep_levels_are_evaluated_in_blocks(self):
+        _, f, a, b, tol = self.integrands()[1]
+        sizes = []
+        channel.adaptive_emission_integral(lambda x: sizes.append(x.size) or f(x), a, b, tol)
+        # 16 intervals doubled 11 times: the last level adds 16384 nodes,
+        # four blocks.
+        assert max(sizes) == channel._QUADRATURE_BLOCK
+        assert sum(sizes) == 16 * 2 ** 11 + 1
+        assert sizes[-4:] == [channel._QUADRATURE_BLOCK] * 4
+
+    def test_failure_matches_full_node_reference(self):
+        f = lambda x: np.sqrt(np.abs(x - 1.0 / 3.0))  # noqa: E731
+        with pytest.raises(QuadratureFailure) as got:
+            channel.adaptive_emission_integral(f, 0.0, 1.0, 1e-15, max_levels=6)
+        with pytest.raises(QuadratureFailure) as want:
+            quadrature_oracle.adaptive_emission_integral(f, 0.0, 1.0, 1e-15, max_levels=6)
+        assert got.value.estimate == pytest.approx(want.value.estimate, rel=1e-14)
+        assert got.value.error_bound == pytest.approx(want.value.error_bound, rel=1e-9)
+        assert str(got.value).startswith("emission quadrature did not reach rel_tol=1e-15")
+
+    def test_multi_knot_path_is_integrated_between_knots(self, monkeypatch):
+        windows = []
+        quad = channel.adaptive_emission_integral
+        monkeypatch.setattr(channel, "adaptive_emission_integral",
+                            lambda f, a, b, *r: windows.append((a, b)) or quad(f, a, b, *r))
+        src = SourceSpec.continuous(lambda s: 1.0, trajectory=self.BENT, start_time=2.0)
+        concentration_moving_source(src, self.DUCT, (1.5, 1.5, 1.0), 12.0)
+        assert windows == [(2.0, 5.0), (5.0, 12.0)]
 
 
 class TestMultiSource:

@@ -7,11 +7,14 @@ bit-identical entropies and distributions, the same codon counts in the
 same order, and the same hot-spot list.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import genetic_oracle as oracle
+from virodyne import seqstat
 from virodyne.core import CODONS
 from virodyne.errors import InvalidWeights, NoData, ParseError, VirodyneError
 from virodyne.mutation import (
@@ -127,6 +130,25 @@ def alignments(draw):
     pseudocount = draw(st.sampled_from([0.0, 1e-3, 0.5, 1.0])
                        | st.floats(0.0, 5.0))
     return records, alphabet, strict, pseudocount
+
+
+@given(alignments(), st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_row_blocked_counts_match_reference(case, block):
+    # A block of `block` codes holds block // length rows (at least one),
+    # so most drawn alignments span several blocks, some ending mid-block.
+    records, alphabet, strict, pseudocount = case
+    aln = build_alignment(records, alphabet, strict_length=strict)
+    matrix, mask, _ = oracle.build_alignment(records, alphabet, strict)
+    whole = seqstat._symbol_counts(aln.matrix, alphabet)
+    with mock.patch.object(seqstat, "_COUNT_BLOCK", block):
+        blocked = seqstat._symbol_counts(aln.matrix, alphabet)
+        profile = positional_entropy(aln, pseudocount=pseudocount)
+    assert blocked.tobytes() == whole.tobytes()
+    assert np.array_equal(whole.sum(axis=0), mask.sum(axis=0))
+    ent, n_eff = oracle.positional_entropy(matrix, mask, alphabet, pseudocount)
+    assert profile.entropies.tobytes() == ent.tobytes()
+    assert np.array_equal(profile.n_effective, n_eff)
 
 
 def _expected_codes(matrix):
