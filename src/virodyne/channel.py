@@ -516,13 +516,14 @@ def adaptive_emission_integral(
 ) -> float:
     """Integrate f over [a, b] by composite Simpson with interval doubling.
 
-    Converges when the Richardson error estimate |S_2n - S_n| / 15 drops
-    below rel_tol relative to the integral; raises QuadratureFailure with
-    the best estimate otherwise. Deterministic for fixed inputs. Only
-    running sums are kept (the two end values, the nodes added at the last
-    level and all older interior nodes), and each level's new nodes are
-    evaluated _QUADRATURE_BLOCK at a time, so memory stays bounded however
-    deep the refinement goes.
+    Converges when the Richardson error estimate |S_2n - S_n| / 15 stays
+    below rel_tol relative to the integral on two successive levels, so two
+    coarse levels that agree by chance do not end the search; raises
+    QuadratureFailure with the best estimate otherwise. Deterministic for
+    fixed inputs. Only running sums are kept (the two end values, the nodes
+    added at the last level and all older interior nodes), and each level's
+    new nodes are evaluated _QUADRATURE_BLOCK at a time, so memory stays
+    bounded however deep the refinement goes.
     """
     if b <= a:
         return 0.0
@@ -533,6 +534,7 @@ def adaptive_emission_integral(
     s_prev = float(h / 3.0 * (ends + 4.0 * odd + 2.0 * even))
     err = math.inf
     s = s_prev
+    met_before = False
     for _ in range(max_levels):
         # The new nodes are the midpoints of the n current intervals.
         even += odd
@@ -543,13 +545,11 @@ def adaptive_emission_integral(
             odd += f_vec(a + (2 * j + 1) * h).sum()
         n *= 2
         s = float(h / 3.0 * (ends + 4.0 * odd + 2.0 * even))
-        scale = max(abs(s), abs(s_prev))
-        if scale == 0.0:
-            return 0.0
         err = abs(s - s_prev) / 15.0
-        if err <= rel_tol * scale:
+        met = err <= rel_tol * max(abs(s), abs(s_prev))
+        if met and met_before:
             return s
-        s_prev = s
+        met_before, s_prev = met, s
     raise QuadratureFailure(
         f"emission quadrature did not reach rel_tol={rel_tol} within "
         f"{max_levels} refinements (estimate {s}, error bound {err})",

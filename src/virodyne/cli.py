@@ -254,10 +254,10 @@ def _cmd_entropy(args) -> int:
     records = _load_fasta(args.fasta, alphabet)
     alignment = build_alignment(records, alphabet, strict_length=not args.no_strict)
     profile = positional_entropy(alignment, pseudocount=args.pseudocount)
-    rows = [
-        (i + 1, float(profile.entropies[i]), int(profile.n_effective[i]))
-        for i in range(profile.length)
-    ]
+    # One f-string per line; repr of a Python float is format_float's text.
+    rows = [f"{i},{e!r},{n}" for i, e, n in zip(range(1, profile.length + 1),
+                                                profile.entropies.tolist(),
+                                                profile.n_effective.tolist())]
     write_csv(args.out, ["position", "entropy_bits", "n_effective"], rows,
               _meta(None, input_digest=_file_digest(args.fasta)))
     return 0

@@ -19,6 +19,10 @@ class SingularPoint(VirodyneError):
     """Field evaluation requested at a singular point (e.g. on the source)."""
 
 
+class UnstableTimeStep(VirodyneError, ValueError):
+    """An explicit time step breaks the solver's stability bound."""
+
+
 class QuadratureFailure(VirodyneError):
     """Adaptive quadrature did not converge within the refinement budget.
 

@@ -10,7 +10,19 @@ space); sources are deposited with trilinear (cloud-in-cell) weights each
 step. Walls are either absorbing (c = 0 outside) or reflecting (zero normal
 flux). The scheme is conditionally stable; the default time step respects
 both the diffusive bound dt <= 1 / (2 D sum(1/h_i^2)) and the advective CFL
-bound with a 0.4 safety factor.
+bound with a 0.4 safety factor, and a callable velocity is checked against
+the advective bound dt |v|max <= min(h) on every step.
+
+The field lives in one zero-initialised buffer with a layer of ghost cells,
+(nx+2, ny+2, nz+2), allocated once per solve; c is its interior view. Each
+step refreshes the ghost cells in place (edge copies for reflecting walls,
+zeros for absorbing ones) and evaluates the stencil on the flattened buffer:
+every neighbour term is one contiguous slice that runs from the first to the
+last interior cell, shifted by +-sx, +-sy or +-1 (the x and y strides of the
+padded buffer). The ghost cells inside that run are computed too and
+overwritten by the next refresh. All temporaries are preallocated, and the
+arithmetic per cell is the same sequence of operations as the plain slice
+form (tests/fdpde_oracle.py), so fields are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .channel import SourceKind, SourceSpec
+from .errors import UnstableTimeStep
 
 VelocityField = Union[Sequence[float], np.ndarray, Callable[[np.ndarray, float], np.ndarray]]
 
@@ -64,49 +77,23 @@ class FdGrid:
         return np.stack([xx, yy, zz], axis=-1)
 
 
-def _pad(c: np.ndarray, boundary: str) -> np.ndarray:
-    mode = "edge" if boundary == "reflecting" else "constant"
-    return np.pad(c, 1, mode=mode)
-
-
-def _laplacian(cp: np.ndarray, h: np.ndarray) -> np.ndarray:
-    core = cp[1:-1, 1:-1, 1:-1]
-    lap = (cp[2:, 1:-1, 1:-1] - 2 * core + cp[:-2, 1:-1, 1:-1]) / h[0] ** 2
-    lap += (cp[1:-1, 2:, 1:-1] - 2 * core + cp[1:-1, :-2, 1:-1]) / h[1] ** 2
-    lap += (cp[1:-1, 1:-1, 2:] - 2 * core + cp[1:-1, 1:-1, :-2]) / h[2] ** 2
-    return lap
-
-
-def _gradient(cp: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    gx = (cp[2:, 1:-1, 1:-1] - cp[:-2, 1:-1, 1:-1]) / (2 * h[0])
-    gy = (cp[1:-1, 2:, 1:-1] - cp[1:-1, :-2, 1:-1]) / (2 * h[1])
-    gz = (cp[1:-1, 1:-1, 2:] - cp[1:-1, 1:-1, :-2]) / (2 * h[2])
-    return gx, gy, gz
-
-
-def _deposit_cic(field: np.ndarray, grid: FdGrid, point: np.ndarray, amount: float) -> None:
+def _deposit_cic(field: np.ndarray, lo: list[float], h: list[float], volume: float,
+                 point, amount: float) -> None:
     """Spread `amount` (kg) onto the 8 cells around `point` with trilinear
-    weights, as a concentration increment (divided by cell volume)."""
-    h = grid.spacing
-    lo = np.array(grid.lo)
-    # Fractional index of the cell-center lattice.
-    f = (np.asarray(point, dtype=float) - lo) / h - 0.5
-    i0 = np.floor(f).astype(int)
-    w1 = f - i0
-    w0 = 1.0 - w1
-    dens = amount / grid.cell_volume()
-    for dx, wx in ((0, w0[0]), (1, w1[0])):
-        ix = i0[0] + dx
-        if not 0 <= ix < grid.shape[0]:
-            continue
-        for dy, wy in ((0, w0[1]), (1, w1[1])):
-            iy = i0[1] + dy
-            if not 0 <= iy < grid.shape[1]:
-                continue
-            for dz, wz in ((0, w0[2]), (1, w1[2])):
-                iz = i0[2] + dz
-                if not 0 <= iz < grid.shape[2]:
-                    continue
+    weights, as a concentration increment (divided by the cell volume).
+    lo, h and volume are the grid's, computed once per solve."""
+    weights = []
+    for p, lo_k, h_k, size in zip(np.asarray(point, dtype=float).tolist(), lo, h,
+                                  field.shape):
+        f = (p - lo_k) / h_k - 0.5  # fractional index of the cell-centre lattice
+        i = math.floor(f)
+        w = f - i
+        weights.append([(j, w_j) for j, w_j in ((i, 1.0 - w), (i + 1, w))
+                        if 0 <= j < size])
+    dens = amount / volume
+    for ix, wx in weights[0]:
+        for iy, wy in weights[1]:
+            for iz, wz in weights[2]:
                 field[ix, iy, iz] += dens * wx * wy * wz
 
 
@@ -139,22 +126,19 @@ class FdSolution:
         return out
 
 
-def _velocity_on_grid(velocity: VelocityField, grid: FdGrid, t: float,
-                      centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if callable(velocity):
-        flat = velocity(centers.reshape(-1, 3), t)
-        v = np.asarray(flat, dtype=float).reshape(grid.shape + (3,))
-        return v[..., 0], v[..., 1], v[..., 2]
-    v = np.asarray(velocity, dtype=float)
-    shape = grid.shape
-    return (np.full(shape, v[0]), np.full(shape, v[1]), np.full(shape, v[2]))
+def _refresh_ghosts(padded: np.ndarray, boundary: str) -> None:
+    """Make the ghost layer equal np.pad(interior, 1) in the boundary's mode.
 
-
-def _max_speed(velocity: VelocityField, grid: FdGrid, centers: np.ndarray) -> float:
-    if callable(velocity):
-        vx, vy, vz = _velocity_on_grid(velocity, grid, 0.0, centers)
-        return float(np.sqrt(vx**2 + vy**2 + vz**2).max())
-    return float(np.linalg.norm(np.asarray(velocity, dtype=float)))
+    Reflecting: copy the edge planes axis by axis, so edges and corners end
+    up as clamped copies too. Absorbing: the flat update never writes the x
+    ghost planes, only the y and z faces, which are zeroed again."""
+    if boundary == "reflecting":
+        padded[0], padded[-1] = padded[1], padded[-2]
+        padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
+        padded[:, :, 0], padded[:, :, -1] = padded[:, :, 1], padded[:, :, -2]
+    else:
+        padded[:, 0] = padded[:, -1] = 0.0
+        padded[:, :, 0] = padded[:, :, -1] = 0.0
 
 
 def solve_advection_diffusion(
@@ -173,8 +157,17 @@ def solve_advection_diffusion(
     after their start time; continuous sources deposit rate * dt per step at
     their (possibly moving) midpoint-in-time position.
 
-    For callable velocity fields the advective stability bound is estimated
-    from the field at t=0; pass dt explicitly if the flow speeds up later.
+    The default dt is 0.4 times the smaller of the diffusive bound and the
+    advective bound min(h) / |v|max, the latter taken from the velocity at
+    t=0. An explicit dt above either bound raises UnstableTimeStep. A
+    callable velocity is evaluated at each step's midpoint into a padded
+    (3, nx+2, ny+2, nz+2) buffer laid out like the field, and the step
+    raises UnstableTimeStep when dt |v|max > min(h) there, so a flow that
+    speeds up after t=0 fails loudly instead of blowing up.
+
+    The step works on one ghost-padded buffer and preallocated temporaries
+    (see the module docstring); the result's field is a fresh contiguous
+    copy of its interior.
     """
     if boundary not in ("absorbing", "reflecting"):
         raise ValueError("boundary must be 'absorbing' or 'reflecting'")
@@ -185,10 +178,48 @@ def solve_advection_diffusion(
     if t_end <= 0:
         raise ValueError("t_end must be > 0")
     h = grid.spacing
-    centers = grid.cell_centers()
+    h_min = float(h.min())
+    shape = grid.shape
+    padded = np.zeros(tuple(n + 2 for n in shape))
+    c = padded[1:-1, 1:-1, 1:-1]
+    # The run of the flattened buffer from the first to the last interior
+    # cell, and its copies shifted by one cell along each axis.
+    sy = shape[2] + 2
+    sx = (shape[1] + 2) * sy
+    first = sx + sy + 1
+    n = shape[0] * sx + shape[1] * sy + shape[2] - first + 1
+    flat = padded.reshape(-1)
+    centre, xp, xm, yp, ym, zp, zm = (flat[first + o:first + o + n]
+                                      for o in (0, sx, -sx, sy, -sy, 1, -1))
+    two_c, lap, term, adv = np.empty((4, n))
+
+    if callable(velocity):
+        centers = grid.cell_centers().reshape(-1, 3)
+        vel_padded = np.zeros((3,) + padded.shape)
+        vel_cells = vel_padded[:, 1:-1, 1:-1, 1:-1]
+        vx, vy, vz = vel_padded.reshape(3, -1)[:, first:first + n]
+
+        def load_velocity(t: float) -> float:
+            """Evaluate the velocity at time t into vx, vy, vz; return |v|max."""
+            v = np.asarray(velocity(centers, t), dtype=float).reshape(shape + (3,))
+            vel_cells[...] = np.moveaxis(v, -1, 0)
+            # |v|^2 on the padded buffers (ghosts hold 0), in lap and term,
+            # which the stencil overwrites afterwards.
+            np.multiply(vx, vx, out=lap)
+            np.multiply(vy, vy, out=term)
+            np.add(lap, term, out=lap)
+            np.multiply(vz, vz, out=term)
+            np.add(lap, term, out=lap)
+            return math.sqrt(lap.max())
+
+        vmax = load_velocity(0.0)
+    else:
+        v = np.asarray(velocity, dtype=float)
+        vx, vy, vz = v[0], v[1], v[2]
+        vmax = float(np.linalg.norm(v))
+
     diff_bound = 0.5 / (D * float((1.0 / h**2).sum()))
-    vmax = _max_speed(velocity, grid, centers)
-    adv_bound = float(h.min()) / vmax if vmax > 0 else math.inf
+    adv_bound = h_min / vmax if vmax > 0 else math.inf
     dt_stable = 0.4 * min(diff_bound, adv_bound)
     if dt is None:
         n_steps = max(1, int(math.ceil(t_end / dt_stable)))
@@ -196,7 +227,7 @@ def solve_advection_diffusion(
     else:
         dt = float(dt)
         if dt > min(diff_bound, adv_bound):
-            raise ValueError(
+            raise UnstableTimeStep(
                 f"dt={dt} exceeds the stability bound "
                 f"{min(diff_bound, adv_bound):.3g}"
             )
@@ -204,11 +235,9 @@ def solve_advection_diffusion(
         dt = t_end / n_steps
 
     sources = list(sources)
-    const_vel = not callable(velocity)
-    if const_vel:
-        vx, vy, vz = _velocity_on_grid(velocity, grid, 0.0, centers)
-
-    c = np.zeros(grid.shape)
+    lo, h_list, volume = list(grid.lo), h.tolist(), grid.cell_volume()
+    hx2, hy2, hz2 = h[0] ** 2, h[1] ** 2, h[2] ** 2
+    h2x, h2y, h2z = 2 * h[0], 2 * h[1], 2 * h[2]
     injected_instant = [False] * len(sources)
     t = 0.0
     for step in range(n_steps):
@@ -216,18 +245,46 @@ def solve_advection_diffusion(
         for k, src in enumerate(sources):
             if src.kind is SourceKind.INSTANT:
                 if not injected_instant[k] and t + dt >= src.start_time:
-                    _deposit_cic(c, grid, src.point_at(src.start_time), src.strength)
+                    _deposit_cic(c, lo, h_list, volume, src.point_at(src.start_time),
+                                 src.strength)
                     injected_instant[k] = True
             else:
                 if t_mid >= src.start_time:
                     pos = src.point_at(min(t_mid, src.trajectory.t_end)
                                        if src.trajectory is not None else t_mid)
-                    _deposit_cic(c, grid, pos, src.rate_at(t_mid) * dt)
-        cp = _pad(c, boundary)
-        lap = _laplacian(cp, h)
-        gx, gy, gz = _gradient(cp, h)
-        if not const_vel:
-            vx, vy, vz = _velocity_on_grid(velocity, grid, t_mid, centers)
-        c = c + dt * (D * lap - (vx * gx + vy * gy + vz * gz))
+                    _deposit_cic(c, lo, h_list, volume, pos, src.rate_at(t_mid) * dt)
+        _refresh_ghosts(padded, boundary)
+        if callable(velocity):
+            vmax = load_velocity(t_mid)
+            if vmax > 0 and dt > h_min / vmax:
+                raise UnstableTimeStep(
+                    f"at t={t_mid:.6g} s the speed {vmax:.3g} m/s breaks the "
+                    f"advective bound dt={dt:.3g} <= {h_min / vmax:.3g}; "
+                    f"pass a smaller dt"
+                )
+        # D lap(c): (p - 2c + m) / h^2 summed over x, y, z.
+        np.multiply(2, centre, out=two_c)
+        np.subtract(xp, two_c, out=lap)
+        np.add(lap, xm, out=lap)
+        np.divide(lap, hx2, out=lap)
+        for p, m, hh in ((yp, ym, hy2), (zp, zm, hz2)):
+            np.subtract(p, two_c, out=term)
+            np.add(term, m, out=term)
+            np.divide(term, hh, out=term)
+            np.add(lap, term, out=lap)
+        # v . grad(c) with central differences (p - m) / 2h.
+        np.subtract(xp, xm, out=term)
+        np.divide(term, h2x, out=term)
+        np.multiply(vx, term, out=adv)
+        for p, m, hh, v in ((yp, ym, h2y, vy), (zp, zm, h2z, vz)):
+            np.subtract(p, m, out=term)
+            np.divide(term, hh, out=term)
+            np.multiply(v, term, out=term)
+            np.add(adv, term, out=adv)
+        # c + dt (D lap - adv), written in place once every read is done.
+        np.multiply(D, lap, out=lap)
+        np.subtract(lap, adv, out=lap)
+        np.multiply(dt, lap, out=lap)
+        np.add(centre, lap, out=centre)
         t += dt
-    return FdSolution(grid=grid, field=c, t_end=t, steps=n_steps)
+    return FdSolution(grid=grid, field=c.copy(), t_end=t, steps=n_steps)

@@ -24,20 +24,26 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def render_csv(header: Sequence[str], rows: Iterable[Sequence],
+def render_csv(header: Sequence[str], rows: Iterable[Sequence | str],
                meta: Mapping[str, str] | None = None) -> str:
+    """CSV text: meta lines, the header, then one line per row. A row given
+    as a str is taken as an already rendered line (cells formatted as here:
+    floats by format_float, anything else by str)."""
     lines = []
     for key, value in (meta or {}).items():
         lines.append(f"# {key} = {value}")
     lines.append(",".join(header))
     for row in rows:
+        if isinstance(row, str):
+            lines.append(row)
+            continue
         cells = [format_float(v) if isinstance(v, (float, np.floating)) else str(v)
                  for v in row]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence | str],
               meta: Mapping[str, str] | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render_csv(header, rows, meta))

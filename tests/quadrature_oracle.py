@@ -1,7 +1,8 @@
 """The emission quadrature as it was before it kept running sums: every
 node and value of the current level is held in memory and each level's
 midpoints are evaluated in one call. Kept as the reference that the
-bounded-memory version must reproduce."""
+bounded-memory version must reproduce; its acceptance rule (two successive
+levels under the tolerance) is the current one."""
 
 import math
 
@@ -25,6 +26,7 @@ def adaptive_emission_integral(f_vec, a, b, rel_tol=1e-6, max_levels=20):
     s_prev = _simpson_sum(fs, h)
     err = math.inf
     s = s_prev
+    met_before = False
     for _ in range(max_levels):
         mids = 0.5 * (xs[:-1] + xs[1:])
         fm = f_vec(mids)
@@ -35,13 +37,11 @@ def adaptive_emission_integral(f_vec, a, b, rel_tol=1e-6, max_levels=20):
         xs, fs = xs2, fs2
         h *= 0.5
         s = _simpson_sum(fs, h)
-        scale = max(abs(s), abs(s_prev))
-        if scale == 0.0:
-            return 0.0
         err = abs(s - s_prev) / 15.0
-        if err <= rel_tol * scale:
+        met = err <= rel_tol * max(abs(s), abs(s_prev))
+        if met and met_before:
             return s
-        s_prev = s
+        met_before, s_prev = met, s
     raise QuadratureFailure(
         f"emission quadrature did not reach rel_tol={rel_tol} within "
         f"{max_levels} refinements (estimate {s}, error bound {err})",

@@ -338,10 +338,7 @@ class TestMovingClosedForm:
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     def test_matches_quadrature(self, case):
-        # At quadrature_tol=1e-11 the oracle's Richardson test accepts two
-        # coincidentally close coarse levels about once in 4500 draws (off
-        # by up to 6e-9, where the closed form matches a 1e-14 quadrature
-        # to 3e-15); at 1e-12 it held to 8e-11 over 9000 draws.
+        # The oracle runs three decades inside the 1e-9 band.
         env, src, obs, t = case
         oracle = concentration_moving_source(src, env, obs, t, quadrature_tol=1e-12)
         got = concentration_continuous(src, env, obs, t)
@@ -551,11 +548,24 @@ class TestEmissionQuadrature:
         _, f, a, b, tol = self.integrands()[1]
         sizes = []
         channel.adaptive_emission_integral(lambda x: sizes.append(x.size) or f(x), a, b, tol)
-        # 16 intervals doubled 11 times: the last level adds 16384 nodes,
-        # four blocks.
+        # 16 intervals doubled 12 times (levels 11 and 12 both meet the
+        # tolerance): the last level adds 32768 nodes, eight blocks.
         assert max(sizes) == channel._QUADRATURE_BLOCK
-        assert sum(sizes) == 16 * 2 ** 11 + 1
-        assert sizes[-4:] == [channel._QUADRATURE_BLOCK] * 4
+        assert sum(sizes) == 16 * 2 ** 12 + 1
+        assert sizes[-8:] == [channel._QUADRATURE_BLOCK] * 8
+
+    def test_chance_agreement_of_two_coarse_levels_is_not_accepted(self):
+        # A 2.684 s static hold in the duct, seen as it ends. At rel_tol
+        # 1e-11 the first level whose Richardson estimate met the tolerance
+        # was 8.0e-10 off the closed form; two successive levels must agree.
+        env = Environment(diffusivity=0.835, wind=Velocity(0.0937, 0.0, 0.0),
+                          boundary=RectangularDuctReflecting(3.0, 2.5, image_order=2))
+        src, obs, tau = np.array([0.0146, 0.8028, 1.1269]), np.array([-3.476, 2.689, 0.0277]), 2.684
+        tol = 1e-11
+        got = channel.adaptive_emission_integral(
+            lambda ss: unit_instant_kernel(env, src, obs, tau - ss), 0.0, tau, tol)
+        want = unit_continuous_kernel(env, src, obs, np.array([tau]))[0]
+        assert got == pytest.approx(want, rel=10 * tol)
 
     def test_failure_matches_full_node_reference(self):
         f = lambda x: np.sqrt(np.abs(x - 1.0 / 3.0))  # noqa: E731

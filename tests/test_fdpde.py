@@ -12,6 +12,7 @@ from virodyne.channel import (
     concentration_multi_source,
 )
 from virodyne.core import Velocity
+from virodyne.errors import UnstableTimeStep, VirodyneError
 from virodyne.fdpde import FdGrid, FdSolution, solve_advection_diffusion
 
 
@@ -37,6 +38,24 @@ class TestFdSolver:
             solve_advection_diffusion(grid, 10.0, (0, 0, 0),
                                       [SourceSpec.instant((0, 0, 0), 1.0)],
                                       t_end=1.0, dt=1.0)
+
+    def test_flow_speeding_up_after_start_breaks_cfl(self):
+        # dt = 0.1 s passes the advective bound h/|v| = 0.91 s at t = 0, but
+        # the wind 1 + t m/s exceeds h/dt = 9.09 m/s from t = 8.09 s on.
+        grid = FdGrid((-5, -5, -5), (5, 5, 5), (11, 11, 11))
+
+        def ramp(points, t):
+            v = np.zeros_like(points)
+            v[:, 0] = 1.0 + t
+            return v
+
+        src = [SourceSpec.instant((0, 0, 0), 1.0)]
+        ok = solve_advection_diffusion(grid, 0.01, ramp, src, t_end=8.0, dt=0.1)
+        assert ok.steps == 80
+        with pytest.raises(UnstableTimeStep, match=r"t=8\.15") as err:
+            solve_advection_diffusion(grid, 0.01, ramp, src, t_end=10.0, dt=0.1)
+        assert isinstance(err.value, VirodyneError)
+        assert isinstance(err.value, ValueError)
 
     def test_instant_source_mass_on_grid(self):
         # Absorbing walls far away: deposited mass stays on the grid.
