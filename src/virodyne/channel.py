@@ -29,9 +29,9 @@ kernel is a product of per-axis image sums (_axis_factor), 2(2n+1) factors
 per axis, which is far cheaper for the Gaussian and exact because it
 separates by axis.
 
-Everything here is a pure function of its inputs and safe to call
-concurrently; batch evaluation partitions the query across worker threads
-with order-independent assembly.
+Everything here is a pure function of its inputs. Batch evaluation walks
+the query in fixed chunks and writes each chunk's values into one output in
+index order.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from . import parallel
 from .core import (
     Diffusivity,
     Position,
@@ -61,6 +60,7 @@ from .errors import (
     VirodyneError,
 )
 from .mobility import Trajectory
+from .parallel import chunk_slices
 
 DEFAULT_QUADRATURE_TOL = 1e-6
 MAX_QUADRATURE_LEVELS = 20
@@ -780,29 +780,27 @@ def _evaluate_chunk(scenario: Scenario, positions: np.ndarray, times: np.ndarray
     return out, failures
 
 
+# Points per _evaluate_chunk call. unit_instant_kernel is not blocked
+# internally, so this bounds its per-axis (images, points) temporaries.
+_FIELD_CHUNK = 2048
+
+
 def evaluate_field(query: FieldQuery, scenario: Scenario,
-                   quadrature_tol: float = DEFAULT_QUADRATURE_TOL,
-                   chunk_size: int = 2048) -> np.ndarray:
+                   quadrature_tol: float = DEFAULT_QUADRATURE_TOL) -> np.ndarray:
     """Evaluate the scenario's field at every query point.
 
     Pure and order-independent: permuting the query permutes the results.
-    Chunks are distributed over worker threads (VIRODYNE_THREADS) and
-    reassembled in index order, so results never depend on thread count.
+    The query is evaluated in fixed chunks of _FIELD_CHUNK points.
     Point-wise failures (singular points, quadrature breakdowns) are
     collected and raised together as FieldEvaluationError with their query
     indices.
     """
-    n = len(query)
-    if n == 0:
-        return np.zeros(0)
-
-    def worker(_idx: int, sl: slice):
-        values, fails = _evaluate_chunk(scenario, query.positions[sl],
-                                        query.times[sl], quadrature_tol)
-        return values, [(i + sl.start, exc) for i, exc in fails]
-
-    parts = parallel.map_chunks(worker, n, chunk_size)
-    failures = [f for _, fails in parts for f in fails]
+    out = np.empty(len(query))
+    failures: list[tuple[int, Exception]] = []
+    for sl in chunk_slices(len(query), _FIELD_CHUNK):
+        out[sl], fails = _evaluate_chunk(scenario, query.positions[sl],
+                                         query.times[sl], quadrature_tol)
+        failures += [(i + sl.start, exc) for i, exc in fails]
     if failures:
         raise FieldEvaluationError(failures)
-    return np.concatenate([vals for vals, _ in parts])
+    return out

@@ -11,8 +11,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 domain error (degenerate data, failed estimation),
 2 usage error (unknown flags, malformed or missing configuration). Identical
-inputs and seed produce byte-identical artifacts; VIRODYNE_THREADS only
-changes how fast they appear.
+inputs and seed produce byte-identical artifacts.
 """
 
 from __future__ import annotations

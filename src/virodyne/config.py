@@ -11,7 +11,7 @@ that canonical dump is embedded in every artifact the CLI writes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable
 
 from .channel import (
@@ -24,8 +24,6 @@ from .channel import (
 from .core import Velocity
 from .errors import ConfigError
 from .mobility import Trajectory
-
-_REQUIRED = object()
 
 
 def _parse_float(raw: str, key: str, line: int) -> float:
@@ -79,26 +77,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# Each section class declares SCHEMA: key -> (parser, default). Attribute
-# names equal key names so dumping is mechanical.
+_PARSERS = {"float": _parse_float, "int": _parse_int}
+
+
+def _key(parse: Callable, default=MISSING):
+    """A key read by `parse`; without a default it is required."""
+    return field(default=default, metadata={"parse": parse})
+
+
+# A section's keys are its dataclass fields, in declaration order, so
+# dumping is mechanical. A field without a default is a required key.
+# Float and int keys are parsed by their annotation, others through _key.
 
 @dataclass
 class EnvSection:
     diffusivity_m2s: float
-    wind_mps: tuple = (0.0, 0.0, 0.0)
-    boundary: str = "free"
+    wind_mps: tuple = _key(_parse_floats(3), (0.0, 0.0, 0.0))
+    boundary: str = _key(_parse_choice("free", "halfspace", "duct"), "free")
     duct_width_m: float = 0.0
     duct_height_m: float = 0.0
     image_order: int = 10
-
-    SCHEMA = {
-        "diffusivity_m2s": (_parse_float, _REQUIRED),
-        "wind_mps": (_parse_floats(3), (0.0, 0.0, 0.0)),
-        "boundary": (_parse_choice("free", "halfspace", "duct"), "free"),
-        "duct_width_m": (_parse_float, 0.0),
-        "duct_height_m": (_parse_float, 0.0),
-        "image_order": (_parse_int, 10),
-    }
 
     def build(self) -> Environment:
         if self.boundary == "free":
@@ -121,21 +119,12 @@ class EnvSection:
 
 @dataclass
 class SourceSection:
-    kind: str
-    position_m: tuple
+    kind: str = _key(_parse_choice("instant", "continuous"))
+    position_m: tuple = _key(_parse_floats(3))
     mass_kg: float = 0.0
     rate_kgs: float = 0.0
     start_s: float = 0.0
-    velocity_mps: tuple = (0.0, 0.0, 0.0)
-
-    SCHEMA = {
-        "kind": (_parse_choice("instant", "continuous"), _REQUIRED),
-        "position_m": (_parse_floats(3), _REQUIRED),
-        "mass_kg": (_parse_float, 0.0),
-        "rate_kgs": (_parse_float, 0.0),
-        "start_s": (_parse_float, 0.0),
-        "velocity_mps": (_parse_floats(3), (0.0, 0.0, 0.0)),
-    }
+    velocity_mps: tuple = _key(_parse_floats(3), (0.0, 0.0, 0.0))
 
     @property
     def is_moving(self) -> bool:
@@ -161,18 +150,11 @@ class SourceSection:
 
 @dataclass
 class GridSection:
-    x_m: tuple
-    y_m: tuple
-    z_m: tuple
-    times_s: tuple
-
-    SCHEMA = {
-        # one value, or `min max steps` for a linear sweep
-        "x_m": (_parse_floats(None), _REQUIRED),
-        "y_m": (_parse_floats(None), _REQUIRED),
-        "z_m": (_parse_floats(None), _REQUIRED),
-        "times_s": (_parse_floats(None), _REQUIRED),
-    }
+    # one value, or `min max steps` for a linear sweep
+    x_m: tuple = _key(_parse_floats(None))
+    y_m: tuple = _key(_parse_floats(None))
+    z_m: tuple = _key(_parse_floats(None))
+    times_s: tuple = _key(_parse_floats(None))
 
     @staticmethod
     def _axis(values: tuple, name: str) -> list[float]:
@@ -193,42 +175,30 @@ class GridSection:
 
 @dataclass
 class DetectSection:
-    taps: tuple
+    taps: tuple = _key(_parse_floats(None))
     symbol_interval_s: float = 1.0
-    noise: str = "gaussian"
+    noise: str = _key(_parse_choice("gaussian", "poisson"), "gaussian")
     sigma: float = 0.0
     alpha: float = 0.0
-    mode: str = "threshold"
+    mode: str = _key(_parse_choice("threshold", "sequence", "difference"),
+                     "threshold")
     threshold: float = -1.0          # < 0 means "use the midpoint default"
     threshold_delta: float = 0.0
     p1: float = 0.5
     bits_per_frame: int = 16
     trials: int = 1000
 
-    SCHEMA = {
-        "taps": (_parse_floats(None), _REQUIRED),
-        "symbol_interval_s": (_parse_float, 1.0),
-        "noise": (_parse_choice("gaussian", "poisson"), "gaussian"),
-        "sigma": (_parse_float, 0.0),
-        "alpha": (_parse_float, 0.0),
-        "mode": (_parse_choice("threshold", "sequence", "difference"), "threshold"),
-        "threshold": (_parse_float, -1.0),
-        "threshold_delta": (_parse_float, 0.0),
-        "p1": (_parse_float, 0.5),
-        "bits_per_frame": (_parse_int, 16),
-        "trials": (_parse_int, 1000),
-    }
-
 
 @dataclass
 class PopulationSection:
     n_agents: int
-    domain_m: tuple
+    domain_m: tuple = _key(_parse_floats(6))
     emission_rate_kgs: float
     initial_infected: int = 1
     breathing_hz: float = 1.0
-    mobility: str = "waypoint"
-    boundary_policy: str = "reflect"
+    mobility: str = _key(_parse_choice("walk", "waypoint", "direction", "scripted"),
+                         "waypoint")
+    boundary_policy: str = _key(_parse_choice("reflect", "wrap"), "reflect")
     step_len_m: float = 0.5
     step_dt_s: float = 1.0
     speed_min_mps: float = 0.5
@@ -236,26 +206,7 @@ class PopulationSection:
     pause_s: float = 1.0
     speed_mps: float = 1.0
     epoch_s: float = 10.0
-    velocity_mps: tuple = (1.0, 0.0, 0.0)
-
-    SCHEMA = {
-        "n_agents": (_parse_int, _REQUIRED),
-        "domain_m": (_parse_floats(6), _REQUIRED),
-        "emission_rate_kgs": (_parse_float, _REQUIRED),
-        "initial_infected": (_parse_int, 1),
-        "breathing_hz": (_parse_float, 1.0),
-        "mobility": (_parse_choice("walk", "waypoint", "direction", "scripted"),
-                     "waypoint"),
-        "boundary_policy": (_parse_choice("reflect", "wrap"), "reflect"),
-        "step_len_m": (_parse_float, 0.5),
-        "step_dt_s": (_parse_float, 1.0),
-        "speed_min_mps": (_parse_float, 0.5),
-        "speed_max_mps": (_parse_float, 1.5),
-        "pause_s": (_parse_float, 1.0),
-        "speed_mps": (_parse_float, 1.0),
-        "epoch_s": (_parse_float, 10.0),
-        "velocity_mps": (_parse_floats(3), (1.0, 0.0, 0.0)),
-    }
+    velocity_mps: tuple = _key(_parse_floats(3), (1.0, 0.0, 0.0))
 
 
 @dataclass
@@ -265,47 +216,25 @@ class EpidemicSection:
     horizon_s: float
     latency_s: float = 0.0
 
-    SCHEMA = {
-        "dose_coefficient": (_parse_float, _REQUIRED),
-        "step_s": (_parse_float, _REQUIRED),
-        "horizon_s": (_parse_float, _REQUIRED),
-        "latency_s": (_parse_float, 0.0),
-    }
-
 
 @dataclass
 class LocalizeSection:
-    source_kind: str = "steady"
+    source_kind: str = _key(_parse_choice("steady", "instant", "continuous"),
+                            "steady")
     grid_resolution: int = 16
     simplex_tol: float = 1e-8
     max_iterations: int = 600
-    search_box_m: tuple = ()
-
-    SCHEMA = {
-        "source_kind": (_parse_choice("steady", "instant", "continuous"), "steady"),
-        "grid_resolution": (_parse_int, 16),
-        "simplex_tol": (_parse_float, 1e-8),
-        "max_iterations": (_parse_int, 600),
-        "search_box_m": (_parse_floats_empty_or(6), ()),
-    }
+    search_box_m: tuple = _key(_parse_floats_empty_or(6), ())
 
 
 @dataclass
 class SolverSection:
     quadrature_tol: float = 1e-6
 
-    SCHEMA = {
-        "quadrature_tol": (_parse_float, 1e-6),
-    }
-
 
 @dataclass
 class RunSection:
     seed: int = 0
-
-    SCHEMA = {
-        "seed": (_parse_int, 0),
-    }
 
 
 _SECTION_TYPES = {
@@ -319,9 +248,6 @@ _SECTION_TYPES = {
     "solver": SolverSection,
     "run": RunSection,
 }
-
-_SECTION_ORDER = ("environment", "source", "grid", "detection", "population",
-                  "epidemic", "localize", "solver", "run")
 
 
 @dataclass
@@ -346,23 +272,22 @@ class ScenarioConfig:
 
 
 def _build_section(cls, raw: dict[str, tuple[str, int]], section_line: int):
+    keys = {f.name: f for f in fields(cls)}
     values = {}
     for key, (raw_val, line) in raw.items():
-        if key not in cls.SCHEMA:
+        if key not in keys:
             raise ConfigError(
                 f"unknown key in [{_section_name(cls)}]", key, line
             )
-        parser, _default = cls.SCHEMA[key]
-        values[key] = parser(raw_val, key, line)
-    for key, (_parser, default) in cls.SCHEMA.items():
-        if key in values:
-            continue
-        if default is _REQUIRED:
+        # Annotations are strings here (from __future__ import annotations).
+        parse = keys[key].metadata.get("parse") or _PARSERS[keys[key].type]
+        values[key] = parse(raw_val, key, line)
+    for key, f in keys.items():
+        if key not in values and f.default is MISSING:
             raise ConfigError(
                 f"missing required key in [{_section_name(cls)}]", key,
                 section_line,
             )
-        values[key] = default
     return cls(**values)
 
 
@@ -430,11 +355,11 @@ def dump_config(cfg: ScenarioConfig) -> str:
 
     def emit(name: str, section) -> None:
         out.append(f"[{name}]")
-        for key in section.SCHEMA:
-            out.append(f"{key} = {_fmt(getattr(section, key))}")
+        for f in fields(section):
+            out.append(f"{f.name} = {_fmt(getattr(section, f.name))}")
         out.append("")
 
-    for name in _SECTION_ORDER:
+    for name in _SECTION_TYPES:
         if name == "source":
             for src in cfg.sources:
                 emit("source", src)

@@ -1,9 +1,8 @@
 """Shared domain types: positions, times, physical units, the standard
 genetic code, and the deterministic random-stream contract.
 
-All value types here are immutable after construction, validate their
-invariants eagerly (NaN/inf are rejected everywhere), and are safe to share
-across threads.
+All value types here are immutable after construction and validate their
+invariants eagerly (NaN/inf are rejected everywhere).
 """
 
 from __future__ import annotations
@@ -238,10 +237,10 @@ def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     """Return an independent, reproducible random stream.
 
     The same (seed, stream_id) pair always yields the same sequence, on any
-    platform and under any thread count; distinct stream_ids give
-    statistically independent streams (counter-based Philox keyed through a
-    SeedSequence spawn key). Components that parallelize work assign one
-    stream per unit of work so results never depend on scheduling.
+    platform; distinct stream_ids give statistically independent streams
+    (counter-based Philox keyed through a SeedSequence spawn key).
+    Components that split work into fixed chunks assign one stream per
+    chunk, so results depend only on the inputs and the seed.
     """
     seed = int(seed)
     stream_id = int(stream_id)

@@ -15,7 +15,7 @@ into the current sample. Three detectors are provided:
 
 Monte-Carlo error probability and a plug-in mutual-information estimator
 round out the metrics; trials are partitioned into fixed chunks with one
-random stream each, so estimates are reproducible for any thread count.
+random stream each, so an estimate depends only on its inputs and seed.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from typing import Union
 
 import numpy as np
 
-from . import parallel
 from .core import rng_stream
 from .errors import EmptyObservation, MissingChannelModel
+from .parallel import chunk_slices
 
 
 @dataclass(frozen=True)
@@ -315,6 +315,11 @@ def wilson_interval(errors: int, total: int, z: float = 1.959963984540054
     return lo, hi
 
 
+# Frames per random stream in error_probability. Each chunk draws from its
+# own (seed, chunk) stream, so changing this changes every seeded BER.
+_FRAMES_PER_STREAM = 1024
+
+
 def error_probability(
     cir: ChannelImpulseResponse,
     config: DetectorConfig,
@@ -322,13 +327,12 @@ def error_probability(
     bits_per_frame: int,
     trials: int,
     seed: int,
-    chunk_size: int = 1024,
 ) -> BerEstimate:
     """Empirical bit error rate over seeded Monte-Carlo trials.
 
-    Each chunk of trials draws from its own (seed, chunk) stream and chunk
-    boundaries are fixed, so the estimate is identical under any thread
-    count. Returns the point estimate with a 95% Wilson interval.
+    Each chunk of _FRAMES_PER_STREAM trials draws from its own
+    (seed, chunk) stream, so the estimate depends only on the inputs and
+    the seed. Returns the point estimate with a 95% Wilson interval.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -364,7 +368,8 @@ def error_probability(
                            >= config.mode.theta_delta).astype(int)
         return int((decided != bits).sum()), bits.size, joint_counts(bits, decided)
 
-    parts = parallel.map_chunks(worker, trials, chunk_size)
+    slices = chunk_slices(trials, _FRAMES_PER_STREAM)
+    parts = [worker(i, sl) for i, sl in enumerate(slices)]
     bit_errors = sum(p[0] for p in parts)
     bits_total = sum(p[1] for p in parts)
     joint = sum((p[2] for p in parts), np.zeros((2, 2), dtype=np.int64))

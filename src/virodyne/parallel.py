@@ -1,49 +1,16 @@
-"""Deterministic chunked parallelism.
+"""Fixed partitions of batch work.
 
-Work is always partitioned into the same fixed-size chunks regardless of how
-many worker threads execute them, and results are reassembled in chunk order,
-so outputs are bit-identical for any thread count. The VIRODYNE_THREADS
-environment variable caps the number of worker threads (default 1).
+Batch work is split into the same fixed-size chunks on every run and
+processed in chunk order. Where a chunk draws random numbers it draws from
+its own (seed, chunk) stream, so results depend only on the inputs and the
+seed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, TypeVar
-
-T = TypeVar("T")
-
-_ENV_VAR = "VIRODYNE_THREADS"
-
-
-def thread_count() -> int:
-    raw = os.environ.get(_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, n)
-
 
 def chunk_slices(n_items: int, chunk_size: int) -> list[slice]:
-    """Fixed partition of range(n_items); independent of thread count."""
+    """Fixed partition of range(n_items) into consecutive slices."""
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     return [slice(i, min(i + chunk_size, n_items)) for i in range(0, n_items, chunk_size)]
-
-
-def map_chunks(worker: Callable[[int, slice], T], n_items: int, chunk_size: int) -> list[T]:
-    """Apply worker(chunk_index, slice) over a fixed partition, in order.
-
-    Runs sequentially when only one thread is configured; otherwise fans the
-    chunks out to a thread pool and collects results in chunk order.
-    """
-    slices = chunk_slices(n_items, chunk_size) if n_items > 0 else []
-    threads = thread_count()
-    if threads == 1 or len(slices) <= 1:
-        return [worker(i, s) for i, s in enumerate(slices)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(len(slices)), slices))

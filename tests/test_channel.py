@@ -2,6 +2,7 @@ import math
 import os
 import runpy
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -488,7 +489,7 @@ class TestMovingClosedForm:
         monkeypatch.setattr(channel, "adaptive_emission_integral", no_quadrature)
         cfg = os.path.join(CONFIGS, "walk_past.cfg")
         if boundary:
-            text = open(cfg, encoding="utf-8").read()
+            text = Path(cfg).read_text(encoding="utf-8")
             extra = f"boundary = {boundary}\n"
             if boundary == "duct":
                 extra += "duct_width_m = 10\nduct_height_m = 50\nimage_order = 2\n"
@@ -780,9 +781,9 @@ class TestEvaluateField:
         src = SourceSpec.continuous(1.0, position=(0, 0, 25))
         q = FieldQuery.from_grid([35.0], [0.0], np.linspace(0, 50, 21), [30.0])
         monkeypatch.setenv("VIRODYNE_THREADS", "1")
-        a = evaluate_field(q, Scenario(ENV40, [src]), chunk_size=4)
+        a = evaluate_field(q, Scenario(ENV40, [src]))
         monkeypatch.setenv("VIRODYNE_THREADS", "8")
-        b = evaluate_field(q, Scenario(ENV40, [src]), chunk_size=4)
+        b = evaluate_field(q, Scenario(ENV40, [src]))
         assert np.array_equal(a, b)
 
     def test_pointwise_errors_carry_indices(self):
@@ -796,3 +797,16 @@ class TestEvaluateField:
         with pytest.raises(FieldEvaluationError) as err:
             evaluate_field(q, Scenario(ENV40, [src]))
         assert [i for i, _ in err.value.failures] == [1]
+
+        # Longer than one 2048-point chunk: indices are global, and the
+        # values equal the two halves evaluated on their own.
+        pts = [((1.0 + 0.01 * i, 0.5, 0.0), 5.0) for i in range(3000)]
+        scenario = Scenario(ENV40, [src])
+        whole = evaluate_field(FieldQuery.from_pairs(pts), scenario)
+        halves = [evaluate_field(FieldQuery.from_pairs(part), scenario)
+                  for part in (pts[:2048], pts[2048:])]
+        assert np.array_equal(whole, np.concatenate(halves))
+        pts[2500] = ((0.0, 0.0, 0.0), 5.0)
+        with pytest.raises(FieldEvaluationError) as err:
+            evaluate_field(FieldQuery.from_pairs(pts), scenario)
+        assert [i for i, _ in err.value.failures] == [2500]

@@ -99,6 +99,19 @@ class TestConfig:
             cfg = load_config(str(REPO_CONFIGS / name))
             assert isinstance(cfg, ScenarioConfig)
 
+    # The canonical dump (key order and default text) of each shipped config,
+    # pinned through its hash: every artifact embeds this value.
+    @pytest.mark.parametrize("name, digest", [
+        ("detect_demo.cfg",
+         "3d67c1f48049c860c64554bc9458b193fb68be7fd5b162081e99d8721063eda4"),
+        ("epidemic_demo.cfg",
+         "38756bde062168ffbfefda86ae8353a26a787b481859b7c512f39ae2da85691f"),
+        ("walk_past.cfg",
+         "877693652aa5189075a85d0231caa8417c66cdecebcd747583dfa39bf9082f44"),
+    ])
+    def test_shipped_config_hash_is_stable(self, name, digest):
+        assert config_hash(load_config(str(REPO_CONFIGS / name))) == digest
+
 
 class TestCli:
     def test_import_leaves_scipy_out(self):
