@@ -31,7 +31,8 @@ separates by axis.
 
 Everything here is a pure function of its inputs. Batch evaluation walks
 the query in fixed chunks and writes each chunk's values into one output in
-index order.
+index order; concentration_instant, _continuous, _steady and _multi_source
+are the same per-source path on one point.
 """
 
 from __future__ import annotations
@@ -565,14 +566,7 @@ def concentration_instant(src: SourceSpec, env: Environment, r, t) -> float:
     """Field of an instant release; 0 before the release time."""
     if src.kind is not SourceKind.INSTANT:
         raise ValueError("concentration_instant expects an instant source")
-    t = seconds(t)
-    tau = t - src.start_time
-    if tau <= 0:
-        return 0.0
-    r0 = src.point_at(src.start_time)
-    obs = as_position(r).as_array()
-    val = unit_instant_kernel(env, r0, obs, np.array([tau]))[0]
-    return float(src.strength * val)
+    return _field_at(src, env, r, seconds(t))
 
 
 _ON_SOURCE = "continuous-source field diverges at the source position"
@@ -622,35 +616,6 @@ def _moving_unit_field(src: SourceSpec, env: Environment, positions: np.ndarray,
     return out
 
 
-def _constant_rate_field(src: SourceSpec, env: Environment, positions: np.ndarray,
-                         times: np.ndarray
-                         ) -> tuple[np.ndarray, list[tuple[int, Exception]]]:
-    """Field of a constant-rate continuous source, static or moving, at each
-    (position, time), and the indices that failed: SingularPoint on the
-    emitting source, OutOfRange past the end of its trajectory."""
-    late = np.zeros(times.size, dtype=bool)
-    if src.trajectory is None:
-        kern = unit_continuous_kernel(env, src.position.as_array(), positions,
-                                      times - src.start_time)
-    else:
-        late = (times > src.trajectory.t_end + _TRAJECTORY_SLACK) & (times > src.start_time)
-        kern = _moving_unit_field(src, env, positions, times)
-    singular = np.isinf(kern) & ~late
-    failures = sorted(
-        [(int(i), _past_trajectory(src, float(times[i]))) for i in np.flatnonzero(late)]
-        + [(int(i), SingularPoint(_ON_SOURCE)) for i in np.flatnonzero(singular)],
-        key=lambda f: f[0])
-    return src.strength * np.where(late | singular, 0.0, kern), failures
-
-
-def _constant_rate_at(src: SourceSpec, env: Environment, r, t: float) -> float:
-    values, failures = _constant_rate_field(src, env, as_position(r).as_array()[None, :],
-                                            np.array([t]))
-    if failures:
-        raise failures[0][1]
-    return float(values[0])
-
-
 def concentration_continuous(src: SourceSpec, env: Environment, r, t,
                              quadrature_tol: float = DEFAULT_QUADRATURE_TOL) -> float:
     """Field of a continuous source; closed form at a constant rate.
@@ -662,9 +627,7 @@ def concentration_continuous(src: SourceSpec, env: Environment, r, t,
     """
     if src.kind is not SourceKind.CONTINUOUS:
         raise ValueError("concentration_continuous expects a continuous source")
-    if callable(src.strength):
-        return concentration_moving_source(src, env, r, t, quadrature_tol)
-    return _constant_rate_at(src, env, r, seconds(t))
+    return _field_at(src, env, r, seconds(t), quadrature_tol)
 
 
 def concentration_steady(src: SourceSpec, env: Environment, r) -> float:
@@ -677,14 +640,24 @@ def concentration_steady(src: SourceSpec, env: Environment, r) -> float:
     """
     if src.kind is not SourceKind.CONTINUOUS or src.is_moving or callable(src.strength):
         raise ValueError("steady state is defined for static constant-rate sources")
-    return _constant_rate_at(src, env, r, math.inf)
+    return _field_at(src, env, r, math.inf)
 
 
-def _emission_quadrature(src: SourceSpec, env: Environment, obs: np.ndarray,
-                         t: float, rel_tol: float) -> float:
-    a = src.start_time
+def concentration_moving_source(src: SourceSpec, env: Environment, r, t,
+                                quadrature_tol: float = DEFAULT_QUADRATURE_TOL) -> float:
+    """Field of a continuous source by quadrature of the instant kernel over
+    its emission history, to quadrature_tol.
+
+    The only route for a time-varying rate. For a constant rate,
+    concentration_continuous is the exact closed form and this is its
+    independent check; the trajectory must cover [start_time, t].
+    """
+    if src.kind is not SourceKind.CONTINUOUS:
+        raise ValueError("concentration_moving_source expects a continuous source")
+    t, a = seconds(t), src.start_time
     if t <= a:
         return 0.0
+    obs = as_position(r).as_array()
     if src.trajectory is not None and t > src.trajectory.t_end + _TRAJECTORY_SLACK:
         raise _past_trajectory(src, t)
 
@@ -711,34 +684,16 @@ def _emission_quadrature(src: SourceSpec, env: Environment, obs: np.ndarray,
     total, bound, failed = 0.0, 0.0, 0
     for lo, hi in zip(cuts, cuts[1:]):
         try:
-            total += adaptive_emission_integral(integrand, lo, hi, rel_tol)
+            total += adaptive_emission_integral(integrand, lo, hi, quadrature_tol)
         except QuadratureFailure as exc:
             total, bound, failed = total + exc.estimate, bound + exc.error_bound, failed + 1
     if failed:
         raise QuadratureFailure(
-            f"emission quadrature did not reach rel_tol={rel_tol} on {failed} of "
+            f"emission quadrature did not reach rel_tol={quadrature_tol} on {failed} of "
             f"{len(cuts) - 1} pieces (estimate {total}, error bound {bound})",
             estimate=total, error_bound=bound,
         )
     return total
-
-
-def concentration_moving_source(src: SourceSpec, env: Environment, r, t,
-                                quadrature_tol: float = DEFAULT_QUADRATURE_TOL) -> float:
-    """Field of a continuous source by quadrature of the instant kernel over
-    its emission history, to quadrature_tol.
-
-    The only route for a time-varying rate. For a constant rate,
-    concentration_continuous is the exact closed form and this is its
-    independent check; the trajectory must cover [start_time, t].
-    """
-    if src.kind is not SourceKind.CONTINUOUS:
-        raise ValueError("concentration_moving_source expects a continuous source")
-    t = seconds(t)
-    if t - src.start_time <= 0:
-        return 0.0
-    obs = as_position(r).as_array()
-    return _emission_quadrature(src, env, obs, t, quadrature_tol)
 
 
 def concentration_multi_source(sources: Iterable[SourceSpec], env: Environment,
@@ -747,36 +702,66 @@ def concentration_multi_source(sources: Iterable[SourceSpec], env: Environment,
     """Superposed field of several sources sharing one environment."""
     total = 0.0
     for src in sources:
-        if src.kind is SourceKind.INSTANT:
-            total += concentration_instant(src, env, r, t)
-        else:
-            total += concentration_continuous(src, env, r, t, quadrature_tol)
+        total += _field_at(src, env, r, seconds(t), quadrature_tol)
     return total
+
+
+def _source_field(src: SourceSpec, env: Environment, positions: np.ndarray,
+                  times: np.ndarray, quadrature_tol: float
+                  ) -> tuple[np.ndarray, list[tuple[int, Exception]]]:
+    """One source's field at each (position, time), and the indices that
+    failed. An instant release takes the instant kernel and a callable rate
+    quadrature point by point. A constant rate, static or moving, takes the
+    closed form; SingularPoint marks the emitting source and OutOfRange a
+    time past the end of its trajectory."""
+    if src.kind is SourceKind.INSTANT:
+        r0 = src.point_at(src.start_time)
+        return src.strength * unit_instant_kernel(env, r0, positions,
+                                                  times - src.start_time), []
+    if callable(src.strength):
+        out, failures = np.zeros(times.size), []
+        for i in range(times.size):
+            try:
+                out[i] = concentration_moving_source(src, env, positions[i], times[i],
+                                                     quadrature_tol)
+            except VirodyneError as exc:
+                failures.append((i, exc))
+        return out, failures
+    late = np.zeros(times.size, dtype=bool)
+    if src.trajectory is None:
+        kern = unit_continuous_kernel(env, src.position.as_array(), positions,
+                                      times - src.start_time)
+    else:
+        late = (times > src.trajectory.t_end + _TRAJECTORY_SLACK) & (times > src.start_time)
+        kern = _moving_unit_field(src, env, positions, times)
+    singular = np.isinf(kern) & ~late
+    failures = sorted(
+        [(int(i), _past_trajectory(src, float(times[i]))) for i in np.flatnonzero(late)]
+        + [(int(i), SingularPoint(_ON_SOURCE)) for i in np.flatnonzero(singular)],
+        key=lambda f: f[0])
+    return src.strength * np.where(late | singular, 0.0, kern), failures
+
+
+def _field_at(src: SourceSpec, env: Environment, r, t: float,
+              quadrature_tol: float = DEFAULT_QUADRATURE_TOL) -> float:
+    """_source_field at one point; its failure is raised."""
+    values, failures = _source_field(src, env, as_position(r).as_array()[None, :],
+                                     np.array([t]), quadrature_tol)
+    if failures:
+        raise failures[0][1]
+    return float(values[0])
 
 
 def _evaluate_chunk(scenario: Scenario, positions: np.ndarray, times: np.ndarray,
                     quadrature_tol: float
                     ) -> tuple[np.ndarray, list[tuple[int, Exception]]]:
-    env = scenario.environment
     out = np.zeros(times.size)
     failures: list[tuple[int, Exception]] = []
     for src in scenario.sources:
-        if src.kind is SourceKind.INSTANT:
-            taus = times - src.start_time
-            r0 = src.point_at(src.start_time)
-            out += src.strength * unit_instant_kernel(env, r0, positions, taus)
-        elif callable(src.strength):
-            for i in range(times.size):
-                try:
-                    out[i] += concentration_moving_source(
-                        src, env, positions[i], times[i], quadrature_tol
-                    )
-                except VirodyneError as exc:
-                    failures.append((i, exc))
-        else:
-            values, fails = _constant_rate_field(src, env, positions, times)
-            out += values
-            failures += fails
+        values, fails = _source_field(src, scenario.environment, positions, times,
+                                      quadrature_tol)
+        out += values
+        failures += fails
     return out, failures
 
 

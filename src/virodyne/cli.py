@@ -103,7 +103,10 @@ def _cmd_field(args) -> int:
     horizon = max(times) + 1.0
     sources = [s.build(horizon) for s in cfg.sources]
     xs, ys, zs = cfg.grid.axes()
-    query = FieldQuery.from_grid(xs, ys, zs, times)
+    try:
+        query = FieldQuery.from_grid(xs, ys, zs, times)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     values = evaluate_field(query, Scenario(env, sources),
                             quadrature_tol=cfg.solver.quadrature_tol)
     rows = [

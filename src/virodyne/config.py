@@ -11,6 +11,7 @@ that canonical dump is embedded in every artifact the CLI writes.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable
 
@@ -28,9 +29,12 @@ from .mobility import Trajectory
 
 def _parse_float(raw: str, key: str, line: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}", key, line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}", key, line)
+    return value
 
 
 def _parse_int(raw: str, key: str, line: int) -> int:
@@ -99,18 +103,18 @@ class EnvSection:
     image_order: int = 10
 
     def build(self) -> Environment:
-        if self.boundary == "free":
-            b = FreeSpace()
-        elif self.boundary == "halfspace":
-            b = HalfSpaceReflecting()
-        else:
-            if self.duct_width_m <= 0 or self.duct_height_m <= 0:
+        try:
+            if self.boundary == "free":
+                b = FreeSpace()
+            elif self.boundary == "halfspace":
+                b = HalfSpaceReflecting()
+            elif self.duct_width_m <= 0 or self.duct_height_m <= 0:
                 raise ConfigError(
                     "duct boundary needs duct_width_m and duct_height_m > 0"
                 )
-            b = RectangularDuctReflecting(self.duct_width_m, self.duct_height_m,
-                                          self.image_order)
-        try:
+            else:
+                b = RectangularDuctReflecting(self.duct_width_m, self.duct_height_m,
+                                              self.image_order)
             return Environment(diffusivity=self.diffusivity_m2s,
                                wind=Velocity(*self.wind_mps), boundary=b)
         except ValueError as exc:

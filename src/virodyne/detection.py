@@ -244,15 +244,13 @@ def _viterbi(y: np.ndarray, n_bits: int, cir: ChannelImpulseResponse,
     return bits, ll
 
 
-def detect(frame: ReceivedFrame, cir: ChannelImpulseResponse | None,
-           config: DetectorConfig) -> DetectionResult:
-    """Decide the transmitted bits behind a received frame.
-
-    With a channel model, the decided frame length is
-    len(samples) - (L - 1); without one, every sample yields a decision.
-    """
-    y = frame.samples
-    mode = config.mode
+def _decide(frames: np.ndarray, n_bits: int, cir: ChannelImpulseResponse | None,
+            mode: DetectorMode, noise: NoiseModel
+            ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (F, n_bits) bits behind F received frames, decided from their
+    first n_bits samples, and each frame's log-likelihood under sequence ML
+    (None for the per-sample rules)."""
+    y = frames[:, :n_bits]
     if isinstance(mode, SymbolThreshold):
         if mode.theta is None:
             if cir is None:
@@ -262,27 +260,37 @@ def detect(frame: ReceivedFrame, cir: ChannelImpulseResponse | None,
             theta = default_threshold(cir)
         else:
             theta = mode.theta
-        n = y.size - (cir.memory - 1) if cir is not None else y.size
-        n = max(n, 0)
-        bits = (y[:n] >= theta).astype(int)
-        ll = (_sequence_loglik(y, bits, cir, frame.noise)
-              if cir is not None else 0.0)
-        return DetectionResult(bits=bits, log_likelihood=ll)
+        return (y >= theta).astype(int), None
     if isinstance(mode, NonCoherentDifference):
-        n = y.size - (cir.memory - 1) if cir is not None else y.size
-        n = max(n, 0)
-        prev = np.concatenate([[0.0], y[: n - 1]]) if n else np.zeros(0)
-        bits = ((y[:n] - prev) >= mode.theta_delta).astype(int)
-        return DetectionResult(bits=bits, log_likelihood=0.0)
+        prev = np.zeros(y.shape)
+        prev[:, 1:] = y[:, :-1]
+        return ((y - prev) >= mode.theta_delta).astype(int), None
     if isinstance(mode, SequenceML):
         if cir is None:
             raise MissingChannelModel("sequence detection needs a channel model")
-        n_bits = y.size - (cir.memory - 1)
         if n_bits <= 0:
-            return DetectionResult(bits=np.zeros(0, dtype=int), log_likelihood=0.0)
-        bits, ll = _viterbi(y[None, :], n_bits, cir, frame.noise)
-        return DetectionResult(bits=bits[0], log_likelihood=float(ll[0]))
+            return np.zeros((len(frames), 0), dtype=int), np.zeros(len(frames))
+        return _viterbi(frames, n_bits, cir, noise)
     raise TypeError(f"unknown detector mode: {mode!r}")
+
+
+def detect(frame: ReceivedFrame, cir: ChannelImpulseResponse | None,
+           config: DetectorConfig) -> DetectionResult:
+    """Decide the transmitted bits behind a received frame.
+
+    With a channel model, the decided frame length is
+    len(samples) - (L - 1); without one, every sample yields a decision.
+    """
+    y = frame.samples
+    n_bits = max(y.size - (cir.memory - 1), 0) if cir is not None else y.size
+    bits, ll = _decide(y[None, :], n_bits, cir, config.mode, frame.noise)
+    if ll is not None:
+        ll = float(ll[0])
+    elif isinstance(config.mode, SymbolThreshold) and cir is not None:
+        ll = _sequence_loglik(y, bits[0], cir, frame.noise)
+    else:
+        ll = 0.0
+    return DetectionResult(bits=bits[0], log_likelihood=ll)
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +360,11 @@ def error_probability(
             for f in range(n_frames):
                 bits[f] = stream.uniform(size=n) < config.p1
                 noisy[f] = apply_noise(modulate(bits[f], cir), noise, stream)
-            decided, _ = _viterbi(noisy, n, cir, noise)
         else:
             bits = (stream.uniform(size=(n_frames, n)) < config.p1).astype(int)
-            clean = _convolve_rows(bits.astype(float), cir.taps)
-            noisy = apply_noise(clean, noise, stream)
-            if isinstance(config.mode, SymbolThreshold):
-                theta = (default_threshold(cir) if config.mode.theta is None
-                         else config.mode.theta)
-                decided = (noisy[:, :n] >= theta).astype(int)
-            else:
-                prev = np.concatenate([np.zeros((n_frames, 1)), noisy[:, :n - 1]],
-                                      axis=1)
-                decided = ((noisy[:, :n] - prev)
-                           >= config.mode.theta_delta).astype(int)
+            noisy = apply_noise(_convolve_rows(bits.astype(float), cir.taps), noise,
+                                stream)
+        decided, _ = _decide(noisy, n, cir, config.mode, noise)
         return int((decided != bits).sum()), bits.size, joint_counts(bits, decided)
 
     slices = chunk_slices(trials, _FRAMES_PER_STREAM)

@@ -14,17 +14,17 @@ became contagious (infection time plus latency). This trades accuracy for
 tractability and makes a step cost linear in (susceptibles x infected x
 breath samples).
 
-Each susceptible's dose over a step is one batched call of the static
-continuous-source kernel over (infected x breath samples); there is no
-worker pool. State transitions are applied in agent order from one stream,
-so runs are reproducible.
+All susceptibles' doses over a step are one call of the static
+continuous-source kernel per breathing rate, over (susceptibles x infected
+x breath samples); there is no worker pool. State transitions are applied
+in agent order from one stream, so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -111,6 +111,34 @@ def _dose_sample_times(t0: float, t1: float, breathing_rate: float) -> np.ndarra
     return np.linspace(t0, t1, n + 1)
 
 
+def _doses(observers: Sequence[Agent], infected_set: Iterable[tuple[Agent, float]],
+           env: Environment, t0: float, t1: float) -> np.ndarray:
+    """Dose picked up by each observer over [t0, t1], kg s / m^3: one
+    unit_continuous_kernel call per breathing rate over (observers x
+    infected x breath samples), then the trapezoid rule per observer."""
+    out = np.zeros(len(observers))
+    infected = list(infected_set)
+    if not (infected and observers):
+        return out
+    rates = np.array([other.emission_rate for other, _ in infected])
+    starts = np.array([max(0.0, em) for _, em in infected])
+    breathing = np.array([agent.breathing_rate for agent in observers])
+    for rate in dict.fromkeys(breathing.tolist()):
+        rows = np.flatnonzero(breathing == rate)
+        ts = _dose_sample_times(t0, t1, rate)
+        sources = np.concatenate([other.trajectory.points_at(ts) for other, _ in infected])
+        observed = np.stack([observers[j].trajectory.points_at(ts) for j in rows])
+        kern = unit_continuous_kernel(
+            env, np.tile(sources, (rows.size, 1)),
+            np.repeat(observed, len(infected), axis=0).reshape(-1, 3),
+            np.tile((ts[None, :] - starts[:, None]).ravel(), rows.size))
+        if np.isinf(kern).any():
+            raise SingularPoint("continuous-source field diverges at the source position")
+        conc = (rates[:, None] * kern.reshape(rows.size, len(infected), ts.size)).sum(axis=1)
+        out[rows] = np.trapezoid(conc, ts, axis=1)
+    return out
+
+
 def accumulate_dose(
     agent: Agent,
     infected_set: Iterable[tuple[Agent, float]],
@@ -120,26 +148,15 @@ def accumulate_dose(
 ) -> float:
     """Dose picked up by `agent` over [t0, t1], kg s / m^3.
 
-    infected_set pairs each contagious agent with its emission start time;
-    callers are expected to have excluded agents still inside their latency
-    window. Trapezoidal integration of the summed snapshot concentration at
-    the agent's breathing sample times.
+    infected_set pairs each contagious agent with its emission start time.
+    An agent still inside its latency window adds nothing, as the kernel is
+    0 for tau <= 0. Trapezoidal integration of the summed snapshot
+    concentration at the agent's breathing sample times; the one-agent case
+    of the batched dose that step computes.
     """
     if t1 <= t0:
         raise ValueError("need t1 > t0")
-    infected = [(a, max(0.0, em)) for a, em in infected_set]
-    if not infected:
-        return 0.0
-    ts = _dose_sample_times(t0, t1, agent.breathing_rate)
-    sources = np.concatenate([other.trajectory.points_at(ts) for other, _ in infected])
-    observers = np.tile(agent.trajectory.points_at(ts), (len(infected), 1))
-    taus = (ts[None, :] - np.array([em for _, em in infected])[:, None]).ravel()
-    kern = unit_continuous_kernel(env, sources, observers, taus)
-    if np.isinf(kern).any():
-        raise SingularPoint("continuous-source field diverges at the source position")
-    rates = np.array([other.emission_rate for other, _ in infected])
-    conc = (rates[:, None] * kern.reshape(len(infected), ts.size)).sum(axis=0)
-    return float(np.trapezoid(conc, ts))
+    return float(_doses([agent], infected_set, env, t0, t1)[0])
 
 
 def step(
@@ -159,19 +176,16 @@ def step(
         (agents[i], float(since[i]) + config.latency)
         for i in snapshot.infected_ids()
     ]
-    susceptible = np.where(~np.isfinite(since))[0]
+    susceptible = np.flatnonzero(~np.isfinite(since)).tolist()
 
     increments = np.zeros(len(agents))
-    if infected_set:
-        for i in susceptible:
-            increments[i] = accumulate_dose(agents[i], infected_set, env, t0, t1)
+    increments[susceptible] = _doses([agents[i] for i in susceptible], infected_set,
+                                     env, t0, t1)
 
     # Transitions: one uniform draw per susceptible, in agent order.
     k = config.dose_coefficient
-    for i in susceptible:
-        p = -math.expm1(-k * increments[i])
-        u = stream.uniform()
-        if u < p:
+    for i, u in zip(susceptible, stream.uniform(size=len(susceptible)).tolist()):
+        if u < -math.expm1(-k * increments[i]):
             since[i] = t1
     dose += increments
     return EpidemicSnapshot(time=t1, infected_since=since, cumulative_dose=dose)

@@ -97,13 +97,14 @@ def _unit_model(source_kind: str, env: Environment,
 
 
 def _profiled_residual(g_vals: np.ndarray, y: np.ndarray, w: np.ndarray
-                       ) -> tuple[float, float]:
-    """Optimal Q >= 0 and the resulting weighted SSR for fixed position."""
-    denom = float((w * g_vals * g_vals).sum())
-    q = float((w * y * g_vals).sum()) / denom if denom > 0 else 0.0
-    q = max(q, 0.0)
-    res = float((w * (y - q * g_vals) ** 2).sum())
-    return q, res
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal Q >= 0 and the resulting weighted SSR for each candidate
+    position, one per row of g_vals (G, S)."""
+    denom = (w * g_vals * g_vals).sum(axis=1)
+    num = (w * y * g_vals).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.maximum(np.where(denom > 0, num / denom, 0.0), 0.0)
+    return q, (w * (y - q[:, None] * g_vals) ** 2).sum(axis=1)
 
 
 def _search_box(readings: Sequence[SensorReading], config: SolverConfig
@@ -209,20 +210,14 @@ def localize(
         return g(np.where(d.min(axis=1)[:, None] < 1e-9, r0s + 1e-9, r0s))
 
     def objective(r0: np.ndarray) -> float:
-        return _profiled_residual(g_matrix(r0)[0], y, w)[1]
+        return float(_profiled_residual(g_matrix(r0), y, w)[1][0])
 
     lo, hi = _search_box(readings, config)
     n = config.grid_resolution
     axes = [np.linspace(lo[k], hi[k], n) for k in range(3)]
     xx, yy, zz = np.meshgrid(*axes, indexing="ij")
     grid_pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-    g_mat = g_matrix(grid_pts)  # (G, S)
-    denom = (w[None, :] * g_mat**2).sum(axis=1)
-    num = (w[None, :] * y[None, :] * g_mat).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q_grid = np.where(denom > 0, num / denom, 0.0)
-    q_grid = np.maximum(q_grid, 0.0)
-    ssr = (w[None, :] * (y[None, :] - q_grid[:, None] * g_mat) ** 2).sum(axis=1)
+    ssr = _profiled_residual(g_matrix(grid_pts), y, w)[1]
     best_idx = int(np.argmin(ssr))
     best_pt = grid_pts[best_idx]
     best_val = float(ssr[best_idx])
@@ -234,11 +229,11 @@ def localize(
         final_pt, final_val = refined, f_ref
     else:  # simplex never beats the grid optimum
         final_pt, final_val = best_pt, best_val
-    q, res = _profiled_residual(g_matrix(final_pt)[0], y, w)
+    q, res = _profiled_residual(g_matrix(final_pt), y, w)
     return SourceEstimate(
         position=Position.from_array(final_pt),
-        rate=q,
-        residual_norm=math.sqrt(res),
+        rate=float(q[0]),
+        residual_norm=math.sqrt(res[0]),
         converged=converged,
         iterations=iters,
     )

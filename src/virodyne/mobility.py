@@ -189,25 +189,15 @@ class Trajectory:
 
     def point_at(self, t: float) -> np.ndarray:
         """Linear interpolation at time t; OutOfRange outside the span."""
-        t = float(t)
-        if t < self.times[0] - _EPS or t > self.times[-1] + _EPS:
-            raise OutOfRange(
-                f"t={t} outside trajectory span [{self.t_start}, {self.t_end}]"
-            )
-        t = min(max(t, self.times[0]), self.times[-1])
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        i = min(max(i, 0), self.times.size - 2) if self.times.size > 1 else 0
-        if self.times.size == 1:
-            return self.points[0].copy()
-        t0, t1 = self.times[i], self.times[i + 1]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.points[i] + w * self.points[i + 1]
+        return self.points_at(np.array([float(t)]))[0]
 
     def points_at(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized interpolation for an array of times within the span."""
+        """Vectorized interpolation for an array of times within the span
+        (within _EPS of it, clamped); OutOfRange otherwise."""
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < self.times[0] - _EPS or ts.max() > self.times[-1] + _EPS):
-            raise OutOfRange("query times outside trajectory span")
+            raise OutOfRange("query times outside trajectory span "
+                             f"[{self.t_start}, {self.t_end}]")
         out = np.empty((ts.size, 3))
         for k in range(3):
             out[:, k] = np.interp(ts, self.times, self.points[:, k])

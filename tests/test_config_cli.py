@@ -149,6 +149,37 @@ class TestCli:
         assert rc == 2
         assert "sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name, edit, extra", [
+        ("field", "walk_past.cfg",
+         ("diffusivity_m2s = 40.0", "diffusivity_m2s = 40.0\nboundary = duct\n"
+          "duct_width_m = 60\nduct_height_m = 60\nimage_order = -1"), []),
+        ("field", "walk_past.cfg", ("times_s = 30", "times_s = -5"), []),
+        ("field", "walk_past.cfg", None, ["--time", "-3"]),
+        ("detect", "detect_demo.cfg", ("sigma = 0.5", "sigma = nan"), []),
+        ("epidemic", "epidemic_demo.cfg", ("step_s = 10", "step_s = nan"), []),
+    ], ids=["image_order", "times_s", "time_flag", "sigma_nan", "step_nan"])
+    def test_bad_value_is_usage_error_without_output(self, tmp_path, capsys,
+                                                     command, name, edit, extra):
+        text = (REPO_CONFIGS / name).read_text()
+        if edit is not None:
+            assert edit[0] in text
+            text = text.replace(*edit)
+        out = tmp_path / "out"
+        rc = main([command, "--config", write(tmp_path, name, text),
+                   "--out", str(out), *extra])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_non_finite_numbers_name_key_and_line(self):
+        for raw in ("nan", "inf", "-inf", "1e400"):
+            with pytest.raises(ConfigError) as err:
+                loads_config(MINIMAL.replace("40.0", raw))
+            assert "diffusivity_m2s" in str(err.value) and "line 2" in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            loads_config(MINIMAL.replace("position_m = 0 0 25", "position_m = 0 inf 25"))
+        assert "position_m" in str(err.value)
+
     def test_field_grid_csv(self, tmp_path):
         cfg = write(tmp_path, "f.cfg", MINIMAL)
         out = tmp_path / "grid.csv"

@@ -78,25 +78,48 @@ class TestModulate:
 
 class TestDetect:
     def test_noiseless_exact_recovery(self):
+        # An explicit threshold needs no channel model.
         bits = np.array([1, 0, 1, 1, 0, 0, 1])
         frame = ReceivedFrame(modulate(bits, CIR1), GaussianNoise(0.1))
-        out = detect(frame, CIR1, DetectorConfig(SymbolThreshold(0.5)))
-        assert (out.bits == bits).all()
+        for cir in (CIR1, None):
+            out = detect(frame, cir, DetectorConfig(SymbolThreshold(0.5)))
+            assert (out.bits == bits).all()
+            assert out.log_likelihood == (0.0 if cir is None else pytest.approx(
+                frame_logliks(frame.samples, bits, CIR1, frame.noise)[0], rel=1e-12))
 
     def test_default_threshold_is_midpoint(self):
         assert default_threshold(CIR2) == 1.0
 
     def test_sequence_ml_needs_channel(self):
+        # So does the default threshold.
         frame = ReceivedFrame(np.zeros(4), GaussianNoise(1.0))
-        with pytest.raises(MissingChannelModel):
-            detect(frame, None, DetectorConfig(SequenceML()))
+        for mode in (SequenceML(), SymbolThreshold()):
+            with pytest.raises(MissingChannelModel):
+                detect(frame, None, DetectorConfig(mode))
 
     def test_noncoherent_detects_rises(self):
         # rising edges decide 1 without any channel knowledge
         y = np.array([0.05, 1.1, 1.05, 0.1, 1.2])
-        out = detect(ReceivedFrame(y, GaussianNoise(0.1)), None,
-                     DetectorConfig(NonCoherentDifference(0.5)))
-        assert out.bits.tolist() == [0, 1, 0, 0, 1]
+        for cir in (None, CIR1):
+            out = detect(ReceivedFrame(y, GaussianNoise(0.1)), cir,
+                         DetectorConfig(NonCoherentDifference(0.5)))
+            assert out.bits.tolist() == [0, 1, 0, 0, 1]
+            assert out.log_likelihood == 0.0
+
+    @pytest.mark.parametrize("mode, cir", [
+        (SymbolThreshold(), CIR2), (SymbolThreshold(0.5), None),
+        (NonCoherentDifference(0.5), None), (NonCoherentDifference(0.5), CIR2),
+        (SequenceML(), CIR2),
+    ])
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_empty_and_one_sample_frames(self, mode, cir, n_samples):
+        # With CIR2 one sample is all channel tail; with no model only the
+        # empty frame decides nothing.
+        frame = ReceivedFrame(np.full(n_samples, 1.5), PoissonNoise(4.0))
+        out = detect(frame, cir, DetectorConfig(mode))
+        n_bits = n_samples if cir is None else 0
+        assert out.bits.shape == (n_bits,) and out.bits.dtype.kind == "i"
+        assert type(out.log_likelihood) is float and out.log_likelihood == 0.0
 
     def test_exhaustive_equals_viterbi(self):
         stream = rng_stream(5, 0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from virodyne.channel import Environment
+import epidemic_oracle
+from virodyne.channel import Environment, RectangularDuctReflecting
 from virodyne.epidemic import (
     Agent,
     EpidemicConfig,
@@ -14,7 +15,13 @@ from virodyne.epidemic import (
     step,
 )
 from virodyne.core import rng_stream
-from virodyne.mobility import Trajectory
+from virodyne.mobility import (
+    Box,
+    MobilityModel,
+    RandomWaypoint,
+    Trajectory,
+    sample_trajectory,
+)
 
 ENV = Environment(diffusivity=40.0)
 
@@ -182,3 +189,53 @@ class TestInfectionTimeDistribution:
                 (s.time for s in state.snapshots
                  if math.isfinite(s.infected_since[1])), horizon)
         assert float(times.mean()) == pytest.approx(mean_oracle, rel=0.02)
+
+
+class TestBatchedStepOracle:
+    """The batched step against the per-susceptible step it replaced
+    (tests/epidemic_oracle.py): every snapshot bit for bit."""
+
+    @staticmethod
+    def _population(seed, n, box, breathing_rates):
+        model = MobilityModel(RandomWaypoint(0.5, 1.5, 2.0), box)
+        agents = []
+        for i in range(n):
+            stream = rng_stream(seed, i + 1)
+            traj = sample_trajectory(model, box.sample_point(stream), 80.0, stream)
+            agents.append(Agent(i, traj, emission_rate=1e-5 * (1 + i % 3),
+                                breathing_rate=breathing_rates[i % len(breathing_rates)],
+                                infected_since=-2.0 if i < 3 else None))
+        return tuple(agents)
+
+    @pytest.mark.parametrize("env", [
+        Environment(diffusivity=5.0, wind=(0.4, 0.1, 0.0)),
+        Environment(diffusivity=2.0, wind=(0.3, 0.0, 0.0),
+                    boundary=RectangularDuctReflecting(4.0, 3.0, image_order=2)),
+    ], ids=["windy", "duct"])
+    def test_snapshots_equal_per_susceptible_oracle(self, env):
+        box = Box(lo=(0.0, 0.0, 0.0), hi=(12.0, 4.0, 3.0))
+        agents = self._population(11, 9, box, (1.0, 0.5, 2.0))
+        cfg = EpidemicConfig(dose_coefficient=4e4, latency=15.0, step=5.0,
+                             horizon=80.0)
+        state = run(agents, cfg, env, seed=4)
+        snap, stream = state.snapshots[0], rng_stream(4, 0)
+        for got in state.snapshots[1:]:
+            snap = epidemic_oracle.step(snap, agents, cfg, env, stream)
+            assert got.time == snap.time
+            assert np.array_equal(got.infected_since, snap.infected_since,
+                                  equal_nan=True)
+            assert np.array_equal(got.cumulative_dose, snap.cumulative_dose)
+        first, last = state.snapshots[1], state.snapshots[-1]
+        assert first.infected_count < last.infected_count
+
+    def test_accumulate_dose_equals_oracle(self):
+        env = Environment(diffusivity=3.0, wind=(0.2, 0.0, 0.0),
+                          boundary=RectangularDuctReflecting(5.0, 3.0, image_order=1))
+        box = Box(lo=(0.0, 0.0, 0.0), hi=(10.0, 5.0, 3.0))
+        agents = self._population(2, 6, box, (1.0, 3.0))
+        infected = [(agents[0], 4.0), (agents[1], 30.0), (agents[2], -1.0)]
+        for sus in agents[3:]:
+            for t0, t1 in ((0.0, 10.0), (20.0, 27.5), (40.0, 41.0)):
+                want = epidemic_oracle.accumulate_dose(sus, infected, env, t0, t1)
+                got = accumulate_dose(sus, infected, env, t0, t1)
+                assert got == want and type(got) is float

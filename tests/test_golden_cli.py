@@ -1,4 +1,4 @@
-"""Golden bytes of the genetic-layer CLI artifacts.
+"""Golden artifacts of the CLI: genetic-layer bytes, physical-layer values.
 
 The three subcommands `entropy`, `hotspots` and `direction` run on fixed
 small FASTA inputs (mixed case, RNA 'u', CRLF, tabs, interior spaces, blank
@@ -8,15 +8,26 @@ which were written by the implementation that stored alignments as `U1`
 characters and counted one symbol at a time; any change to parsing,
 alignment storage, counting, hot-spot ranking or codon tallies that moves a
 byte fails here.
+
+The physical-layer commands `field`, `epidemic --summary` and `detect` run
+on the shipped configs and are checked against artifacts recorded before
+the scalar entry points of channel, mobility, epidemic, detection and
+localization became one-row calls of their batch paths. Meta lines,
+headers, S/I states, counts and the detect report must match exactly;
+other floats to rel 1e-12, since numpy's SIMD exp may differ by an ulp
+between CPUs.
 """
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
 from virodyne.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 NT_FASTA = (
     ">s01 first row\r\n"
@@ -134,3 +145,55 @@ def test_artifact_bytes_match_golden(artifacts, artifact):
     with open(os.path.join(GOLDEN, artifact), "rb") as fh:
         want = fh.read()
     assert got == want
+
+
+# (command, config, artifacts in the order of the extra options)
+PHYSICAL_CASES = [
+    ("field", "walk_past.cfg", ["--out"], ["field_walk_past.csv"]),
+    ("epidemic", "epidemic_demo.cfg", ["--out", "--summary"],
+     ["epidemic_demo.csv", "epidemic_demo_summary.json"]),
+    ("detect", "detect_demo.cfg", ["--out"], ["detect_demo.json"]),
+]
+
+
+def _cells_match(got: str, want: str) -> bool:
+    """Equal text, or two floats that agree to rel 1e-12 where the golden
+    cell is written with a point or exponent; integers and labels must be
+    equal."""
+    if got == want:
+        return True
+    try:
+        g, w = float(got), float(want)
+    except ValueError:
+        return False
+    return ("." in want or "e" in want) and g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
+def _assert_csv_matches(got_path: str, want_path: str) -> None:
+    got = Path(got_path).read_text().splitlines()
+    want = Path(want_path).read_text().splitlines()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w.startswith("#") or not any(c.isdigit() for c in w):
+            assert g == w  # meta lines and the header
+            continue
+        g_cells, w_cells = g.split(","), w.split(",")
+        assert len(g_cells) == len(w_cells)
+        assert all(_cells_match(a, b) for a, b in zip(g_cells, w_cells)), (g, w)
+
+
+@pytest.mark.parametrize("command, cfg, flags, names", PHYSICAL_CASES,
+                         ids=[c[0] for c in PHYSICAL_CASES])
+def test_physical_layer_artifacts_match_golden(tmp_path, command, cfg, flags, names):
+    argv = [command, "--config", str(CONFIGS / cfg)]
+    for flag, name in zip(flags, names):
+        argv += [flag, str(tmp_path / name)]
+    assert main(argv) == 0
+    for name in names:
+        got, want = str(tmp_path / name), os.path.join(GOLDEN, name)
+        if name.endswith(".csv"):
+            _assert_csv_matches(got, want)
+        else:
+            # Counts, times, BER and its interval are exact in the JSON.
+            with open(got, encoding="utf-8") as g, open(want, encoding="utf-8") as w:
+                assert json.load(g) == json.load(w)
