@@ -216,8 +216,79 @@ class TestContinuousKernel:
 
     def test_erfcx_matches_scipy_on_both_branches(self):
         special = pytest.importorskip("scipy.special")
-        x = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(30.0, 1e6, 50)])
-        assert channel._erfcx(x) == pytest.approx(special.erfcx(x), rel=2e-13)
+        x = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(30.0, 1e300, 300)])
+        assert channel._erfcx(x) == pytest.approx(special.erfcx(x), rel=1e-14)
+
+    def test_erfcx_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        edges = [v for e in (0.46875, 4.0)
+                 for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 5.0))]
+        x = np.concatenate([np.linspace(0.0, 30.0, 3001), edges,
+                            np.geomspace(30.0, 1e300, 300)])
+        with mpmath.workdps(40):
+            def exact(v):
+                v = mpmath.mpf(v)
+                # mpmath's erfc overflows its own series test near 1e154;
+                # beyond 30 use the Tricomi form U(1/2, 1/2, x^2) / sqrt(pi).
+                if v <= 30:
+                    return float(mpmath.erfc(v) * mpmath.exp(v * v))
+                return float(mpmath.hyperu(0.5, 0.5, v * v) / mpmath.sqrt(mpmath.pi))
+
+            expect = np.array([exact(v) for v in x])
+        assert channel._erfcx(x) == pytest.approx(expect, rel=1e-14, abs=0.0)
+        assert channel._erfcx(np.array([np.inf]))[0] == 0.0
+
+    def test_erfcx_is_non_increasing(self):
+        # Steps well above the rounding error, across both range edges too.
+        across = [e + k * 1e-9 for e in (0.46875, 4.0) for k in range(-3, 4)]
+        x = np.sort(np.concatenate([np.linspace(0.0, 30.0, 30001), across,
+                                    np.geomspace(30.0, 1e300, 3000), [np.inf]]))
+        assert (np.diff(channel._erfcx(x)) <= 0.0).all()
+
+    def test_duct_field_never_calls_math_erfc(self, monkeypatch):
+        def no_erfc(x):
+            raise AssertionError("erfc evaluated element by element")
+
+        monkeypatch.setattr(math, "erfc", no_erfc)
+        env = Environment(diffusivity=0.5, wind=Velocity(0.5, 0.0, 0.0),
+                          boundary=RectangularDuctReflecting(3.0, 2.5, image_order=4))
+        src = SourceSpec.continuous(1e-3, position=(0.0, 1.5, 1.2))
+        q = FieldQuery.from_grid([-2.0, 1.0, 6.0], [0.5, 2.5], [0.5, 2.0], [5.0, 60.0])
+        vals = evaluate_field(q, Scenario(env, [src]))
+        assert np.isfinite(vals).all() and vals.min() > 0.0
+
+    @pytest.mark.parametrize("boundary", [FreeSpace(), RectangularDuctReflecting(3.0, 2.5, 3)],
+                             ids=["free", "duct"])
+    @pytest.mark.parametrize("wind", [0.0, 0.7])
+    def test_subnormal_ages_are_exactly_zero(self, boundary, wind):
+        env = Environment(diffusivity=0.05, wind=Velocity(wind, 0.0, 0.0), boundary=boundary)
+        taus = [1e-300, 1e-310, 5e-324]
+        with np.errstate(all="raise"):
+            got = unit_continuous_kernel(env, np.array([1.0, 1.0, 1.0]),
+                                         np.array([2.0, 1.5, 1.2]), taus)
+        assert (got == 0.0).all()
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        # No size cutoff: a row's bits are the same alone (4 images) or
+        # among 3000 rows (blocks of 4096 pairs).
+        rng = np.random.default_rng(11)
+        n = 3000
+        duct = Environment(diffusivity=0.5, wind=Velocity(0.6, 0.0, 0.0),
+                           boundary=RectangularDuctReflecting(3.0, 2.5, image_order=0))
+        src = np.column_stack([rng.uniform(-3, 3, n), rng.uniform(0.1, 2.9, n),
+                               rng.uniform(0.1, 2.4, n)])
+        obs = np.column_stack([rng.uniform(-8, 8, n), rng.uniform(0, 3, n),
+                               rng.uniform(0, 2.5, n)])
+        taus = rng.uniform(1e-3, 400.0, n)
+        vel = rng.uniform(-1.0, 1.0, (n, 3))
+        ends = taus * rng.uniform(0.0, 1.0, n)
+        cases = {"windy duct": {}, "moving piece": {"velocity": vel, "taus_end": ends}}
+        for name, extra in cases.items():
+            batch = unit_continuous_kernel(duct, src, obs, taus, **extra)
+            alone = [unit_continuous_kernel(duct, src[i], obs[i], taus[i:i + 1],
+                                            **{k: v[i:i + 1] for k, v in extra.items()})[0]
+                     for i in range(n)]
+            assert np.array_equal(alone, batch), name
 
     def test_hostile_exponents_stay_finite(self):
         # |v| d / 2D = 2.5e4: exp of either exponent alone overflows.
