@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .channel import FieldQuery, Scenario, evaluate_field
-from .config import ScenarioConfig, config_hash, load_config
+from .config import LocalizeSection, ScenarioConfig, config_hash, load_config
 from .core import AMINO_NAMES, rng_stream
 from .detection import (
     ChannelImpulseResponse,
@@ -222,30 +222,26 @@ def _cmd_detect(args) -> int:
 def _cmd_localize(args) -> int:
     cfg = load_config(args.config)
     cfg.require("environment")
-    loc = cfg.localize
+    loc = cfg.localize or LocalizeSection()
     env = cfg.environment.build()
     readings = read_readings_csv(args.readings)
-    solver = SolverConfig()
-    source_kind = "steady"
-    if loc is not None:
-        try:
-            solver = SolverConfig(
-                grid_resolution=loc.grid_resolution,
-                simplex_tol=loc.simplex_tol,
-                max_iterations=loc.max_iterations,
-                search_box=((loc.search_box_m[:3], loc.search_box_m[3:])
-                            if loc.search_box_m else None),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        source_kind = loc.source_kind
-    est = localize(readings, env, source_kind=source_kind, config=solver)
+    try:
+        solver = SolverConfig(
+            grid_resolution=loc.grid_resolution,
+            max_iterations=loc.max_iterations,
+            search_box=((loc.search_box_m[:3], loc.search_box_m[3:])
+                        if loc.search_box_m else None),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    est = localize(readings, env, source_kind=loc.source_kind, config=solver)
     write_json(args.out, {
         "position": [est.position.x, est.position.y, est.position.z],
         "rate": est.rate,
         "residual_norm": est.residual_norm,
         "converged": est.converged,
         "iterations": est.iterations,
+        "crlb_position_m": est.crlb_position_m,
         "n_readings": len(readings),
     }, _meta(cfg, input_digest=_file_digest(args.readings)))
     return 0

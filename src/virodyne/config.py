@@ -226,7 +226,6 @@ class LocalizeSection:
     source_kind: str = _key(_parse_choice("steady", "instant", "continuous"),
                             "steady")
     grid_resolution: int = 16
-    simplex_tol: float = 1e-8
     max_iterations: int = 600
     search_box_m: tuple = _key(_parse_floats_empty_or(6), ())
 

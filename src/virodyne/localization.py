@@ -4,21 +4,21 @@ Estimates an unknown source's position and release intensity by minimizing
 the weighted squared residual sum((y_i - model(r0, Q)) / sigma_i)^2, which is
 the maximum-likelihood objective under Gaussian measurement noise. The
 forward model is linear in the release intensity Q, so Q is profiled out in
-closed form and the search runs over position only: a coarse grid over the
-search box followed by derivative-free simplex refinement seeded at the best
-grid cell. Refinement can only improve on the grid optimum.
-
-A diagnostics helper reports the condition number of the numerical Jacobian
-of the forward model at a hypothesis, flagging degenerate receiver
-geometries (coplanar or duplicated sensors) that cannot identify a 3-D
-position plus intensity.
+closed form (variable projection, Golub & Pereyra 1973) and the search runs
+over position only: a coarse grid over the search box, then
+Levenberg-Marquardt on the profiled residual from the best grid cell, each
+iteration one batched kernel call over the point and its six
+central-difference neighbours. Refinement can only improve on the grid
+optimum. The same stencil gives the Jacobian in (x, y, z, Q) behind the
+diagnostics: its condition number, which flags degenerate receiver
+geometries, and the inverse Fisher information, the Cramer-Rao bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from .core import Position, as_position, seconds
 from .errors import SingularPoint, Unidentifiable
 
 DEFAULT_CONDITION_THRESHOLD = 1e8
+_FD_STEP = 1e-6           # central-difference step, relative to max(1, |p_k|)
+_STEP_TOL = 1e-8          # LM stops once |step| / max(1, |p|) is this small
+_LAMBDA_START, _LAMBDA_MAX = 1e-3, 1e16
 
 
 @dataclass(frozen=True)
@@ -51,12 +54,14 @@ class SourceEstimate:
     residual_norm: float
     converged: bool
     iterations: int
+    crlb_position_m: float | None = None  # sqrt trace of the position CRLB
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Grid search, then Levenberg-Marquardt on the profiled residual for at
+    most `max_iterations` iterations (0 returns the grid optimum)."""
     grid_resolution: int = 16
-    simplex_tol: float = 1e-8     # relative simplex size at which to stop
     max_iterations: int = 600
     search_box: tuple[tuple[float, float, float], tuple[float, float, float]] | None = None
     box_margin: float = 0.5       # search box = sensor bbox grown by this factor
@@ -64,8 +69,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2")
-        if self.simplex_tol <= 0:
-            raise ValueError("simplex_tol must be > 0")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
 
@@ -110,59 +113,86 @@ def _profiled_residual(g_vals: np.ndarray, y: np.ndarray, w: np.ndarray
 def _search_box(readings: Sequence[SensorReading], config: SolverConfig
                 ) -> tuple[np.ndarray, np.ndarray]:
     if config.search_box is not None:
-        lo = np.asarray(config.search_box[0], dtype=float)
-        hi = np.asarray(config.search_box[1], dtype=float)
-        return lo, hi
+        return tuple(np.asarray(b, dtype=float) for b in config.search_box)
     pts = np.array([r.position.as_array() for r in readings])
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     extent = np.maximum(hi - lo, 1e-6)
     return lo - config.box_margin * extent, hi + config.box_margin * extent
 
 
-def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray, scale: float,
-                 tol: float, max_iter: int) -> tuple[np.ndarray, float, int, bool]:
-    """Minimal Nelder-Mead in 3-D; stops when the simplex shrinks below
-    `tol` relative to its own center's magnitude (floored at 1)."""
-    n = x0.size
-    simplex = [x0.copy()]
-    for k in range(n):
-        v = x0.copy()
-        v[k] += scale
-        simplex.append(v)
-    vals = [f(v) for v in simplex]
-    it = 0
-    while it < max_iter:
-        order = np.argsort(vals)
-        simplex = [simplex[i] for i in order]
-        vals = [vals[i] for i in order]
-        spread = max(np.linalg.norm(v - simplex[0]) for v in simplex[1:])
-        ref = max(1.0, float(np.linalg.norm(simplex[0])))
-        if spread / ref <= tol:
-            return simplex[0], vals[0], it, True
+def _stencil(g_matrix: Callable[[np.ndarray], np.ndarray], p: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """g at p (S,) and its central-difference gradient dg/dp (S, 3), from one
+    batched model call over p and its six neighbours p +- h_k e_k."""
+    h = _FD_STEP * np.maximum(1.0, np.abs(p))
+    pts = np.tile(p, (7, 1))
+    pts[1::2] += np.diag(h)
+    pts[2::2] -= np.diag(h)
+    rows = g_matrix(pts)
+    span = (pts[1::2] - pts[2::2]).diagonal()  # 2h as the floats hold it
+    return rows[0], ((rows[1::2] - rows[2::2]) / span[:, None]).T
+
+
+class _Fit(NamedTuple):  # the profiled fit at one position, from one stencil
+    ssr: float
+    rate: float
+    residual: np.ndarray  # sqrt(w) * (y - rate * g), (S,)
+    jac: np.ndarray       # its derivative in position, rate profiled out, (S, 3)
+    g: np.ndarray
+    dg: np.ndarray
+
+
+def _profiled_fit(g_matrix: Callable[[np.ndarray], np.ndarray], p: np.ndarray,
+                  y: np.ndarray, w: np.ndarray) -> _Fit:
+    g, dg = _stencil(g_matrix, p)
+    (q,), (ssr,) = _profiled_residual(g[None], y, w)
+    # q = <g, y>_w / <g, g>_w, so dq/dp = dg^T w (y - 2 q g) / <g, g>_w where
+    # q > 0, and 0 where the clamp holds it at 0 (Golub & Pereyra).
+    dq = dg.T @ (w * (y - 2.0 * q * g)) / (w * g * g).sum() if q > 0 else np.zeros(3)
+    sw = np.sqrt(w)
+    return _Fit(float(ssr), float(q), sw * (y - q * g),
+                -sw[:, None] * (np.outer(g, dq) + q * dg), g, dg)
+
+
+def _levenberg_marquardt(fit_at: Callable[[np.ndarray], _Fit], p: np.ndarray,
+                         fit: _Fit, max_iter: int
+                         ) -> tuple[np.ndarray, _Fit, int, bool]:
+    """Damped Gauss-Newton from p, damping lambda * diag(J^T J), each step
+    the minimum-norm least-squares solution of [J; sqrt(lambda D)] s = [-r; 0]:
+    zero along directions the residual does not depend on, so a flat
+    objective stops where it is. Converged once |s| / max(1, |p|) <=
+    _STEP_TOL or lambda passes its cap."""
+    lam, it = _LAMBDA_START, 0
+    while it < max_iter and lam <= _LAMBDA_MAX:
         it += 1
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        refl = centroid + (centroid - worst)
-        f_refl = f(refl)
-        if vals[0] <= f_refl < vals[-2]:
-            simplex[-1], vals[-1] = refl, f_refl
-        elif f_refl < vals[0]:
-            expd = centroid + 2.0 * (centroid - worst)
-            f_exp = f(expd)
-            if f_exp < f_refl:
-                simplex[-1], vals[-1] = expd, f_exp
-            else:
-                simplex[-1], vals[-1] = refl, f_refl
+        damped = np.vstack([fit.jac, np.diag(np.sqrt(lam * (fit.jac**2).sum(axis=0)))])
+        step = np.linalg.lstsq(damped, np.r_[-fit.residual, 0.0, 0.0, 0.0], rcond=None)[0]
+        if np.linalg.norm(step) <= _STEP_TOL * max(1.0, float(np.linalg.norm(p))):
+            return p, fit, it, True
+        trial = fit_at(p + step)
+        if trial.ssr < fit.ssr:
+            p, fit, lam = p + step, trial, lam / 10.0
         else:
-            contr = centroid + 0.5 * (worst - centroid)
-            f_con = f(contr)
-            if f_con < vals[-1]:
-                simplex[-1], vals[-1] = contr, f_con
-            else:
-                best = simplex[0]
-                simplex = [best] + [best + 0.5 * (v - best) for v in simplex[1:]]
-                vals = [vals[0]] + [f(v) for v in simplex[1:]]
-    return simplex[0], vals[0], it, False
+            lam *= 10.0
+    return p, fit, it, lam > _LAMBDA_MAX
+
+
+def _fisher_inverse(g: np.ndarray, dg: np.ndarray, rate: float,
+                    sigma: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """Condition number of the column-scaled Jacobian J of (rate * g) / sigma
+    in (x, y, z, Q), and the inverse Fisher information (J^T J)^-1 (Kay,
+    Fundamentals of Statistical Signal Processing I, ch. 3), None where
+    that matrix is numerically singular or not finite."""
+    jac = np.column_stack([rate * dg, g]) / sigma[:, None]
+    norms = np.linalg.norm(jac, axis=0)
+    if not (norms > 0).all():
+        return math.inf, None
+    # Column scaling so position (m) and rate (kg/s) sensitivities compare.
+    _, s, vt = np.linalg.svd(jac / norms, full_matrices=False)
+    if s[-1] <= s[0] * max(jac.shape) * np.finfo(float).eps:
+        return math.inf, None
+    inverse = (vt.T / s**2) @ vt / np.outer(norms, norms)
+    return float(s[0] / s[-1]), inverse if np.isfinite(inverse).all() else None
 
 
 def _geometry_rank(readings: Sequence[SensorReading]) -> int:
@@ -185,7 +215,7 @@ def localize(
     Needs at least four readings at non-coplanar sensor positions; raises
     Unidentifiable for degenerate geometry or all-zero data (any zero-rate
     source fits those). Deterministic for a fixed configuration. The
-    returned `converged` flag is False when the simplex refinement hits its
+    returned `converged` flag is False when the refinement hits its
     iteration cap; the best point found is still returned.
     """
     readings = list(readings)
@@ -198,7 +228,8 @@ def localize(
     y = np.array([r.concentration for r in readings])
     if np.abs(y).max() == 0.0:
         raise Unidentifiable("all readings are zero; any zero-rate source fits")
-    w = np.array([1.0 / r.sigma**2 for r in readings])
+    sigma = np.array([r.sigma for r in readings])
+    w = 1.0 / sigma**2
     g = _unit_model(source_kind, env, readings)
     sensor_pts = np.array([r.position.as_array() for r in readings])
 
@@ -209,33 +240,26 @@ def localize(
         d = np.linalg.norm(sensor_pts[None, :, :] - r0s[:, None, :], axis=2)
         return g(np.where(d.min(axis=1)[:, None] < 1e-9, r0s + 1e-9, r0s))
 
-    def objective(r0: np.ndarray) -> float:
-        return float(_profiled_residual(g_matrix(r0), y, w)[1][0])
-
     lo, hi = _search_box(readings, config)
-    n = config.grid_resolution
-    axes = [np.linspace(lo[k], hi[k], n) for k in range(3)]
-    xx, yy, zz = np.meshgrid(*axes, indexing="ij")
-    grid_pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
+    axes = [np.linspace(lo[k], hi[k], config.grid_resolution) for k in range(3)]
+    grid_pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     ssr = _profiled_residual(g_matrix(grid_pts), y, w)[1]
-    best_idx = int(np.argmin(ssr))
-    best_pt = grid_pts[best_idx]
-    best_val = float(ssr[best_idx])
-    scale = float((hi - lo).max()) / max(n - 1, 1)
-    refined, f_ref, iters, converged = _nelder_mead(
-        objective, best_pt, scale, config.simplex_tol, config.max_iterations
-    )
-    if f_ref <= best_val:
-        final_pt, final_val = refined, f_ref
-    else:  # simplex never beats the grid optimum
-        final_pt, final_val = best_pt, best_val
-    q, res = _profiled_residual(g_matrix(final_pt), y, w)
+    best_pt = grid_pts[int(np.argmin(ssr))]
+    start = _profiled_fit(g_matrix, best_pt, y, w)
+    final_pt, fit, iters, converged = _levenberg_marquardt(
+        lambda p: _profiled_fit(g_matrix, p, y, w), best_pt, start,
+        config.max_iterations)
+    if fit.ssr > ssr.min():  # refinement never beats the grid optimum
+        final_pt, fit = best_pt, start
+    fisher_inv = _fisher_inverse(fit.g, fit.dg, fit.rate, sigma)[1]
     return SourceEstimate(
         position=Position.from_array(final_pt),
-        rate=float(q[0]),
-        residual_norm=math.sqrt(res[0]),
+        rate=fit.rate,
+        residual_norm=math.sqrt(fit.ssr),
         converged=converged,
         iterations=iters,
+        crlb_position_m=(None if fisher_inv is None
+                         else math.sqrt(float(np.trace(fisher_inv[:3, :3])))),
     )
 
 
@@ -244,6 +268,7 @@ class GeometryDiagnostics:
     condition_number: float
     flagged: bool
     threshold: float
+    fisher_inverse: np.ndarray | None  # (4, 4) over (x, y, z, Q), or None
 
 
 def crlb_diagnostics(
@@ -256,40 +281,20 @@ def crlb_diagnostics(
 ) -> GeometryDiagnostics:
     """Sensitivity of the receiver array at a hypothesized source.
 
-    Builds the numerical Jacobian of the sigma-weighted forward model with
-    respect to (x, y, z, Q) by central differences and reports its condition
-    number. A geometry is flagged when that condition number exceeds the
-    threshold (locally unidentifiable, e.g. heavily duplicated sensors) or
-    when the sensor positions are coplanar, which leaves a mirror-image
-    ambiguity even where the Jacobian is locally well conditioned.
+    Takes the sigma-weighted Jacobian in (x, y, z, Q) from one stencil call
+    and reports its condition number and the inverse Fisher information. A
+    geometry is flagged when that condition number exceeds the threshold
+    (locally unidentifiable, e.g. heavily duplicated sensors) or when the
+    sensor positions are coplanar, which leaves a mirror-image ambiguity
+    even where the Jacobian is locally well conditioned.
     """
     readings = list(readings)
     if not readings:
         raise Unidentifiable("no readings")
-    degenerate_geometry = _geometry_rank(readings) < 3
-    r0 = as_position(position).as_array()
-    g = _unit_model(source_kind, env, readings)
-    w = np.array([1.0 / r.sigma for r in readings])
-
-    def model(theta: np.ndarray) -> np.ndarray:
-        pos, q = theta[:3], theta[3]
-        return w * q * g(pos)[0]
-
-    theta0 = np.concatenate([r0, [float(rate)]])
-    steps = np.array([1e-4, 1e-4, 1e-4, max(1e-6, 1e-6 * abs(rate))])
-    jac = np.zeros((len(readings), 4))
-    for k in range(4):
-        dp = np.zeros(4)
-        dp[k] = steps[k]
-        jac[:, k] = (model(theta0 + dp) - model(theta0 - dp)) / (2 * steps[k])
-    # Column scaling so position (m) and rate (kg/s) sensitivities compare.
-    norms = np.linalg.norm(jac, axis=0)
-    nonzero = norms > 0
-    jac_scaled = jac.copy()
-    jac_scaled[:, nonzero] /= norms[nonzero]
-    if not nonzero.all():
-        return GeometryDiagnostics(math.inf, True, threshold)
-    cond = float(np.linalg.cond(jac_scaled))
-    flagged = (not math.isfinite(cond)) or cond > threshold or degenerate_geometry
+    g, dg = _stencil(_unit_model(source_kind, env, readings),
+                     as_position(position).as_array())
+    cond, fisher_inv = _fisher_inverse(g, dg, float(rate),
+                                       np.array([r.sigma for r in readings]))
+    flagged = (not math.isfinite(cond)) or cond > threshold or _geometry_rank(readings) < 3
     return GeometryDiagnostics(condition_number=cond, flagged=flagged,
-                               threshold=threshold)
+                               threshold=threshold, fisher_inverse=fisher_inv)

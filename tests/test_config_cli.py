@@ -58,6 +58,13 @@ class TestConfig:
         assert "diffusivity_cm2s" in str(err.value)
         assert "line 2" in str(err.value)
 
+    def test_removed_simplex_tol_is_unknown(self):
+        with pytest.raises(ConfigError) as err:
+            loads_config("[environment]\ndiffusivity_m2s = 40\n"
+                         "[localize]\nsimplex_tol = 1e-8\n")
+        assert "unknown key in [localize]" in str(err.value)
+        assert "simplex_tol" in str(err.value)
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
             loads_config("[atmosphere]\nfoo = 1\n")
@@ -268,6 +275,19 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["position"] == pytest.approx([4.0, 6.0, 2.0], abs=1e-3)
         assert doc["rate"] == pytest.approx(2e-3, rel=1e-3)
+
+    def test_localize_reports_position_crlb(self, tmp_path):
+        rows = ["x,y,z,t,c,sigma"]
+        for i, (sx, sy, sz) in enumerate(
+                [(x, y, z) for x in (0, 10) for y in (0, 10) for z in (0, 10)]):
+            rows.append(f"{sx},{sy},{sz},0.0,{1e-6 * (i + 1)!r},1e-7")
+        readings = write(tmp_path, "readings.csv", "\n".join(rows) + "\n")
+        cfg = write(tmp_path, "env.cfg", "[environment]\ndiffusivity_m2s = 40\n")
+        out = tmp_path / "estimate.json"
+        assert main(["localize", "--config", cfg, "--readings", readings,
+                     "--out", str(out)]) == 0
+        bound = json.loads(out.read_text())["crlb_position_m"]
+        assert isinstance(bound, float) and 0.0 < bound < math.inf
 
     def test_entropy_and_hotspots(self, tmp_path):
         fasta = write(tmp_path, "toy.fasta",
