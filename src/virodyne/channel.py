@@ -21,25 +21,26 @@ method of images:
   the independent check of the closed forms;
 * superposition over source lists (the equation is linear).
 
-Reflecting boundaries restrict the wind so the image construction stays
-exact: a half-space (plane z=0) admits no vertical wind, a rectangular duct
-(unbounded x, reflecting y/z walls) admits wind along x only. The images
-have two representations, on purpose: continuous sources sum over the
-explicit image list of image_transforms, (2(2n+1))^2 images for a duct of
-image_order n, because each image needs its own distance; the instant
-kernel is a product of per-axis image sums (_axis_factor), 2(2n+1) factors
-per axis, which is far cheaper for the Gaussian and exact because it
-separates by axis.
+Reflecting boundaries have one image-source representation: a boundary
+declares its walls (mirrored axis -> wall spacing, image_order) and the
+images follow from that alone, (2(2n+1))^2 of them for a duct of
+image_order n. The wind must be 0 along every mirrored axis, as the
+construction is exact only then. There are two evaluation forms: the
+instant kernel separates by axis into a product of per-axis image sums
+(_axis_factor), while continuous sources sum over the explicit 3-D images
+(image_transforms), because each image needs its own distance. Both take
+their (image, evaluation) pairs _BLOCK_PAIRS at a time.
 
-Everything here is a pure function of its inputs. Batch evaluation walks
-the query in fixed chunks and writes each chunk's values into one output in
-index order; concentration_instant, _continuous, _steady and _multi_source
-are the same per-source path on one point.
+Everything here is a pure function of its inputs. Batch evaluation sums
+each source's field over the whole query; concentration_instant,
+_continuous, _steady and _multi_source are the same per-source path on one
+point.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -63,7 +64,6 @@ from .errors import (
     VirodyneError,
 )
 from .mobility import Trajectory
-from .parallel import chunk_slices
 
 DEFAULT_QUADRATURE_TOL = 1e-6
 MAX_QUADRATURE_LEVELS = 20
@@ -75,14 +75,22 @@ _SINGULAR_DIST = 1e-12
 # Environment and sources
 # ---------------------------------------------------------------------------
 
+# A boundary declares its walls and nothing else about images: `walls` maps
+# each mirrored axis to (spacing L, image_order n), walls at 0 and L with n
+# reflections kept per wall pair; L = 0, n = 0 is the single plane at 0.
+
 @dataclass(frozen=True)
 class FreeSpace:
     """Unbounded domain."""
+
+    walls = {}
 
 
 @dataclass(frozen=True)
 class HalfSpaceReflecting:
     """Reflecting ground plane at z = 0; field defined for z >= 0."""
+
+    walls = {2: (0.0, 0)}
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,10 @@ class RectangularDuctReflecting:
             raise ValueError("duct width and height must be > 0")
         if self.image_order < 0:
             raise ValueError("image_order must be >= 0")
+
+    @property
+    def walls(self) -> dict[int, tuple[float, int]]:
+        return {1: (self.width, self.image_order), 2: (self.height, self.image_order)}
 
 
 Boundary = Union[FreeSpace, HalfSpaceReflecting, RectangularDuctReflecting]
@@ -125,16 +137,11 @@ class Environment:
         Diffusivity(d)  # validates > 0, finite
         object.__setattr__(self, "diffusivity", d)
         object.__setattr__(self, "wind", as_velocity(self.wind))
-        b = self.boundary
-        if isinstance(b, HalfSpaceReflecting) and self.wind.vz != 0.0:
+        if any(self.wind_arr[axis] != 0.0 for axis in self.boundary.walls):
             raise ValueError(
-                "a reflecting half-space requires wind parallel to the plane "
-                "(vz = 0); the image construction is exact only then"
+                "reflecting walls require wind parallel to them (0 along every "
+                "mirrored axis); the image construction is exact only then"
             )
-        if isinstance(b, RectangularDuctReflecting) and (
-            self.wind.vy != 0.0 or self.wind.vz != 0.0
-        ):
-            raise ValueError("a reflecting duct admits wind along x only")
 
     @property
     def wind_arr(self) -> np.ndarray:
@@ -272,6 +279,12 @@ class FieldQuery:
 # Kernels
 # ---------------------------------------------------------------------------
 
+# (pairs, 3) float temporaries of 96 KiB stay under the allocator's default
+# mmap threshold (128 KiB in glibc), so blocks reuse heap memory instead of
+# faulting in fresh pages on every block.
+_BLOCK_PAIRS = 2 ** 12
+
+
 def _gauss1d(dx: np.ndarray, four_dt: np.ndarray) -> np.ndarray:
     return np.exp(-(dx * dx) / four_dt) / np.sqrt(math.pi * four_dt)
 
@@ -280,22 +293,27 @@ def _reflected_offsets(length: float, order: int) -> np.ndarray:
     return 2.0 * length * np.arange(-order, order + 1, dtype=float)
 
 
+def _axis_images(b: Boundary) -> list[tuple[tuple[float, ...], np.ndarray]]:
+    """The 1-D images of each axis x, y, z as (signs, offsets): a source
+    coordinate x0 has one image s * x0 + offset for every sign and offset,
+    and an axis without walls has only x0 itself."""
+    return [((1.0, -1.0), _reflected_offsets(*b.walls[axis])) if axis in b.walls
+            else ((1.0,), np.zeros(1)) for axis in range(3)]
+
+
 def _axis_factor(x: np.ndarray, x0: np.ndarray, four_dt: np.ndarray,
-                 boundary: Boundary, axis: int) -> np.ndarray:
-    """1-D kernel factor along one axis, including mirror images."""
-    if isinstance(boundary, HalfSpaceReflecting) and axis == 2:
-        return _gauss1d(x - x0, four_dt) + _gauss1d(x + x0, four_dt)
-    if isinstance(boundary, RectangularDuctReflecting) and axis in (1, 2):
-        length = boundary.width if axis == 1 else boundary.height
-        offs = _reflected_offsets(length, boundary.image_order)[:, None]
-        total = _gauss1d(x - (offs + x0), four_dt) + _gauss1d(x - (offs - x0), four_dt)
-        return total.sum(axis=0)
-    return _gauss1d(x - x0, four_dt)
+                 signs: tuple[float, ...], offsets: np.ndarray) -> np.ndarray:
+    """1-D kernel factor along one axis, summed over its images."""
+    offs = offsets[:, None]
+    return sum(_gauss1d(x - (offs + s * x0), four_dt) for s in signs).sum(axis=0)
 
 
 def unit_instant_kernel(env: Environment, src_points: np.ndarray,
                         obs_points: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Concentration per unit released mass, vectorized over N evaluations.
+
+    The image sum is a product of per-axis image sums, as the Gaussian
+    separates by axis.
 
     src_points and obs_points broadcast against each other as (N, 3) or
     (3,); taus is (N,). Entries with tau <= 0 evaluate to 0 (nothing has
@@ -311,10 +329,15 @@ def unit_instant_kernel(env: Environment, src_points: np.ndarray,
     tau = taus[live]
     four_dt = 4.0 * env.diffusivity * tau
     drifted = src[live] + env.wind_arr[None, :] * tau[:, None]
+    obs = obs[live]
+    images = _axis_images(env.boundary)
     val = np.ones(tau.size)
-    for axis in range(3):
-        val = val * _axis_factor(obs[live, axis], drifted[:, axis], four_dt,
-                                 env.boundary, axis)
+    block = max(1, _BLOCK_PAIRS // max(len(s) * len(o) for s, o in images))
+    for lo in range(0, tau.size, block):
+        sl = slice(lo, lo + block)
+        for axis, (signs, offsets) in enumerate(images):
+            val[sl] = val[sl] * _axis_factor(obs[sl, axis], drifted[sl, axis],
+                                             four_dt[sl], signs, offsets)
     out[live] = val
     return out
 
@@ -328,23 +351,13 @@ def image_transforms(env: Environment) -> list[tuple[np.ndarray, np.ndarray]]:
 
 @lru_cache(maxsize=64)
 def _image_stack(b: Boundary) -> tuple[np.ndarray, np.ndarray]:
-    """Flips and offsets of the image maps as read-only (M, 3) arrays."""
-    ident = (np.ones(3), np.zeros(3))
-    if isinstance(b, FreeSpace):
-        maps = [ident]
-    elif isinstance(b, HalfSpaceReflecting):
-        maps = [ident, (np.array([1.0, 1.0, -1.0]), np.zeros(3))]
-    else:
-        maps = []
-        for sy in (1.0, -1.0):
-            for ny in _reflected_offsets(b.width, b.image_order):
-                for sz in (1.0, -1.0):
-                    for nz in _reflected_offsets(b.height, b.image_order):
-                        flip = np.array([1.0, sy, sz])
-                        off = np.array([0.0, ny, nz])
-                        maps.append((flip, off))
-        # Identity first for singularity checks.
-        maps.sort(key=lambda m: 0 if (m[0] == 1.0).all() and (m[1] == 0.0).all() else 1)
+    """Flips and offsets of the image maps as read-only (M, 3) arrays: every
+    combination of the per-axis images, in axis order."""
+    per_axis = [[(s, o) for s in signs for o in offsets]
+                for signs, offsets in _axis_images(b)]
+    maps = [tuple(zip(*combo)) for combo in itertools.product(*per_axis)]
+    # Identity first for singularity checks.
+    maps.sort(key=lambda m: m != ((1.0,) * 3, (0.0,) * 3))
     flips, offsets = map(np.array, zip(*maps))
     flips.setflags(write=False)
     offsets.setflags(write=False)
@@ -485,12 +498,6 @@ def _on_path_kernel(tau_lo: np.ndarray, tau_hi: np.ndarray, diffusivity: float,
         return 2.0 * np.exp(-z * z) * (1.0 - math.sqrt(math.pi) * z * _erfcx(z)) / np.sqrt(s)
 
     return (tail(tau_lo) - tail(tau_hi)) / (4.0 * math.pi * diffusivity) ** 1.5
-
-
-# (pairs, 3) float temporaries of 96 KiB stay under the allocator's default
-# mmap threshold (128 KiB in glibc), so blocks reuse heap memory instead of
-# faulting in fresh pages on every block.
-_BLOCK_PAIRS = 2 ** 12
 
 
 def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
@@ -818,40 +825,22 @@ def _field_at(src: SourceSpec, env: Environment, r, t: float,
     return float(values[0])
 
 
-def _evaluate_chunk(scenario: Scenario, positions: np.ndarray, times: np.ndarray,
-                    quadrature_tol: float
-                    ) -> tuple[np.ndarray, list[tuple[int, Exception]]]:
-    out = np.zeros(times.size)
-    failures: list[tuple[int, Exception]] = []
-    for src in scenario.sources:
-        values, fails = _source_field(src, scenario.environment, positions, times,
-                                      quadrature_tol)
-        out += values
-        failures += fails
-    return out, failures
-
-
-# Points per _evaluate_chunk call. unit_instant_kernel is not blocked
-# internally, so this bounds its per-axis (images, points) temporaries.
-_FIELD_CHUNK = 2048
-
-
 def evaluate_field(query: FieldQuery, scenario: Scenario,
                    quadrature_tol: float = DEFAULT_QUADRATURE_TOL) -> np.ndarray:
     """Evaluate the scenario's field at every query point.
 
     Pure and order-independent: permuting the query permutes the results.
-    The query is evaluated in fixed chunks of _FIELD_CHUNK points.
     Point-wise failures (singular points, quadrature breakdowns) are
-    collected and raised together as FieldEvaluationError with their query
-    indices.
+    collected, source by source in index order, and raised together as
+    FieldEvaluationError with their query indices.
     """
-    out = np.empty(len(query))
+    out = np.zeros(len(query))
     failures: list[tuple[int, Exception]] = []
-    for sl in chunk_slices(len(query), _FIELD_CHUNK):
-        out[sl], fails = _evaluate_chunk(scenario, query.positions[sl],
-                                         query.times[sl], quadrature_tol)
-        failures += [(i + sl.start, exc) for i, exc in fails]
+    for src in scenario.sources:
+        values, fails = _source_field(src, scenario.environment, query.positions,
+                                      query.times, quadrature_tol)
+        out += values
+        failures += fails
     if failures:
         raise FieldEvaluationError(failures)
     return out

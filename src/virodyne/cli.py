@@ -17,6 +17,7 @@ inputs and seed produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -103,16 +104,11 @@ def _cmd_field(args) -> int:
     horizon = max(times) + 1.0
     sources = [s.build(horizon) for s in cfg.sources]
     xs, ys, zs = cfg.grid.axes()
-    try:
-        query = FieldQuery.from_grid(xs, ys, zs, times)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    query = FieldQuery.from_grid(xs, ys, zs, times)
     values = evaluate_field(query, Scenario(env, sources),
                             quadrature_tol=cfg.solver.quadrature_tol)
-    rows = [
-        (float(p[0]), float(p[1]), float(p[2]), float(t), float(c))
-        for p, t, c in zip(query.positions, query.times, values)
-    ]
+    rows = [f"{x!r},{y!r},{z!r},{t!r},{c!r}" for (x, y, z), t, c in
+            zip(query.positions.tolist(), query.times.tolist(), values.tolist())]
     write_csv(args.out, ["x", "y", "z", "t", "c"], rows,
               _meta(cfg, seed=args.seed if args.seed is not None else cfg.run.seed))
     return 0
@@ -155,23 +151,18 @@ def _cmd_epidemic(args) -> int:
     cfg.require("environment", "population", "epidemic")
     seed = args.seed if args.seed is not None else cfg.run.seed
     env = cfg.environment.build()
-    try:
-        epi_cfg = EpidemicConfig(
-            dose_coefficient=cfg.epidemic.dose_coefficient,
-            latency=cfg.epidemic.latency_s,
-            step=cfg.epidemic.step_s,
-            horizon=cfg.epidemic.horizon_s,
-        )
-        agents = _build_population(cfg, seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    epi_cfg = EpidemicConfig(
+        dose_coefficient=cfg.epidemic.dose_coefficient,
+        latency=cfg.epidemic.latency_s,
+        step=cfg.epidemic.step_s,
+        horizon=cfg.epidemic.horizon_s,
+    )
+    agents = _build_population(cfg, seed)
     state = run_epidemic(agents, epi_cfg, env, seed)
-    rows = []
-    for snap in state.snapshots:
-        for i in range(len(agents)):
-            infected = math.isfinite(snap.infected_since[i])
-            rows.append((float(snap.time), i, "I" if infected else "S",
-                         float(snap.cumulative_dose[i])))
+    rows = [f"{float(snap.time)!r},{i},{'I' if math.isfinite(since) else 'S'},{dose!r}"
+            for snap in state.snapshots
+            for i, (since, dose) in enumerate(zip(snap.infected_since.tolist(),
+                                                  snap.cumulative_dose.tolist()))]
     write_csv(args.out, ["t", "agent_id", "state", "cumulative_dose"], rows,
               _meta(cfg, seed=seed))
     if args.summary:
@@ -189,22 +180,19 @@ def _cmd_detect(args) -> int:
     cfg.require("detection")
     det = cfg.detection
     seed = args.seed if args.seed is not None else cfg.run.seed
-    try:
-        cir = ChannelImpulseResponse(taps=np.array(det.taps),
-                                     symbol_interval=det.symbol_interval_s)
-        if det.noise == "gaussian":
-            noise = GaussianNoise(det.sigma)
-        else:
-            noise = PoissonNoise(det.alpha)
-        if det.mode == "threshold":
-            mode = SymbolThreshold(det.threshold if det.threshold >= 0 else None)
-        elif det.mode == "sequence":
-            mode = SequenceML()
-        else:
-            mode = NonCoherentDifference(det.threshold_delta)
-        detector = DetectorConfig(mode=mode, p1=det.p1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cir = ChannelImpulseResponse(taps=np.array(det.taps),
+                                 symbol_interval=det.symbol_interval_s)
+    if det.noise == "gaussian":
+        noise = GaussianNoise(det.sigma)
+    else:
+        noise = PoissonNoise(det.alpha)
+    if det.mode == "threshold":
+        mode = SymbolThreshold(det.threshold if det.threshold >= 0 else None)
+    elif det.mode == "sequence":
+        mode = SequenceML()
+    else:
+        mode = NonCoherentDifference(det.threshold_delta)
+    detector = DetectorConfig(mode=mode, p1=det.p1)
     est = error_probability(cir, detector, noise, det.bits_per_frame,
                             det.trials, seed)
     mi = mutual_information(est.joint)
@@ -225,15 +213,12 @@ def _cmd_localize(args) -> int:
     loc = cfg.localize or LocalizeSection()
     env = cfg.environment.build()
     readings = read_readings_csv(args.readings)
-    try:
-        solver = SolverConfig(
-            grid_resolution=loc.grid_resolution,
-            max_iterations=loc.max_iterations,
-            search_box=((loc.search_box_m[:3], loc.search_box_m[3:])
-                        if loc.search_box_m else None),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    solver = SolverConfig(
+        grid_resolution=loc.grid_resolution,
+        max_iterations=loc.max_iterations,
+        search_box=((loc.search_box_m[:3], loc.search_box_m[3:])
+                    if loc.search_box_m else None),
+    )
     est = localize(readings, env, source_kind=loc.source_kind, config=solver)
     write_json(args.out, {
         "position": [est.position.x, est.position.y, est.position.z],
@@ -310,7 +295,9 @@ def _cmd_direction(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by main."""
     parser = argparse.ArgumentParser(
         prog="virodyne",
         description="Airborne transmission simulation and sequence mutation analysis",
@@ -399,6 +386,10 @@ def main(argv: list[str] | None = None) -> int:
     except VirodyneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, IndexError) as exc:
+        # an argument out of its range, caught where it is used
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

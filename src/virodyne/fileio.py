@@ -24,26 +24,18 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def render_csv(header: Sequence[str], rows: Iterable[Sequence | str],
+def render_csv(header: Sequence[str], rows: Iterable[str],
                meta: Mapping[str, str] | None = None) -> str:
-    """CSV text: meta lines, the header, then one line per row. A row given
-    as a str is taken as an already rendered line (cells formatted as here:
-    floats by format_float, anything else by str)."""
-    lines = []
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key} = {value}")
+    """CSV text: meta lines, the header, then the rows, each an already
+    rendered line (floats as format_float writes them, which is repr of a
+    Python float, so an f-string's !r over .tolist() values)."""
+    lines = [f"# {key} = {value}" for key, value in (meta or {}).items()]
     lines.append(",".join(header))
-    for row in rows:
-        if isinstance(row, str):
-            lines.append(row)
-            continue
-        cells = [format_float(v) if isinstance(v, (float, np.floating)) else str(v)
-                 for v in row]
-        lines.append(",".join(cells))
+    lines.extend(rows)
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence | str],
+def write_csv(path: str, header: Sequence[str], rows: Iterable[str],
               meta: Mapping[str, str] | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render_csv(header, rows, meta))
@@ -94,8 +86,8 @@ def read_readings_csv(path: str) -> list[SensorReading]:
 
 def write_trajectory_csv(path: str, trajectory: Trajectory,
                          meta: Mapping[str, str] | None = None) -> None:
-    rows = [(float(t), float(p[0]), float(p[1]), float(p[2]))
-            for t, p in zip(trajectory.times, trajectory.points)]
+    rows = [f"{t!r},{x!r},{y!r},{z!r}"
+            for t, (x, y, z) in zip(trajectory.times.tolist(), trajectory.points.tolist())]
     write_csv(path, ["t", "x", "y", "z"], rows, meta)
 
 

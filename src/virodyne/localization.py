@@ -30,6 +30,7 @@ DEFAULT_CONDITION_THRESHOLD = 1e8
 _FD_STEP = 1e-6           # central-difference step, relative to max(1, |p_k|)
 _STEP_TOL = 1e-8          # LM stops once |step| / max(1, |p|) is this small
 _LAMBDA_START, _LAMBDA_MAX = 1e-3, 1e16
+_BOX_MARGIN = 0.5         # default search box = sensor bbox grown by this factor
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,6 @@ class SolverConfig:
     grid_resolution: int = 16
     max_iterations: int = 600
     search_box: tuple[tuple[float, float, float], tuple[float, float, float]] | None = None
-    box_margin: float = 0.5       # search box = sensor bbox grown by this factor
 
     def __post_init__(self):
         if self.grid_resolution < 2:
@@ -117,7 +117,7 @@ def _search_box(readings: Sequence[SensorReading], config: SolverConfig
     pts = np.array([r.position.as_array() for r in readings])
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     extent = np.maximum(hi - lo, 1e-6)
-    return lo - config.box_margin * extent, hi + config.box_margin * extent
+    return lo - _BOX_MARGIN * extent, hi + _BOX_MARGIN * extent
 
 
 def _stencil(g_matrix: Callable[[np.ndarray], np.ndarray], p: np.ndarray

@@ -267,6 +267,8 @@ def _codon_column(alignment: AlignmentMatrix, position: int) -> dict[str, int]:
     alignment (columns 3p-2 .. 3p); rows with masked bases are skipped."""
     if alignment.alphabet is not Alphabet.NUCLEOTIDE:
         raise ValueError("codon columns need a nucleotide alignment")
+    if position < 1:
+        raise IndexError(f"amino position {position} is below 1")
     j0 = 3 * (position - 1)
     if j0 + 3 > alignment.length:
         raise IndexError(

@@ -235,7 +235,7 @@ def _symbol_counts(codes: np.ndarray, alphabet: Alphabet) -> np.ndarray:
 def column_distribution(alignment: AlignmentMatrix, position: int,
                         pseudocount: float = 0.0) -> PositionDistribution:
     """Residue distribution of one column, gaps and ambiguity excluded."""
-    if pseudocount < 0:
+    if not pseudocount >= 0:  # NaN included
         raise ValueError("pseudocount must be >= 0")
     residues, _ = alignment.column(position)
     counts = _symbol_counts(residues[:, None], alignment.alphabet)[:, 0]
@@ -273,7 +273,7 @@ def positional_entropy(alignment: AlignmentMatrix,
     columns with zero unmasked residues are reported as NaN rather than
     raising.
     """
-    if pseudocount < 0:
+    if not pseudocount >= 0:  # NaN included
         raise ValueError("pseudocount must be >= 0")
     ent = np.full(alignment.length, np.nan)
     k = alignment.alphabet.size

@@ -739,8 +739,14 @@ class TestBoundaries:
         with pytest.raises(ValueError):
             Environment(diffusivity=1.0, wind=Velocity(0, 1, 0),
                         boundary=RectangularDuctReflecting(1, 1))
+        with pytest.raises(ValueError):
+            Environment(diffusivity=1.0, wind=Velocity(0, 0, -0.5),
+                        boundary=RectangularDuctReflecting(1, 1))
         Environment(diffusivity=1.0, wind=Velocity(2, 0, 0),
                     boundary=RectangularDuctReflecting(1, 1))
+        Environment(diffusivity=1.0, wind=Velocity(1.5, -2, 0),
+                    boundary=HalfSpaceReflecting())
+        Environment(diffusivity=1.0, wind=Velocity(0.3, -2, 4), boundary=FreeSpace())
 
     def test_image_points_counts(self):
         assert len(image_points(ENV40, np.zeros(3))) == 1
@@ -749,6 +755,26 @@ class TestBoundaries:
         duct = RectangularDuctReflecting(1.0, 1.0, image_order=3)
         env_d = Environment(diffusivity=1.0, boundary=duct)
         assert len(image_points(env_d, np.array([0, 0.5, 0.5]))) == (2 * 7) ** 2
+
+    @pytest.mark.parametrize("boundary, wind", [
+        (FreeSpace(), (0.3, -0.2, 0.4)),
+        (HalfSpaceReflecting(), (0.3, -0.2, 0.0)),
+        (RectangularDuctReflecting(2.0, 1.5, image_order=3), (0.4, 0.0, 0.0)),
+    ], ids=["free", "halfspace", "duct"])
+    def test_instant_kernel_is_explicit_image_sum(self, boundary, wind):
+        # The per-axis product against the 3-D Gaussian of every image.
+        env = Environment(diffusivity=0.5, wind=Velocity(*wind), boundary=boundary)
+        rng = np.random.default_rng(7)
+        src = rng.uniform([-1, 0, 0], [1, 2, 1.5], (40, 3))
+        obs = rng.uniform([-1, 0, 0], [1, 2, 1.5], (40, 3))
+        taus = rng.uniform(0.05, 3.0, 40)
+        got = unit_instant_kernel(env, src, obs, taus)
+        for r0, r, tau, g in zip(src, obs, taus, got):
+            four_dt = 4.0 * env.diffusivity * tau
+            dr = r - (image_points(env, r0) + env.wind_arr * tau)
+            expect = np.exp(-(dr * dr).sum(axis=1) / four_dt).sum() \
+                / (math.pi * four_dt) ** 1.5
+            assert g == pytest.approx(expect, rel=1e-12)
 
 
 class TestImageTransforms:

@@ -329,6 +329,23 @@ class TestCli:
         assert rc == 1
         assert "b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["hotspots", "--top", "-1"],
+        ["entropy", "--pseudocount", "-1"],
+        ["entropy", "--pseudocount", "nan"],
+        ["direction", "--position", "99999", "--q", "1e-3", "--gamma", "0.1"],
+        ["direction", "--position", "0", "--q", "1e-3", "--gamma", "0.1"],
+    ], ids=["top", "pseudocount", "pseudocount_nan", "position_past_end",
+            "position_zero"])
+    def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, argv):
+        fasta = write(tmp_path, "toy.fasta", ">a\nACGTAC\n>b\nACGAAC\n")
+        out = tmp_path / "out"
+        rc = main([*argv, "--fasta", fasta, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFileIo:
     def test_trajectory_csv_round_trip(self, tmp_path):
