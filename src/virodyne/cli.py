@@ -55,7 +55,9 @@ from .mobility import (
 )
 from .mutation import KimuraParams, SubstitutionMode, mutation_direction
 from .seqstat import (
+    AlignmentMatrix,
     Alphabet,
+    EntropyProfile,
     build_alignment,
     hotspots as select_hotspots,
     parse_fasta,
@@ -66,25 +68,37 @@ _ALPHABETS = {"nt": Alphabet.NUCLEOTIDE, "aa": Alphabet.AMINO}
 
 
 def _meta(cfg: ScenarioConfig | None, seed: int | None = None,
-          input_digest: str | None = None) -> dict[str, str]:
+          input_path: str | None = None) -> dict[str, str]:
     meta = {"tool": "virodyne", "version": __version__}
     if cfg is not None:
         meta["config_sha256"] = config_hash(cfg)
-    if input_digest is not None:
-        meta["input_sha256"] = input_digest
+    if input_path is not None:
+        with open(input_path, "rb") as fh:
+            meta["input_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     if seed is not None:
         meta["seed"] = str(seed)
     return meta
 
 
-def _file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _scenario(args, *sections: str) -> tuple[ScenarioConfig, int]:
+    """The command's config with its required sections checked, and the
+    seed: --seed where the command takes it and it is given, else [run]."""
+    cfg = load_config(args.config)
+    cfg.require(*sections)
+    seed = getattr(args, "seed", None)
+    return cfg, cfg.run.seed if seed is None else seed
 
 
-def _load_fasta(path: str, alphabet: Alphabet):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_fasta(fh, alphabet)
+def _alignment(args) -> AlignmentMatrix:
+    """The --fasta file as an alignment of the --alphabet residues."""
+    alphabet = _ALPHABETS[args.alphabet]
+    with open(args.fasta, "r", encoding="utf-8") as fh:
+        records = parse_fasta(fh, alphabet)
+    return build_alignment(records, alphabet, strict_length=not args.no_strict)
+
+
+def _profile(args) -> EntropyProfile:
+    return positional_entropy(_alignment(args), pseudocount=args.pseudocount)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +106,7 @@ def _load_fasta(path: str, alphabet: Alphabet):
 # ---------------------------------------------------------------------------
 
 def _cmd_field(args) -> int:
-    cfg = load_config(args.config)
-    cfg.require("environment", "source", "grid")
+    cfg, _ = _scenario(args, "environment", "source", "grid")
     if args.speed is not None:
         for src in cfg.sources:
             src.velocity_mps = (args.speed, 0.0, 0.0)
@@ -109,8 +122,7 @@ def _cmd_field(args) -> int:
                             quadrature_tol=cfg.solver.quadrature_tol)
     rows = [f"{x!r},{y!r},{z!r},{t!r},{c!r}" for (x, y, z), t, c in
             zip(query.positions.tolist(), query.times.tolist(), values.tolist())]
-    write_csv(args.out, ["x", "y", "z", "t", "c"], rows,
-              _meta(cfg, seed=args.seed if args.seed is not None else cfg.run.seed))
+    write_csv(args.out, ["x", "y", "z", "t", "c"], rows, _meta(cfg))
     return 0
 
 
@@ -147,9 +159,7 @@ def _build_population(cfg: ScenarioConfig, seed: int) -> list[Agent]:
 
 
 def _cmd_epidemic(args) -> int:
-    cfg = load_config(args.config)
-    cfg.require("environment", "population", "epidemic")
-    seed = args.seed if args.seed is not None else cfg.run.seed
+    cfg, seed = _scenario(args, "environment", "population", "epidemic")
     env = cfg.environment.build()
     epi_cfg = EpidemicConfig(
         dose_coefficient=cfg.epidemic.dose_coefficient,
@@ -176,12 +186,9 @@ def _cmd_epidemic(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    cfg = load_config(args.config)
-    cfg.require("detection")
+    cfg, seed = _scenario(args, "detection")
     det = cfg.detection
-    seed = args.seed if args.seed is not None else cfg.run.seed
-    cir = ChannelImpulseResponse(taps=np.array(det.taps),
-                                 symbol_interval=det.symbol_interval_s)
+    cir = ChannelImpulseResponse(taps=np.array(det.taps))
     if det.noise == "gaussian":
         noise = GaussianNoise(det.sigma)
     else:
@@ -208,8 +215,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_localize(args) -> int:
-    cfg = load_config(args.config)
-    cfg.require("environment")
+    cfg, _ = _scenario(args, "environment")
     loc = cfg.localize or LocalizeSection()
     env = cfg.environment.build()
     readings = read_readings_csv(args.readings)
@@ -228,29 +234,23 @@ def _cmd_localize(args) -> int:
         "iterations": est.iterations,
         "crlb_position_m": est.crlb_position_m,
         "n_readings": len(readings),
-    }, _meta(cfg, input_digest=_file_digest(args.readings)))
+    }, _meta(cfg, input_path=args.readings))
     return 0
 
 
 def _cmd_entropy(args) -> int:
-    alphabet = _ALPHABETS[args.alphabet]
-    records = _load_fasta(args.fasta, alphabet)
-    alignment = build_alignment(records, alphabet, strict_length=not args.no_strict)
-    profile = positional_entropy(alignment, pseudocount=args.pseudocount)
+    profile = _profile(args)
     # One f-string per line; repr of a Python float is format_float's text.
     rows = [f"{i},{e!r},{n}" for i, e, n in zip(range(1, profile.length + 1),
                                                 profile.entropies.tolist(),
                                                 profile.n_effective.tolist())]
     write_csv(args.out, ["position", "entropy_bits", "n_effective"], rows,
-              _meta(None, input_digest=_file_digest(args.fasta)))
+              _meta(None, input_path=args.fasta))
     return 0
 
 
 def _cmd_hotspots(args) -> int:
-    alphabet = _ALPHABETS[args.alphabet]
-    records = _load_fasta(args.fasta, alphabet)
-    alignment = build_alignment(records, alphabet, strict_length=not args.no_strict)
-    profile = positional_entropy(alignment, pseudocount=args.pseudocount)
+    profile = _profile(args)
     if args.top is not None:
         spots = select_hotspots(profile, top_k=args.top)
     else:
@@ -259,14 +259,14 @@ def _cmd_hotspots(args) -> int:
         "hotspots": [{"position": h.position, "entropy_bits": h.entropy}
                      for h in spots],
         "length": profile.length,
-    }, _meta(None, input_digest=_file_digest(args.fasta)))
+    }, _meta(None, input_path=args.fasta))
     return 0
 
 
 def _cmd_direction(args) -> int:
-    alphabet = _ALPHABETS[args.alphabet]
-    records = _load_fasta(args.fasta, alphabet)
-    alignment = build_alignment(records, alphabet)
+    if args.top < 0:
+        raise ValueError(f"--top must be >= 0, got {args.top}")
+    alignment = _alignment(args)
     params = KimuraParams(q=args.q, gamma=args.gamma)
     level = {"base": "base", "codon": "codon", "aa": "amino"}[args.level]
     report = mutation_direction(alignment, args.position, params,
@@ -280,8 +280,7 @@ def _cmd_direction(args) -> int:
                     for t in report.targets],
     }
     if args.out:
-        write_json(args.out, payload,
-                   _meta(None, input_digest=_file_digest(args.fasta)))
+        write_json(args.out, payload, _meta(None, input_path=args.fasta))
     print(f"mutation direction at position {report.position} "
           f"(level={report.level}, mode={report.mode})")
     for tgt in report.targets[:args.top]:
@@ -305,68 +304,65 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("field", help="evaluate a concentration grid to CSV")
-    p.add_argument("--config", required=True)
+    # Options shared by several commands, declared once as parent parsers.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
+    fasta = argparse.ArgumentParser(add_help=False)
+    fasta.add_argument("--fasta", required=True)
+    fasta.add_argument("--alphabet", choices=("nt", "aa"), default="nt")
+    profile = argparse.ArgumentParser(add_help=False)
+    profile.add_argument("--pseudocount", type=float, default=0.0)
+    profile.add_argument("--no-strict", action="store_true",
+                         help="truncate unequal-length rows instead of failing")
+
+    def command(name: str, func, about: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=about, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("field", _cmd_field, "evaluate a concentration grid to CSV",
+                config, out)
     p.add_argument("--speed", type=float, default=None,
                    help="override source motion: straight line along +x, m/s")
     p.add_argument("--time", type=float, action="append", default=None,
                    help="override grid evaluation time(s), seconds")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_field)
 
-    p = sub.add_parser("epidemic", help="run the SI simulation to CSV/JSON")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    p = command("epidemic", _cmd_epidemic, "run the SI simulation to CSV/JSON",
+                config, out, seed)
     p.add_argument("--summary", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_epidemic)
 
-    p = sub.add_parser("detect", help="Monte-Carlo detection metrics to JSON")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_detect)
+    command("detect", _cmd_detect, "Monte-Carlo detection metrics to JSON",
+            config, out, seed)
 
-    p = sub.add_parser("localize", help="estimate a source from readings CSV")
-    p.add_argument("--config", required=True)
+    p = command("localize", _cmd_localize, "estimate a source from readings CSV",
+                config, out)
     p.add_argument("--readings", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_localize)
 
-    p = sub.add_parser("entropy", help="per-position entropy profile to CSV")
-    p.add_argument("--fasta", required=True)
-    p.add_argument("--alphabet", choices=("nt", "aa"), default="nt")
-    p.add_argument("--pseudocount", type=float, default=0.0)
-    p.add_argument("--no-strict", action="store_true",
-                   help="truncate unequal-length rows instead of failing")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_entropy)
+    command("entropy", _cmd_entropy, "per-position entropy profile to CSV",
+            fasta, profile, out)
 
-    p = sub.add_parser("hotspots", help="ranked high-entropy positions to JSON")
-    p.add_argument("--fasta", required=True)
-    p.add_argument("--alphabet", choices=("nt", "aa"), default="nt")
-    p.add_argument("--pseudocount", type=float, default=0.0)
-    p.add_argument("--no-strict", action="store_true")
+    p = command("hotspots", _cmd_hotspots, "ranked high-entropy positions to JSON",
+                fasta, profile, out)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--top", type=int, default=None)
     group.add_argument("--min-entropy", type=float, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_hotspots)
 
-    p = sub.add_parser("direction", help="ranked mutation targets for a position")
-    p.add_argument("--fasta", required=True)
+    p = command("direction", _cmd_direction, "ranked mutation targets for a position",
+                fasta)
     p.add_argument("--position", type=int, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--mode", choices=SubstitutionMode.ALL,
                    default=SubstitutionMode.FULL)
     p.add_argument("--level", choices=("base", "codon", "aa"), default="aa")
-    p.add_argument("--alphabet", choices=("nt", "aa"), default="nt")
     p.add_argument("--top", type=int, default=10,
                    help="how many ranked targets to print")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_direction)
+    p.set_defaults(no_strict=False)  # codon columns need equal-length rows
 
     return parser
 

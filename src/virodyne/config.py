@@ -180,7 +180,6 @@ class GridSection:
 @dataclass
 class DetectSection:
     taps: tuple = _key(_parse_floats(None))
-    symbol_interval_s: float = 1.0
     noise: str = _key(_parse_choice("gaussian", "poisson"), "gaussian")
     sigma: float = 0.0
     alpha: float = 0.0

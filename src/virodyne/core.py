@@ -205,12 +205,6 @@ class GeneticCode:
     def items(self):
         return self._table.items()
 
-    def __getitem__(self, codon: str) -> str:
-        return self.translate(codon)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
 
 STANDARD_GENETIC_CODE = GeneticCode.standard()
 

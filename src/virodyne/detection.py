@@ -37,14 +37,11 @@ class ChannelImpulseResponse:
     symbol interval of memory."""
 
     taps: np.ndarray          # (L,), kg/m^3 per unit symbol
-    symbol_interval: float    # s
 
     def __post_init__(self):
         taps = np.atleast_1d(np.asarray(self.taps, dtype=float))
         if taps.size < 1 or (taps < 0).any() or not np.isfinite(taps).all():
             raise ValueError("taps must be >= 0, finite, and non-empty")
-        if self.symbol_interval <= 0:
-            raise ValueError("symbol_interval must be > 0")
         taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
 
@@ -60,8 +57,8 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -72,8 +69,8 @@ class PoissonNoise:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and > 0")
 
 
 NoiseModel = Union[GaussianNoise, PoissonNoise]
@@ -98,8 +95,8 @@ class SymbolThreshold:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.theta is not None and self.theta < 0:
-            raise ValueError("theta must be >= 0")
+        if self.theta is not None and not 0 <= self.theta < math.inf:
+            raise ValueError("theta must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -113,6 +110,10 @@ class NonCoherentDifference:
     channel model."""
 
     theta_delta: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.theta_delta):
+            raise ValueError("theta_delta must be finite")
 
 
 DetectorMode = Union[SymbolThreshold, SequenceML, NonCoherentDifference]
@@ -309,9 +310,13 @@ class BerEstimate:
     joint: tuple[tuple[int, int], tuple[int, int]]  # (sent, decided) counts
 
 
-def wilson_interval(errors: int, total: int, z: float = 1.959963984540054
-                    ) -> tuple[float, float]:
+# Two-sided 95% standard-normal quantile.
+_Z95 = 1.959963984540054
+
+
+def wilson_interval(errors: int, total: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    z = _Z95
     if total <= 0:
         raise ValueError("total must be >= 1")
     p = errors / total
@@ -413,6 +418,9 @@ def joint_counts(sent, decided, n_symbols: int = 2) -> np.ndarray:
                        minlength=n_symbols * n_symbols).reshape(n_symbols, n_symbols)
 
 
+_SAMPLES_PER_SLOT = 8
+
+
 def impulse_response_from_scenario(
     env,
     source_position,
@@ -420,20 +428,21 @@ def impulse_response_from_scenario(
     rate_kg_s: float,
     symbol_interval: float,
     n_taps: int,
-    samples_per_slot: int = 8,
 ) -> ChannelImpulseResponse:
     """Derive taps from the physical channel: tap l is the mean
     concentration at the receiver during slot l after a one-slot emission,
-    whose field is the constant-rate field minus itself delayed one slot."""
+    whose field is the constant-rate field minus itself delayed one slot.
+    symbol_interval (s) sets the slot length; each slot's mean is the
+    trapezoid rule over _SAMPLES_PER_SLOT + 1 equally spaced times."""
     from .channel import unit_continuous_kernel
     from .core import as_position
 
     r0, r = (as_position(p).as_array() for p in (source_position, receiver_position))
     ts = symbol_interval * (np.arange(n_taps)[:, None]
-                            + np.linspace(0.0, 1.0, samples_per_slot + 1))
+                            + np.linspace(0.0, 1.0, _SAMPLES_PER_SLOT + 1))
 
     def field(taus: np.ndarray) -> np.ndarray:
         return rate_kg_s * unit_continuous_kernel(env, r0, r, taus.ravel()).reshape(taus.shape)
 
     taps = np.trapezoid(field(ts) - field(ts - symbol_interval), ts, axis=1) / symbol_interval
-    return ChannelImpulseResponse(taps=taps, symbol_interval=symbol_interval)
+    return ChannelImpulseResponse(taps=taps)

@@ -52,8 +52,8 @@ class Agent:
     def __post_init__(self):
         if self.emission_rate < 0 or not math.isfinite(self.emission_rate):
             raise ValueError("emission_rate must be finite and >= 0")
-        if self.breathing_rate <= 0:
-            raise ValueError("breathing_rate must be > 0")
+        if not 0 < self.breathing_rate < math.inf:
+            raise ValueError("breathing_rate must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,15 @@ class EpidemicConfig:
     horizon: float           # s
 
     def __post_init__(self):
-        if self.dose_coefficient < 0:
-            raise ValueError("dose_coefficient must be >= 0")
-        if self.latency < 0:
-            raise ValueError("latency must be >= 0")
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
+        # Chained comparisons with inf also reject NaN.
+        if not 0 <= self.dose_coefficient < math.inf:
+            raise ValueError("dose_coefficient must be finite and >= 0")
+        if not 0 <= self.latency < math.inf:
+            raise ValueError("latency must be finite and >= 0")
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be finite and > 0")
+        if not 0 <= self.horizon < math.inf:
+            raise ValueError("horizon must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,6 @@ class EpidemicState:
 
     agents: tuple[Agent, ...]
     snapshots: list[EpidemicSnapshot] = field(default_factory=list)
-
-    @property
-    def times(self) -> list[float]:
-        return [s.time for s in self.snapshots]
 
     def infection_curve(self) -> list[tuple[float, int]]:
         return [(s.time, s.infected_count) for s in self.snapshots]

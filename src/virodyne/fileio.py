@@ -53,35 +53,38 @@ def write_json(path: str, payload: dict, meta: Mapping[str, str] | None = None) 
         fh.write(render_json(payload, meta))
 
 
-def _data_lines(text: str) -> list[str]:
-    return [ln for ln in text.splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")]
+def _read_table(path: str, kind: str, header: Sequence[str]) -> np.ndarray:
+    """The (rows, columns) numbers of a CSV file whose first data line is
+    `header`; blank and '#' lines are skipped. A missing or wrong header, a
+    row of the wrong width and a non-numeric cell raise ConfigError; row
+    numbers count the header as row 1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().splitlines()
+                 if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise ConfigError(f"no data in {kind} file {path}")
+    got = [h.strip() for h in lines[0].split(",")]
+    if got != list(header):
+        raise ConfigError(
+            f"{kind} header must be {','.join(header)}, got {','.join(got)}"
+        )
+    rows = []
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise ConfigError(f"expected {len(header)} columns on data row {i}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise ConfigError(f"non-numeric value on data row {i}") from None
+    return np.array(rows, dtype=float).reshape(len(rows), len(header))
 
 
 def read_readings_csv(path: str) -> list[SensorReading]:
     """Sensor readings CSV with header x,y,z,t,c,sigma."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _data_lines(fh.read())
-    if not lines:
-        raise ConfigError(f"no data in readings file {path}")
-    header = [h.strip() for h in lines[0].split(",")]
-    expected = ["x", "y", "z", "t", "c", "sigma"]
-    if header != expected:
-        raise ConfigError(
-            f"readings header must be {','.join(expected)}, got {','.join(header)}"
-        )
-    readings = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ConfigError(f"expected 6 columns on data row {i}")
-        try:
-            x, y, z, t, c, sigma = (float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"non-numeric value on data row {i}") from None
-        readings.append(SensorReading(position=(x, y, z), time=t,
-                                      concentration=c, sigma=sigma))
-    return readings
+    table = _read_table(path, "readings", ["x", "y", "z", "t", "c", "sigma"])
+    return [SensorReading(position=(x, y, z), time=t, concentration=c, sigma=sigma)
+            for x, y, z, t, c, sigma in table.tolist()]
 
 
 def write_trajectory_csv(path: str, trajectory: Trajectory,
@@ -92,16 +95,6 @@ def write_trajectory_csv(path: str, trajectory: Trajectory,
 
 
 def read_trajectory_csv(path: str) -> Trajectory:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _data_lines(fh.read())
-    if not lines or [h.strip() for h in lines[0].split(",")] != ["t", "x", "y", "z"]:
-        raise ConfigError(f"trajectory file {path} must start with header t,x,y,z")
-    times, points = [], []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"expected 4 columns on data row {i}")
-        vals = [float(p) for p in parts]
-        times.append(vals[0])
-        points.append(vals[1:])
-    return Trajectory(np.array(times), np.array(points))
+    """Trajectory CSV with header t,x,y,z, one knot per row."""
+    table = _read_table(path, "trajectory", ["t", "x", "y", "z"])
+    return Trajectory(table[:, 0], table[:, 1:])

@@ -26,7 +26,7 @@ from .channel import Environment, unit_continuous_kernel, unit_instant_kernel
 from .core import Position, as_position, seconds
 from .errors import SingularPoint, Unidentifiable
 
-DEFAULT_CONDITION_THRESHOLD = 1e8
+_CONDITION_THRESHOLD = 1e8  # condition number that flags a geometry
 _FD_STEP = 1e-6           # central-difference step, relative to max(1, |p_k|)
 _STEP_TOL = 1e-8          # LM stops once |step| / max(1, |p|) is this small
 _LAMBDA_START, _LAMBDA_MAX = 1e-3, 1e16
@@ -267,7 +267,6 @@ def localize(
 class GeometryDiagnostics:
     condition_number: float
     flagged: bool
-    threshold: float
     fisher_inverse: np.ndarray | None  # (4, 4) over (x, y, z, Q), or None
 
 
@@ -277,16 +276,15 @@ def crlb_diagnostics(
     position,
     rate: float,
     source_kind: str = "steady",
-    threshold: float = DEFAULT_CONDITION_THRESHOLD,
 ) -> GeometryDiagnostics:
     """Sensitivity of the receiver array at a hypothesized source.
 
     Takes the sigma-weighted Jacobian in (x, y, z, Q) from one stencil call
     and reports its condition number and the inverse Fisher information. A
-    geometry is flagged when that condition number exceeds the threshold
-    (locally unidentifiable, e.g. heavily duplicated sensors) or when the
-    sensor positions are coplanar, which leaves a mirror-image ambiguity
-    even where the Jacobian is locally well conditioned.
+    geometry is flagged when that condition number exceeds 1e8 (locally
+    unidentifiable, e.g. heavily duplicated sensors) or when the sensor
+    positions are coplanar, which leaves a mirror-image ambiguity even
+    where the Jacobian is locally well conditioned.
     """
     readings = list(readings)
     if not readings:
@@ -295,6 +293,7 @@ def crlb_diagnostics(
                      as_position(position).as_array())
     cond, fisher_inv = _fisher_inverse(g, dg, float(rate),
                                        np.array([r.sigma for r in readings]))
-    flagged = (not math.isfinite(cond)) or cond > threshold or _geometry_rank(readings) < 3
+    flagged = (not math.isfinite(cond) or cond > _CONDITION_THRESHOLD
+               or _geometry_rank(readings) < 3)
     return GeometryDiagnostics(condition_number=cond, flagged=flagged,
-                               threshold=threshold, fisher_inverse=fisher_inv)
+                               fisher_inverse=fisher_inv)

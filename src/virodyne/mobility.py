@@ -33,6 +33,7 @@ from .core import Position, as_position
 from .errors import OutOfDomain, OutOfRange
 
 _EPS = 1e-9
+_CONTAINS_TOL = 1e-7  # m, slack of Box.contains at the walls
 
 
 @dataclass(frozen=True)
@@ -60,13 +61,11 @@ class Box:
     def hi_arr(self) -> np.ndarray:
         return np.array(self.hi)
 
-    @property
-    def diagonal(self) -> float:
-        return float(np.linalg.norm(self.hi_arr - self.lo_arr))
-
-    def contains(self, point: np.ndarray, tol: float = 1e-7) -> bool:
+    def contains(self, point: np.ndarray) -> bool:
+        """Whether the point lies in the box, walls widened by _CONTAINS_TOL."""
         p = np.asarray(point, dtype=float)
-        return bool((p >= self.lo_arr - tol).all() and (p <= self.hi_arr + tol).all())
+        return bool((p >= self.lo_arr - _CONTAINS_TOL).all()
+                    and (p <= self.hi_arr + _CONTAINS_TOL).all())
 
     def sample_point(self, stream: np.random.Generator) -> np.ndarray:
         return stream.uniform(self.lo_arr, self.hi_arr)
@@ -83,8 +82,8 @@ class RandomWalk:
     step_dt: float    # s
 
     def __post_init__(self):
-        if self.step_len <= 0 or self.step_dt <= 0:
-            raise ValueError("random walk step length and duration must be > 0")
+        if not (0 < self.step_len < math.inf and 0 < self.step_dt < math.inf):
+            raise ValueError("random walk step length and duration must be finite and > 0")
 
     @property
     def max_speed(self) -> float:
@@ -98,10 +97,10 @@ class RandomWaypoint:
     pause: float      # s, dwell at each waypoint
 
     def __post_init__(self):
-        if self.speed_min <= 0 or self.speed_max < self.speed_min:
-            raise ValueError("need 0 < speed_min <= speed_max")
-        if self.pause < 0:
-            raise ValueError("pause must be >= 0")
+        if not (0 < self.speed_min <= self.speed_max < math.inf):
+            raise ValueError("need 0 < speed_min <= speed_max < inf")
+        if not 0 <= self.pause < math.inf:
+            raise ValueError("pause must be finite and >= 0")
 
     @property
     def max_speed(self) -> float:
@@ -114,8 +113,8 @@ class RandomDirection:
     epoch: float  # s, duration a heading is held
 
     def __post_init__(self):
-        if self.speed <= 0 or self.epoch <= 0:
-            raise ValueError("speed and epoch must be > 0")
+        if not (0 < self.speed < math.inf and 0 < self.epoch < math.inf):
+            raise ValueError("speed and epoch must be finite and > 0")
 
     @property
     def max_speed(self) -> float:

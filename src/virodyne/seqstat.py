@@ -207,10 +207,6 @@ class PositionDistribution:
     effective_count: int          # unmasked residues in the column
     alphabet: Alphabet
 
-    def as_dict(self) -> dict[str, float]:
-        return {s: float(p) for s, p in zip(self.alphabet.symbols,
-                                            self.probabilities)}
-
 
 _COUNT_BLOCK = 2 ** 20  # codes per bincount
 
@@ -313,5 +309,7 @@ def hotspots(profile: EntropyProfile, top_k: int | None = None,
             raise ValueError("top_k must be >= 0")
         chosen = ranked[:top_k]
     else:
+        if np.isnan(min_entropy):
+            raise ValueError("min_entropy must not be NaN")
         chosen = ranked[ent[ranked] >= min_entropy]
     return [Hotspot(position=int(i) + 1, entropy=float(ent[i])) for i in chosen]

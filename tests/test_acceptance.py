@@ -213,7 +213,7 @@ def test_criterion_04_walk_past_scenario():
 
 
 def test_criterion_05_detection_gaussian_oracle():
-    cir = ChannelImpulseResponse(taps=[1.0], symbol_interval=1.0)
+    cir = ChannelImpulseResponse(taps=[1.0])
     cfg = DetectorConfig(mode=SymbolThreshold(0.5), p1=0.5)
     t0 = time.perf_counter()
     devs = []

@@ -65,6 +65,12 @@ class TestConfig:
         assert "unknown key in [localize]" in str(err.value)
         assert "simplex_tol" in str(err.value)
 
+    def test_removed_symbol_interval_is_unknown(self):
+        with pytest.raises(ConfigError) as err:
+            loads_config("[detection]\ntaps = 1.0\nsymbol_interval_s = 2.0\n")
+        assert "unknown key in [detection]" in str(err.value)
+        assert "symbol_interval_s" in str(err.value) and "line 3" in str(err.value)
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
             loads_config("[atmosphere]\nfoo = 1\n")
@@ -110,7 +116,7 @@ class TestConfig:
     # pinned through its hash: every artifact embeds this value.
     @pytest.mark.parametrize("name, digest", [
         ("detect_demo.cfg",
-         "3d67c1f48049c860c64554bc9458b193fb68be7fd5b162081e99d8721063eda4"),
+         "6536c88cb2260daedc5a810edd329edd630cdf646c3b54d2d8b7fff1f43b7ea0"),
         ("epidemic_demo.cfg",
          "38756bde062168ffbfefda86ae8353a26a787b481859b7c512f39ae2da85691f"),
         ("walk_past.cfg",
@@ -134,6 +140,20 @@ class TestCli:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["field", "--bogus"]) == 2
+
+    def test_field_takes_no_seed(self, tmp_path):
+        # The field draws no random numbers, so it has no seed to set.
+        out = tmp_path / "o.csv"
+        assert main(["field", "--config", write(tmp_path, "f.cfg", MINIMAL),
+                     "--out", str(out), "--seed", "3"]) == 2
+        assert not out.exists()
+
+    def test_symbol_interval_key_is_usage_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "d.cfg", "[detection]\ntaps = 1.0\nsigma = 0.5\n"
+                    "symbol_interval_s = 1.0\n")
+        rc = main(["detect", "--config", cfg, "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "symbol_interval_s" in capsys.readouterr().err
 
     def test_unknown_command_is_usage_error(self):
         assert main(["transmogrify"]) == 2
@@ -331,12 +351,15 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["hotspots", "--top", "-1"],
+        ["hotspots", "--min-entropy", "nan"],
         ["entropy", "--pseudocount", "-1"],
         ["entropy", "--pseudocount", "nan"],
         ["direction", "--position", "99999", "--q", "1e-3", "--gamma", "0.1"],
         ["direction", "--position", "0", "--q", "1e-3", "--gamma", "0.1"],
-    ], ids=["top", "pseudocount", "pseudocount_nan", "position_past_end",
-            "position_zero"])
+        ["direction", "--position", "1", "--q", "1e-3", "--gamma", "0.1",
+         "--top", "-1"],
+    ], ids=["top", "min_entropy_nan", "pseudocount", "pseudocount_nan",
+            "position_past_end", "position_zero", "direction_top"])
     def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, argv):
         fasta = write(tmp_path, "toy.fasta", ">a\nACGTAC\n>b\nACGAAC\n")
         out = tmp_path / "out"
@@ -360,6 +383,14 @@ class TestFileIo:
         again = read_trajectory_csv(str(path))
         assert np.array_equal(again.times, traj.times)
         assert np.array_equal(again.points, traj.points)
+
+    def test_trajectory_csv_non_numeric_names_row(self, tmp_path):
+        from virodyne.errors import ConfigError
+        from virodyne.fileio import read_trajectory_csv
+        p = tmp_path / "traj.csv"
+        p.write_text("# seed = 0\nt,x,y,z\n0,0,0,0\n1,abc,0,0\n")
+        with pytest.raises(ConfigError, match="non-numeric value on data row 3"):
+            read_trajectory_csv(str(p))
 
     def test_readings_csv_header_enforced(self, tmp_path):
         from virodyne.errors import ConfigError

@@ -16,7 +16,33 @@ from virodyne.core import (
     rng_stream,
     translate,
 )
+from virodyne.detection import (
+    GaussianNoise,
+    NonCoherentDifference,
+    PoissonNoise,
+    SymbolThreshold,
+)
+from virodyne.epidemic import Agent, EpidemicConfig
 from virodyne.errors import InvalidResidue
+from virodyne.mobility import RandomDirection, RandomWalk, RandomWaypoint, Trajectory
+
+# Each class with one valid setting; the test below makes every float field
+# in turn non-finite. A NaN setting that slipped through would decide
+# silently (a BER of 0.489 from all-zero decisions, an epidemic that never
+# infects) or fail later inside numpy.
+VALID_SETTINGS = [
+    (GaussianNoise, {"sigma": 0.5}),
+    (PoissonNoise, {"alpha": 10.0}),
+    (SymbolThreshold, {"theta": 0.5}),
+    (NonCoherentDifference, {"theta_delta": 0.1}),
+    (EpidemicConfig, {"dose_coefficient": 1.0, "latency": 0.0, "step": 1.0,
+                      "horizon": 10.0}),
+    (RandomWalk, {"step_len": 0.5, "step_dt": 1.0}),
+    (RandomWaypoint, {"speed_min": 0.5, "speed_max": 1.5, "pause": 1.0}),
+    (RandomDirection, {"speed": 1.0, "epoch": 10.0}),
+    (Agent, {"agent_id": 0, "trajectory": Trajectory.static((0, 0, 0)),
+             "emission_rate": 0.0, "breathing_rate": 1.0}),
+]
 
 
 class TestUnitTypes:
@@ -25,6 +51,17 @@ class TestUnitTypes:
             Position(0.0, float("nan"), 0.0)
         with pytest.raises(ValueError):
             Position(float("inf"), 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cls, kwargs", VALID_SETTINGS,
+                             ids=[c.__name__ for c, _ in VALID_SETTINGS])
+    def test_settings_reject_non_finite(self, cls, kwargs, bad):
+        cls(**kwargs)
+        for name, value in kwargs.items():
+            if isinstance(value, float):
+                with pytest.raises(ValueError):
+                    cls(**{**kwargs, name: bad})
 
     def test_timepoint_non_negative(self):
         assert float(TimePoint(3.5)) == 3.5

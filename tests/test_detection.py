@@ -26,8 +26,8 @@ from virodyne.detection import (
 )
 from virodyne.errors import EmptyObservation, MissingChannelModel
 
-CIR1 = ChannelImpulseResponse(taps=[1.0], symbol_interval=1.0)
-CIR2 = ChannelImpulseResponse(taps=[2.0, 1.0], symbol_interval=1.0)
+CIR1 = ChannelImpulseResponse(taps=[1.0])
+CIR2 = ChannelImpulseResponse(taps=[2.0, 1.0])
 
 
 def frame_logliks(y, cands, cir, noise):
@@ -65,7 +65,7 @@ class TestModulate:
         assert (modulate([0, 0, 0, 0], CIR2) == 0).all()
 
     def test_impulse_reproduces_taps(self):
-        cir = ChannelImpulseResponse(taps=[3.0, 2.0, 1.0], symbol_interval=1.0)
+        cir = ChannelImpulseResponse(taps=[3.0, 2.0, 1.0])
         assert modulate([1], cir) == pytest.approx([3.0, 2.0, 1.0])
 
     def test_hand_convolution(self):
@@ -165,7 +165,7 @@ class TestDetect:
     def test_trellis_matches_exhaustive_oracle(self, taps, poisson, level, p1,
                                                n_bits, seed):
         # alpha down to 1 and sigma up to 2: low counts make exact ties common.
-        cir = ChannelImpulseResponse(taps=taps, symbol_interval=1.0)
+        cir = ChannelImpulseResponse(taps=taps)
         noise = (PoissonNoise(1.0 + 59.0 * level) if poisson
                  else GaussianNoise(0.05 + 1.95 * level))
         stream = rng_stream(seed, 0)
@@ -187,7 +187,7 @@ class TestDetect:
         ((1.0,), (0.5,), [0], [1]),
     ])
     def test_tie_keeps_dropped_bit_zero(self, taps, y, winner, rival):
-        cir = ChannelImpulseResponse(taps=taps, symbol_interval=1.0)
+        cir = ChannelImpulseResponse(taps=taps)
         noise = GaussianNoise(0.5)
         ll = frame_logliks(np.array(y), [winner, rival], cir, noise)
         assert ll[0] == ll[1]
@@ -206,7 +206,7 @@ class TestDetect:
 
     def test_count_at_zero_mean_is_impossible(self):
         # A first tap of 0 makes the mean 0 at sample 0 under every frame.
-        cir = ChannelImpulseResponse(taps=[0.0, 1.0], symbol_interval=1.0)
+        cir = ChannelImpulseResponse(taps=[0.0, 1.0])
         frame = ReceivedFrame([0.5, 1.0, 0.0], PoissonNoise(2.0))
         for mode in (SequenceML(), SymbolThreshold(0.5)):
             assert detect(frame, cir, DetectorConfig(mode)).log_likelihood == -math.inf
@@ -221,7 +221,7 @@ class TestDetect:
         y = apply_noise(modulate(bits, CIR2), noise, stream)
         base = detect(ReceivedFrame(y, noise), CIR2,
                       DetectorConfig(SymbolThreshold(1.0)))
-        cir_s = ChannelImpulseResponse(taps=CIR2.taps * c, symbol_interval=1.0)
+        cir_s = ChannelImpulseResponse(taps=CIR2.taps * c)
         scaled = detect(ReceivedFrame(y * c, GaussianNoise(0.6 * c)), cir_s,
                         DetectorConfig(SymbolThreshold(1.0 * c)))
         assert (base.bits == scaled.bits).all()
@@ -265,7 +265,7 @@ class TestErrorProbability:
 
     def test_sequence_beats_symbol_under_isi(self):
         noise = GaussianNoise(0.45)
-        cir = ChannelImpulseResponse(taps=[1.0, 0.6], symbol_interval=1.0)
+        cir = ChannelImpulseResponse(taps=[1.0, 0.6])
         ml = error_probability(cir, DetectorConfig(SequenceML()), noise,
                                12, 1200, seed=3)
         th = error_probability(cir, DetectorConfig(SymbolThreshold(None)), noise,
@@ -357,6 +357,6 @@ class TestNoiseModels:
         with pytest.raises(ValueError):
             PoissonNoise(-1.0)
         with pytest.raises(ValueError):
-            ChannelImpulseResponse(taps=[-0.1], symbol_interval=1.0)
+            ChannelImpulseResponse(taps=[-0.1])
         with pytest.raises(ValueError):
             DetectorConfig(SymbolThreshold(0.5), p1=1.5)

@@ -210,6 +210,10 @@ def test_hotspots_match_python_sort(values, top_k, min_entropy, by_count):
     if by_count:
         got = hotspots(profile, top_k=top_k)
         want = oracle.hotspots(ent, top_k=top_k)
+    elif np.isnan(min_entropy):  # a NaN cut would select nothing; it raises
+        with pytest.raises(ValueError):
+            hotspots(profile, min_entropy=min_entropy)
+        return
     else:
         got = hotspots(profile, min_entropy=min_entropy)
         want = oracle.hotspots(ent, min_entropy=min_entropy)
