@@ -185,11 +185,16 @@ class DetectSection:
     alpha: float = 0.0
     mode: str = _key(_parse_choice("threshold", "sequence", "difference"),
                      "threshold")
-    threshold: float = -1.0          # < 0 means "use the midpoint default"
+    threshold: float = -1.0          # -1 means "use the midpoint default"
     threshold_delta: float = 0.0
     p1: float = 0.5
     bits_per_frame: int = 16
     trials: int = 1000
+
+    def __post_init__(self):
+        if self.threshold < 0 and self.threshold != -1.0:
+            raise ConfigError(f"expected a threshold >= 0, or -1 for the midpoint, "
+                              f"got {self.threshold!r}", "threshold")
 
 
 @dataclass
@@ -210,6 +215,14 @@ class PopulationSection:
     speed_mps: float = 1.0
     epoch_s: float = 10.0
     velocity_mps: tuple = _key(_parse_floats(3), (1.0, 0.0, 0.0))
+
+    def __post_init__(self):
+        if self.n_agents < 1:
+            raise ConfigError(f"expected n_agents >= 1, got {self.n_agents}", "n_agents")
+        if not 0 <= self.initial_infected <= self.n_agents:
+            raise ConfigError(f"expected 0 <= initial_infected <= n_agents = "
+                              f"{self.n_agents}, got {self.initial_infected}",
+                              "initial_infected")
 
 
 @dataclass

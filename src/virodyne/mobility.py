@@ -1,19 +1,25 @@
 """Stochastic mobility models for agents in a box-shaped scene.
 
 Trajectories are piecewise-linear paths (time-ordered knots with linear
-interpolation) produced by one of four movement rules:
+interpolation). Every model moves by one rule: it says what its next legs
+are, each a velocity v, a duration T and whether a leg cut short at a wall
+is waited out there, and one routine lays each leg into the box.
 
-* random walk: fixed-length steps in uniformly random 3-D directions;
-* random waypoint: travel to uniformly drawn targets at a random speed,
-  pausing between legs;
-* random direction: hold a uniformly drawn heading at constant speed for a
-  fixed epoch;
-* scripted: constant-velocity straight-line motion (useful for replaying a
-  prescribed walk-past scenario).
+* random walk: u·step_len/step_dt for one step_dt, u a uniform 3-D
+  direction; held at a wall under WRAP_TO_WAYPOINT;
+* random waypoint: a travel leg to a uniformly drawn target at a uniform
+  speed, then a pause leg with v = 0; it never meets a wall;
+* random direction: u·speed for one epoch; under WRAP_TO_WAYPOINT a new
+  heading starts at the wall at once;
+* scripted: its fixed velocity until the horizon (useful for replaying a
+  prescribed walk-past scenario); held at a wall under WRAP_TO_WAYPOINT.
 
-Agents stay inside the domain box. Under the REFLECT policy motion bounces
-specularly off the walls; under WRAP_TO_WAYPOINT hitting a wall ends the
-current movement leg early and a fresh leg starts at the wall.
+The straight line p + v·s of a leg meets the walls of axis k at
+s = first_k + j·width_k/|v_k|, j = 0, 1, ..., found in closed form. Under
+REFLECT the path is that line folded into the box by `_fold`, with a knot
+at every crossing; under WRAP_TO_WAYPOINT the leg ends at the first
+crossing. A leg that crosses no wall ends exactly at p + v·T. A reflected
+leg with more than _MAX_CROSSINGS crossings raises ValueError.
 
 Sampling is a pure function of (model, start, horizon, stream), so identical
 streams reproduce identical trajectories no matter how many agents are
@@ -33,6 +39,8 @@ from .core import Position, as_position
 from .errors import OutOfDomain, OutOfRange
 
 _EPS = 1e-9
+_MAX_CROSSINGS = 100_000  # wall crossings one reflected leg may list
+_STILL = (0.0, 0.0, 0.0)
 _CONTAINS_TOL = 1e-7  # m, slack of Box.contains at the walls
 
 
@@ -68,13 +76,16 @@ class Box:
                     and (p <= self.hi_arr + _CONTAINS_TOL).all())
 
     def sample_point(self, stream: np.random.Generator) -> np.ndarray:
-        return stream.uniform(self.lo_arr, self.hi_arr)
+        return stream.uniform(self.lo, self.hi)
 
 
 class BoundaryPolicy(enum.Enum):
     REFLECT = "reflect"
     WRAP_TO_WAYPOINT = "wrap_to_waypoint"
 
+
+# Each kind's `_legs(p, domain, stream)` draws its next legs from position p:
+# (velocity, duration, whether a leg cut short at a wall is waited out there).
 
 @dataclass(frozen=True)
 class RandomWalk:
@@ -88,6 +99,10 @@ class RandomWalk:
     @property
     def max_speed(self) -> float:
         return self.step_len / self.step_dt
+
+    def _legs(self, p, domain: Box, stream: np.random.Generator) -> list:
+        v = _unit_direction(stream) * self.step_len / self.step_dt
+        return [(v.tolist(), self.step_dt, True)]
 
 
 @dataclass(frozen=True)
@@ -106,6 +121,17 @@ class RandomWaypoint:
     def max_speed(self) -> float:
         return self.speed_max
 
+    def _legs(self, p, domain: Box, stream: np.random.Generator) -> list:
+        target = domain.sample_point(stream)
+        speed = stream.uniform(self.speed_min, self.speed_max)
+        d = target - p
+        dist = float(np.linalg.norm(d))
+        if dist < _EPS:
+            return [(_STILL, self.pause, False)]
+        travel = dist / speed
+        return [((d / travel).tolist(), travel, False),
+                (_STILL, self.pause, False)]
+
 
 @dataclass(frozen=True)
 class RandomDirection:
@@ -119,6 +145,9 @@ class RandomDirection:
     @property
     def max_speed(self) -> float:
         return self.speed
+
+    def _legs(self, p, domain: Box, stream: np.random.Generator) -> list:
+        return [((_unit_direction(stream) * self.speed).tolist(), self.epoch, False)]
 
 
 @dataclass(frozen=True)
@@ -136,6 +165,9 @@ class Scripted:
     @property
     def max_speed(self) -> float:
         return float(np.linalg.norm(self.velocity))
+
+    def _legs(self, p, domain: Box, stream: np.random.Generator) -> list:
+        return [(self.velocity, math.inf, True)]
 
 
 ModelKind = Union[RandomWalk, RandomWaypoint, RandomDirection, Scripted]
@@ -238,151 +270,50 @@ def _fold(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo + y
 
 
-class _Recorder:
-    """Accumulates knots, skipping duplicates in time."""
-
-    def __init__(self, t0: float, p0: np.ndarray):
-        self.times = [float(t0)]
-        self.points = [np.array(p0, dtype=float)]
-
-    @property
-    def t(self) -> float:
-        return self.times[-1]
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.points[-1]
-
-    def add(self, t: float, p: np.ndarray) -> None:
-        if t <= self.times[-1] + _EPS:
-            self.points[-1] = np.array(p, dtype=float)
-            return
-        self.times.append(float(t))
-        self.points.append(np.array(p, dtype=float))
-
-    def build(self) -> Trajectory:
-        return Trajectory(np.array(self.times), np.vstack(self.points))
+def _append(times: list, points: list, t: float, x) -> None:
+    """Add a knot; one within _EPS of the last knot's time replaces its point."""
+    if t <= times[-1] + _EPS:
+        points[-1] = x
+    else:
+        times.append(t)
+        points.append(x)
 
 
-def _advance_with_walls(
-    rec: _Recorder,
-    velocity: np.ndarray,
-    duration: float,
-    box: Box,
-    policy: BoundaryPolicy,
-) -> bool:
-    """Move at `velocity` for up to `duration`, handling wall hits.
-
-    Returns True if the full duration was spent, False if the leg ended
-    early at a wall (WRAP_TO_WAYPOINT).
-    """
-    lo, hi = box.lo_arr, box.hi_arr
-    v = np.array(velocity, dtype=float)
-    remaining = float(duration)
-    guard = 0
-    while remaining > _EPS:
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("wall-bounce loop failed to terminate")
-        p = rec.p
-        # First wall crossing along the current heading.
-        t_hit = math.inf
-        axis_hit = -1
-        for k in range(3):
-            if v[k] > _EPS:
-                t_k = (hi[k] - p[k]) / v[k]
-            elif v[k] < -_EPS:
-                t_k = (lo[k] - p[k]) / v[k]
-            else:
-                continue
-            if t_k < t_hit:
-                t_hit = t_k
-                axis_hit = k
-        if t_hit >= remaining or axis_hit < 0:
-            rec.add(rec.t + remaining, np.clip(p + v * remaining, lo, hi))
-            return True
-        t_hit = max(t_hit, 0.0)
-        rec.add(rec.t + t_hit, np.clip(p + v * t_hit, lo, hi))
-        remaining -= t_hit
-        if policy is BoundaryPolicy.WRAP_TO_WAYPOINT:
-            return False
-        v[axis_hit] = -v[axis_hit]
-    return True
-
-
-def _sample_walk(model: MobilityModel, kind: RandomWalk, start: np.ndarray,
-                 horizon: float, stream: np.random.Generator) -> Trajectory:
-    rec = _Recorder(0.0, start)
-    lo, hi = model.domain.lo_arr, model.domain.hi_arr
-    t = 0.0
-    while t < horizon - _EPS:
-        dt = min(kind.step_dt, horizon - t)
-        step = _unit_direction(stream) * kind.step_len * (dt / kind.step_dt)
-        target = rec.p + step
-        if model.domain.contains(target):
-            rec.add(t + dt, target)
-        elif model.boundary is BoundaryPolicy.REFLECT:
-            rec.add(t + dt, _fold(target, lo, hi))
-        else:
-            # Truncate the step at the first wall; the next step starts there.
-            speed = np.linalg.norm(step) / dt
-            if speed > 0:
-                _advance_with_walls(rec, step / dt, dt, model.domain, model.boundary)
-                # _advance_with_walls may stop early; bring time up to t+dt.
-                rec.add(t + dt, rec.p)
-            else:
-                rec.add(t + dt, rec.p)
-        t += dt
-    return rec.build()
-
-
-def _sample_waypoint(model: MobilityModel, kind: RandomWaypoint, start: np.ndarray,
-                     horizon: float, stream: np.random.Generator) -> Trajectory:
-    rec = _Recorder(0.0, start)
-    while rec.t < horizon - _EPS:
-        target = model.domain.sample_point(stream)
-        speed = stream.uniform(kind.speed_min, kind.speed_max)
-        dist = float(np.linalg.norm(target - rec.p))
-        if dist < _EPS:
-            travel = 0.0
-            v = np.zeros(3)
-        else:
-            travel = dist / speed
-            v = (target - rec.p) / travel
-        leg = min(travel, horizon - rec.t)
-        if leg > _EPS:
-            rec.add(rec.t + leg, rec.p + v * leg)
-        if rec.t >= horizon - _EPS:
-            break
-        if kind.pause > 0:
-            dwell = min(kind.pause, horizon - rec.t)
-            rec.add(rec.t + dwell, rec.p)
-    return rec.build()
-
-
-def _sample_direction(model: MobilityModel, kind: RandomDirection, start: np.ndarray,
-                      horizon: float, stream: np.random.Generator) -> Trajectory:
-    rec = _Recorder(0.0, start)
-    while rec.t < horizon - _EPS:
-        v = _unit_direction(stream) * kind.speed
-        leg = min(kind.epoch, horizon - rec.t)
-        _advance_with_walls(rec, v, leg, model.domain, model.boundary)
-    return rec.build()
-
-
-def _sample_scripted(model: MobilityModel, kind: Scripted, start: np.ndarray,
-                     horizon: float, stream: np.random.Generator) -> Trajectory:
-    rec = _Recorder(0.0, start)
-    v = np.asarray(kind.velocity, dtype=float)
-    if np.linalg.norm(v) < _EPS:
-        rec.add(horizon, rec.p)
-        return rec.build()
-    while rec.t < horizon - _EPS:
-        full = _advance_with_walls(rec, v, horizon - rec.t, model.domain, model.boundary)
-        if not full:
-            # WRAP policy on a scripted path: hold position at the wall.
-            rec.add(horizon, rec.p)
-    return rec.build()
+def _leg(times: list, points: list, v, duration: float, hold: bool,
+         model: MobilityModel) -> None:
+    """Append the knots of one leg: velocity v for `duration` seconds from
+    the last knot, laid into the box by the model's boundary policy."""
+    t0, p = times[-1], points[-1]
+    lo, hi = model.domain.lo, model.domain.hi
+    firsts, gaps = [], []  # per moving axis: first wall crossing, then its period
+    for k in range(3):
+        if abs(v[k]) > _EPS:
+            firsts.append(max(((hi[k] if v[k] > 0 else lo[k]) - p[k]) / v[k], 0.0))
+            gaps.append((hi[k] - lo[k]) / abs(v[k]))
+    s = min(firsts, default=math.inf)
+    if s >= duration:
+        _append(times, points, t0 + duration,
+                (p[0] + v[0] * duration, p[1] + v[1] * duration, p[2] + v[2] * duration))
+        return
+    if model.boundary is BoundaryPolicy.WRAP_TO_WAYPOINT:
+        x = tuple(min(max(p[k] + v[k] * s, lo[k]), hi[k]) for k in range(3))
+        _append(times, points, t0 + s, x)
+        if hold:
+            _append(times, points, t0 + duration, x)
+        return
+    counts = [max(0, math.ceil((duration - f) / g)) for f, g in zip(firsts, gaps)]
+    if sum(counts) > _MAX_CROSSINGS:
+        raise ValueError(
+            f"a {duration:g} s leg at {math.hypot(*v):g} m/s crosses the walls "
+            f"{sum(counts)} times, more than {_MAX_CROSSINGS}; shorten the leg, "
+            "slow the agent or enlarge the domain")
+    crossings = sorted(f + j * g for f, g, n in zip(firsts, gaps, counts)
+                       for j in range(n))
+    crossings.append(duration)
+    folded = _fold(np.asarray(p) + np.outer(crossings, v),
+                   model.domain.lo_arr, model.domain.hi_arr)
+    for s, x in zip(crossings, folded.tolist()):
+        _append(times, points, t0 + s, x)
 
 
 def sample_trajectory(
@@ -398,15 +329,10 @@ def sample_trajectory(
     horizon = float(horizon)
     if horizon < 0 or not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
-    if horizon == 0:
-        return Trajectory(np.array([0.0]), p0[None, :])
-    kind = model.kind
-    if isinstance(kind, RandomWalk):
-        return _sample_walk(model, kind, p0, horizon, stream)
-    if isinstance(kind, RandomWaypoint):
-        return _sample_waypoint(model, kind, p0, horizon, stream)
-    if isinstance(kind, RandomDirection):
-        return _sample_direction(model, kind, p0, horizon, stream)
-    if isinstance(kind, Scripted):
-        return _sample_scripted(model, kind, p0, horizon, stream)
-    raise TypeError(f"unknown mobility kind: {kind!r}")
+    times, points = [0.0], [p0.tolist()]
+    while times[-1] < horizon - _EPS:
+        for v, duration, hold in model.kind._legs(points[-1], model.domain, stream):
+            if times[-1] >= horizon - _EPS:
+                break
+            _leg(times, points, v, min(duration, horizon - times[-1]), hold, model)
+    return Trajectory(np.array(times), np.array(points))

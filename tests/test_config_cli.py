@@ -198,6 +198,55 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, key", [
+        (("n_agents = 10", "n_agents = -4"), "n_agents"),
+        (("n_agents = 10", "n_agents = 0"), "n_agents"),
+        (("initial_infected = 1", "initial_infected = 50"), "initial_infected"),
+        (("initial_infected = 1", "initial_infected = -1"), "initial_infected"),
+    ], ids=["agents_negative", "agents_zero", "infected_above_agents",
+            "infected_negative"])
+    def test_population_out_of_range_names_key(self, tmp_path, capsys, edit, key):
+        text = (REPO_CONFIGS / "epidemic_demo.cfg").read_text()
+        assert edit[0] in text
+        out = tmp_path / "series.csv"
+        rc = main(["epidemic", "--config", write(tmp_path, "epi.cfg", text.replace(*edit)),
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_threshold_other_than_midpoint_rejected(self, tmp_path, capsys):
+        text = (REPO_CONFIGS / "detect_demo.cfg").read_text()
+        with_key = lambda raw: text.replace("mode = threshold",
+                                            f"mode = threshold\nthreshold = {raw}")
+        with pytest.raises(ConfigError, match="key 'threshold'"):
+            loads_config(with_key("-0.3"))
+        # -1 is the documented midpoint and dumps as the default does
+        assert dump_config(loads_config(with_key("-1"))) == dump_config(loads_config(text))
+        out = tmp_path / "r.json"
+        rc = main(["detect", "--config", write(tmp_path, "d.cfg", with_key("-0.3")),
+                   "--out", str(out)])
+        assert rc == 2 and "threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_wall_crossing_bound_is_usage_error(self, tmp_path, capsys):
+        # A 1 mm room crossed at 1 m/s for one 600 s epoch: about 10^6 wall
+        # crossings in one leg, past the sampler's bound.
+        text = (REPO_CONFIGS / "epidemic_demo.cfg").read_text()
+        for edit in (("domain_m = 0 0 0 20 15 3", "domain_m = 0 0 0 0.001 0.001 0.001"),
+                     ("mobility = waypoint",
+                      "mobility = direction\nspeed_mps = 1.0\nepoch_s = 100000")):
+            assert edit[0] in text
+            text = text.replace(*edit)
+        out = tmp_path / "series.csv"
+        rc = main(["epidemic", "--config", write(tmp_path, "epi.cfg", text),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: a 600 s leg at 1 m/s crosses the walls ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_non_finite_numbers_name_key_and_line(self):
         for raw in ("nan", "inf", "-inf", "1e400"):
             with pytest.raises(ConfigError) as err:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mobility_oracle
 from virodyne.core import rng_stream
 from virodyne.errors import OutOfDomain, OutOfRange
 from virodyne.mobility import (
@@ -13,6 +14,8 @@ from virodyne.mobility import (
     RandomWaypoint,
     Scripted,
     Trajectory,
+    _fold,
+    _unit_direction,
     position_at,
     sample_trajectory,
 )
@@ -144,3 +147,101 @@ class TestSampling:
         traj = sample_trajectory(model, (1, 1, 1), 30.0, rng_stream(seed, 0))
         assert (traj.points >= ROOM.lo_arr - 1e-9).all()
         assert (traj.points <= ROOM.hi_arr + 1e-9).all()
+
+
+WRAP = BoundaryPolicy.WRAP_TO_WAYPOINT
+REFLECT = BoundaryPolicy.REFLECT
+
+
+def _pairs(kind, policy, horizon=200.0, seeds=range(8)):
+    """(sampled, oracle) trajectory pairs from seeded starts in the room."""
+    model = MobilityModel(kind, ROOM, boundary=policy)
+    for seed in seeds:
+        start = ROOM.sample_point(rng_stream(seed, 99))
+        yield (sample_trajectory(model, start, horizon, rng_stream(seed, 0)),
+               mobility_oracle.sample_trajectory(model, start, horizon,
+                                                 rng_stream(seed, 0)))
+
+
+def _on_wall(points, tol=1e-9):
+    gap = np.minimum(points - ROOM.lo_arr, ROOM.hi_arr - points)
+    return gap.min(axis=1) <= tol
+
+
+class TestLegRule:
+    """The leg sampler against the per-model reference samplers in
+    tests/mobility_oracle.py."""
+
+    @pytest.mark.parametrize("kind, policy", [
+        (_all_models()[1], REFLECT), *[(kind, WRAP) for kind in _all_models()],
+    ], ids=["waypoint-reflect", "walk-wrap", "waypoint-wrap", "direction-wrap",
+            "scripted-wrap"])
+    def test_same_arrays_as_oracle(self, kind, policy):
+        for new, old in _pairs(kind, policy):
+            assert np.array_equal(new.times, old.times)
+            assert np.array_equal(new.points, old.points)
+
+    @pytest.mark.parametrize("kind", [RandomDirection(speed=1.2, epoch=4.0),
+                                      Scripted(velocity=(0.7, -0.3, 0.1)),
+                                      Scripted(velocity=(-3.1, 2.2, 1.7))],
+                             ids=["direction", "scripted", "scripted-fast"])
+    def test_reflected_knots_match_oracle(self, kind):
+        for new, old in _pairs(kind, REFLECT):
+            assert new.times.size == old.times.size
+            assert np.abs(new.times - old.times).max() <= 1e-9
+            assert np.abs(new.points - old.points).max() <= 1e-9
+
+    def test_reflected_walk_passes_through_oracle_knots(self):
+        # The oracle walk takes the straight chord to each folded step end;
+        # the leg sampler bounces, so it has more knots but meets every
+        # oracle knot.
+        for new, old in _pairs(RandomWalk(step_len=0.5, step_dt=1.0), REFLECT):
+            assert new.times.size >= old.times.size
+            assert np.abs(new.points_at(old.times) - old.points).max() <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_positions_are_the_folded_line(self, seed):
+        # A scripted path, and a direction epoch outliving the horizon, are
+        # one leg: p0 + v·t folded into the box.
+        stream = rng_stream(seed, 7)
+        p0 = ROOM.sample_point(stream)
+        ts = np.sort(stream.uniform(0.0, 90.0, size=200))
+        v = stream.normal(size=3) * 2.0
+        scripted = sample_trajectory(MobilityModel(Scripted(tuple(v)), ROOM), p0,
+                                     90.0, rng_stream(seed, 0))
+        assert np.abs(scripted.points_at(ts)
+                      - _fold(p0 + np.outer(ts, v), ROOM.lo_arr, ROOM.hi_arr)).max() <= 1e-9
+        direction = sample_trajectory(
+            MobilityModel(RandomDirection(speed=1.7, epoch=1000.0), ROOM), p0, 90.0,
+            rng_stream(seed, 0))
+        v = _unit_direction(rng_stream(seed, 0)) * 1.7
+        assert np.abs(direction.points_at(ts)
+                      - _fold(p0 + np.outer(ts, v), ROOM.lo_arr, ROOM.hi_arr)).max() <= 1e-9
+
+    @pytest.mark.parametrize("kind", [RandomDirection(speed=1.2, epoch=1000.0),
+                                      Scripted(velocity=(0.7, -0.3, 0.1))],
+                             ids=["direction", "scripted"])
+    def test_wrap_knots_lie_on_a_wall(self, kind):
+        # Every knot between the start and the horizon is a wall hit; a
+        # scripted agent then holds there until the horizon.
+        last = -1 if isinstance(kind, RandomDirection) else None
+        for new, _ in _pairs(kind, WRAP):
+            assert new.times.size > 2
+            assert _on_wall(new.points[1:last]).all()
+
+    def test_walk_waits_at_the_wall_under_wrap(self):
+        for new, _ in _pairs(RandomWalk(step_len=0.5, step_dt=1.0), WRAP):
+            cut = ~np.isclose(new.times, np.round(new.times), rtol=0, atol=1e-9)
+            assert cut.any() and _on_wall(new.points[cut]).all()
+            # each cut is followed by a hold at the same point until the step ends
+            nxt = np.flatnonzero(cut) + 1
+            assert np.abs(new.points[nxt] - new.points[cut]).max() <= 1e-9
+
+    def test_crossing_count_bounded(self):
+        tiny = Box((0, 0, 0), (0.001, 0.001, 0.001))
+        model = MobilityModel(RandomDirection(speed=1.0, epoch=1e5), tiny)
+        with pytest.raises(ValueError, match=r"600 s leg at 1 m/s crosses the walls \d+ times"):
+            sample_trajectory(model, (5e-4, 5e-4, 5e-4), 600.0, rng_stream(0, 1))
+        # the same agent for a second stays under the bound
+        traj = sample_trajectory(model, (5e-4, 5e-4, 5e-4), 1.0, rng_stream(0, 1))
+        assert traj.times.size > 1000
