@@ -7,85 +7,4 @@ localization), and the genetic layer (alignment entropy profiles, Kimura
 substitution matrices, mutation direction ranking), tied together by a CLI.
 """
 
-from .core import (
-    Diffusivity,
-    GeneticCode,
-    Position,
-    STANDARD_GENETIC_CODE,
-    TimePoint,
-    Velocity,
-    rng_stream,
-    translate,
-)
-from .channel import (
-    Environment,
-    FieldQuery,
-    FreeSpace,
-    HalfSpaceReflecting,
-    RectangularDuctReflecting,
-    Scenario,
-    SourceSpec,
-    concentration_continuous,
-    concentration_instant,
-    concentration_moving_source,
-    concentration_multi_source,
-    concentration_steady,
-    evaluate_field,
-)
-from .mobility import (
-    BoundaryPolicy,
-    Box,
-    MobilityModel,
-    RandomDirection,
-    RandomWalk,
-    RandomWaypoint,
-    Scripted,
-    Trajectory,
-    position_at,
-    sample_trajectory,
-)
-from .epidemic import Agent, EpidemicConfig, EpidemicState, accumulate_dose, run, step
-from .detection import (
-    ChannelImpulseResponse,
-    DetectorConfig,
-    GaussianNoise,
-    NonCoherentDifference,
-    PoissonNoise,
-    ReceivedFrame,
-    SequenceML,
-    SymbolThreshold,
-    detect,
-    error_probability,
-    modulate,
-    mutual_information,
-)
-from .localization import (
-    SensorReading,
-    SolverConfig,
-    SourceEstimate,
-    crlb_diagnostics,
-    localize,
-)
-from .seqstat import (
-    AlignmentMatrix,
-    Alphabet,
-    EntropyProfile,
-    FastaRecord,
-    build_alignment,
-    hotspots,
-    parse_fasta,
-    positional_entropy,
-    write_fasta,
-)
-from .mutation import (
-    DirectionReport,
-    KimuraParams,
-    SubstitutionMatrix,
-    SubstitutionMode,
-    amino_matrix,
-    codon_matrix,
-    kimura_base_matrix,
-    mutation_direction,
-)
-
 __version__ = "0.1.0"

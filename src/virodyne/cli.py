@@ -126,21 +126,29 @@ def _cmd_field(args) -> int:
     return 0
 
 
+# Each [population] mobility kind: its class and the keys of its arguments.
+_MOBILITY = {
+    "walk": (RandomWalk, ("step_len_m", "step_dt_s")),
+    "waypoint": (RandomWaypoint, ("speed_min_mps", "speed_max_mps", "pause_s")),
+    "direction": (RandomDirection, ("speed_mps", "epoch_s")),
+    "scripted": (Scripted, ("velocity_mps",)),
+}
+
+
 def _build_population(cfg: ScenarioConfig, seed: int) -> list[Agent]:
     pop = cfg.population
     epi = cfg.epidemic
-    lo, hi = pop.domain_m[:3], pop.domain_m[3:]
-    box = Box(lo=tuple(lo), hi=tuple(hi))
+    try:
+        box = Box(lo=tuple(pop.domain_m[:3]), hi=tuple(pop.domain_m[3:]))
+    except ValueError as exc:
+        raise ConfigError(str(exc), "domain_m") from None
     policy = (BoundaryPolicy.REFLECT if pop.boundary_policy == "reflect"
               else BoundaryPolicy.WRAP_TO_WAYPOINT)
-    if pop.mobility == "walk":
-        kind = RandomWalk(pop.step_len_m, pop.step_dt_s)
-    elif pop.mobility == "waypoint":
-        kind = RandomWaypoint(pop.speed_min_mps, pop.speed_max_mps, pop.pause_s)
-    elif pop.mobility == "direction":
-        kind = RandomDirection(pop.speed_mps, pop.epoch_s)
-    else:
-        kind = Scripted(pop.velocity_mps)
+    cls, keys = _MOBILITY[pop.mobility]
+    try:
+        kind = cls(*(getattr(pop, k) for k in keys))
+    except ValueError as exc:
+        raise ConfigError(f"{exc} (keys {', '.join(map(repr, keys))})") from None
     model = MobilityModel(kind=kind, domain=box, boundary=policy)
     agents = []
     for i in range(pop.n_agents):

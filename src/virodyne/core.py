@@ -143,81 +143,40 @@ def seconds(value: TimeLike) -> float:
 # Genetic code
 # ---------------------------------------------------------------------------
 
-# NCBI convention: codon index runs over bases in T,C,A,G order for each of
-# the three positions; the 64-character string lists the encoded amino acid
-# ('*' = STOP) at each index.
-_NCBI_BASE_ORDER = "TCAG"
-_NCBI_AA64 = "FFLLSSSSYY**CC*WLLLLPPPPHHQQRRRRIIIMTTTTNNKKSSRRVVVVAAAADDEEGGGG"
-
-STOP_CODONS = ("TAA", "TAG", "TGA")
-
-
-class GeneticCode:
-    """Mapping of the 64 DNA codons onto 20 amino acids plus STOP.
-
-    Only the standard code is shipped; the constructor still validates the
-    shape so a corrupted table cannot slip through: 64 entries, exactly the
-    three canonical stop codons, every amino acid encoded at least once.
-    """
-
-    def __init__(self, table: dict[str, str]):
-        if len(table) != 64:
-            raise ValueError(f"genetic code must have 64 entries, got {len(table)}")
-        stops = sorted(c for c, aa in table.items() if aa == STOP)
-        if stops != sorted(STOP_CODONS):
-            raise ValueError(f"expected stop codons {STOP_CODONS}, got {stops}")
-        encoded = set(table.values())
-        missing = set(AMINO_ACIDS) - encoded
-        if missing:
-            raise ValueError(f"amino acids with no codon: {sorted(missing)}")
-        self._table = dict(table)
-        self._codons_by_aa: dict[str, tuple[str, ...]] = {}
-        for aa in AMINO_STATES:
-            self._codons_by_aa[aa] = tuple(
-                sorted(c for c, a in table.items() if a == aa)
-            )
-
-    @classmethod
-    def standard(cls) -> "GeneticCode":
-        table = {}
-        for i, aa in enumerate(_NCBI_AA64):
-            b1 = _NCBI_BASE_ORDER[i // 16]
-            b2 = _NCBI_BASE_ORDER[(i // 4) % 4]
-            b3 = _NCBI_BASE_ORDER[i % 4]
-            table[b1 + b2 + b3] = aa
-        return cls(table)
-
-    def translate(self, codon: Union[str, Iterable[str]]) -> str:
-        """Translate one codon to its one-letter amino acid, or '*' for STOP."""
-        if not isinstance(codon, str):
-            codon = "".join(codon)
-        codon = codon.upper().replace("U", "T")
-        if len(codon) != 3 or any(b not in NUCLEOTIDE_INDEX for b in codon):
-            raise InvalidResidue(f"not a valid codon: {codon!r}")
-        return self._table[codon]
-
-    def codons_for(self, amino_acid: str) -> tuple[str, ...]:
-        """All codons encoding the given amino acid (or '*')."""
-        if amino_acid not in self._codons_by_aa:
-            raise InvalidResidue(f"unknown amino acid: {amino_acid!r}")
-        return self._codons_by_aa[amino_acid]
-
-    def items(self):
-        return self._table.items()
-
-
-STANDARD_GENETIC_CODE = GeneticCode.standard()
-
 # All 64 codons in the package's canonical order: lexicographic over ACGT.
 CODONS = tuple(
     b1 + b2 + b3 for b1 in NUCLEOTIDES for b2 in NUCLEOTIDES for b3 in NUCLEOTIDES
 )
 CODON_INDEX = {c: i for i, c in enumerate(CODONS)}
 
+# NCBI's standard table lists the amino acid ('*' = STOP) of each codon with
+# the bases of every position in T, C, A, G order.
+_NCBI_AA64 = "FFLLSSSSYY**CC*WLLLLPPPPHHQQRRRRIIIMTTTTNNKKSSRRVVVVAAAADDEEGGGG"
+_TCAG = ["TCAG".index(b) for b in NUCLEOTIDES]
+
+# The standard genetic code: the amino-state index of every codon, in CODONS
+# order. The package's only copy of the table.
+CODON_AMINO = np.array([AMINO_STATE_INDEX[a] for a in _NCBI_AA64]).reshape(
+    4, 4, 4)[np.ix_(_TCAG, _TCAG, _TCAG)].flatten()
+CODON_AMINO.setflags(write=False)
+
 
 def translate(codon: Union[str, Iterable[str]]) -> str:
-    """Translate a codon under the standard genetic code."""
-    return STANDARD_GENETIC_CODE.translate(codon)
+    """Translate one codon to its one-letter amino acid, or '*' for STOP."""
+    if not isinstance(codon, str):
+        codon = "".join(codon)
+    codon = codon.upper().replace("U", "T")
+    if codon not in CODON_INDEX:
+        raise InvalidResidue(f"not a valid codon: {codon!r}")
+    return AMINO_STATES[CODON_AMINO[CODON_INDEX[codon]]]
+
+
+def codons_for(amino_acid: str) -> tuple[str, ...]:
+    """All codons encoding the given amino acid (or '*'), in CODONS order."""
+    if amino_acid not in AMINO_STATE_INDEX:
+        raise InvalidResidue(f"unknown amino acid: {amino_acid!r}")
+    return tuple(CODONS[i] for i in
+                 np.flatnonzero(CODON_AMINO == AMINO_STATE_INDEX[amino_acid]))
 
 
 # ---------------------------------------------------------------------------

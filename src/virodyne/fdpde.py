@@ -155,7 +155,8 @@ def solve_advection_diffusion(
     boundary: 'absorbing' (c=0 beyond the walls) or 'reflecting' (zero
     normal flux). Instant sources inject their mass at the first step at or
     after their start time; continuous sources deposit rate * dt per step at
-    their (possibly moving) midpoint-in-time position.
+    their (possibly moving) midpoint-in-time position, which holds a
+    trajectory's first knot before it starts and its last after it ends.
 
     The default dt is 0.4 times the smaller of the diffusive bound and the
     advective bound min(h) / |v|max, the latter taken from the velocity at
@@ -250,9 +251,8 @@ def solve_advection_diffusion(
                     injected_instant[k] = True
             else:
                 if t_mid >= src.start_time:
-                    pos = src.point_at(min(t_mid, src.trajectory.t_end)
-                                       if src.trajectory is not None else t_mid)
-                    _deposit_cic(c, lo, h_list, volume, pos, src.rate_at(t_mid) * dt)
+                    _deposit_cic(c, lo, h_list, volume, src.point_at(t_mid),
+                                 src.rate_at(t_mid) * dt)
         _refresh_ghosts(padded, boundary)
         if callable(velocity):
             vmax = load_velocity(t_mid)

@@ -19,7 +19,8 @@ s = first_k + j·width_k/|v_k|, j = 0, 1, ..., found in closed form. Under
 REFLECT the path is that line folded into the box by `_fold`, with a knot
 at every crossing; under WRAP_TO_WAYPOINT the leg ends at the first
 crossing. A leg that crosses no wall ends exactly at p + v·T. A reflected
-leg with more than _MAX_CROSSINGS crossings raises ValueError.
+leg with more than _MAX_CROSSINGS crossings raises ValueError, and so does a
+wrapped path that hits the walls more than _MAX_CROSSINGS times.
 
 Sampling is a pure function of (model, start, horizon, stream), so identical
 streams reproduce identical trajectories no matter how many agents are
@@ -39,7 +40,7 @@ from .core import Position, as_position
 from .errors import OutOfDomain, OutOfRange
 
 _EPS = 1e-9
-_MAX_CROSSINGS = 100_000  # wall crossings one reflected leg may list
+_MAX_CROSSINGS = 100_000  # wall crossings of one reflected leg or wrapped path
 _STILL = (0.0, 0.0, 0.0)
 _CONTAINS_TOL = 1e-7  # m, slack of Box.contains at the walls
 
@@ -280,9 +281,10 @@ def _append(times: list, points: list, t: float, x) -> None:
 
 
 def _leg(times: list, points: list, v, duration: float, hold: bool,
-         model: MobilityModel) -> None:
+         model: MobilityModel) -> bool:
     """Append the knots of one leg: velocity v for `duration` seconds from
-    the last knot, laid into the box by the model's boundary policy."""
+    the last knot, laid into the box by the model's boundary policy. True
+    when a wrapped leg was cut short at a wall."""
     t0, p = times[-1], points[-1]
     lo, hi = model.domain.lo, model.domain.hi
     firsts, gaps = [], []  # per moving axis: first wall crossing, then its period
@@ -294,13 +296,13 @@ def _leg(times: list, points: list, v, duration: float, hold: bool,
     if s >= duration:
         _append(times, points, t0 + duration,
                 (p[0] + v[0] * duration, p[1] + v[1] * duration, p[2] + v[2] * duration))
-        return
+        return False
     if model.boundary is BoundaryPolicy.WRAP_TO_WAYPOINT:
         x = tuple(min(max(p[k] + v[k] * s, lo[k]), hi[k]) for k in range(3))
         _append(times, points, t0 + s, x)
         if hold:
             _append(times, points, t0 + duration, x)
-        return
+        return True
     counts = [max(0, math.ceil((duration - f) / g)) for f, g in zip(firsts, gaps)]
     if sum(counts) > _MAX_CROSSINGS:
         raise ValueError(
@@ -314,6 +316,7 @@ def _leg(times: list, points: list, v, duration: float, hold: bool,
                    model.domain.lo_arr, model.domain.hi_arr)
     for s, x in zip(crossings, folded.tolist()):
         _append(times, points, t0 + s, x)
+    return False
 
 
 def sample_trajectory(
@@ -330,9 +333,15 @@ def sample_trajectory(
     if horizon < 0 or not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     times, points = [0.0], [p0.tolist()]
+    hits = 0  # walls met by a wrapped path
     while times[-1] < horizon - _EPS:
         for v, duration, hold in model.kind._legs(points[-1], model.domain, stream):
             if times[-1] >= horizon - _EPS:
                 break
-            _leg(times, points, v, min(duration, horizon - times[-1]), hold, model)
+            hits += _leg(times, points, v, min(duration, horizon - times[-1]), hold, model)
+        if hits > _MAX_CROSSINGS:
+            raise ValueError(
+                f"a wrapped path at up to {model.max_speed:g} m/s hits the walls "
+                f"more than {_MAX_CROSSINGS} times by {times[-1]:g} s of {horizon:g} s; "
+                "shorten the horizon, slow the agent or enlarge the domain")
     return Trajectory(np.array(times), np.array(points))

@@ -3,10 +3,11 @@
 The base substitution channel assigns probability q to the transition
 partner (A<->G, C<->T), gamma*q to each of the two transversion partners,
 and 1 - q(1 + 2 gamma) to staying put, giving a symmetric row-stochastic
-4x4 matrix. Restricted modes (transitions only / transversions only) zero
-the excluded class and rescale the kept off-diagonal entries so that the
-total per-row mutation mass q(1 + 2 gamma) is preserved: conditioned on a
-mutation happening, it is of the kept class.
+4x4 matrix. Restricted modes keep the per-row mutation mass
+q(1 + 2 gamma) and give all of it to one class: transitions only puts it on
+the transition partner, transversions only splits it between the two
+transversion partners (none when gamma q = 0). Conditioned on a mutation
+happening, it is of the kept class.
 
 Because per-site mutations are treated as independent, the 64x64 codon
 matrix is the threefold Kronecker product of the base matrix, and the
@@ -25,13 +26,11 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
-    AMINO_STATE_INDEX,
     AMINO_STATES,
+    CODON_AMINO,
     CODON_INDEX,
     CODONS,
-    NUCLEOTIDE_INDEX,
     NUCLEOTIDES,
-    STANDARD_GENETIC_CODE,
     TRANSITION_PARTNER,
 )
 from .errors import InvalidParams, InvalidWeights, NoData
@@ -39,9 +38,9 @@ from .seqstat import Alphabet, AlignmentMatrix, column_distribution
 
 ROW_SUM_TOL = 1e-12
 
-# Amino-acid state index of every codon, in CODONS order.
-_CODON_AMINO = np.array([AMINO_STATE_INDEX[STANDARD_GENETIC_CODE.translate(c)]
-                         for c in CODONS])
+# Where a base's transition partner sits in its row of a 4x4 matrix.
+_TRANSITION = np.array([[TRANSITION_PARTNER[a] == b for b in NUCLEOTIDES]
+                        for a in NUCLEOTIDES])
 
 
 @dataclass(frozen=True)
@@ -107,44 +106,20 @@ class SubstitutionMatrix:
 def kimura_base_matrix(params: KimuraParams,
                        mode: str = SubstitutionMode.FULL) -> SubstitutionMatrix:
     """4x4 base substitution matrix over states A, C, G, T."""
+    q, mass = params.q, params.mutation_mass
+    tv = params.gamma * q
+    # (transition, transversion) entry of each mode.
+    entries = {
+        SubstitutionMode.FULL: (q, tv),
+        SubstitutionMode.TRANSITIONS_ONLY: (mass, 0.0),
+        SubstitutionMode.TRANSVERSIONS_ONLY: (0.0, mass / 2 if tv > 0 else 0.0),
+    }
     if mode not in SubstitutionMode.ALL:
         raise ValueError(f"mode must be one of {SubstitutionMode.ALL}")
-    q, g = params.q, params.gamma
-    mass = params.mutation_mass
-    m = np.zeros((4, 4))
-    for i, a in enumerate(NUCLEOTIDES):
-        for j, b in enumerate(NUCLEOTIDES):
-            if a == b:
-                continue
-            m[i, j] = q if TRANSITION_PARTNER[a] == b else g * q
-    if mode == SubstitutionMode.TRANSITIONS_ONLY:
-        keep = np.zeros_like(m, dtype=bool)
-        for a, b in TRANSITION_PARTNER.items():
-            keep[NUCLEOTIDE_INDEX[a], NUCLEOTIDE_INDEX[b]] = True
-        m = _restrict(m, keep, mass)
-    elif mode == SubstitutionMode.TRANSVERSIONS_ONLY:
-        keep = (m > 0)
-        for a, b in TRANSITION_PARTNER.items():
-            keep[NUCLEOTIDE_INDEX[a], NUCLEOTIDE_INDEX[b]] = False
-        m = _restrict(m, keep, mass)
+    m = np.where(_TRANSITION, *entries[mode])
     np.fill_diagonal(m, 0.0)
     np.fill_diagonal(m, 1.0 - m.sum(axis=1))
     return SubstitutionMatrix(level="base", states=tuple(NUCLEOTIDES), matrix=m)
-
-
-def _restrict(m: np.ndarray, keep: np.ndarray, mass: float) -> np.ndarray:
-    """Zero the excluded off-diagonals and rescale the kept ones so each row
-    still carries `mass` of mutation probability."""
-    out = np.where(keep, m, 0.0)
-    if mass == 0.0:
-        return out
-    for i in range(m.shape[0]):
-        row = out[i].sum()
-        if row > 0:
-            # Shares first: dividing same-magnitude entries stays finite
-            # even when the kept class is subnormal (tiny gamma * q).
-            out[i] = (out[i] / row) * mass
-    return out
 
 
 def codon_matrix(base: SubstitutionMatrix) -> SubstitutionMatrix:
@@ -160,7 +135,7 @@ def codon_matrix(base: SubstitutionMatrix) -> SubstitutionMatrix:
 
 def uniform_codon_weights() -> np.ndarray:
     """Uniform weight over the synonymous codons of each amino acid."""
-    return 1.0 / np.bincount(_CODON_AMINO)[_CODON_AMINO]
+    return 1.0 / np.bincount(CODON_AMINO)[CODON_AMINO]
 
 
 def empirical_codon_weights(codon_counts: Mapping[str, float]) -> np.ndarray:
@@ -174,7 +149,7 @@ def empirical_codon_weights(codon_counts: Mapping[str, float]) -> np.ndarray:
         if count < 0:
             raise InvalidWeights(f"negative count for codon {codon!r}")
         w[CODON_INDEX[codon]] = float(count)
-    total = np.bincount(_CODON_AMINO, weights=w, minlength=21)[_CODON_AMINO]
+    total = np.bincount(CODON_AMINO, weights=w, minlength=21)[CODON_AMINO]
     return np.divide(w, total, out=uniform_codon_weights(), where=total > 0)
 
 
@@ -184,7 +159,7 @@ def _validate_weights(weights: np.ndarray) -> np.ndarray:
         raise InvalidWeights(f"codon weights must have shape (64,), got {w.shape}")
     if (w < 0).any() or not np.isfinite(w).all():
         raise InvalidWeights("codon weights must be finite and >= 0")
-    totals = np.bincount(_CODON_AMINO, weights=w, minlength=21)
+    totals = np.bincount(CODON_AMINO, weights=w, minlength=21)
     for aa, total in zip(AMINO_STATES, totals):
         if abs(total - 1.0) > 1e-9:
             raise InvalidWeights(
@@ -207,7 +182,7 @@ def amino_matrix(codon: SubstitutionMatrix,
                           else codon_weights)
     # Aggregation matrix: codon -> amino acid membership.
     agg = np.zeros((64, 21))
-    agg[np.arange(64), _CODON_AMINO] = 1.0
+    agg[np.arange(64), CODON_AMINO] = 1.0
     weighted = w[:, None] * codon.matrix           # (64, 64)
     m = agg.T @ weighted @ agg                     # (21, 21)
     return SubstitutionMatrix(level="amino", states=tuple(AMINO_STATES), matrix=m)
@@ -320,7 +295,7 @@ def mutation_direction(
             weights = empirical_codon_weights(counts) if codon_weights is None \
                 else _validate_weights(codon_weights)
             total = sum(counts.values())
-            source = np.bincount(_CODON_AMINO[[CODON_INDEX[c] for c in counts]],
+            source = np.bincount(CODON_AMINO[[CODON_INDEX[c] for c in counts]],
                                  [n / total for n in counts.values()], minlength=21)
         else:
             source = column_distribution(alignment, position).probabilities

@@ -4,9 +4,12 @@ These are the per-character FASTA scan, the `U1` alignment with its
 `np.isin` mask, the one-symbol-at-a-time column counts, the Python sort of
 hot-spots, the per-row codon tally and the per-amino-acid codon weight
 loops that `virodyne.seqstat` and `virodyne.mutation` used before they were
-vectorised. The fast code must agree with them exactly: the same records or
-the same `ParseError`, the same mask, bit-identical entropies and weights,
-and the same codon counts in the same order.
+vectorised, the codon-by-codon genetic-code table that `virodyne.core` kept
+before `CODON_AMINO`, and the Kimura base matrix built by rescaling the kept
+class row by row. The fast code must agree with them exactly: the same
+records or the same `ParseError`, the same mask, bit-identical entropies,
+weights and matrices, the same translations, and the same codon counts in
+the same order.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ import math
 
 import numpy as np
 
-from virodyne.core import AMINO_STATES, CODON_INDEX, STANDARD_GENETIC_CODE
+from virodyne.core import (
+    AMINO_STATES,
+    CODON_INDEX,
+    NUCLEOTIDE_INDEX,
+    NUCLEOTIDES,
+    TRANSITION_PARTNER,
+)
 from virodyne.errors import (
     EmptyInput,
     InvalidWeights,
@@ -160,7 +169,7 @@ def hotspots(entropies, top_k=None, min_entropy=None) -> list[Hotspot]:
 def uniform_codon_weights() -> np.ndarray:
     w = np.zeros(64)
     for aa in AMINO_STATES:
-        codons = STANDARD_GENETIC_CODE.codons_for(aa)
+        codons = standard_codons_for(aa)
         for c in codons:
             w[CODON_INDEX[c]] = 1.0 / len(codons)
     return w
@@ -171,7 +180,7 @@ def empirical_codon_weights(codon_counts) -> np.ndarray:
     for codon, count in codon_counts.items():
         w[CODON_INDEX[codon]] = float(count)
     for aa in AMINO_STATES:
-        codons = STANDARD_GENETIC_CODE.codons_for(aa)
+        codons = standard_codons_for(aa)
         idx = [CODON_INDEX[c] for c in codons]
         total = w[idx].sum()
         if total > 0:
@@ -184,9 +193,66 @@ def empirical_codon_weights(codon_counts) -> np.ndarray:
 def check_weight_sums(w: np.ndarray) -> None:
     """The per-amino-acid sum check of `mutation._validate_weights`."""
     for aa in AMINO_STATES:
-        idx = [CODON_INDEX[c] for c in STANDARD_GENETIC_CODE.codons_for(aa)]
+        idx = [CODON_INDEX[c] for c in standard_codons_for(aa)]
         total = w[idx].sum()
         if abs(total - 1.0) > 1e-9:
             raise InvalidWeights(
                 f"weights for {aa!r} sum to {total}, expected 1"
             )
+
+
+_NCBI_BASE_ORDER = "TCAG"
+_NCBI_AA64 = "FFLLSSSSYY**CC*WLLLLPPPPHHQQRRRRIIIMTTTTNNKKSSRRVVVVAAAADDEEGGGG"
+
+
+def standard_code() -> dict[str, str]:
+    """Codon -> amino acid ('*' = STOP), read off NCBI's string one codon at
+    a time."""
+    table = {}
+    for i, aa in enumerate(_NCBI_AA64):
+        b1 = _NCBI_BASE_ORDER[i // 16]
+        b2 = _NCBI_BASE_ORDER[(i // 4) % 4]
+        b3 = _NCBI_BASE_ORDER[i % 4]
+        table[b1 + b2 + b3] = aa
+    return table
+
+
+def standard_codons_for(amino_acid: str) -> tuple[str, ...]:
+    return tuple(sorted(c for c, a in standard_code().items() if a == amino_acid))
+
+
+def kimura_base_matrix(q: float, gamma: float, mode: str) -> np.ndarray:
+    """The 4x4 matrix of mode 'full', 'ts' or 'tv': the full matrix with the
+    excluded class zeroed and the kept entries of each row rescaled to carry
+    the mutation mass q (1 + 2 gamma)."""
+    mass = q * (1.0 + 2.0 * gamma)
+    m = np.zeros((4, 4))
+    for i, a in enumerate(NUCLEOTIDES):
+        for j, b in enumerate(NUCLEOTIDES):
+            if a == b:
+                continue
+            m[i, j] = q if TRANSITION_PARTNER[a] == b else gamma * q
+    if mode == "ts":
+        keep = np.zeros_like(m, dtype=bool)
+        for a, b in TRANSITION_PARTNER.items():
+            keep[NUCLEOTIDE_INDEX[a], NUCLEOTIDE_INDEX[b]] = True
+        m = _restrict(m, keep, mass)
+    elif mode == "tv":
+        keep = (m > 0)
+        for a, b in TRANSITION_PARTNER.items():
+            keep[NUCLEOTIDE_INDEX[a], NUCLEOTIDE_INDEX[b]] = False
+        m = _restrict(m, keep, mass)
+    np.fill_diagonal(m, 0.0)
+    np.fill_diagonal(m, 1.0 - m.sum(axis=1))
+    return m
+
+
+def _restrict(m: np.ndarray, keep: np.ndarray, mass: float) -> np.ndarray:
+    out = np.where(keep, m, 0.0)
+    if mass == 0.0:
+        return out
+    for i in range(m.shape[0]):
+        row = out[i].sum()
+        if row > 0:
+            out[i] = (out[i] / row) * mass
+    return out

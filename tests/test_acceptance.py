@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-import virodyne as v
 from virodyne.channel import (
     Environment,
     FieldQuery,
@@ -21,7 +20,7 @@ from virodyne.channel import (
     unit_instant_kernel,
 )
 from virodyne.cli import main
-from virodyne.core import rng_stream
+from virodyne.core import Velocity, rng_stream
 from virodyne.detection import (
     ChannelImpulseResponse,
     DetectorConfig,
@@ -55,7 +54,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_mass_conservation():
     D, Q = 40.0, 2.5
-    env = Environment(diffusivity=D, wind=v.Velocity(1.0, 0.5, 0.0))
+    env = Environment(diffusivity=D, wind=Velocity(1.0, 0.5, 0.0))
     src = SourceSpec.instant((3.0, -2.0, 7.0), Q)
     nodes, weights = np.polynomial.legendre.leggauss(40)
     t0 = time.perf_counter()
@@ -126,7 +125,7 @@ def test_criterion_03_pde_oracle_equivalence():
     D = 40.0
     t_end = 1.5
     wind = (0.0, 2.0, 0.0)
-    env = Environment(diffusivity=D, wind=v.Velocity(*wind))
+    env = Environment(diffusivity=D, wind=Velocity(*wind))
     traj = Trajectory.straight_line((-5.0, 0.0, 0.0), (6.0, 0.0, 0.0), 0.0, 10.0)
     src = SourceSpec.continuous(1.0, trajectory=traj)
     grid = FdGrid((-40, -40, -40), (40, 40, 40), (41, 41, 41))
@@ -330,7 +329,7 @@ def test_criterion_09_substitution_matrices():
     )
 
     from virodyne.core import (
-        AMINO_STATE_INDEX, CODONS, NUCLEOTIDE_INDEX, STANDARD_GENETIC_CODE,
+        AMINO_STATE_INDEX, CODONS, NUCLEOTIDE_INDEX, translate,
     )
     b = base.matrix
     kron_exact = True
@@ -349,9 +348,9 @@ def test_criterion_09_substitution_matrices():
     w = uniform_codon_weights()
     brute_am = np.zeros((21, 21))
     for ci, c in enumerate(CODONS):
-        a_idx = AMINO_STATE_INDEX[STANDARD_GENETIC_CODE.translate(c)]
+        a_idx = AMINO_STATE_INDEX[translate(c)]
         for cj, c2 in enumerate(CODONS):
-            b_idx = AMINO_STATE_INDEX[STANDARD_GENETIC_CODE.translate(c2)]
+            b_idx = AMINO_STATE_INDEX[translate(c2)]
             brute_am[a_idx, b_idx] += w[ci] * cod.matrix[ci, cj]
     agg_dev = float(np.abs(am.matrix - brute_am).max())
 

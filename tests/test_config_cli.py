@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,17 @@ class TestCli:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_genetic_layer_import_leaves_channel_out(self):
+        # The package root re-exports nothing, so a sequence-only caller
+        # does not pay for the physical layer's imports.
+        import virodyne
+
+        env = dict(os.environ, PYTHONPATH=str(Path(virodyne.__file__).parents[1]))
+        code = "import sys, virodyne.seqstat; print('virodyne.channel' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["field", "--bogus"]) == 2
 
@@ -203,8 +215,9 @@ class TestCli:
         (("n_agents = 10", "n_agents = 0"), "n_agents"),
         (("initial_infected = 1", "initial_infected = 50"), "initial_infected"),
         (("initial_infected = 1", "initial_infected = -1"), "initial_infected"),
+        (("domain_m = 0 0 0 20 15 3", "domain_m = 0 0 0 0 15 3"), "domain_m"),
     ], ids=["agents_negative", "agents_zero", "infected_above_agents",
-            "infected_negative"])
+            "infected_negative", "domain_flat"])
     def test_population_out_of_range_names_key(self, tmp_path, capsys, edit, key):
         text = (REPO_CONFIGS / "epidemic_demo.cfg").read_text()
         assert edit[0] in text
@@ -213,6 +226,19 @@ class TestCli:
                    "--out", str(out)])
         assert rc == 2
         assert f"key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mobility_rejection_names_population_keys(self, tmp_path, capsys):
+        text = (REPO_CONFIGS / "epidemic_demo.cfg").read_text()
+        edit = ("speed_max_mps = 1.5", "speed_max_mps = 0.2")
+        assert edit[0] in text
+        out = tmp_path / "series.csv"
+        rc = main(["epidemic", "--config", write(tmp_path, "epi.cfg", text.replace(*edit)),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: need 0 < speed_min <= speed_max < inf "
+            "(keys 'speed_min_mps', 'speed_max_mps', 'pause_s')\n")
         assert not out.exists()
 
     def test_negative_threshold_other_than_midpoint_rejected(self, tmp_path, capsys):
@@ -246,6 +272,28 @@ class TestCli:
         assert err.startswith("error: a 600 s leg at 1 m/s crosses the walls ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_wrapped_wall_hits_bound_is_usage_error(self, tmp_path, capsys):
+        # The same 1 mm room with wrapping: each wall hit starts a new
+        # heading, about 10^6 hits over 600 s. The path stops at the bound.
+        text = (REPO_CONFIGS / "epidemic_demo.cfg").read_text()
+        for edit in (("domain_m = 0 0 0 20 15 3", "domain_m = 0 0 0 0.001 0.001 0.001"),
+                     ("mobility = waypoint", "mobility = direction\nboundary_policy = wrap\n"
+                                             "speed_mps = 1.0\nepoch_s = 100000")):
+            assert edit[0] in text
+            text = text.replace(*edit)
+        out = tmp_path / "series.csv"
+        began = time.perf_counter()
+        rc = main(["epidemic", "--config", write(tmp_path, "epi.cfg", text),
+                   "--out", str(out)])
+        elapsed = time.perf_counter() - began
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: a wrapped path at up to 1 m/s hits the walls "
+                              "more than 100000 times by ")
+        assert "of 600 s;" in err
+        assert not out.exists()
+        assert elapsed < 20.0  # the first agent alone took about 28 s unbounded
 
     def test_non_finite_numbers_name_key_and_line(self):
         for raw in ("nan", "inf", "-inf", "1e400"):
@@ -326,14 +374,14 @@ class TestCli:
         assert counts == sorted(counts)
 
     def test_localize_pipeline(self, tmp_path):
-        import virodyne as v
-        env = v.Environment(diffusivity=40.0)
-        src = v.SourceSpec.continuous(2e-3, position=(4.0, 6.0, 2.0))
+        from virodyne.channel import Environment, SourceSpec, concentration_steady
+        env = Environment(diffusivity=40.0)
+        src = SourceSpec.continuous(2e-3, position=(4.0, 6.0, 2.0))
         rows = ["x,y,z,t,c,sigma"]
         for sx in (0.0, 10.0):
             for sy in (0.0, 10.0):
                 for sz in (0.0, 10.0):
-                    c = v.concentration_steady(src, env, (sx, sy, sz))
+                    c = concentration_steady(src, env, (sx, sy, sz))
                     rows.append(f"{sx},{sy},{sz},0.0,{c!r},1.0")
         readings = write(tmp_path, "readings.csv", "\n".join(rows) + "\n")
         cfg = write(tmp_path, "env.cfg", "[environment]\ndiffusivity_m2s = 40\n")
@@ -450,9 +498,9 @@ class TestFileIo:
             read_readings_csv(str(p))
 
     def test_impulse_response_from_scenario(self):
-        import virodyne as v
+        from virodyne.channel import Environment
         from virodyne.detection import impulse_response_from_scenario
-        env = v.Environment(diffusivity=5.0)
+        env = Environment(diffusivity=5.0)
         cir = impulse_response_from_scenario(
             env, source_position=(0, 0, 0), receiver_position=(2.0, 0, 0),
             rate_kg_s=1.0, symbol_interval=1.0, n_taps=6)
@@ -466,10 +514,9 @@ class TestFileIo:
         # Oracle: the one-slot field by a fine trapezoid of the instant
         # kernel over the emission window, then each slot's mean over the
         # same 9 sample times the builder uses.
-        import virodyne as v
-        from virodyne.channel import unit_instant_kernel
+        from virodyne.channel import Environment, unit_instant_kernel
         from virodyne.detection import impulse_response_from_scenario
-        env = v.Environment(diffusivity=5.0, wind=(0.5, 0.0, 0.0))
+        env = Environment(diffusivity=5.0, wind=(0.5, 0.0, 0.0))
         r0, r = np.zeros(3), np.array([2.0, 0.5, 0.0])
         cir = impulse_response_from_scenario(env, r0, r, rate_kg_s=2.0,
                                              symbol_interval=1.0, n_taps=6)

@@ -5,14 +5,14 @@ from hypothesis import given, strategies as st
 
 from virodyne.core import (
     AMINO_STATES,
+    CODON_AMINO,
     CODONS,
     Diffusivity,
-    GeneticCode,
     Position,
-    STANDARD_GENETIC_CODE,
     STOP,
     TimePoint,
     Velocity,
+    codons_for,
     rng_stream,
     translate,
 )
@@ -103,9 +103,12 @@ class TestGeneticCode:
         assert translate(codon) == aa
 
     def test_total_over_64_codons_image_is_21_states(self):
+        # Every amino acid is encoded, and exactly the three canonical
+        # codons stop.
         images = {translate(c) for c in CODONS}
         assert images == set(AMINO_STATES)
         assert len(CODONS) == 64
+        assert codons_for(STOP) == ("TAA", "TAG", "TGA")
 
     def test_rna_and_lowercase_normalized(self):
         assert translate("aug") == "M"
@@ -119,14 +122,15 @@ class TestGeneticCode:
 
     def test_codons_for_inverts_translate(self):
         for aa in AMINO_STATES:
-            for codon in STANDARD_GENETIC_CODE.codons_for(aa):
+            for codon in codons_for(aa):
                 assert translate(codon) == aa
+        assert sum(len(codons_for(aa)) for aa in AMINO_STATES) == 64
+        with pytest.raises(InvalidResidue):
+            codons_for("B")
 
-    def test_constructor_validates_shape(self):
-        table = dict(STANDARD_GENETIC_CODE.items())
-        table["TAA"] = "Q"  # removes a stop codon
+    def test_table_is_read_only(self):
         with pytest.raises(ValueError):
-            GeneticCode(table)
+            CODON_AMINO[0] = 0
 
 
 class TestRngStream:

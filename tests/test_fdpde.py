@@ -6,6 +6,7 @@ import pytest
 
 from virodyne.channel import (
     Environment,
+    HalfSpaceReflecting,
     SourceSpec,
     concentration_continuous,
     concentration_instant,
@@ -14,6 +15,7 @@ from virodyne.channel import (
 from virodyne.core import Velocity
 from virodyne.errors import UnstableTimeStep, VirodyneError
 from virodyne.fdpde import FdGrid, FdSolution, solve_advection_diffusion
+from virodyne.mobility import Trajectory
 
 
 def _probe_points(rng, sol: FdSolution, n, exclude_fn, margin=12.0, floor=0.01):
@@ -132,7 +134,7 @@ class TestFdSolver:
         # box only refects at z = lo, so keep the plume away from other walls.
         grid = FdGrid((-24, -24, 0), (24, 24, 48), (41, 41, 41))
         env = Environment(diffusivity=4.0,
-                          boundary=__import__("virodyne").HalfSpaceReflecting())
+                          boundary=HalfSpaceReflecting())
         src = SourceSpec.instant((0.0, 0.0, 3.0), 1.0)
         t_end = 3.0
         sol = solve_advection_diffusion(grid, 4.0, (0, 0, 0), [src], t_end,
@@ -156,3 +158,25 @@ class TestFdSolver:
         sol = solve_advection_diffusion(grid, 2.0, shear, [src], t_end=1.0)
         assert sol.field.min() > -1e-9
         assert sol.field.max() > 0
+
+    def test_trajectory_held_outside_its_span(self):
+        # Knots at 5 s and 20 s, emission from 0 s to 25 s: the source holds
+        # its first knot before 5 s and its last after 20 s, as the channel's
+        # closed form does, so the field equals that of a path with those
+        # holds written out as knots, and reflecting walls keep all the mass.
+        a, b = (-2.0, 0.5, 0.0), (2.0, -0.5, 1.0)
+        short = Trajectory(np.array([5.0, 20.0]), np.array([a, b]))
+        held = Trajectory(np.array([0.0, 5.0, 20.0, 25.0]), np.array([a, a, b, b]))
+        grid = FdGrid((-6, -6, -6), (6, 6, 6), (13, 13, 13))
+
+        def solve(traj):
+            src = SourceSpec.continuous(2.0, trajectory=traj, start_time=0.0)
+            return solve_advection_diffusion(grid, 1.0, (0, 0, 0), [src], t_end=25.0,
+                                             boundary="reflecting")
+
+        sol = solve(short)
+        assert sol.field.tobytes() == solve(held).field.tobytes()
+        assert sol.field.sum() * grid.cell_volume() == pytest.approx(2.0 * 25.0, rel=1e-12)
+        src = SourceSpec.continuous(2.0, trajectory=short, start_time=0.0)
+        assert concentration_continuous(src, Environment(diffusivity=1.0),
+                                        (0.0, 0.0, 0.0), 4.0) > 0

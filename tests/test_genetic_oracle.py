@@ -3,8 +3,8 @@
 `genetic_oracle` holds the implementations the fast code replaced. Every
 property here demands exact agreement: the same records or the same error
 (type, message, line, column), the same alignment codes and mask,
-bit-identical entropies and distributions, the same codon counts in the
-same order, and the same hot-spot list.
+bit-identical entropies, distributions and Kimura matrices, the same codon
+counts in the same order, the same hot-spot list and the same genetic code.
 """
 
 from unittest import mock
@@ -15,12 +15,21 @@ from hypothesis import given, settings, strategies as st
 
 import genetic_oracle as oracle
 from virodyne import seqstat
-from virodyne.core import CODONS
-from virodyne.errors import InvalidWeights, NoData, ParseError, VirodyneError
+from virodyne.core import AMINO_STATES, CODONS, codons_for, translate
+from virodyne.errors import (
+    InvalidParams,
+    InvalidWeights,
+    NoData,
+    ParseError,
+    VirodyneError,
+)
 from virodyne.mutation import (
+    KimuraParams,
+    SubstitutionMode,
     _codon_column,
     _validate_weights,
     empirical_codon_weights,
+    kimura_base_matrix,
     uniform_codon_weights,
 )
 from virodyne.seqstat import (
@@ -242,3 +251,50 @@ def test_codon_weights_match_loop(counts, codon, nudge):
             return str(exc)
         return None
     assert outcome(_validate_weights) == outcome(oracle.check_weight_sums)
+
+
+def test_translate_matches_codon_by_codon_table():
+    table = oracle.standard_code()
+    assert [translate(c) for c in CODONS] == [table[c] for c in CODONS]
+
+
+def test_codons_for_matches_codon_by_codon_table():
+    for aa in AMINO_STATES:
+        assert codons_for(aa) == oracle.standard_codons_for(aa)
+
+
+# q = 0, gamma q = 0 with q > 0, subnormal q and subnormal gamma q, and the
+# largest masses that KimuraParams accepts.
+KIMURA_Q = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-150,
+            1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.2, 1 / 3, 0.49, 0.5, 0.9, 1.0]
+KIMURA_GAMMA = [0.0, 5e-324, 1e-320, 1e-310, 1e-300, 1e-20, 1e-8, 1e-3, 0.1,
+                0.25, 0.5, 1.0, 2.0, 10.0, 1e3, 1e10, 1e300]
+
+
+def _kimura_params(q, gamma):
+    try:
+        return KimuraParams(q, gamma)
+    except InvalidParams:
+        return None
+
+
+def test_kimura_matrices_match_rescaled_reference_on_grid():
+    grid = [(q, g) for q in KIMURA_Q for g in KIMURA_GAMMA if _kimura_params(q, g)]
+    assert any(q > 0 and g * q == 0 for q, g in grid)
+    assert any(0 < g * q < 2.2250738585072014e-308 for q, g in grid)
+    for q, g in grid:
+        for mode in SubstitutionMode.ALL:
+            got = kimura_base_matrix(KimuraParams(q, g), mode).matrix
+            assert got.tobytes() == oracle.kimura_base_matrix(q, g, mode).tobytes(), \
+                (q, g, mode)
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1e6) | st.floats(0.0, 1e-300))
+@settings(max_examples=300, deadline=None)
+def test_kimura_matrices_match_rescaled_reference(q, gamma):
+    params = _kimura_params(q, gamma)
+    if params is None:
+        return
+    for mode in SubstitutionMode.ALL:
+        assert kimura_base_matrix(params, mode).matrix.tobytes() == \
+            oracle.kimura_base_matrix(q, gamma, mode).tobytes()

@@ -7,7 +7,8 @@ from virodyne.core import (
     CODONS,
     CODON_INDEX,
     NUCLEOTIDES,
-    STANDARD_GENETIC_CODE,
+    codons_for,
+    translate,
 )
 from virodyne.errors import InvalidParams, InvalidWeights, NoData
 from virodyne.mutation import (
@@ -124,9 +125,9 @@ class TestAminoMatrix:
         am = amino_matrix(codon_matrix(kimura_base_matrix(P)), w).matrix
         brute = np.zeros((21, 21))
         for ci, c in enumerate(CODONS):
-            a = AMINO_STATE_INDEX[STANDARD_GENETIC_CODE.translate(c)]
+            a = AMINO_STATE_INDEX[translate(c)]
             for cj, c2 in enumerate(CODONS):
-                b = AMINO_STATE_INDEX[STANDARD_GENETIC_CODE.translate(c2)]
+                b = AMINO_STATE_INDEX[translate(c2)]
                 brute[a, b] += w[ci] * cod[ci, cj]
         assert np.abs(am - brute).max() <= 1e-12
 
@@ -141,7 +142,7 @@ class TestAminoMatrix:
         assert w[CODON_INDEX["CAA"]] == pytest.approx(0.75)
         assert w[CODON_INDEX["CAG"]] == pytest.approx(0.25)
         # unobserved class falls back to uniform
-        gly = STANDARD_GENETIC_CODE.codons_for("G")
+        gly = codons_for("G")
         assert w[CODON_INDEX[gly[0]]] == pytest.approx(1 / len(gly))
 
     def test_drop_stop_conditional_view(self):
