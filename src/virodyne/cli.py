@@ -3,7 +3,8 @@
 Subcommands:
   field      evaluate a concentration grid and export it as CSV
   epidemic   run the agent-based SI simulation, export the time series
-  detect     Monte-Carlo OOK detection metrics (BER, mutual information)
+  detect     OOK detection metrics (BER, mutual information): exact sums for
+             the per-sample detectors, Monte-Carlo for sequence ML
   localize   estimate source position/intensity from a readings CSV
   entropy    per-position Shannon entropy profile of a FASTA alignment
   hotspots   ranked high-entropy positions of a FASTA alignment
@@ -37,6 +38,7 @@ from .detection import (
     SequenceML,
     SymbolThreshold,
     error_probability,
+    exact_error_probability,
     mutual_information,
 )
 from .epidemic import Agent, EpidemicConfig, run as run_epidemic
@@ -208,15 +210,22 @@ def _cmd_detect(args) -> int:
     else:
         mode = NonCoherentDifference(det.threshold_delta)
     detector = DetectorConfig(mode=mode, p1=det.p1)
-    est = error_probability(cir, detector, noise, det.bits_per_frame,
-                            det.trials, seed)
-    mi = mutual_information(est.joint)
+    # Sequence ML has no closed form; the per-sample rules report the
+    # expected BER of the configured trials.
+    if isinstance(mode, SequenceML):
+        est = error_probability(cir, detector, noise, det.bits_per_frame,
+                                det.trials, seed)
+        method = "monte_carlo"
+    else:
+        est = exact_error_probability(cir, detector, noise, det.bits_per_frame)
+        method = "exact"
     write_json(args.out, {
         "ber": est.ber,
         "ci": [est.ci_low, est.ci_high],
-        "mi_bits": mi,
-        "trials": est.trials,
-        "bits_total": est.bits_total,
+        "method": method,
+        "mi_bits": mutual_information(est.joint),
+        "trials": det.trials,
+        "bits_total": det.trials * det.bits_per_frame,
         "seed": seed,
     }, _meta(cfg, seed=seed))
     return 0
@@ -343,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                 config, out, seed)
     p.add_argument("--summary", default=None)
 
-    command("detect", _cmd_detect, "Monte-Carlo detection metrics to JSON",
+    command("detect", _cmd_detect, "detection BER and mutual information to JSON",
             config, out, seed)
 
     p = command("localize", _cmd_localize, "estimate a source from readings CSV",

@@ -195,6 +195,9 @@ class DetectSection:
         if self.threshold < 0 and self.threshold != -1.0:
             raise ConfigError(f"expected a threshold >= 0, or -1 for the midpoint, "
                               f"got {self.threshold!r}", "threshold")
+        for key in ("bits_per_frame", "trials"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"expected {key} >= 1, got {getattr(self, key)}", key)
 
 
 @dataclass

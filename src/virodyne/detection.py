@@ -13,9 +13,15 @@ into the current sample. Three detectors are provided:
 * non-coherent first difference: decides on y[n] - y[n-1] without any
   channel model.
 
-Monte-Carlo error probability and a plug-in mutual-information estimator
-round out the metrics; trials are partitioned into fixed chunks with one
-random stream each, so an estimate depends only on its inputs and seed.
+The metrics are the bit error rate and the mutual information of the
+(sent, decided) table. For the two per-sample rules they are exact: a
+decision sees only the last L (L + 1) bits, so the table is a finite sum
+of noise tails over ISI patterns and frame positions, with a stated bound
+on its truncation and rounding. Sequence ML has no closed form and is
+scored by Monte-Carlo; its trials are partitioned into fixed chunks with
+one random stream each, so an estimate depends only on its inputs and
+seed. One byte cap bounds both the trellis and the exact sum's pattern
+table.
 """
 
 from __future__ import annotations
@@ -122,7 +128,7 @@ DetectorMode = Union[SymbolThreshold, SequenceML, NonCoherentDifference]
 @dataclass(frozen=True)
 class DetectorConfig:
     mode: DetectorMode
-    p1: float = 0.5  # prior probability of the "on" symbol (used by trials)
+    p1: float = 0.5  # prior probability of the "on" symbol (used by the BER metrics)
 
     def __post_init__(self):
         if not 0.0 <= self.p1 <= 1.0:
@@ -193,13 +199,20 @@ def _sequence_loglik(y: np.ndarray, bits: np.ndarray,
     return float(_sample_loglik(y[:n], x[:n], noise).sum())
 
 
-def _convolve_rows(bits: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Row-wise linear convolution: (C, n) bits -> (C, n + L - 1) samples."""
-    c, n = bits.shape
-    out = np.zeros((c, n + taps.size - 1))
-    for l, tap in enumerate(taps):
-        out[:, l:l + n] += tap * bits
-    return out
+# The largest table one trellis batch or one exact sum may hold. A single
+# frame, or an exact sum's pattern table, that needs more raises ValueError
+# before anything is allocated.
+_MAX_TABLE_BYTES = 1 << 27
+
+
+def _count_under_cap(nbytes: int, cir: ChannelImpulseResponse, what: str) -> int:
+    """How many tables of nbytes fit under _MAX_TABLE_BYTES; at least one,
+    else ValueError naming the tap count."""
+    if nbytes > _MAX_TABLE_BYTES:
+        raise ValueError(
+            f"{cir.memory} taps need {nbytes / 2**20:.0f} MiB for one {what}, "
+            f"over the {_MAX_TABLE_BYTES >> 20} MiB cap")
+    return _MAX_TABLE_BYTES // nbytes
 
 
 def _viterbi(y: np.ndarray, n_bits: int, cir: ChannelImpulseResponse,
@@ -210,11 +223,20 @@ def _viterbi(y: np.ndarray, n_bits: int, cir: ChannelImpulseResponse,
     and each frame's log-likelihood. A state is the last L - 1 bits, the
     newest in bit 0, and the history before a frame is all zeros. Tail
     samples pin the bit to 0. On equal metrics the predecessor whose
-    dropped (oldest) bit is 0 wins, then the lowest end state.
+    dropped (oldest) bit is 0 wins, then the lowest end state. Frames are
+    decoded in batches that keep the trellis under _MAX_TABLE_BYTES.
     """
     taps = cir.taps
     mem = taps.size - 1
     n_frames, n_samples = y.shape
+    # Per frame: one int8 back-pointer per state and sample, and about 16
+    # float64 entries per state in the branch metrics and their temporaries.
+    batch = _count_under_cap((1 << mem) * (n_samples + 128), cir, "frame's trellis")
+    if n_frames > batch:
+        parts = [_viterbi(y[i:i + batch], n_bits, cir, noise)
+                 for i in range(0, n_frames, batch)]
+        return (np.concatenate([p[0] for p in parts]),
+                np.concatenate([p[1] for p in parts]))
     # Branch (next state s, dropped bit d): the L-bit window w = s | d << mem,
     # newest bit in bit 0, comes from state w >> 1 and expects sample x[w].
     window = np.arange(1 << mem)[:, None] | (np.arange(2) << mem)
@@ -310,6 +332,17 @@ class BerEstimate:
     joint: tuple[tuple[int, int], tuple[int, int]]  # (sent, decided) counts
 
 
+@dataclass(frozen=True)
+class ExactBer:
+    """Expected bit error rate of a per-sample detector; [ci_low, ci_high]
+    is ber widened by the sum's truncation and rounding bound."""
+
+    ber: float
+    ci_low: float
+    ci_high: float
+    joint: tuple[tuple[float, float], tuple[float, float]]  # (sent, decided) probabilities
+
+
 # Two-sided 95% standard-normal quantile.
 _Z95 = 1.959963984540054
 
@@ -341,35 +374,33 @@ def error_probability(
     trials: int,
     seed: int,
 ) -> BerEstimate:
-    """Empirical bit error rate over seeded Monte-Carlo trials.
+    """Empirical bit error rate of sequence ML over seeded Monte-Carlo
+    trials; the per-sample detectors have exact_error_probability.
 
     Each chunk of _FRAMES_PER_STREAM trials draws from its own
-    (seed, chunk) stream, so the estimate depends only on the inputs and
-    the seed. Returns the point estimate with a 95% Wilson interval.
+    (seed, chunk) stream, per frame its bits and then its noise, so the
+    estimate depends only on the inputs and the seed. Returns the point
+    estimate with a 95% Wilson interval.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if bits_per_frame < 1:
         raise ValueError("bits_per_frame must be >= 1")
-    if not isinstance(config.mode, (SymbolThreshold, SequenceML, NonCoherentDifference)):
-        raise TypeError(f"unknown detector mode: {config.mode!r}")
+    if not isinstance(config.mode, SequenceML):
+        raise TypeError(f"Monte-Carlo BER is for SequenceML; {config.mode!r} "
+                        f"has exact_error_probability")
 
     def worker(chunk_idx: int, sl: slice) -> tuple[int, int, np.ndarray]:
         stream = rng_stream(seed, chunk_idx)
         n_frames = sl.stop - sl.start
         n = bits_per_frame
-        if isinstance(config.mode, SequenceML):
-            # Per frame, in stream order: its bits, then its noise.
-            bits = np.empty((n_frames, n), dtype=int)
-            noisy = np.empty((n_frames, n + cir.memory - 1))
-            for f in range(n_frames):
-                bits[f] = stream.uniform(size=n) < config.p1
-                noisy[f] = apply_noise(modulate(bits[f], cir), noise, stream)
-        else:
-            bits = (stream.uniform(size=(n_frames, n)) < config.p1).astype(int)
-            noisy = apply_noise(_convolve_rows(bits.astype(float), cir.taps), noise,
-                                stream)
-        decided, _ = _decide(noisy, n, cir, config.mode, noise)
+        bits = np.empty((n_frames, n), dtype=int)
+        noisy = np.empty((n_frames, n + cir.memory - 1))
+        for f in range(n_frames):
+            bits[f] = stream.uniform(size=n) < config.p1
+            noisy[f] = apply_noise(np.convolve(bits[f].astype(float), cir.taps),
+                                   noise, stream)
+        decided, _ = _viterbi(noisy, n, cir, noise)
         return int((decided != bits).sum()), bits.size, joint_counts(bits, decided)
 
     slices = chunk_slices(trials, _FRAMES_PER_STREAM)
@@ -382,6 +413,140 @@ def error_probability(
     return BerEstimate(ber=ber, ci_low=lo, ci_high=hi, bit_errors=bit_errors,
                        bits_total=bits_total, trials=trials, seed=seed,
                        joint=tuple(tuple(int(v) for v in row) for row in joint))
+
+
+_EPS = 2.0**-52
+# Mass a Poisson window may leave out on each side.
+_TAIL = 2.0**-53
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _poisson_window(lam: float) -> tuple[int, np.ndarray, float]:
+    """(lo, pmf, err): Poisson(lam) probabilities of the counts lo, lo + 1,
+    ..., and a bound on the mass outside them plus each term's rounding.
+
+    Bennett's inequality (Boucheron, Lugosi & Massart 2013, ch. 2) bounds
+    the upper tail P(K >= lam + t) by exp(-t^2 / 2(lam + t/3)) and the
+    lower tail P(K <= lam - t) by exp(-t^2 / 2 lam); the window leaves at
+    most _TAIL on each side. A term exp(k log lam - lam - lgamma(k + 1))
+    is off by about eps times the size of its exponent's parts.
+    """
+    if lam == 0.0:
+        return 0, np.ones(1), 0.0
+    a = math.log(1.0 / _TAIL)
+    lo = max(0, math.floor(lam - math.sqrt(2.0 * a * lam)))
+    hi = math.ceil(lam + a / 3.0 + math.sqrt(a * a / 9.0 + 2.0 * a * lam))
+    k = np.arange(lo, hi + 1, dtype=float)
+    pmf = np.exp(k * math.log(lam) - lam - _lgamma(k + 1.0).astype(float))
+    size = hi * abs(math.log(lam)) + lam + math.lgamma(hi + 1.0) + k.size
+    return lo, pmf, 2.0 * _TAIL + 4.0 * _EPS * size
+
+
+def _first_counts(y_prev: np.ndarray, theta: float, alpha: float,
+                  lo: int, hi: int) -> np.ndarray:
+    """Per y_prev, the least count k in [lo, hi + 1] with
+    k / alpha - y_prev >= theta in the detector's own float arithmetic
+    (hi + 1 when no count up to hi decides 1). The test is monotone in k."""
+    k = np.clip(np.ceil(alpha * (theta + y_prev)), lo, hi + 1)
+    while (down := (k > lo) & ((k - 1.0) / alpha - y_prev >= theta)).any():
+        k = k - down
+    while (up := (k <= hi) & (k / alpha - y_prev < theta)).any():
+        k = k + up
+    return k.astype(int) - lo
+
+
+def _decision_tails(x: np.ndarray, x_prev: np.ndarray | None, theta: float,
+                    noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, float]:
+    """P(decide 0) and P(decide 1) per entry, when the detector tests
+    y - y_prev >= theta with y a noisy sample of level x and y_prev one of
+    level x_prev (a noise-free 0 when x_prev is None), and a bound on
+    their error."""
+    if isinstance(noise, GaussianNoise):
+        spread = 1.0 if x_prev is None else 2.0
+        mean = x if x_prev is None else x - x_prev
+        z = (theta - mean) / (noise.sigma * math.sqrt(2.0 * spread))
+        return (0.5 * _erfc(-z).astype(float), 0.5 * _erfc(z).astype(float),
+                8.0 * _EPS)
+    # A Poisson sample at level 0 is the noise-free 0.
+    lam = noise.alpha * np.stack([x, np.zeros_like(x) if x_prev is None else x_prev])
+    pairs, inverse = np.unique(lam, axis=1, return_inverse=True)
+    windows = {v: _poisson_window(v) for v in np.unique(pairs).tolist()}
+    p0, p1, err = np.empty(pairs.shape[1]), np.empty(pairs.shape[1]), 0.0
+    for j, (lam_y, lam_prev) in enumerate(pairs.T.tolist()):
+        lo, pmf, err_y = windows[lam_y]
+        lo_prev, pmf_prev, err_prev = windows[lam_prev]
+        y_prev = np.arange(lo_prev, lo_prev + pmf_prev.size) / noise.alpha
+        k = _first_counts(y_prev, theta, noise.alpha, lo, lo + pmf.size - 1)
+        below = np.concatenate(([0.0], np.cumsum(pmf)))[k]
+        above = np.concatenate((np.cumsum(pmf[::-1])[::-1], [0.0]))[k]
+        p0[j], p1[j] = pmf_prev @ below, pmf_prev @ above
+        err = max(err, err_y + err_prev)
+    inverse = inverse.reshape(-1)
+    return p0[inverse], p1[inverse], err
+
+
+def exact_error_probability(
+    cir: ChannelImpulseResponse,
+    config: DetectorConfig,
+    noise: NoiseModel,
+    bits_per_frame: int,
+) -> ExactBer:
+    """Expected bit error rate and (sent, decided) probabilities of the
+    threshold or difference detector on frames of bits_per_frame bits,
+    each 1 with probability p1, as finite sums.
+
+    A decision sees only a window of the last L bits (L + 1 for the
+    difference rule), and bits before the frame are 0. So the table is a
+    sum over frame positions and windows of each window's probability times
+    the noise tail that decides it (the classical ISI error sum; Proakis,
+    Digital Communications, ch. 9): an erfc tail under Gaussian noise, and
+    under Poisson noise a Poisson tail, or for the difference rule a
+    Skellam tail summed over the previous count. Decisions follow _decide:
+    the difference rule's first bit is tested against a noise-free 0, and
+    Poisson counts are compared as k / alpha - k' / alpha >= theta, so a
+    count on the boundary decides as the detector does.
+    """
+    if bits_per_frame < 1:
+        raise ValueError("bits_per_frame must be >= 1")
+    mode, taps = config.mode, cir.taps
+    if isinstance(mode, SymbolThreshold):
+        theta = default_threshold(cir) if mode.theta is None else mode.theta
+        width = taps.size
+    elif isinstance(mode, NonCoherentDifference):
+        theta, width = mode.theta_delta, taps.size + 1
+    else:
+        raise TypeError(f"no exact error probability for {mode!r}")
+    # About a dozen float64 arrays over the 2^width windows live at once.
+    _count_under_cap(96 << width, cir, "pattern table")
+    # Window w holds bit b[i - l] of position i in its bit l.
+    window = np.arange(1 << width)
+
+    def level(shift: int) -> np.ndarray:
+        return sum(tap * ((window >> (l + shift)) & 1) for l, tap in enumerate(taps))
+
+    first = _decision_tails(level(0), None, theta, noise)
+    rest = first if width == taps.size else _decision_tails(level(0), level(1),
+                                                             theta, noise)
+    sent = window & 1
+    joint = np.zeros((2, 2))
+    prior = np.ones(window.size)
+    n_classes = min(bits_per_frame, width)
+    for i in range(n_classes):
+        # Position i has i + 1 bits of its own; the older window bits fall
+        # before the frame and must be 0. Every position from width - 1 on
+        # sees a full window.
+        prior = prior * np.where((window >> i) & 1, config.p1, 1.0 - config.p1)
+        weight = prior * ((window >> (i + 1)) == 0)
+        count = bits_per_frame - i if i == width - 1 else 1
+        p0, p1, _ = first if i == 0 else rest
+        for s in (0, 1):
+            w = weight * (sent == s)
+            joint[s] += count * np.array([w @ p0, w @ p1])
+    joint /= bits_per_frame
+    ber = float(joint[0, 1] + joint[1, 0])
+    bound = max(first[2], rest[2]) + 2.0 * _EPS * n_classes * window.size
+    return ExactBer(ber=ber, ci_low=max(0.0, ber - bound), ci_high=min(1.0, ber + bound),
+                    joint=tuple(tuple(float(v) for v in row) for row in joint))
 
 
 def mutual_information(joint_counts) -> float:

@@ -26,7 +26,7 @@ from virodyne.detection import (
     DetectorConfig,
     GaussianNoise,
     SymbolThreshold,
-    error_probability,
+    exact_error_probability,
     joint_counts,
     mutual_information,
 )
@@ -217,16 +217,15 @@ def test_criterion_05_detection_gaussian_oracle():
     t0 = time.perf_counter()
     devs = []
     for ratio in (1.0, 2.0, 4.0):
-        est = error_probability(cir, cfg, GaussianNoise(1.0 / ratio),
-                                bits_per_frame=1, trials=100_000, seed=0)
+        est = exact_error_probability(cir, cfg, GaussianNoise(1.0 / ratio),
+                                      bits_per_frame=1)
         expected = 0.5 * math.erfc(ratio / (2.0 * math.sqrt(2.0)))
-        se = math.sqrt(expected * (1 - expected) / est.bits_total)
-        devs.append((est.ber - expected) / se)
+        devs.append(abs(est.ber - expected) / expected)
     elapsed = time.perf_counter() - t0
-    ok = all(abs(d) <= 3.0 for d in devs) and elapsed < 10.0
+    ok = all(d <= 1e-12 for d in devs) and elapsed < 10.0
     _report(5, "detection BER vs Gaussian tail", ok,
-            f"devs in SE {[round(d, 2) for d in devs]}, {elapsed:.1f}s")
-    assert all(abs(d) <= 3.0 for d in devs), devs
+            f"relative devs {[f'{d:.1e}' for d in devs]}, {elapsed:.3f}s")
+    assert all(d <= 1e-12 for d in devs), devs
     assert elapsed < 10.0
 
 

@@ -150,6 +150,17 @@ class TestCli:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_detection_import_leaves_scipy_and_channel_out(self):
+        # Detection needs neither; the CLI's start-up time is benchmarked.
+        import virodyne
+
+        env = dict(os.environ, PYTHONPATH=str(Path(virodyne.__file__).parents[1]))
+        code = ("import sys, virodyne.detection; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy' or m == 'virodyne.channel'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["field", "--bogus"]) == 2
 
@@ -195,8 +206,13 @@ class TestCli:
         ("field", "walk_past.cfg", ("times_s = 30", "times_s = -5"), []),
         ("field", "walk_past.cfg", None, ["--time", "-3"]),
         ("detect", "detect_demo.cfg", ("sigma = 0.5", "sigma = nan"), []),
+        ("detect", "detect_demo.cfg", ("trials = 20000", "trials = 0"), []),
+        ("detect", "detect_demo.cfg", ("bits_per_frame = 16", "bits_per_frame = 0"), []),
+        # 2^41 ISI windows: refused before the pattern table is allocated.
+        ("detect", "detect_demo.cfg", ("taps = 1.0", "taps =" + " 0.5" * 41), []),
         ("epidemic", "epidemic_demo.cfg", ("step_s = 10", "step_s = nan"), []),
-    ], ids=["image_order", "times_s", "time_flag", "sigma_nan", "step_nan"])
+    ], ids=["image_order", "times_s", "time_flag", "sigma_nan", "trials_zero",
+            "frame_empty", "taps_over_cap", "step_nan"])
     def test_bad_value_is_usage_error_without_output(self, tmp_path, capsys,
                                                      command, name, edit, extra):
         text = (REPO_CONFIGS / name).read_text()
@@ -341,10 +357,25 @@ class TestCli:
         assert rc == 0
         doc = json.loads(out.read_text())
         expected = 0.5 * math.erfc(1.0 / (2 * 0.5 * math.sqrt(2)))
-        assert doc["ber"] == pytest.approx(expected, abs=0.01)
-        assert doc["ci"][0] <= doc["ber"] <= doc["ci"][1]
+        assert doc["method"] == "exact"
+        assert doc["ber"] == pytest.approx(expected, rel=1e-12)
+        assert doc["ci"][0] <= expected <= doc["ci"][1]
         assert 0.0 <= doc["mi_bits"] <= 1.0
+        # The experiment the expected BER describes: 20000 frames of 16 bits.
+        assert (doc["trials"], doc["bits_total"]) == (20000, 320000)
         assert doc["meta"]["seed"] == "3"
+
+    def test_detect_report_sequence_ml_is_monte_carlo(self, tmp_path):
+        text = (REPO_CONFIGS / "detect_demo.cfg").read_text()
+        text = text.replace("mode = threshold", "mode = sequence").replace(
+            "trials = 20000", "trials = 200")
+        out = tmp_path / "report.json"
+        assert main(["detect", "--config", write(tmp_path, "d.cfg", text),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["method"] == "monte_carlo"
+        assert doc["ci"][0] <= doc["ber"] <= doc["ci"][1]
+        assert (doc["trials"], doc["bits_total"]) == (200, 3200)
 
     def test_module_entry_point_runs(self, tmp_path):
         import virodyne

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from virodyne import detection
 from virodyne.core import rng_stream
 from virodyne.detection import (
     ChannelImpulseResponse,
@@ -19,12 +20,15 @@ from virodyne.detection import (
     default_threshold,
     detect,
     error_probability,
+    exact_error_probability,
     joint_counts,
     modulate,
     mutual_information,
     wilson_interval,
 )
 from virodyne.errors import EmptyObservation, MissingChannelModel
+
+import detection_oracle
 
 CIR1 = ChannelImpulseResponse(taps=[1.0])
 CIR2 = ChannelImpulseResponse(taps=[2.0, 1.0])
@@ -229,55 +233,124 @@ class TestDetect:
 
 class TestErrorProbability:
     def test_perfect_channel_zero(self):
-        est = error_probability(CIR1, DetectorConfig(SymbolThreshold(0.5)),
-                                GaussianNoise(1e-9), 8, 200, seed=0)
+        est = exact_error_probability(CIR1, DetectorConfig(SymbolThreshold(0.5)),
+                                      GaussianNoise(1e-9), 8)
         assert est.ber == 0.0
         assert est.ci_low == 0.0
 
     def test_inverted_threshold_is_one(self):
         # Decide via a threshold no sample can reach: all-zero decisions,
         # so BER equals the fraction of 1 bits; with p1=1 that is 1.
-        est = error_probability(CIR1, DetectorConfig(SymbolThreshold(1e9), p1=1.0),
-                                GaussianNoise(0.1), 8, 200, seed=0)
+        est = exact_error_probability(CIR1, DetectorConfig(SymbolThreshold(1e9), p1=1.0),
+                                      GaussianNoise(0.1), 8)
         assert est.ber == 1.0
+        assert est.ci_high == 1.0
 
     def test_gaussian_tail_oracle(self):
         for ratio in (1.0, 2.0):
-            est = error_probability(
-                CIR1, DetectorConfig(SymbolThreshold(0.5)),
-                GaussianNoise(1.0 / ratio), 1, 20_000, seed=1)
+            est = exact_error_probability(
+                CIR1, DetectorConfig(SymbolThreshold(0.5)), GaussianNoise(1.0 / ratio), 1)
             expected = 0.5 * math.erfc(ratio / (2 * math.sqrt(2)))
-            se = math.sqrt(expected * (1 - expected) / 20_000)
-            assert abs(est.ber - expected) <= 3 * se
+            assert est.ber == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert est.ci_low <= expected <= est.ci_high
 
     def test_pure_guessing_limit(self):
         # sigma huge with equal priors: BER near 0.5
-        est = error_probability(CIR1, DetectorConfig(SymbolThreshold(0.5)),
-                                GaussianNoise(1e6), 4, 10_000, seed=2)
-        assert est.ber == pytest.approx(0.5, abs=0.02)
+        est = exact_error_probability(CIR1, DetectorConfig(SymbolThreshold(0.5)),
+                                      GaussianNoise(1e6), 4)
+        assert est.ber == pytest.approx(0.5, abs=1e-6)
 
     def test_deterministic_per_seed(self):
-        a = error_probability(CIR2, DetectorConfig(SymbolThreshold(None)),
-                              GaussianNoise(0.5), 8, 3000, seed=7)
-        b = error_probability(CIR2, DetectorConfig(SymbolThreshold(None)),
-                              GaussianNoise(0.5), 8, 3000, seed=7)
-        assert a == b
+        # Only sequence ML still draws random numbers.
+        runs = [error_probability(CIR2, DetectorConfig(SequenceML()),
+                                  GaussianNoise(0.9), 8, 1500, seed=s) for s in (7, 7, 8)]
+        assert runs[0] == runs[1]
+        assert runs[0].joint != runs[2].joint
 
     def test_sequence_beats_symbol_under_isi(self):
         noise = GaussianNoise(0.45)
         cir = ChannelImpulseResponse(taps=[1.0, 0.6])
         ml = error_probability(cir, DetectorConfig(SequenceML()), noise,
                                12, 1200, seed=3)
-        th = error_probability(cir, DetectorConfig(SymbolThreshold(None)), noise,
-                               12, 1200, seed=3)
-        se = math.sqrt(th.ber * (1 - th.ber) / th.bits_total)
-        assert ml.ber <= th.ber + 3 * se
+        th = exact_error_probability(cir, DetectorConfig(SymbolThreshold(None)),
+                                     noise, 12)
+        assert ml.ci_high < th.ber
 
     def test_wilson_interval_brackets(self):
         lo, hi = wilson_interval(10, 100)
         assert lo < 0.1 < hi
         lo, hi = wilson_interval(0, 100)
         assert lo == 0.0 and hi > 0.0
+
+
+# (mode, noise, taps, p1, bits_per_frame): multi-tap ISI throughout; frames
+# shorter than the decision window; p1 of 0, 0.3 and 1; and Poisson
+# thresholds with alpha * theta on an integer, where a count on the
+# boundary decides. At alpha = 3 and theta = 1/3 the difference rule's float
+# test k/3 - k'/3 >= 1/3 passes at k - k' = 1 for some k' and fails for
+# others; a sum over k - k' alone reads 0.165 there, against 0.177.
+EXACT_CASES = [
+    (SymbolThreshold(None), GaussianNoise(0.4), (1.0, 0.5, 0.25), 0.3, 16),
+    (SymbolThreshold(0.5), PoissonNoise(4.0), (1.0, 0.6, 0.3), 1.0, 2),
+    (NonCoherentDifference(0.3), GaussianNoise(0.3), (1.0, 0.4), 0.0, 8),
+    (NonCoherentDifference(1 / 3), PoissonNoise(3.0), (1.0, 0.5), 0.3, 8),
+    (NonCoherentDifference(0.25), PoissonNoise(4.0), (1.0, 0.5, 0.2), 0.5, 2),
+]
+
+
+class TestExactErrorProbability:
+    @pytest.mark.parametrize("mode, noise, taps, p1, n_bits", EXACT_CASES,
+                             ids=["threshold-gauss", "threshold-poisson",
+                                  "difference-gauss", "difference-poisson",
+                                  "difference-poisson-short"])
+    def test_matches_monte_carlo_oracle(self, mode, noise, taps, p1, n_bits):
+        cir = ChannelImpulseResponse(taps=taps)
+        config = DetectorConfig(mode, p1=p1)
+        exact = exact_error_probability(cir, config, noise, n_bits)
+        mc = detection_oracle.monte_carlo_error_probability(
+            cir, config, noise, n_bits, trials=1_000_000 // n_bits, seed=11)
+        assert mc.bits_total >= 999_990
+        assert mc.ci_low <= exact.ber <= mc.ci_high
+        assert exact.ci_low <= exact.ber <= exact.ci_high
+        assert exact.ci_high - exact.ci_low < 1e-11
+        assert sum(map(sum, exact.joint)) == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        # The sent marginal is the prior, whatever the detector decides.
+        assert sum(exact.joint[1]) == pytest.approx(p1, rel=0.0, abs=1e-12)
+
+    def test_sequence_ml_has_no_exact_sum(self):
+        with pytest.raises(TypeError):
+            exact_error_probability(CIR2, DetectorConfig(SequenceML()),
+                                    GaussianNoise(0.5), 8)
+        with pytest.raises(TypeError):
+            error_probability(CIR2, DetectorConfig(SymbolThreshold()),
+                              GaussianNoise(0.5), 8, 10, seed=0)
+
+    def test_tap_count_over_the_cap_raises_before_allocating(self):
+        # 2^40 windows or trellis states: only a check made before any
+        # allocation can answer at once.
+        cir = ChannelImpulseResponse(taps=np.full(41, 0.1))
+        noise = GaussianNoise(0.5)
+        for mode in (SymbolThreshold(), NonCoherentDifference(0.1)):
+            with pytest.raises(ValueError, match="41 taps"):
+                exact_error_probability(cir, DetectorConfig(mode), noise, 8)
+        with pytest.raises(ValueError, match="41 taps"):
+            error_probability(cir, DetectorConfig(SequenceML()), noise, 8, 1, seed=0)
+        with pytest.raises(ValueError, match="41 taps"):
+            detect(ReceivedFrame(np.zeros(48), noise), cir, DetectorConfig(SequenceML()))
+
+    def test_trellis_batches_leave_decisions_unchanged(self, monkeypatch):
+        stream = rng_stream(4, 0)
+        cir = ChannelImpulseResponse(taps=[1.0, 0.5, 0.25])
+        noise = PoissonNoise(5.0)
+        frames = np.array([apply_noise(modulate((stream.uniform(size=10) < 0.5)
+                                                .astype(int), cir), noise, stream)
+                           for _ in range(10)])
+        whole = _viterbi(frames, 10, cir, noise)
+        # Room for three frames per batch: 4 states x (12 samples + 128).
+        monkeypatch.setattr(detection, "_MAX_TABLE_BYTES", 3 * 4 * (12 + 128))
+        batched = _viterbi(frames, 10, cir, noise)
+        assert (batched[0] == whole[0]).all()
+        assert (batched[1] == whole[1]).all()
 
 
 class TestMutualInformation:
