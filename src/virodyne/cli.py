@@ -120,8 +120,7 @@ def _cmd_field(args) -> int:
     sources = [s.build(horizon) for s in cfg.sources]
     xs, ys, zs = cfg.grid.axes()
     query = FieldQuery.from_grid(xs, ys, zs, times)
-    values = evaluate_field(query, Scenario(env, sources),
-                            quadrature_tol=cfg.solver.quadrature_tol)
+    values = evaluate_field(query, Scenario(env, sources))
     rows = [f"{x!r},{y!r},{z!r},{t!r},{c!r}" for (x, y, z), t, c in
             zip(query.positions.tolist(), query.times.tolist(), values.tolist())]
     write_csv(args.out, ["x", "y", "z", "t", "c"], rows, _meta(cfg))

@@ -596,7 +596,7 @@ def impulse_response_from_scenario(
 ) -> ChannelImpulseResponse:
     """Derive taps from the physical channel: tap l is the mean
     concentration at the receiver during slot l after a one-slot emission,
-    whose field is the constant-rate field minus itself delayed one slot.
+    one emission window of unit_continuous_kernel stopped after one slot.
     symbol_interval (s) sets the slot length; each slot's mean is the
     trapezoid rule over _SAMPLES_PER_SLOT + 1 equally spaced times."""
     from .channel import unit_continuous_kernel
@@ -605,9 +605,7 @@ def impulse_response_from_scenario(
     r0, r = (as_position(p).as_array() for p in (source_position, receiver_position))
     ts = symbol_interval * (np.arange(n_taps)[:, None]
                             + np.linspace(0.0, 1.0, _SAMPLES_PER_SLOT + 1))
-
-    def field(taus: np.ndarray) -> np.ndarray:
-        return rate_kg_s * unit_continuous_kernel(env, r0, r, taus.ravel()).reshape(taus.shape)
-
-    taps = np.trapezoid(field(ts) - field(ts - symbol_interval), ts, axis=1) / symbol_interval
+    field = rate_kg_s * unit_continuous_kernel(
+        env, r0, r, ts.ravel(), taus_end=np.maximum(ts - symbol_interval, 0.0).ravel())
+    taps = np.trapezoid(field.reshape(ts.shape), ts, axis=1) / symbol_interval
     return ChannelImpulseResponse(taps=taps)

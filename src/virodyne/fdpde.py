@@ -157,6 +157,8 @@ def solve_advection_diffusion(
     after their start time; continuous sources deposit rate * dt per step at
     their (possibly moving) midpoint-in-time position, which holds a
     trajectory's first knot before it starts and its last after it ends.
+    The rate is read at that midpoint too, so the deposit smears a rate
+    step by at most one dt.
 
     The default dt is 0.4 times the smaller of the diffusive bound and the
     advective bound min(h) / |v|max, the latter taken from the velocity at

@@ -79,8 +79,9 @@ def _unit_model(source_kind: str, env: Environment,
     """Per-unit-intensity forward model c_i = Q * g_i(r0), batched: maps G
     candidate positions (G, 3) to the (G, S) matrix of every reading's g_i.
     Sources emit from t = 0; a steady source is the continuous one at
-    tau = inf."""
+    tau = inf, where one exists (Environment.require_steady_state)."""
     if source_kind == "steady":
+        env.require_steady_state()
         kernel, times = unit_continuous_kernel, [math.inf] * len(readings)
     elif source_kind in ("instant", "continuous"):
         kernel = unit_instant_kernel if source_kind == "instant" else unit_continuous_kernel

@@ -139,17 +139,21 @@ class TestContinuous:
         val = concentration_continuous(src, env, r, t)
         assert val == pytest.approx(oracle, rel=1e-4)
 
-    def test_time_varying_rate_uses_quadrature(self):
-        rate = lambda s: 1.0 if s < 10.0 else 0.0
-        src = SourceSpec.continuous(rate, position=(0, 0, 0))
+    def test_stepped_rate_pulse(self):
+        src = SourceSpec.continuous([(0.0, 1.0), (10.0, 0.0)], position=(0, 0, 0))
         const = SourceSpec.continuous(1.0, position=(0, 0, 0))
         r = (5, 0, 0)
         early = concentration_continuous(src, ENV40, r, 8.0)
         assert early == pytest.approx(
-            concentration_continuous(const, ENV40, r, 8.0), rel=1e-5)
-        # after shutoff the pulse decays below the always-on field
-        assert concentration_continuous(src, ENV40, r, 60.0) < \
-            concentration_continuous(const, ENV40, r, 60.0)
+            concentration_continuous(const, ENV40, r, 8.0), rel=1e-14)
+        # after shutoff the pulse decays below the always-on field: it is
+        # that field less the same source switched on at 10 s
+        late = SourceSpec.continuous(1.0, position=(0, 0, 0), start_time=10.0)
+        pulse = concentration_continuous(src, ENV40, r, 60.0)
+        assert pulse < concentration_continuous(const, ENV40, r, 60.0)
+        assert pulse == pytest.approx(concentration_continuous(const, ENV40, r, 60.0)
+                                      - concentration_continuous(late, ENV40, r, 60.0),
+                                      rel=1e-12)
 
 
 # Each boundary with the wind components its image construction admits.
@@ -504,23 +508,26 @@ class TestMovingClosedForm:
                                     + concentration_continuous(late, env, obs, t), rel=1e-12)
         assert concentration_continuous(src, env, obs, 0.0) == 0.0
 
-    def test_callable_rate_still_takes_quadrature(self, monkeypatch):
-        calls = []
-        quad = channel.adaptive_emission_integral
-        monkeypatch.setattr(channel, "adaptive_emission_integral",
-                            lambda *a, **k: calls.append(a[1:3]) or quad(*a, **k))
+    def test_no_source_takes_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("field sent to quadrature")
+
+        monkeypatch.setattr(channel, "adaptive_emission_integral", no_quadrature)
         traj = Trajectory.straight_line((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.0, 20.0)
-        pulse = SourceSpec.continuous(lambda s: 1.0 if s < 5.0 else 0.0, trajectory=traj)
-        const = SourceSpec.continuous(1.0, trajectory=traj)
-        concentration_continuous(const, ENV40, (3.0, 2.0, 1.0), 10.0)
-        evaluate_field(FieldQuery.from_pairs([((3.0, 2.0, 1.0), 10.0)]),
-                       Scenario(ENV40, [const]))
-        assert calls == []
-        a = concentration_continuous(pulse, ENV40, (3.0, 2.0, 1.0), 10.0)
-        b = evaluate_field(FieldQuery.from_pairs([((3.0, 2.0, 1.0), 10.0)]),
-                           Scenario(ENV40, [pulse]))[0]
-        assert len(calls) == 2 and a == b
-        assert 0.0 < a < concentration_continuous(const, ENV40, (3.0, 2.0, 1.0), 10.0)
+        pulse = [(0.0, 1.0), (5.0, 0.0)]
+        sources = [SourceSpec.instant((0.0, 1.0, 1.0), 1.0, start_time=2.0),
+                   SourceSpec.continuous(1.0, position=(0.0, 1.0, 1.0)),
+                   SourceSpec.continuous(pulse, position=(0.0, 1.0, 1.0)),
+                   SourceSpec.continuous(1.0, trajectory=traj),
+                   SourceSpec.continuous(pulse, trajectory=traj)]
+        q = FieldQuery.from_pairs([((3.0, 2.0, 1.0), 10.0)])
+        for src in sources:
+            a = concentration_multi_source([src], ENV40, (3.0, 2.0, 1.0), 10.0)
+            assert evaluate_field(q, Scenario(ENV40, [src]))[0] == a > 0.0
+        # the moving pulse is the constant source stopped after 5 s
+        const = concentration_continuous(sources[3], ENV40, (3.0, 2.0, 1.0), 10.0)
+        assert 0.0 < concentration_continuous(sources[4], ENV40, (3.0, 2.0, 1.0), 10.0) \
+            < const
 
     def test_singular_passage_reports_singular_point(self):
         # The observer sits on the path at the passage instant: the closed
@@ -654,9 +661,112 @@ class TestEmissionQuadrature:
         quad = channel.adaptive_emission_integral
         monkeypatch.setattr(channel, "adaptive_emission_integral",
                             lambda f, a, b, *r: windows.append((a, b)) or quad(f, a, b, *r))
-        src = SourceSpec.continuous(lambda s: 1.0, trajectory=self.BENT, start_time=2.0)
+        src = SourceSpec.continuous(1.0, trajectory=self.BENT, start_time=2.0)
         concentration_moving_source(src, self.DUCT, (1.5, 1.5, 1.0), 12.0)
         assert windows == [(2.0, 5.0), (5.0, 12.0)]
+
+
+# The stepped-rate sweep: its environments, and a path inside the duct.
+_STEP_ENVS = {
+    "free": Environment(diffusivity=0.5),
+    "windy": Environment(diffusivity=0.5, wind=Velocity(0.4, -0.2, 0.1)),
+    "half": Environment(diffusivity=0.5, wind=Velocity(0.3, 0.1, 0.0),
+                        boundary=HalfSpaceReflecting()),
+    "duct": Environment(diffusivity=0.5, wind=Velocity(0.3, 0.0, 0.0),
+                        boundary=RectangularDuctReflecting(3.0, 2.5, image_order=2)),
+}
+_STEP_PATH = Trajectory(np.array([1.0, 7.0, 13.0]),
+                        np.array([[-1.0, 0.6, 0.5], [1.0, 2.2, 1.8], [0.3, 1.0, 2.0]]))
+# (steps, start_time): a pulse; breathing, speaking, silence and a cough; a
+# schedule cut by a later start; and one that opens on a zero rate.
+_SCHEDULES = [
+    ([(0.0, 1.0), (4.0, 0.0)], 0.0),
+    ([(1.0, 0.5), (3.5, 2.0), (6.0, 0.0), (9.0, 1.5)], 0.0),
+    ([(0.0, 2.0), (5.0, 0.3)], 2.5),
+    ([(3.0, 0.0), (4.5, 1.0), (8.0, 0.25)], 1.0),
+]
+
+
+class TestSteppedRate:
+    @pytest.mark.parametrize("schedule", range(len(_SCHEDULES)))
+    @pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
+    @pytest.mark.parametrize("kind", sorted(_STEP_ENVS))
+    def test_windows_match_quadrature(self, kind, moving, schedule):
+        env = _STEP_ENVS[kind]
+        steps, start = _SCHEDULES[schedule]
+        where = {"trajectory": _STEP_PATH} if moving else {"position": (0.0, 1.2, 1.0)}
+        src = SourceSpec.continuous(steps, start_time=start, **where)
+        obs = (3.0, 2.5, 0.4)
+        for t in (5.0, 12.0):
+            oracle = concentration_moving_source(src, env, obs, t, quadrature_tol=1e-13)
+            got = concentration_continuous(src, env, obs, t)
+            assert got == pytest.approx(oracle, rel=1e-10, abs=0.0)
+            assert evaluate_field(FieldQuery(np.array([obs]), [t]),
+                                  Scenario(env, [src]))[0] == got
+
+    def test_windows_of_each_form(self):
+        assert SourceSpec.continuous(2.0, position=(0, 0, 0), start_time=3.0).windows \
+            == ((3.0, math.inf, 2.0),)
+        assert SourceSpec.continuous(0.0, position=(0, 0, 0)).windows == ()
+        assert SourceSpec.instant((0, 0, 0), 1.0).windows == ()
+        steps, start = _SCHEDULES[1]
+        src = SourceSpec.continuous(steps, position=(0, 0, 0), start_time=2.0)
+        assert src.windows == ((2.0, 3.5, 0.5), (3.5, 6.0, 2.0), (9.0, math.inf, 1.5))
+        assert [src.rate_at(t) for t in (1.0, 2.0, 3.5, 7.0, 9.0, 1e6)] == \
+            [0.0, 0.5, 2.0, 0.0, 1.5, 1.5]
+        steps, start = _SCHEDULES[3]
+        assert SourceSpec.continuous(steps, position=(0, 0, 0), start_time=start).windows \
+            == ((4.5, 8.0, 1.0), (8.0, math.inf, 0.25))
+
+    @pytest.mark.parametrize("kind, strength", [
+        ("continuous", [(0.0, -1.0)]),
+        ("continuous", [(0.0, math.nan)]),
+        ("continuous", [(0.0, math.inf)]),
+        ("continuous", [(0.0, 1.0), (0.0, 2.0)]),
+        ("continuous", [(2.0, 1.0), (1.0, 2.0)]),
+        ("continuous", [(math.nan, 1.0)]),
+        ("continuous", [(math.inf, 1.0)]),
+        ("continuous", []),
+        ("continuous", [(0.0, 1.0, 2.0)]),
+        ("instant", [(0.0, 1.0)]),
+        ("continuous", lambda s: 1.0),
+    ], ids=["negative", "nan_rate", "inf_rate", "repeated", "decreasing", "nan_time",
+            "inf_time", "empty", "triple", "instant", "callable"])
+    def test_bad_schedule_is_rejected(self, kind, strength):
+        with pytest.raises(ValueError):
+            SourceSpec(channel.SourceKind(kind), strength, position=(0, 0, 0))
+
+    def test_zero_rate_source_reads_zero_on_itself(self):
+        traj = Trajectory.straight_line((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.0, 20.0)
+        static = SourceSpec.continuous(0.0, position=(1.0, 2.0, 3.0))
+        moving = SourceSpec.continuous(0.0, trajectory=traj)
+        assert concentration_continuous(static, ENV40, (1.0, 2.0, 3.0), 10.0) == 0.0
+        assert concentration_steady(static, ENV40, (1.0, 2.0, 3.0)) == 0.0
+        assert concentration_continuous(moving, ENV40, traj.point_at(10.0), 10.0) == 0.0
+        q = FieldQuery.from_pairs([((1.0, 2.0, 3.0), 10.0), (traj.point_at(5.0), 5.0)])
+        assert (evaluate_field(q, Scenario(ENV40, [static, moving])) == 0.0).all()
+
+    def test_steady_state_keeps_the_windows_that_never_close(self):
+        env = Environment(diffusivity=0.5, wind=Velocity(0.3, 0.0, 0.0))
+        steps, start = _SCHEDULES[1]
+        src = SourceSpec.continuous(steps, position=(0.0, 1.2, 1.0), start_time=start)
+        last = SourceSpec.continuous(steps[-1][1], position=(0.0, 1.2, 1.0))
+        assert concentration_steady(src, env, (3.0, 2.5, 0.4)) == \
+            concentration_steady(last, env, (3.0, 2.5, 0.4))
+        pulse = SourceSpec.continuous(_SCHEDULES[0][0], position=(0.0, 1.2, 1.0))
+        assert concentration_steady(pulse, env, (3.0, 2.5, 0.4)) == 0.0
+
+    @pytest.mark.parametrize("wind", [0.0, 0.4])
+    def test_on_source_only_while_it_emits(self, wind):
+        env = Environment(diffusivity=0.5, wind=Velocity(wind, 0.0, 0.0))
+        src = SourceSpec.continuous([(0.0, 1.0), (10.0, 0.0)], position=(1.0, 2.0, 3.0))
+        with pytest.raises(SingularPoint):
+            concentration_continuous(src, env, (1.0, 2.0, 3.0), 5.0)
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            after = concentration_continuous(src, env, (1.0, 2.0, 3.0), 20.0)
+        oracle = concentration_moving_source(src, env, (1.0, 2.0, 3.0), 20.0,
+                                             quadrature_tol=1e-10)
+        assert after == pytest.approx(oracle, rel=1e-6)
 
 
 class TestMultiSource:
@@ -747,6 +857,30 @@ class TestBoundaries:
         Environment(diffusivity=1.0, wind=Velocity(1.5, -2, 0),
                     boundary=HalfSpaceReflecting())
         Environment(diffusivity=1.0, wind=Velocity(0.3, -2, 4), boundary=FreeSpace())
+
+    def test_still_air_duct_has_no_steady_state(self):
+        # The truncated image sum grew with the order (3.88, 7.94, 16.1 and
+        # 32.4 at orders 5-40); with wind along the duct it settles.
+        src = SourceSpec.continuous(1.0, position=(0.0, 1.5, 1.2))
+        duct = RectangularDuctReflecting(3.0, 2.5, image_order=10)
+        with pytest.raises(SingularPoint, match="steady state"):
+            concentration_steady(src, Environment(diffusivity=0.5, boundary=duct),
+                                 (5.0, 1.0, 1.0))
+        windy = Environment(diffusivity=0.5, wind=Velocity(0.5, 0.0, 0.0), boundary=duct)
+        assert math.isfinite(concentration_steady(src, windy, (5.0, 1.0, 1.0)))
+        for boundary in (FreeSpace(), HalfSpaceReflecting()):
+            still = Environment(diffusivity=0.5, boundary=boundary)
+            assert math.isfinite(concentration_steady(src, still, (5.0, 1.0, 1.0)))
+
+    def test_image_order_is_capped_before_the_stack_is_built(self, monkeypatch):
+        def no_stack(*args):
+            raise AssertionError("image stack built")
+
+        monkeypatch.setattr(channel, "_image_stack", no_stack)
+        RectangularDuctReflecting(3.0, 2.5, image_order=channel.MAX_IMAGE_ORDER)
+        assert channel.MAX_IMAGE_ORDER >= 90
+        with pytest.raises(ValueError, match="image_order"):
+            RectangularDuctReflecting(3.0, 2.5, image_order=channel.MAX_IMAGE_ORDER + 1)
 
     def test_image_points_counts(self):
         assert len(image_points(ENV40, np.zeros(3))) == 1

@@ -424,6 +424,39 @@ class TestCli:
         assert doc["position"] == pytest.approx([4.0, 6.0, 2.0], abs=1e-3)
         assert doc["rate"] == pytest.approx(2e-3, rel=1e-3)
 
+    @pytest.mark.parametrize("wind, code", [("0 0 0", 1), ("0.5 0 0", 0)])
+    def test_localize_steady_needs_a_steady_state(self, tmp_path, capsys, wind, code):
+        # A still-air duct has no steady field; with wind along it one exists.
+        rows = ["x,y,z,t,c,sigma"] + [
+            f"{x},{y},{z},0.0,{1e-6 * (i + 1)!r},1e-7" for i, (x, y, z) in
+            enumerate([(x, y, z) for x in (0, 10) for y in (0.5, 2.5) for z in (0.5, 2.0)])]
+        readings = write(tmp_path, "readings.csv", "\n".join(rows) + "\n")
+        cfg = write(tmp_path, "env.cfg", "[environment]\ndiffusivity_m2s = 0.5\n"
+                    f"wind_mps = {wind}\nboundary = duct\nduct_width_m = 3\n"
+                    "duct_height_m = 2.5\nimage_order = 2\n")
+        out = tmp_path / "estimate.json"
+        assert main(["localize", "--config", cfg, "--readings", readings,
+                     "--out", str(out)]) == code
+        assert ("steady state" in capsys.readouterr().err) == (code == 1)
+        assert out.exists() == (code == 0)
+
+    def test_image_order_above_the_cap_names_the_key(self, tmp_path, capsys, monkeypatch):
+        from virodyne import channel
+
+        def no_stack(*args):
+            raise AssertionError("image stack built")
+
+        monkeypatch.setattr(channel, "_image_stack", no_stack)
+        text = (REPO_CONFIGS / "walk_past.cfg").read_text().replace(
+            "diffusivity_m2s = 40.0", "diffusivity_m2s = 40.0\nboundary = duct\n"
+            f"duct_width_m = 60\nduct_height_m = 60\n"
+            f"image_order = {channel.MAX_IMAGE_ORDER + 1}")
+        out = tmp_path / "grid.csv"
+        assert main(["field", "--config", write(tmp_path, "duct.cfg", text),
+                     "--out", str(out)]) == 2
+        assert "image_order" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_localize_reports_position_crlb(self, tmp_path):
         rows = ["x,y,z,t,c,sigma"]
         for i, (sx, sy, sz) in enumerate(
