@@ -20,6 +20,10 @@ method of images:
 Only concentration_moving_source, the closed forms' independent check,
 integrates the instant kernel by adaptive Simpson quadrature.
 
+A trajectory source holds its first knot before its path and its last
+after it, in every route (closed form, quadrature, fdpde). In still air
+between walls no steady state exists; the kernel refuses tau = inf there.
+
 Reflecting boundaries have one image-source representation: a boundary
 declares its walls (mirrored axis -> wall spacing, image_order) and the
 images follow from that alone, (2(2n+1))^2 of them for a duct of
@@ -57,7 +61,6 @@ from .core import (
 )
 from .errors import (
     FieldEvaluationError,
-    OutOfRange,
     QuadratureFailure,
     SingularPoint,
 )
@@ -151,12 +154,6 @@ class Environment:
     def has_wind(self) -> bool:
         return self.wind.speed > 0.0
 
-    def require_steady_state(self) -> None:
-        """Raise SingularPoint in still air between walls (a duct): the field
-        grows like sqrt(t) there, though a truncated image sum stays finite."""
-        if self.wind.speed == 0.0 and any(w > 0 for w, _ in self.boundary.walls.values()):
-            raise SingularPoint("no steady state: still air between walls never settles")
-
 
 class SourceKind(enum.Enum):
     INSTANT = "instant"
@@ -231,7 +228,8 @@ class SourceSpec:
 
     def point_at(self, t: float) -> np.ndarray:
         """Where the source is at time t. Before its trajectory starts it
-        holds the first knot and after it ends the last."""
+        holds the first knot and after it ends the last, the rule every
+        field route (closed form, quadrature, fdpde) follows."""
         if self.trajectory is not None:
             traj = self.trajectory
             return traj.point_at(min(max(t, traj.t_start), traj.t_end))
@@ -554,8 +552,15 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
     while it still emits (taus_end = 0) is +inf; one on a stopped emission
     point takes the d -> 0 limit, and one on a mirror image only skips that
     image, which happens only outside the domain.
+
+    A static source at tau = inf in still air between walls raises
+    SingularPoint: the field grows like sqrt(t), though the image sum stays
+    finite.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if (velocity is None and not env.has_wind
+            and any(w > 0 for w, _ in env.boundary.walls.values()) and np.isinf(taus).any()):
+        raise SingularPoint("no steady state: still air between walls never settles")
     n = taus.size
     src = np.broadcast_to(np.atleast_2d(src_points), (n, 3))
     obs = np.broadcast_to(np.atleast_2d(obs_points), (n, 3))
@@ -667,20 +672,13 @@ def concentration_instant(src: SourceSpec, env: Environment, r, t) -> float:
 
 
 _ON_SOURCE = "continuous-source field diverges at the source position"
-_TRAJECTORY_SLACK = 1e-9
 _BLOCK_WINDOWS = 2 ** 16
-
-
-def _past_trajectory(src: SourceSpec, t: float) -> OutOfRange:
-    return OutOfRange(f"trajectory ends at {src.trajectory.t_end} s but the field "
-                      f"was requested at t={t} s")
 
 
 def _trajectory_pieces(traj: Trajectory):
     """The path as constant-velocity pieces: emission window (start, stop),
     reference knot (time, point) and velocity. Before t_start the source
-    holds the first knot and after t_end the last, as the quadrature's
-    clipping does."""
+    holds the first knot and after t_end the last (SourceSpec.point_at)."""
     ts, ps = traj.times, traj.points
     start = np.concatenate([[-math.inf], ts])
     stop = np.concatenate([ts, [math.inf]])
@@ -729,11 +727,11 @@ def concentration_steady(src: SourceSpec, env: Environment, r) -> float:
         exp((v . dr - |v| d) / (2 D)) / (4 pi D d),
     which reduces to 1 / (4 pi D d) in still air; mirror images are summed
     for reflecting boundaries. It is unit_continuous_kernel at tau = inf,
-    summed over the windows that never close.
+    summed over the windows that never close; in still air between walls
+    that kernel raises SingularPoint, as no steady state exists there.
     """
     if src.kind is not SourceKind.CONTINUOUS or src.is_moving:
         raise ValueError("steady state is defined for static continuous sources")
-    env.require_steady_state()
     return _field_at(src, env, r, math.inf)
 
 
@@ -742,16 +740,13 @@ def concentration_moving_source(src: SourceSpec, env: Environment, r, t,
     """Field of a continuous source by quadrature of the instant kernel over
     each emission window, cut at the trajectory's knots, to quadrature_tol,
     times the window's rate: the independent check of the closed form of
-    concentration_continuous. The trajectory must cover [start_time, t]."""
+    concentration_continuous. Outside its trajectory's span the source
+    holds the nearest end knot, as SourceSpec.point_at does."""
     if src.kind is not SourceKind.CONTINUOUS:
         raise ValueError("concentration_moving_source expects a continuous source")
     t = seconds(t)
-    if t <= src.start_time:
-        return 0.0
     obs = as_position(r).as_array()
     traj = src.trajectory
-    if traj is not None and t > traj.t_end + _TRAJECTORY_SLACK:
-        raise _past_trajectory(src, t)
 
     def unit_integrand(ss: np.ndarray) -> np.ndarray:
         r0s = (src.position.as_array() if traj is None
@@ -795,15 +790,12 @@ def _source_field(src: SourceSpec, env: Environment, positions: np.ndarray,
     """One source's field at each (position, time), and the indices that
     failed. An instant release takes the instant kernel; a continuous source
     sums unit_continuous_kernel times rate over its emission windows (a
-    trajectory piece by piece). SingularPoint marks an observer on a source
-    while it emits and OutOfRange a time past the end of its trajectory."""
+    trajectory piece by piece, holding its end knots outside its span).
+    SingularPoint marks an observer on a source while it emits."""
     if src.kind is SourceKind.INSTANT:
         r0 = src.point_at(src.start_time)
         return src.strength * unit_instant_kernel(env, r0, positions,
                                                   times - src.start_time), []
-    late = np.zeros(times.size, dtype=bool)
-    if src.trajectory is not None:
-        late = (times > src.trajectory.t_end + _TRAJECTORY_SLACK) & (times > src.start_time)
     out, singular = np.zeros(times.size), np.zeros(times.size, dtype=bool)
     for begin, end, rate in src.windows:
         if src.trajectory is not None:
@@ -813,13 +805,9 @@ def _source_field(src: SourceSpec, env: Environment, positions: np.ndarray,
                 env, src.position.as_array(), positions, times - begin,
                 taus_end=None if end == math.inf else np.maximum(times - end, 0.0))
         on_source = np.isinf(kern)
-        singular |= on_source & ~late
-        out += rate * np.where(late | on_source, 0.0, kern)
-    failures = sorted(
-        [(int(i), _past_trajectory(src, float(times[i]))) for i in np.flatnonzero(late)]
-        + [(int(i), SingularPoint(_ON_SOURCE)) for i in np.flatnonzero(singular)],
-        key=lambda f: f[0])
-    return out, failures
+        singular |= on_source
+        out += rate * np.where(on_source, 0.0, kern)
+    return out, [(int(i), SingularPoint(_ON_SOURCE)) for i in np.flatnonzero(singular)]
 
 
 def _field_at(src: SourceSpec, env: Environment, r, t: float) -> float:
@@ -836,9 +824,10 @@ def evaluate_field(query: FieldQuery, scenario: Scenario,
     """Evaluate the scenario's field at every query point.
 
     Pure and order-independent: permuting the query permutes the results.
-    Point-wise failures (an observer on an emitting source, a time past a
-    trajectory's end) are collected, source by source in index order, and
-    raised together as FieldEvaluationError with their query indices.
+    Point-wise failures (an observer on an emitting source) are collected,
+    source by source in index order, and raised together as
+    FieldEvaluationError with their query indices. A time past a
+    trajectory's end is no failure: the source holds its last knot.
 
     quadrature_tol is ignored, as every source takes a closed form; it
     stays because the benchmark harness (perfbench/layers.py) passes it.

@@ -167,15 +167,19 @@ def _build_population(cfg: ScenarioConfig, seed: int) -> list[Agent]:
     return agents
 
 
+# Each EpidemicConfig field and its [epidemic] key.
+_EPIDEMIC_KEYS = {"dose_coefficient": "dose_coefficient", "latency": "latency_s",
+                  "step": "step_s", "horizon": "horizon_s"}
+
+
 def _cmd_epidemic(args) -> int:
     cfg, seed = _scenario(args, "environment", "population", "epidemic")
     env = cfg.environment.build()
-    epi_cfg = EpidemicConfig(
-        dose_coefficient=cfg.epidemic.dose_coefficient,
-        latency=cfg.epidemic.latency_s,
-        step=cfg.epidemic.step_s,
-        horizon=cfg.epidemic.horizon_s,
-    )
+    try:
+        epi_cfg = EpidemicConfig(**{name: getattr(cfg.epidemic, key)
+                                    for name, key in _EPIDEMIC_KEYS.items()})
+    except ValueError as exc:  # its message starts with the field's name
+        raise ConfigError(str(exc), _EPIDEMIC_KEYS.get(str(exc).split()[0])) from None
     agents = _build_population(cfg, seed)
     state = run_epidemic(agents, epi_cfg, env, seed)
     rows = [f"{float(snap.time)!r},{i},{'I' if math.isfinite(since) else 'S'},{dose!r}"

@@ -163,9 +163,11 @@ def step(
     env: Environment,
     stream: np.random.Generator,
 ) -> EpidemicSnapshot:
-    """Advance one coherence window; returns the next snapshot."""
+    """Advance one coherence window, cut at the horizon; returns the next snapshot."""
     t0 = snapshot.time
     t1 = t0 + config.step
+    if config.horizon - t1 < 1e-9 * config.step:  # the last step, whole or short
+        t1 = config.horizon
     since = snapshot.infected_since.copy()
     dose = snapshot.cumulative_dose.copy()
 
@@ -194,7 +196,7 @@ def run(
     env: Environment,
     seed: int,
 ) -> EpidemicState:
-    """Simulate the epidemic over the configured horizon."""
+    """Simulate the epidemic up to the horizon; the last step may be short."""
     agents = tuple(sorted(population, key=lambda a: a.agent_id))
     n = len(agents)
     since0 = np.full(n, np.nan)
@@ -206,8 +208,7 @@ def run(
                             cumulative_dose=np.zeros(n))
     state.snapshots.append(snap)
     stream = rng_stream(seed, 0)
-    n_steps = int(math.ceil(config.horizon / config.step - 1e-9))
-    for _ in range(n_steps):
+    while snap.time < config.horizon:
         snap = step(snap, agents, config, env, stream)
         state.snapshots.append(snap)
     return state

@@ -79,9 +79,8 @@ def _unit_model(source_kind: str, env: Environment,
     """Per-unit-intensity forward model c_i = Q * g_i(r0), batched: maps G
     candidate positions (G, 3) to the (G, S) matrix of every reading's g_i.
     Sources emit from t = 0; a steady source is the continuous one at
-    tau = inf, where one exists (Environment.require_steady_state)."""
+    tau = inf, which the kernel refuses in still air between walls."""
     if source_kind == "steady":
-        env.require_steady_state()
         kernel, times = unit_continuous_kernel, [math.inf] * len(readings)
     elif source_kind in ("instant", "continuous"):
         kernel = unit_instant_kernel if source_kind == "instant" else unit_continuous_kernel
@@ -214,10 +213,11 @@ def localize(
     """Maximum-likelihood estimate of source position and release intensity.
 
     Needs at least four readings at non-coplanar sensor positions; raises
-    Unidentifiable for degenerate geometry or all-zero data (any zero-rate
-    source fits those). Deterministic for a fixed configuration. The
-    returned `converged` flag is False when the refinement hits its
-    iteration cap; the best point found is still returned.
+    Unidentifiable for degenerate geometry, all-zero data (any zero-rate
+    source fits those) or transient readings all at t <= 0 (nothing has
+    arrived). Deterministic for a fixed configuration. The returned
+    `converged` flag is False when the refinement hits its iteration cap;
+    the best point found is still returned.
     """
     readings = list(readings)
     if len(readings) < 4:
@@ -232,6 +232,9 @@ def localize(
     sigma = np.array([r.sigma for r in readings])
     w = 1.0 / sigma**2
     g = _unit_model(source_kind, env, readings)
+    if source_kind != "steady" and max(r.time for r in readings) <= 0.0:
+        raise Unidentifiable("every reading is at t <= 0, before the source emits: the "
+                             "forward model is zero there for every position")
     sensor_pts = np.array([r.position.as_array() for r in readings])
 
     def g_matrix(r0s: np.ndarray) -> np.ndarray:

@@ -32,7 +32,6 @@ from virodyne.core import Velocity
 from virodyne.epidemic import Agent, accumulate_dose
 from virodyne.errors import (
     FieldEvaluationError,
-    OutOfRange,
     QuadratureFailure,
     SingularPoint,
 )
@@ -192,6 +191,19 @@ def static_source_cases(draw):
     return env, src, obs, draw(st.floats(0.5, 500.0))
 
 
+def _explicit_steady_sum(env, src, obs):
+    """The steady kernel exp((v . dr - |v| d) / 2D) / (4 pi D d) summed
+    image by image."""
+    v = env.wind_arr
+    total = 0.0
+    for p in image_points(env, src):
+        dr = obs - p
+        d = float(np.linalg.norm(dr))
+        total += math.exp((float(v @ dr) - float(np.linalg.norm(v)) * d)
+                          / (2.0 * env.diffusivity)) / (4.0 * math.pi * env.diffusivity * d)
+    return total
+
+
 class TestContinuousKernel:
     @given(static_source_cases())
     @settings(max_examples=40, deadline=None)
@@ -207,16 +219,34 @@ class TestContinuousKernel:
     @given(static_source_cases())
     @settings(max_examples=60, deadline=None)
     def test_infinite_tau_is_explicit_steady_sum(self, case):
+        # Except in still air between walls, where no steady state exists.
         env, src, obs, _ = case
-        v = env.wind_arr
-        expect = 0.0
-        for p in image_points(env, src):
-            dr = obs - p
-            d = float(np.linalg.norm(dr))
-            expect += math.exp((float(v @ dr) - float(np.linalg.norm(v)) * d)
-                               / (2.0 * env.diffusivity)) / (4.0 * math.pi * env.diffusivity * d)
+        if isinstance(env.boundary, RectangularDuctReflecting) and not env.has_wind:
+            with pytest.raises(SingularPoint, match="steady state"):
+                unit_continuous_kernel(env, src, obs, [math.inf])
+            return
         got = unit_continuous_kernel(env, src, obs, [math.inf])[0]
-        assert got == pytest.approx(expect, rel=1e-12)
+        assert got == pytest.approx(_explicit_steady_sum(env, src, obs), rel=1e-12)
+
+    @pytest.mark.parametrize("boundary, wind", [
+        (FreeSpace(), 0.0), (HalfSpaceReflecting(), 0.0),
+        (RectangularDuctReflecting(3.0, 2.5, image_order=3), 0.5)],
+        ids=["still_free", "still_half", "windy_duct"])
+    def test_steady_sum_where_a_steady_state_exists(self, boundary, wind):
+        env = Environment(diffusivity=0.5, wind=Velocity(wind, 0.0, 0.0), boundary=boundary)
+        src, obs = np.array([0.0, 1.5, 1.2]), np.array([4.0, 1.0, 0.8])
+        got = unit_continuous_kernel(env, src, obs, [math.inf])[0]
+        assert got == pytest.approx(_explicit_steady_sum(env, src, obs), rel=1e-12)
+
+    def test_still_air_duct_refuses_infinite_tau(self):
+        env = Environment(diffusivity=0.5,
+                          boundary=RectangularDuctReflecting(3.0, 2.5, image_order=10))
+        src, obs = np.array([0.0, 1.5, 1.2]), np.array([5.0, 1.0, 1.0])
+        with pytest.raises(SingularPoint, match="steady state"):
+            unit_continuous_kernel(env, src, obs, [math.inf])
+        with pytest.raises(SingularPoint, match="steady state"):
+            unit_continuous_kernel(env, src, obs, [60.0, math.inf])
+        assert np.isfinite(unit_continuous_kernel(env, src, obs, [60.0, 600.0])).all()
 
     def test_erfcx_matches_scipy_on_both_branches(self):
         special = pytest.importorskip("scipy.special")
@@ -332,11 +362,18 @@ class TestMovingSource:
         b = concentration_continuous(static, ENV40, (35, 0, 25), 60.0)
         assert a == pytest.approx(b, rel=1e-6)
 
-    def test_trajectory_must_cover_query_time(self):
+    def test_past_trajectory_end_holds_last_knot(self):
+        # Past its path the source stands at the last knot: the same as a
+        # path that waits there explicitly until the observation time.
         traj = Trajectory.straight_line((0, 0, 0), (1, 0, 0), 0.0, 10.0)
+        held = Trajectory(np.array([0.0, 10.0, 20.0]),
+                          np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [10.0, 0.0, 0.0]]))
         src = SourceSpec.continuous(1.0, trajectory=traj)
-        with pytest.raises(OutOfRange):
-            concentration_moving_source(src, ENV40, (5, 0, 0), 20.0)
+        got = concentration_moving_source(src, ENV40, (5, 0, 0), 20.0, quadrature_tol=1e-10)
+        expect = concentration_moving_source(SourceSpec.continuous(1.0, trajectory=held),
+                                             ENV40, (5, 0, 0), 20.0, quadrature_tol=1e-10)
+        assert got == pytest.approx(expect, rel=1e-9)
+        assert concentration_moving_source(src, ENV40, (5, 0, 0), 0.0) == 0.0
 
     def test_quadrature_failure_at_singular_passage(self):
         # The observer sits exactly on the path at the passage instant.
@@ -470,24 +507,55 @@ class TestMovingClosedForm:
         near = concentration_continuous(src, env, (15.0, 1e-5, 0.0), 15.0)
         assert near == pytest.approx(got, rel=1e-4)
 
-    def test_beyond_trajectory_end_is_out_of_range(self):
+    def test_beyond_trajectory_end_holds_last_knot(self):
+        # Past its path the source emits from the last knot, as a path that
+        # waits there explicitly does; an observer on that knot is singular.
         traj = Trajectory.straight_line((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.0, 10.0)
+        held = Trajectory(np.array([0.0, 10.0, 20.0]),
+                          np.array([[0.0, 0.0, 1.0], [10.0, 0.0, 1.0], [10.0, 0.0, 1.0]]))
         src = SourceSpec.continuous(1.0, trajectory=traj)
-        with pytest.raises(OutOfRange):
-            concentration_continuous(src, ENV40, (5.0, 1.0, 1.0), 10.5)
-        q = FieldQuery.from_pairs([((5.0, 1.0, 1.0), 9.0), ((5.0, 1.0, 1.0), 10.5),
-                                   ((5.0, 1.0, 1.0), 12.0), ((5.0, 1.0, 1.0), 10.0 + 5e-10)])
-        with pytest.raises(FieldEvaluationError) as err:
-            evaluate_field(q, Scenario(ENV40, [src]))
-        assert [(i, type(e)) for i, e in err.value.failures] == \
-            [(1, OutOfRange), (2, OutOfRange)]
-        # Inside the 1e-9 s slack the source holds its last knot, so it
-        # still emits there.
-        slack = concentration_continuous(src, ENV40, (5.0, 1.0, 1.0), 10.0 + 5e-10)
-        oracle = concentration_moving_source(src, ENV40, (5.0, 1.0, 1.0), 10.0 + 5e-10)
-        assert slack == pytest.approx(oracle, rel=1e-5)
+        waits = SourceSpec.continuous(1.0, trajectory=held)
+        obs, times = (5.0, 1.0, 1.0), [9.0, 10.5, 12.0, 10.0 + 5e-10]
+        got = evaluate_field(FieldQuery.from_pairs([(obs, t) for t in times]),
+                             Scenario(ENV40, [src]))
+        for t, value in zip(times, got):
+            assert value == pytest.approx(concentration_continuous(waits, ENV40, obs, t),
+                                          rel=1e-12)
+            oracle = concentration_moving_source(src, ENV40, obs, t, quadrature_tol=1e-10)
+            assert value == pytest.approx(oracle, rel=1e-6)
         with pytest.raises(SingularPoint):
-            concentration_continuous(src, ENV40, (10.0, 0.0, 1.0), 10.0 + 5e-10)
+            concentration_continuous(src, ENV40, (10.0, 0.0, 1.0), 12.0)
+
+    def test_pulse_after_path_end_is_finite(self):
+        # A pulse that stopped emitting at 5 s, seen 2 s after its 10 s walk.
+        traj = Trajectory.straight_line((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.0, 10.0)
+        src = SourceSpec.continuous([(0.0, 1.0), (5.0, 0.0)], trajectory=traj)
+        obs = (5.0, 1.0, 1.0)
+        got = concentration_continuous(src, ENV40, obs, 12.0)
+        batch = evaluate_field(FieldQuery.from_pairs([(obs, 12.0)]), Scenario(ENV40, [src]))
+        oracle = concentration_moving_source(src, ENV40, obs, 12.0, quadrature_tol=1e-10)
+        assert math.isfinite(got) and got > 0.0
+        assert batch[0] == got
+        assert got == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("t", [12.0, 30.0])
+    @pytest.mark.parametrize("rate", [1.0, [(0.0, 1.0), (4.0, 0.5), (8.0, 2.0)],
+                                      [(0.0, 1.0), (5.0, 0.0)]],
+                             ids=["constant", "stepped", "pulse"])
+    @pytest.mark.parametrize("boundary, wind", [
+        (FreeSpace(), (0.0, 0.0, 0.0)),
+        (HalfSpaceReflecting(), (0.4, 0.2, 0.0)),
+        (RectangularDuctReflecting(3.0, 2.5, image_order=3), (0.0, 0.0, 0.0))],
+        ids=["free", "windy_half", "duct"])
+    def test_past_path_end_matches_quadrature(self, boundary, wind, rate, t):
+        env = Environment(diffusivity=0.5, wind=Velocity(*wind), boundary=boundary)
+        traj = Trajectory.straight_line((-5.0, 1.5, 1.2), (1.0, 0.0, 0.0), 0.0, 10.0)
+        src = SourceSpec.continuous(rate, trajectory=traj)
+        obs = (2.0, 1.0, 0.8)
+        got = evaluate_field(FieldQuery.from_pairs([(obs, t)]), Scenario(env, [src]))[0]
+        oracle = concentration_moving_source(src, env, obs, t, quadrature_tol=1e-10)
+        assert got > 0.0
+        assert got == pytest.approx(oracle, rel=1e-6)
 
     def test_start_before_trajectory_holds_first_knot(self):
         traj = Trajectory.straight_line((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 5.0, 20.0)

@@ -232,8 +232,14 @@ class TestCli:
         (("initial_infected = 1", "initial_infected = 50"), "initial_infected"),
         (("initial_infected = 1", "initial_infected = -1"), "initial_infected"),
         (("domain_m = 0 0 0 20 15 3", "domain_m = 0 0 0 0 15 3"), "domain_m"),
+        # [epidemic] keys, rejected by EpidemicConfig under their field names
+        (("latency_s = 60", "latency_s = -1"), "latency_s"),
+        (("step_s = 10", "step_s = 0"), "step_s"),
+        (("horizon_s = 600", "horizon_s = -5"), "horizon_s"),
+        (("dose_coefficient = 5e4", "dose_coefficient = -1"), "dose_coefficient"),
     ], ids=["agents_negative", "agents_zero", "infected_above_agents",
-            "infected_negative", "domain_flat"])
+            "infected_negative", "domain_flat", "latency_negative", "step_zero",
+            "horizon_negative", "dose_negative"])
     def test_population_out_of_range_names_key(self, tmp_path, capsys, edit, key):
         text = (REPO_CONFIGS / "epidemic_demo.cfg").read_text()
         assert edit[0] in text
@@ -243,6 +249,19 @@ class TestCli:
         assert rc == 2
         assert f"key '{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dose", ["5e2", "5e4"])
+    def test_epidemic_horizon_off_the_step_grid(self, tmp_path, dose):
+        # 605 s in steps of 10: the last step is 5 s and the series ends at
+        # the horizon the paths are sampled to.
+        text = (REPO_CONFIGS / "epidemic_demo.cfg").read_text()
+        text = text.replace("horizon_s = 600", "horizon_s = 605")
+        text = text.replace("dose_coefficient = 5e4", f"dose_coefficient = {dose}")
+        summary = tmp_path / "sum.json"
+        rc = main(["epidemic", "--config", write(tmp_path, "epi.cfg", text),
+                   "--out", str(tmp_path / "series.csv"), "--summary", str(summary)])
+        assert rc == 0
+        assert json.loads(summary.read_text())["times"][-3:] == [590.0, 600.0, 605.0]
 
     def test_mobility_rejection_names_population_keys(self, tmp_path, capsys):
         text = (REPO_CONFIGS / "epidemic_demo.cfg").read_text()
@@ -439,6 +458,20 @@ class TestCli:
                      "--out", str(out)]) == code
         assert ("steady state" in capsys.readouterr().err) == (code == 1)
         assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("kind", ["instant", "continuous"])
+    def test_localize_readings_before_emission_exit_1(self, tmp_path, capsys, kind):
+        # Read at t = 0 nothing has arrived: no position explains the data.
+        rows = ["x,y,z,t,c,sigma", "0,0,0,0,1e-3,1", "10,0,0,0,2e-3,1",
+                "0,10,0,0,3e-3,1", "0,0,10,0,4e-3,1"]
+        readings = write(tmp_path, "readings.csv", "\n".join(rows) + "\n")
+        cfg = write(tmp_path, "env.cfg", "[environment]\ndiffusivity_m2s = 1\n"
+                    f"[localize]\nsource_kind = {kind}\n")
+        out = tmp_path / "estimate.json"
+        assert main(["localize", "--config", cfg, "--readings", readings,
+                     "--out", str(out)]) == 1
+        assert "forward model is zero" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_image_order_above_the_cap_names_the_key(self, tmp_path, capsys, monkeypatch):
         from virodyne import channel

@@ -99,6 +99,24 @@ class TestStep:
         assert counts == sorted(counts)
         assert counts[-1] > 1  # the outbreak actually spreads here
 
+    def test_last_step_ends_at_the_horizon(self):
+        # 25 s in steps of 10: two whole steps, then one of 5 s.
+        agents = (
+            _static_agent(0, (0, 0, 0), rate=1.0, infected_since=0.0, horizon=25.0),
+            _static_agent(1, (1, 0, 0), horizon=25.0),
+        )
+        cfg = EpidemicConfig(dose_coefficient=0.0, latency=0.0, step=10.0,
+                             horizon=25.0)
+        state = run(agents, cfg, ENV, seed=0)
+        assert [s.time for s in state.snapshots] == [0.0, 10.0, 20.0, 25.0]
+        last = accumulate_dose(agents[1], [(agents[0], 0.0)], ENV, 20.0, 25.0)
+        assert state.snapshots[-1].cumulative_dose[1] - state.snapshots[-2].cumulative_dose[1] \
+            == pytest.approx(last, rel=1e-12)
+        # Ten steps of 0.1 s sum to 0.9999999999999999; the last ends at 1.0.
+        cfg = EpidemicConfig(dose_coefficient=0.0, latency=0.0, step=0.1, horizon=1.0)
+        times = [s.time for s in run(agents, cfg, ENV, seed=0).snapshots]
+        assert len(times) == 11 and times[-1] == 1.0
+
     def test_latency_gates_emission(self):
         # Within the latency window the index case contributes no dose.
         agents = (

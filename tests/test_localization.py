@@ -6,13 +6,14 @@ import pytest
 import localization_oracle
 from virodyne.channel import (
     Environment,
+    RectangularDuctReflecting,
     SourceSpec,
     concentration_steady,
     unit_continuous_kernel,
     unit_instant_kernel,
 )
 from virodyne.core import rng_stream
-from virodyne.errors import Unidentifiable
+from virodyne.errors import SingularPoint, Unidentifiable
 from virodyne.localization import (
     SensorReading,
     SolverConfig,
@@ -79,6 +80,24 @@ class TestLocalize:
                                   sigma=1.0) for p in CUBE]
         with pytest.raises(Unidentifiable):
             localize(readings, ENV)
+
+    @pytest.mark.parametrize("kind", ["instant", "continuous"])
+    def test_model_zero_at_every_reading_rejected(self, kind):
+        # Nothing emitted from t = 0 has reached a sensor by t = 0, so no
+        # candidate position explains the nonzero readings.
+        readings = [SensorReading(position=p, time=0.0, concentration=1e-3 * (i + 1),
+                                  sigma=1.0) for i, p in enumerate(CUBE)]
+        with pytest.raises(Unidentifiable, match="forward model is zero"):
+            localize(readings, ENV, source_kind=kind)
+
+    def test_still_air_duct_has_no_steady_model(self):
+        duct = Environment(diffusivity=0.5,
+                           boundary=RectangularDuctReflecting(3.0, 2.5, image_order=2))
+        sensors = [(x, y, z) for x in (0.0, 10.0) for y in (0.5, 2.5) for z in (0.5, 2.0)]
+        readings = [SensorReading(position=p, time=0.0, concentration=1e-6 * (i + 1),
+                                  sigma=1e-7) for i, p in enumerate(sensors)]
+        with pytest.raises(SingularPoint, match="steady state"):
+            localize(readings, duct, source_kind="steady")
 
     def test_translation_equivariance(self):
         true_pos = np.array([3.0, 4.0, 6.0])
