@@ -20,9 +20,10 @@ method of images:
 Only concentration_moving_source, the closed forms' independent check,
 integrates the instant kernel by adaptive Simpson quadrature.
 
-A trajectory source holds its first knot before its path and its last
-after it, in every route (closed form, quadrature, fdpde). In still air
-between walls no steady state exists; the kernel refuses tau = inf there.
+A trajectory source stands at its first knot before its path and at its
+last after it (mobility.Trajectory's rule) in every route: closed form,
+quadrature and fdpde. In still air between walls no steady state exists;
+the kernel refuses tau = inf there for emission that has not stopped.
 
 Reflecting boundaries have one image-source representation: a boundary
 declares its walls (mirrored axis -> wall spacing, image_order) and the
@@ -52,7 +53,6 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .core import (
-    Diffusivity,
     Position,
     Velocity,
     as_position,
@@ -135,9 +135,11 @@ class Environment:
     boundary: Boundary = field(default_factory=FreeSpace)
 
     def __post_init__(self):
-        d = float(self.diffusivity) if not isinstance(self.diffusivity, Diffusivity) \
-            else self.diffusivity.m2_per_s
-        Diffusivity(d)  # validates > 0, finite
+        d = float(self.diffusivity)
+        if not math.isfinite(d):
+            raise ValueError(f"Diffusivity must be finite, got {d!r}")
+        if d <= 0:
+            raise ValueError(f"Diffusivity must be > 0, got {d}")
         object.__setattr__(self, "diffusivity", d)
         object.__setattr__(self, "wind", as_velocity(self.wind))
         if any(self.wind_arr[axis] != 0.0 for axis in self.boundary.walls):
@@ -227,12 +229,9 @@ class SourceSpec:
         return sum((q for begin, end, q in self.windows if begin <= t < end), 0.0)
 
     def point_at(self, t: float) -> np.ndarray:
-        """Where the source is at time t. Before its trajectory starts it
-        holds the first knot and after it ends the last, the rule every
-        field route (closed form, quadrature, fdpde) follows."""
+        """Where the source is at time t (Trajectory.point_at if it moves)."""
         if self.trajectory is not None:
-            traj = self.trajectory
-            return traj.point_at(min(max(t, traj.t_start), traj.t_end))
+            return self.trajectory.point_at(t)
         return self.position.as_array()
 
 
@@ -554,18 +553,20 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
     image, which happens only outside the domain.
 
     A static source at tau = inf in still air between walls raises
-    SingularPoint: the field grows like sqrt(t), though the image sum stays
-    finite.
+    SingularPoint while it still emits (taus_end absent or finite): the field
+    grows like sqrt(t), though the image sum stays finite. Emission that
+    stopped (taus_end = inf) has the limit 0.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if (velocity is None and not env.has_wind
-            and any(w > 0 for w, _ in env.boundary.walls.values()) and np.isinf(taus).any()):
-        raise SingularPoint("no steady state: still air between walls never settles")
     n = taus.size
+    ends = None if taus_end is None else np.broadcast_to(np.asarray(taus_end, float), (n,))
+    if (velocity is None and not env.has_wind
+            and any(w > 0 for w, _ in env.boundary.walls.values())
+            and (np.isinf(taus) & (ends is None or np.isfinite(ends))).any()):
+        raise SingularPoint("no steady state: still air between walls never settles")
     src = np.broadcast_to(np.atleast_2d(src_points), (n, 3))
     obs = np.broadcast_to(np.atleast_2d(obs_points), (n, 3))
     vel = None if velocity is None else np.broadcast_to(np.atleast_2d(velocity), (n, 3))
-    ends = None if taus_end is None else np.broadcast_to(np.asarray(taus_end, float), (n,))
     flips, offsets = _image_stack(env.boundary)
     m = len(flips)
     D = env.diffusivity
@@ -677,8 +678,9 @@ _BLOCK_WINDOWS = 2 ** 16
 
 def _trajectory_pieces(traj: Trajectory):
     """The path as constant-velocity pieces: emission window (start, stop),
-    reference knot (time, point) and velocity. Before t_start the source
-    holds the first knot and after t_end the last (SourceSpec.point_at)."""
+    reference knot (time, point) and velocity. The first and last pieces
+    stand still at the end knots: Trajectory.points_at's held-ends rule in
+    closed form."""
     ts, ps = traj.times, traj.points
     start = np.concatenate([[-math.inf], ts])
     stop = np.concatenate([ts, [math.inf]])
@@ -727,8 +729,9 @@ def concentration_steady(src: SourceSpec, env: Environment, r) -> float:
         exp((v . dr - |v| d) / (2 D)) / (4 pi D d),
     which reduces to 1 / (4 pi D d) in still air; mirror images are summed
     for reflecting boundaries. It is unit_continuous_kernel at tau = inf,
-    summed over the windows that never close; in still air between walls
-    that kernel raises SingularPoint, as no steady state exists there.
+    summed over the windows that never close (a closed one adds 0); in
+    still air between walls that kernel raises SingularPoint for an open
+    window, as no steady state exists there.
     """
     if src.kind is not SourceKind.CONTINUOUS or src.is_moving:
         raise ValueError("steady state is defined for static continuous sources")
@@ -741,7 +744,7 @@ def concentration_moving_source(src: SourceSpec, env: Environment, r, t,
     each emission window, cut at the trajectory's knots, to quadrature_tol,
     times the window's rate: the independent check of the closed form of
     concentration_continuous. Outside its trajectory's span the source
-    holds the nearest end knot, as SourceSpec.point_at does."""
+    holds the nearest end knot, as Trajectory.points_at does."""
     if src.kind is not SourceKind.CONTINUOUS:
         raise ValueError("concentration_moving_source expects a continuous source")
     t = seconds(t)
@@ -749,8 +752,7 @@ def concentration_moving_source(src: SourceSpec, env: Environment, r, t,
     traj = src.trajectory
 
     def unit_integrand(ss: np.ndarray) -> np.ndarray:
-        r0s = (src.position.as_array() if traj is None
-               else traj.points_at(np.clip(ss, traj.t_start, traj.t_end)))
+        r0s = src.position.as_array() if traj is None else traj.points_at(ss)
         return unit_instant_kernel(env, r0s, obs, t - ss)
 
     # The integrand has a kink at every knot; integrating between knots

@@ -1,5 +1,5 @@
-"""Shared domain types: positions, times, physical units, the standard
-genetic code, and the deterministic random-stream contract.
+"""Shared domain types: positions, velocities, times in seconds, the
+standard genetic code, and the deterministic random-stream contract.
 
 All value types here are immutable after construction and validate their
 invariants eagerly (NaN/inf are rejected everywhere).
@@ -64,36 +64,6 @@ class Position:
 
 
 @dataclass(frozen=True)
-class TimePoint:
-    """A simulation time, seconds, non-negative."""
-
-    seconds: float
-
-    def __post_init__(self):
-        _require_finite("TimePoint", self.seconds)
-        if self.seconds < 0:
-            raise ValueError(f"TimePoint must be >= 0, got {self.seconds}")
-
-    def __float__(self) -> float:
-        return self.seconds
-
-
-@dataclass(frozen=True)
-class Diffusivity:
-    """A (possibly turbulence-scaled, effective) diffusivity, m^2/s."""
-
-    m2_per_s: float
-
-    def __post_init__(self):
-        _require_finite("Diffusivity", self.m2_per_s)
-        if self.m2_per_s <= 0:
-            raise ValueError(f"Diffusivity must be > 0, got {self.m2_per_s}")
-
-    def __float__(self) -> float:
-        return self.m2_per_s
-
-
-@dataclass(frozen=True)
 class Velocity:
     """A constant velocity vector, m/s."""
 
@@ -114,7 +84,7 @@ class Velocity:
 
 PositionLike = Union[Position, Sequence[float], np.ndarray]
 VelocityLike = Union[Velocity, Sequence[float], np.ndarray]
-TimeLike = Union[TimePoint, float, int]
+TimeLike = float | int
 
 
 def as_position(value: PositionLike) -> Position:

@@ -5,7 +5,9 @@ Each infected agent is a continuous aerosol source; each susceptible agent
 accumulates inhaled dose (the time integral of the ambient concentration
 along its own path) and converts dose increments into infection probability
 through 1 - exp(-k * dose). Infection is irreversible, so the infected count
-never decreases.
+never decreases. An agent whose path ends before the horizon stands at its
+last knot from then on (mobility.Trajectory's rule), as source and as
+observer.
 
 Channel coupling uses snapshot semantics: within one simulation step the set
 of contagious agents is frozen, and each contagious agent is treated as a

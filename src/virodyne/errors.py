@@ -40,10 +40,6 @@ class OutOfDomain(VirodyneError):
     """A position lies outside the configured domain box."""
 
 
-class OutOfRange(VirodyneError):
-    """A time lies outside the span of a trajectory or series."""
-
-
 class MissingChannelModel(VirodyneError):
     """A detector that requires a channel impulse response got none."""
 

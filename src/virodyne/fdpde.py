@@ -7,11 +7,13 @@ velocity field v(r, t).
 
 Forward-Euler time stepping with central differences (second order in
 space); sources are deposited with trilinear (cloud-in-cell) weights each
-step. Walls are either absorbing (c = 0 outside) or reflecting (zero normal
-flux). The scheme is conditionally stable; the default time step respects
-both the diffusive bound dt <= 1 / (2 D sum(1/h_i^2)) and the advective CFL
-bound with a 0.4 safety factor, and a callable velocity is checked against
-the advective bound dt |v|max <= min(h) on every step.
+step, a moving one where its trajectory puts it (at its last knot once its
+path ends, by mobility.Trajectory's rule). Walls are either absorbing
+(c = 0 outside) or reflecting (zero normal flux). The scheme is
+conditionally stable; the default time step respects both the diffusive
+bound dt <= 1 / (2 D sum(1/h_i^2)) and the advective CFL bound with a 0.4
+safety factor, and a callable velocity is checked against the advective
+bound dt |v|max <= min(h) on every step.
 
 The field lives in one zero-initialised buffer with a layer of ghost cells,
 (nx+2, ny+2, nz+2), allocated once per solve; c is its interior view. Each
@@ -155,8 +157,8 @@ def solve_advection_diffusion(
     boundary: 'absorbing' (c=0 beyond the walls) or 'reflecting' (zero
     normal flux). Instant sources inject their mass at the first step at or
     after their start time; continuous sources deposit rate * dt per step at
-    their (possibly moving) midpoint-in-time position, which holds a
-    trajectory's first knot before it starts and its last after it ends.
+    their (possibly moving) midpoint-in-time position, read from
+    Trajectory.points_at outside the path's span too.
     The rate is read at that midpoint too, so the deposit smears a rate
     step by at most one dt.
 

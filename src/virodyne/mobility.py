@@ -1,9 +1,15 @@
 """Stochastic mobility models for agents in a box-shaped scene.
 
 Trajectories are piecewise-linear paths (time-ordered knots with linear
-interpolation). Every model moves by one rule: it says what its next legs
-are, each a velocity v, a duration T and whether a leg cut short at a wall
-is waited out there, and one routine lays each leg into the box.
+interpolation). A path holds its first knot before its span and its last
+after it: an agent or a source stands at its last knot once its path ends.
+Trajectory.points_at is the one place that rule lives; channel, fdpde and
+epidemic read positions from it (channel's closed form restates it piece by
+piece).
+
+Every model moves by one rule: it says what its next legs are, each a
+velocity v, a duration T and whether a leg cut short at a wall is waited
+out there, and one routine lays each leg into the box.
 
 * random walk: u·step_len/step_dt for one step_dt, u a uniform 3-D
   direction; held at a wall under WRAP_TO_WAYPOINT;
@@ -36,8 +42,8 @@ from typing import Union
 
 import numpy as np
 
-from .core import Position, as_position
-from .errors import OutOfDomain, OutOfRange
+from .core import as_position
+from .errors import OutOfDomain
 
 _EPS = 1e-9
 _MAX_CROSSINGS = 100_000  # wall crossings of one reflected leg or wrapped path
@@ -216,20 +222,14 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def position_at(self, t: float) -> Position:
-        return Position.from_array(self.point_at(t))
-
     def point_at(self, t: float) -> np.ndarray:
-        """Linear interpolation at time t; OutOfRange outside the span."""
+        """Where the path is at time t (see points_at)."""
         return self.points_at(np.array([float(t)]))[0]
 
     def points_at(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized interpolation for an array of times within the span
-        (within _EPS of it, clamped); OutOfRange otherwise."""
+        """Linear interpolation between the knots at an array of times. A
+        path holds its first knot before its span and its last after it."""
         ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < self.times[0] - _EPS or ts.max() > self.times[-1] + _EPS):
-            raise OutOfRange("query times outside trajectory span "
-                             f"[{self.t_start}, {self.t_end}]")
         out = np.empty((ts.size, 3))
         for k in range(3):
             out[:, k] = np.interp(ts, self.times, self.points[:, k])
@@ -247,11 +247,6 @@ class Trajectory:
         p0 = as_position(start).as_array()
         v = np.asarray(velocity, dtype=float)
         return cls(np.array([t0, t1]), np.vstack([p0, p0 + v * (t1 - t0)]))
-
-
-def position_at(trajectory: Trajectory, t: float) -> Position:
-    """Interpolated position on a trajectory at time t."""
-    return trajectory.position_at(t)
 
 
 def _unit_direction(stream: np.random.Generator) -> np.ndarray:

@@ -248,6 +248,25 @@ class TestContinuousKernel:
             unit_continuous_kernel(env, src, obs, [60.0, math.inf])
         assert np.isfinite(unit_continuous_kernel(env, src, obs, [60.0, 600.0])).all()
 
+    def test_still_air_duct_closed_window_has_zero_limit(self):
+        # Emission that stopped has the limit 0; only an open window refuses.
+        env = Environment(diffusivity=0.5,
+                          boundary=RectangularDuctReflecting(3.0, 2.5, image_order=10))
+        obs = (4.0, 1.5, 1.2)
+        pulse = SourceSpec.continuous([(0, 1), (5, 0)], position=(1, 1, 1))
+        assert concentration_steady(pulse, env, obs) == 0.0
+        src = np.array([1.0, 1.0, 1.0])
+        assert unit_continuous_kernel(env, src, obs, [math.inf],
+                                      taus_end=[math.inf]).tolist() == [0.0]
+        for ends in ([5.0], [math.inf, 5.0]):
+            with pytest.raises(SingularPoint, match="steady state"):
+                unit_continuous_kernel(env, src, obs, [math.inf] * len(ends),
+                                       taus_end=ends)
+        for rate in (1.0, [(0, 1), (5, 2)]):
+            with pytest.raises(SingularPoint, match="steady state"):
+                concentration_steady(SourceSpec.continuous(rate, position=(1, 1, 1)),
+                                     env, obs)
+
     def test_erfcx_matches_scipy_on_both_branches(self):
         special = pytest.importorskip("scipy.special")
         x = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(30.0, 1e300, 300)])

@@ -7,15 +7,15 @@ from virodyne.core import (
     AMINO_STATES,
     CODON_AMINO,
     CODONS,
-    Diffusivity,
     Position,
     STOP,
-    TimePoint,
     Velocity,
     codons_for,
     rng_stream,
+    seconds,
     translate,
 )
+from virodyne.channel import Environment
 from virodyne.detection import (
     GaussianNoise,
     NonCoherentDifference,
@@ -42,6 +42,7 @@ VALID_SETTINGS = [
     (RandomDirection, {"speed": 1.0, "epoch": 10.0}),
     (Agent, {"agent_id": 0, "trajectory": Trajectory.static((0, 0, 0)),
              "emission_rate": 0.0, "breathing_rate": 1.0}),
+    (Environment, {"diffusivity": 0.5}),
 ]
 
 
@@ -63,19 +64,18 @@ class TestUnitTypes:
                 with pytest.raises(ValueError):
                     cls(**{**kwargs, name: bad})
 
-    def test_timepoint_non_negative(self):
-        assert float(TimePoint(3.5)) == 3.5
+    def test_seconds_non_negative(self):
+        assert seconds(3.5) == 3.5 and seconds(2) == 2.0
         with pytest.raises(ValueError):
-            TimePoint(-0.1)
+            seconds(-0.1)
         with pytest.raises(ValueError):
-            TimePoint(float("nan"))
+            seconds(float("nan"))
 
     def test_diffusivity_positive(self):
-        assert float(Diffusivity(40.0)) == 40.0
-        with pytest.raises(ValueError):
-            Diffusivity(0.0)
-        with pytest.raises(ValueError):
-            Diffusivity(-1.0)
+        assert Environment(40.0).diffusivity == 40.0
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="Diffusivity must be > 0"):
+                Environment(bad)
 
     def test_velocity_finite(self):
         v = Velocity(1.0, -2.0, 0.5)

@@ -117,6 +117,33 @@ class TestStep:
         times = [s.time for s in run(agents, cfg, ENV, seed=0).snapshots]
         assert len(times) == 11 and times[-1] == 1.0
 
+    def test_path_ending_before_horizon_holds_last_knot(self):
+        # The index case walks for 20 s of a 50 s run, a susceptible for
+        # 15 s; each then stands at its last knot, exactly as on the same
+        # path with an explicit hold knot at 50 s.
+        walk = Trajectory.straight_line((0, 0, 0), (0.05, 0.02, 0.0), 0.0, 20.0)
+        sit = Trajectory.straight_line((2, 0.5, 0), (-0.03, 0.0, 0.01), 0.0, 15.0)
+
+        def held(traj):
+            return Trajectory(np.append(traj.times, 50.0),
+                              np.vstack([traj.points, traj.points[-1]]))
+
+        def population(a, b):
+            return (Agent(0, a, emission_rate=1.0, infected_since=0.0),
+                    Agent(1, b, emission_rate=1.0),
+                    _static_agent(2, (1.5, -0.5, 0), rate=1.0, horizon=50.0))
+
+        cfg = EpidemicConfig(dose_coefficient=40.0, latency=0.0, step=10.0,
+                             horizon=50.0)
+        got = run(population(walk, sit), cfg, ENV, seed=5).snapshots
+        want = run(population(held(walk), held(sit)), cfg, ENV, seed=5).snapshots
+        assert [s.time for s in got] == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
+        for g, w in zip(got, want, strict=True):
+            assert g.time == w.time
+            assert np.array_equal(g.infected_since, w.infected_since, equal_nan=True)
+            assert g.cumulative_dose.tobytes() == w.cumulative_dose.tobytes()
+        assert got[-1].cumulative_dose[1] > got[2].cumulative_dose[1] > 0
+
     def test_latency_gates_emission(self):
         # Within the latency window the index case contributes no dose.
         agents = (

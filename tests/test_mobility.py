@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import mobility_oracle
 from virodyne.core import rng_stream
-from virodyne.errors import OutOfDomain, OutOfRange
+from virodyne.errors import OutOfDomain
 from virodyne.mobility import (
     BoundaryPolicy,
     Box,
@@ -16,7 +16,6 @@ from virodyne.mobility import (
     Trajectory,
     _fold,
     _unit_direction,
-    position_at,
     sample_trajectory,
 )
 
@@ -38,26 +37,46 @@ class TestTrajectory:
         model = MobilityModel(RandomWalk(1.0, 1.0), ROOM)
         traj = sample_trajectory(model, (5, 5, 1), 0.0, rng_stream(0, 0))
         assert traj.times.size == 1
-        assert position_at(traj, 0.0).as_array() == pytest.approx([5, 5, 1])
+        assert traj.point_at(0.0) == pytest.approx([5, 5, 1])
 
     def test_knot_and_midpoint_interpolation(self):
         traj = Trajectory(np.array([0.0, 2.0]), np.array([[0, 0, 0], [4, 2, 0]]))
-        assert traj.position_at(2.0).as_array() == pytest.approx([4, 2, 0])
-        assert traj.position_at(1.0).as_array() == pytest.approx([2, 1, 0])
+        assert traj.point_at(2.0) == pytest.approx([4, 2, 0])
+        assert traj.point_at(1.0) == pytest.approx([2, 1, 0])
 
     def test_constant_velocity_identity(self):
         v = np.array([1.5, -0.5, 0.25])
         traj = Trajectory.straight_line((1, 2, 3), v, 0.0, 8.0)
         for t in (0.0, 1.7, 4.2, 8.0):
             expect = np.array([1, 2, 3]) + v * t
-            assert traj.position_at(t).as_array() == pytest.approx(expect)
+            assert traj.point_at(t) == pytest.approx(expect)
 
-    def test_out_of_range(self):
-        traj = Trajectory.static((0, 0, 0), 0.0, 5.0)
-        with pytest.raises(OutOfRange):
-            traj.position_at(5.1)
-        with pytest.raises(OutOfRange):
-            traj.position_at(-0.1)
+    def test_held_ends(self):
+        traj = Trajectory.straight_line((1, 2, 3), (1.0, -2.0, 0.5), 1.0, 5.0)
+        first, last = traj.points[0], traj.points[-1]
+        for t in (5.1, 5.0 + 1e-12, 1e9):
+            assert np.array_equal(traj.point_at(t), last)
+        for t in (0.9, 1.0 - 1e-12, -1e9):
+            assert np.array_equal(traj.point_at(t), first)
+        assert np.array_equal(traj.points_at([-1.0, 3.0, 9.0]),
+                              [first, traj.point_at(3.0), last])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_points_at_is_interp_inside_and_ends_outside(self, knots, seed):
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.uniform(0.01, 5.0, knots)) - rng.uniform(0, 10)
+        traj = Trajectory(times, rng.normal(0, 10, (knots, 3)))
+        inside = rng.uniform(times[0], times[-1], 20)
+        inside[:2] = times[0], times[-1]
+        want = np.column_stack([np.interp(inside, times, traj.points[:, k])
+                                for k in range(3)])
+        assert traj.points_at(inside).tobytes() == want.tobytes()
+        span = times[-1] - times[0] + 1.0
+        before = times[0] - rng.uniform(1e-12, 1.0, 5) * span
+        after = times[-1] + rng.uniform(1e-12, 1.0, 5) * span
+        assert np.array_equal(traj.points_at(before), np.tile(traj.points[0], (5, 1)))
+        assert np.array_equal(traj.points_at(after), np.tile(traj.points[-1], (5, 1)))
 
     def test_strictly_increasing_times_required(self):
         with pytest.raises(ValueError):
@@ -127,8 +146,8 @@ class TestSampling:
                               Box((0, 0, 0), (10, 10, 10)))
         traj = sample_trajectory(model, (5, 5, 5), 12.0, rng_stream(0, 0))
         # reaches the x=10 wall at t=5 and bounces back to x=3 at t=12
-        assert traj.position_at(5.0).x == pytest.approx(10.0)
-        assert traj.position_at(12.0).x == pytest.approx(3.0)
+        assert traj.point_at(5.0)[0] == pytest.approx(10.0)
+        assert traj.point_at(12.0)[0] == pytest.approx(3.0)
 
     def test_wrap_policy_ends_leg_at_wall(self):
         model = MobilityModel(RandomDirection(speed=2.0, epoch=1000.0),
