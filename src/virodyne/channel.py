@@ -35,10 +35,10 @@ instant kernel separates by axis into a product of per-axis image sums
 (image_transforms), because each image needs its own distance. Both take
 their (image, evaluation) pairs _BLOCK_PAIRS at a time.
 
-Everything here is a pure function of its inputs. Batch evaluation sums
-each source's field over the whole query; concentration_instant,
-_continuous, _steady and _multi_source are the same per-source path on one
-point.
+Everything here is a pure function of its inputs. evaluate_field sums
+each source's field over the whole query, the one path for several
+sources; concentration_instant, _continuous and _steady are the same
+per-source path on one point.
 """
 
 from __future__ import annotations
@@ -378,12 +378,6 @@ def _image_stack(b: Boundary) -> tuple[np.ndarray, np.ndarray]:
     flips.setflags(write=False)
     offsets.setflags(write=False)
     return flips, offsets
-
-
-def image_points(env: Environment, src_point: np.ndarray) -> np.ndarray:
-    """Explicit mirror-source positions for a point source (primary first)."""
-    flips, offsets = _image_stack(env.boundary)
-    return flips * np.asarray(src_point, dtype=float) + offsets
 
 
 def _cody_table(num: Sequence[float], den: Sequence[float]) -> list[np.ndarray]:
@@ -775,15 +769,6 @@ def concentration_moving_source(src: SourceSpec, env: Environment, r, t,
             f"pieces (estimate {total}, error bound {bound})",
             estimate=total, error_bound=bound,
         )
-    return total
-
-
-def concentration_multi_source(sources: Iterable[SourceSpec], env: Environment,
-                               r, t) -> float:
-    """Superposed field of several sources sharing one environment."""
-    total = 0.0
-    for src in sources:
-        total += _field_at(src, env, r, seconds(t))
     return total
 
 

@@ -43,7 +43,7 @@ from .detection import (
 )
 from .epidemic import Agent, EpidemicConfig, run as run_epidemic
 from .errors import ConfigError, VirodyneError
-from .fileio import format_float, read_readings_csv, write_csv, write_json
+from .fileio import read_readings_csv, write_csv, write_json
 from .localization import SolverConfig, localize
 from .mobility import (
     BoundaryPolicy,
@@ -260,7 +260,7 @@ def _cmd_localize(args) -> int:
 
 def _cmd_entropy(args) -> int:
     profile = _profile(args)
-    # One f-string per line; repr of a Python float is format_float's text.
+    # One f-string per line; repr of a Python float is the CSV float text.
     rows = [f"{i},{e!r},{n}" for i, e, n in zip(range(1, profile.length + 1),
                                                 profile.entropies.tolist(),
                                                 profile.n_effective.tolist())]
@@ -306,7 +306,7 @@ def _cmd_direction(args) -> int:
     for tgt in report.targets[:args.top]:
         name = AMINO_NAMES.get(tgt.state, tgt.state) if report.level == "amino" \
             else tgt.state
-        print(f"  {name:<5} {format_float(tgt.probability)}")
+        print(f"  {name:<5} {tgt.probability!r}")
     return 0
 
 

@@ -16,10 +16,11 @@ became contagious (infection time plus latency). This trades accuracy for
 tractability and makes a step cost linear in (susceptibles x infected x
 breath samples).
 
-All susceptibles' doses over a step are one call of the static
-continuous-source kernel per breathing rate, over (susceptibles x infected
-x breath samples); there is no worker pool. State transitions are applied
-in agent order from one stream, so runs are reproducible.
+All susceptibles' doses over a step are one accumulate_doses call: one
+call of the static continuous-source kernel per breathing rate, over
+(susceptibles x infected x breath samples); there is no worker pool.
+State transitions are applied in agent order from one stream, so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -110,11 +111,19 @@ def _dose_sample_times(t0: float, t1: float, breathing_rate: float) -> np.ndarra
     return np.linspace(t0, t1, n + 1)
 
 
-def _doses(observers: Sequence[Agent], infected_set: Iterable[tuple[Agent, float]],
-           env: Environment, t0: float, t1: float) -> np.ndarray:
-    """Dose picked up by each observer over [t0, t1], kg s / m^3: one
-    unit_continuous_kernel call per breathing rate over (observers x
-    infected x breath samples), then the trapezoid rule per observer."""
+def accumulate_doses(observers: Sequence[Agent],
+                     infected_set: Iterable[tuple[Agent, float]],
+                     env: Environment, t0: float, t1: float) -> np.ndarray:
+    """Dose picked up by each observer over [t0, t1], kg s / m^3.
+
+    infected_set pairs each contagious agent with its emission start time.
+    An agent still inside its latency window adds nothing, as the kernel is
+    0 for tau <= 0. One unit_continuous_kernel call per breathing rate over
+    (observers x infected x breath samples), then the trapezoid rule per
+    observer over its breathing sample times.
+    """
+    if t1 <= t0:
+        raise ValueError("need t1 > t0")
     out = np.zeros(len(observers))
     infected = list(infected_set)
     if not (infected and observers):
@@ -136,26 +145,6 @@ def _doses(observers: Sequence[Agent], infected_set: Iterable[tuple[Agent, float
         conc = (rates[:, None] * kern.reshape(rows.size, len(infected), ts.size)).sum(axis=1)
         out[rows] = np.trapezoid(conc, ts, axis=1)
     return out
-
-
-def accumulate_dose(
-    agent: Agent,
-    infected_set: Iterable[tuple[Agent, float]],
-    env: Environment,
-    t0: float,
-    t1: float,
-) -> float:
-    """Dose picked up by `agent` over [t0, t1], kg s / m^3.
-
-    infected_set pairs each contagious agent with its emission start time.
-    An agent still inside its latency window adds nothing, as the kernel is
-    0 for tau <= 0. Trapezoidal integration of the summed snapshot
-    concentration at the agent's breathing sample times; the one-agent case
-    of the batched dose that step computes.
-    """
-    if t1 <= t0:
-        raise ValueError("need t1 > t0")
-    return float(_doses([agent], infected_set, env, t0, t1)[0])
 
 
 def step(
@@ -180,8 +169,8 @@ def step(
     susceptible = np.flatnonzero(~np.isfinite(since)).tolist()
 
     increments = np.zeros(len(agents))
-    increments[susceptible] = _doses([agents[i] for i in susceptible], infected_set,
-                                     env, t0, t1)
+    increments[susceptible] = accumulate_doses([agents[i] for i in susceptible],
+                                               infected_set, env, t0, t1)
 
     # Transitions: one uniform draw per susceptible, in agent order.
     k = config.dose_coefficient

@@ -19,38 +19,24 @@ from .localization import SensorReading
 from .mobility import Trajectory
 
 
-def format_float(x: float) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(x))
-
-
-def render_csv(header: Sequence[str], rows: Iterable[str],
-               meta: Mapping[str, str] | None = None) -> str:
-    """CSV text: meta lines, the header, then the rows, each an already
-    rendered line (floats as format_float writes them, which is repr of a
-    Python float, so an f-string's !r over .tolist() values)."""
+def write_csv(path: str, header: Sequence[str], rows: Iterable[str],
+              meta: Mapping[str, str] | None = None) -> None:
+    """Meta lines, the header, then the rows, each an already rendered line
+    (floats as repr of a Python float, so an f-string's !r over .tolist()
+    values)."""
     lines = [f"# {key} = {value}" for key, value in (meta or {}).items()]
     lines.append(",".join(header))
     lines.extend(rows)
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(path: str, header: Sequence[str], rows: Iterable[str],
-              meta: Mapping[str, str] | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_csv(header, rows, meta))
-
-
-def render_json(payload: dict, meta: Mapping[str, str] | None = None) -> str:
-    doc = dict(payload)
-    if meta:
-        doc["meta"] = dict(meta)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_json(path: str, payload: dict, meta: Mapping[str, str] | None = None) -> None:
+    doc = dict(payload)
+    if meta:
+        doc["meta"] = dict(meta)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_json(payload, meta))
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _read_table(path: str, kind: str, header: Sequence[str]) -> np.ndarray:

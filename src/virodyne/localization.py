@@ -214,10 +214,11 @@ def localize(
 
     Needs at least four readings at non-coplanar sensor positions; raises
     Unidentifiable for degenerate geometry, all-zero data (any zero-rate
-    source fits those) or transient readings all at t <= 0 (nothing has
-    arrived). Deterministic for a fixed configuration. The returned
-    `converged` flag is False when the refinement hits its iteration cap;
-    the best point found is still returned.
+    source fits those) or a forward model that is zero at every grid
+    candidate, as for transient readings all at t <= 0 (no candidate
+    explains any reading). Deterministic for a fixed configuration. The
+    returned `converged` flag is False when the refinement hits its
+    iteration cap; the best point found is still returned.
     """
     readings = list(readings)
     if len(readings) < 4:
@@ -232,9 +233,6 @@ def localize(
     sigma = np.array([r.sigma for r in readings])
     w = 1.0 / sigma**2
     g = _unit_model(source_kind, env, readings)
-    if source_kind != "steady" and max(r.time for r in readings) <= 0.0:
-        raise Unidentifiable("every reading is at t <= 0, before the source emits: the "
-                             "forward model is zero there for every position")
     sensor_pts = np.array([r.position.as_array() for r in readings])
 
     def g_matrix(r0s: np.ndarray) -> np.ndarray:
@@ -247,7 +245,11 @@ def localize(
     lo, hi = _search_box(readings, config)
     axes = [np.linspace(lo[k], hi[k], config.grid_resolution) for k in range(3)]
     grid_pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    ssr = _profiled_residual(g_matrix(grid_pts), y, w)[1]
+    g_grid = g_matrix(grid_pts)
+    if not g_grid.any():
+        raise Unidentifiable("the forward model is zero at every grid candidate (as "
+                             "for readings all at t <= 0): no position explains them")
+    ssr = _profiled_residual(g_grid, y, w)[1]
     best_pt = grid_pts[int(np.argmin(ssr))]
     start = _profiled_fit(g_matrix, best_pt, y, w)
     final_pt, fit, iters, converged = _levenberg_marquardt(

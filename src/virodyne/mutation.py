@@ -292,16 +292,14 @@ def mutation_direction(
     elif level == "amino":
         if alignment.alphabet is Alphabet.NUCLEOTIDE:
             counts = _codon_column(alignment, position)
-            weights = empirical_codon_weights(counts) if codon_weights is None \
-                else _validate_weights(codon_weights)
+            if codon_weights is None:
+                codon_weights = empirical_codon_weights(counts)
             total = sum(counts.values())
             source = np.bincount(CODON_AMINO[[CODON_INDEX[c] for c in counts]],
                                  [n / total for n in counts.values()], minlength=21)
         else:
             source = column_distribution(alignment, position).probabilities
-            weights = (uniform_codon_weights() if codon_weights is None
-                       else _validate_weights(codon_weights))
-        matrix = amino_matrix(codon_matrix(base), weights)
+        matrix = amino_matrix(codon_matrix(base), codon_weights)
     else:
         raise ValueError("level must be 'base', 'codon', or 'amino'")
     if level != "codon":  # codon sources keep first-occurrence order

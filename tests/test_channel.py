@@ -21,15 +21,13 @@ from virodyne.channel import (
     concentration_continuous,
     concentration_instant,
     concentration_moving_source,
-    concentration_multi_source,
     concentration_steady,
     evaluate_field,
-    image_points,
     unit_continuous_kernel,
     unit_instant_kernel,
 )
 from virodyne.core import Velocity
-from virodyne.epidemic import Agent, accumulate_dose
+from virodyne.epidemic import Agent, accumulate_doses
 from virodyne.errors import (
     FieldEvaluationError,
     QuadratureFailure,
@@ -196,8 +194,8 @@ def _explicit_steady_sum(env, src, obs):
     image by image."""
     v = env.wind_arr
     total = 0.0
-    for p in image_points(env, src):
-        dr = obs - p
+    for flip, offset in channel.image_transforms(env):
+        dr = obs - (flip * src + offset)
         d = float(np.linalg.norm(dr))
         total += math.exp((float(v @ dr) - float(np.linalg.norm(v)) * d)
                           / (2.0 * env.diffusivity)) / (4.0 * math.pi * env.diffusivity * d)
@@ -368,7 +366,7 @@ class TestContinuousKernel:
                          emission_rate=2e-3)
         sus = Agent(1, Trajectory.straight_line((5.0, 2.0, 1.5), (0.1, 0.0, 0.0),
                                                 0.0, 60.0), emission_rate=0.0)
-        dose = accumulate_dose(sus, [(infected, 5.0)], env, 40.0, 50.0)
+        dose = accumulate_doses([sus], [(infected, 5.0)], env, 40.0, 50.0)[0]
         assert math.isfinite(dose) and dose > 0.0
 
 
@@ -609,7 +607,9 @@ class TestMovingClosedForm:
                    SourceSpec.continuous(pulse, trajectory=traj)]
         q = FieldQuery.from_pairs([((3.0, 2.0, 1.0), 10.0)])
         for src in sources:
-            a = concentration_multi_source([src], ENV40, (3.0, 2.0, 1.0), 10.0)
+            scalar = concentration_instant if src.kind is channel.SourceKind.INSTANT \
+                else concentration_continuous
+            a = scalar(src, ENV40, (3.0, 2.0, 1.0), 10.0)
             assert evaluate_field(q, Scenario(ENV40, [src]))[0] == a > 0.0
         # the moving pulse is the constant source stopped after 5 s
         const = concentration_continuous(sources[3], ENV40, (3.0, 2.0, 1.0), 10.0)
@@ -856,24 +856,29 @@ class TestSteppedRate:
         assert after == pytest.approx(oracle, rel=1e-6)
 
 
+def _one_point_field(sources, env, r, t):
+    """evaluate_field of the sources at one point."""
+    return float(evaluate_field(FieldQuery.from_pairs([(r, t)]), Scenario(env, sources))[0])
+
+
 class TestMultiSource:
     def test_singleton_equals_single(self):
         src = SourceSpec.continuous(1.0, position=(0, 0, 0))
-        a = concentration_multi_source([src], ENV40, (5, 5, 5), 12.0)
+        a = _one_point_field([src], ENV40, (5, 5, 5), 12.0)
         b = concentration_continuous(src, ENV40, (5, 5, 5), 12.0)
         assert a == b
 
     def test_two_colocated_sources_double(self):
         src = SourceSpec.instant((1, 1, 1), 0.7)
         single = concentration_instant(src, ENV40, (3, 0, 0), 4.0)
-        both = concentration_multi_source([src, src], ENV40, (3, 0, 0), 4.0)
+        both = _one_point_field([src, src], ENV40, (3, 0, 0), 4.0)
         assert both == pytest.approx(2 * single, rel=1e-14)
 
     def test_mixed_kinds_superpose(self):
         s1 = SourceSpec.instant((0, 0, 0), 1.0)
         s2 = SourceSpec.continuous(0.5, position=(10, 0, 0))
         r, t = (5, 0, 0), 8.0
-        total = concentration_multi_source([s1, s2], ENV40, r, t)
+        total = _one_point_field([s1, s2], ENV40, r, t)
         assert total == pytest.approx(
             concentration_instant(s1, ENV40, r, t)
             + concentration_continuous(s2, ENV40, r, t))
@@ -970,12 +975,12 @@ class TestBoundaries:
             RectangularDuctReflecting(3.0, 2.5, image_order=channel.MAX_IMAGE_ORDER + 1)
 
     def test_image_points_counts(self):
-        assert len(image_points(ENV40, np.zeros(3))) == 1
+        assert len(channel.image_transforms(ENV40)) == 1
         env_h = Environment(diffusivity=1.0, boundary=HalfSpaceReflecting())
-        assert len(image_points(env_h, np.array([0, 0, 2.0]))) == 2
+        assert len(channel.image_transforms(env_h)) == 2
         duct = RectangularDuctReflecting(1.0, 1.0, image_order=3)
         env_d = Environment(diffusivity=1.0, boundary=duct)
-        assert len(image_points(env_d, np.array([0, 0.5, 0.5]))) == (2 * 7) ** 2
+        assert len(channel.image_transforms(env_d)) == (2 * 7) ** 2
 
     @pytest.mark.parametrize("boundary, wind", [
         (FreeSpace(), (0.3, -0.2, 0.4)),
@@ -990,9 +995,10 @@ class TestBoundaries:
         obs = rng.uniform([-1, 0, 0], [1, 2, 1.5], (40, 3))
         taus = rng.uniform(0.05, 3.0, 40)
         got = unit_instant_kernel(env, src, obs, taus)
+        flips, offsets = map(np.array, zip(*channel.image_transforms(env)))
         for r0, r, tau, g in zip(src, obs, taus, got):
             four_dt = 4.0 * env.diffusivity * tau
-            dr = r - (image_points(env, r0) + env.wind_arr * tau)
+            dr = r - (flips * r0 + offsets + env.wind_arr * tau)
             expect = np.exp(-(dr * dr).sum(axis=1) / four_dt).sum() \
                 / (math.pi * four_dt) ** 1.5
             assert g == pytest.approx(expect, rel=1e-12)
@@ -1086,8 +1092,9 @@ class TestEvaluateField:
         q = FieldQuery.from_pairs(pts)
         out = evaluate_field(q, Scenario(ENV40, sources))
         for (r, t), got in zip(pts, out):
-            assert got == pytest.approx(
-                concentration_multi_source(sources, ENV40, r, t), rel=1e-12)
+            want = concentration_instant(sources[0], ENV40, r, t) \
+                + concentration_continuous(sources[1], ENV40, r, t)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_pre_emission_points_are_zero(self):
         src = SourceSpec.continuous(1.0, position=(0, 0, 0), start_time=100.0)

@@ -473,6 +473,21 @@ class TestCli:
         assert "forward model is zero" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_localize_flat_objective_exit_1(self, tmp_path, capsys):
+        # At D = 1e-5 a release at t = 0 has spread about 0.2 mm by t = 1 ms:
+        # the model underflows to 0 at every grid candidate.
+        rows = ["x,y,z,t,c,sigma"] + [
+            f"{x},{y},{z},1e-3,{i + 1},1" for i, (x, y, z) in
+            enumerate([(x, y, z) for x in (0, 10) for y in (0, 10) for z in (0, 10)])]
+        readings = write(tmp_path, "readings.csv", "\n".join(rows) + "\n")
+        cfg = write(tmp_path, "env.cfg", "[environment]\ndiffusivity_m2s = 1e-5\n"
+                    "[localize]\nsource_kind = instant\n")
+        out = tmp_path / "estimate.json"
+        assert main(["localize", "--config", cfg, "--readings", readings,
+                     "--out", str(out)]) == 1
+        assert "forward model is zero" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_image_order_above_the_cap_names_the_key(self, tmp_path, capsys, monkeypatch):
         from virodyne import channel
 

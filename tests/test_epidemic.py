@@ -10,7 +10,7 @@ from virodyne.epidemic import (
     Agent,
     EpidemicConfig,
     EpidemicSnapshot,
-    accumulate_dose,
+    accumulate_doses,
     run,
     step,
 )
@@ -36,14 +36,14 @@ def _static_agent(agent_id, pos, rate=0.0, horizon=1000.0, infected_since=None,
 class TestAccumulateDose:
     def test_no_infected_is_zero(self):
         sus = _static_agent(0, (1, 0, 0))
-        assert accumulate_dose(sus, [], ENV, 0.0, 10.0) == 0.0
+        assert accumulate_doses([sus], [], ENV, 0.0, 10.0)[0] == 0.0
 
     def test_linearity_in_emission_rate(self):
         sus = _static_agent(0, (2, 0, 0))
         inf1 = _static_agent(1, (0, 0, 0), rate=1.0)
         inf2 = _static_agent(1, (0, 0, 0), rate=2.0)
-        d1 = accumulate_dose(sus, [(inf1, 0.0)], ENV, 50.0, 60.0)
-        d2 = accumulate_dose(sus, [(inf2, 0.0)], ENV, 50.0, 60.0)
+        d1 = accumulate_doses([sus], [(inf1, 0.0)], ENV, 50.0, 60.0)[0]
+        d2 = accumulate_doses([sus], [(inf2, 0.0)], ENV, 50.0, 60.0)[0]
         assert d2 == pytest.approx(2 * d1, rel=1e-12)
 
     def test_steady_state_increment(self):
@@ -53,19 +53,22 @@ class TestAccumulateDose:
         sus = _static_agent(0, (d, 0, 0), horizon=1e5)
         inf = _static_agent(1, (0, 0, 0), rate=Q, horizon=1e5)
         t0, t1 = 5e4, 5e4 + 20.0
-        got = accumulate_dose(sus, [(inf, 0.0)], ENV, t0, t1)
+        got = accumulate_doses([sus], [(inf, 0.0)], ENV, t0, t1)[0]
         expect = 20.0 * Q / (4 * math.pi * 40.0 * d)
         # the erfc transient still holds the field ~0.12% below steady here
         assert got == pytest.approx(expect, rel=2e-3)
 
     def test_dose_decreases_with_distance(self):
         inf = _static_agent(1, (0, 0, 0), rate=1.0)
-        doses = [
-            accumulate_dose(_static_agent(0, (d, 0, 0)), [(inf, 0.0)],
-                            ENV, 100.0, 110.0)
-            for d in (1.0, 2.0, 4.0, 8.0)
-        ]
+        observers = [_static_agent(0, (d, 0, 0)) for d in (1.0, 2.0, 4.0, 8.0)]
+        doses = accumulate_doses(observers, [(inf, 0.0)], ENV, 100.0, 110.0).tolist()
         assert all(a > b for a, b in zip(doses, doses[1:]))
+
+    @pytest.mark.parametrize("t1", [10.0, 5.0])
+    def test_interval_must_be_positive(self, t1):
+        sus = _static_agent(0, (1, 0, 0))
+        with pytest.raises(ValueError, match="t1 > t0"):
+            accumulate_doses([sus], [], ENV, 10.0, t1)
 
 
 class TestStep:
@@ -109,7 +112,7 @@ class TestStep:
                              horizon=25.0)
         state = run(agents, cfg, ENV, seed=0)
         assert [s.time for s in state.snapshots] == [0.0, 10.0, 20.0, 25.0]
-        last = accumulate_dose(agents[1], [(agents[0], 0.0)], ENV, 20.0, 25.0)
+        last = accumulate_doses([agents[1]], [(agents[0], 0.0)], ENV, 20.0, 25.0)[0]
         assert state.snapshots[-1].cumulative_dose[1] - state.snapshots[-2].cumulative_dose[1] \
             == pytest.approx(last, rel=1e-12)
         # Ten steps of 0.1 s sum to 0.9999999999999999; the last ends at 1.0.
@@ -279,8 +282,8 @@ class TestBatchedStepOracle:
         box = Box(lo=(0.0, 0.0, 0.0), hi=(10.0, 5.0, 3.0))
         agents = self._population(2, 6, box, (1.0, 3.0))
         infected = [(agents[0], 4.0), (agents[1], 30.0), (agents[2], -1.0)]
-        for sus in agents[3:]:
-            for t0, t1 in ((0.0, 10.0), (20.0, 27.5), (40.0, 41.0)):
-                want = epidemic_oracle.accumulate_dose(sus, infected, env, t0, t1)
-                got = accumulate_dose(sus, infected, env, t0, t1)
-                assert got == want and type(got) is float
+        for t0, t1 in ((0.0, 10.0), (20.0, 27.5), (40.0, 41.0)):
+            want = [epidemic_oracle.accumulate_dose(sus, infected, env, t0, t1)
+                    for sus in agents[3:]]
+            got = accumulate_doses(agents[3:], infected, env, t0, t1)
+            assert got.tolist() == want

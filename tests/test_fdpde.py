@@ -6,11 +6,13 @@ import pytest
 
 from virodyne.channel import (
     Environment,
+    FieldQuery,
     HalfSpaceReflecting,
+    Scenario,
     SourceSpec,
     concentration_continuous,
     concentration_instant,
-    concentration_multi_source,
+    evaluate_field,
 )
 from virodyne.core import Velocity
 from virodyne.errors import UnstableTimeStep, VirodyneError
@@ -125,8 +127,8 @@ class TestFdSolver:
                                exclude_fn=near_any_source, margin=10.0,
                                floor=0.05)
         fd = sol.sample(probes)
-        an = np.array([concentration_multi_source(sources, env, p, t_end)
-                       for p in probes])
+        an = evaluate_field(FieldQuery(probes, np.full(len(probes), t_end)),
+                            Scenario(env, sources))
         assert (np.abs(fd - an) / an).max() < 0.05
 
     def test_reflecting_wall_vs_halfspace_images(self):

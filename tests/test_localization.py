@@ -151,19 +151,15 @@ class TestLocalize:
         est = localize(readings, env)
         assert np.linalg.norm(est.position.as_array() - true_pos) <= 1e-3
 
-    def test_flat_objective_returns_grid_optimum(self):
-        # Every model value underflows to 0: the profiled objective is flat,
-        # so the Jacobian is zero and the normal equations are singular. The
-        # refinement must stop at the grid optimum, not raise.
+    def test_flat_objective_rejected(self):
+        # Every model value underflows to 0 at t > 0: the profiled objective
+        # is flat, so no candidate explains any reading.
         env = Environment(diffusivity=1e-5)
         readings = [SensorReading(position=p, time=1e-3,
                                   concentration=float(i + 1), sigma=1.0)
                     for i, p in enumerate(CUBE)]
-        est = localize(readings, env, source_kind="instant")
-        assert est.position.as_array().tolist() == [-5.0, -5.0, -5.0]
-        assert est.rate == 0.0
-        assert est.residual_norm == math.sqrt(sum(k * k for k in range(1, 9)))
-        assert est.converged
+        with pytest.raises(Unidentifiable, match="forward model is zero"):
+            localize(readings, env, source_kind="instant")
 
 
 def _random_case(seed, kind, env):
