@@ -272,16 +272,6 @@ class FieldQuery:
         return int(self.times.size)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple]) -> "FieldQuery":
-        pos, ts = [], []
-        for r, t in pairs:
-            pos.append(as_position(r).as_array())
-            ts.append(seconds(t))
-        if not pos:
-            return cls(np.zeros((0, 3)), np.zeros(0))
-        return cls(np.vstack(pos), np.array(ts))
-
-    @classmethod
     def from_grid(cls, xs: Sequence[float], ys: Sequence[float],
                   zs: Sequence[float], times: Sequence[float]) -> "FieldQuery":
         """Cartesian product ordered t-major, then x, y, z."""

@@ -52,6 +52,8 @@ class FdGrid:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("grid box bounds must be finite")
         if not (hi > lo).all():
             raise ValueError("grid box must have positive extent")
         if any(n < 3 for n in self.shape):

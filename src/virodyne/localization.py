@@ -9,9 +9,9 @@ over position only: a coarse grid over the search box, then
 Levenberg-Marquardt on the profiled residual from the best grid cell, each
 iteration one batched kernel call over the point and its six
 central-difference neighbours. Refinement can only improve on the grid
-optimum. The same stencil gives the Jacobian in (x, y, z, Q) behind the
-diagnostics: its condition number, which flags degenerate receiver
-geometries, and the inverse Fisher information, the Cramer-Rao bound.
+optimum. The same stencil gives the Jacobian in (x, y, z, Q) whose
+inverse Fisher information is the Cramer-Rao bound reported at the
+estimate.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .channel import Environment, unit_continuous_kernel, unit_instant_kernel
 from .core import Position, as_position, seconds
 from .errors import SingularPoint, Unidentifiable
 
-_CONDITION_THRESHOLD = 1e8  # condition number that flags a geometry
 _FD_STEP = 1e-6           # central-difference step, relative to max(1, |p_k|)
 _STEP_TOL = 1e-8          # LM stops once |step| / max(1, |p|) is this small
 _LAMBDA_START, _LAMBDA_MAX = 1e-3, 1e16
@@ -71,6 +70,10 @@ class SolverConfig:
             raise ValueError("grid_resolution must be >= 2")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
+        if self.search_box is not None:
+            box = np.asarray(self.search_box, dtype=float)
+            if box.shape != (2, 3) or not np.isfinite(box).all():
+                raise ValueError("search_box must be two finite 3-vectors (lo, hi)")
 
 
 def _unit_model(source_kind: str, env: Environment,
@@ -178,21 +181,21 @@ def _levenberg_marquardt(fit_at: Callable[[np.ndarray], _Fit], p: np.ndarray,
 
 
 def _fisher_inverse(g: np.ndarray, dg: np.ndarray, rate: float,
-                    sigma: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """Condition number of the column-scaled Jacobian J of (rate * g) / sigma
-    in (x, y, z, Q), and the inverse Fisher information (J^T J)^-1 (Kay,
-    Fundamentals of Statistical Signal Processing I, ch. 3), None where
-    that matrix is numerically singular or not finite."""
+                    sigma: np.ndarray) -> np.ndarray | None:
+    """Inverse Fisher information (J^T J)^-1 of the Jacobian J of
+    (rate * g) / sigma in (x, y, z, Q) (Kay, Fundamentals of Statistical
+    Signal Processing I, ch. 3), None where J^T J is numerically singular
+    or the inverse is not finite."""
     jac = np.column_stack([rate * dg, g]) / sigma[:, None]
     norms = np.linalg.norm(jac, axis=0)
     if not (norms > 0).all():
-        return math.inf, None
+        return None
     # Column scaling so position (m) and rate (kg/s) sensitivities compare.
     _, s, vt = np.linalg.svd(jac / norms, full_matrices=False)
     if s[-1] <= s[0] * max(jac.shape) * np.finfo(float).eps:
-        return math.inf, None
+        return None
     inverse = (vt.T / s**2) @ vt / np.outer(norms, norms)
-    return float(s[0] / s[-1]), inverse if np.isfinite(inverse).all() else None
+    return inverse if np.isfinite(inverse).all() else None
 
 
 def _geometry_rank(readings: Sequence[SensorReading]) -> int:
@@ -257,7 +260,7 @@ def localize(
         config.max_iterations)
     if fit.ssr > ssr.min():  # refinement never beats the grid optimum
         final_pt, fit = best_pt, start
-    fisher_inv = _fisher_inverse(fit.g, fit.dg, fit.rate, sigma)[1]
+    fisher_inv = _fisher_inverse(fit.g, fit.dg, fit.rate, sigma)
     return SourceEstimate(
         position=Position.from_array(final_pt),
         rate=fit.rate,
@@ -267,39 +270,3 @@ def localize(
         crlb_position_m=(None if fisher_inv is None
                          else math.sqrt(float(np.trace(fisher_inv[:3, :3])))),
     )
-
-
-@dataclass(frozen=True)
-class GeometryDiagnostics:
-    condition_number: float
-    flagged: bool
-    fisher_inverse: np.ndarray | None  # (4, 4) over (x, y, z, Q), or None
-
-
-def crlb_diagnostics(
-    readings: Sequence[SensorReading],
-    env: Environment,
-    position,
-    rate: float,
-    source_kind: str = "steady",
-) -> GeometryDiagnostics:
-    """Sensitivity of the receiver array at a hypothesized source.
-
-    Takes the sigma-weighted Jacobian in (x, y, z, Q) from one stencil call
-    and reports its condition number and the inverse Fisher information. A
-    geometry is flagged when that condition number exceeds 1e8 (locally
-    unidentifiable, e.g. heavily duplicated sensors) or when the sensor
-    positions are coplanar, which leaves a mirror-image ambiguity even
-    where the Jacobian is locally well conditioned.
-    """
-    readings = list(readings)
-    if not readings:
-        raise Unidentifiable("no readings")
-    g, dg = _stencil(_unit_model(source_kind, env, readings),
-                     as_position(position).as_array())
-    cond, fisher_inv = _fisher_inverse(g, dg, float(rate),
-                                       np.array([r.sigma for r in readings]))
-    flagged = (not math.isfinite(cond) or cond > _CONDITION_THRESHOLD
-               or _geometry_rank(readings) < 3)
-    return GeometryDiagnostics(condition_number=cond, flagged=flagged,
-                               fisher_inverse=fisher_inv)

@@ -13,8 +13,7 @@ Because per-site mutations are treated as independent, the 64x64 codon
 matrix is the threefold Kronecker product of the base matrix, and the
 amino-acid matrix aggregates codon paths under a per-amino-acid codon
 weight distribution. STOP is carried as a first-class 21st state (a sense
-codon can mutate into a termination codon); a STOP-free 20x20 conditional
-view is available when downstream tooling requires it.
+codon can mutate into a termination codon).
 """
 
 from __future__ import annotations
@@ -186,17 +185,6 @@ def amino_matrix(codon: SubstitutionMatrix,
     weighted = w[:, None] * codon.matrix           # (64, 64)
     m = agg.T @ weighted @ agg                     # (21, 21)
     return SubstitutionMatrix(level="amino", states=tuple(AMINO_STATES), matrix=m)
-
-
-def drop_stop_state(amino: SubstitutionMatrix) -> SubstitutionMatrix:
-    """20x20 view conditioned on not mutating into STOP."""
-    if amino.level != "amino":
-        raise ValueError("drop_stop_state expects an amino-level matrix")
-    keep = [i for i, s in enumerate(amino.states) if s != "*"]
-    m = amino.matrix[np.ix_(keep, keep)]
-    m = m / m.sum(axis=1, keepdims=True)
-    states = tuple(amino.states[i] for i in keep)
-    return SubstitutionMatrix(level="amino", states=states, matrix=m)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import io
+import math
 import string
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,18 +130,6 @@ def parse_fasta(source: Union[str, TextIO], alphabet: Alphabet) -> list[FastaRec
     return records
 
 
-def write_fasta(records: Iterable[FastaRecord], width: int = 60) -> str:
-    """Serialize records back to FASTA text (round-trips through parse)."""
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    out = []
-    for rec in records:
-        out.append(f">{rec.identifier}")
-        for i in range(0, len(rec.sequence), width):
-            out.append(rec.sequence[i:i + width])
-    return "\n".join(out) + "\n"
-
-
 @dataclass(frozen=True)
 class AlignmentMatrix:
     """Equal-length residue rows with a validity mask (gaps/ambiguity False)."""
@@ -231,8 +220,8 @@ def _symbol_counts(codes: np.ndarray, alphabet: Alphabet) -> np.ndarray:
 def column_distribution(alignment: AlignmentMatrix, position: int,
                         pseudocount: float = 0.0) -> PositionDistribution:
     """Residue distribution of one column, gaps and ambiguity excluded."""
-    if not pseudocount >= 0:  # NaN included
-        raise ValueError("pseudocount must be >= 0")
+    if not 0 <= pseudocount < math.inf:  # NaN included
+        raise ValueError("pseudocount must be finite and >= 0")
     residues, _ = alignment.column(position)
     counts = _symbol_counts(residues[:, None], alignment.alphabet)[:, 0]
     valid = counts.sum()
@@ -269,8 +258,8 @@ def positional_entropy(alignment: AlignmentMatrix,
     columns with zero unmasked residues are reported as NaN rather than
     raising.
     """
-    if not pseudocount >= 0:  # NaN included
-        raise ValueError("pseudocount must be >= 0")
+    if not 0 <= pseudocount < math.inf:  # NaN included
+        raise ValueError("pseudocount must be finite and >= 0")
     ent = np.full(alignment.length, np.nan)
     k = alignment.alphabet.size
     counts = _symbol_counts(alignment.matrix, alignment.alphabet)

@@ -40,6 +40,13 @@ CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "configs")
 
 
+def _query(pairs):
+    """FieldQuery of (position, time) pairs."""
+    pos, times = zip(*pairs) if pairs else ((), ())
+    return FieldQuery(np.reshape(np.array(pos, dtype=float), (-1, 3)),
+                      np.array(times, dtype=float))
+
+
 class TestInstant:
     def test_zero_mass(self):
         src = SourceSpec.instant((0, 0, 0), 0.0)
@@ -484,8 +491,8 @@ class TestMovingClosedForm:
         here = traj.point_at(15.0)
         with pytest.raises(SingularPoint):
             concentration_continuous(src, env, here, 15.0)
-        q = FieldQuery.from_pairs([((3.0, 2.0, 1.0), 15.0), (here, 15.0),
-                                   ((10.0, 0.0, 1.0), 10.0)])  # at a knot
+        q = _query([((3.0, 2.0, 1.0), 15.0), (here, 15.0),
+                    ((10.0, 0.0, 1.0), 10.0)])  # at a knot
         with pytest.raises(FieldEvaluationError) as err:
             evaluate_field(q, Scenario(env, [src]))
         assert [(i, type(e)) for i, e in err.value.failures] == \
@@ -533,8 +540,7 @@ class TestMovingClosedForm:
         src = SourceSpec.continuous(1.0, trajectory=traj)
         waits = SourceSpec.continuous(1.0, trajectory=held)
         obs, times = (5.0, 1.0, 1.0), [9.0, 10.5, 12.0, 10.0 + 5e-10]
-        got = evaluate_field(FieldQuery.from_pairs([(obs, t) for t in times]),
-                             Scenario(ENV40, [src]))
+        got = evaluate_field(_query([(obs, t) for t in times]), Scenario(ENV40, [src]))
         for t, value in zip(times, got):
             assert value == pytest.approx(concentration_continuous(waits, ENV40, obs, t),
                                           rel=1e-12)
@@ -549,7 +555,7 @@ class TestMovingClosedForm:
         src = SourceSpec.continuous([(0.0, 1.0), (5.0, 0.0)], trajectory=traj)
         obs = (5.0, 1.0, 1.0)
         got = concentration_continuous(src, ENV40, obs, 12.0)
-        batch = evaluate_field(FieldQuery.from_pairs([(obs, 12.0)]), Scenario(ENV40, [src]))
+        batch = evaluate_field(_query([(obs, 12.0)]), Scenario(ENV40, [src]))
         oracle = concentration_moving_source(src, ENV40, obs, 12.0, quadrature_tol=1e-10)
         assert math.isfinite(got) and got > 0.0
         assert batch[0] == got
@@ -569,7 +575,7 @@ class TestMovingClosedForm:
         traj = Trajectory.straight_line((-5.0, 1.5, 1.2), (1.0, 0.0, 0.0), 0.0, 10.0)
         src = SourceSpec.continuous(rate, trajectory=traj)
         obs = (2.0, 1.0, 0.8)
-        got = evaluate_field(FieldQuery.from_pairs([(obs, t)]), Scenario(env, [src]))[0]
+        got = evaluate_field(_query([(obs, t)]), Scenario(env, [src]))[0]
         oracle = concentration_moving_source(src, env, obs, t, quadrature_tol=1e-10)
         assert got > 0.0
         assert got == pytest.approx(oracle, rel=1e-6)
@@ -605,7 +611,7 @@ class TestMovingClosedForm:
                    SourceSpec.continuous(pulse, position=(0.0, 1.0, 1.0)),
                    SourceSpec.continuous(1.0, trajectory=traj),
                    SourceSpec.continuous(pulse, trajectory=traj)]
-        q = FieldQuery.from_pairs([((3.0, 2.0, 1.0), 10.0)])
+        q = _query([((3.0, 2.0, 1.0), 10.0)])
         for src in sources:
             scalar = concentration_instant if src.kind is channel.SourceKind.INSTANT \
                 else concentration_continuous
@@ -623,7 +629,7 @@ class TestMovingClosedForm:
         # fails to converge.
         traj = Trajectory.straight_line((0, 0, 25), (2, 0, 0), 0.0, 100.0)
         src = SourceSpec.continuous(1.0, trajectory=traj)
-        q = FieldQuery.from_pairs([((35, 0, 25), 17.5), ((35, 0, 25), 20.0)])
+        q = _query([((35, 0, 25), 17.5), ((35, 0, 25), 20.0)])
         with pytest.raises(FieldEvaluationError) as err:
             evaluate_field(q, Scenario(ENV40, [src]))
         assert [(i, type(e)) for i, e in err.value.failures] == [(0, SingularPoint)]
@@ -830,7 +836,7 @@ class TestSteppedRate:
         assert concentration_continuous(static, ENV40, (1.0, 2.0, 3.0), 10.0) == 0.0
         assert concentration_steady(static, ENV40, (1.0, 2.0, 3.0)) == 0.0
         assert concentration_continuous(moving, ENV40, traj.point_at(10.0), 10.0) == 0.0
-        q = FieldQuery.from_pairs([((1.0, 2.0, 3.0), 10.0), (traj.point_at(5.0), 5.0)])
+        q = _query([((1.0, 2.0, 3.0), 10.0), (traj.point_at(5.0), 5.0)])
         assert (evaluate_field(q, Scenario(ENV40, [static, moving])) == 0.0).all()
 
     def test_steady_state_keeps_the_windows_that_never_close(self):
@@ -858,7 +864,7 @@ class TestSteppedRate:
 
 def _one_point_field(sources, env, r, t):
     """evaluate_field of the sources at one point."""
-    return float(evaluate_field(FieldQuery.from_pairs([(r, t)]), Scenario(env, sources))[0])
+    return float(evaluate_field(_query([(r, t)]), Scenario(env, sources))[0])
 
 
 class TestMultiSource:
@@ -1070,17 +1076,17 @@ class TestEvaluateField:
         assert len(FieldQuery.from_grid(xs, [], zs, times)) == 0
 
     def test_empty_query(self):
-        q = FieldQuery.from_pairs([])
+        q = _query([])
         out = evaluate_field(q, Scenario(ENV40, [SourceSpec.instant((0, 0, 0), 1.0)]))
         assert out.size == 0
 
     def test_permutation_purity(self):
         src = SourceSpec.instant((0, 0, 0), 1.0)
         pts = [((x, y, 0.0), 3.0) for x in (1, 2, 3) for y in (0, 1, 4)]
-        q = FieldQuery.from_pairs(pts)
+        q = _query(pts)
         out = evaluate_field(q, Scenario(ENV40, [src]))
         perm = list(reversed(range(len(pts))))
-        q2 = FieldQuery.from_pairs([pts[i] for i in perm])
+        q2 = _query([pts[i] for i in perm])
         out2 = evaluate_field(q2, Scenario(ENV40, [src]))
         assert np.array_equal(out2, out[perm])
 
@@ -1089,7 +1095,7 @@ class TestEvaluateField:
                    SourceSpec.continuous(0.3, position=(5, 5, 5))]
         pts = [((1.0, 2.0, 0.5), 4.0), ((4.0, 4.0, 4.0), 0.5),
                ((9.0, 9.0, 9.0), 25.0)]
-        q = FieldQuery.from_pairs(pts)
+        q = _query(pts)
         out = evaluate_field(q, Scenario(ENV40, sources))
         for (r, t), got in zip(pts, out):
             want = concentration_instant(sources[0], ENV40, r, t) \
@@ -1098,7 +1104,7 @@ class TestEvaluateField:
 
     def test_pre_emission_points_are_zero(self):
         src = SourceSpec.continuous(1.0, position=(0, 0, 0), start_time=100.0)
-        q = FieldQuery.from_pairs([((1, 1, 1), 5.0), ((1, 1, 1), 99.9)])
+        q = _query([((1, 1, 1), 5.0), ((1, 1, 1), 99.9)])
         out = evaluate_field(q, Scenario(ENV40, [src]))
         assert (out == 0.0).all()
 
@@ -1114,7 +1120,7 @@ class TestEvaluateField:
     def test_pointwise_errors_carry_indices(self):
         from virodyne.errors import FieldEvaluationError
         src = SourceSpec.continuous(1.0, position=(0, 0, 0))
-        q = FieldQuery.from_pairs([
+        q = _query([
             ((1, 0, 0), 5.0),
             ((0, 0, 0), 5.0),  # singular: observer on the source
             ((2, 0, 0), 5.0),
@@ -1127,11 +1133,11 @@ class TestEvaluateField:
         # values equal the two halves evaluated on their own.
         pts = [((1.0 + 0.01 * i, 0.5, 0.0), 5.0) for i in range(3000)]
         scenario = Scenario(ENV40, [src])
-        whole = evaluate_field(FieldQuery.from_pairs(pts), scenario)
-        halves = [evaluate_field(FieldQuery.from_pairs(part), scenario)
+        whole = evaluate_field(_query(pts), scenario)
+        halves = [evaluate_field(_query(part), scenario)
                   for part in (pts[:2048], pts[2048:])]
         assert np.array_equal(whole, np.concatenate(halves))
         pts[2500] = ((0.0, 0.0, 0.0), 5.0)
         with pytest.raises(FieldEvaluationError) as err:
-            evaluate_field(FieldQuery.from_pairs(pts), scenario)
+            evaluate_field(_query(pts), scenario)
         assert [i for i, _ in err.value.failures] == [2500]

@@ -563,12 +563,13 @@ class TestCli:
         ["hotspots", "--min-entropy", "nan"],
         ["entropy", "--pseudocount", "-1"],
         ["entropy", "--pseudocount", "nan"],
+        ["entropy", "--pseudocount", "inf"],
         ["direction", "--position", "99999", "--q", "1e-3", "--gamma", "0.1"],
         ["direction", "--position", "0", "--q", "1e-3", "--gamma", "0.1"],
         ["direction", "--position", "1", "--q", "1e-3", "--gamma", "0.1",
          "--top", "-1"],
     ], ids=["top", "min_entropy_nan", "pseudocount", "pseudocount_nan",
-            "position_past_end", "position_zero", "direction_top"])
+            "pseudocount_inf", "position_past_end", "position_zero", "direction_top"])
     def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, argv):
         fasta = write(tmp_path, "toy.fasta", ">a\nACGTAC\n>b\nACGAAC\n")
         out = tmp_path / "out"
@@ -580,26 +581,13 @@ class TestCli:
 
 
 class TestFileIo:
-    def test_trajectory_csv_round_trip(self, tmp_path):
-        from virodyne.fileio import read_trajectory_csv, write_trajectory_csv
-        from virodyne.mobility import Trajectory
-        traj = Trajectory(
-            np.array([0.0, 1.5, 4.0]),
-            np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5], [3.0, 1.0, 0.25]]),
-        )
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(str(path), traj, meta={"seed": "0"})
-        again = read_trajectory_csv(str(path))
-        assert np.array_equal(again.times, traj.times)
-        assert np.array_equal(again.points, traj.points)
-
     def test_trajectory_csv_non_numeric_names_row(self, tmp_path):
         from virodyne.errors import ConfigError
-        from virodyne.fileio import read_trajectory_csv
-        p = tmp_path / "traj.csv"
-        p.write_text("# seed = 0\nt,x,y,z\n0,0,0,0\n1,abc,0,0\n")
+        from virodyne.fileio import read_readings_csv
+        p = tmp_path / "r.csv"
+        p.write_text("# seed = 0\nx,y,z,t,c,sigma\n0,0,0,1,2,1\n1,abc,0,1,2,1\n")
         with pytest.raises(ConfigError, match="non-numeric value on data row 3"):
-            read_trajectory_csv(str(p))
+            read_readings_csv(str(p))
 
     def test_readings_csv_header_enforced(self, tmp_path):
         from virodyne.errors import ConfigError

@@ -36,6 +36,16 @@ def _probe_points(rng, sol: FdSolution, n, exclude_fn, margin=12.0, floor=0.01):
 
 
 class TestFdSolver:
+    @pytest.mark.parametrize("lo, hi", [
+        ((0, 0, 0), (np.inf, 1, 1)),
+        ((-np.inf, 0, 0), (1, 1, 1)),
+        ((0, 0, 0), (1, np.nan, 1)),
+    ])
+    def test_grid_bounds_must_be_finite(self, lo, hi):
+        # Unchecked, an infinite bound gives an all-zero field.
+        with pytest.raises(ValueError):
+            FdGrid(lo=lo, hi=hi, shape=(4, 4, 4))
+
     def test_stability_guard(self):
         grid = FdGrid((-5, -5, -5), (5, 5, 5), (11, 11, 11))
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from virodyne.mutation import (
     SubstitutionMode,
     amino_matrix,
     codon_matrix,
-    drop_stop_state,
     empirical_codon_weights,
     kimura_base_matrix,
     mutation_direction,
@@ -144,13 +143,6 @@ class TestAminoMatrix:
         # unobserved class falls back to uniform
         gly = codons_for("G")
         assert w[CODON_INDEX[gly[0]]] == pytest.approx(1 / len(gly))
-
-    def test_drop_stop_conditional_view(self):
-        am = amino_matrix(codon_matrix(kimura_base_matrix(P)))
-        no_stop = drop_stop_state(am)
-        assert len(no_stop.states) == 20
-        assert "*" not in no_stop.states
-        assert np.abs(no_stop.matrix.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 class TestMutationDirection:
