@@ -8,12 +8,21 @@ velocity field v(r, t).
 Forward-Euler time stepping with central differences (second order in
 space); sources are deposited with trilinear (cloud-in-cell) weights each
 step, a moving one where its trajectory puts it (at its last knot once its
-path ends, by mobility.Trajectory's rule). Walls are either absorbing
+path ends, by mobility.Trajectory's rule). The weights of a source without
+a trajectory are computed once per solve. Walls are either absorbing
 (c = 0 outside) or reflecting (zero normal flux). The scheme is
 conditionally stable; the default time step respects both the diffusive
 bound dt <= 1 / (2 D sum(1/h_i^2)) and the advective CFL bound with a 0.4
-safety factor, and a callable velocity is checked against the advective
-bound dt |v|max <= min(h) on every step.
+safety factor, an explicit one is checked against both after it is rounded
+to t_end / n steps, and a callable velocity is checked against the advective
+bound dt |v|max <= min(h) on every step, so a NaN or infinite speed raises
+UnstableTimeStep instead of filling the field with NaN.
+
+A velocity the same in every cell, a constant 3-vector or a callable that
+returns shape (3,) or a (cells, 3) array with a cell stride of 0 (as
+np.broadcast_to gives), enters the stencil as three scalars; any other
+callable field is copied each step into a padded buffer laid out like the
+field.
 
 The field lives in one zero-initialised buffer with a layer of ghost cells,
 (nx+2, ny+2, nz+2), allocated once per solve; c is its interior view. Each
@@ -36,7 +45,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .channel import SourceKind, SourceSpec
-from .errors import UnstableTimeStep
+from .errors import OutOfDomain, UnstableTimeStep
 
 VelocityField = Union[Sequence[float], np.ndarray, Callable[[np.ndarray, float], np.ndarray]]
 
@@ -81,24 +90,26 @@ class FdGrid:
         return np.stack([xx, yy, zz], axis=-1)
 
 
-def _deposit_cic(field: np.ndarray, lo: list[float], h: list[float], volume: float,
-                 point, amount: float) -> None:
-    """Spread `amount` (kg) onto the 8 cells around `point` with trilinear
-    weights, as a concentration increment (divided by the cell volume).
-    lo, h and volume are the grid's, computed once per solve."""
+def _cic_cells(lo: list[float], h: list[float], shape, point) -> list[tuple]:
+    """The cells around `point` that lie on the grid, each as (ix, iy, iz,
+    wx, wy, wz) with its trilinear weight per axis. lo and h are the grid's,
+    computed once per solve."""
     weights = []
-    for p, lo_k, h_k, size in zip(np.asarray(point, dtype=float).tolist(), lo, h,
-                                  field.shape):
+    for p, lo_k, h_k, size in zip(np.asarray(point, dtype=float).tolist(), lo, h, shape):
         f = (p - lo_k) / h_k - 0.5  # fractional index of the cell-centre lattice
         i = math.floor(f)
         w = f - i
         weights.append([(j, w_j) for j, w_j in ((i, 1.0 - w), (i + 1, w))
                         if 0 <= j < size])
-    dens = amount / volume
-    for ix, wx in weights[0]:
-        for iy, wy in weights[1]:
-            for iz, wz in weights[2]:
-                field[ix, iy, iz] += dens * wx * wy * wz
+    return [(ix, iy, iz, wx, wy, wz) for ix, wx in weights[0]
+            for iy, wy in weights[1] for iz, wz in weights[2]]
+
+
+def _deposit_cic(field: np.ndarray, cells: list[tuple], dens: float) -> None:
+    """Add the concentration `dens` (kg/m^3, amount over cell volume) to the
+    cells of _cic_cells in proportion to their weights."""
+    for ix, iy, iz, wx, wy, wz in cells:
+        field[ix, iy, iz] += dens * wx * wy * wz
 
 
 @dataclass
@@ -109,10 +120,16 @@ class FdSolution:
     steps: int
 
     def sample(self, points: np.ndarray) -> np.ndarray:
-        """Trilinear interpolation of the final field at arbitrary points."""
+        """Trilinear interpolation of the final field at points in the box
+        [lo, hi]; within half a cell of a wall it holds the edge cell's value.
+        A point outside the box or not finite raises OutOfDomain."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         h = self.grid.spacing
         lo = np.array(self.grid.lo)
+        inside = ((pts >= lo) & (pts <= np.array(self.grid.hi))).all(axis=1)
+        if not inside.all():
+            raise OutOfDomain(f"sample point {pts[~inside][0].tolist()} lies outside "
+                              f"the grid box {self.grid.lo} .. {self.grid.hi}")
         out = np.zeros(pts.shape[0])
         f = (pts - lo) / h - 0.5
         i0 = np.floor(f).astype(int)
@@ -164,26 +181,35 @@ def solve_advection_diffusion(
     The rate is read at that midpoint too, so the deposit smears a rate
     step by at most one dt.
 
-    The default dt is 0.4 times the smaller of the diffusive bound and the
+    diffusivity and t_end must be finite and > 0 (else ValueError). The
+    default dt is 0.4 times the smaller of the diffusive bound and the
     advective bound min(h) / |v|max, the latter taken from the velocity at
-    t=0. An explicit dt above either bound raises UnstableTimeStep. A
-    callable velocity is evaluated at each step's midpoint into a padded
-    (3, nx+2, ny+2, nz+2) buffer laid out like the field, and the step
-    raises UnstableTimeStep when dt |v|max > min(h) there, so a flow that
-    speeds up after t=0 fails loudly instead of blowing up.
+    t=0. An explicit dt is rounded to t_end / n steps; a requested dt that is
+    not finite and > 0, or an effective one above either bound, raises
+    UnstableTimeStep, as does a speed at t=0 that is not finite.
 
-    The step works on one ghost-padded buffer and preallocated temporaries
-    (see the module docstring); the result's field is a fresh contiguous
-    copy of its interior.
+    A callable velocity is evaluated at each step's midpoint. When it is
+    the same in every cell (shape (3,), or (cells, 3) with a cell stride of
+    0, as np.broadcast_to gives) the stencil takes it as three scalars;
+    any other field goes into a padded (3, nx+2, ny+2, nz+2) buffer laid
+    out like the field. Either way the step raises UnstableTimeStep unless
+    dt |v|max <= min(h) there, so a flow that speeds up after t=0, or turns
+    NaN or inf, fails loudly instead of blowing up.
+
+    Cloud-in-cell weights are computed once per solve for a source without
+    a trajectory and on every step for a moving one. The step works on one
+    ghost-padded buffer and preallocated temporaries (see the module
+    docstring); the result's field is a fresh contiguous copy of its
+    interior.
     """
     if boundary not in ("absorbing", "reflecting"):
         raise ValueError("boundary must be 'absorbing' or 'reflecting'")
     D = float(diffusivity)
-    if D <= 0:
-        raise ValueError("diffusivity must be > 0")
+    if not 0 < D < math.inf:
+        raise ValueError(f"diffusivity must be finite and > 0, got {D}")
     t_end = float(t_end)
-    if t_end <= 0:
-        raise ValueError("t_end must be > 0")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     h = grid.spacing
     h_min = float(h.min())
     shape = grid.shape
@@ -204,47 +230,58 @@ def solve_advection_diffusion(
         centers = grid.cell_centers().reshape(-1, 3)
         vel_padded = np.zeros((3,) + padded.shape)
         vel_cells = vel_padded[:, 1:-1, 1:-1, 1:-1]
-        vx, vy, vz = vel_padded.reshape(3, -1)[:, first:first + n]
+        bx, by, bz = vel_padded.reshape(3, -1)[:, first:first + n]
 
-        def load_velocity(t: float) -> float:
-            """Evaluate the velocity at time t into vx, vy, vz; return |v|max."""
-            v = np.asarray(velocity(centers, t), dtype=float).reshape(shape + (3,))
-            vel_cells[...] = np.moveaxis(v, -1, 0)
+        def load_velocity(t: float) -> tuple:
+            """The velocity at time t as (vx, vy, vz, |v|max): three floats
+            for a uniform field, else views of the padded buffer."""
+            v = np.asarray(velocity(centers, t), dtype=float)
+            if v.shape == (3,) or (v.shape == centers.shape and v.strides[0] == 0):
+                ux, uy, uz = v.reshape(-1, 3)[0].tolist()
+                return ux, uy, uz, math.sqrt(ux * ux + uy * uy + uz * uz)
+            vel_cells[...] = np.moveaxis(v.reshape(shape + (3,)), -1, 0)
             # |v|^2 on the padded buffers (ghosts hold 0), in lap and term,
             # which the stencil overwrites afterwards.
-            np.multiply(vx, vx, out=lap)
-            np.multiply(vy, vy, out=term)
+            np.multiply(bx, bx, out=lap)
+            np.multiply(by, by, out=term)
             np.add(lap, term, out=lap)
-            np.multiply(vz, vz, out=term)
+            np.multiply(bz, bz, out=term)
             np.add(lap, term, out=lap)
-            return math.sqrt(lap.max())
+            return bx, by, bz, math.sqrt(lap.max())
 
-        vmax = load_velocity(0.0)
+        vx, vy, vz, vmax = load_velocity(0.0)
     else:
         v = np.asarray(velocity, dtype=float)
         vx, vy, vz = v[0], v[1], v[2]
         vmax = float(np.linalg.norm(v))
+    if not math.isfinite(vmax):
+        raise UnstableTimeStep(f"the speed at t=0 is {vmax} m/s; it must be finite")
 
     diff_bound = 0.5 / (D * float((1.0 / h**2).sum()))
     adv_bound = h_min / vmax if vmax > 0 else math.inf
-    dt_stable = 0.4 * min(diff_bound, adv_bound)
+    bound = min(diff_bound, adv_bound)
     if dt is None:
-        n_steps = max(1, int(math.ceil(t_end / dt_stable)))
+        n_steps = max(1, int(math.ceil(t_end / (0.4 * bound))))
         dt = t_end / n_steps
     else:
-        dt = float(dt)
-        if dt > min(diff_bound, adv_bound):
-            raise UnstableTimeStep(
-                f"dt={dt} exceeds the stability bound "
-                f"{min(diff_bound, adv_bound):.3g}"
-            )
-        n_steps = max(1, int(round(t_end / dt)))
+        requested = float(dt)
+        if not 0 < requested < math.inf:
+            raise UnstableTimeStep(f"dt={requested} must be finite and > 0")
+        n_steps = max(1, int(round(t_end / requested)))
         dt = t_end / n_steps
+        if dt > bound:
+            raise UnstableTimeStep(
+                f"dt={requested} runs as {n_steps} step(s) of {dt:.6g} s, which "
+                f"exceeds the stability bound {bound:.3g}"
+            )
 
     sources = list(sources)
     lo, h_list, volume = list(grid.lo), h.tolist(), grid.cell_volume()
     hx2, hy2, hz2 = h[0] ** 2, h[1] ** 2, h[2] ** 2
     h2x, h2y, h2z = 2 * h[0], 2 * h[1], 2 * h[2]
+    # Weights of the sources that stand still, worked out once.
+    fixed = [None if src.is_moving else _cic_cells(lo, h_list, shape, src.point_at(0.0))
+             for src in sources]
     injected_instant = [False] * len(sources)
     t = 0.0
     for step in range(n_steps):
@@ -252,17 +289,18 @@ def solve_advection_diffusion(
         for k, src in enumerate(sources):
             if src.kind is SourceKind.INSTANT:
                 if not injected_instant[k] and t + dt >= src.start_time:
-                    _deposit_cic(c, lo, h_list, volume, src.point_at(src.start_time),
-                                 src.strength)
+                    cells = fixed[k] or _cic_cells(lo, h_list, shape,
+                                                   src.point_at(src.start_time))
+                    _deposit_cic(c, cells, src.strength / volume)
                     injected_instant[k] = True
             else:
                 if t_mid >= src.start_time:
-                    _deposit_cic(c, lo, h_list, volume, src.point_at(t_mid),
-                                 src.rate_at(t_mid) * dt)
+                    cells = fixed[k] or _cic_cells(lo, h_list, shape, src.point_at(t_mid))
+                    _deposit_cic(c, cells, src.rate_at(t_mid) * dt / volume)
         _refresh_ghosts(padded, boundary)
         if callable(velocity):
-            vmax = load_velocity(t_mid)
-            if vmax > 0 and dt > h_min / vmax:
+            vx, vy, vz, vmax = load_velocity(t_mid)
+            if not dt * vmax <= h_min:
                 raise UnstableTimeStep(
                     f"at t={t_mid:.6g} s the speed {vmax:.3g} m/s breaks the "
                     f"advective bound dt={dt:.3g} <= {h_min / vmax:.3g}; "

@@ -15,7 +15,7 @@ from virodyne.channel import (
     evaluate_field,
 )
 from virodyne.core import Velocity
-from virodyne.errors import UnstableTimeStep, VirodyneError
+from virodyne.errors import OutOfDomain, UnstableTimeStep, VirodyneError
 from virodyne.fdpde import FdGrid, FdSolution, solve_advection_diffusion
 from virodyne.mobility import Trajectory
 
@@ -70,6 +70,83 @@ class TestFdSolver:
             solve_advection_diffusion(grid, 0.01, ramp, src, t_end=10.0, dt=0.1)
         assert isinstance(err.value, VirodyneError)
         assert isinstance(err.value, ValueError)
+
+    def test_uniform_flow_speeding_up_after_start_breaks_cfl(self):
+        # The same ramp, the same in every cell: the solver takes it as three
+        # scalars and must still check it on every step.
+        grid = FdGrid((-5, -5, -5), (5, 5, 5), (11, 11, 11))
+
+        def ramp(points, t):
+            return np.broadcast_to(np.array([1.0 + t, 0.0, 0.0]), points.shape)
+
+        src = [SourceSpec.instant((0, 0, 0), 1.0)]
+        ok = solve_advection_diffusion(grid, 0.01, ramp, src, t_end=8.0, dt=0.1)
+        assert ok.steps == 80
+        with pytest.raises(UnstableTimeStep, match=r"t=8\.15"):
+            solve_advection_diffusion(grid, 0.01, ramp, src, t_end=10.0, dt=0.1)
+
+    def test_effective_dt_is_checked_against_the_bound(self):
+        # The diffusive bound is 0.680 s. A requested dt of 0.67 s passes it,
+        # but t_end / round(t_end / dt) makes one step of 1.0 s, which
+        # overshoots (the field minimum was -0.16).
+        grid = FdGrid((-5, -5, -5), (5, 5, 5), (7, 7, 7))
+        src = [SourceSpec.instant((0.3, 0, 0), 1.0)]
+        with pytest.raises(UnstableTimeStep, match=r"dt=0\.67 .*\b1 step\(s\) of 1 s"):
+            solve_advection_diffusion(grid, 0.5, (0, 0, 0), src, t_end=1.0, dt=0.67)
+        sol = solve_advection_diffusion(grid, 0.5, (0, 0, 0), src, t_end=1.0, dt=0.5)
+        assert sol.steps == 2 and sol.field.min() >= 0.0
+
+    @pytest.mark.parametrize("case", [
+        "negative dt", "zero dt", "nan dt", "inf dt",
+        "nan wind", "inf wind", "nan callable at t=0", "nan callable later",
+        "inf callable later", "nan uniform callable later",
+        "nan diffusivity", "inf diffusivity", "nan t_end", "inf t_end",
+    ])
+    def test_hostile_numerics_raise(self, case):
+        grid = FdGrid((-5, -5, -5), (5, 5, 5), (7, 7, 7))
+        src = [SourceSpec.instant((0.3, 0, 0), 1.0)]
+        nan, inf = float("nan"), float("inf")
+
+        def turning(bad, uniform=False):
+            def velocity(points, t):
+                v = np.array([0.1, 0.0, 0.0]) if t < 0.5 else np.array([bad, 0.0, 0.0])
+                if uniform:
+                    return np.broadcast_to(v, points.shape)
+                return np.tile(v, (len(points), 1))
+            return velocity
+
+        kw = {"diffusivity": 0.5, "velocity": (0.1, 0, 0), "t_end": 1.0, "dt": 0.1}
+        kw.update({
+            "negative dt": {"dt": -0.1}, "zero dt": {"dt": 0.0}, "nan dt": {"dt": nan},
+            "inf dt": {"dt": inf}, "nan wind": {"velocity": (nan, 0, 0)},
+            "inf wind": {"velocity": (inf, 0, 0), "dt": None},
+            "nan callable at t=0": {"velocity": lambda p, t: np.full(p.shape, nan)},
+            "nan callable later": {"velocity": turning(nan)},
+            "inf callable later": {"velocity": turning(inf)},
+            "nan uniform callable later": {"velocity": turning(nan, uniform=True)},
+            "nan diffusivity": {"diffusivity": nan},
+            "inf diffusivity": {"diffusivity": inf, "dt": None},
+            "nan t_end": {"t_end": nan}, "inf t_end": {"t_end": inf},
+        }[case])
+        if "diffusivity" in case or "t_end" in case:
+            error, match = ValueError, "must be finite and > 0"
+        else:
+            error, match = UnstableTimeStep, None
+        with pytest.raises(error, match=match):
+            solve_advection_diffusion(grid, kw["diffusivity"], kw["velocity"], src,
+                                      t_end=kw["t_end"], dt=kw["dt"])
+
+    def test_sample_outside_the_box_raises(self):
+        grid = FdGrid((-5, -5, -5), (5, 5, 5), (7, 7, 7))
+        sol = solve_advection_diffusion(grid, 0.5, (0, 0, 0),
+                                        [SourceSpec.instant((0.3, 0, 0), 1.0)], t_end=1.0)
+        for bad in ([100.0, 0.0, 0.0], [0.0, -5.001, 0.0], [np.nan, 0.0, 0.0],
+                    [0.0, 0.0, np.inf]):
+            with pytest.raises(OutOfDomain):
+                sol.sample(np.array([[0.0, 0.0, 0.0], bad]))
+        # The walls themselves are inside: a corner holds its cell's value.
+        corners = sol.sample(np.array([grid.lo, grid.hi]))
+        assert corners.tolist() == [sol.field[0, 0, 0], sol.field[-1, -1, -1]]
 
     def test_instant_source_mass_on_grid(self):
         # Absorbing walls far away: deposited mass stays on the grid.

@@ -13,13 +13,24 @@ from virodyne.fdpde import FdGrid, solve_advection_diffusion
 from virodyne.mobility import Trajectory
 
 
-def _gust(base, amp, period, phase):
+def _gust_vector(base, amp, period, phase):
+    """A gust the same in every cell, returned as one vector of shape (3,)."""
     base = np.asarray(base, dtype=float)
 
     def velocity(points, t):
-        scale = 1.0 + amp * math.sin(2.0 * math.pi * t / period + phase)
-        return np.broadcast_to(base * scale, points.shape)
+        return base * (1.0 + amp * math.sin(2.0 * math.pi * t / period + phase))
     return velocity
+
+
+def _broadcast(vector_velocity):
+    """The same field broadcast to every cell: shape (cells, 3), stride 0."""
+    def velocity(points, t):
+        return np.broadcast_to(vector_velocity(points, t), points.shape)
+    return velocity
+
+
+def _gust(base, amp, period, phase):
+    return _broadcast(_gust_vector(base, amp, period, phase))
 
 
 def _swirl(points, t):
@@ -28,6 +39,18 @@ def _swirl(points, t):
     v[:, 1] = 0.05 * points[:, 0]
     v[:, 2] = 0.01 * np.sin(points[:, 0])
     return v
+
+
+_GUST = _gust((0.3, 0.1, 0.0), 0.5, 8.0, 0.7)
+
+
+def _switching(points, t):
+    # With dt = 0.05 the step index is int(t / 0.05): a uniform gust on even
+    # steps (t = 0 included), the swirl on odd ones, so the stencil's
+    # velocity switches between scalars and the buffer's views every step.
+    if int(t / 0.05) % 2:
+        return _swirl(points, t)
+    return _GUST(points, t)
 
 
 # The benchmark's hall: 60 x 45 x 3 m in 40 x 30 x 8 cells.
@@ -60,6 +83,20 @@ CASES = {
     "non-cubic, absorbing, callable": (
         FdGrid((0.0, -2.0, -1.0), (1.2, 2.0, 1.0), (3, 10, 7)), 0.3, _swirl,
         [SourceSpec.continuous(1.0, position=(0.6, 0.3, 0.1))], 1.0, {}),
+    "absorbing, callable gust": (
+        HALL, 0.5, _GUST, PLUME, 5.0, {"dt": 0.05}),
+    "callable of shape (3,)": (
+        HALL, 0.5, _gust_vector((-0.2, 0.25, 0.02), 0.3, 3.0, 0.1), PLUME, 5.0,
+        {"dt": 0.05, "boundary": "reflecting"}),
+    "uniform and per-cell by turns": (
+        FdGrid((-6.0, -3.0, 0.0), (6.0, 3.0, 0.9), (20, 11, 3)), 0.3, _switching,
+        [SourceSpec.continuous(0.5, position=(1.1, -0.4, 0.5))], 2.0, {"dt": 0.05}),
+}
+
+# The oracle reshapes every callable's return to the grid, so it is handed
+# the same field broadcast to (cells, 3).
+ORACLE_VELOCITY = {
+    "callable of shape (3,)": _broadcast(CASES["callable of shape (3,)"][2]),
 }
 
 
@@ -67,7 +104,8 @@ CASES = {
 def test_fields_are_bit_identical_to_the_oracle(name):
     grid, D, velocity, sources, t_end, kw = CASES[name]
     got = solve_advection_diffusion(grid, D, velocity, sources, t_end, **kw)
-    want = fdpde_oracle.solve_advection_diffusion(grid, D, velocity, sources, t_end, **kw)
+    want = fdpde_oracle.solve_advection_diffusion(
+        grid, D, ORACLE_VELOCITY.get(name, velocity), sources, t_end, **kw)
     assert got.steps == want.steps > 1
     assert got.t_end == want.t_end
     assert got.field.flags.c_contiguous
@@ -88,3 +126,19 @@ def test_ghost_refresh_equals_np_pad(boundary):
     interior = padded[1:-1, 1:-1, 1:-1]
     mode = "edge" if boundary == "reflecting" else "constant"
     assert np.array_equal(padded, np.pad(interior, 1, mode=mode))
+
+
+@pytest.mark.parametrize("boundary", ["absorbing", "reflecting"])
+def test_still_uniform_callable_equals_the_tuple(boundary):
+    # A uniform callable that does not change in time runs the stencil on
+    # the same three scalars as the constant tuple, so the fields match bit
+    # for bit, whether it returns shape (3,) or broadcasts to every cell.
+    wind = (0.3, -0.2, 0.05)
+    vector = np.array(wind)
+    want = solve_advection_diffusion(HALL, 0.4, wind, PLUME, 5.0, dt=0.05,
+                                     boundary=boundary)
+    for velocity in (lambda p, t: vector, _broadcast(lambda p, t: vector)):
+        got = solve_advection_diffusion(HALL, 0.4, velocity, PLUME, 5.0, dt=0.05,
+                                        boundary=boundary)
+        assert got.steps == want.steps
+        assert np.array_equal(got.field, want.field)
