@@ -26,14 +26,28 @@ quadrature and fdpde. In still air between walls no steady state exists;
 the kernel refuses tau = inf there for emission that has not stopped.
 
 Reflecting boundaries have one image-source representation: a boundary
-declares its walls (mirrored axis -> wall spacing, image_order) and the
-images follow from that alone, (2(2n+1))^2 of them for a duct of
-image_order n. The wind must be 0 along every mirrored axis, as the
-construction is exact only then. There are two evaluation forms: the
-instant kernel separates by axis into a product of per-axis image sums
-(_axis_factor), while continuous sources sum over the explicit 3-D images
-(image_transforms), because each image needs its own distance. Both take
-their (image, evaluation) pairs _BLOCK_PAIRS at a time.
+declares its walls (mirrored axis -> wall spacing) and the images follow
+from that alone. The wind must be 0 along every mirrored axis, as the
+construction is exact only then. The instant kernel separates by axis into
+a product of per-axis image sums (_axis_factor), while continuous sources
+sum over the explicit 3-D images (image_transforms), because each image
+needs its own distance. Both take their (image, evaluation) pairs
+_BLOCK_PAIRS at a time.
+
+Between the two walls of a duct the image sum is exact, not truncated.
+Along an axis with walls at 0 and L it is a theta function, which Poisson
+summation turns into the cosine series (1/L)[1 + 2 sum_m exp(-D k_m^2 tau)
+cos(k_m y) cos(k_m y0)], k_m = m pi / L (Carslaw & Jaeger, Conduction of
+Heat in Solids, 1959, ch. 14). Images converge fast for young ages and
+modes for old ones, so ages up to tau* = _SPLIT_AGE min(W, H)^2 / D take
+images and older ones modes: per axis and per age in the instant kernel,
+and in the continuous kernel by splitting each pair's age integral at tau*
+(_mode_kernel). Each side keeps every term down to exp(-_TAIL) of what it
+keeps, so both counts depend on the duct's shape alone. The one truncated
+image sum left is that of a trajectory piece moving across the duct: its
+mirror images move against it and no mode separates, so it sums the
+images of _CROSS_ORDER reflections per wall pair, whose dropped terms weigh
+exp(-(2 _CROSS_ORDER L)^2 / 4 D tau) of the kept at age tau.
 
 Everything here is a pure function of its inputs. evaluate_field sums
 each source's field over the whole query, the one path for several
@@ -70,7 +84,6 @@ DEFAULT_QUADRATURE_TOL = 1e-6
 MAX_QUADRATURE_LEVELS = 20
 
 _SINGULAR_DIST = 1e-12
-MAX_IMAGE_ORDER = 100  # 161 604 duct images, 82 MB to build
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +91,8 @@ MAX_IMAGE_ORDER = 100  # 161 604 duct images, 82 MB to build
 # ---------------------------------------------------------------------------
 
 # A boundary declares its walls and nothing else about images: `walls` maps
-# each mirrored axis to (spacing L, image_order n), walls at 0 and L with n
-# reflections kept per wall pair; L = 0, n = 0 is the single plane at 0.
+# each mirrored axis to its spacing L, walls at 0 and L; L = 0 is the single
+# plane at 0.
 
 @dataclass(frozen=True)
 class FreeSpace:
@@ -92,29 +105,26 @@ class FreeSpace:
 class HalfSpaceReflecting:
     """Reflecting ground plane at z = 0; field defined for z >= 0."""
 
-    walls = {2: (0.0, 0)}
+    walls = {2: 0.0}
 
 
 @dataclass(frozen=True)
 class RectangularDuctReflecting:
     """Duct running along x with reflecting walls y in [0, width],
-    z in [0, height]. The image series is truncated at image_order
-    reflections per wall pair, at most MAX_IMAGE_ORDER ((2(2n+1))^2 images)."""
+    z in [0, height]. Its field is exact: images for young ages, cosine
+    modes of the cross-section for old ones (see the module docstring)."""
 
     width: float
     height: float
-    image_order: int = 10
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("duct width and height must be > 0")
-        if not 0 <= self.image_order <= MAX_IMAGE_ORDER:
-            raise ValueError(f"image_order must be in [0, {MAX_IMAGE_ORDER}], "
-                             f"got {self.image_order}")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(f"duct width and height must be finite and > 0, "
+                             f"got {self.width!r} and {self.height!r}")
 
     @property
-    def walls(self) -> dict[int, tuple[float, int]]:
-        return {1: (self.width, self.image_order), 2: (self.height, self.image_order)}
+    def walls(self) -> dict[int, float]:
+        return {1: self.width, 2: self.height}
 
 
 Boundary = Union[FreeSpace, HalfSpaceReflecting, RectangularDuctReflecting]
@@ -295,23 +305,76 @@ def _gauss1d(dx: np.ndarray, four_dt: np.ndarray) -> np.ndarray:
     return np.exp(-(dx * dx) / four_dt) / np.sqrt(math.pi * four_dt)
 
 
+# The duct's split (see the module docstring). tau* D / min(W, H)^2 is a
+# shape-free constant; 0.16 keeps about a hundred images and a few dozen
+# modes for a duct whose sides differ by less than half.
+_TAIL = 32.0
+_SPLIT_AGE = 0.16
+_CROSS_ORDER = 10
+
+
+def _split_scale(b: Boundary) -> float:
+    """D tau* of a duct: the age past which modes replace images."""
+    return _SPLIT_AGE * min(b.walls.values()) ** 2
+
+
+def _split_order(b: Boundary, length: float) -> int:
+    """Image order along an axis of spacing `length` > 0 for ages up to tau*.
+    For points inside the duct the identity lies within L of the observer
+    and the nearest dropped image 2nL from it, so each dropped image weighs
+    at most exp(-((2nL)^2 - L^2) / (4 D tau*)) <= exp(-_TAIL) of a kept one."""
+    return math.ceil(math.sqrt((4.0 * _TAIL * _split_scale(b) / length ** 2 + 1.0) / 4.0))
+
+
+def _split_waves(b: Boundary, length: float) -> np.ndarray:
+    """Wavenumbers k_m = m pi / L, m >= 1, of the modes along an axis of
+    spacing `length` that weigh more than exp(-_TAIL) at tau*:
+    D k_m^2 tau* <= _TAIL."""
+    top = math.floor(length / math.pi * math.sqrt(_TAIL / _split_scale(b)))
+    return math.pi / length * np.arange(1, top + 1, dtype=float)
+
+
 def _reflected_offsets(length: float, order: int) -> np.ndarray:
     return 2.0 * length * np.arange(-order, order + 1, dtype=float)
 
 
-def _axis_images(b: Boundary) -> list[tuple[tuple[float, ...], np.ndarray]]:
+def _axis_images(b: Boundary, order: int | None = None
+                 ) -> list[tuple[tuple[float, ...], np.ndarray]]:
     """The 1-D images of each axis x, y, z as (signs, offsets): a source
     coordinate x0 has one image s * x0 + offset for every sign and offset,
-    and an axis without walls has only x0 itself."""
-    return [((1.0, -1.0), _reflected_offsets(*b.walls[axis])) if axis in b.walls
+    and an axis without walls has only x0 itself. An axis between two walls
+    keeps `order` reflections per wall pair, by default those its ages up to
+    tau* need (_split_order)."""
+    def offsets(length):
+        if not length:
+            return np.zeros(1)
+        return _reflected_offsets(length, _split_order(b, length) if order is None else order)
+
+    return [((1.0, -1.0), offsets(b.walls[axis])) if axis in b.walls
             else ((1.0,), np.zeros(1)) for axis in range(3)]
 
 
-def _axis_factor(x: np.ndarray, x0: np.ndarray, four_dt: np.ndarray,
-                 signs: tuple[float, ...], offsets: np.ndarray) -> np.ndarray:
-    """1-D kernel factor along one axis, summed over its images."""
-    offs = offsets[:, None]
-    return sum(_gauss1d(x - (offs + s * x0), four_dt) for s in signs).sum(axis=0)
+def _axis_factor(x: np.ndarray, x0: np.ndarray, tau: np.ndarray, b: Boundary,
+                 diffusivity: float, axis: int, signs: tuple[float, ...],
+                 offsets: np.ndarray) -> np.ndarray:
+    """1-D kernel factor along one axis: the sum over its images, or past
+    tau* on an axis between two walls the cosine series of its modes."""
+    def images(x, x0, tau):
+        four_dt = 4.0 * diffusivity * tau
+        offs = offsets[:, None]
+        return sum(_gauss1d(x - (offs + s * x0), four_dt) for s in signs).sum(axis=0)
+
+    length = b.walls.get(axis, 0.0)
+    if not length:
+        return images(x, x0, tau)
+    young = tau <= _split_scale(b) / diffusivity
+    out = np.empty(tau.size)
+    out[young] = images(x[young], x0[young], tau[young])
+    old = ~young
+    k = _split_waves(b, length)[:, None]
+    terms = np.exp(-diffusivity * k * k * tau[old]) * np.cos(k * x[old]) * np.cos(k * x0[old])
+    out[old] = (1.0 + 2.0 * terms.sum(axis=0)) / length
+    return out
 
 
 def unit_instant_kernel(env: Environment, src_points: np.ndarray,
@@ -319,7 +382,7 @@ def unit_instant_kernel(env: Environment, src_points: np.ndarray,
     """Concentration per unit released mass, vectorized over N evaluations.
 
     The image sum is a product of per-axis image sums, as the Gaussian
-    separates by axis.
+    separates by axis; in a duct an axis past tau* takes its modes.
 
     src_points and obs_points broadcast against each other as (N, 3) or
     (3,); taus is (N,). Entries with tau <= 0 evaluate to 0 (nothing has
@@ -333,17 +396,17 @@ def unit_instant_kernel(env: Environment, src_points: np.ndarray,
     if not live.any():
         return out
     tau = taus[live]
-    four_dt = 4.0 * env.diffusivity * tau
     drifted = src[live] + env.wind_arr[None, :] * tau[:, None]
     obs = obs[live]
-    images = _axis_images(env.boundary)
+    b = env.boundary
+    images = _axis_images(b)
     val = np.ones(tau.size)
     block = max(1, _BLOCK_PAIRS // max(len(s) * len(o) for s, o in images))
     for lo in range(0, tau.size, block):
         sl = slice(lo, lo + block)
         for axis, (signs, offsets) in enumerate(images):
-            val[sl] = val[sl] * _axis_factor(obs[sl, axis], drifted[sl, axis],
-                                             four_dt[sl], signs, offsets)
+            val[sl] = val[sl] * _axis_factor(obs[sl, axis], drifted[sl, axis], tau[sl], b,
+                                             env.diffusivity, axis, signs, offsets)
     out[live] = val
     return out
 
@@ -351,16 +414,17 @@ def unit_instant_kernel(env: Environment, src_points: np.ndarray,
 def image_transforms(env: Environment) -> list[tuple[np.ndarray, np.ndarray]]:
     """Affine maps (flip, offset) sending a source point to each of its
     mirror images: image = flip * p + offset. The identity comes first.
-    The maps are read-only rows of _image_stack, built once per boundary."""
+    In a duct these are the images its ages up to tau* need. The maps are
+    read-only rows of _image_stack, built once per boundary."""
     return list(zip(*_image_stack(env.boundary)))
 
 
 @lru_cache(maxsize=64)
-def _image_stack(b: Boundary) -> tuple[np.ndarray, np.ndarray]:
+def _image_stack(b: Boundary, order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Flips and offsets of the image maps as read-only (M, 3) arrays: every
-    combination of the per-axis images, in axis order."""
+    combination of the per-axis images (_axis_images), in axis order."""
     per_axis = [[(s, o) for s in signs for o in offsets]
-                for signs, offsets in _axis_images(b)]
+                for signs, offsets in _axis_images(b, order)]
     maps = [tuple(zip(*combo)) for combo in itertools.product(*per_axis)]
     # Identity first for singularity checks.
     maps.sort(key=lambda m: m != ((1.0,) * 3, (0.0,) * 3))
@@ -368,6 +432,23 @@ def _image_stack(b: Boundary) -> tuple[np.ndarray, np.ndarray]:
     flips.setflags(write=False)
     offsets.setflags(write=False)
     return flips, offsets
+
+
+@lru_cache(maxsize=64)
+def _duct_modes(b: RectangularDuctReflecting) -> tuple[np.ndarray, ...]:
+    """The cross-section modes (m, n) of a duct that weigh more than
+    exp(-_TAIL) at tau*, D (k_m^2 + k_n^2) tau* <= _TAIL: the wavenumbers
+    ky, kz of each axis (0 first), then per mode its m and n, its
+    eigenvalue k_m^2 + k_n^2 and its weight eps_m eps_n / (W H), eps = 1
+    for the 0 mode and 2 for the others."""
+    ky = np.concatenate([[0.0], _split_waves(b, b.width)])
+    kz = np.concatenate([[0.0], _split_waves(b, b.height)])
+    m, n = (a.ravel() for a in np.meshgrid(np.arange(ky.size), np.arange(kz.size),
+                                            indexing="ij"))
+    lam = ky[m] ** 2 + kz[n] ** 2
+    keep = lam * _split_scale(b) <= _TAIL
+    weight = np.where(m > 0, 2.0, 1.0) * np.where(n > 0, 2.0, 1.0) / (b.width * b.height)
+    return ky, kz, m[keep], n[keep], lam[keep], weight[keep]
 
 
 def _cody_table(num: Sequence[float], den: Sequence[float]) -> list[np.ndarray]:
@@ -454,6 +535,28 @@ def _erfcx(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _erfcx_slope(z: np.ndarray) -> np.ndarray:
+    """-erfcx'(z) = 2/sqrt(pi) - 2 z erfcx(z), for z >= -0.46875. Past
+    z = 4 Cody's tail form erfcx(z) = (1/sqrt(pi) - t P5(t) / Q5(t)) / z,
+    t = 1/z^2, makes it 2 t P5(t) / Q5(t), free of the difference's
+    cancellation."""
+    out = 2.0 * _INV_SQRT_PI - 2.0 * z * _erfcx(z)
+    tail = z > 4.0
+    if tail.any():
+        with np.errstate(under="ignore"):
+            t = 1.0 / z[tail] ** 2
+            out[tail] = 2.0 * t * _rational(t, _ERFCX_TAIL)
+    return out
+
+
+# 8-point Gauss-Legendre on [-1, 1]: its positive nodes and their weights.
+_GL_NODES = np.array([0.18343464249564978, 0.525532409916329,
+                      0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([0.36268378337836166, 0.3137066458778869,
+                        0.22238103445337443, 0.10122853629037706])
+_GL_EDGE = 0.25
+
+
 def _pair_kernel(d: np.ndarray, v_dot_dr: np.ndarray, tau: np.ndarray,
                  diffusivity: float, speed: float | np.ndarray) -> np.ndarray:
     """Per-unit-rate field of (image source, observer) pairs, d > 0 and
@@ -506,7 +609,12 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
                            taus_end: np.ndarray | None = None) -> np.ndarray:
     """Concentration per unit emission rate of a source that has emitted at
     a constant rate for tau seconds, vectorized over N evaluations and
-    summed over the mirror images of image_transforms(env).
+    summed over the mirror images of image_transforms(env). In a duct those
+    cover ages up to tau* and its cross-section modes the older ones
+    (_mode_kernel); a trajectory piece moving across the duct instead sums
+    the images of _CROSS_ORDER reflections per wall pair over all ages.
+    The choice is made per row, so a row's value does not depend on the
+    batch.
 
     With dr = r - r0, d = |dr| and drift v, each image contributes
         K(tau) = exp(v . dr / 2D) / (8 pi D d)
@@ -520,8 +628,8 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
     matrix-vector product with w and |v| one number for all pairs. Sending
     it through the per-pair drift of a moving source (u = 0) costs about half
     as much again: 0.57 -> 0.88 ms for 3000 still-air free-space pairs,
-    1.9 -> 2.9 ms for 4000 windy half-space pairs, 58 -> 92 ms for 200 duct
-    points (2 shared cores, numpy 2.4).
+    1.9 -> 2.9 ms for 4000 windy half-space pairs, 5.4 -> 7.3 ms for 200
+    windy duct points at 60 s (2 shared cores, numpy 2.4).
 
     A source moving at constant velocity u (velocity, (N, 3) or (3,)) is,
     seen at the observation time, a static source at the point it occupies
@@ -538,20 +646,46 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
 
     A static source at tau = inf in still air between walls raises
     SingularPoint while it still emits (taus_end absent or finite): the field
-    grows like sqrt(t), though the image sum stays finite. Emission that
-    stopped (taus_end = inf) has the limit 0.
+    grows like sqrt(t), with the duct's (0, 0) mode. Emission that stopped
+    (taus_end = inf) has the limit 0.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     n = taus.size
     ends = None if taus_end is None else np.broadcast_to(np.asarray(taus_end, float), (n,))
-    if (velocity is None and not env.has_wind
-            and any(w > 0 for w, _ in env.boundary.walls.values())
+    b = env.boundary
+    if (velocity is None and not env.has_wind and any(b.walls.values())
             and (np.isinf(taus) & (ends is None or np.isfinite(ends))).any()):
         raise SingularPoint("no steady state: still air between walls never settles")
     src = np.broadcast_to(np.atleast_2d(src_points), (n, 3))
     obs = np.broadcast_to(np.atleast_2d(obs_points), (n, 3))
     vel = None if velocity is None else np.broadcast_to(np.atleast_2d(velocity), (n, 3))
-    flips, offsets = _image_stack(env.boundary)
+    if not any(b.walls.values()):
+        return _image_kernel(env, *_image_stack(b), src, obs, taus, vel, ends)
+    out = np.empty(n)
+    cross = np.zeros(n, dtype=bool) if vel is None else (vel[:, list(b.walls)] != 0.0).any(axis=1)
+    if cross.any():
+        out[cross] = _image_kernel(env, *_image_stack(b, _CROSS_ORDER), src[cross], obs[cross],
+                                   taus[cross], vel[cross], None if ends is None else ends[cross])
+    along = ~cross
+    tau_star = _split_scale(b) / env.diffusivity
+    out[along] = _image_kernel(
+        env, *_image_stack(b), src[along], obs[along], np.minimum(taus[along], tau_star),
+        None if vel is None else vel[along],
+        None if ends is None else np.minimum(ends[along], tau_star))
+    lo = np.full(n, tau_star) if ends is None else np.maximum(ends, tau_star)
+    old = np.flatnonzero(along & (taus > lo))
+    drift = env.wind_arr[0] - (np.zeros(n) if vel is None else vel[:, 0])
+    rows = max(1, _BLOCK_PAIRS // _duct_modes(b)[4].size)
+    for i in (old[k:k + rows] for k in range(0, old.size, rows)):
+        out[i] += _mode_kernel(b, env.diffusivity, src[i], obs[i], drift[i], lo[i], taus[i])
+    return out
+
+
+def _image_kernel(env: Environment, flips: np.ndarray, offsets: np.ndarray,
+                  src: np.ndarray, obs: np.ndarray, taus: np.ndarray,
+                  vel: np.ndarray | None, ends: np.ndarray | None) -> np.ndarray:
+    """unit_continuous_kernel over the images (flips, offsets), per row."""
+    n = taus.size
     m = len(flips)
     D = env.diffusivity
     out = np.zeros(n)
@@ -588,6 +722,107 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
         out[sl] = kern.sum(axis=1)
         out[sl][emitting & (d[:, 0] < _SINGULAR_DIST)] = np.inf
     return out
+
+
+def _mode_kernel(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
+                 obs: np.ndarray, drift: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
+    """Ages [lo, hi] (hi may be inf) of the unit-rate continuous kernel in a
+    duct, per row, from its cross-section modes: for a source at (x0, y0,
+    z0) drifting at `drift` along the duct, the sum over modes of
+    weight cos(k_m y) cos(k_m y0) cos(k_n z) cos(k_n z0) times the mode's
+    axial integral over [lo, hi] (_axial_span)."""
+    ky, kz, m, n, lam, weight = _duct_modes(b)
+    cy = np.cos(np.outer(obs[:, 1], ky)) * np.cos(np.outer(src[:, 1], ky))
+    cz = np.cos(np.outer(obs[:, 2], kz)) * np.cos(np.outer(src[:, 2], kz))
+    span = _axial_span((obs[:, 0] - src[:, 0])[:, None], drift[:, None], lam,
+                       lo[:, None], hi[:, None], diffusivity)
+    return (weight * cy[:, m] * cz[:, n] * span).sum(axis=1)
+
+
+def _axial_span(xi: np.ndarray, u: np.ndarray, lam: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray, diffusivity: float) -> np.ndarray:
+    """Per (row, mode): the integral over ages sigma in [lo, hi] of
+    (4 pi D sigma)^(-1/2) exp(-(xi - u sigma)^2 / (4 D sigma) - D lam sigma),
+    the axial kernel of a drift u times a mode's decay; xi, u, lo and hi
+    are (R, 1) (hi may be inf) and lam is (K,).
+
+    With a = |xi| / 2 sqrt(D), b^2 = u^2 / 4D + D lam, x = a / sqrt(s),
+    beta = b sqrt(s) and damp = exp(-(xi - u s)^2 / 4Ds - D lam s) <= 1, the
+    integral over [0, s] is the head
+        e^(u xi / 2D) sqrt(pi) / 2b [e^(-2ab) erfc(x - beta)
+                                     - e^(2ab) erfc(x + beta)] / sqrt(4 pi D)
+        = damp [erfcx(x - beta) - erfcx(x + beta)] / (4 b sqrt(D)),
+    and the one over [s, inf) the tail, the same with erfc(beta - x) +
+    erfc(beta + x), = damp [erfcx(beta - x) + erfcx(beta + x)] / (4 b sqrt(D)).
+    An age before the integrand's peak (x >= beta) takes the head and one
+    after it the tail, so every erfcx argument is >= 0, no exponent
+    evaluated is positive, and a span past the peak is a difference of
+    small tails, not of two nearly equal heads. (For beta < _GL_EDGE the
+    tail is about 1 / (2 b sqrt(D)), so such ages keep the head.) A
+    span across the peak is the whole, e^(u xi / 2D - 2ab) / (2 b sqrt(D)),
+    less both ends; that exponent is -2a (b - +-p), with p = |u| / 2 sqrt(D)
+    and b - p = D lam / (b + p).
+
+    The head's erfcx difference cancels for beta < _GL_EDGE: there it is
+    2 beta times the mean of -erfcx' over [x - beta, x + beta], which
+    8-point Gauss-Legendre gives to rounding. At beta = 0 (mode (0, 0) in
+    still air) that mean is -erfcx'(x), and the head is the closed form
+    [2 sqrt(s) e^(-a^2 / s) - 2 a sqrt(pi) erfc(a / sqrt(s))] / sqrt(4 pi D).
+    """
+    sqrt_d = math.sqrt(diffusivity)
+    p = np.abs(u) / (2.0 * sqrt_d)
+    b = np.sqrt(p * p + diffusivity * lam)
+    a = np.abs(xi) / (2.0 * sqrt_d)
+
+    def end(s):
+        """(head or tail of s, whether s is past the peak); tail(inf) = 0."""
+        fin = np.isfinite(s)
+        sf = np.where(fin, s, 1.0)
+        rs = np.sqrt(sf)
+        x = np.broadcast_to(a / rs, b.shape)
+        beta = b * rs
+        with np.errstate(under="ignore"):
+            damp = np.exp(-(xi - u * sf) ** 2 / (4.0 * diffusivity * sf)
+                          - diffusivity * lam * sf)
+        near = beta < _GL_EDGE
+        past = (~near & (x < beta)) | ~fin
+        out = np.zeros(b.shape)
+        tail = past & fin
+        out[tail] = (damp[tail] * (_erfcx(beta[tail] - x[tail]) + _erfcx(beta[tail] + x[tail]))
+                     / (4.0 * b[tail] * sqrt_d))
+        head = ~past & ~near
+        out[head] = (damp[head] * (_erfcx(x[head] - beta[head]) - _erfcx(x[head] + beta[head]))
+                     / (4.0 * b[head] * sqrt_d))
+        near &= fin
+        if near.any():
+            xs, bs = x[near], beta[near]
+            mean_slope = _erfcx_slope(xs)
+            moving = bs > 0.0
+            at = xs[moving, None]
+            off = bs[moving, None] * _GL_NODES
+            pairs = _erfcx_slope(at + off) + _erfcx_slope(at - off)
+            # Column by column, not a matrix product, so that a row's bits
+            # do not depend on the batch.
+            mean_slope[moving] = 0.5 * sum(pairs[:, i] * w for i, w in enumerate(_GL_WEIGHTS))
+            out[near] = (np.broadcast_to(rs, b.shape)[near] * damp[near] * mean_slope
+                         / (2.0 * sqrt_d))
+        return out, past
+
+    at_lo, past_lo = end(lo)
+    at_hi, past_hi = end(hi)
+    span = np.where(past_lo, at_lo - at_hi, at_hi - at_lo)
+    across = past_hi & ~past_lo
+    if across.any():
+        def part(v):
+            return np.broadcast_to(v, b.shape)[across]
+
+        bb, pp = b[across], part(p)
+        gap = np.where(part(u * xi > 0.0), diffusivity * part(lam) / (bb + pp), bb + pp)
+        with np.errstate(under="ignore"):
+            whole = np.exp(-2.0 * part(a) * gap) / (2.0 * bb * sqrt_d)
+        span[across] = whole - at_hi[across] - at_lo[across]
+    return span
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,8 @@ class EnvSection:
     boundary: str = _key(_parse_choice("free", "halfspace", "duct"), "free")
     duct_width_m: float = 0.0
     duct_height_m: float = 0.0
+    # Parsed and ignored: the duct field is exact, with no image order to
+    # set. It stays while the benchmark's duct input still writes it.
     image_order: int = 10
 
     def build(self) -> Environment:
@@ -113,8 +115,7 @@ class EnvSection:
                     "duct boundary needs duct_width_m and duct_height_m > 0"
                 )
             else:
-                b = RectangularDuctReflecting(self.duct_width_m, self.duct_height_m,
-                                              self.image_order)
+                b = RectangularDuctReflecting(self.duct_width_m, self.duct_height_m)
             return Environment(diffusivity=self.diffusivity_m2s,
                                wind=Velocity(*self.wind_mps), boundary=b)
         except ValueError as exc:

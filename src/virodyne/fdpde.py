@@ -185,7 +185,8 @@ def solve_advection_diffusion(
     default dt is 0.4 times the smaller of the diffusive bound and the
     advective bound min(h) / |v|max, the latter taken from the velocity at
     t=0. An explicit dt is rounded to t_end / n steps; a requested dt that is
-    not finite and > 0, or an effective one above either bound, raises
+    not finite and > 0 or asks for 2**53 steps or more (checked before any
+    array is allocated), or an effective one above either bound, raises
     UnstableTimeStep, as does a speed at t=0 that is not finite.
 
     A callable velocity is evaluated at each step's midpoint. When it is
@@ -210,6 +211,15 @@ def solve_advection_diffusion(
     t_end = float(t_end)
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+    if dt is not None:
+        requested = float(dt)
+        if not 0 < requested < math.inf:
+            raise UnstableTimeStep(f"dt={requested} must be finite and > 0")
+        # Past 2**53 steps the count is no longer an exact integer and
+        # t + dt stops advancing t.
+        if not t_end / requested < 2.0 ** 53:
+            raise UnstableTimeStep(f"dt={requested} asks for t_end / dt = "
+                                   f"{t_end / requested:g} steps, more than 2**53")
     h = grid.spacing
     h_min = float(h.min())
     shape = grid.shape
@@ -264,9 +274,6 @@ def solve_advection_diffusion(
         n_steps = max(1, int(math.ceil(t_end / (0.4 * bound))))
         dt = t_end / n_steps
     else:
-        requested = float(dt)
-        if not 0 < requested < math.inf:
-            raise UnstableTimeStep(f"dt={requested} must be finite and > 0")
         n_steps = max(1, int(round(t_end / requested)))
         dt = t_end / n_steps
         if dt > bound:

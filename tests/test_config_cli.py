@@ -202,7 +202,7 @@ class TestCli:
     @pytest.mark.parametrize("command, name, edit, extra", [
         ("field", "walk_past.cfg",
          ("diffusivity_m2s = 40.0", "diffusivity_m2s = 40.0\nboundary = duct\n"
-          "duct_width_m = 60\nduct_height_m = 60\nimage_order = -1"), []),
+          "duct_width_m = 0\nduct_height_m = 60"), []),
         ("field", "walk_past.cfg", ("times_s = 30", "times_s = -5"), []),
         ("field", "walk_past.cfg", None, ["--time", "-3"]),
         ("detect", "detect_demo.cfg", ("sigma = 0.5", "sigma = nan"), []),
@@ -211,7 +211,7 @@ class TestCli:
         # 2^41 ISI windows: refused before the pattern table is allocated.
         ("detect", "detect_demo.cfg", ("taps = 1.0", "taps =" + " 0.5" * 41), []),
         ("epidemic", "epidemic_demo.cfg", ("step_s = 10", "step_s = nan"), []),
-    ], ids=["image_order", "times_s", "time_flag", "sigma_nan", "trials_zero",
+    ], ids=["duct_width_zero", "times_s", "time_flag", "sigma_nan", "trials_zero",
             "frame_empty", "taps_over_cap", "step_nan"])
     def test_bad_value_is_usage_error_without_output(self, tmp_path, capsys,
                                                      command, name, edit, extra):
@@ -486,23 +486,6 @@ class TestCli:
         assert main(["localize", "--config", cfg, "--readings", readings,
                      "--out", str(out)]) == 1
         assert "forward model is zero" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_image_order_above_the_cap_names_the_key(self, tmp_path, capsys, monkeypatch):
-        from virodyne import channel
-
-        def no_stack(*args):
-            raise AssertionError("image stack built")
-
-        monkeypatch.setattr(channel, "_image_stack", no_stack)
-        text = (REPO_CONFIGS / "walk_past.cfg").read_text().replace(
-            "diffusivity_m2s = 40.0", "diffusivity_m2s = 40.0\nboundary = duct\n"
-            f"duct_width_m = 60\nduct_height_m = 60\n"
-            f"image_order = {channel.MAX_IMAGE_ORDER + 1}")
-        out = tmp_path / "grid.csv"
-        assert main(["field", "--config", write(tmp_path, "duct.cfg", text),
-                     "--out", str(out)]) == 2
-        assert "image_order" in capsys.readouterr().err
         assert not out.exists()
 
     def test_localize_reports_position_crlb(self, tmp_path):

@@ -258,7 +258,7 @@ class TestBatchedStepOracle:
     @pytest.mark.parametrize("env", [
         Environment(diffusivity=5.0, wind=(0.4, 0.1, 0.0)),
         Environment(diffusivity=2.0, wind=(0.3, 0.0, 0.0),
-                    boundary=RectangularDuctReflecting(4.0, 3.0, image_order=2)),
+                    boundary=RectangularDuctReflecting(4.0, 3.0)),
     ], ids=["windy", "duct"])
     def test_snapshots_equal_per_susceptible_oracle(self, env):
         box = Box(lo=(0.0, 0.0, 0.0), hi=(12.0, 4.0, 3.0))
@@ -278,7 +278,7 @@ class TestBatchedStepOracle:
 
     def test_accumulate_dose_equals_oracle(self):
         env = Environment(diffusivity=3.0, wind=(0.2, 0.0, 0.0),
-                          boundary=RectangularDuctReflecting(5.0, 3.0, image_order=1))
+                          boundary=RectangularDuctReflecting(5.0, 3.0))
         box = Box(lo=(0.0, 0.0, 0.0), hi=(10.0, 5.0, 3.0))
         agents = self._population(2, 6, box, (1.0, 3.0))
         infected = [(agents[0], 4.0), (agents[1], 30.0), (agents[2], -1.0)]

@@ -101,6 +101,7 @@ class TestFdSolver:
         "nan wind", "inf wind", "nan callable at t=0", "nan callable later",
         "inf callable later", "nan uniform callable later",
         "nan diffusivity", "inf diffusivity", "nan t_end", "inf t_end",
+        "subnormal dt", "tiny dt",
     ])
     def test_hostile_numerics_raise(self, case):
         grid = FdGrid((-5, -5, -5), (5, 5, 5), (7, 7, 7))
@@ -127,6 +128,8 @@ class TestFdSolver:
             "nan diffusivity": {"diffusivity": nan},
             "inf diffusivity": {"diffusivity": inf, "dt": None},
             "nan t_end": {"t_end": nan}, "inf t_end": {"t_end": inf},
+            # t_end / dt is inf, then 1e300 steps: past 2**53 either way.
+            "subnormal dt": {"dt": 1e-320}, "tiny dt": {"dt": 1e-300},
         }[case])
         if "diffusivity" in case or "t_end" in case:
             error, match = ValueError, "must be finite and > 0"
@@ -135,6 +138,18 @@ class TestFdSolver:
         with pytest.raises(error, match=match):
             solve_advection_diffusion(grid, kw["diffusivity"], kw["velocity"], src,
                                       t_end=kw["t_end"], dt=kw["dt"])
+
+    @pytest.mark.parametrize("dt", [1e-320, 1e-300])
+    def test_tiny_dt_is_refused_before_any_allocation(self, dt, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated or stepped before refusing dt")
+
+        for name in ("zeros", "empty"):
+            monkeypatch.setattr(np, name, refuse)
+        grid = FdGrid((-5, -5, -5), (5, 5, 5), (7, 7, 7))
+        with pytest.raises(UnstableTimeStep, match=f"dt={dt!r}"):
+            solve_advection_diffusion(grid, 0.5, refuse, [SourceSpec.instant((0, 0, 0), 1.0)],
+                                      t_end=1.0, dt=dt)
 
     def test_sample_outside_the_box_raises(self):
         grid = FdGrid((-5, -5, -5), (5, 5, 5), (7, 7, 7))

@@ -103,7 +103,7 @@ class TestLocalize:
 
     def test_still_air_duct_has_no_steady_model(self):
         duct = Environment(diffusivity=0.5,
-                           boundary=RectangularDuctReflecting(3.0, 2.5, image_order=2))
+                           boundary=RectangularDuctReflecting(3.0, 2.5))
         sensors = [(x, y, z) for x in (0.0, 10.0) for y in (0.5, 2.5) for z in (0.5, 2.0)]
         readings = [SensorReading(position=p, time=0.0, concentration=1e-6 * (i + 1),
                                   sigma=1e-7) for i, p in enumerate(sensors)]
