@@ -42,12 +42,14 @@ Heat in Solids, 1959, ch. 14). Images converge fast for young ages and
 modes for old ones, so ages up to tau* = _SPLIT_AGE min(W, H)^2 / D take
 images and older ones modes: per axis and per age in the instant kernel,
 and in the continuous kernel by splitting each pair's age integral at tau*
-(_mode_kernel). Each side keeps every term down to exp(-_TAIL) of what it
-keeps, so both counts depend on the duct's shape alone. The one truncated
-image sum left is that of a trajectory piece moving across the duct: its
-mirror images move against it and no mode separates, so it sums the
-images of _CROSS_ORDER reflections per wall pair, whose dropped terms weigh
-exp(-(2 _CROSS_ORDER L)^2 / 4 D tau) of the kept at age tau.
+(_mode_kernel). A trajectory piece moving across the duct splits later,
+at tau0 = _TAIL (max(W, H) / pi)^2 / D: its images move against it, and
+of its modes only (0, 0), which does not depend on where the source sits
+across the duct, has a closed-form age integral, while past tau0 every
+other mode weighs less than exp(-_TAIL). Each side keeps every term down
+to exp(-_TAIL) of what it keeps, so all counts depend on the duct's shape
+alone. The bounds assume every emission point lies inside the region the
+boundary declares; the field path raises OutOfDomain for a source outside.
 
 Everything here is a pure function of its inputs. evaluate_field sums
 each source's field over the whole query, the one path for several
@@ -75,6 +77,7 @@ from .core import (
 )
 from .errors import (
     FieldEvaluationError,
+    OutOfDomain,
     QuadratureFailure,
     SingularPoint,
 )
@@ -310,20 +313,19 @@ def _gauss1d(dx: np.ndarray, four_dt: np.ndarray) -> np.ndarray:
 # modes for a duct whose sides differ by less than half.
 _TAIL = 32.0
 _SPLIT_AGE = 0.16
-_CROSS_ORDER = 10
 
 
 def _split_scale(b: Boundary) -> float:
     """D tau* of a duct: the age past which modes replace images."""
-    return _SPLIT_AGE * min(b.walls.values()) ** 2
+    return _SPLIT_AGE * min(b.walls.values(), default=0.0) ** 2
 
 
-def _split_order(b: Boundary, length: float) -> int:
-    """Image order along an axis of spacing `length` > 0 for ages up to tau*.
+def _split_order(scale: float, length: float) -> int:
+    """Image order along an axis of spacing `length` > 0 for ages up to scale / D.
     For points inside the duct the identity lies within L of the observer
     and the nearest dropped image 2nL from it, so each dropped image weighs
-    at most exp(-((2nL)^2 - L^2) / (4 D tau*)) <= exp(-_TAIL) of a kept one."""
-    return math.ceil(math.sqrt((4.0 * _TAIL * _split_scale(b) / length ** 2 + 1.0) / 4.0))
+    at most exp(-((2nL)^2 - L^2) / (4 scale)) <= exp(-_TAIL) of a kept one."""
+    return math.ceil(math.sqrt((4.0 * _TAIL * scale / length ** 2 + 1.0) / 4.0))
 
 
 def _split_waves(b: Boundary, length: float) -> np.ndarray:
@@ -338,17 +340,13 @@ def _reflected_offsets(length: float, order: int) -> np.ndarray:
     return 2.0 * length * np.arange(-order, order + 1, dtype=float)
 
 
-def _axis_images(b: Boundary, order: int | None = None
-                 ) -> list[tuple[tuple[float, ...], np.ndarray]]:
+def _axis_images(b: Boundary, scale: float) -> list[tuple[tuple[float, ...], np.ndarray]]:
     """The 1-D images of each axis x, y, z as (signs, offsets): a source
     coordinate x0 has one image s * x0 + offset for every sign and offset,
     and an axis without walls has only x0 itself. An axis between two walls
-    keeps `order` reflections per wall pair, by default those its ages up to
-    tau* need (_split_order)."""
+    keeps the reflections that ages up to scale / D need (_split_order)."""
     def offsets(length):
-        if not length:
-            return np.zeros(1)
-        return _reflected_offsets(length, _split_order(b, length) if order is None else order)
+        return _reflected_offsets(length, _split_order(scale, length)) if length else np.zeros(1)
 
     return [((1.0, -1.0), offsets(b.walls[axis])) if axis in b.walls
             else ((1.0,), np.zeros(1)) for axis in range(3)]
@@ -399,7 +397,7 @@ def unit_instant_kernel(env: Environment, src_points: np.ndarray,
     drifted = src[live] + env.wind_arr[None, :] * tau[:, None]
     obs = obs[live]
     b = env.boundary
-    images = _axis_images(b)
+    images = _axis_images(b, _split_scale(b))
     val = np.ones(tau.size)
     block = max(1, _BLOCK_PAIRS // max(len(s) * len(o) for s, o in images))
     for lo in range(0, tau.size, block):
@@ -416,15 +414,15 @@ def image_transforms(env: Environment) -> list[tuple[np.ndarray, np.ndarray]]:
     mirror images: image = flip * p + offset. The identity comes first.
     In a duct these are the images its ages up to tau* need. The maps are
     read-only rows of _image_stack, built once per boundary."""
-    return list(zip(*_image_stack(env.boundary)))
+    return list(zip(*_image_stack(env.boundary, _split_scale(env.boundary))))
 
 
 @lru_cache(maxsize=64)
-def _image_stack(b: Boundary, order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _image_stack(b: Boundary, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Flips and offsets of the image maps as read-only (M, 3) arrays: every
-    combination of the per-axis images (_axis_images), in axis order."""
+    combination of the per-axis images up to scale / D (_axis_images)."""
     per_axis = [[(s, o) for s in signs for o in offsets]
-                for signs, offsets in _axis_images(b, order)]
+                for signs, offsets in _axis_images(b, scale)]
     maps = [tuple(zip(*combo)) for combo in itertools.product(*per_axis)]
     # Identity first for singularity checks.
     maps.sort(key=lambda m: m != ((1.0,) * 3, (0.0,) * 3))
@@ -440,7 +438,7 @@ def _duct_modes(b: RectangularDuctReflecting) -> tuple[np.ndarray, ...]:
     exp(-_TAIL) at tau*, D (k_m^2 + k_n^2) tau* <= _TAIL: the wavenumbers
     ky, kz of each axis (0 first), then per mode its m and n, its
     eigenvalue k_m^2 + k_n^2 and its weight eps_m eps_n / (W H), eps = 1
-    for the 0 mode and 2 for the others."""
+    for the 0 mode and 2 for the others. Mode (0, 0) comes first."""
     ky = np.concatenate([[0.0], _split_waves(b, b.width)])
     kz = np.concatenate([[0.0], _split_waves(b, b.height)])
     m, n = (a.ravel() for a in np.meshgrid(np.arange(ky.size), np.arange(kz.size),
@@ -558,7 +556,8 @@ _GL_EDGE = 0.25
 
 
 def _pair_kernel(d: np.ndarray, v_dot_dr: np.ndarray, tau: np.ndarray,
-                 diffusivity: float, speed: float | np.ndarray) -> np.ndarray:
+                 diffusivity: float, speed: float | np.ndarray,
+                 end: np.ndarray | None = None) -> np.ndarray:
     """Per-unit-rate field of (image source, observer) pairs, d > 0 and
     tau > 0 (tau may be inf), all in one drift v or each in its own (speed
     is |v|, one value or one per pair). With
@@ -571,23 +570,43 @@ def _pair_kernel(d: np.ndarray, v_dot_dr: np.ndarray, tau: np.ndarray,
 
     y and x are p -+ q with p = d / 2 sqrt(D tau) and q = |v| sqrt(tau) / 2
     sqrt(D), both formed from sqrt(tau), so no age above 0 underflows
-    them."""
+    them.
+
+    Given `end` (finite, 0 < end < tau) it is the window K(tau) - K(end).
+    Past the pair's peak at end (y < 0 there, hence also at tau) both
+    kernels are near the steady value, so the window is taken as what
+    K(end) still lacks of it less what K(tau) lacks, each
+    e^(a - b) erfc(-y) - e^(a + b) erfc(x) (0 at tau = inf): no two nearly
+    equal values are subtracted."""
     per_pair = isinstance(speed, np.ndarray)
     a_minus_b = (v_dot_dr - speed * d) / (2.0 * diffusivity)
-    bracket = 2.0 * np.exp(a_minus_b)  # the steady bracket, kept where tau = inf
-    fin = np.isfinite(tau)
-    width = 2.0 * math.sqrt(diffusivity) * np.sqrt(tau[fin])
-    p = d[fin] / width
-    q = width * ((speed[fin] if per_pair else speed) / (4.0 * diffusivity))
-    y = p - q
-    # Near tau = 0 (subnormal ages) y^2 overflows: the exponent is -inf and
-    # the finite-age terms are exactly 0, as is any exp that underflows.
-    with np.errstate(over="ignore", under="ignore"):
-        damp = np.exp(a_minus_b[fin] - y * y)
-    near = damp * _erfcx(np.abs(y))  # exp(a - b) erfc(|y|)
-    far = near if not per_pair and speed == 0.0 else damp * _erfcx(p + q)
-    bracket[fin] = np.where(y >= 0.0, near, bracket[fin] - near) + far
-    return bracket / (8.0 * math.pi * diffusivity * d)
+    scale = 8.0 * math.pi * diffusivity * d
+
+    def at(s):
+        """The bracket at ages s, and where s is finite its near, far and y."""
+        bracket = 2.0 * np.exp(a_minus_b)  # the steady bracket, kept where s = inf
+        fin = np.isfinite(s)
+        width = 2.0 * math.sqrt(diffusivity) * np.sqrt(s[fin])
+        p = d[fin] / width
+        q = width * ((speed[fin] if per_pair else speed) / (4.0 * diffusivity))
+        y = p - q
+        # Near s = 0 (subnormal ages) y^2 overflows: the exponent is -inf and
+        # the finite-age terms are exactly 0, as is any exp that underflows.
+        with np.errstate(over="ignore", under="ignore"):
+            damp = np.exp(a_minus_b[fin] - y * y)
+        near = damp * _erfcx(np.abs(y))  # exp(a - b) erfc(|y|)
+        far = near if not per_pair and speed == 0.0 else damp * _erfcx(p + q)
+        bracket[fin] = np.where(y >= 0.0, near, bracket[fin] - near) + far
+        return bracket, fin, near, far, y
+
+    bracket, fin, near, far, _ = at(tau)
+    if end is None:
+        return bracket / scale
+    before, _, near_end, far_end, y_end = at(end)
+    lack = np.zeros(d.shape)
+    lack[fin] = near - far
+    return np.where(y_end < 0.0, (near_end - far_end - lack) / scale,
+                    bracket / scale - before / scale)
 
 
 def _on_path_kernel(tau_lo: np.ndarray, tau_hi: np.ndarray, diffusivity: float,
@@ -611,10 +630,11 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
     a constant rate for tau seconds, vectorized over N evaluations and
     summed over the mirror images of image_transforms(env). In a duct those
     cover ages up to tau* and its cross-section modes the older ones
-    (_mode_kernel); a trajectory piece moving across the duct instead sums
-    the images of _CROSS_ORDER reflections per wall pair over all ages.
-    The choice is made per row, so a row's value does not depend on the
-    batch.
+    (_mode_kernel); a trajectory piece moving across the duct splits at
+    tau0 = _TAIL (max(W, H) / pi)^2 / D instead, the images it needs before
+    and mode (0, 0) alone after. The split is chosen per row, so a row's
+    value does not depend on the batch. Its bounds assume every emission
+    point lies inside the duct, which evaluate_field checks.
 
     With dr = r - r0, d = |dr| and drift v, each image contributes
         K(tau) = exp(v . dr / 2D) / (8 pi D d)
@@ -660,24 +680,26 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
     obs = np.broadcast_to(np.atleast_2d(obs_points), (n, 3))
     vel = None if velocity is None else np.broadcast_to(np.atleast_2d(velocity), (n, 3))
     if not any(b.walls.values()):
-        return _image_kernel(env, *_image_stack(b), src, obs, taus, vel, ends)
+        return _image_kernel(env, *_image_stack(b, _split_scale(b)), src, obs, taus, vel, ends)
     out = np.empty(n)
     cross = np.zeros(n, dtype=bool) if vel is None else (vel[:, list(b.walls)] != 0.0).any(axis=1)
-    if cross.any():
-        out[cross] = _image_kernel(env, *_image_stack(b, _CROSS_ORDER), src[cross], obs[cross],
-                                   taus[cross], vel[cross], None if ends is None else ends[cross])
-    along = ~cross
-    tau_star = _split_scale(b) / env.diffusivity
-    out[along] = _image_kernel(
-        env, *_image_stack(b), src[along], obs[along], np.minimum(taus[along], tau_star),
-        None if vel is None else vel[along],
-        None if ends is None else np.minimum(ends[along], tau_star))
-    lo = np.full(n, tau_star) if ends is None else np.maximum(ends, tau_star)
-    old = np.flatnonzero(along & (taus > lo))
     drift = env.wind_arr[0] - (np.zeros(n) if vel is None else vel[:, 0])
-    rows = max(1, _BLOCK_PAIRS // _duct_modes(b)[4].size)
-    for i in (old[k:k + rows] for k in range(0, old.size, rows)):
-        out[i] += _mode_kernel(b, env.diffusivity, src[i], obs[i], drift[i], lo[i], taus[i])
+    modes = _duct_modes(b)
+    for rows, scale, table in ((~cross, _split_scale(b), modes),
+                               (cross, _TAIL * (max(b.walls.values()) / math.pi) ** 2,
+                                tuple(a[:1] for a in modes))):
+        if not rows.any():
+            continue
+        split = scale / env.diffusivity
+        out[rows] = _image_kernel(
+            env, *_image_stack(b, scale), src[rows], obs[rows], np.minimum(taus[rows], split),
+            None if vel is None else vel[rows],
+            None if ends is None else np.minimum(ends[rows], split))
+        lo = np.full(n, split) if ends is None else np.maximum(ends, split)
+        old = np.flatnonzero(rows & (taus > lo))
+        block = max(1, _BLOCK_PAIRS // table[4].size)
+        for i in (old[k:k + block] for k in range(0, old.size, block)):
+            out[i] += _mode_kernel(table, env.diffusivity, src[i], obs[i], drift[i], lo[i], taus[i])
     return out
 
 
@@ -707,11 +729,13 @@ def _image_kernel(env: Environment, flips: np.ndarray, offsets: np.ndarray,
         end = 0.0 if ends is None else ends[sl, None].repeat(m, axis=1)
         live = (tau > end) & (d >= _SINGULAR_DIST)
         kern = np.zeros(d.shape)
-        kern[live] = _pair_kernel(d[live], v_dot_dr[live], tau[live], D, speed_of(live))
+        stopped = live & (end > 0.0)
+        running = live & ~stopped
+        kern[running] = _pair_kernel(d[running], v_dot_dr[running], tau[running], D,
+                                     speed_of(running))
         if ends is not None:
-            stopped = live & (end > 0.0)
-            kern[stopped] -= _pair_kernel(d[stopped], v_dot_dr[stopped], end[stopped],
-                                          D, speed_of(stopped))
+            kern[stopped] = _pair_kernel(d[stopped], v_dot_dr[stopped], tau[stopped], D,
+                                         speed_of(stopped), end[stopped])
             np.maximum(kern, 0.0, out=kern)
             on_path = (tau > end) & (end > 0.0) & (d < _SINGULAR_DIST)
             if on_path.any():
@@ -724,15 +748,15 @@ def _image_kernel(env: Environment, flips: np.ndarray, offsets: np.ndarray,
     return out
 
 
-def _mode_kernel(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
+def _mode_kernel(modes: tuple[np.ndarray, ...], diffusivity: float, src: np.ndarray,
                  obs: np.ndarray, drift: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray) -> np.ndarray:
     """Ages [lo, hi] (hi may be inf) of the unit-rate continuous kernel in a
-    duct, per row, from its cross-section modes: for a source at (x0, y0,
-    z0) drifting at `drift` along the duct, the sum over modes of
-    weight cos(k_m y) cos(k_m y0) cos(k_n z) cos(k_n z0) times the mode's
-    axial integral over [lo, hi] (_axial_span)."""
-    ky, kz, m, n, lam, weight = _duct_modes(b)
+    duct, per row, from the cross-section modes of a _duct_modes table: for
+    a source at (x0, y0, z0) drifting at `drift` along the duct, the sum
+    over modes of weight cos(k_m y) cos(k_m y0) cos(k_n z) cos(k_n z0)
+    times the mode's axial integral over [lo, hi] (_axial_span)."""
+    ky, kz, m, n, lam, weight = modes
     cy = np.cos(np.outer(obs[:, 1], ky)) * np.cos(np.outer(src[:, 1], ky))
     cz = np.cos(np.outer(obs[:, 2], kz)) * np.cos(np.outer(src[:, 2], kz))
     span = _axial_span((obs[:, 0] - src[:, 0])[:, None], drift[:, None], lam,
@@ -1003,7 +1027,17 @@ def _source_field(src: SourceSpec, env: Environment, positions: np.ndarray,
     failed. An instant release takes the instant kernel; a continuous source
     sums unit_continuous_kernel times rate over its emission windows (a
     trajectory piece by piece, holding its end knots outside its span).
-    SingularPoint marks an observer on a source while it emits."""
+    SingularPoint marks an observer on a source while it emits. A source
+    position or trajectory knot outside the region the boundary declares
+    raises OutOfDomain: the duct's split bounds hold only inside it."""
+    points = src.trajectory.points if src.is_moving else src.position.as_array()[None, :]
+    for axis, length in env.boundary.walls.items():
+        c = points[:, axis]
+        outside = (c < 0.0) | (c > length) if length else c < 0.0
+        if outside.any():
+            raise OutOfDomain(f"source point {points[outside][0].tolist()} lies outside "
+                              f"{type(env.boundary).__name__}: axis {axis} spans "
+                              f"[0, {length if length else 'inf'}]")
     if src.kind is SourceKind.INSTANT:
         r0 = src.point_at(src.start_time)
         return src.strength * unit_instant_kernel(env, r0, positions,

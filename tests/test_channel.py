@@ -31,6 +31,7 @@ from virodyne.core import Velocity
 from virodyne.epidemic import Agent, accumulate_doses
 from virodyne.errors import (
     FieldEvaluationError,
+    OutOfDomain,
     QuadratureFailure,
     SingularPoint,
 )
@@ -337,8 +338,9 @@ class TestContinuousKernel:
 
     def test_rows_do_not_depend_on_the_batch(self):
         # No size cutoff: a row's bits are the same alone or among 3000 rows
-        # (blocks of 4096 pairs), and each row takes images then modes, or
-        # the image sum of a piece moving across the duct, by itself.
+        # (blocks of 4096 pairs), and each row takes its own split by
+        # itself: images then modes at tau* for a piece moving along the
+        # duct, images then mode (0, 0) at tau0 for one moving across it.
         rng = np.random.default_rng(11)
         n = 3000
         duct = Environment(diffusivity=0.5, wind=Velocity(0.6, 0.0, 0.0),
@@ -351,6 +353,11 @@ class TestContinuousKernel:
         vel = rng.uniform(-1.0, 1.0, (n, 3))
         vel[::2, 1:] = 0.0  # every other piece moves along the duct
         ends = taus * rng.uniform(0.0, 1.0, n)
+        # Pieces moving across the duct past tau0 = 32 (3 m / pi)^2 / D, some
+        # still emitting there and some stopped after it, beside ones
+        # moving along it.
+        tau0 = 32.0 * (3.0 / math.pi) ** 2 / 0.5
+        assert (taus[1::2] > tau0).sum() > 500 and (ends[1::2] > tau0).sum() > 200
         cases = {"windy duct": {}, "moving piece": {"velocity": vel, "taus_end": ends}}
         for name, extra in cases.items():
             batch = unit_continuous_kernel(duct, src, obs, taus, **extra)
@@ -900,6 +907,27 @@ class TestMultiSource:
 
 
 class TestBoundaries:
+    @pytest.mark.parametrize("boundary, outside", [
+        (RectangularDuctReflecting(3.0, 2.5), (0.0, -0.1, 1.0)),
+        (HalfSpaceReflecting(), (0.0, 1.0, -0.1)),
+    ], ids=["duct", "halfspace"])
+    def test_source_outside_its_region_is_out_of_domain(self, boundary, outside):
+        # A static position, an instant release, and a trajectory whose
+        # last knot leaves through a wall; a source on a wall is inside.
+        env = Environment(diffusivity=0.5, boundary=boundary)
+        q = FieldQuery(np.array([[1.0, 1.0, 1.0]]), [60.0])
+        leaving = Trajectory(np.array([0.0, 60.0]), np.array([(0.0, 1.0, 1.0), outside]))
+        for src in (SourceSpec.continuous(1.0, position=outside),
+                    SourceSpec.instant(outside, 1.0),
+                    SourceSpec.continuous(1.0, trajectory=leaving)):
+            with pytest.raises(OutOfDomain, match="outside"):
+                evaluate_field(q, Scenario(env, [src]))
+        with pytest.raises(OutOfDomain):
+            concentration_continuous(SourceSpec.continuous(1.0, position=outside), env,
+                                     (1.0, 1.0, 1.0), 60.0)
+        on_wall = SourceSpec.continuous(1.0, position=(0.0, 0.0, 0.0))
+        assert evaluate_field(q, Scenario(env, [on_wall]))[0] > 0.0
+
     def test_halfspace_normal_derivative_vanishes(self):
         env = Environment(diffusivity=2.0, boundary=HalfSpaceReflecting())
         src = SourceSpec.instant((0, 0, 3), 1.0)

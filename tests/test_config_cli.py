@@ -358,6 +358,26 @@ class TestCli:
         # peak over height at the release height of 25 m
         assert zs[int(np.argmax(cs))] == pytest.approx(25.0)
 
+    @pytest.mark.parametrize("speed, rc", [("0.0003", 0), ("0.01", 1)],
+                             ids=["stays_inside", "leaves"])
+    def test_field_source_crossing_a_duct(self, tmp_path, capsys, speed, rc):
+        # From y = 1 m a source at 0.0003 m/s across the 3 m duct is still
+        # inside at the 3601 s horizon; at 0.01 m/s it leaves through the
+        # wall at 200 s: a domain error, and no CSV.
+        text = MINIMAL.replace("diffusivity_m2s = 40.0", "\n".join([
+            "diffusivity_m2s = 0.5", "boundary = duct", "duct_width_m = 3",
+            "duct_height_m = 2.5"])).replace("position_m = 0 0 25", "\n".join([
+                "position_m = 0 1.0 1.2", f"velocity_mps = 0 {speed} 0"])).replace(
+            "z_m = 0 50 11\ntimes_s = 30", "z_m = 0.2 2.3 3\ntimes_s = 3600")
+        out = tmp_path / "duct.csv"
+        assert main(["field", "--config", write(tmp_path, "duct.cfg", text),
+                     "--out", str(out)]) == rc
+        if rc:
+            assert "outside RectangularDuctReflecting" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert len(out.read_text().splitlines()) > 3
+
     def test_field_byte_identical_across_runs_and_threads(self, tmp_path,
                                                           monkeypatch):
         cfg = write(tmp_path, "f.cfg", MINIMAL)

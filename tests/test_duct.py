@@ -79,17 +79,81 @@ def test_piece_moving_along_the_duct_is_the_image_sum(wind):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
 
 
-def test_piece_moving_across_the_duct_keeps_ten_reflections():
-    # Its images move against it and no mode separates: the image sum stays
-    # truncated at 10 reflections per wall pair.
-    env = Environment(diffusivity=0.5, wind=Velocity(0.4, 0.0, 0.0), boundary=DUCT)
-    vel = (0.2, 0.1, -0.05)
-    for t, end in [(1.0, 0.0), (60.0, 0.0), (60.0, 20.0)]:
-        got = unit_continuous_kernel(env, SRC, OBS[:3], np.full(3, t), velocity=vel,
-                                     taus_end=np.full(3, end))
-        want = [duct_oracle.continuous(W, H, 0.5, 0.4, SRC, r, t, tau_end=end, velocity=vel,
-                                       order=(10, 10)) for r in OBS[:3]]
+# Pieces that emit for 10 s from START and are seen 1, 30, 600 and 3600 s
+# after they stopped, along the duct with a slight drift across it, across
+# it at a slant, and straight across it; each stays inside while it emits.
+START = np.array([0.0, 1.0, 1.2])
+CROSSING = [(0.3, 1e-9, 0.0), (0.2, 0.05, -0.02), (0.0, 0.1, 0.0)]
+
+
+@pytest.mark.parametrize("wind", [0.0, 0.4])
+@pytest.mark.parametrize("diffusivity", [0.05, 0.5, 5.0])
+def test_piece_moving_across_the_duct_is_the_image_sum(diffusivity, wind):
+    # tau0 = 32 (3 m / pi)^2 / D: 584, 58 and 5.8 s. Order 10 was 56% off
+    # at 3600 s with D = 0.5 and 94% off with D = 5.
+    env = Environment(diffusivity=diffusivity, wind=Velocity(wind, 0.0, 0.0), boundary=DUCT)
+    obs = OBS[:3]
+    for vel in CROSSING:
+        for after in [1.0, 30.0, 600.0, 3600.0]:
+            tau = after + 10.0
+            src = START + np.array(vel) * tau  # where the piece would be at the observation
+            got = unit_continuous_kernel(env, src, obs, np.full(3, tau), velocity=vel,
+                                         taus_end=np.full(3, after))
+            want = np.array([duct_oracle.continuous(W, H, diffusivity, wind, src, r, tau,
+                                                    tau_end=after, velocity=vel) for r in obs])
+            # Below 1e-100 the exp of arguments near -290 carries about
+            # 1e-12 by itself.
+            rel = np.where(want >= 1e-100, 1e-12, 1e-11)
+            assert (np.abs(got - want) <= rel * want).all(), (vel, after)
+
+
+def test_piece_keeping_pace_with_the_wind_across_the_duct():
+    # Seen at 600 s and 3600 s, a tenth and a fortieth of tau0 = 58 s: the
+    # order-10 sum read 0.66% and 20.6% low.
+    env = Environment(diffusivity=0.5, wind=Velocity(0.3, 0.0, 0.0), boundary=DUCT)
+    src, obs, vel = (0.0, 1.1, 0.9), (5.0, 2.8, 0.2), (0.3, 1e-9, 0.0)
+    for t in [600.0, 3600.0]:
+        got = unit_continuous_kernel(env, src, obs, [t], velocity=vel)[0]
+        want = duct_oracle.continuous(W, H, 0.5, 0.3, src, obs, t, velocity=vel)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
+
+
+def test_square_duct_crossing_takes_mode_zero_alone(monkeypatch):
+    # In a 2 x 2 m duct modes (1, 0) and (0, 1) tie at exactly exp(-32) of
+    # mode (0, 0) at tau0: rows moving across take (0, 0) alone all the same.
+    square = RectangularDuctReflecting(2.0, 2.0)
+    env = Environment(diffusivity=0.5, wind=Velocity(0.4, 0.0, 0.0), boundary=square)
+    tables = []
+    mode_kernel = channel._mode_kernel
+    monkeypatch.setattr(channel, "_mode_kernel",
+                        lambda modes, *a: tables.append(modes) or mode_kernel(modes, *a))
+    vel = (0.1, 0.001, -0.0005)
+    src, obs = np.array([0.0, 1.3, 0.6]), np.array([(4.0, 0.2, 1.9), (-1.0, 1.0, 1.0)])
+    for t in [60.0, 600.0]:  # tau0 = 32 (2 / pi)^2 / 0.5 = 26 s
+        got = unit_continuous_kernel(env, src, obs, np.full(2, t), velocity=vel)
+        want = [duct_oracle.continuous(2.0, 2.0, 0.5, 0.4, src, r, t, velocity=vel) for r in obs]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
+    assert len(tables) == 2
+    for ky, kz, m, n, lam, weight in tables:
+        assert (m.tolist(), n.tolist(), lam.tolist()) == ([0], [0], [0.0])
+        assert weight.tolist() == [1.0 / 4.0]
+
+
+def test_stopped_window_past_its_peak_keeps_its_digits():
+    # A 10 s piece crossing the duct at 0.1 m/s, seen 30 s after it stopped:
+    # every image is past its peak, where K(tau) - K(end) read 1.05e-7
+    # relative off the quadrature of the instant kernel.
+    quad = pytest.importorskip("scipy.integrate").quad
+    env = Environment(diffusivity=0.05, wind=Velocity(0.4, 0.0, 0.0), boundary=DUCT)
+    vel, obs, t = np.array([0.0, 0.1, 0.0]), np.array([0.5, 0.3, 2.4]), 40.0
+
+    def instant(s):
+        return unit_instant_kernel(env, START + vel * s, obs, [t - s])[0]
+
+    want = quad(instant, 0.0, 10.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    got = unit_continuous_kernel(env, START + vel * t, obs, [t], velocity=vel,
+                                 taus_end=[t - 10.0])[0]
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("diffusivity", [0.05, 5.0])
