@@ -49,7 +49,8 @@ across the duct, has a closed-form age integral, while past tau0 every
 other mode weighs less than exp(-_TAIL). Each side keeps every term down
 to exp(-_TAIL) of what it keeps, so all counts depend on the duct's shape
 alone. The bounds assume every emission point lies inside the region the
-boundary declares; the field path raises OutOfDomain for a source outside.
+boundary declares; check_inside raises OutOfDomain for a point outside, and
+the field path calls it on every source.
 
 Everything here is a pure function of its inputs. evaluate_field sums
 each source's field over the whole query, the one path for several
@@ -131,6 +132,20 @@ class RectangularDuctReflecting:
 
 
 Boundary = Union[FreeSpace, HalfSpaceReflecting, RectangularDuctReflecting]
+
+
+def check_inside(boundary: Boundary, points, what: str) -> None:
+    """Raise OutOfDomain naming the first of `points` (one 3-vector or rows
+    of them) outside the region `boundary` declares: for each axis in
+    `walls`, 0 <= coordinate <= L, or 0 <= coordinate when L = 0."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    for axis, length in boundary.walls.items():
+        c = points[:, axis]
+        outside = (c < 0.0) | (c > length) if length else c < 0.0
+        if outside.any():
+            raise OutOfDomain(f"{what} {points[outside][0].tolist()} lies outside "
+                              f"{type(boundary).__name__}: axis {axis} spans "
+                              f"[0, {length if length else 'inf'}]")
 
 
 @dataclass(frozen=True)
@@ -1030,14 +1045,8 @@ def _source_field(src: SourceSpec, env: Environment, positions: np.ndarray,
     SingularPoint marks an observer on a source while it emits. A source
     position or trajectory knot outside the region the boundary declares
     raises OutOfDomain: the duct's split bounds hold only inside it."""
-    points = src.trajectory.points if src.is_moving else src.position.as_array()[None, :]
-    for axis, length in env.boundary.walls.items():
-        c = points[:, axis]
-        outside = (c < 0.0) | (c > length) if length else c < 0.0
-        if outside.any():
-            raise OutOfDomain(f"source point {points[outside][0].tolist()} lies outside "
-                              f"{type(env.boundary).__name__}: axis {axis} spans "
-                              f"[0, {length if length else 'inf'}]")
+    check_inside(env.boundary, src.trajectory.points if src.is_moving
+                 else src.position.as_array(), "source point")
     if src.kind is SourceKind.INSTANT:
         r0 = src.point_at(src.start_time)
         return src.strength * unit_instant_kernel(env, r0, positions,

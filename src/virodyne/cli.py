@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import FieldQuery, Scenario, evaluate_field
+from .channel import Boundary, FieldQuery, Scenario, check_inside, evaluate_field
 from .config import LocalizeSection, ScenarioConfig, config_hash, load_config
 from .core import AMINO_NAMES, rng_stream
 from .detection import (
@@ -42,7 +42,7 @@ from .detection import (
     mutual_information,
 )
 from .epidemic import Agent, EpidemicConfig, run as run_epidemic
-from .errors import ConfigError, VirodyneError
+from .errors import ConfigError, OutOfDomain, VirodyneError
 from .fileio import read_readings_csv, write_csv, write_json
 from .localization import SolverConfig, localize
 from .mobility import (
@@ -136,12 +136,14 @@ _MOBILITY = {
 }
 
 
-def _build_population(cfg: ScenarioConfig, seed: int) -> list[Agent]:
+def _build_population(cfg: ScenarioConfig, seed: int, boundary: Boundary) -> list[Agent]:
+    """The agents, roaming a box that must lie inside the boundary's region."""
     pop = cfg.population
     epi = cfg.epidemic
     try:
         box = Box(lo=tuple(pop.domain_m[:3]), hi=tuple(pop.domain_m[3:]))
-    except ValueError as exc:
+        check_inside(boundary, (box.lo, box.hi), "population box corner")
+    except (ValueError, OutOfDomain) as exc:
         raise ConfigError(str(exc), "domain_m") from None
     policy = (BoundaryPolicy.REFLECT if pop.boundary_policy == "reflect"
               else BoundaryPolicy.WRAP_TO_WAYPOINT)
@@ -180,7 +182,7 @@ def _cmd_epidemic(args) -> int:
                                     for name, key in _EPIDEMIC_KEYS.items()})
     except ValueError as exc:  # its message starts with the field's name
         raise ConfigError(str(exc), _EPIDEMIC_KEYS.get(str(exc).split()[0])) from None
-    agents = _build_population(cfg, seed)
+    agents = _build_population(cfg, seed, env.boundary)
     state = run_epidemic(agents, epi_cfg, env, seed)
     rows = [f"{float(snap.time)!r},{i},{'I' if math.isfinite(since) else 'S'},{dose!r}"
             for snap in state.snapshots

@@ -598,11 +598,15 @@ def impulse_response_from_scenario(
     concentration at the receiver during slot l after a one-slot emission,
     one emission window of unit_continuous_kernel stopped after one slot.
     symbol_interval (s) sets the slot length; each slot's mean is the
-    trapezoid rule over _SAMPLES_PER_SLOT + 1 equally spaced times."""
-    from .channel import unit_continuous_kernel
+    trapezoid rule over _SAMPLES_PER_SLOT + 1 equally spaced times. A source
+    or receiver outside the region env's boundary declares raises
+    OutOfDomain."""
+    from .channel import check_inside, unit_continuous_kernel
     from .core import as_position
 
     r0, r = (as_position(p).as_array() for p in (source_position, receiver_position))
+    check_inside(env.boundary, r0, "source point")
+    check_inside(env.boundary, r, "receiver point")
     ts = symbol_interval * (np.arange(n_taps)[:, None]
                             + np.linspace(0.0, 1.0, _SAMPLES_PER_SLOT + 1))
     field = rate_kg_s * unit_continuous_kernel(

@@ -11,18 +11,17 @@ step, a moving one where its trajectory puts it (at its last knot once its
 path ends, by mobility.Trajectory's rule). The weights of a source without
 a trajectory are computed once per solve. Walls are either absorbing
 (c = 0 outside) or reflecting (zero normal flux). The scheme is
-conditionally stable; the default time step respects both the diffusive
-bound dt <= 1 / (2 D sum(1/h_i^2)) and the advective CFL bound with a 0.4
-safety factor, an explicit one is checked against both after it is rounded
-to t_end / n steps, and a callable velocity is checked against the advective
-bound dt |v|max <= min(h) on every step, so a NaN or infinite speed raises
-UnstableTimeStep instead of filling the field with NaN.
+conditionally stable: the default time step is 0.4 times the smaller of the
+diffusive bound 1 / (2 D sum(1/h_i^2)) and the advective CFL bound
+min(h) / |v|max, an explicit one is checked against both, and every step
+checks dt |v|max <= min(h), so a NaN or infinite speed raises
+UnstableTimeStep instead of filling the field with NaN. A solve that would
+take more than 1e11 cell updates is refused before the field is allocated.
 
-A velocity the same in every cell, a constant 3-vector or a callable that
-returns shape (3,) or a (cells, 3) array with a cell stride of 0 (as
-np.broadcast_to gives), enters the stencil as three scalars; any other
-callable field is copied each step into a padded buffer laid out like the
-field.
+There is one velocity path: a constant is the callable that returns it at
+every time. A velocity the same in every cell (shape (3,), or (cells, 3)
+with a cell stride of 0, as np.broadcast_to gives) enters the stencil as
+three scalars; any other field is copied each step into a padded buffer.
 
 The field lives in one zero-initialised buffer with a layer of ghost cells,
 (nx+2, ny+2, nz+2), allocated once per solve; c is its interior view. Each
@@ -48,6 +47,8 @@ from .channel import SourceKind, SourceSpec
 from .errors import OutOfDomain, UnstableTimeStep
 
 VelocityField = Union[Sequence[float], np.ndarray, Callable[[np.ndarray, float], np.ndarray]]
+
+_CELL_STEP_BUDGET = 1e11  # cell updates (steps x cells), see solve_advection_diffusion
 
 
 @dataclass(frozen=True)
@@ -77,17 +78,14 @@ class FdGrid:
         hi = np.array(self.hi)
         return (hi - lo) / np.array(self.shape, dtype=float)
 
-    def axis_centers(self, axis: int) -> np.ndarray:
-        h = self.spacing[axis]
-        return self.lo[axis] + (np.arange(self.shape[axis]) + 0.5) * h
-
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
     def cell_centers(self) -> np.ndarray:
-        xs, ys, zs = (self.axis_centers(k) for k in range(3))
-        xx, yy, zz = np.meshgrid(xs, ys, zs, indexing="ij")
-        return np.stack([xx, yy, zz], axis=-1)
+        """The (nx, ny, nz, 3) array of cell centres."""
+        axes = [lo + (np.arange(n) + 0.5) * h
+                for lo, n, h in zip(self.lo, self.shape, self.spacing)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _cic_cells(lo: list[float], h: list[float], shape, point) -> list[tuple]:
@@ -162,6 +160,16 @@ def _refresh_ghosts(padded: np.ndarray, boundary: str) -> None:
         padded[:, :, 0] = padded[:, :, -1] = 0.0
 
 
+def _step_count(t_end: float, dt: float, n_cells: int, rounding) -> int:
+    """t_end / dt as a whole number of steps; UnstableTimeStep past the budget."""
+    steps = t_end / dt if dt > 0 else math.inf
+    if not steps * n_cells <= _CELL_STEP_BUDGET:
+        raise UnstableTimeStep(
+            f"dt={dt!r} asks for {steps:g} steps of {n_cells} cells, more than the "
+            f"{_CELL_STEP_BUDGET:g} cell updates one solve may take")
+    return max(1, int(rounding(steps)))
+
+
 def solve_advection_diffusion(
     grid: FdGrid,
     diffusivity: float,
@@ -183,25 +191,26 @@ def solve_advection_diffusion(
 
     diffusivity and t_end must be finite and > 0 (else ValueError). The
     default dt is 0.4 times the smaller of the diffusive bound and the
-    advective bound min(h) / |v|max, the latter taken from the velocity at
-    t=0. An explicit dt is rounded to t_end / n steps; a requested dt that is
-    not finite and > 0 or asks for 2**53 steps or more (checked before any
-    array is allocated), or an effective one above either bound, raises
-    UnstableTimeStep, as does a speed at t=0 that is not finite.
+    advective bound min(h) / |v|max at t=0, the step count rounded up; an
+    explicit dt is rounded to t_end / n for the nearest count n. Either
+    count is refused with UnstableTimeStep, before the field is allocated,
+    once steps x cells passes 1e11 cell updates (about half an hour at 5e7
+    per second): a tiny dt, or a huge D whose diffusive bound asks for
+    billions of steps, raises at once instead of running for days. So does
+    a dt that is not finite and > 0, a step above either bound, or a speed
+    at t=0 that is not finite.
 
-    A callable velocity is evaluated at each step's midpoint. When it is
-    the same in every cell (shape (3,), or (cells, 3) with a cell stride of
-    0, as np.broadcast_to gives) the stencil takes it as three scalars;
-    any other field goes into a padded (3, nx+2, ny+2, nz+2) buffer laid
-    out like the field. Either way the step raises UnstableTimeStep unless
-    dt |v|max <= min(h) there, so a flow that speeds up after t=0, or turns
-    NaN or inf, fails loudly instead of blowing up.
+    A constant velocity is the callable that returns it at every time. The
+    velocity is read at t=0 and at each step's midpoint and must have shape
+    (3,) or (cells, 3), else ValueError; the same in every cell ((3,), or a
+    cell stride of 0) it enters the stencil as three scalars, else through
+    a padded (3, nx+2, ny+2, nz+2) buffer. Every step raises
+    UnstableTimeStep unless dt |v|max <= min(h), so a flow that speeds up
+    after t=0, or turns NaN or inf, fails loudly instead of blowing up.
 
     Cloud-in-cell weights are computed once per solve for a source without
-    a trajectory and on every step for a moving one. The step works on one
-    ghost-padded buffer and preallocated temporaries (see the module
-    docstring); the result's field is a fresh contiguous copy of its
-    interior.
+    a trajectory and on every step for a moving one. The result's field is
+    a fresh contiguous copy of the padded buffer's interior.
     """
     if boundary not in ("absorbing", "reflecting"):
         raise ValueError("boundary must be 'absorbing' or 'reflecting'")
@@ -211,76 +220,65 @@ def solve_advection_diffusion(
     t_end = float(t_end)
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
-    if dt is not None:
-        requested = float(dt)
-        if not 0 < requested < math.inf:
-            raise UnstableTimeStep(f"dt={requested} must be finite and > 0")
-        # Past 2**53 steps the count is no longer an exact integer and
-        # t + dt stops advancing t.
-        if not t_end / requested < 2.0 ** 53:
-            raise UnstableTimeStep(f"dt={requested} asks for t_end / dt = "
-                                   f"{t_end / requested:g} steps, more than 2**53")
-    h = grid.spacing
-    h_min = float(h.min())
     shape = grid.shape
-    padded = np.zeros(tuple(n + 2 for n in shape))
-    c = padded[1:-1, 1:-1, 1:-1]
-    # The run of the flattened buffer from the first to the last interior
-    # cell, and its copies shifted by one cell along each axis.
+    n_cells = math.prod(shape)
+    if dt is not None:
+        dt = float(dt)
+        if not 0 < dt < math.inf:
+            raise UnstableTimeStep(f"dt={dt} must be finite and > 0")
+        n_steps = _step_count(t_end, dt, n_cells, round)
+    if not callable(velocity):
+        constant = np.asarray(velocity, dtype=float)
+        velocity = lambda _points, _t: constant
+    centers = grid.cell_centers().reshape(-1, 3)
+    # The run of a flattened padded buffer from its first to its last interior
+    # cell. A velocity that varies in space gets such a buffer when it shows.
     sy = shape[2] + 2
     sx = (shape[1] + 2) * sy
     first = sx + sy + 1
     n = shape[0] * sx + shape[1] * sy + shape[2] - first + 1
-    flat = padded.reshape(-1)
-    centre, xp, xm, yp, ym, zp, zm = (flat[first + o:first + o + n]
-                                      for o in (0, sx, -sx, sy, -sy, 1, -1))
-    two_c, lap, term, adv = np.empty((4, n))
+    padded_shape = tuple(k + 2 for k in shape)
+    vel_padded = None
 
-    if callable(velocity):
-        centers = grid.cell_centers().reshape(-1, 3)
-        vel_padded = np.zeros((3,) + padded.shape)
-        vel_cells = vel_padded[:, 1:-1, 1:-1, 1:-1]
+    def load_velocity(t: float) -> tuple:
+        """The velocity at time t as (vx, vy, vz, |v|max): three floats for a
+        uniform field, else views of the padded velocity buffer."""
+        nonlocal vel_padded
+        v = np.asarray(velocity(centers, t), dtype=float)
+        if v.shape == (3,) or (v.shape == centers.shape and v.strides[0] == 0):
+            ux, uy, uz = v.reshape(-1, 3)[0].tolist()
+            return ux, uy, uz, math.sqrt(ux * ux + uy * uy + uz * uz)
+        if v.shape != centers.shape:
+            raise ValueError(f"velocity has shape {v.shape}; it must be (3,) or "
+                             f"(cells, 3) = {centers.shape}")
+        if vel_padded is None:
+            vel_padded = np.zeros((3,) + padded_shape)
+        vel_padded[:, 1:-1, 1:-1, 1:-1] = np.moveaxis(v.reshape(shape + (3,)), -1, 0)
         bx, by, bz = vel_padded.reshape(3, -1)[:, first:first + n]
+        return bx, by, bz, math.sqrt(float((bx * bx + by * by + bz * bz).max()))
 
-        def load_velocity(t: float) -> tuple:
-            """The velocity at time t as (vx, vy, vz, |v|max): three floats
-            for a uniform field, else views of the padded buffer."""
-            v = np.asarray(velocity(centers, t), dtype=float)
-            if v.shape == (3,) or (v.shape == centers.shape and v.strides[0] == 0):
-                ux, uy, uz = v.reshape(-1, 3)[0].tolist()
-                return ux, uy, uz, math.sqrt(ux * ux + uy * uy + uz * uz)
-            vel_cells[...] = np.moveaxis(v.reshape(shape + (3,)), -1, 0)
-            # |v|^2 on the padded buffers (ghosts hold 0), in lap and term,
-            # which the stencil overwrites afterwards.
-            np.multiply(bx, bx, out=lap)
-            np.multiply(by, by, out=term)
-            np.add(lap, term, out=lap)
-            np.multiply(bz, bz, out=term)
-            np.add(lap, term, out=lap)
-            return bx, by, bz, math.sqrt(lap.max())
-
-        vx, vy, vz, vmax = load_velocity(0.0)
-    else:
-        v = np.asarray(velocity, dtype=float)
-        vx, vy, vz = v[0], v[1], v[2]
-        vmax = float(np.linalg.norm(v))
+    vmax = load_velocity(0.0)[3]
     if not math.isfinite(vmax):
         raise UnstableTimeStep(f"the speed at t=0 is {vmax} m/s; it must be finite")
-
+    h = grid.spacing
+    h_min = float(h.min())
     diff_bound = 0.5 / (D * float((1.0 / h**2).sum()))
     adv_bound = h_min / vmax if vmax > 0 else math.inf
     bound = min(diff_bound, adv_bound)
     if dt is None:
-        n_steps = max(1, int(math.ceil(t_end / (0.4 * bound))))
-        dt = t_end / n_steps
-    else:
-        n_steps = max(1, int(round(t_end / requested)))
-        dt = t_end / n_steps
-        if dt > bound:
-            raise UnstableTimeStep(
-                f"dt={requested} runs as {n_steps} step(s) of {dt:.6g} s, which "
-                f"exceeds the stability bound {bound:.3g}"
-            )
+        dt = 0.4 * bound
+        n_steps = _step_count(t_end, dt, n_cells, math.ceil)
+    requested, dt = dt, t_end / n_steps
+    if dt > bound:
+        raise UnstableTimeStep(f"dt={requested} runs as {n_steps} step(s) of {dt:.6g} s, "
+                               f"which exceeds the stability bound {bound:.3g}")
+
+    padded = np.zeros(padded_shape)
+    c = padded[1:-1, 1:-1, 1:-1]
+    flat = padded.reshape(-1)
+    centre, xp, xm, yp, ym, zp, zm = (flat[first + o:first + o + n]
+                                      for o in (0, sx, -sx, sy, -sy, 1, -1))
+    two_c, lap, term, adv = np.empty((4, n))
 
     sources = list(sources)
     lo, h_list, volume = list(grid.lo), h.tolist(), grid.cell_volume()
@@ -295,24 +293,24 @@ def solve_advection_diffusion(
         t_mid = t + 0.5 * dt
         for k, src in enumerate(sources):
             if src.kind is SourceKind.INSTANT:
-                if not injected_instant[k] and t + dt >= src.start_time:
-                    cells = fixed[k] or _cic_cells(lo, h_list, shape,
-                                                   src.point_at(src.start_time))
-                    _deposit_cic(c, cells, src.strength / volume)
-                    injected_instant[k] = True
+                if injected_instant[k] or t + dt < src.start_time:
+                    continue
+                injected_instant[k] = True
+                at, amount = src.start_time, src.strength
+            elif t_mid >= src.start_time:
+                at, amount = t_mid, src.rate_at(t_mid) * dt
             else:
-                if t_mid >= src.start_time:
-                    cells = fixed[k] or _cic_cells(lo, h_list, shape, src.point_at(t_mid))
-                    _deposit_cic(c, cells, src.rate_at(t_mid) * dt / volume)
+                continue
+            cells = fixed[k]
+            if cells is None:
+                cells = _cic_cells(lo, h_list, shape, src.point_at(at))
+            _deposit_cic(c, cells, amount / volume)
         _refresh_ghosts(padded, boundary)
-        if callable(velocity):
-            vx, vy, vz, vmax = load_velocity(t_mid)
-            if not dt * vmax <= h_min:
-                raise UnstableTimeStep(
-                    f"at t={t_mid:.6g} s the speed {vmax:.3g} m/s breaks the "
-                    f"advective bound dt={dt:.3g} <= {h_min / vmax:.3g}; "
-                    f"pass a smaller dt"
-                )
+        vx, vy, vz, vmax = load_velocity(t_mid)
+        if not dt * vmax <= h_min:
+            raise UnstableTimeStep(f"at t={t_mid:.6g} s the speed {vmax:.3g} m/s breaks the "
+                                   f"advective bound dt={dt:.3g} <= {h_min / vmax:.3g}; "
+                                   f"pass a smaller dt")
         # D lap(c): (p - 2c + m) / h^2 summed over x, y, z.
         np.multiply(2, centre, out=two_c)
         np.subtract(xp, two_c, out=lap)

@@ -198,6 +198,21 @@ def _fisher_inverse(g: np.ndarray, dg: np.ndarray, rate: float,
     return inverse if np.isfinite(inverse).all() else None
 
 
+def _fold_inside(env: Environment, p: np.ndarray) -> np.ndarray:
+    """p mirrored into the region env's boundary declares: z -> |z| above a
+    plane at 0, a coordinate folded modulo 2L into [0, L] between walls at 0
+    and L. The image model is symmetric about each wall, so the fold moves
+    no model value, residual or bound."""
+    p = p.copy()
+    for axis, length in env.boundary.walls.items():
+        if length:
+            x = p[axis] % (2.0 * length)
+            p[axis] = 2.0 * length - x if x > length else x
+        else:
+            p[axis] = abs(p[axis])
+    return p
+
+
 def _geometry_rank(readings: Sequence[SensorReading]) -> int:
     pts = np.array([r.position.as_array() for r in readings])
     centered = pts - pts.mean(axis=0)
@@ -221,7 +236,9 @@ def localize(
     candidate, as for transient readings all at t <= 0 (no candidate
     explains any reading). Deterministic for a fixed configuration. The
     returned `converged` flag is False when the refinement hits its
-    iteration cap; the best point found is still returned.
+    iteration cap; the best point found is still returned. Between walls
+    the likelihood has mirrored optima; the one inside the region is
+    returned.
     """
     readings = list(readings)
     if len(readings) < 4:
@@ -262,7 +279,7 @@ def localize(
         final_pt, fit = best_pt, start
     fisher_inv = _fisher_inverse(fit.g, fit.dg, fit.rate, sigma)
     return SourceEstimate(
-        position=Position.from_array(final_pt),
+        position=Position.from_array(_fold_inside(env, final_pt)),
         rate=fit.rate,
         residual_norm=math.sqrt(fit.ssr),
         converged=converged,

@@ -232,13 +232,17 @@ class TestCli:
         (("initial_infected = 1", "initial_infected = 50"), "initial_infected"),
         (("initial_infected = 1", "initial_infected = -1"), "initial_infected"),
         (("domain_m = 0 0 0 20 15 3", "domain_m = 0 0 0 0 15 3"), "domain_m"),
+        # a 20 x 15 x 3 m room in a 3 x 2.5 m duct: agents would roam outside
+        (("diffusivity_m2s = 5.0", "diffusivity_m2s = 5.0\nboundary = duct\n"
+          "duct_width_m = 3\nduct_height_m = 2.5"), "domain_m"),
         # [epidemic] keys, rejected by EpidemicConfig under their field names
         (("latency_s = 60", "latency_s = -1"), "latency_s"),
         (("step_s = 10", "step_s = 0"), "step_s"),
         (("horizon_s = 600", "horizon_s = -5"), "horizon_s"),
         (("dose_coefficient = 5e4", "dose_coefficient = -1"), "dose_coefficient"),
     ], ids=["agents_negative", "agents_zero", "infected_above_agents",
-            "infected_negative", "domain_flat", "latency_negative", "step_zero",
+            "infected_negative", "domain_flat", "domain_outside_duct",
+            "latency_negative", "step_zero",
             "horizon_negative", "dose_negative"])
     def test_population_out_of_range_names_key(self, tmp_path, capsys, edit, key):
         text = (REPO_CONFIGS / "epidemic_demo.cfg").read_text()
@@ -249,6 +253,17 @@ class TestCli:
         assert rc == 2
         assert f"key '{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_population_inside_a_duct_runs(self, tmp_path):
+        # The same crowd in a box that fills the duct's cross-section.
+        text = (REPO_CONFIGS / "epidemic_demo.cfg").read_text().replace(
+            "diffusivity_m2s = 5.0", "diffusivity_m2s = 5.0\nboundary = duct\n"
+            "duct_width_m = 3\nduct_height_m = 2.5").replace(
+            "domain_m = 0 0 0 20 15 3", "domain_m = 0 0 0 20 3 2.5")
+        out = tmp_path / "series.csv"
+        assert main(["epidemic", "--config", write(tmp_path, "epi.cfg", text),
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) > 10
 
     @pytest.mark.parametrize("dose", ["5e2", "5e4"])
     def test_epidemic_horizon_off_the_step_grid(self, tmp_path, dose):
@@ -612,6 +627,23 @@ class TestFileIo:
         assert cir.taps.sum() > 0
         # the tail decays once the one-slot puff has washed past
         assert cir.taps[-1] < cir.taps.max()
+
+    @pytest.mark.parametrize("name, source, receiver", [
+        ("source", (0.0, -0.1, 1.0), (2.0, 1.0, 1.0)),
+        ("receiver", (0.0, 1.0, 1.0), (2.0, 1.0, 2.6))], ids=["source", "receiver"])
+    def test_impulse_response_outside_the_duct_is_out_of_domain(self, name, source,
+                                                                 receiver):
+        from virodyne.channel import Environment, RectangularDuctReflecting
+        from virodyne.detection import impulse_response_from_scenario
+        from virodyne.errors import OutOfDomain
+        env = Environment(diffusivity=0.5, wind=(0.3, 0.0, 0.0),
+                          boundary=RectangularDuctReflecting(3.0, 2.5))
+        kw = dict(rate_kg_s=1.0, symbol_interval=2.0, n_taps=4)
+        with pytest.raises(OutOfDomain, match=f"^{name} point"):
+            impulse_response_from_scenario(env, source, receiver, **kw)
+        # On the walls is inside.
+        cir = impulse_response_from_scenario(env, (0.0, 0.0, 1.0), (2.0, 3.0, 2.5), **kw)
+        assert (cir.taps >= 0).all()
 
     def test_impulse_response_matches_emission_window_quadrature(self):
         # Oracle: the one-slot field by a fine trapezoid of the instant

@@ -1,9 +1,12 @@
 """Cross-validation of the closed-form/quadrature solvers against the
 independent explicit finite-difference route."""
 
+import time
+
 import numpy as np
 import pytest
 
+from virodyne import fdpde
 from virodyne.channel import (
     Environment,
     FieldQuery,
@@ -33,6 +36,10 @@ def _probe_points(rng, sol: FdSolution, n, exclude_fn, margin=12.0, floor=0.01):
             continue
         probes.append(p)
     return np.array(probes)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated or stepped before refusing dt")
 
 
 class TestFdSolver:
@@ -101,7 +108,7 @@ class TestFdSolver:
         "nan wind", "inf wind", "nan callable at t=0", "nan callable later",
         "inf callable later", "nan uniform callable later",
         "nan diffusivity", "inf diffusivity", "nan t_end", "inf t_end",
-        "subnormal dt", "tiny dt",
+        "subnormal dt", "tiny dt", "4-component wind", "2-component wind",
     ])
     def test_hostile_numerics_raise(self, case):
         grid = FdGrid((-5, -5, -5), (5, 5, 5), (7, 7, 7))
@@ -128,28 +135,62 @@ class TestFdSolver:
             "nan diffusivity": {"diffusivity": nan},
             "inf diffusivity": {"diffusivity": inf, "dt": None},
             "nan t_end": {"t_end": nan}, "inf t_end": {"t_end": inf},
-            # t_end / dt is inf, then 1e300 steps: past 2**53 either way.
+            # t_end / dt is inf, then 1e300 steps: past the budget either way.
             "subnormal dt": {"dt": 1e-320}, "tiny dt": {"dt": 1e-300},
+            # At one time the first three components ran and the fourth
+            # entered |v|max.
+            "4-component wind": {"velocity": (0.1, 0, 0, 9.0)},
+            "2-component wind": {"velocity": (0.1, 0)},
         }[case])
         if "diffusivity" in case or "t_end" in case:
             error, match = ValueError, "must be finite and > 0"
+        elif "component" in case:
+            error, match = ValueError, r"velocity has shape \([24],\)"
         else:
             error, match = UnstableTimeStep, None
         with pytest.raises(error, match=match):
             solve_advection_diffusion(grid, kw["diffusivity"], kw["velocity"], src,
                                       t_end=kw["t_end"], dt=kw["dt"])
 
-    @pytest.mark.parametrize("dt", [1e-320, 1e-300])
+    # 1e-9 s is 1e9 steps of 343 cells, past the 1e11 cell-update budget.
+    @pytest.mark.parametrize("dt", [1e-320, 1e-300, 1e-9])
     def test_tiny_dt_is_refused_before_any_allocation(self, dt, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("allocated or stepped before refusing dt")
-
         for name in ("zeros", "empty"):
-            monkeypatch.setattr(np, name, refuse)
+            monkeypatch.setattr(np, name, _refuse)
         grid = FdGrid((-5, -5, -5), (5, 5, 5), (7, 7, 7))
         with pytest.raises(UnstableTimeStep, match=f"dt={dt!r}"):
-            solve_advection_diffusion(grid, 0.5, refuse, [SourceSpec.instant((0, 0, 0), 1.0)],
+            solve_advection_diffusion(grid, 0.5, _refuse, [SourceSpec.instant((0, 0, 0), 1.0)],
                                       t_end=1.0, dt=dt)
+
+    def test_huge_diffusivity_is_refused_before_any_allocation(self, monkeypatch):
+        # The default dt for D = 1e9 on 7^3 cells is 1.4e-10 s: 7.4e9 steps,
+        # which ran until killed before the step count had a budget.
+        for name in ("zeros", "empty"):
+            monkeypatch.setattr(np, name, _refuse)
+        grid = FdGrid((-5, -5, -5), (5, 5, 5), (7, 7, 7))
+        start = time.perf_counter()
+        with pytest.raises(UnstableTimeStep, match=r"7\.35e\+09 steps of 343 cells"):
+            solve_advection_diffusion(grid, 1e9, (0, 0, 0),
+                                      [SourceSpec.instant((0, 0, 0), 1.0)], t_end=1.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_standing_source_weights_are_found_once(self, monkeypatch):
+        # A standing source off the grid has no cells; its empty list is
+        # kept like any other, not recomputed on every step.
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return cic_cells(*args)
+
+        cic_cells = fdpde._cic_cells
+        monkeypatch.setattr(fdpde, "_cic_cells", counted)
+        grid = FdGrid((-5, -5, -5), (5, 5, 5), (7, 7, 7))
+        sources = [SourceSpec.continuous(1.0, position=(20.0, 0.0, 0.0)),
+                   SourceSpec.instant((0.3, 0.0, 0.0), 1.0, 0.5)]
+        sol = solve_advection_diffusion(grid, 0.5, (0, 0, 0), sources, t_end=1.0, dt=0.1)
+        assert sol.steps == 10 and len(calls) == 2
+        assert sol.field.sum() * grid.cell_volume() == pytest.approx(1.0, rel=0.2)
 
     def test_sample_outside_the_box_raises(self):
         grid = FdGrid((-5, -5, -5), (5, 5, 5), (7, 7, 7))

@@ -130,15 +130,17 @@ def test_ghost_refresh_equals_np_pad(boundary):
 
 @pytest.mark.parametrize("boundary", ["absorbing", "reflecting"])
 def test_still_uniform_callable_equals_the_tuple(boundary):
-    # A uniform callable that does not change in time runs the stencil on
-    # the same three scalars as the constant tuple, so the fields match bit
-    # for bit, whether it returns shape (3,) or broadcasts to every cell.
+    # A constant tuple is the callable that returns it at every time, so the
+    # fields match bit for bit, whether the callable returns shape (3,) or
+    # broadcasts to every cell, and with the default dt, whose step count
+    # comes from |v| at t=0, as well as an explicit one.
     wind = (0.3, -0.2, 0.05)
     vector = np.array(wind)
-    want = solve_advection_diffusion(HALL, 0.4, wind, PLUME, 5.0, dt=0.05,
-                                     boundary=boundary)
-    for velocity in (lambda p, t: vector, _broadcast(lambda p, t: vector)):
-        got = solve_advection_diffusion(HALL, 0.4, velocity, PLUME, 5.0, dt=0.05,
-                                        boundary=boundary)
-        assert got.steps == want.steps
-        assert np.array_equal(got.field, want.field)
+    for dt in (0.05, None):
+        want = solve_advection_diffusion(HALL, 0.4, wind, PLUME, 5.0, dt=dt,
+                                         boundary=boundary)
+        for velocity in (lambda p, t: vector, _broadcast(lambda p, t: vector)):
+            got = solve_advection_diffusion(HALL, 0.4, velocity, PLUME, 5.0, dt=dt,
+                                            boundary=boundary)
+            assert got.steps == want.steps
+            assert np.array_equal(got.field, want.field)

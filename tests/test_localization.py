@@ -6,6 +6,7 @@ import pytest
 import localization_oracle
 from virodyne.channel import (
     Environment,
+    HalfSpaceReflecting,
     RectangularDuctReflecting,
     SourceSpec,
     concentration_steady,
@@ -192,6 +193,61 @@ def _random_case(seed, kind, env):
     noisy = clean + 0.02 * clean * stream.standard_normal(12)
     return [SensorReading(position=tuple(p), time=t, concentration=c, sigma=s)
             for p, t, c, s in zip(sensors, times, noisy, 0.02 * clean)]
+
+
+def _walled_case(env, truth, hi, seed):
+    """8 sensors drawn uniformly in [0, hi] reading a steady source of rate 1
+    at `truth` with 1% noise; the readings and the estimate."""
+    rng = np.random.default_rng(seed)
+    sensors = rng.uniform((0.0, 0.0, 0.0), hi, size=(8, 3))
+    clean = unit_continuous_kernel(env, np.array(truth), sensors, np.full(8, math.inf))
+    noisy = clean * (1.0 + 0.01 * rng.normal(size=8))
+    readings = [SensorReading(position=tuple(p), time=0.0, concentration=c, sigma=s)
+                for p, c, s in zip(sensors, noisy, 0.01 * clean)]
+    return readings, localize(readings, env)
+
+
+def _residual_norm(readings, env, est):
+    """The weighted residual of the estimate, evaluated where it was reported."""
+    sensors = np.array([r.position.as_array() for r in readings])
+    g = unit_continuous_kernel(env, est.position.as_array(), sensors,
+                               np.full(len(readings), math.inf))
+    y = np.array([r.concentration for r in readings])
+    sigma = np.array([r.sigma for r in readings])
+    return math.sqrt(float((((y - est.rate * g) / sigma) ** 2).sum()))
+
+
+class TestMirroredOptima:
+    """The image model is symmetric about each wall, so the likelihood has an
+    optimum mirrored outside the region; localize returns the one inside,
+    with the residual it reports holding there."""
+
+    def test_half_space_estimate_lies_above_the_ground(self):
+        # Seeds 3 and 9 once returned z = -0.462 and z = -0.391, converged.
+        env = Environment(diffusivity=0.5, wind=(0.3, 0.0, 0.0),
+                          boundary=HalfSpaceReflecting())
+        zs = {}
+        for seed in range(10):
+            readings, est = _walled_case(env, (5.0, 4.0, 0.4), (12.0, 8.0, 3.0), seed)
+            assert est.converged
+            assert est.position.z >= 0.0
+            assert _residual_norm(readings, env, est) == pytest.approx(
+                est.residual_norm, rel=1e-9)
+            zs[seed] = est.position.z
+        assert zs[3] == pytest.approx(0.462, abs=1e-3)
+        assert zs[9] == pytest.approx(0.391, abs=1e-3)
+
+    def test_duct_estimate_lies_inside_the_cross_section(self):
+        # Four of these seeds once returned y < 0 and two z > 2.5, up to
+        # z = 5.99, past the mirror of the far wall.
+        duct = RectangularDuctReflecting(3.0, 2.5)
+        env = Environment(diffusivity=0.5, wind=(0.3, 0.0, 0.0), boundary=duct)
+        for seed in range(10):
+            readings, est = _walled_case(env, (5.0, 0.4, 1.2), (12.0, 3.0, 2.5), seed)
+            assert 0.0 <= est.position.y <= duct.width
+            assert 0.0 <= est.position.z <= duct.height
+            assert _residual_norm(readings, env, est) == pytest.approx(
+                est.residual_norm, rel=1e-9)
 
 
 class TestAgainstSimplex:
