@@ -42,7 +42,7 @@ from .detection import (
     mutual_information,
 )
 from .epidemic import Agent, EpidemicConfig, run as run_epidemic
-from .errors import ConfigError, OutOfDomain, VirodyneError
+from .errors import ConfigError, InvalidParams, OutOfDomain, VirodyneError
 from .fileio import read_readings_csv, write_csv, write_json
 from .localization import SolverConfig, localize
 from .mobility import (
@@ -158,7 +158,11 @@ def _build_population(cfg: ScenarioConfig, seed: int, boundary: Boundary) -> lis
         # Stream 0 drives infection draws; agent i owns stream i + 1.
         stream = rng_stream(seed, i + 1)
         start = box.sample_point(stream)
-        traj = sample_trajectory(model, start, epi.horizon_s, stream)
+        try:
+            traj = sample_trajectory(model, start, epi.horizon_s, stream)
+        except ValueError as exc:  # a path past one of the sampler's bounds
+            names = ", ".join(map(repr, ("domain_m", *keys, "horizon_s")))
+            raise ConfigError(f"{exc} (keys {names})") from None
         agents.append(Agent(
             agent_id=i,
             trajectory=traj,
@@ -288,8 +292,11 @@ def _cmd_hotspots(args) -> int:
 def _cmd_direction(args) -> int:
     if args.top < 0:
         raise ValueError(f"--top must be >= 0, got {args.top}")
+    try:
+        params = KimuraParams(q=args.q, gamma=args.gamma)
+    except InvalidParams as exc:  # flags out of range: a usage error
+        raise ValueError(f"--q {args.q:g} --gamma {args.gamma:g}: {exc}") from None
     alignment = _alignment(args)
-    params = KimuraParams(q=args.q, gamma=args.gamma)
     level = {"base": "base", "codon": "codon", "aa": "amino"}[args.level]
     report = mutation_direction(alignment, args.position, params,
                                 level=level, mode=args.mode)

@@ -26,7 +26,9 @@ REFLECT the path is that line folded into the box by `_fold`, with a knot
 at every crossing; under WRAP_TO_WAYPOINT the leg ends at the first
 crossing. A leg that crosses no wall ends exactly at p + v·T. A reflected
 leg with more than _MAX_CROSSINGS crossings raises ValueError, and so does a
-wrapped path that hits the walls more than _MAX_CROSSINGS times.
+path of more than _MAX_LEGS legs: a wrapped path that keeps meeting the
+walls, or waypoint rounds in a box so small that they take no time and
+never reach the horizon.
 
 Sampling is a pure function of (model, start, horizon, stream), so identical
 streams reproduce identical trajectories no matter how many agents are
@@ -46,7 +48,8 @@ from .core import as_position
 from .errors import OutOfDomain
 
 _EPS = 1e-9
-_MAX_CROSSINGS = 100_000  # wall crossings of one reflected leg or wrapped path
+_MAX_CROSSINGS = 100_000  # wall crossings of one reflected leg
+_MAX_LEGS = 100_000  # legs of one path, each wall hit of a wrapped path included
 _STILL = (0.0, 0.0, 0.0)
 _CONTAINS_TOL = 1e-7  # m, slack of Box.contains at the walls
 
@@ -276,10 +279,9 @@ def _append(times: list, points: list, t: float, x) -> None:
 
 
 def _leg(times: list, points: list, v, duration: float, hold: bool,
-         model: MobilityModel) -> bool:
+         model: MobilityModel) -> None:
     """Append the knots of one leg: velocity v for `duration` seconds from
-    the last knot, laid into the box by the model's boundary policy. True
-    when a wrapped leg was cut short at a wall."""
+    the last knot, laid into the box by the model's boundary policy."""
     t0, p = times[-1], points[-1]
     lo, hi = model.domain.lo, model.domain.hi
     firsts, gaps = [], []  # per moving axis: first wall crossing, then its period
@@ -291,13 +293,13 @@ def _leg(times: list, points: list, v, duration: float, hold: bool,
     if s >= duration:
         _append(times, points, t0 + duration,
                 (p[0] + v[0] * duration, p[1] + v[1] * duration, p[2] + v[2] * duration))
-        return False
+        return
     if model.boundary is BoundaryPolicy.WRAP_TO_WAYPOINT:
         x = tuple(min(max(p[k] + v[k] * s, lo[k]), hi[k]) for k in range(3))
         _append(times, points, t0 + s, x)
         if hold:
             _append(times, points, t0 + duration, x)
-        return True
+        return
     counts = [max(0, math.ceil((duration - f) / g)) for f, g in zip(firsts, gaps)]
     if sum(counts) > _MAX_CROSSINGS:
         raise ValueError(
@@ -311,7 +313,6 @@ def _leg(times: list, points: list, v, duration: float, hold: bool,
                    model.domain.lo_arr, model.domain.hi_arr)
     for s, x in zip(crossings, folded.tolist()):
         _append(times, points, t0 + s, x)
-    return False
 
 
 def sample_trajectory(
@@ -328,15 +329,16 @@ def sample_trajectory(
     if horizon < 0 or not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     times, points = [0.0], [p0.tolist()]
-    hits = 0  # walls met by a wrapped path
+    legs = 0
     while times[-1] < horizon - _EPS:
         for v, duration, hold in model.kind._legs(points[-1], model.domain, stream):
             if times[-1] >= horizon - _EPS:
                 break
-            hits += _leg(times, points, v, min(duration, horizon - times[-1]), hold, model)
-        if hits > _MAX_CROSSINGS:
+            _leg(times, points, v, min(duration, horizon - times[-1]), hold, model)
+            legs += 1
+        if legs > _MAX_LEGS:
             raise ValueError(
-                f"a wrapped path at up to {model.max_speed:g} m/s hits the walls "
-                f"more than {_MAX_CROSSINGS} times by {times[-1]:g} s of {horizon:g} s; "
-                "shorten the horizon, slow the agent or enlarge the domain")
+                f"a path at up to {model.max_speed:g} m/s takes more than {_MAX_LEGS} "
+                f"legs by {times[-1]:g} s of {horizon:g} s; shorten the horizon, "
+                "lengthen the legs or pauses, slow the agent or enlarge the domain")
     return Trajectory(np.array(times), np.array(points))

@@ -324,8 +324,9 @@ class TestCli:
         assert not out.exists()
 
     def test_wrapped_wall_hits_bound_is_usage_error(self, tmp_path, capsys):
-        # The same 1 mm room with wrapping: each wall hit starts a new
-        # heading, about 10^6 hits over 600 s. The path stops at the bound.
+        # The same 1 mm room with wrapping: each wall hit ends a leg and
+        # starts a new heading, about 10^6 legs over 600 s. The path stops at
+        # the leg bound.
         text = (REPO_CONFIGS / "epidemic_demo.cfg").read_text()
         for edit in (("domain_m = 0 0 0 20 15 3", "domain_m = 0 0 0 0.001 0.001 0.001"),
                      ("mobility = waypoint", "mobility = direction\nboundary_policy = wrap\n"
@@ -339,11 +340,34 @@ class TestCli:
         elapsed = time.perf_counter() - began
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error: a wrapped path at up to 1 m/s hits the walls "
-                              "more than 100000 times by ")
+        assert err.startswith("error: a path at up to 1 m/s takes more than "
+                              "100000 legs by ")
         assert "of 600 s;" in err
         assert not out.exists()
         assert elapsed < 20.0  # the first agent alone took about 28 s unbounded
+
+    def test_waypoint_leg_bound_is_usage_error(self, tmp_path, capsys):
+        # A 1e-10 m box with no pause: every waypoint round takes less than
+        # the sampler's time resolution, so the clock stays at 0 s. Unbounded,
+        # this ran until killed.
+        text = (REPO_CONFIGS / "epidemic_demo.cfg").read_text()
+        for edit in (("domain_m = 0 0 0 20 15 3", "domain_m = 0 0 0 1e-10 1e-10 1e-10"),
+                     ("pause_s = 2.0", "pause_s = 0")):
+            assert edit[0] in text
+            text = text.replace(*edit)
+        out = tmp_path / "series.csv"
+        began = time.perf_counter()
+        rc = main(["epidemic", "--config", write(tmp_path, "epi.cfg", text),
+                   "--out", str(out)])
+        elapsed = time.perf_counter() - began
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: a path at up to 1.5 m/s takes more than "
+                              "100000 legs by 0 s of 600 s;")
+        assert err.rstrip().endswith("(keys 'domain_m', 'speed_min_mps', "
+                                     "'speed_max_mps', 'pause_s', 'horizon_s')")
+        assert not out.exists()
+        assert elapsed < 20.0
 
     def test_non_finite_numbers_name_key_and_line(self):
         for raw in ("nan", "inf", "-inf", "1e400"):
@@ -586,8 +610,13 @@ class TestCli:
         ["direction", "--position", "0", "--q", "1e-3", "--gamma", "0.1"],
         ["direction", "--position", "1", "--q", "1e-3", "--gamma", "0.1",
          "--top", "-1"],
+        ["direction", "--position", "1", "--q", "nan", "--gamma", "0.1"],
+        ["direction", "--position", "1", "--q", "1e-3", "--gamma", "inf"],
+        ["direction", "--position", "1", "--q", "-1", "--gamma", "0.1"],
+        ["direction", "--position", "1", "--q", "0.5", "--gamma", "0.6"],
     ], ids=["top", "min_entropy_nan", "pseudocount", "pseudocount_nan",
-            "pseudocount_inf", "position_past_end", "position_zero", "direction_top"])
+            "pseudocount_inf", "position_past_end", "position_zero", "direction_top",
+            "q_nan", "gamma_inf", "q_negative", "mutation_mass_over_1"])
     def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, argv):
         fasta = write(tmp_path, "toy.fasta", ">a\nACGTAC\n>b\nACGAAC\n")
         out = tmp_path / "out"

@@ -7,6 +7,7 @@ bit-identical entropies, distributions and Kimura matrices, the same codon
 counts in the same order, the same hot-spot list and the same genetic code.
 """
 
+import io
 from unittest import mock
 
 import numpy as np
@@ -61,22 +62,49 @@ def _clean_chars(alphabet):
     return chars + chars.lower() + extra + " \t\r\x0b\x0c\x1c\xa0"
 
 
+def _bad_chars(alphabet):
+    """Characters of SEQ_CHARS that the parser rejects in a sequence line."""
+    accepted = alphabet.symbols + "-" + alphabet.ambiguity \
+        + ("U" if alphabet is Alphabet.NUCLEOTIDE else "")
+    return "".join(ch for ch in SEQ_CHARS
+                   if not ch.isspace() and ch.upper() not in accepted)
+
+
 @st.composite
 def fasta_texts(draw, alphabet):
+    """FASTA text with the parser's edge cases mixed in: blank and
+    whitespace-only lines, '\\r\\n' endings, a lone '\\r' inside a line,
+    data before the first header, empty and space-indented headers, headers
+    with no sequence (mid-file and at EOF), a bad residue in any record and
+    non-ASCII characters that upper-case into the alphabet."""
+    clean = _clean_chars(alphabet)
+    kinds = ["header"] * 3 + ["seq"] * 8 + ["blank", "lone cr"]
+    if draw(st.booleans()):  # else most texts parse, many into several records
+        kinds += ["odd header", "bad", "mixed"]
     lines = [">first"] if draw(st.integers(0, 9)) else []
-    for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["header"] + ["seq"] * 6 + ["blank"]))
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(kinds))
         if kind == "header":
-            blank_ok = draw(st.integers(0, 5)) == 0
-            lines.append(">" + draw(st.text(
-                alphabet="ab1" + TRICKY + (" \t" if blank_ok else ""),
-                min_size=0 if blank_ok else 1, max_size=6)))
+            lines.append(">" + draw(st.text(alphabet="ab1> \t\r" + TRICKY,
+                                            min_size=1, max_size=6)))
+        elif kind == "odd header":  # empty, whitespace-only or indented
+            lines.append(draw(st.sampled_from([">", "> \t", ">\xa0", " >a",
+                                               "\t>b"])))
         elif kind == "seq":
-            pool = SEQ_CHARS if draw(st.integers(0, 5)) == 0 \
-                else _clean_chars(alphabet)
-            lines.append(draw(st.text(alphabet=pool, max_size=30)))
+            lines.append(draw(st.text(alphabet=clean, min_size=1, max_size=30)))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\xa0", " \r"])))
+        elif kind == "lone cr":
+            left, right = draw(st.text(alphabet=clean, max_size=8)), \
+                draw(st.text(alphabet=clean, min_size=1, max_size=8))
+            lines.append(left + "\r" + right)
+        elif kind == "bad":
+            line = draw(st.text(alphabet=clean, max_size=20))
+            at = draw(st.integers(0, len(line)))
+            lines.append(line[:at] + draw(st.sampled_from(_bad_chars(alphabet)))
+                         + line[at:])
         else:
-            lines.append(draw(st.sampled_from(["", " ", "\t", "\xa0"])))
+            lines.append(draw(st.text(alphabet=SEQ_CHARS, max_size=30)))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
                          min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
@@ -94,20 +122,54 @@ def _outcome(parse, text, alphabet):
         return (type(exc).__name__, str(exc))
 
 
+def _assert_parse_matches_scan(text, alphabet):
+    """parse_fasta on the text, on an in-memory handle and on a UTF-8 byte
+    stream read as `open` reads a file (universal newlines: '\\r\\n' and a
+    lone '\\r' end lines) returns what the per-character scan returns on the
+    text that source reads."""
+    def file_handle():
+        return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+    for source, seen in ((text, text), (io.StringIO(text), text),
+                         (file_handle(), file_handle().read())):
+        assert _outcome(parse_fasta, source, alphabet) == \
+            _outcome(oracle.parse_fasta, seen, alphabet)
+
+
 @given(st.data(), ALPHABETS)
 @settings(max_examples=400, deadline=None)
 def test_parse_matches_per_character_scan(data, alphabet):
-    text = data.draw(fasta_texts(alphabet))
-    assert _outcome(parse_fasta, text, alphabet) == \
-        _outcome(oracle.parse_fasta, text, alphabet)
+    _assert_parse_matches_scan(data.draw(fasta_texts(alphabet)), alphabet)
+
+
+# Each edge case of the generator at least once per run.
+_EDGE_CASES = [
+    "\n \n\t\n>a\nAC\n\n \nGT\n",          # blank and whitespace-only lines
+    ">a\r\nAC\r\n>b\r\nGT\r\n",              # CRLF
+    ">a\nA\rC\n>b\rc\nGT\n",                  # a lone CR inside a line
+    "AC\n>a\nGT\n",                            # data before the first header
+    ">a\nAC\n> \nGT\n",                        # an empty header
+    ">a\n>b\nGT\n",                            # no sequence, mid-file
+    ">a\nAC\n\n>b\n \n",                       # no sequence, at EOF
+    ">a\nAC\n>b",                               # no sequence, at EOF without '\n'
+    ">a\nAC\n >b\nGT\n",                       # a header indented with a space
+    ">a\nAC\n>b\nGT\n>c\nGG\nG!T\n",            # a bad residue in the third record
+    ">a\nAC\n>b\nGT\n\t\xa0G\n",               # non-ASCII whitespace, last record
+    ">a\nMKſı\n>b\nMſſK\n",                    # non-ASCII that upper-cases to S, I
+    ">a\nMK\n>b\nMKß\n",                       # 'ß'.upper() is 'SS': rejected
+]
+
+
+@pytest.mark.parametrize("alphabet", list(Alphabet))
+@pytest.mark.parametrize("text", _EDGE_CASES)
+def test_parse_edge_cases_match_per_character_scan(alphabet, text):
+    _assert_parse_matches_scan(text, alphabet)
 
 
 @pytest.mark.parametrize("alphabet", list(Alphabet))
 @pytest.mark.parametrize("ch", list(TRICKY))
 def test_parse_tricky_characters(alphabet, ch):
-    text = f">a\nAC{ch}A\n"
-    assert _outcome(parse_fasta, text, alphabet) == \
-        _outcome(oracle.parse_fasta, text, alphabet)
+    _assert_parse_matches_scan(f">a\nAC{ch}A\n", alphabet)
 
 
 def test_parse_rejects_eszett_for_amino():

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mobility_oracle
+from virodyne import mobility
 from virodyne.core import rng_stream
 from virodyne.errors import OutOfDomain
 from virodyne.mobility import (
@@ -264,3 +267,16 @@ class TestLegRule:
         # the same agent for a second stays under the bound
         traj = sample_trajectory(model, (5e-4, 5e-4, 5e-4), 1.0, rng_stream(0, 1))
         assert traj.times.size > 1000
+
+    def test_leg_count_bounded(self):
+        # A walk of exactly 50 legs keeps every knot under a bound of 50 legs
+        # and is refused under a bound of 49.
+        model = MobilityModel(RandomWalk(step_len=0.5, step_dt=1.0), ROOM)
+        free = sample_trajectory(model, (5, 5, 1), 50.0, rng_stream(0, 1))
+        with mock.patch.object(mobility, "_MAX_LEGS", 50):
+            bounded = sample_trajectory(model, (5, 5, 1), 50.0, rng_stream(0, 1))
+        with mock.patch.object(mobility, "_MAX_LEGS", 49), \
+                pytest.raises(ValueError, match=r"more than 49 legs by 50 s of 50 s"):
+            sample_trajectory(model, (5, 5, 1), 50.0, rng_stream(0, 1))
+        assert bounded.times.tobytes() == free.times.tobytes()
+        assert bounded.points.tobytes() == free.points.tobytes()
