@@ -53,7 +53,7 @@ from .mobility import (
     RandomWalk,
     RandomWaypoint,
     Scripted,
-    sample_trajectory,
+    sample_population,
 )
 from .mutation import KimuraParams, SubstitutionMode, mutation_direction
 from .seqstat import (
@@ -107,6 +107,15 @@ def _profile(args) -> EntropyProfile:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each float, formed once per distinct value (told apart by
+    their bits, so that -0.0 keeps its sign)."""
+    bits, where = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
+                            return_inverse=True)
+    texts = [repr(v) for v in bits.view(float).tolist()]
+    return [texts[i] for i in where.tolist()]
+
+
 def _cmd_field(args) -> int:
     cfg, _ = _scenario(args, "environment", "source", "grid")
     if args.speed is not None:
@@ -121,8 +130,8 @@ def _cmd_field(args) -> int:
     xs, ys, zs = cfg.grid.axes()
     query = FieldQuery.from_grid(xs, ys, zs, times)
     values = evaluate_field(query, Scenario(env, sources))
-    rows = [f"{x!r},{y!r},{z!r},{t!r},{c!r}" for (x, y, z), t, c in
-            zip(query.positions.tolist(), query.times.tolist(), values.tolist())]
+    coords = [_reprs(query.positions[:, k]) for k in range(3)] + [_reprs(query.times)]
+    rows = [f"{x},{y},{z},{t},{c!r}" for x, y, z, t, c in zip(*coords, values.tolist())]
     write_csv(args.out, ["x", "y", "z", "t", "c"], rows, _meta(cfg))
     return 0
 
@@ -153,24 +162,17 @@ def _build_population(cfg: ScenarioConfig, seed: int, boundary: Boundary) -> lis
     except ValueError as exc:
         raise ConfigError(f"{exc} (keys {', '.join(map(repr, keys))})") from None
     model = MobilityModel(kind=kind, domain=box, boundary=policy)
-    agents = []
-    for i in range(pop.n_agents):
-        # Stream 0 drives infection draws; agent i owns stream i + 1.
-        stream = rng_stream(seed, i + 1)
-        start = box.sample_point(stream)
-        try:
-            traj = sample_trajectory(model, start, epi.horizon_s, stream)
-        except ValueError as exc:  # a path past one of the sampler's bounds
-            names = ", ".join(map(repr, ("domain_m", *keys, "horizon_s")))
-            raise ConfigError(f"{exc} (keys {names})") from None
-        agents.append(Agent(
-            agent_id=i,
-            trajectory=traj,
-            emission_rate=pop.emission_rate_kgs,
-            breathing_rate=pop.breathing_hz,
-            infected_since=-epi.latency_s if i < pop.initial_infected else None,
-        ))
-    return agents
+    # Stream 0 drives infection draws; agent i owns stream i + 1.
+    streams = [rng_stream(seed, i + 1) for i in range(pop.n_agents)]
+    try:
+        paths = sample_population(model, epi.horizon_s, streams)
+    except ValueError as exc:  # a path past one of the sampler's bounds
+        names = ", ".join(map(repr, ("domain_m", *keys, "horizon_s")))
+        raise ConfigError(f"{exc} (keys {names})") from None
+    return [Agent(agent_id=i, trajectory=traj, emission_rate=pop.emission_rate_kgs,
+                  breathing_rate=pop.breathing_hz,
+                  infected_since=-epi.latency_s if i < pop.initial_infected else None)
+            for i, traj in enumerate(paths)]
 
 
 # Each EpidemicConfig field and its [epidemic] key.
@@ -188,19 +190,21 @@ def _cmd_epidemic(args) -> int:
         raise ConfigError(str(exc), _EPIDEMIC_KEYS.get(str(exc).split()[0])) from None
     agents = _build_population(cfg, seed, env.boundary)
     state = run_epidemic(agents, epi_cfg, env, seed)
-    rows = [f"{float(snap.time)!r},{i},{'I' if math.isfinite(since) else 'S'},{dose!r}"
-            for snap in state.snapshots
-            for i, (since, dose) in enumerate(zip(snap.infected_since.tolist(),
-                                                  snap.cumulative_dose.tolist()))]
-    write_csv(args.out, ["t", "agent_id", "state", "cumulative_dose"], rows,
-              _meta(cfg, seed=seed))
+    rows = []
+    for snap in state.snapshots:
+        t = repr(float(snap.time))
+        rows += [f"{t},{i},{'I' if math.isfinite(since) else 'S'},{dose!r}"
+                 for i, (since, dose) in enumerate(zip(snap.infected_since.tolist(),
+                                                       snap.cumulative_dose.tolist()))]
+    meta = _meta(cfg, seed=seed)
+    write_csv(args.out, ["t", "agent_id", "state", "cumulative_dose"], rows, meta)
     if args.summary:
         curve = state.infection_curve()
         write_json(args.summary, {
             "times": [t for t, _ in curve],
             "infected_count": [n for _, n in curve],
             "n_agents": len(agents),
-        }, _meta(cfg, seed=seed))
+        }, meta)
     return 0
 
 

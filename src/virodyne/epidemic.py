@@ -16,11 +16,14 @@ became contagious (infection time plus latency). This trades accuracy for
 tractability and makes a step cost linear in (susceptibles x infected x
 breath samples).
 
-All susceptibles' doses over a step are one accumulate_doses call: one
+All susceptibles' doses over a step are one batched dose call: one
 call of the static continuous-source kernel per breathing rate, over
-(susceptibles x infected x breath samples); there is no worker pool.
-State transitions are applied in agent order from one stream, so runs are
-reproducible.
+(susceptibles x infected x breath samples); there is no worker pool. The
+positions come from one mobility.KnotTable of every agent's path, built
+once per run (row i for agent i, padded to the longest path); a step reads
+every source and observer at its breath times in one lookup per breathing
+rate. State transitions are applied in agent order from one stream, so
+runs are reproducible.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from .channel import Environment, unit_continuous_kernel
 from .core import rng_stream
 from .errors import SingularPoint
-from .mobility import Trajectory
+from .mobility import KnotTable, Trajectory
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,11 @@ def _dose_sample_times(t0: float, t1: float, breathing_rate: float) -> np.ndarra
     return np.linspace(t0, t1, n + 1)
 
 
+def _knot_table(agents: Sequence[Agent]) -> KnotTable | None:
+    """The agents' paths as one KnotTable, row i for agents[i]."""
+    return KnotTable([a.trajectory for a in agents]) if agents else None
+
+
 def accumulate_doses(observers: Sequence[Agent],
                      infected_set: Iterable[tuple[Agent, float]],
                      env: Environment, t0: float, t1: float) -> np.ndarray:
@@ -118,31 +126,44 @@ def accumulate_doses(observers: Sequence[Agent],
 
     infected_set pairs each contagious agent with its emission start time.
     An agent still inside its latency window adds nothing, as the kernel is
-    0 for tau <= 0. One unit_continuous_kernel call per breathing rate over
-    (observers x infected x breath samples), then the trapezoid rule per
-    observer over its breathing sample times.
+    0 for tau <= 0. The agents' paths are read from one knot table.
     """
+    infected = list(infected_set)
+    agents = [*observers, *(other for other, _ in infected)]
+    return _doses(_knot_table(agents), agents, np.arange(len(observers)),
+                  [(len(observers) + j, em) for j, (_, em) in enumerate(infected)],
+                  env, t0, t1)
+
+
+def _doses(table: KnotTable | None, agents: Sequence[Agent], observed: np.ndarray,
+           infected: Sequence[tuple[int, float]], env: Environment, t0: float,
+           t1: float) -> np.ndarray:
+    """accumulate_doses over table rows: agents[i] is the agent of row i,
+    observed the observers' rows and infected (row, emission start) pairs.
+    Per breathing rate, one table lookup reads every source and observer at
+    the breath times, then one unit_continuous_kernel call runs over
+    (observers x infected x breath samples), and the trapezoid rule gives
+    each observer's dose."""
     if t1 <= t0:
         raise ValueError("need t1 > t0")
-    out = np.zeros(len(observers))
-    infected = list(infected_set)
-    if not (infected and observers):
+    out = np.zeros(len(observed))
+    if not (infected and len(observed)):
         return out
-    rates = np.array([other.emission_rate for other, _ in infected])
+    sources = np.array([row for row, _ in infected])
+    rates = np.array([agents[row].emission_rate for row in sources.tolist()])
     starts = np.array([max(0.0, em) for _, em in infected])
-    breathing = np.array([agent.breathing_rate for agent in observers])
+    breathing = np.array([agents[row].breathing_rate for row in observed.tolist()])
     for rate in dict.fromkeys(breathing.tolist()):
         rows = np.flatnonzero(breathing == rate)
         ts = _dose_sample_times(t0, t1, rate)
-        sources = np.concatenate([other.trajectory.points_at(ts) for other, _ in infected])
-        observed = np.stack([observers[j].trajectory.points_at(ts) for j in rows])
+        at = table.points_at(ts, np.concatenate([sources, observed[rows]]))
         kern = unit_continuous_kernel(
-            env, np.tile(sources, (rows.size, 1)),
-            np.repeat(observed, len(infected), axis=0).reshape(-1, 3),
+            env, np.tile(at[:sources.size].reshape(-1, 3), (rows.size, 1)),
+            np.repeat(at[sources.size:], sources.size, axis=0).reshape(-1, 3),
             np.tile((ts[None, :] - starts[:, None]).ravel(), rows.size))
         if np.isinf(kern).any():
             raise SingularPoint("continuous-source field diverges at the source position")
-        conc = (rates[:, None] * kern.reshape(rows.size, len(infected), ts.size)).sum(axis=1)
+        conc = (rates[:, None] * kern.reshape(rows.size, sources.size, ts.size)).sum(axis=1)
         out[rows] = np.trapezoid(conc, ts, axis=1)
     return out
 
@@ -153,8 +174,10 @@ def step(
     config: EpidemicConfig,
     env: Environment,
     stream: np.random.Generator,
+    table: KnotTable | None = None,
 ) -> EpidemicSnapshot:
-    """Advance one coherence window, cut at the horizon; returns the next snapshot."""
+    """Advance one coherence window, cut at the horizon; returns the next
+    snapshot. table is the agents' KnotTable, built here when not given."""
     t0 = snapshot.time
     t1 = t0 + config.step
     if config.horizon - t1 < 1e-9 * config.step:  # the last step, whole or short
@@ -162,19 +185,18 @@ def step(
     since = snapshot.infected_since.copy()
     dose = snapshot.cumulative_dose.copy()
 
-    infected_set = [
-        (agents[i], float(since[i]) + config.latency)
-        for i in snapshot.infected_ids()
-    ]
-    susceptible = np.flatnonzero(~np.isfinite(since)).tolist()
+    infected = [(i, float(since[i]) + config.latency)
+                for i in snapshot.infected_ids().tolist()]
+    susceptible = np.flatnonzero(~np.isfinite(since))
 
+    if table is None:
+        table = _knot_table(agents)
     increments = np.zeros(len(agents))
-    increments[susceptible] = accumulate_doses([agents[i] for i in susceptible],
-                                               infected_set, env, t0, t1)
+    increments[susceptible] = _doses(table, agents, susceptible, infected, env, t0, t1)
 
     # Transitions: one uniform draw per susceptible, in agent order.
     k = config.dose_coefficient
-    for i, u in zip(susceptible, stream.uniform(size=len(susceptible)).tolist()):
+    for i, u in zip(susceptible.tolist(), stream.uniform(size=susceptible.size).tolist()):
         if u < -math.expm1(-k * increments[i]):
             since[i] = t1
     dose += increments
@@ -199,7 +221,8 @@ def run(
                             cumulative_dose=np.zeros(n))
     state.snapshots.append(snap)
     stream = rng_stream(seed, 0)
+    table = _knot_table(agents)
     while snap.time < config.horizon:
-        snap = step(snap, agents, config, env, stream)
+        snap = step(snap, agents, config, env, stream, table)
         state.snapshots.append(snap)
     return state

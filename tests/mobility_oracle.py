@@ -5,6 +5,12 @@ endpoint into the box, and one sampler per model. Kept as the reference the
 leg sampler in `virodyne.mobility` is checked against: identical arrays for
 waypoint paths and for every model under WRAP_TO_WAYPOINT, and the same
 knots to 1e-9 m for reflected direction, scripted and walk paths.
+
+`leg_waypoint` is the waypoint sampler of the leg rule, before waypoint
+populations became arrays: one round at a time from scalar draws, each of
+its legs laid by `mobility._leg`. It is the reference for a round whose
+rounded line meets a wall, which the reference samplers above never fold
+or cut, and for the message and agent of the leg-count refusal.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import math
 
 import numpy as np
 
+from virodyne import mobility
 from virodyne.core import as_position
 from virodyne.errors import OutOfDomain
 from virodyne.mobility import (
@@ -26,6 +33,7 @@ from virodyne.mobility import (
     Scripted,
     Trajectory,
     _fold,
+    _leg,
     _unit_direction,
 )
 
@@ -202,3 +210,34 @@ def sample_trajectory(
     if isinstance(kind, Scripted):
         return _sample_scripted(model, kind, p0, horizon, stream)
     raise TypeError(f"unknown mobility kind: {kind!r}")
+
+
+def leg_waypoint(model: MobilityModel, start, horizon: float,
+                 stream: np.random.Generator) -> Trajectory:
+    """A waypoint path from scalar draws: per round a target, a speed, a
+    travel leg unless the target lies within _EPS, then a pause leg, each
+    cut at the horizon and laid by `_leg`; refused past `_MAX_LEGS` legs."""
+    kind = model.kind
+    times, points = [0.0], [as_position(start).as_array().tolist()]
+    legs = 0
+    while times[-1] < horizon - _EPS:
+        target = model.domain.sample_point(stream)
+        speed = stream.uniform(kind.speed_min, kind.speed_max)
+        d = target - points[-1]
+        dist = float(np.linalg.norm(d))
+        rounds = [((0.0, 0.0, 0.0), kind.pause)]
+        if dist >= _EPS:
+            travel = dist / speed
+            rounds.insert(0, ((d / travel).tolist(), travel))
+        for v, duration in rounds:
+            if times[-1] >= horizon - _EPS:
+                break
+            _leg(times, points, v, min(duration, horizon - times[-1]), False, model)
+            legs += 1
+        if legs > mobility._MAX_LEGS:
+            raise ValueError(
+                f"a path at up to {model.max_speed:g} m/s takes more than "
+                f"{mobility._MAX_LEGS} legs by {times[-1]:g} s of {horizon:g} s; "
+                "shorten the horizon, lengthen the legs or pauses, slow the agent "
+                "or enlarge the domain")
+    return Trajectory(np.array(times), np.array(points))

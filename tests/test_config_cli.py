@@ -628,6 +628,15 @@ class TestCli:
 
 
 class TestFileIo:
+    def test_field_coordinates_render_as_repr(self):
+        # One repr per distinct value, placed back by index: the same text
+        # as repr of every value, signed zeros included.
+        from virodyne.cli import _reprs
+        values = np.array([0.1 + 0.2, -0.0, 0.0, 1e-300, 0.3, -0.0, 5.0, 0.1 + 0.2, 2.5e17])
+        assert _reprs(values) == [repr(v) for v in values.tolist()]
+        column = np.arange(12.0).reshape(4, 3)[:, 1]  # a strided column
+        assert _reprs(column) == [repr(v) for v in column.tolist()]
+
     def test_trajectory_csv_non_numeric_names_row(self, tmp_path):
         from virodyne.errors import ConfigError
         from virodyne.fileio import read_readings_csv

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import epidemic_oracle
+from virodyne import epidemic
 from virodyne.channel import Environment, RectangularDuctReflecting
 from virodyne.epidemic import (
     Agent,
@@ -17,6 +19,7 @@ from virodyne.epidemic import (
 from virodyne.core import rng_stream
 from virodyne.mobility import (
     Box,
+    KnotTable,
     MobilityModel,
     RandomWaypoint,
     Trajectory,
@@ -275,6 +278,22 @@ class TestBatchedStepOracle:
             assert np.array_equal(got.cumulative_dose, snap.cumulative_dose)
         first, last = state.snapshots[1], state.snapshots[-1]
         assert first.infected_count < last.infected_count
+
+    def test_run_builds_one_knot_table(self):
+        # Every step of a run reads positions from the table built at its
+        # start, and matches steps that each build their own.
+        box = Box(lo=(0.0, 0.0, 0.0), hi=(12.0, 4.0, 3.0))
+        agents = self._population(5, 7, box, (1.0, 2.0))
+        cfg = EpidemicConfig(dose_coefficient=4e4, latency=5.0, step=5.0, horizon=40.0)
+        env = Environment(diffusivity=2.0)
+        with mock.patch.object(epidemic, "KnotTable", wraps=KnotTable) as built:
+            state = run(agents, cfg, env, seed=2)
+        assert built.call_count == 1
+        snap, stream = state.snapshots[0], rng_stream(2, 0)
+        for got in state.snapshots[1:]:
+            snap = step(snap, agents, cfg, env, stream)
+            assert np.array_equal(got.infected_since, snap.infected_since, equal_nan=True)
+            assert got.cumulative_dose.tobytes() == snap.cumulative_dose.tobytes()
 
     def test_accumulate_dose_equals_oracle(self):
         env = Environment(diffusivity=3.0, wind=(0.2, 0.0, 0.0),

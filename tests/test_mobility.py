@@ -11,6 +11,7 @@ from virodyne.errors import OutOfDomain
 from virodyne.mobility import (
     BoundaryPolicy,
     Box,
+    KnotTable,
     MobilityModel,
     RandomDirection,
     RandomWalk,
@@ -19,11 +20,13 @@ from virodyne.mobility import (
     Trajectory,
     _fold,
     _unit_direction,
+    sample_population,
     sample_trajectory,
 )
 
 BIG_BOX = Box(lo=(-1e6, -1e6, -1e6), hi=(1e6, 1e6, 1e6))
 ROOM = Box(lo=(0, 0, 0), hi=(20, 15, 3))
+HALL = Box(lo=(0, 0, 0), hi=(80, 30, 3))
 
 
 def _all_models():
@@ -280,3 +283,147 @@ class TestLegRule:
             sample_trajectory(model, (5, 5, 1), 50.0, rng_stream(0, 1))
         assert bounded.times.tobytes() == free.times.tobytes()
         assert bounded.points.tobytes() == free.points.tobytes()
+
+
+class _Draws:
+    """A stream of given uniforms: random(n) takes the next n of them, and
+    uniform(lo, hi) maps them as Generator.uniform does."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, n):
+        taken, self.values = self.values[:n], self.values[n:]
+        return np.array(taken)
+
+    def uniform(self, lo, hi):
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        u = self.random(lo.size)
+        return lo + (hi - lo) * (u if lo.ndim else u[0])
+
+
+class TestPopulation:
+    """Waypoint populations drawn as arrays, against the reference samplers
+    and the one-agent sampler."""
+
+    @pytest.mark.parametrize("box, horizon", [(ROOM, 7.0), (HALL, 600.0)],
+                             ids=["room-7s", "hall-600s"])
+    def test_same_arrays_as_oracle_and_one_agent_sampler(self, box, horizon):
+        # The 600 s paths take about 20 rounds each, so every agent draws
+        # several blocks; the population's agents finish at different rounds.
+        kind = RandomWaypoint(speed_min=0.5, speed_max=2.0, pause=1.5)
+        models = [MobilityModel(kind, box, boundary=policy) for policy in (REFLECT, WRAP)]
+        for seed in range(200):
+            paths = [sample_population(model, horizon, [rng_stream(seed, i + 1)
+                                                         for i in range(40)])
+                     for model in models]
+            for i in range(40):
+                stream = rng_stream(seed, i + 1)
+                want = [mobility_oracle.sample_trajectory(models[0], box.sample_point(stream),
+                                                          horizon, stream)]
+                if seed < 4:  # the one-agent case of the same sampler
+                    stream = rng_stream(seed, i + 1)
+                    want.append(sample_trajectory(models[1], box.sample_point(stream),
+                                                  horizon, stream))
+                for got in (paths[0][i], paths[1][i]):
+                    for other in want:
+                        assert got.times.tobytes() == other.times.tobytes()
+                        assert got.points.tobytes() == other.points.tobytes()
+
+    def test_other_kinds_sample_agent_by_agent(self):
+        for kind in _all_models():
+            model = MobilityModel(kind, ROOM, boundary=WRAP)
+            paths = sample_population(model, 60.0, [rng_stream(5, i + 1) for i in range(6)])
+            for i, got in enumerate(paths):
+                stream = rng_stream(5, i + 1)
+                want = sample_trajectory(model, ROOM.sample_point(stream), 60.0, stream)
+                assert got.times.tobytes() == want.times.tobytes()
+                assert got.points.tobytes() == want.points.tobytes()
+        assert sample_population(model, 60.0, []) == []
+
+    @pytest.mark.parametrize("policy", [REFLECT, WRAP])
+    def test_round_to_a_wall_target_takes_the_leg_rule(self, policy):
+        # Every target has one coordinate on a wall, so rounding can carry
+        # the straight line p + v·travel to that wall before the leg ends;
+        # such a round is folded or cut by _leg as the leg sampler did.
+        model = MobilityModel(RandomWaypoint(0.5, 2.0, 1.5), ROOM, boundary=policy)
+        wall_rounds = 0
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            start = ROOM.sample_point(rng)
+            draws = rng.random((64, 4))
+            draws[np.arange(64), rng.integers(0, 3, 64)] = rng.integers(0, 2, 64)
+            with mock.patch.object(mobility, "_leg", wraps=mobility._leg) as leg:
+                got = sample_trajectory(model, start, 60.0, _Draws(draws.ravel()))
+            wall_rounds += leg.call_count
+            want = mobility_oracle.leg_waypoint(model, start, 60.0, _Draws(draws.ravel()))
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.points.tobytes() == want.points.tobytes()
+            assert (got.points >= ROOM.lo_arr - 1e-9).all()
+            assert (got.points <= ROOM.hi_arr + 1e-9).all()
+        assert wall_rounds >= 10
+
+    @pytest.mark.parametrize("box, speed, horizon, bound", [
+        (ROOM, 2.0, 300.0, 40),
+        # Rounds here travel less than _EPS or a little more, so agents
+        # pass the bound at different rounds and slightly different clocks.
+        (Box((0, 0, 0), (1.5e-9, 1.5e-9, 1.5e-9)), 0.5, 10.0, 60),
+    ], ids=["room", "near-eps-box"])
+    def test_leg_bound_refuses_the_first_agent_past_it(self, box, speed, horizon, bound):
+        # The population refuses with the message of the first agent, in
+        # agent order, whose path passes the bound, as agent-by-agent
+        # sampling did.
+        model = MobilityModel(RandomWaypoint(0.5, speed, 0.0), box)
+        for seed in range(6):
+            with mock.patch.object(mobility, "_MAX_LEGS", bound):
+                want = []
+                for i in range(10):
+                    stream = rng_stream(seed, i + 1)
+                    try:
+                        mobility_oracle.leg_waypoint(model, box.sample_point(stream),
+                                                     horizon, stream)
+                    except ValueError as exc:
+                        want.append(str(exc))
+                with pytest.raises(ValueError) as got:
+                    sample_population(model, horizon,
+                                      [rng_stream(seed, i + 1) for i in range(10)])
+            assert want and str(got.value) == want[0]
+            assert f"more than {bound} legs by " in want[0]
+
+    def test_rounds_that_take_no_time_meet_the_leg_bound(self):
+        tiny = Box((0, 0, 0), (1e-10, 1e-10, 1e-10))
+        model = MobilityModel(RandomWaypoint(0.5, 1.5, 0.0), tiny)
+        with mock.patch.object(mobility, "_MAX_LEGS", 500), \
+                pytest.raises(ValueError, match=r"more than 500 legs by 0 s of 600 s;"):
+            sample_population(model, 600.0, [rng_stream(0, i + 1) for i in range(3)])
+
+
+class TestKnotTable:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_interp_bit_for_bit(self, seed):
+        # Rows of 1 to 7 knots, padded to the longest; some coordinates are
+        # -0.0. Read at every knot time, before and after every span and
+        # inside, in shuffled order.
+        rng = np.random.default_rng(seed)
+        paths = []
+        for size in rng.integers(1, 8, 6):
+            times = np.cumsum(rng.uniform(0.01, 5.0, size)) - rng.uniform(0, 10)
+            points = rng.normal(0, 10, (size, 3))
+            points[rng.random((size, 3)) < 0.2] = -0.0
+            paths.append(Trajectory(times, points))
+        knots = np.concatenate([p.times for p in paths])
+        ts = np.concatenate([knots, knots.min() - rng.uniform(1e-12, 5, 4),
+                             knots.max() + rng.uniform(1e-12, 5, 4),
+                             rng.uniform(knots.min(), knots.max(), 30)])
+        rng.shuffle(ts)
+        table = KnotTable(paths)
+        got = table.points_at(ts)
+        assert got.shape == (len(paths), ts.size, 3)
+        for row, path in enumerate(paths):
+            want = np.column_stack([np.interp(ts, path.times, path.points[:, k])
+                                    for k in range(3)])
+            assert got[row].tobytes() == want.tobytes()
+            assert path.points_at(ts).tobytes() == want.tobytes()
+        rows = [4, 0, 4, 2]
+        assert table.points_at(ts, rows).tobytes() == got[rows].tobytes()
