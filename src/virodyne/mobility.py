@@ -8,28 +8,29 @@ padded into one table, at a batch of times, and Trajectory.points_at is its
 one-row case. Channel, fdpde and epidemic read positions from it
 (channel's closed form restates the rule piece by piece).
 
-Every model moves in constant-velocity legs, each a velocity v, a duration
-T and whether a leg cut short at a wall is waited out there, and one
-routine, `_leg`, lays a leg into the box.
+Every model moves in rounds of constant-velocity legs, each a velocity v,
+a duration T and whether a leg cut short at a wall is waited out there.
+One sampler, `_paths`, advances a whole population one round at a time as
+arrays; `sample_trajectory` is its one-agent case. A model kind gives it
+its draws for a block of rounds from each agent's own stream (`_block`)
+and the legs of one round as arrays over the agents (`_legs`):
 
 * random walk: u·step_len/step_dt for one step_dt, u a uniform 3-D
   direction; held at a wall under WRAP_TO_WAYPOINT;
-* random waypoint: rounds of a travel leg to a uniformly drawn target at a
-  uniform speed, then a pause leg with v = 0. `_waypoint_paths` advances a
-  whole population one round at a time as arrays; a round never meets a
-  wall, unless rounding carries its line onto one, and that round takes
-  `_leg` for its agent;
+* random waypoint: a travel leg to a uniformly drawn target at a uniform
+  speed, unless the target lies within _EPS, then a pause leg with v = 0;
 * random direction: u·speed for one epoch; under WRAP_TO_WAYPOINT a new
   heading starts at the wall at once;
-* scripted: its fixed velocity until the horizon (useful for replaying a
+* scripted: its fixed velocity until the horizon, no draws (to replay a
   prescribed walk-past scenario); held at a wall under WRAP_TO_WAYPOINT.
 
-The straight line p + v·s of a leg meets the walls of axis k at
-s = first_k + j·width_k/|v_k|, j = 0, 1, ..., found in closed form. Under
-REFLECT the path is that line folded into the box by `_fold`, with a knot
-at every crossing; under WRAP_TO_WAYPOINT the leg ends at the first
-crossing. A leg that crosses no wall ends exactly at p + v·T. A reflected
-leg with more than _MAX_CROSSINGS crossings raises ValueError, and so does a
+A leg whose straight line p + v·T stays in the box ends exactly there. The
+legs of a round that reach a wall are laid by `_leg`: the line meets the
+walls of axis k at s = first_k + j·width_k/|v_k|, j = 0, 1, ..., in closed
+form, and only an axis with v_k = 0 is still. Under REFLECT the path is
+that line folded into the box by `_fold`, with a knot at every crossing;
+under WRAP_TO_WAYPOINT the leg ends at the first crossing. A reflected leg
+with more than _MAX_CROSSINGS crossings raises ValueError, and so does a
 path of more than _MAX_LEGS legs: a wrapped path that keeps meeting the
 walls, or waypoint rounds in a box so small that they take no time and
 never reach the horizon. A population refuses with the first such agent
@@ -37,9 +38,9 @@ in agent order.
 
 Sampling is a pure function of (model, start, horizon, stream), so identical
 streams reproduce identical trajectories no matter how many agents are
-sampled concurrently. A sampler owns the stream it is given: the waypoint
-sampler draws a block of rounds at a time and may draw past the last round
-it uses, so nothing else should read that stream afterwards.
+sampled concurrently. A sampler owns the stream it is given: it draws a
+block of rounds at a time and may draw past the last round it uses, so
+nothing else should read that stream afterwards.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .errors import OutOfDomain
 _EPS = 1e-9
 _MAX_CROSSINGS = 100_000  # wall crossings of one reflected leg
 _MAX_LEGS = 100_000  # legs of one path, each wall hit of a wrapped path included
-_ROUND_BLOCK = 4  # waypoint rounds drawn at a time from each agent's stream
+_ROUND_BLOCK = 8  # rounds drawn at a time from each agent's stream
 _CONTAINS_TOL = 1e-7  # m, slack of Box.contains at the walls
 
 
@@ -102,12 +103,23 @@ class BoundaryPolicy(enum.Enum):
     WRAP_TO_WAYPOINT = "wrap_to_waypoint"
 
 
-# Walk, direction and scripted motion draw one leg at a time: `_next_leg(stream)`
-# gives (velocity, duration, whether a leg cut short at a wall is waited out
-# there). Waypoint rounds are sampled for a whole population by _waypoint_paths.
+class _Heading:
+    """A kind whose round is one leg along an isotropic unit direction: a Gaussian
+    triple over its norm, a triple of norm at most 1e-12 skipped for the next."""
+
+    def _block(self, streams, head: int, box: Box) -> np.ndarray:
+        u = np.array([s.random(head) for s in streams])
+        z = np.array([s.normal(size=(_ROUND_BLOCK, 3)) for s in streams])
+        for i in np.flatnonzero((_norms(z) <= 1e-12).any(axis=1)).tolist():
+            kept = [w for w in z[i] if _norms(w) > 1e-12]
+            while len(kept) < _ROUND_BLOCK:
+                kept += [w for w in [streams[i].normal(size=3)] if _norms(w) > 1e-12]
+            z[i] = kept
+        return np.concatenate([u, (z / _norms(z)[..., None]).reshape(len(u), -1)], axis=1)
+
 
 @dataclass(frozen=True)
-class RandomWalk:
+class RandomWalk(_Heading):
     step_len: float   # m
     step_dt: float    # s
 
@@ -119,9 +131,8 @@ class RandomWalk:
     def max_speed(self) -> float:
         return self.step_len / self.step_dt
 
-    def _next_leg(self, stream: np.random.Generator) -> tuple:
-        v = _unit_direction(stream) * self.step_len / self.step_dt
-        return v.tolist(), self.step_dt, True
+    def _legs(self, u: np.ndarray, p: np.ndarray) -> list:
+        return [(u * self.step_len / self.step_dt, np.full(len(u), self.step_dt), True, None)]
 
 
 @dataclass(frozen=True)
@@ -140,9 +151,26 @@ class RandomWaypoint:
     def max_speed(self) -> float:
         return self.speed_max
 
+    def _block(self, streams, head: int, box: Box) -> np.ndarray:
+        # per round a target, then a speed, each lo + (hi - lo)·u as in Generator.uniform
+        u = np.array([s.random(head + 4 * _ROUND_BLOCK) for s in streams])
+        rounds = u[:, head:].reshape(len(u), _ROUND_BLOCK, 4)
+        rounds[..., :3] = box.lo_arr + (box.hi_arr - box.lo_arr) * rounds[..., :3]
+        rounds[..., 3] = self.speed_min + (self.speed_max - self.speed_min) * rounds[..., 3]
+        return u
+
+    def _legs(self, r: np.ndarray, p: np.ndarray) -> list:
+        d = r[:, :3] - p
+        dist = _norms(d)
+        go = dist >= _EPS
+        travel = dist / r[:, 3]
+        v = d / np.where(go, travel, 1.0)[:, None]
+        return [(v, travel, False, go),
+                (np.zeros_like(p), np.full(len(p), self.pause), False, None)]
+
 
 @dataclass(frozen=True)
-class RandomDirection:
+class RandomDirection(_Heading):
     speed: float  # m/s
     epoch: float  # s, duration a heading is held
 
@@ -154,8 +182,8 @@ class RandomDirection:
     def max_speed(self) -> float:
         return self.speed
 
-    def _next_leg(self, stream: np.random.Generator) -> tuple:
-        return (_unit_direction(stream) * self.speed).tolist(), self.epoch, False
+    def _legs(self, u: np.ndarray, p: np.ndarray) -> list:
+        return [(u * self.speed, np.full(len(u), self.epoch), False, None)]
 
 
 @dataclass(frozen=True)
@@ -174,8 +202,11 @@ class Scripted:
     def max_speed(self) -> float:
         return float(np.linalg.norm(self.velocity))
 
-    def _next_leg(self, stream: np.random.Generator) -> tuple:
-        return self.velocity, math.inf, True
+    def _block(self, streams, head: int, box: Box) -> np.ndarray:
+        return np.array([s.random(head) for s in streams])
+
+    def _legs(self, u: np.ndarray, p: np.ndarray) -> list:
+        return [(np.broadcast_to(self.velocity, p.shape), np.full(len(p), math.inf), True, None)]
 
 
 ModelKind = Union[RandomWalk, RandomWaypoint, RandomDirection, Scripted]
@@ -208,7 +239,7 @@ class Trajectory:
             raise ValueError("trajectory needs at least one knot")
         if not np.isfinite(times).all() or not np.isfinite(points).all():
             raise ValueError("trajectory knots must be finite")
-        if times.size > 1 and not (np.diff(times) > 0).all():
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("knot times must be strictly increasing")
         times.setflags(write=False)
         points.setflags(write=False)
@@ -306,13 +337,9 @@ class KnotTable:
         return out
 
 
-def _unit_direction(stream: np.random.Generator) -> np.ndarray:
-    # Isotropic direction via normalized Gaussian vector.
-    while True:
-        v = stream.normal(size=3)
-        n = np.linalg.norm(v)
-        if n > 1e-12:
-            return v / n
+def _norms(d: np.ndarray) -> np.ndarray:
+    """|d| over the last axis as np.linalg.norm forms it, a BLAS dot per row."""
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
 def _fold(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -332,191 +359,163 @@ def _append(times: list, points: list, t: float, x) -> None:
         points.append(x)
 
 
-def _leg(times: list, points: list, v, duration: float, hold: bool,
-         model: MobilityModel) -> None:
-    """Append the knots of one leg: velocity v for `duration` seconds from
-    the last knot, laid into the box by the model's boundary policy."""
-    t0, p = times[-1], points[-1]
-    lo, hi = model.domain.lo, model.domain.hi
-    firsts, gaps = [], []  # per moving axis: first wall crossing, then its period
-    for k in range(3):
-        if abs(v[k]) > _EPS:
-            firsts.append(max(((hi[k] if v[k] > 0 else lo[k]) - p[k]) / v[k], 0.0))
-            gaps.append((hi[k] - lo[k]) / abs(v[k]))
-    s = min(firsts, default=math.inf)
-    if s >= duration:
-        _append(times, points, t0 + duration,
-                (p[0] + v[0] * duration, p[1] + v[1] * duration, p[2] + v[2] * duration))
-        return
+def _leg(t0: np.ndarray, p: np.ndarray, v: np.ndarray, dur: np.ndarray, first: np.ndarray,
+         hold: bool, model: MobilityModel) -> tuple:
+    """Lay legs whose straight line reaches a wall before they end: leg i at
+    velocity v[i] for dur[i] seconds from the knot (t0[i], p[i]), meeting
+    the walls of axis k first at first[i, k], into the box by the model's
+    boundary policy. Returns the knots as a list of (leg, time, point, new)
+    arrays, in order for each leg, new False where _append lets a knot
+    replace the point of the one before, whose time it then takes; each
+    leg's last knot (times, points); and {leg: ValueError} for the
+    reflected legs refused, which lay no knot."""
+    lo, hi = model.domain.lo_arr, model.domain.hi_arr
+    legs = np.arange(len(v))
     if model.boundary is BoundaryPolicy.WRAP_TO_WAYPOINT:
-        x = tuple(min(max(p[k] + v[k] * s, lo[k]), hi[k]) for k in range(3))
-        _append(times, points, t0 + s, x)
+        s = first[:, 0]  # the first crossing, as Python's min takes it in axis order
+        for k in (1, 2):
+            s = np.where(first[:, k] < s, first[:, k], s)
+        x = p + v * s[:, None]
+        x = np.where(lo > x, lo, x)  # Python's min(max(x, lo), hi)
+        x = np.where(hi < x, hi, x)
+        new = t0 + s > t0 + _EPS
+        knots = [(legs, np.where(new, t0 + s, t0), x, new)]
         if hold:
-            _append(times, points, t0 + duration, x)
-        return
-    counts = [max(0, math.ceil((duration - f) / g)) for f, g in zip(firsts, gaps)]
-    if sum(counts) > _MAX_CROSSINGS:
-        raise ValueError(
-            f"a {duration:g} s leg at {math.hypot(*v):g} m/s crosses the walls "
-            f"{sum(counts)} times, more than {_MAX_CROSSINGS}; shorten the leg, "
-            "slow the agent or enlarge the domain")
-    crossings = sorted(f + j * g for f, g, n in zip(firsts, gaps, counts)
-                       for j in range(n))
-    crossings.append(duration)
-    folded = _fold(np.asarray(p) + np.outer(crossings, v),
-                   model.domain.lo_arr, model.domain.hi_arr)
-    for s, x in zip(crossings, folded.tolist()):
-        _append(times, points, t0 + s, x)
+            new = t0 + dur > knots[0][1] + _EPS
+            knots.append((legs, np.where(new, t0 + dur, knots[0][1]), x, new))
+        return knots, knots[-1][1], x, {}
+    gaps = (hi - lo) / np.where(v != 0, np.abs(v), 1.0)
+    counts = np.ceil((dur[:, None] - np.minimum(first, dur[:, None])) / gaps)
+    at, times, points, new, ends, refused = [], [], [], [], [t0.tolist(), p.tolist()], {}
+    for i, t, q, w, d, f, g, n in zip(legs.tolist(), t0.tolist(), p.tolist(), v.tolist(),
+                                      dur.tolist(), first.tolist(), gaps.tolist(), counts.tolist()):
+        n = [int(c) for c in n]
+        if sum(n) > _MAX_CROSSINGS:
+            refused[i] = ValueError(
+                f"a {d:g} s leg at {math.hypot(*w):g} m/s crosses the walls {sum(n)} times, "
+                f"more than {_MAX_CROSSINGS}; shorten the leg, slow the agent or enlarge "
+                "the domain")
+            continue
+        crossings = sorted(fk + j * gk for fk, gk, nk in zip(f, g, n) for j in range(nk))
+        crossings.append(d)
+        ts, ps = [t], [q]
+        for s, x in zip(crossings, _fold(np.asarray(q) + np.outer(crossings, w), lo, hi).tolist()):
+            _append(ts, ps, t + s, x)
+        at += [i] * len(ts)
+        times += ts
+        points += ps
+        new += [False] + [True] * (len(ts) - 1)  # the first replaces the leg's start
+        ends[0][i], ends[1][i] = ts[-1], ps[-1]
+    return ([(np.array(at, dtype=int), np.array(times), np.array(points).reshape(-1, 3),
+              np.array(new, dtype=bool))], np.array(ends[0]), np.array(ends[1]), refused)
 
 
-def _checked_horizon(horizon) -> float:
+@np.errstate(over="ignore")  # a first wall crossing that overflows is inf
+def _paths(model: MobilityModel, starts: np.ndarray | None, horizon: float,
+           streams: Sequence[np.random.Generator]) -> list[Trajectory]:
+    """One path over [0, horizon] per stream, from starts (agents, 3), or
+    from a start each draws first, mapped as Generator.uniform maps it.
+
+    Agent i draws from streams[i], a block of _ROUND_BLOCK rounds at a time
+    (`kind._block`); all agents under way advance one round at a time. A
+    round is a list of legs (`kind._legs`): velocities (agents, 3),
+    durations (agents,), whether a leg cut short at a wall is waited out
+    there, and which agents take it (None: all). Each leg is cut at the
+    horizon and kept by _append's rule, or laid by _leg if it meets a wall.
+    """
     horizon = float(horizon)
     if horizon < 0 or not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
-    return horizon
-
-
-def _too_many_legs(model: MobilityModel, t: float, horizon: float) -> ValueError:
-    return ValueError(
-        f"a path at up to {model.max_speed:g} m/s takes more than {_MAX_LEGS} "
-        f"legs by {t:g} s of {horizon:g} s; shorten the horizon, "
-        "lengthen the legs or pauses, slow the agent or enlarge the domain")
-
-
-def _waypoint_paths(model: MobilityModel, starts: np.ndarray | None, horizon: float,
-                    streams: Sequence[np.random.Generator]) -> list[Trajectory]:
-    """Random-waypoint paths, one per stream, from starts (agents, 3), or
-    from a start each draws first when starts is None.
-
-    Agent i's uniforms come from streams[i] in blocks of _ROUND_BLOCK
-    rounds, four per round: the target's three coordinates, then the
-    speed, each lo + (hi - lo)·u as Generator.uniform computes it. All
-    agents then advance one round at a time as arrays: a travel leg to the
-    target unless it lies within _EPS, then a pause leg, each cut at the
-    horizon and kept by _append's rule. A travel leg whose rounded line
-    meets a wall before its end takes _leg instead, as a single agent.
-    """
     kind, box, n = model.kind, model.domain, len(streams)
+    if not n:
+        return []
     lo, hi = box.lo_arr, box.hi_arr
-
-    def rounds(u):
-        """Targets and speeds of the rounds of a block of uniforms."""
-        u = u.reshape(len(u), _ROUND_BLOCK, 4)
-        return (lo + (hi - lo) * u[..., :3],
-                kind.speed_min + (kind.speed_max - kind.speed_min) * u[..., 3])
-
     head = 3 if starts is None else 0
-    u = np.stack([s.random(head + 4 * _ROUND_BLOCK) for s in streams])
+    u = kind._block(streams, head, box)
     p = lo + (hi - lo) * u[:, :3] if starts is None else np.array(starts, dtype=float)
-    targets, speeds = rounds(u[:, head:])
-    # One row per agent still under way: its agent, its last knot (t, p)
-    # and where it is kept, its legs so far and its kept knots.
-    agent, t = np.arange(n), np.zeros(n)
-    last, legs = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    store_t, store_p = np.zeros((n, 8)), np.repeat(p[:, None], 8, axis=1)
-    paths: list = [None] * n
-    failed: dict[int, float] = {}  # agent -> its clock when it passed _MAX_LEGS
-
-    def knot(rows, times, points):
-        """Keep knots as _append does: one within _EPS of the row's last
-        knot replaces that knot's point."""
-        nonlocal store_t, store_p
-        new = times > t[rows] + _EPS
-        t[rows] = times = np.where(new, times, t[rows])
-        p[rows] = points
-        last[rows] = at = last[rows] + new
-        if at.size and at.max() == store_t.shape[1]:
-            store_t = np.concatenate([store_t, np.empty_like(store_t)], axis=1)
-            store_p = np.concatenate([store_p, np.empty_like(store_p)], axis=1)
-        store_t[rows, at], store_p[rows, at] = times, points
+    draws = u[:, head:].reshape(n, _ROUND_BLOCK, -1)
+    # One row per agent under way: its agent, last knot (t, p) and legs so far.
+    agent, t, legs = np.arange(n), np.zeros(n), np.zeros(n, dtype=int)
+    # The knots as they are laid: agents, times, points, and whether each is
+    # a new knot or replaces the point of its agent's last knot.
+    log = [(agent, t.copy(), p.copy(), np.ones(n, dtype=bool))]
+    failed: dict[int, ValueError] = {}  # agent -> why its path is refused
 
     r = 0  # rounds done
     while True:
         stop = (legs > _MAX_LEGS) | (t >= horizon - _EPS)
-        if stop.any():
-            for row in np.flatnonzero(stop).tolist():
-                if legs[row] > _MAX_LEGS:
-                    failed[int(agent[row])] = float(t[row])
-                else:
-                    c = last[row] + 1
-                    paths[agent[row]] = Trajectory(store_t[row, :c].copy(),
-                                                   store_p[row, :c].copy())
+        if stop.any() or failed:
+            for row in np.flatnonzero(legs > _MAX_LEGS).tolist():
+                failed.setdefault(int(agent[row]), ValueError(
+                    f"a path at up to {model.max_speed:g} m/s takes more than {_MAX_LEGS} "
+                    f"legs by {t[row]:g} s of {horizon:g} s; shorten the horizon, "
+                    "lengthen the legs or pauses, slow the agent or enlarge the domain"))
             keep = ~stop
             if failed:  # only an agent before the first refused one can still fail first
                 keep &= agent < min(failed)
-            agent, t, p, last, legs, targets, speeds, store_t, store_p = (
-                a[keep] for a in (agent, t, p, last, legs, targets, speeds, store_t, store_p))
+            agent, t, p, legs, draws = (a[keep] for a in (agent, t, p, legs, draws))
             if not agent.size:
                 break
         k = r % _ROUND_BLOCK
         if k == 0 and r:
-            targets, speeds = rounds(np.stack([streams[i].random(4 * _ROUND_BLOCK)
-                                               for i in agent.tolist()]))
-        d = targets[:, k] - p
-        # |d| as np.linalg.norm forms it, a BLAS dot per agent
-        dist = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
-        go = np.flatnonzero(dist >= _EPS)
-        if go.size:
-            travel = dist[go] / speeds[go, k]
-            v = d[go] / travel[:, None]
-            dur = np.minimum(travel, horizon - t[go])
-            # _leg's first wall crossing along each moving axis
-            moving = np.abs(v) > _EPS
-            reach = (np.where(v > 0, hi, lo) - p[go]) / np.where(moving, v, 1.0)
-            inside = np.where(moving, np.maximum(reach, 0.0), np.inf).min(axis=1) >= dur
-            rows = go[inside]
-            knot(rows, t[rows] + dur[inside], p[rows] + v[inside] * dur[inside, None])
-            for j in np.flatnonzero(~inside).tolist():
-                row = go[j:j + 1]
-                times, points = [float(t[row[0]])], [p[row[0]].tolist()]
-                _leg(times, points, v[j].tolist(), float(dur[j]), False, model)
-                for tk, pk in zip(times, points):  # the first merges into the last knot
-                    knot(row, np.array([tk]), np.array([pk], dtype=float))
-            legs[go] += 1
-        rest = np.flatnonzero(t < horizon - _EPS)
-        dur = np.minimum(kind.pause, horizon - t[rest])
-        # a pause is a leg at v = 0, whose end _leg forms as p + 0·dur
-        knot(rest, t[rest] + dur, p[rest] + 0.0 * dur[:, None])
-        legs[rest] += 1
+            draws = kind._block([streams[i] for i in agent.tolist()], 0, box).reshape(
+                len(agent), _ROUND_BLOCK, -1)
+        for v, dur, hold, mask in kind._legs(draws[:, k], p):
+            under = t < horizon - _EPS
+            rows = (under if mask is None else under & mask).nonzero()[0]
+            if not rows.size:
+                continue
+            v, dur = v[rows], np.minimum(dur[rows], horizon - t[rows])
+            legs[rows] += 1
+            moving = v != 0
+            if moving.any():
+                # the first wall crossing along each axis, as Python's max(first,
+                # 0.0); a still axis meets no wall, nor does one whose first
+                # crossing overflows to inf (a subnormal v_k)
+                first = (np.where(v > 0, hi, lo) - p[rows]) / np.where(moving, v, 1.0)
+                first = np.where(moving, np.where(0.0 > first, 0.0, first), np.inf)
+                inside = first.min(axis=1) >= dur
+                if not inside.all():  # _leg lays the legs that reach a wall
+                    wall = ~inside
+                    out = rows[wall]
+                    knots, t[out], p[out], refused = _leg(
+                        t[out], p[out], v[wall], dur[wall], first[wall], hold, model)
+                    failed.update({int(agent[out[i]]): exc for i, exc in refused.items()})
+                    log += [(agent[out[at]], times, points, new)
+                            for at, times, points, new in knots]
+                    rows, v, dur = rows[inside], v[inside], dur[inside]
+            if rows.size:  # the leg's end, kept by _append's rule
+                t0, points = t[rows], p[rows] + v * dur[:, None]
+                times = t0 + dur
+                new = times > t0 + _EPS
+                t[rows], p[rows] = np.where(new, times, t0), points
+                log.append((agent[rows], times, points, new))
         r += 1
     if failed:
-        i = min(failed)
-        raise _too_many_legs(model, failed[i], horizon)
-    return paths
+        raise failed[min(failed)]
+    # Each knot takes the time of its first record and the point of its last.
+    agents, times, points, new = (np.concatenate(c) for c in zip(*log))
+    order = np.argsort(agents, kind="stable")
+    new = new[order]
+    knots = np.flatnonzero(new)
+    times, points = times[order[knots]], points[order[np.append(knots[1:], len(new)) - 1]]
+    ends = np.cumsum(np.bincount(agents[order[knots]], minlength=n)).tolist()
+    return [Trajectory(times[i:j], points[i:j]) for i, j in zip([0] + ends, ends)]
 
 
 def sample_population(model: MobilityModel, horizon: float,
                       streams: Sequence[np.random.Generator]) -> list[Trajectory]:
     """One trajectory over [0, horizon] seconds per stream: each agent
     starts at a point drawn uniformly in the box from its own stream, then
-    moves on that stream. Waypoint populations are drawn as arrays."""
-    horizon = _checked_horizon(horizon)
-    if isinstance(model.kind, RandomWaypoint) and streams:
-        return _waypoint_paths(model, None, horizon, streams)
-    return [sample_trajectory(model, model.domain.sample_point(s), horizon, s)
-            for s in streams]
+    moves on that stream."""
+    return _paths(model, None, horizon, streams)
 
 
-def sample_trajectory(
-    model: MobilityModel,
-    start,
-    horizon: float,
-    stream: np.random.Generator,
-) -> Trajectory:
-    """Draw one trajectory over [0, horizon] seconds from the given stream.
-    A waypoint path is the one-agent case of _waypoint_paths."""
+def sample_trajectory(model: MobilityModel, start, horizon: float,
+                      stream: np.random.Generator) -> Trajectory:
+    """Draw one trajectory over [0, horizon] seconds from the given stream:
+    the one-agent case of _paths."""
     p0 = as_position(start).as_array()
     if not model.domain.contains(p0):
         raise OutOfDomain(f"start {tuple(p0)} outside domain {model.domain}")
-    horizon = _checked_horizon(horizon)
-    if isinstance(model.kind, RandomWaypoint):
-        return _waypoint_paths(model, p0[None, :], horizon, [stream])[0]
-    times, points = [0.0], [p0.tolist()]
-    legs = 0
-    while times[-1] < horizon - _EPS:
-        v, duration, hold = model.kind._next_leg(stream)
-        _leg(times, points, v, min(duration, horizon - times[-1]), hold, model)
-        legs += 1
-        if legs > _MAX_LEGS:
-            raise _too_many_legs(model, times[-1], horizon)
-    return Trajectory(np.array(times), np.array(points))
+    return _paths(model, p0[None, :], horizon, [stream])[0]

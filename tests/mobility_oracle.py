@@ -6,11 +6,14 @@ leg sampler in `virodyne.mobility` is checked against: identical arrays for
 waypoint paths and for every model under WRAP_TO_WAYPOINT, and the same
 knots to 1e-9 m for reflected direction, scripted and walk paths.
 
-`leg_waypoint` is the waypoint sampler of the leg rule, before waypoint
-populations became arrays: one round at a time from scalar draws, each of
-its legs laid by `mobility._leg`. It is the reference for a round whose
-rounded line meets a wall, which the reference samplers above never fold
-or cut, and for the message and agent of the leg-count refusal.
+`leg_waypoint` and `leg_sampler` are the samplers of the leg rule, before
+populations became arrays: one round or leg at a time from scalar draws,
+each leg laid by `_leg`, the wall rule one leg at a time. `leg_waypoint`
+is the reference for a waypoint round whose rounded line meets a wall,
+which the reference samplers above never fold or cut, and for the message
+and agent of the leg-count refusal. `leg_sampler` is the reference for
+walk, direction and scripted paths: the same arrays, reflected or wrapped,
+the same skipped near-zero Gaussian triple and the same refusals.
 """
 
 from __future__ import annotations
@@ -33,9 +36,67 @@ from virodyne.mobility import (
     Scripted,
     Trajectory,
     _fold,
-    _leg,
-    _unit_direction,
 )
+
+
+def _append(times: list, points: list, t: float, x) -> None:
+    """Add a knot; one within _EPS of the last knot's time replaces its point."""
+    if t <= times[-1] + _EPS:
+        points[-1] = x
+    else:
+        times.append(t)
+        points.append(x)
+
+
+def _leg(times: list, points: list, v, duration: float, hold: bool,
+         model: MobilityModel) -> None:
+    """Append the knots of one leg: velocity v for `duration` seconds from
+    the last knot, laid into the box by the model's boundary policy. The
+    wall rule one leg at a time, as `mobility._leg` applies it to arrays
+    of legs."""
+    t0, p = times[-1], points[-1]
+    lo, hi = model.domain.lo, model.domain.hi
+    firsts, gaps = [], []  # per moving axis: first wall crossing, then its period
+    for k in range(3):
+        # an axis moves unless v_k is zero; a first crossing that overflows
+        # to inf (a subnormal v_k) never comes
+        first = ((hi[k] if v[k] > 0 else lo[k]) - p[k]) / v[k] if v[k] else math.inf
+        if first < math.inf:
+            firsts.append(max(first, 0.0))
+            gaps.append((hi[k] - lo[k]) / abs(v[k]))
+    s = min(firsts, default=math.inf)
+    if s >= duration:
+        _append(times, points, t0 + duration,
+                (p[0] + v[0] * duration, p[1] + v[1] * duration, p[2] + v[2] * duration))
+        return
+    if model.boundary is BoundaryPolicy.WRAP_TO_WAYPOINT:
+        x = tuple(min(max(p[k] + v[k] * s, lo[k]), hi[k]) for k in range(3))
+        _append(times, points, t0 + s, x)
+        if hold:
+            _append(times, points, t0 + duration, x)
+        return
+    counts = [max(0, math.ceil((duration - f) / g)) for f, g in zip(firsts, gaps)]
+    if sum(counts) > mobility._MAX_CROSSINGS:
+        raise ValueError(
+            f"a {duration:g} s leg at {math.hypot(*v):g} m/s crosses the walls "
+            f"{sum(counts)} times, more than {mobility._MAX_CROSSINGS}; shorten the leg, "
+            "slow the agent or enlarge the domain")
+    crossings = sorted(f + j * g for f, g, n in zip(firsts, gaps, counts)
+                       for j in range(n))
+    crossings.append(duration)
+    folded = _fold(np.asarray(p) + np.outer(crossings, v),
+                   model.domain.lo_arr, model.domain.hi_arr)
+    for s, x in zip(crossings, folded.tolist()):
+        _append(times, points, t0 + s, x)
+
+
+def _unit_direction(stream: np.random.Generator) -> np.ndarray:
+    # Isotropic direction via normalized Gaussian vector.
+    while True:
+        v = stream.normal(size=3)
+        n = np.linalg.norm(v)
+        if n > 1e-12:
+            return v / n
 
 
 class _Recorder:
@@ -235,9 +296,36 @@ def leg_waypoint(model: MobilityModel, start, horizon: float,
             _leg(times, points, v, min(duration, horizon - times[-1]), False, model)
             legs += 1
         if legs > mobility._MAX_LEGS:
-            raise ValueError(
-                f"a path at up to {model.max_speed:g} m/s takes more than "
-                f"{mobility._MAX_LEGS} legs by {times[-1]:g} s of {horizon:g} s; "
-                "shorten the horizon, lengthen the legs or pauses, slow the agent "
-                "or enlarge the domain")
+            raise _too_many_legs(model, times[-1], horizon)
     return Trajectory(np.array(times), np.array(points))
+
+
+def leg_sampler(model: MobilityModel, start, horizon: float,
+                stream: np.random.Generator) -> Trajectory:
+    """A walk, direction or scripted path from scalar draws: one leg at a
+    time, each cut at the horizon and laid by `_leg`; refused past
+    `_MAX_LEGS` legs."""
+    kind = model.kind
+    times, points = [0.0], [as_position(start).as_array().tolist()]
+    legs = 0
+    while times[-1] < horizon - _EPS:
+        if isinstance(kind, RandomWalk):
+            v, duration, hold = (_unit_direction(stream) * kind.step_len
+                                 / kind.step_dt).tolist(), kind.step_dt, True
+        elif isinstance(kind, RandomDirection):
+            v, duration, hold = (_unit_direction(stream) * kind.speed).tolist(), kind.epoch, False
+        else:
+            v, duration, hold = kind.velocity, math.inf, True
+        _leg(times, points, v, min(duration, horizon - times[-1]), hold, model)
+        legs += 1
+        if legs > mobility._MAX_LEGS:
+            raise _too_many_legs(model, times[-1], horizon)
+    return Trajectory(np.array(times), np.array(points))
+
+
+def _too_many_legs(model: MobilityModel, t: float, horizon: float) -> ValueError:
+    return ValueError(
+        f"a path at up to {model.max_speed:g} m/s takes more than "
+        f"{mobility._MAX_LEGS} legs by {t:g} s of {horizon:g} s; "
+        "shorten the horizon, lengthen the legs or pauses, slow the agent "
+        "or enlarge the domain")

@@ -19,7 +19,6 @@ from virodyne.mobility import (
     Scripted,
     Trajectory,
     _fold,
-    _unit_direction,
     sample_population,
     sample_trajectory,
 )
@@ -135,15 +134,13 @@ class TestSampling:
 
     def test_random_walk_msd_matches_theory(self):
         # Mean-squared displacement after n isotropic steps of length L is
-        # n L^2; estimated over 10^4 seeded replicates in an effectively
-        # unbounded domain.
+        # n L^2; estimated over 10^4 seeded replicates from the origin in an
+        # effectively unbounded domain, drawn as one population.
         L, n_steps, reps = 0.5, 50, 10_000
         model = MobilityModel(RandomWalk(step_len=L, step_dt=1.0), BIG_BOX)
-        sq = np.empty(reps)
-        for k in range(reps):
-            traj = sample_trajectory(model, (0, 0, 0), float(n_steps),
-                                     rng_stream(2024, k))
-            sq[k] = ((traj.points[-1] - traj.points[0]) ** 2).sum()
+        paths = mobility._paths(model, np.zeros((reps, 3)), float(n_steps),
+                                [rng_stream(2024, k) for k in range(reps)])
+        sq = np.array([((traj.points[-1] - traj.points[0]) ** 2).sum() for traj in paths])
         msd = sq.mean()
         assert msd == pytest.approx(n_steps * L**2, rel=0.05)
 
@@ -239,7 +236,7 @@ class TestLegRule:
         direction = sample_trajectory(
             MobilityModel(RandomDirection(speed=1.7, epoch=1000.0), ROOM), p0, 90.0,
             rng_stream(seed, 0))
-        v = _unit_direction(rng_stream(seed, 0)) * 1.7
+        v = mobility_oracle._unit_direction(rng_stream(seed, 0)) * 1.7
         assert np.abs(direction.points_at(ts)
                       - _fold(p0 + np.outer(ts, v), ROOM.lo_arr, ROOM.hi_arr)).max() <= 1e-9
 
@@ -270,6 +267,30 @@ class TestLegRule:
         # the same agent for a second stays under the bound
         traj = sample_trajectory(model, (5e-4, 5e-4, 5e-4), 1.0, rng_stream(0, 1))
         assert traj.times.size > 1000
+
+    @pytest.mark.parametrize("policy", [REFLECT, WRAP])
+    def test_an_axis_is_still_only_at_zero_velocity(self, policy):
+        # At 1e-10 m/s the agent 1e-6 m below the y = 15 wall meets it at
+        # 1e4 s; it is folded back or held there, never carried past it.
+        model = MobilityModel(Scripted((0.0, 1e-10, 0.0)), ROOM, boundary=policy)
+        traj = sample_trajectory(model, (10.0, 15.0 - 1e-6, 1.5), 1e5, rng_stream(0, 0))
+        assert all(ROOM.contains(x) for x in traj.points)
+        assert traj.point_at(1e4)[1] == pytest.approx(15.0, abs=1e-12)
+        assert traj.points[-1, 1] == pytest.approx(15.0 if policy is WRAP else 15.0 - 9e-6,
+                                                   abs=1e-12)
+
+    @pytest.mark.parametrize("policy", [REFLECT, WRAP])
+    def test_a_subnormal_velocity_adds_no_crossing(self, policy):
+        # A first crossing at 7.5 m / 5e-324 m/s overflows to inf: that axis
+        # meets no wall, and the path is the one with the axis at rest.
+        start = (10.0, 7.5, 1.5)
+        got, want = (sample_trajectory(MobilityModel(Scripted((0.7, vy, 0.0)), ROOM,
+                                                     boundary=policy),
+                                       start, 100.0, rng_stream(0, 0))
+                     for vy in (5e-324, 0.0))
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.points.tobytes() == want.points.tobytes()
+        assert all(ROOM.contains(x) for x in got.points)
 
     def test_leg_count_bounded(self):
         # A walk of exactly 50 legs keeps every knot under a bound of 50 legs
@@ -302,9 +323,30 @@ class _Draws:
         return lo + (hi - lo) * (u if lo.ndim else u[0])
 
 
+class _ZeroTriples:
+    """A stream whose normal triples 0, 2 and _ROUND_BLOCK + 1 are the zero
+    vector: the first block of rounds skips two triples, and one of the
+    triples drawn to refill it is skipped too."""
+
+    def __init__(self, stream):
+        self.stream, self.drawn, self.zeros_drawn = stream, 0, 0
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def normal(self, size):
+        z = self.stream.normal(size=size).ravel()
+        zero = np.isin(np.arange(self.drawn, self.drawn + z.size) // 3,
+                       (0, 2, mobility._ROUND_BLOCK + 1))
+        z[zero] = 0.0
+        self.drawn += z.size
+        self.zeros_drawn += int(zero.sum()) // 3
+        return z.reshape(size)
+
+
 class TestPopulation:
-    """Waypoint populations drawn as arrays, against the reference samplers
-    and the one-agent sampler."""
+    """Populations drawn as arrays, against the reference samplers and the
+    one-agent sampler."""
 
     @pytest.mark.parametrize("box, horizon", [(ROOM, 7.0), (HALL, 600.0)],
                              ids=["room-7s", "hall-600s"])
@@ -330,16 +372,50 @@ class TestPopulation:
                         assert got.times.tobytes() == other.times.tobytes()
                         assert got.points.tobytes() == other.points.tobytes()
 
-    def test_other_kinds_sample_agent_by_agent(self):
+    def test_population_is_the_one_agent_case(self):
         for kind in _all_models():
-            model = MobilityModel(kind, ROOM, boundary=WRAP)
-            paths = sample_population(model, 60.0, [rng_stream(5, i + 1) for i in range(6)])
-            for i, got in enumerate(paths):
-                stream = rng_stream(5, i + 1)
-                want = sample_trajectory(model, ROOM.sample_point(stream), 60.0, stream)
-                assert got.times.tobytes() == want.times.tobytes()
-                assert got.points.tobytes() == want.points.tobytes()
+            for policy in (REFLECT, WRAP):
+                model = MobilityModel(kind, ROOM, boundary=policy)
+                paths = sample_population(model, 60.0, [rng_stream(5, i + 1) for i in range(6)])
+                for i, got in enumerate(paths):
+                    stream = rng_stream(5, i + 1)
+                    want = sample_trajectory(model, ROOM.sample_point(stream), 60.0, stream)
+                    assert got.times.tobytes() == want.times.tobytes()
+                    assert got.points.tobytes() == want.points.tobytes()
         assert sample_population(model, 60.0, []) == []
+
+    @pytest.mark.parametrize("kind", [RandomWalk(step_len=0.5, step_dt=1.0),
+                                      RandomDirection(speed=1.2, epoch=4.0),
+                                      Scripted(velocity=(0.7, -0.3, 0.1))],
+                             ids=["walk", "direction", "scripted"])
+    def test_same_arrays_as_leg_sampler(self, kind):
+        # In the 2 m box most legs meet a wall; in the room most do not.
+        for box in (ROOM, Box((0, 0, 0), (2, 2, 2))):
+            for policy in (REFLECT, WRAP):
+                model = MobilityModel(kind, box, boundary=policy)
+                for seed in range(100):
+                    paths = sample_population(model, 20.0, [rng_stream(seed, i + 1)
+                                                            for i in range(20)])
+                    for i, got in enumerate(paths):
+                        stream = rng_stream(seed, i + 1)
+                        want = mobility_oracle.leg_sampler(model, box.sample_point(stream),
+                                                           20.0, stream)
+                        assert got.times.tobytes() == want.times.tobytes()
+                        assert got.points.tobytes() == want.points.tobytes()
+
+    @pytest.mark.parametrize("kind", [RandomWalk(step_len=0.5, step_dt=1.0),
+                                      RandomDirection(speed=1.2, epoch=4.0)],
+                             ids=["walk", "direction"])
+    def test_a_zero_gaussian_triple_is_skipped(self, kind):
+        model = MobilityModel(kind, ROOM)
+        streams = [_ZeroTriples(rng_stream(3, i + 1)) for i in range(5)]
+        paths = sample_population(model, 12.0, streams)
+        assert [s.zeros_drawn for s in streams] == [3] * 5
+        for i, got in enumerate(paths):
+            stream = _ZeroTriples(rng_stream(3, i + 1))
+            want = mobility_oracle.leg_sampler(model, ROOM.sample_point(stream), 12.0, stream)
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.points.tobytes() == want.points.tobytes()
 
     @pytest.mark.parametrize("policy", [REFLECT, WRAP])
     def test_round_to_a_wall_target_takes_the_leg_rule(self, policy):
@@ -389,6 +465,27 @@ class TestPopulation:
                                       [rng_stream(seed, i + 1) for i in range(10)])
             assert want and str(got.value) == want[0]
             assert f"more than {bound} legs by " in want[0]
+
+    def test_crossing_bound_refuses_the_first_agent_past_it(self):
+        # 15 m legs in a 2 m box cross the walls 8 to 13 times, so under a
+        # bound of 11 crossings some agents are refused, at different rounds
+        # and counts; the population refuses with the first of them in agent
+        # order, not with the first refused in time.
+        box = Box((0, 0, 0), (2, 2, 2))
+        model = MobilityModel(RandomDirection(speed=3.0, epoch=5.0), box)
+        for seed in range(6):
+            with mock.patch.object(mobility, "_MAX_CROSSINGS", 11):
+                want = []
+                for i in range(10):
+                    stream = rng_stream(seed, i + 1)
+                    try:
+                        mobility_oracle.leg_sampler(model, box.sample_point(stream), 30.0, stream)
+                    except ValueError as exc:
+                        want.append(str(exc))
+                with pytest.raises(ValueError) as got:
+                    sample_population(model, 30.0, [rng_stream(seed, i + 1) for i in range(10)])
+            assert want and str(got.value) == want[0]
+            assert "crosses the walls" in want[0]
 
     def test_rounds_that_take_no_time_meet_the_leg_bound(self):
         tiny = Box((0, 0, 0), (1e-10, 1e-10, 1e-10))
