@@ -934,28 +934,15 @@ _ON_SOURCE = "continuous-source field diverges at the source position"
 _BLOCK_WINDOWS = 2 ** 16
 
 
-def _trajectory_pieces(traj: Trajectory):
-    """The path as constant-velocity pieces: emission window (start, stop),
-    reference knot (time, point) and velocity. The first and last pieces
-    stand still at the end knots: Trajectory.points_at's held-ends rule in
-    closed form."""
-    ts, ps = traj.times, traj.points
-    start = np.concatenate([[-math.inf], ts])
-    stop = np.concatenate([ts, [math.inf]])
-    ref_t = np.concatenate([ts[:1], ts])
-    ref_p = np.vstack([ps[:1], ps])
-    vel = np.zeros((ts.size + 1, 3))
-    vel[1:-1] = np.diff(ps, axis=0) / np.diff(ts)[:, None]
-    return start, stop, ref_t, ref_p, vel
-
-
 def _moving_unit_field(src: SourceSpec, env: Environment, positions: np.ndarray,
                        times: np.ndarray, begin: float, end: float) -> np.ndarray:
     """Unit-rate field of a source on a trajectory emitting over [begin, end]:
     for every (point, piece) pair whose emission window [max(start, begin),
     min(stop, end, t)] is not empty, one unit_continuous_kernel evaluation of
-    the piece's extrapolated position and velocity, blocked over points."""
-    start, stop, ref_t, ref_p, vel = _trajectory_pieces(src.trajectory)
+    the piece's extrapolated position and velocity, blocked over points.
+    The pieces are Trajectory.pieces, the columns of the path's KnotTable,
+    so the held end knots are the table's still first and last pieces."""
+    start, stop, ref_t, ref_p, vel = src.trajectory.pieces
     first, stop = np.maximum(start, begin), np.minimum(stop, end)
     out = np.zeros(times.size)
     rows = max(1, _BLOCK_WINDOWS // first.size)

@@ -24,6 +24,7 @@ from .channel import (
 )
 from .core import Velocity
 from .errors import ConfigError
+from .localization import SolverConfig
 from .mobility import Trajectory
 
 
@@ -74,8 +75,6 @@ def _parse_floats_empty_or(n: int) -> Callable:
 def _fmt(value) -> str:
     if isinstance(value, tuple):
         return " ".join(_fmt(v) for v in value)
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -241,8 +240,8 @@ class EpidemicSection:
 class LocalizeSection:
     source_kind: str = _key(_parse_choice("steady", "instant", "continuous"),
                             "steady")
-    grid_resolution: int = 16
-    max_iterations: int = 600
+    grid_resolution: int = SolverConfig.grid_resolution
+    max_iterations: int = SolverConfig.max_iterations
     search_box_m: tuple = _key(_parse_floats_empty_or(6), ())
 
 
@@ -290,31 +289,20 @@ class ScenarioConfig:
                 raise ConfigError(f"this command needs a [{name}] section")
 
 
-def _build_section(cls, raw: dict[str, tuple[str, int]], section_line: int):
+def _build_section(name: str, raw: dict[str, tuple[str, int]], section_line: int):
+    cls = _SECTION_TYPES[name]
     keys = {f.name: f for f in fields(cls)}
     values = {}
     for key, (raw_val, line) in raw.items():
         if key not in keys:
-            raise ConfigError(
-                f"unknown key in [{_section_name(cls)}]", key, line
-            )
+            raise ConfigError(f"unknown key in [{name}]", key, line)
         # Annotations are strings here (from __future__ import annotations).
         parse = keys[key].metadata.get("parse") or _PARSERS[keys[key].type]
         values[key] = parse(raw_val, key, line)
     for key, f in keys.items():
         if key not in values and f.default is MISSING:
-            raise ConfigError(
-                f"missing required key in [{_section_name(cls)}]", key,
-                section_line,
-            )
+            raise ConfigError(f"missing required key in [{name}]", key, section_line)
     return cls(**values)
-
-
-def _section_name(cls) -> str:
-    for name, t in _SECTION_TYPES.items():
-        if t is cls:
-            return name
-    return cls.__name__
 
 
 def loads_config(text: str) -> ScenarioConfig:
@@ -346,7 +334,7 @@ def loads_config(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
     seen: set[str] = set()
     for name, line_no, raw in sections:
-        built = _build_section(_SECTION_TYPES[name], raw, line_no)
+        built = _build_section(name, raw, line_no)
         if name == "source":
             cfg.sources.append(built)
             continue

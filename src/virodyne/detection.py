@@ -215,6 +215,15 @@ def _count_under_cap(nbytes: int, cir: ChannelImpulseResponse, what: str) -> int
     return _MAX_TABLE_BYTES // nbytes
 
 
+def _levels(taps: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """The noiseless sample of each bit window, newest bit in bit 0: the sum
+    of taps[l] over its set bits l, added from l = 0 up."""
+    x = taps[0] * (window & 1)
+    for l in range(1, taps.size):
+        x = x + taps[l] * ((window >> l) & 1)
+    return x
+
+
 def _viterbi(y: np.ndarray, n_bits: int, cir: ChannelImpulseResponse,
              noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """Maximum-likelihood bits behind each received frame (Forney 1973).
@@ -241,9 +250,7 @@ def _viterbi(y: np.ndarray, n_bits: int, cir: ChannelImpulseResponse,
     # newest bit in bit 0, comes from state w >> 1 and expects sample x[w].
     window = np.arange(1 << mem)[:, None] | (np.arange(2) << mem)
     newest = window & 1
-    x = newest * taps[0]
-    for l in range(1, mem + 1):
-        x = x + taps[l] * ((window >> l) & 1)
+    x = _levels(taps, window)
     prev = window >> 1
     metric = np.full((n_frames, 1 << mem), -np.inf)
     metric[:, 0] = 0.0
@@ -520,13 +527,10 @@ def exact_error_probability(
     _count_under_cap(96 << width, cir, "pattern table")
     # Window w holds bit b[i - l] of position i in its bit l.
     window = np.arange(1 << width)
-
-    def level(shift: int) -> np.ndarray:
-        return sum(tap * ((window >> (l + shift)) & 1) for l, tap in enumerate(taps))
-
-    first = _decision_tails(level(0), None, theta, noise)
-    rest = first if width == taps.size else _decision_tails(level(0), level(1),
-                                                             theta, noise)
+    level = _levels(taps, window)
+    first = _decision_tails(level, None, theta, noise)
+    rest = first if width == taps.size else _decision_tails(
+        level, _levels(taps, window >> 1), theta, noise)
     sent = window & 1
     joint = np.zeros((2, 2))
     prior = np.ones(window.size)

@@ -3,10 +3,10 @@
 Trajectories are piecewise-linear paths (time-ordered knots with linear
 interpolation). A path holds its first knot before its span and its last
 after it: an agent or a source stands at its last knot once its path ends.
-KnotTable.points_at is the one place that rule lives: it reads many paths,
+KnotTable is the one place that rule lives: its points_at reads many paths,
 padded into one table, at a batch of times, and Trajectory.points_at is its
-one-row case. Channel, fdpde and epidemic read positions from it
-(channel's closed form restates the rule piece by piece).
+one-row case. Fdpde and epidemic read positions from it; channel's closed
+form reads the same columns as constant-velocity pieces (Trajectory.pieces).
 
 Every model moves in rounds of constant-velocity legs, each a velocity v,
 a duration T and whether a leg cut short at a wall is waited out there.
@@ -267,6 +267,21 @@ class Trajectory:
     @functools.cached_property
     def _table(self) -> "KnotTable":
         return KnotTable([self])
+
+    @functools.cached_property
+    def pieces(self) -> tuple[np.ndarray, ...]:
+        """The path as constant-velocity pieces, one per column of its
+        one-row KnotTable: span (start, stop), reference knot (time, point)
+        and velocity (the column's slope). Column c runs from its knot to the
+        next; column 0 starts at -inf and the last stops at +inf, both held
+        still at the end knots. The arrays are shared and read-only."""
+        table = self._table
+        knots = table._times[1:]
+        pieces = (np.append(-math.inf, knots), np.append(knots, math.inf),
+                  table._times, table._points, table._slopes)
+        for a in pieces:
+            a.setflags(write=False)
+        return pieces
 
     @classmethod
     def static(cls, position, t0: float = 0.0, t1: float | None = None) -> "Trajectory":

@@ -75,26 +75,27 @@ def parse_fasta(source: Union[str, TextIO], alphabet: Alphabet) -> list[FastaRec
     column; an input with no records raises EmptyInput.
 
     The text is read once and split into records at header lines (lines
-    end at '\\n', as the handle reads them). A record body made only of
-    the accepted ASCII residues and ASCII whitespace is checked with one
-    `str.translate` and normalised with one more. Anything else, that is
-    a body with another character, an empty header, a header with no
-    sequence, or data before the first header, is scanned line by line
-    and character by character for that record alone: that scan is the
-    one route that knows line and column, and it accepts non-ASCII
-    characters whose upper case is in the alphabet ('ſ' for 'S').
+    end at '\\n', as the handle reads them). One table states which ASCII
+    characters a body may hold: it maps the accepted residues of either
+    case to their upper case, drops ASCII whitespace, and maps every other
+    ASCII character to '\\0'. A body is translated through it once, and
+    the result is the sequence when it is non-empty, ASCII and free of
+    '\\0'. Anything else, that is a body with another character, an empty
+    header, a header with no sequence, or data before the first header, is
+    scanned line by line and character by character for that record alone:
+    that scan is the one route that knows line and column, and it accepts
+    non-ASCII characters whose upper case is in the alphabet ('ſ' for 'S').
     """
     text = source if isinstance(source, str) else source.read()
     allowed = set(alphabet.symbols) | {GAP, alphabet.ambiguity}
     nucleotide = alphabet is Alphabet.NUCLEOTIDE
-    # The check runs on the raw text, before any upper-casing: 'ß'.upper()
+    # The table reads the raw text, before any upper-casing: 'ß'.upper()
     # is 'SS'.
     accepted = "".join(allowed) + ("U" if nucleotide else "")
     plain = accepted + accepted.lower()
-    drop_plain = str.maketrans("", "", plain + string.whitespace)
-    # Both cases to upper case (U and u to T), whitespace dropped.
-    normalize = str.maketrans(plain, accepted.replace("U", "T") * 2,
-                              string.whitespace)
+    normalize = dict.fromkeys(range(128), "\0")
+    normalize.update(str.maketrans(plain, accepted.replace("U", "T") * 2,
+                                   string.whitespace))
 
     def scan(lines: list[str], first: int, end: int) -> FastaRecord:
         """The record in `lines`, numbered from line `first`, scanned per
@@ -138,8 +139,8 @@ def parse_fasta(source: Union[str, TextIO], alphabet: Alphabet) -> list[FastaRec
     for piece in pieces:
         header, _, body = piece.partition("\n")
         ident = header.strip()
-        if ident and not body.translate(drop_plain) \
-                and (seq := body.translate(normalize)):
+        seq = body.translate(normalize)
+        if ident and seq and seq.isascii() and "\0" not in seq:
             records.append(FastaRecord(ident, seq))
         else:
             line_no += text.count("\n", counted, start)

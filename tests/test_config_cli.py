@@ -9,6 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from virodyne.channel import (
+    Environment,
+    HalfSpaceReflecting,
+    SourceSpec,
+    concentration_instant,
+)
 from virodyne.cli import main
 from virodyne.config import (
     ScenarioConfig,
@@ -17,7 +23,9 @@ from virodyne.config import (
     load_config,
     loads_config,
 )
+from virodyne.core import Velocity
 from virodyne.errors import ConfigError
+from virodyne.localization import SolverConfig
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -107,6 +115,59 @@ class TestConfig:
         cfg = loads_config(MINIMAL.replace("40.0", "-40.0"))
         with pytest.raises(ConfigError):
             cfg.environment.build()
+
+    @pytest.mark.parametrize("text, message, key, line", [
+        ("[environment]\ndiffusivity_m2s = forty\n", "expected a number",
+         "diffusivity_m2s", 2),
+        ("[run]\nseed = 1.5\n", "expected an integer", "seed", 2),
+        ("[detection]\nsigma = 1\ntaps =\n", "expected at least one number", "taps", 3),
+        ("[environment]\ndiffusivity_m2s = 1\nboundary = wall\n", "expected one of",
+         "boundary", 3),
+        ("[localize]\nsearch_box_m = 0 0 0 1 1\n", "expected 6 numbers",
+         "search_box_m", 2),
+    ], ids=["not_a_number", "not_an_integer", "empty_list", "not_a_choice",
+            "search_box_five"])
+    def test_bad_value_names_key_and_line(self, text, message, key, line):
+        with pytest.raises(ConfigError, match=message) as err:
+            loads_config(text)
+        assert (err.value.key, err.value.line) == (key, line)
+
+    @pytest.mark.parametrize("raw, box", [
+        ("", ()), ("0 0 0 1 2 3", (0.0, 0.0, 0.0, 1.0, 2.0, 3.0))])
+    def test_search_box_empty_or_six_numbers(self, raw, box):
+        cfg = loads_config(f"[localize]\nsearch_box_m = {raw}\n")
+        assert cfg.localize.search_box_m == box
+
+    def test_localize_defaults_are_the_solver_defaults(self):
+        section = loads_config("[localize]\n").localize
+        assert (section.grid_resolution, section.max_iterations) == (
+            SolverConfig().grid_resolution, SolverConfig().max_iterations)
+
+    @pytest.mark.parametrize("z_m, message", [
+        ("0 50 10.5", "integer step count >= 2"),
+        ("0 50 1", "integer step count >= 2"),
+        ("0 50", "one value or 'min max steps'"),
+    ], ids=["fractional_count", "count_below_two", "two_values"])
+    def test_bad_grid_axis_names_key(self, z_m, message):
+        cfg = loads_config(MINIMAL.replace("z_m = 0 50 11", f"z_m = {z_m}"))
+        with pytest.raises(ConfigError, match=message) as err:
+            cfg.grid.axes()
+        assert err.value.key == "z_m"
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("[environment]\ndiffusivity_m2s 40\n", "expected 'key = value'", 2),
+        ("seed = 1\n[run]\n", "key outside any", 1),
+        ("[run]\nseed = 1\n\n[run]\nseed = 2\n", r"duplicate section \[run\]", 4),
+    ], ids=["no_equals", "key_before_section", "duplicate_section"])
+    def test_bad_line_names_line(self, text, message, line):
+        with pytest.raises(ConfigError, match=message) as err:
+            loads_config(text)
+        assert (err.value.key, err.value.line) == (None, line)
+
+    def test_missing_section_is_named(self):
+        cfg = loads_config(MINIMAL)
+        with pytest.raises(ConfigError, match=r"needs a \[population\] section"):
+            cfg.require("environment", "population")
 
     def test_shipped_configs_parse(self):
         for name in ("walk_past.cfg", "detect_demo.cfg", "epidemic_demo.cfg"):
@@ -396,6 +457,40 @@ class TestCli:
         cs = [float(r[4]) for r in data]
         # peak over height at the release height of 25 m
         assert zs[int(np.argmax(cs))] == pytest.approx(25.0)
+
+    def test_field_of_an_instant_source(self, tmp_path):
+        # A 2 kg puff released at 5 s over a reflecting ground: every row
+        # is concentration_instant's value, 0 before the release.
+        text = "\n".join([
+            "[environment]", "diffusivity_m2s = 0.5", "wind_mps = 0.2 0 0",
+            "boundary = halfspace", "[source]", "kind = instant",
+            "position_m = 0 0 1", "mass_kg = 2", "start_s = 5", "[grid]",
+            "x_m = 1", "y_m = 0.5", "z_m = 0 2 5", "times_s = 4 10 30", ""])
+        out = tmp_path / "puff.csv"
+        assert main(["field", "--config", write(tmp_path, "puff.cfg", text),
+                     "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if l and not l.startswith("#")][1:]
+        assert len(rows) == 15
+        env = Environment(diffusivity=0.5, wind=Velocity(0.2, 0.0, 0.0),
+                          boundary=HalfSpaceReflecting())
+        src = SourceSpec.instant((0.0, 0.0, 1.0), 2.0, start_time=5.0)
+        for x, y, z, t, c in rows:
+            want = concentration_instant(src, env, (float(x), float(y), float(z)),
+                                         float(t))
+            assert c == repr(want)
+        assert {float(r[4]) > 0 for r in rows} == {True, False}
+
+    def test_field_without_a_source_is_usage_error(self, tmp_path, capsys):
+        text = MINIMAL.replace("[source]\nkind = continuous\nposition_m = 0 0 25\n"
+                               "rate_kgs = 1.0\n", "")
+        assert "[source]" not in text
+        out = tmp_path / "o.csv"
+        rc = main(["field", "--config", write(tmp_path, "f.cfg", text),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "needs at least one [source]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("speed, rc", [("0.0003", 0), ("0.01", 1)],
                              ids=["stays_inside", "leaves"])

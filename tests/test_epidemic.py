@@ -17,6 +17,7 @@ from virodyne.epidemic import (
     step,
 )
 from virodyne.core import rng_stream
+from virodyne.errors import SingularPoint
 from virodyne.mobility import (
     Box,
     KnotTable,
@@ -66,6 +67,18 @@ class TestAccumulateDose:
         observers = [_static_agent(0, (d, 0, 0)) for d in (1.0, 2.0, 4.0, 8.0)]
         doses = accumulate_doses(observers, [(inf, 0.0)], ENV, 100.0, 110.0).tolist()
         assert all(a > b for a, b in zip(doses, doses[1:]))
+
+    def test_observer_on_a_source_is_singular(self):
+        # A susceptible standing on a contagious agent's point: the static
+        # continuous kernel diverges there once emission has begun.
+        sus = _static_agent(0, (1, 2, 3))
+        inf = _static_agent(1, (1, 2, 3), rate=1.0, infected_since=-1.0)
+        with pytest.raises(SingularPoint, match="diverges at the source"):
+            accumulate_doses([sus], [(inf, 0.0)], ENV, 0.0, 10.0)
+        config = EpidemicConfig(dose_coefficient=1.0, latency=0.0, step=10.0,
+                                horizon=30.0)
+        with pytest.raises(SingularPoint, match="diverges at the source"):
+            run([sus, inf], config, ENV, seed=0)
 
     @pytest.mark.parametrize("t1", [10.0, 5.0])
     def test_interval_must_be_positive(self, t1):

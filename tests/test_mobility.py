@@ -87,6 +87,35 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)))
 
+    @staticmethod
+    def _pieces_reference(traj):
+        # The constant-velocity pieces as channel once built them itself:
+        # still first and last pieces at the end knots, np.diff slopes between.
+        ts, ps = traj.times, traj.points
+        vel = np.zeros((ts.size + 1, 3))
+        vel[1:-1] = np.diff(ps, axis=0) / np.diff(ts)[:, None]
+        return (np.concatenate([[-np.inf], ts]), np.concatenate([ts, [np.inf]]),
+                np.concatenate([ts[:1], ts]), np.vstack([ps[:1], ps]), vel)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pieces_are_the_knot_table_columns(self, seed):
+        # Paths of 1 to 6 knots, some coordinates -0.0. The one difference
+        # from the reference is the last piece's velocity: the table's held
+        # end is the slope -0.0.
+        rng = np.random.default_rng(seed)
+        for size in [1, *rng.integers(1, 7, 5)]:
+            times = np.cumsum(rng.uniform(0.01, 5.0, size)) - rng.uniform(0, 10)
+            points = rng.normal(0, 10, (size, 3))
+            points[rng.random((size, 3)) < 0.2] = -0.0
+            traj = Trajectory(times, points)
+            got, want = traj.pieces, self._pieces_reference(traj)
+            for a, b in zip(got[:4], want[:4]):
+                assert a.tobytes() == b.tobytes()
+            assert got[4][:-1].tobytes() == want[4][:-1].tobytes()
+            assert got[4][-1].tobytes() == np.full(3, -0.0).tobytes()
+            assert traj.pieces is got  # cached, so shared and read-only
+            assert not any(a.flags.writeable for a in got)
+
 
 class TestSampling:
     def test_start_outside_domain(self):
