@@ -270,10 +270,9 @@ def _cmd_localize(args) -> int:
 
 def _cmd_entropy(args) -> int:
     profile = _profile(args)
-    # One f-string per line; repr of a Python float is the CSV float text.
-    rows = [f"{i},{e!r},{n}" for i, e, n in zip(range(1, profile.length + 1),
-                                                profile.entropies.tolist(),
-                                                profile.n_effective.tolist())]
+    rows = [f"{i},{e},{n}" for i, e, n in zip(range(1, profile.length + 1),
+                                              _reprs(profile.entropies),
+                                              profile.n_effective.tolist())]
     write_csv(args.out, ["position", "entropy_bits", "n_effective"], rows,
               _meta(None, input_path=args.fasta))
     return 0

@@ -79,7 +79,7 @@ class Velocity:
 
     @property
     def speed(self) -> float:
-        return math.sqrt(self.vx**2 + self.vy**2 + self.vz**2)
+        return math.hypot(self.vx, self.vy, self.vz)
 
 
 PositionLike = Union[Position, Sequence[float], np.ndarray]

@@ -176,13 +176,14 @@ def _sample_loglik(y: np.ndarray, x: np.ndarray, noise: NoiseModel) -> np.ndarra
     """Log-likelihood of each received sample y given its noiseless level x
     (arrays broadcast), constant terms dropped.
 
-    Gaussian: -(y - x)^2 / 2 sigma^2. Poisson with k = rint(alpha y) counts
-    and mean lam = alpha x: k log lam - lam - lgamma(k + 1), which is 0 for
-    lam <= 0 and k = 0 and -inf for lam <= 0 and k != 0. log and lgamma are
-    the exact math-module functions, applied elementwise.
+    Gaussian: -((y - x) / sigma)^2 / 2, scaled before squaring so that a
+    tiny sigma does not underflow sigma^2 to 0. Poisson with k = rint(alpha
+    y) counts and mean lam = alpha x: k log lam - lam - lgamma(k + 1), which
+    is 0 for lam <= 0 and k = 0 and -inf for lam <= 0 and k != 0. log and
+    lgamma are the exact math-module functions, applied elementwise.
     """
     if isinstance(noise, GaussianNoise):
-        return -((y - x) ** 2) / (2.0 * noise.sigma**2)
+        return -0.5 * ((y - x) / noise.sigma) ** 2
     k = np.rint(noise.alpha * y)
     lam = noise.alpha * x
     live = lam > 0.0

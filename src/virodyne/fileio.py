@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, VirodyneError
 from .localization import SensorReading
 
 
@@ -29,11 +29,17 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[str],
 
 
 def write_json(path: str, payload: dict, meta: Mapping[str, str] | None = None) -> None:
+    """The payload with its meta object; a NaN or infinite number, which
+    JSON cannot hold, raises VirodyneError before the file is opened."""
     doc = dict(payload)
     if meta:
         doc["meta"] = dict(meta)
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise VirodyneError(f"cannot write {path}: {exc}") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        fh.write(text + "\n")
 
 
 def read_readings_csv(path: str) -> list[SensorReading]:

@@ -238,8 +238,8 @@ def _codon_column(alignment: AlignmentMatrix, position: int) -> dict[str, int]:
             f"amino position {position} needs nucleotide columns up to "
             f"{j0 + 3}, alignment length is {alignment.length}"
         )
-    ok = alignment.mask[:, j0:j0 + 3].all(axis=1)
-    bases = alignment.alphabet.code_index[alignment.matrix[ok, j0:j0 + 3]]
+    index = alignment.index[:, j0:j0 + 3]
+    bases = index[(index < alignment.alphabet.size).all(axis=1)]
     if bases.size == 0:
         raise NoData(f"no complete codons at amino position {position}")
     codes, first, counts = np.unique(bases @ (16, 4, 1), return_index=True,

@@ -4,8 +4,11 @@ Positional entropy H(i) = -sum_k P_k(i) log2 P_k(i) over the residue types
 observed at column i measures the randomness of that position; columns with
 high entropy are the mutation-prone hot-spots. Gaps ('-') and ambiguity
 codes ('N' for nucleotides, 'X' for amino acids) are masked out of the
-counts rather than treated as extra symbols. An optional pseudocount
-regularizes small samples: P_k = (count_k + a) / (total + a * |alphabet|).
+counts rather than treated as extra symbols: an alignment holds each
+residue's index in the alphabet, the masked ones at the alphabet's size,
+and a column's counts are per-symbol sums down that index. An optional
+pseudocount regularizes small samples:
+P_k = (count_k + a) / (total + a * |alphabet|).
 
 Inputs must be pre-aligned (equal-length rows); this module does not build
 multiple sequence alignments. Positions are 1-based throughout, matching
@@ -50,14 +53,14 @@ class Alphabet(enum.Enum):
         return len(self.symbols)
 
     @cached_property
-    def code_index(self) -> np.ndarray:
-        """Read-only 256-entry table from an ASCII code to its index in
-        `symbols`; every other code (gap, ambiguity, anything else) maps to
-        `size`."""
-        table = np.full(256, self.size, dtype=np.intp)
-        table[np.frombuffer(self.symbols.encode(), np.uint8)] = np.arange(self.size)
-        table.setflags(write=False)
-        return table
+    def index_table(self) -> bytes:
+        """256-byte `bytes.translate` table from an ASCII code to its index
+        in `symbols`; every other code (gap, ambiguity, anything else) maps
+        to `size`."""
+        table = bytearray([self.size]) * 256
+        for i, code in enumerate(self.symbols.encode()):
+            table[code] = i
+        return bytes(table)
 
 
 @dataclass(frozen=True)
@@ -155,13 +158,18 @@ def parse_fasta(source: Union[str, TextIO], alphabet: Alphabet) -> list[FastaRec
 
 @dataclass(frozen=True)
 class AlignmentMatrix:
-    """Equal-length residue rows with a validity mask (gaps/ambiguity False)."""
+    """Equal-length residue rows, as ASCII codes and as symbol indices."""
 
     ids: tuple[str, ...]
     matrix: np.ndarray        # (n, L) uint8 ASCII codes of the residues
-    mask: np.ndarray          # (n, L) bool, True where residue is countable
+    index: np.ndarray         # (n, L) uint8 index in alphabet.symbols, size if masked
     alphabet: Alphabet
     truncated_rows: int = 0   # rows shortened in non-strict mode
+
+    @property
+    def mask(self) -> np.ndarray:
+        """(n, L) bool, True where the residue is countable."""
+        return self.index < self.alphabet.size
 
     @property
     def n_sequences(self) -> int:
@@ -170,13 +178,6 @@ class AlignmentMatrix:
     @property
     def length(self) -> int:
         return int(self.matrix.shape[1])
-
-    def column(self, position: int) -> tuple[np.ndarray, np.ndarray]:
-        """(residues, mask) of a 1-based column."""
-        if not 1 <= position <= self.length:
-            raise IndexError(f"position {position} outside 1..{self.length}")
-        j = position - 1
-        return self.matrix[:, j], self.mask[:, j]
 
 
 def build_alignment(records: Iterable[FastaRecord], alphabet: Alphabet,
@@ -201,12 +202,12 @@ def build_alignment(records: Iterable[FastaRecord], alphabet: Alphabet,
     truncated = sum(1 for n in lengths if n > target)
     # Non-ASCII (possible only in hand-built records) becomes a masked '?'.
     joined = "".join(r.sequence[:target] for r in recs).encode("ascii", "replace")
-    matrix = np.frombuffer(joined, dtype=np.uint8).reshape(len(recs), target)
-    mask = alphabet.code_index[matrix] < alphabet.size
+    shape = (len(recs), target)
     return AlignmentMatrix(
         ids=tuple(r.identifier for r in recs),
-        matrix=matrix,
-        mask=mask,
+        matrix=np.frombuffer(joined, dtype=np.uint8).reshape(shape),
+        index=np.frombuffer(joined.translate(alphabet.index_table),
+                            dtype=np.uint8).reshape(shape),
         alphabet=alphabet,
         truncated_rows=truncated,
     )
@@ -220,24 +221,21 @@ class PositionDistribution:
     alphabet: Alphabet
 
 
-_COUNT_BLOCK = 2 ** 20  # codes per bincount
+# Rows per uint16 column sum, so that a count cannot overflow.
+_COUNT_BLOCK = 2 ** 16 - 1
 
 
-def _symbol_counts(codes: np.ndarray, alphabet: Alphabet) -> np.ndarray:
+def _symbol_counts(index: np.ndarray, alphabet: Alphabet) -> np.ndarray:
     """(k, L) float counts of each alphabet symbol in every column of the
-    (n, L) code block; masked codes fall into a dropped (k+1)-th bin.
-    Rows are counted in blocks of about _COUNT_BLOCK codes, so the index
-    array stays bounded for deep alignments."""
-    k = alphabet.size
-    L = codes.shape[1]
-    bins = np.zeros((k + 1) * L, dtype=np.intp)
-    rows = max(1, _COUNT_BLOCK // max(L, 1))
-    for lo in range(0, codes.shape[0], rows):
-        flat = alphabet.code_index[codes[lo:lo + rows]]  # fresh: in place is safe
-        flat *= L
-        flat += np.arange(L)
-        bins += np.bincount(flat.ravel(), minlength=(k + 1) * L)
-    return bins.reshape(k + 1, L)[:k].astype(float)
+    (n, L) symbol-index block; masked entries (index k) are not counted.
+    Each symbol is summed down the columns as uint16, _COUNT_BLOCK rows at
+    a time."""
+    counts = np.zeros((alphabet.size, index.shape[1]))
+    for lo in range(0, index.shape[0], _COUNT_BLOCK):
+        block = index[lo:lo + _COUNT_BLOCK]
+        for s, row in enumerate(counts):
+            row += (block == s).sum(axis=0, dtype=np.uint16)
+    return counts
 
 
 def column_distribution(alignment: AlignmentMatrix, position: int,
@@ -245,8 +243,10 @@ def column_distribution(alignment: AlignmentMatrix, position: int,
     """Residue distribution of one column, gaps and ambiguity excluded."""
     if not 0 <= pseudocount < math.inf:  # NaN included
         raise ValueError("pseudocount must be finite and >= 0")
-    residues, _ = alignment.column(position)
-    counts = _symbol_counts(residues[:, None], alignment.alphabet)[:, 0]
+    if not 1 <= position <= alignment.length:
+        raise IndexError(f"position {position} outside 1..{alignment.length}")
+    column = alignment.index[:, position - 1:position]
+    counts = _symbol_counts(column, alignment.alphabet)[:, 0]
     valid = counts.sum()
     if valid == 0:
         raise NoData(f"column {position} holds no unmasked residues")
@@ -285,7 +285,7 @@ def positional_entropy(alignment: AlignmentMatrix,
         raise ValueError("pseudocount must be finite and >= 0")
     ent = np.full(alignment.length, np.nan)
     k = alignment.alphabet.size
-    counts = _symbol_counts(alignment.matrix, alignment.alphabet)
+    counts = _symbol_counts(alignment.index, alignment.alphabet)
     totals = counts.sum(axis=0)
     defined = totals > 0
     denom = totals[defined] + pseudocount * k

@@ -105,16 +105,20 @@ def build_alignment(records, alphabet: Alphabet, strict_length: bool = True):
     return matrix, mask, truncated
 
 
+def symbol_counts(matrix, mask, alphabet: Alphabet):
+    """(k, L) float counts of each symbol, counted one symbol at a time."""
+    counts = np.zeros((alphabet.size, matrix.shape[1]))
+    for si, s in enumerate(alphabet.symbols):
+        counts[si] = ((matrix == s) & mask).sum(axis=0)
+    return counts
+
+
 def positional_entropy(matrix, mask, alphabet: Alphabet,
                        pseudocount: float = 0.0):
-    """(entropies, n_effective) counted one symbol at a time."""
-    L = matrix.shape[1]
-    ent = np.full(L, np.nan)
-    symbols = list(alphabet.symbols)
-    k = len(symbols)
-    counts = np.zeros((k, L))
-    for si, s in enumerate(symbols):
-        counts[si] = ((matrix == s) & mask).sum(axis=0)
+    """(entropies, n_effective) from the per-symbol counts."""
+    ent = np.full(matrix.shape[1], np.nan)
+    k = alphabet.size
+    counts = symbol_counts(matrix, mask, alphabet)
     totals = counts.sum(axis=0)
     n_eff = totals.astype(int)
     defined = totals > 0

@@ -597,6 +597,36 @@ class TestCli:
         assert doc["position"] == pytest.approx([4.0, 6.0, 2.0], abs=1e-3)
         assert doc["rate"] == pytest.approx(2e-3, rel=1e-3)
 
+    def test_huge_wind_field_is_finite(self, tmp_path):
+        # |v| of (1e300, 0, 0) squares past the float range; the plume is
+        # carried straight downwind, where the field is the steady
+        # rate / (4 pi D d) at d = 1 m.
+        cfg = write(tmp_path, "wind.cfg", MINIMAL.replace(
+            "diffusivity_m2s = 40.0", "diffusivity_m2s = 0.5\nwind_mps = 1e300 0 0").replace(
+            "position_m = 0 0 25", "position_m = 0 0 1").replace(
+            "rate_kgs = 1.0", "rate_kgs = 1e-6").replace(
+            "x_m = 35", "x_m = 1").replace("z_m = 0 50 11", "z_m = 1").replace(
+            "times_s = 30", "times_s = 60"))
+        out = tmp_path / "grid.csv"
+        assert main(["field", "--config", cfg, "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[-1].split(",")
+        assert row[:4] == ["1.0", "0.0", "1.0", "60.0"]
+        assert float(row[4]) == pytest.approx(1e-6 / (4 * math.pi * 0.5), rel=1e-12)
+
+    def test_detect_refuses_a_non_finite_report(self, tmp_path, capsys):
+        # Levels of 1e308 + 1e308 overflow and their difference is NaN; the
+        # report cannot be JSON, so nothing is written.
+        text = (REPO_CONFIGS / "detect_demo.cfg").read_text()
+        text = text.replace("taps = 1.0", "taps = 1e308 1e308").replace(
+            "mode = threshold", "mode = difference")
+        out = tmp_path / "report.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["detect", "--config", write(tmp_path, "d.cfg", text),
+                       "--out", str(out)])
+        assert rc == 1
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("wind, code", [("0 0 0", 1), ("0.5 0 0", 0)])
     def test_localize_steady_needs_a_steady_state(self, tmp_path, capsys, wind, code):
         # A still-air duct has no steady field; with wind along it one exists.
@@ -731,6 +761,16 @@ class TestFileIo:
         assert _reprs(values) == [repr(v) for v in values.tolist()]
         column = np.arange(12.0).reshape(4, 3)[:, 1]  # a strided column
         assert _reprs(column) == [repr(v) for v in column.tolist()]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_json_refuses_non_finite_before_opening(self, tmp_path, value):
+        from virodyne.errors import VirodyneError
+        from virodyne.fileio import write_json
+        path = tmp_path / "out.json"
+        path.write_text("kept\n")
+        with pytest.raises(VirodyneError, match="not JSON compliant"):
+            write_json(str(path), {"ber": [0.5, value]}, {"tool": "virodyne"})
+        assert path.read_text() == "kept\n"
 
     def test_trajectory_csv_non_numeric_names_row(self, tmp_path):
         from virodyne.errors import ConfigError

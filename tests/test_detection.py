@@ -276,6 +276,15 @@ class TestErrorProbability:
                                      noise, 12)
         assert ml.ci_high < th.ber
 
+    def test_tiny_sigma_keeps_sequence_ml_exact(self):
+        # sigma^2 underflows to 0 at sigma = 1e-300; the scaled residual
+        # does not, so every wrong frame scores -inf and none is chosen.
+        with np.errstate(over="ignore"):  # a wrong frame's residual^2 is inf
+            est = error_probability(CIR2, DetectorConfig(SequenceML()),
+                                    GaussianNoise(1e-300), 8, 200, seed=1)
+        assert est.ber == 0.0
+        assert mutual_information(est.joint) > 0.99
+
     def test_wilson_interval_brackets(self):
         lo, hi = wilson_interval(10, 100)
         assert lo < 0.1 < hi

@@ -206,20 +206,36 @@ def alignments(draw):
 @given(alignments(), st.integers(1, 30))
 @settings(max_examples=150, deadline=None)
 def test_row_blocked_counts_match_reference(case, block):
-    # A block of `block` codes holds block // length rows (at least one),
-    # so most drawn alignments span several blocks, some ending mid-block.
+    # A block of `block` rows: most drawn alignments span several blocks,
+    # some ending mid-block.
     records, alphabet, strict, pseudocount = case
     aln = build_alignment(records, alphabet, strict_length=strict)
     matrix, mask, _ = oracle.build_alignment(records, alphabet, strict)
-    whole = seqstat._symbol_counts(aln.matrix, alphabet)
+    whole = seqstat._symbol_counts(aln.index, alphabet)
     with mock.patch.object(seqstat, "_COUNT_BLOCK", block):
-        blocked = seqstat._symbol_counts(aln.matrix, alphabet)
+        blocked = seqstat._symbol_counts(aln.index, alphabet)
         profile = positional_entropy(aln, pseudocount=pseudocount)
     assert blocked.tobytes() == whole.tobytes()
     assert np.array_equal(whole.sum(axis=0), mask.sum(axis=0))
     ent, n_eff = oracle.positional_entropy(matrix, mask, alphabet, pseudocount)
     assert profile.entropies.tobytes() == ent.tobytes()
     assert np.array_equal(profile.n_effective, n_eff)
+
+
+@pytest.mark.parametrize("alphabet", list(Alphabet))
+def test_deep_alignment_counts_match_reference(alphabet):
+    # 70000 rows: column 1 holds one symbol all the way down, a count that
+    # a single uint16 sum would wrap to 70000 - 65536; column 2 cycles
+    # through every symbol, the gap and the ambiguity code.
+    pool = alphabet.symbols + "-" + alphabet.ambiguity
+    first = alphabet.symbols[0]
+    records = [FastaRecord(f"r{i}", first + pool[i % len(pool)])
+               for i in range(70000)]
+    aln = build_alignment(records, alphabet)
+    matrix, mask, _ = oracle.build_alignment(records, alphabet)
+    want = oracle.symbol_counts(matrix, mask, alphabet)
+    assert want[0, 0] == 70000
+    assert seqstat._symbol_counts(aln.index, alphabet).tobytes() == want.tobytes()
 
 
 def _expected_codes(matrix):

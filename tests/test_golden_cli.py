@@ -24,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from virodyne.cli import main
+from virodyne.cli import _ALPHABETS, main
+from virodyne.seqstat import build_alignment, parse_fasta, positional_entropy
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -197,3 +198,27 @@ def test_physical_layer_artifacts_match_golden(tmp_path, command, cfg, flags, na
             # Counts, times, BER and its interval are exact in the JSON.
             with open(got, encoding="utf-8") as g, open(want, encoding="utf-8") as w:
                 assert json.load(g) == json.load(w)
+
+
+@pytest.mark.parametrize("alphabet", ["nt", "aa"])
+def test_entropy_rows_are_repr_of_each_value(tmp_path, alphabet):
+    # Entropy texts are formed once per distinct value; every row must
+    # still read as repr of its own value. Column 3 is all gaps (nan).
+    rows = ["AC-GTTAN", "AG-GATCA", "TC-GTCAA", "AA-G-TGA", "CC-GATAN"]
+    if alphabet == "aa":
+        rows = [r.replace("N", "X").replace("T", "W") for r in rows]
+    text = "".join(f">r{i}\n{r}\n" for i, r in enumerate(rows))
+    fasta, out = tmp_path / "in.fasta", tmp_path / "profile.csv"
+    fasta.write_text(text)
+    assert main(["entropy", "--alphabet", alphabet, "--fasta", str(fasta),
+                 "--out", str(out)]) == 0
+    kind = _ALPHABETS[alphabet]
+    profile = positional_entropy(build_alignment(parse_fasta(text, kind), kind))
+    want = [f"{i},{e!r},{n}" for i, e, n in zip(range(1, profile.length + 1),
+                                                profile.entropies.tolist(),
+                                                profile.n_effective.tolist())]
+    got = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert got[0] == "position,entropy_bits,n_effective"
+    assert got[1:] == want
+    assert got[3] == "3,nan,0"
+    assert len(set(profile.entropies.tolist())) < profile.length  # repeats
