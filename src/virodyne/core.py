@@ -141,14 +141,6 @@ def translate(codon: Union[str, Iterable[str]]) -> str:
     return AMINO_STATES[CODON_AMINO[CODON_INDEX[codon]]]
 
 
-def codons_for(amino_acid: str) -> tuple[str, ...]:
-    """All codons encoding the given amino acid (or '*'), in CODONS order."""
-    if amino_acid not in AMINO_STATE_INDEX:
-        raise InvalidResidue(f"unknown amino acid: {amino_acid!r}")
-    return tuple(CODONS[i] for i in
-                 np.flatnonzero(CODON_AMINO == AMINO_STATE_INDEX[amino_acid]))
-
-
 # ---------------------------------------------------------------------------
 # Deterministic random streams
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ of noise tails over ISI patterns and frame positions, with a stated bound
 on its truncation and rounding. Sequence ML has no closed form and is
 scored by Monte-Carlo; its trials are partitioned into fixed chunks with
 one random stream each, so an estimate depends only on its inputs and
-seed. One byte cap bounds both the trellis and the exact sum's pattern
-table.
+seed. One byte cap bounds the trellis, the exact sum's pattern table and
+its Poisson windows.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .core import rng_stream
-from .errors import EmptyObservation, MissingChannelModel
+from .errors import EmptyObservation, MissingChannelModel, VirodyneError
 from .parallel import chunk_slices
 
 
@@ -63,8 +63,8 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ValueError("sigma must be finite and > 0")
+        if not 0 < self.sigma <= np.finfo(float).max / 2:  # so 2 sigma is a float
+            raise ValueError("sigma must be > 0 and at most half the largest float")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,9 @@ class PoissonNoise:
     alpha: float
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be finite and > 0")
+        # Every int64 count k, below 2^63, must read as a finite k / alpha.
+        if not 2.0**63 / np.finfo(float).max <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 2^63 / the largest float")
 
 
 NoiseModel = Union[GaussianNoise, PoissonNoise]
@@ -177,13 +178,15 @@ def _sample_loglik(y: np.ndarray, x: np.ndarray, noise: NoiseModel) -> np.ndarra
     (arrays broadcast), constant terms dropped.
 
     Gaussian: -((y - x) / sigma)^2 / 2, scaled before squaring so that a
-    tiny sigma does not underflow sigma^2 to 0. Poisson with k = rint(alpha
+    tiny sigma does not underflow sigma^2 to 0; a square that overflows
+    scores -inf, the exact limit as sigma -> 0. Poisson with k = rint(alpha
     y) counts and mean lam = alpha x: k log lam - lam - lgamma(k + 1), which
     is 0 for lam <= 0 and k = 0 and -inf for lam <= 0 and k != 0. log and
     lgamma are the exact math-module functions, applied elementwise.
     """
     if isinstance(noise, GaussianNoise):
-        return -0.5 * ((y - x) / noise.sigma) ** 2
+        with np.errstate(over="ignore"):
+            return -0.5 * ((y - x) / noise.sigma) ** 2
     k = np.rint(noise.alpha * y)
     lam = noise.alpha * x
     live = lam > 0.0
@@ -193,35 +196,31 @@ def _sample_loglik(y: np.ndarray, x: np.ndarray, noise: NoiseModel) -> np.ndarra
     return np.where(live, ll, np.where(k != 0, -np.inf, 0.0))
 
 
-def _sequence_loglik(y: np.ndarray, bits: np.ndarray,
-                     cir: ChannelImpulseResponse, noise: NoiseModel) -> float:
-    x = modulate(bits, cir)
-    n = min(x.size, y.size)
-    return float(_sample_loglik(y[:n], x[:n], noise).sum())
-
-
 # The largest table one trellis batch or one exact sum may hold. A single
-# frame, or an exact sum's pattern table, that needs more raises ValueError
-# before anything is allocated.
+# frame, or an exact sum's pattern table or Poisson windows, that needs more
+# raises ValueError before anything is allocated.
 _MAX_TABLE_BYTES = 1 << 27
 
 
-def _count_under_cap(nbytes: int, cir: ChannelImpulseResponse, what: str) -> int:
+def _count_under_cap(nbytes: float, who: str, what: str) -> int:
     """How many tables of nbytes fit under _MAX_TABLE_BYTES; at least one,
-    else ValueError naming the tap count."""
-    if nbytes > _MAX_TABLE_BYTES:
-        raise ValueError(
-            f"{cir.memory} taps need {nbytes / 2**20:.0f} MiB for one {what}, "
-            f"over the {_MAX_TABLE_BYTES >> 20} MiB cap")
-    return _MAX_TABLE_BYTES // nbytes
+    else ValueError naming who needs the table."""
+    if not nbytes <= _MAX_TABLE_BYTES:  # inf included
+        raise ValueError(f"{what} for {who} needs {nbytes / 2**20:.4g} MiB, "
+                         f"over the {_MAX_TABLE_BYTES >> 20} MiB cap")
+    return int(_MAX_TABLE_BYTES // nbytes)
 
 
 def _levels(taps: np.ndarray, window: np.ndarray) -> np.ndarray:
     """The noiseless sample of each bit window, newest bit in bit 0: the sum
-    of taps[l] over its set bits l, added from l = 0 up."""
-    x = taps[0] * (window & 1)
-    for l in range(1, taps.size):
-        x = x + taps[l] * ((window >> l) & 1)
+    of taps[l] over its set bits l, added from l = 0 up. A sum past the
+    largest float raises VirodyneError."""
+    with np.errstate(over="ignore"):
+        x = taps[0] * (window & 1)
+        for l in range(1, taps.size):
+            x = x + taps[l] * ((window >> l) & 1)
+    if not np.isfinite(x).all():
+        raise VirodyneError("taps sum past the largest float; scale the taps down")
     return x
 
 
@@ -241,7 +240,8 @@ def _viterbi(y: np.ndarray, n_bits: int, cir: ChannelImpulseResponse,
     n_frames, n_samples = y.shape
     # Per frame: one int8 back-pointer per state and sample, and about 16
     # float64 entries per state in the branch metrics and their temporaries.
-    batch = _count_under_cap((1 << mem) * (n_samples + 128), cir, "frame's trellis")
+    batch = _count_under_cap((1 << mem) * (n_samples + 128), f"{cir.memory} taps",
+                             "one frame's trellis")
     if n_frames > batch:
         parts = [_viterbi(y[i:i + batch], n_bits, cir, noise)
                  for i in range(0, n_frames, batch)]
@@ -318,7 +318,8 @@ def detect(frame: ReceivedFrame, cir: ChannelImpulseResponse | None,
     if ll is not None:
         ll = float(ll[0])
     elif isinstance(config.mode, SymbolThreshold) and cir is not None:
-        ll = _sequence_loglik(y, bits[0], cir, frame.noise)
+        x = modulate(bits[0], cir)[:y.size]
+        ll = float(_sample_loglik(y[:x.size], x, frame.noise).sum())
     else:
         ll = 0.0
     return DetectionResult(bits=bits[0], log_likelihood=ll)
@@ -397,6 +398,10 @@ def error_probability(
     if not isinstance(config.mode, SequenceML):
         raise TypeError(f"Monte-Carlo BER is for SequenceML; {config.mode!r} "
                         f"has exact_error_probability")
+    if isinstance(noise, PoissonNoise):  # numpy draws int64 counts
+        top = float(_levels(cir.taps, np.array([-1]))[0])  # -1 sets every bit
+        if not noise.alpha * top <= 2.0**62:
+            raise ValueError(f"alpha = {noise.alpha:g} puts a Poisson mean past 2^62")
 
     def worker(chunk_idx: int, sl: slice) -> tuple[int, int, np.ndarray]:
         stream = rng_stream(seed, chunk_idx)
@@ -404,10 +409,11 @@ def error_probability(
         n = bits_per_frame
         bits = np.empty((n_frames, n), dtype=int)
         noisy = np.empty((n_frames, n + cir.memory - 1))
-        for f in range(n_frames):
-            bits[f] = stream.uniform(size=n) < config.p1
-            noisy[f] = apply_noise(np.convolve(bits[f].astype(float), cir.taps),
-                                   noise, stream)
+        with np.errstate(over="ignore"):  # a reading past the largest float is inf
+            for f in range(n_frames):
+                bits[f] = stream.uniform(size=n) < config.p1
+                noisy[f] = apply_noise(np.convolve(bits[f].astype(float), cir.taps),
+                                       noise, stream)
         decided, _ = _viterbi(noisy, n, cir, noise)
         return int((decided != bits).sum()), bits.size, joint_counts(bits, decided)
 
@@ -429,21 +435,29 @@ _TAIL = 2.0**-53
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-def _poisson_window(lam: float) -> tuple[int, np.ndarray, float]:
-    """(lo, pmf, err): Poisson(lam) probabilities of the counts lo, lo + 1,
-    ..., and a bound on the mass outside them plus each term's rounding.
+def _poisson_reach(lam: float) -> tuple[float, float]:
+    """How far below and above lam the Poisson window of mean lam reaches.
 
     Bennett's inequality (Boucheron, Lugosi & Massart 2013, ch. 2) bounds
     the upper tail P(K >= lam + t) by exp(-t^2 / 2(lam + t/3)) and the
     lower tail P(K <= lam - t) by exp(-t^2 / 2 lam); the window leaves at
-    most _TAIL on each side. A term exp(k log lam - lam - lgamma(k + 1))
+    most _TAIL on each side.
+    """
+    a = math.log(1.0 / _TAIL)
+    return (min(lam, math.sqrt(2.0 * a * lam)),
+            a / 3.0 + math.sqrt(a * a / 9.0 + 2.0 * a * lam))
+
+
+def _poisson_window(lam: float) -> tuple[int, np.ndarray, float]:
+    """(lo, pmf, err): Poisson(lam) probabilities of the counts lo, lo + 1,
+    ... within _poisson_reach of lam, and a bound on the mass outside them
+    plus each term's rounding. A term exp(k log lam - lam - lgamma(k + 1))
     is off by about eps times the size of its exponent's parts.
     """
     if lam == 0.0:
         return 0, np.ones(1), 0.0
-    a = math.log(1.0 / _TAIL)
-    lo = max(0, math.floor(lam - math.sqrt(2.0 * a * lam)))
-    hi = math.ceil(lam + a / 3.0 + math.sqrt(a * a / 9.0 + 2.0 * a * lam))
+    below, above = _poisson_reach(lam)
+    lo, hi = math.floor(lam - below), math.ceil(lam + above)
     k = np.arange(lo, hi + 1, dtype=float)
     pmf = np.exp(k * math.log(lam) - lam - _lgamma(k + 1.0).astype(float))
     size = hi * abs(math.log(lam)) + lam + math.lgamma(hi + 1.0) + k.size
@@ -455,7 +469,8 @@ def _first_counts(y_prev: np.ndarray, theta: float, alpha: float,
     """Per y_prev, the least count k in [lo, hi + 1] with
     k / alpha - y_prev >= theta in the detector's own float arithmetic
     (hi + 1 when no count up to hi decides 1). The test is monotone in k."""
-    k = np.clip(np.ceil(alpha * (theta + y_prev)), lo, hi + 1)
+    with np.errstate(over="ignore"):  # a guess past the largest float is hi + 1
+        k = np.clip(np.ceil(alpha * (theta + y_prev)), lo, hi + 1)
     while (down := (k > lo) & ((k - 1.0) / alpha - y_prev >= theta)).any():
         k = k - down
     while (up := (k <= hi) & (k / alpha - y_prev < theta)).any():
@@ -472,13 +487,20 @@ def _decision_tails(x: np.ndarray, x_prev: np.ndarray | None, theta: float,
     if isinstance(noise, GaussianNoise):
         spread = 1.0 if x_prev is None else 2.0
         mean = x if x_prev is None else x - x_prev
-        z = (theta - mean) / (noise.sigma * math.sqrt(2.0 * spread))
+        with np.errstate(over="ignore"):  # erfc's limits at z = +-inf are exact
+            z = (theta - mean) / (noise.sigma * math.sqrt(2.0 * spread))
         return (0.5 * _erfc(-z).astype(float), 0.5 * _erfc(z).astype(float),
                 8.0 * _EPS)
     # A Poisson sample at level 0 is the noise-free 0.
-    lam = noise.alpha * np.stack([x, np.zeros_like(x) if x_prev is None else x_prev])
+    with np.errstate(over="ignore"):  # an infinite mean is refused below
+        lam = noise.alpha * np.stack([x, np.zeros_like(x) if x_prev is None else x_prev])
     pairs, inverse = np.unique(lam, axis=1, return_inverse=True)
-    windows = {v: _poisson_window(v) for v in np.unique(pairs).tolist()}
+    means = np.unique(pairs).tolist()
+    # Widths from the reaches, which do not cancel at a huge mean as hi - lo
+    # does; 128 bytes a count cover the pmf kept and the arrays that build it.
+    _count_under_cap(128 * sum(sum(_poisson_reach(v)) + 2.0 for v in means),
+                     f"alpha = {noise.alpha:g}", "the table of Poisson windows")
+    windows = {v: _poisson_window(v) for v in means}
     p0, p1, err = np.empty(pairs.shape[1]), np.empty(pairs.shape[1]), 0.0
     for j, (lam_y, lam_prev) in enumerate(pairs.T.tolist()):
         lo, pmf, err_y = windows[lam_y]
@@ -525,7 +547,7 @@ def exact_error_probability(
     else:
         raise TypeError(f"no exact error probability for {mode!r}")
     # About a dozen float64 arrays over the 2^width windows live at once.
-    _count_under_cap(96 << width, cir, "pattern table")
+    _count_under_cap(96 << width, f"{cir.memory} taps", "the pattern table")
     # Window w holds bit b[i - l] of position i in its bit l.
     window = np.arange(1 << width)
     level = _levels(taps, window)
@@ -548,7 +570,8 @@ def exact_error_probability(
             w = weight * (sent == s)
             joint[s] += count * np.array([w @ p0, w @ p1])
     joint /= bits_per_frame
-    ber = float(joint[0, 1] + joint[1, 0])
+    # Rounding can lift the sum past 1 (by 1e-7 at a Poisson mean of 1e8).
+    ber = min(float(joint[0, 1] + joint[1, 0]), 1.0)
     bound = max(first[2], rest[2]) + 2.0 * _EPS * n_classes * window.size
     return ExactBer(ber=ber, ci_low=max(0.0, ber - bound), ci_high=min(1.0, ber + bound),
                     joint=tuple(tuple(float(v) for v in row) for row in joint))
@@ -572,8 +595,11 @@ def mutual_information(joint_counts) -> float:
     px = p.sum(axis=1, keepdims=True)
     py = p.sum(axis=0, keepdims=True)
     mask = p > 0
-    ratio = np.where(mask, p / (px * py), 1.0)
-    return float((p[mask] * np.log2(ratio[mask])).sum())
+    # Where px py is below the normal floats (p near 1e-300), subtract logs.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_ratio = np.where(px * py >= np.finfo(float).tiny, np.log2(p / (px * py)),
+                             np.log2(p) - np.log2(px) - np.log2(py))
+    return float((p[mask] * log_ratio[mask]).sum())
 
 
 def joint_counts(sent, decided, n_symbols: int = 2) -> np.ndarray:

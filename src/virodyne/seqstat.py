@@ -20,14 +20,13 @@ from __future__ import annotations
 import enum
 import math
 import re
-import string
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, TextIO, Union
 
 import numpy as np
 
-from .core import AMINO_STATES
+from .core import AMINO_STATES, NUCLEOTIDES
 from .errors import EmptyInput, LengthMismatch, NoData, ParseError
 
 GAP = "-"
@@ -42,7 +41,7 @@ class Alphabet(enum.Enum):
 
     @property
     def symbols(self) -> str:
-        return "ACGT" if self is Alphabet.NUCLEOTIDE else AMINO_STATES
+        return NUCLEOTIDES if self is Alphabet.NUCLEOTIDE else AMINO_STATES
 
     @property
     def ambiguity(self) -> str:
@@ -62,6 +61,24 @@ class Alphabet(enum.Enum):
             table[code] = i
         return bytes(table)
 
+    def residue(self, ch: str) -> str | None:
+        """What the character ch of a FASTA body reads as: None for
+        whitespace; the symbol, gap or ambiguity code its upper case names
+        ('U' reads as 'T' for nucleotides, 'ſ' as 'S'); '\\0' for anything
+        else, 'ß' among them, whose upper case is 'SS'."""
+        if ch.isspace():
+            return None
+        up = ch.upper()
+        if up == "U" and self is Alphabet.NUCLEOTIDE:
+            return "T"
+        accepted = self.symbols + GAP + self.ambiguity
+        return up if len(up) == 1 and up in accepted else "\0"
+
+    @cached_property
+    def residue_table(self) -> dict[int, str | None]:
+        """`str.translate` table of `residue` over the ASCII codes."""
+        return {code: self.residue(chr(code)) for code in range(128)}
+
 
 @dataclass(frozen=True)
 class FastaRecord:
@@ -78,78 +95,45 @@ def parse_fasta(source: Union[str, TextIO], alphabet: Alphabet) -> list[FastaRec
     column; an input with no records raises EmptyInput.
 
     The text is read once and split into records at header lines (lines
-    end at '\\n', as the handle reads them). One table states which ASCII
-    characters a body may hold: it maps the accepted residues of either
-    case to their upper case, drops ASCII whitespace, and maps every other
-    ASCII character to '\\0'. A body is translated through it once, and
-    the result is the sequence when it is non-empty, ASCII and free of
-    '\\0'. Anything else, that is a body with another character, an empty
-    header, a header with no sequence, or data before the first header, is
-    scanned line by line and character by character for that record alone:
-    that scan is the one route that knows line and column, and it accepts
-    non-ASCII characters whose upper case is in the alphabet ('ſ' for 'S').
+    end at '\\n', as the handle reads them). `Alphabet.residue` is the one
+    rule for a body's characters: each body is translated once through the
+    alphabet's ASCII table of that rule, extended by the same rule to the
+    body's non-ASCII characters, and the result is the sequence. A record
+    fails on an empty header, reported at its line; on a character whose
+    residue is '\\0', reported at the first one's line and column; or on an
+    empty sequence, reported at the line after the record.
     """
     text = source if isinstance(source, str) else source.read()
-    allowed = set(alphabet.symbols) | {GAP, alphabet.ambiguity}
-    nucleotide = alphabet is Alphabet.NUCLEOTIDE
-    # The table reads the raw text, before any upper-casing: 'ß'.upper()
-    # is 'SS'.
-    accepted = "".join(allowed) + ("U" if nucleotide else "")
-    plain = accepted + accepted.lower()
-    normalize = dict.fromkeys(range(128), "\0")
-    normalize.update(str.maketrans(plain, accepted.replace("U", "T") * 2,
-                                   string.whitespace))
-
-    def scan(lines: list[str], first: int, end: int) -> FastaRecord:
-        """The record in `lines`, numbered from line `first`, scanned per
-        character; a record without sequence is reported at line `end`."""
-        ident: str | None = None
-        chunks = []
-        for line_no, line in enumerate(lines, start=first):
-            if not line.strip():
-                continue
-            if line.startswith(">"):
-                ident = line[1:].strip()
-                if not ident:
-                    raise ParseError("empty FASTA header", line_no, 1)
-                continue
-            if ident is None:
-                raise ParseError("sequence data before any '>' header", line_no, 1)
-            for col, ch in enumerate(line, start=1):
-                if ch.isspace():
-                    continue
-                up = ch.upper()
-                if nucleotide and up == "U":
-                    up = "T"
-                if up not in allowed:
-                    raise ParseError(f"invalid {alphabet.value} symbol {ch!r}",
-                                     line_no, col)
-                chunks.append(up)
-        if not chunks:
-            raise ParseError(f"record '{ident}' has no sequence", end, 1)
-        return FastaRecord(ident, "".join(chunks))
-
     # The text's last '\n' ends its last line and opens none; the leading
     # '\n' puts every header, the first too, after a "\n>", so the piece
     # before the first header starts at a blank line 0.
     text = "\n" + text.removesuffix("\n")
     head, *pieces = _HEADER.split(text)
-    if head.strip():
-        scan(head.split("\n"), 0, 0)  # raises at its first line of data
+    if head.strip():  # reported at the line of its first non-space
+        raise ParseError("sequence data before any '>' header",
+                         head.count("\n", 0, len(head) - len(head.lstrip())), 1)
     records: list[FastaRecord] = []
     start = len(head) + 2  # where the loop's piece starts in text
-    line_no, counted = 0, 0  # text[counted] lies on line line_no
     for piece in pieces:
         header, _, body = piece.partition("\n")
         ident = header.strip()
-        seq = body.translate(normalize)
-        if ident and seq and seq.isascii() and "\0" not in seq:
-            records.append(FastaRecord(ident, seq))
-        else:
-            line_no += text.count("\n", counted, start)
-            counted = start
-            lines = (">" + piece).split("\n")
-            records.append(scan(lines, line_no, line_no + len(lines)))
+        table = alphabet.residue_table
+        if not body.isascii():
+            table = table | {ord(ch): alphabet.residue(ch)
+                             for ch in set(body) if not ch.isascii()}
+        seq = body.translate(table)
+        if not ident or not seq or "\0" in seq:
+            line = text.count("\n", 0, start)  # the header's
+            if not ident:
+                raise ParseError("empty FASTA header", line, 1)
+            if "\0" in seq:
+                at = min(body.find(ch) for ch in set(body) if table[ord(ch)] == "\0")
+                raise ParseError(f"invalid {alphabet.value} symbol {body[at]!r}",
+                                 line + 1 + body.count("\n", 0, at),
+                                 at - body.rfind("\n", 0, at))
+            raise ParseError(f"record '{ident}' has no sequence",
+                             line + 1 + piece.count("\n"), 1)
+        records.append(FastaRecord(ident, seq))
         start += len(piece) + 2
     if not records:
         raise EmptyInput("no FASTA records found")
@@ -268,9 +252,6 @@ class EntropyProfile:
     @property
     def length(self) -> int:
         return int(self.entropies.size)
-
-    def defined_positions(self) -> np.ndarray:
-        return np.where(np.isfinite(self.entropies))[0] + 1
 
 
 def positional_entropy(alignment: AlignmentMatrix,

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from virodyne.channel import (
     Environment,
@@ -614,17 +619,16 @@ class TestCli:
         assert float(row[4]) == pytest.approx(1e-6 / (4 * math.pi * 0.5), rel=1e-12)
 
     def test_detect_refuses_a_non_finite_report(self, tmp_path, capsys):
-        # Levels of 1e308 + 1e308 overflow and their difference is NaN; the
-        # report cannot be JSON, so nothing is written.
+        # A level of 1e308 + 1e308 overflows a float; the taps are refused
+        # by name before a NaN can reach the report, and nothing is written.
         text = (REPO_CONFIGS / "detect_demo.cfg").read_text()
         text = text.replace("taps = 1.0", "taps = 1e308 1e308").replace(
             "mode = threshold", "mode = difference")
         out = tmp_path / "report.json"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["detect", "--config", write(tmp_path, "d.cfg", text),
-                       "--out", str(out)])
+        rc = main(["detect", "--config", write(tmp_path, "d.cfg", text),
+                   "--out", str(out)])
         assert rc == 1
-        assert "not JSON compliant" in capsys.readouterr().err
+        assert "taps sum past the largest float" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("wind, code", [("0 0 0", 1), ("0.5 0 0", 0)])
@@ -750,6 +754,58 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+
+# Finite values at the edges of a float: 1e+-300, the largest and the least
+# normal floats, subnormals, zero, and an alpha either side of the Poisson
+# window cap for a single tap of 1 (about 3.74e9). Most draws are values a
+# key accepts; the rest are refused.
+_EDGES = [1e300, 1e-300, sys.float_info.max, sys.float_info.min, 1e-310,
+          5e-324, 0.0, 1.0, 0.5, 3.7e9, 3.8e9]
+_POSITIVE = st.sampled_from(_EDGES) | st.floats(0.0, sys.float_info.max)
+_SIGNED = _POSITIVE | st.sampled_from([-x for x in _EDGES]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+_PROBABILITY = st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1 - 2**-53, 1.0,
+                                -5e-324, 1 + 2**-52]) | st.floats(0.0, 1.0)
+
+
+@given(noise=st.sampled_from(["gaussian", "poisson"]),
+       mode=st.sampled_from(["threshold", "sequence", "difference"]),
+       taps=st.lists(_POSITIVE, min_size=1, max_size=3), sigma=_POSITIVE,
+       alpha=_POSITIVE, threshold=_POSITIVE | st.just(-1.0),
+       threshold_delta=_SIGNED, p1=_PROBABILITY)
+@example(noise="poisson", mode="threshold", taps=[1e-300], sigma=1.0,
+         alpha=1.6570740548760727e308, threshold=1e300, threshold_delta=0.0,
+         p1=1 - 2**-53)  # a Poisson mean of 1.66e8 once read a BER of 1 + 1.6e-7
+@settings(max_examples=300, deadline=None)
+def test_detect_on_extreme_values_reports_or_refuses(
+        noise, mode, taps, sigma, alpha, threshold, threshold_delta, p1):
+    # Each run exits 0 with finite JSON, its BER in [0, 1] and inside its
+    # ci, or exits 1 or 2 with one line on stderr and no file; never a
+    # traceback or a warning.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "d.cfg", Path(tmp) / "report.json"
+        cfg.write_text(
+            f"[detection]\ntaps = {' '.join(map(repr, taps))}\nnoise = {noise}\n"
+            f"sigma = {sigma!r}\nalpha = {alpha!r}\nmode = {mode}\n"
+            f"threshold = {threshold!r}\nthreshold_delta = {threshold_delta!r}\n"
+            f"p1 = {p1!r}\nbits_per_frame = 4\ntrials = 8\n")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(["detect", "--config", str(cfg), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == []
+            report = json.loads(out.read_text(), parse_constant=lambda c: 1 / 0)
+            assert report["ci"][0] <= report["ber"] <= report["ci"][1]
+            assert 0.0 <= report["ber"] <= 1.0 and math.isfinite(report["mi_bits"])
+        else:
+            assert rc in (1, 2)
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not out.exists()
 
 
 class TestFileIo:

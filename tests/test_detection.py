@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from virodyne.detection import (
     mutual_information,
     wilson_interval,
 )
-from virodyne.errors import EmptyObservation, MissingChannelModel
+from virodyne.errors import EmptyObservation, MissingChannelModel, VirodyneError
 
 import detection_oracle
 
@@ -279,9 +280,8 @@ class TestErrorProbability:
     def test_tiny_sigma_keeps_sequence_ml_exact(self):
         # sigma^2 underflows to 0 at sigma = 1e-300; the scaled residual
         # does not, so every wrong frame scores -inf and none is chosen.
-        with np.errstate(over="ignore"):  # a wrong frame's residual^2 is inf
-            est = error_probability(CIR2, DetectorConfig(SequenceML()),
-                                    GaussianNoise(1e-300), 8, 200, seed=1)
+        est = error_probability(CIR2, DetectorConfig(SequenceML()),
+                                GaussianNoise(1e-300), 8, 200, seed=1)
         assert est.ber == 0.0
         assert mutual_information(est.joint) > 0.99
 
@@ -346,6 +346,33 @@ class TestExactErrorProbability:
             error_probability(cir, DetectorConfig(SequenceML()), noise, 8, 1, seed=0)
         with pytest.raises(ValueError, match="41 taps"):
             detect(ReceivedFrame(np.zeros(48), noise), cir, DetectorConfig(SequenceML()))
+
+    @pytest.mark.parametrize("alpha", [1e20, 1e40, 1e300])
+    def test_poisson_window_over_the_cap_raises_before_allocating(self, alpha):
+        # At alpha = 1e20 the window spans about 1.5e11 counts; at 1e40 its
+        # ends differ by less than a float's spacing there.
+        cir = ChannelImpulseResponse(taps=[1.0])
+        for mode in (SymbolThreshold(0.5), NonCoherentDifference(0.1)):
+            with pytest.raises(ValueError, match=r"Poisson windows for alpha = .* over the"):
+                exact_error_probability(cir, DetectorConfig(mode), PoissonNoise(alpha), 4)
+
+    def test_poisson_draw_past_int64_names_alpha(self):
+        with pytest.raises(ValueError, match=r"alpha = 1e\+19 puts a Poisson mean past 2\^62"):
+            error_probability(CIR2, DetectorConfig(SequenceML()), PoissonNoise(1e19),
+                              4, 1, seed=0)
+        # More taps than an int64 window has bits still reach the trellis cap.
+        with pytest.raises(ValueError, match="100 taps"):
+            error_probability(ChannelImpulseResponse(taps=np.full(100, 0.1)),
+                              DetectorConfig(SequenceML()), PoissonNoise(4.0), 4, 1, seed=0)
+
+    def test_levels_past_the_largest_float_name_the_taps(self):
+        cir = ChannelImpulseResponse(taps=[1e308, 1e308])
+        for mode in (SymbolThreshold(), NonCoherentDifference(0.1)):
+            with pytest.raises(VirodyneError, match="taps sum past the largest float"):
+                exact_error_probability(cir, DetectorConfig(mode), GaussianNoise(1.0), 4)
+        with pytest.raises(VirodyneError, match="taps sum past the largest float"):
+            error_probability(cir, DetectorConfig(SequenceML()), GaussianNoise(1.0),
+                              4, 1, seed=0)
 
     def test_trellis_batches_leave_decisions_unchanged(self, monkeypatch):
         stream = rng_stream(4, 0)
@@ -423,6 +450,12 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information([[1, -1], [0, 0]])
 
+    def test_probabilities_near_1e_300(self):
+        # px py underflows to 0 in the rare row; its term is
+        # 1e-300 log2(1e-300 / 1e-600).
+        mi = mutual_information([[1.0, 0.0], [0.0, 1e-300]])
+        assert mi == pytest.approx(1e-300 * math.log2(1e300), rel=1e-12)
+
 
 class TestNoiseModels:
     def test_poisson_counts_scale(self):
@@ -438,6 +471,12 @@ class TestNoiseModels:
             GaussianNoise(0.0)
         with pytest.raises(ValueError):
             PoissonNoise(-1.0)
+        # Past these bounds a difference's spread or a count's reading
+        # k / alpha overflows a float.
+        with pytest.raises(ValueError, match="sigma must be > 0 and at most"):
+            GaussianNoise(sys.float_info.max)
+        with pytest.raises(ValueError, match=r"alpha must be finite and >= 2\^63"):
+            PoissonNoise(1e-300)
         with pytest.raises(ValueError):
             ChannelImpulseResponse(taps=[-0.1])
         with pytest.raises(ValueError):

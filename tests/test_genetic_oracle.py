@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import genetic_oracle as oracle
 from virodyne import seqstat
-from virodyne.core import AMINO_STATES, CODONS, codons_for, translate
+from virodyne.core import AMINO_STATES, CODON_AMINO, CODONS, translate
 from virodyne.errors import (
     InvalidParams,
     InvalidWeights,
@@ -48,8 +48,11 @@ ALPHABETS = st.sampled_from([Alphabet.NUCLEOTIDE, Alphabet.AMINO])
 
 # Characters whose case mapping or whitespace status trips a naive check:
 # 'ß'.upper() is 'SS', 'ﬀ'.upper() is 'FF', 'ı'.upper() is 'I', 'ſ'.upper()
-# is 'S', U+00A0 is whitespace, U+212A (Kelvin sign) is not 'K'.
-TRICKY = "ßﬀıſ\xa0K"
+# is 'S', U+00A0 is whitespace, U+212A (Kelvin sign) is not 'K', U+0085
+# (next line) and U+2003 (em space) are whitespace that ends no line here,
+# '\0' is the parser's own mark for a rejected character, and 'ﬆ'.upper()
+# is 'ST', a substring of the amino alphabet.
+TRICKY = "ßﬀıſ\xa0K\x85\u2003\0ﬆ"
 SEQ_CHARS = ("ACGTUNX-*acgtunx" + "DEFHIKLMPQRSVWYdefhiklmpqrsvwy"
              + " \t\r\x0b\x0c\x1c" + TRICKY + "!.1>")
 
@@ -337,8 +340,9 @@ def test_translate_matches_codon_by_codon_table():
 
 
 def test_codons_for_matches_codon_by_codon_table():
-    for aa in AMINO_STATES:
-        assert codons_for(aa) == oracle.standard_codons_for(aa)
+    for k, aa in enumerate(AMINO_STATES):
+        assert tuple(CODONS[i] for i in np.flatnonzero(CODON_AMINO == k)) == \
+            oracle.standard_codons_for(aa)
 
 
 # q = 0, gamma q = 0 with q > 0, subnormal q and subnormal gamma q, and the

@@ -130,7 +130,7 @@ class TestEntropy:
         aln = make_alignment(["-", "-"])
         profile = positional_entropy(aln)
         assert math.isnan(profile.entropies[0])
-        assert profile.defined_positions().size == 0
+        assert not np.isfinite(profile.entropies).any()
 
     def test_pseudocount_smooths(self):
         aln = make_alignment(["A", "A", "A", "A"])
