@@ -48,7 +48,18 @@ of its modes only (0, 0), which does not depend on where the source sits
 across the duct, has a closed-form age integral, while past tau0 every
 other mode weighs less than exp(-_TAIL). Each side keeps every term down
 to exp(-_TAIL) of what it keeps, so all counts depend on the duct's shape
-alone. The bounds assume every emission point lies inside the region the
+alone. Far from its source a row needs no images at all: mode (m, n) decays
+along the duct like exp(-|xi| kappa), kappa = sqrt(u^2 / 4D^2 + k_m^2 +
+k_n^2), with xi the axial separation and u the drift along the duct. So a
+row not moving across the duct with |xi| >= xi* = _FAR_EDGE sqrt(W H) takes
+the modes alone from age 0 (_far_rows), from a table per |xi| block (blocks
+double from xi*) that keeps the modes within exp(-_TAIL) of mode (0, 0) at
+the block's lower edge. Each dropped mode's age integral is at most its
+steady one, so the table's lattice tail bounds what it drops; a row whose
+bound exceeds exp(-_TAIL) of what it keeps (a young row, or one whose value
+underflows to 0) keeps the split at tau*, as does every row of a block
+whose table would hold more modes than that split has images and modes.
+The bounds assume every emission point lies inside the region the
 boundary declares; check_inside raises OutOfDomain for a point outside, and
 the field path calls it on every source.
 
@@ -325,9 +336,16 @@ def _gauss1d(dx: np.ndarray, four_dt: np.ndarray) -> np.ndarray:
 
 # The duct's split (see the module docstring). tau* D / min(W, H)^2 is a
 # shape-free constant; 0.16 keeps about a hundred images and a few dozen
-# modes for a duct whose sides differ by less than half.
+# modes for a duct whose sides differ by less than half. xi* / sqrt(W H) is
+# another: at 0.85 the first far block keeps 120-150 modes in still air and
+# in a drift of 1 m/s at D = 0.5 for a 3 x 2.5, 2 x 2 or 6 x 1 m duct, under
+# the split's 165-220 images and modes; from 0.6 to 1.1 it moved the
+# benchmark duct's time by less than the noise. _FAR_REACH caps the modes a
+# far table enumerates, out to exp(-2 _TAIL), at that many times the split's.
 _TAIL = 32.0
 _SPLIT_AGE = 0.16
+_FAR_EDGE = 0.85
+_FAR_REACH = 8.0
 
 
 def _split_scale(b: Boundary) -> float:
@@ -456,12 +474,19 @@ def _duct_modes(b: RectangularDuctReflecting) -> tuple[np.ndarray, ...]:
     for the 0 mode and 2 for the others. Mode (0, 0) comes first."""
     ky = np.concatenate([[0.0], _split_waves(b, b.width)])
     kz = np.concatenate([[0.0], _split_waves(b, b.height)])
+    m, n, lam, weight = _mode_lattice(b, ky, kz)
+    keep = lam * _split_scale(b) <= _TAIL
+    return ky, kz, m[keep], n[keep], lam[keep], weight[keep]
+
+
+def _mode_lattice(b: RectangularDuctReflecting, ky: np.ndarray,
+                  kz: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every mode of the wavenumbers ky, kz (0 first): its m, n, its
+    eigenvalue k_m^2 + k_n^2 and its weight eps_m eps_n / (W H)."""
     m, n = (a.ravel() for a in np.meshgrid(np.arange(ky.size), np.arange(kz.size),
                                             indexing="ij"))
-    lam = ky[m] ** 2 + kz[n] ** 2
-    keep = lam * _split_scale(b) <= _TAIL
     weight = np.where(m > 0, 2.0, 1.0) * np.where(n > 0, 2.0, 1.0) / (b.width * b.height)
-    return ky, kz, m[keep], n[keep], lam[keep], weight[keep]
+    return m, n, ky[m] ** 2 + kz[n] ** 2, weight
 
 
 def _cody_table(num: Sequence[float], den: Sequence[float]) -> list[np.ndarray]:
@@ -647,9 +672,14 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
     cover ages up to tau* and its cross-section modes the older ones
     (_mode_kernel); a trajectory piece moving across the duct splits at
     tau0 = _TAIL (max(W, H) / pi)^2 / D instead, the images it needs before
-    and mode (0, 0) alone after. The split is chosen per row, so a row's
-    value does not depend on the batch. Its bounds assume every emission
-    point lies inside the duct, which evaluate_field checks.
+    and mode (0, 0) alone after. A row at |xi| >= xi* from its source that
+    does not move across the duct takes the modes alone from age 0 (or
+    from its taus_end) and no images, when the bound on the modes its
+    table drops lies under exp(-_TAIL) of what the table keeps (_far_rows);
+    otherwise it keeps the split at tau*. Every choice reads the row's own
+    values, so a row's value does not depend on the batch. Its bounds
+    assume every emission point lies inside the duct, which evaluate_field
+    checks.
 
     With dr = r - r0, d = |dr| and drift v, each image contributes
         K(tau) = exp(v . dr / 2D) / (8 pi D d)
@@ -699,8 +729,13 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
     out = np.empty(n)
     cross = np.zeros(n, dtype=bool) if vel is None else (vel[:, list(b.walls)] != 0.0).any(axis=1)
     drift = env.wind_arr[0] - (np.zeros(n) if vel is None else vel[:, 0])
+    along = ~cross
+    far, values = _far_rows(b, env.diffusivity, src, obs, drift,
+                            np.zeros(n) if ends is None else ends, taus, along)
+    out[far] = values
+    along[far] = False
     modes = _duct_modes(b)
-    for rows, scale, table in ((~cross, _split_scale(b), modes),
+    for rows, scale, table in ((along, _split_scale(b), modes),
                                (cross, _TAIL * (max(b.walls.values()) / math.pi) ** 2,
                                 tuple(a[:1] for a in modes))):
         if not rows.any():
@@ -779,6 +814,115 @@ def _mode_kernel(modes: tuple[np.ndarray, ...], diffusivity: float, src: np.ndar
     return (weight * cy[:, m] * cz[:, n] * span).sum(axis=1)
 
 
+def _far_edge(b: RectangularDuctReflecting) -> float:
+    """xi*, the axial distance from which a row may take modes alone."""
+    return _FAR_EDGE * math.sqrt(b.width * b.height)
+
+
+@lru_cache(maxsize=256)
+def _far_modes(b: RectangularDuctReflecting, q: float,
+               block: int) -> tuple[tuple[np.ndarray, ...], float] | None:
+    """The modes of rows with |xi| in [xi_lo, 2 xi_lo), xi_lo = xi* 2^block,
+    whose mode (0, 0) decays at kappa_00 = |u| / 2D <= q: a _duct_modes
+    table of those with xi_lo (kappa - q) <= _TAIL, kappa = sqrt(q^2 +
+    lambda), and `tail`, an upper bound on the lattice sum over the dropped
+    ones of eps_m eps_n / (W H) e^(-xi_lo (kappa - q)) / sqrt(lambda). For
+    any such row the steady sum of the dropped modes, each
+    eps_m eps_n / (W H) e^(u xi / 2D - |xi| kappa) / 2D kappa at its own
+    kappa_00, is at most e^(u xi / 2D - |xi| kappa_00) tail / 2D: its
+    |xi| >= xi_lo, its kappa >= sqrt(lambda), and kappa - kappa_00 falls
+    as kappa_00 grows to q. None when more modes are kept than the split at
+    tau* has images and modes, whose work they would replace.
+
+    The sum is taken term by term over wavenumbers |k| = sqrt(lambda) up to
+    rho, one lattice cell's diagonal past every mode with xi_lo (kappa - q)
+    <= 2 _TAIL. Beyond rho the summand g(|k|) falls with |k|, so each term
+    is at most the mean of g over its lattice cell, which lies past
+    rho - diagonal: the interior terms sum to at most (2 / pi) times the
+    integral of e^(-xi_lo (kappa - q)) over |k| > rho - diagonal, and each
+    axis to its first term past rho plus L / pi times the integral of g.
+    Past r, kappa - q grows at least at r / sqrt(q^2 + r^2) per unit |k|,
+    which bounds both integrals in closed form."""
+    xi_lo = math.ldexp(_far_edge(b), block)
+    t = 2.0 * _TAIL / xi_lo
+    cell = math.pi * math.hypot(1.0 / b.width, 1.0 / b.height)
+    rho = math.sqrt(t * t + 2.0 * q * t) + cell  # kappa - q <= t: lambda <= t^2 + 2 q t
+    work = len(_image_stack(b, _split_scale(b))[0]) + _duct_modes(b)[4].size
+    if (b.width * rho / math.pi + 2.0) * (b.height * rho / math.pi + 2.0) > _FAR_REACH * work:
+        return None
+    ky, kz = (math.pi / L * np.arange(math.floor(L * rho / math.pi) + 2.0)
+              for L in (b.width, b.height))
+    m, n, lam, weight = _mode_lattice(b, ky, kz)
+    decay = xi_lo * lam / np.where(lam > 0.0, np.hypot(q, np.sqrt(lam)) + q, 1.0)
+    keep = decay <= _TAIL
+    if np.count_nonzero(keep) > work:
+        return None
+
+    def fall(k):
+        """e^(-xi_lo (kappa - q)) at |k| and the integral of it past |k|."""
+        at = math.exp(-xi_lo * k * k / (math.hypot(q, k) + q))
+        return at, at * math.hypot(q, k) / (xi_lo * k)
+
+    drop = ~keep
+    with np.errstate(under="ignore"):
+        tail = float((weight[drop] * np.exp(-decay[drop]) / np.sqrt(lam[drop])).sum())
+    tail += 2.0 / math.pi * fall(rho - cell)[1]
+    for L in (b.width, b.height):
+        k = math.pi / L * (math.floor(L * rho / math.pi) + 1.0)
+        at, past = fall(k)
+        tail += 2.0 / (b.width * b.height) * (at + L / math.pi * past) / k
+    m, n = m[keep], n[keep]
+    return (ky[:m.max() + 1], kz[:n.max() + 1], m, n, lam[keep], weight[keep]), tail
+
+
+def _far_rows(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
+              obs: np.ndarray, drift: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows among `rows` (none moving across the duct) that take ages
+    [lo, hi] from the cross-section modes alone, and their values: those
+    with |xi| >= xi*, each through the _far_modes table of its |xi| block
+    and of kappa_00 rounded up to a power of 2, whose bound on the dropped
+    modes lies under exp(-_TAIL) of what the table keeps. Mode (0, 0), the
+    cross-section mean, must clear that bound first, so a young row, whose
+    mean is tiny, skips the table. Every test reads the row's own values
+    only."""
+    xi = obs[:, 0] - src[:, 0]
+    with np.errstate(over="ignore"):
+        q = np.abs(drift) / (2.0 * diffusivity)
+    cand = np.flatnonzero(rows & (np.abs(xi) >= _far_edge(b)) & (hi > lo)
+                          & np.isfinite(xi) & np.isfinite(q))
+    if not cand.size:
+        return cand, np.zeros(0)
+    block = np.frexp(np.abs(xi[cand]) / _far_edge(b))[1] - 1
+    frac, exp2 = np.frexp(q[cand])
+    top = np.where(frac > 0.0, np.ldexp(1.0, exp2 - (frac == 0.5)), 0.0)
+    with np.errstate(over="ignore", under="ignore"):
+        # e^(u xi / 2D - |xi| kappa_00) e^_TAIL / 2D, e^_TAIL / 2D downstream
+        scale = np.where(drift[cand] * xi[cand] > 0.0, 1.0,
+                         np.exp(-2.0 * q[cand] * np.abs(xi[cand]))) * (
+                             math.exp(_TAIL) / (2.0 * diffusivity))
+    mean = _axial_span(xi[cand, None], drift[cand, None], np.zeros(1), lo[cand, None],
+                       hi[cand, None], diffusivity)[:, 0] / (b.width * b.height)
+    far, values = [cand[:0]], [np.zeros(0)]
+    for key in sorted(set(zip(block.tolist(), top.tolist()))):
+        found = _far_modes(b, key[1], key[0])
+        if found is None:
+            continue
+        table, tail = found
+        sel = (block == key[0]) & (top == key[1])
+        limit = tail * scale[sel]
+        clear = limit < mean[sel]
+        i, limit = cand[sel][clear], limit[clear]
+        step = max(1, _BLOCK_PAIRS // table[4].size)
+        kept = np.concatenate([np.zeros(0)] + [
+            _mode_kernel(table, diffusivity, src[j], obs[j], drift[j], lo[j], hi[j])
+            for j in (i[k:k + step] for k in range(0, i.size, step))])
+        ok = limit < kept
+        far.append(i[ok])
+        values.append(kept[ok])
+    return np.concatenate(far), np.concatenate(values)
+
+
 def _axial_span(xi: np.ndarray, u: np.ndarray, lam: np.ndarray, lo: np.ndarray,
                 hi: np.ndarray, diffusivity: float) -> np.ndarray:
     """Per (row, mode): the integral over ages sigma in [lo, hi] of
@@ -815,25 +959,28 @@ def _axial_span(xi: np.ndarray, u: np.ndarray, lam: np.ndarray, lo: np.ndarray,
     a = np.abs(xi) / (2.0 * sqrt_d)
 
     def end(s):
-        """(head or tail of s, whether s is past the peak); tail(inf) = 0."""
+        """(head or tail of s, whether s is past the peak); head(0) = 0 and
+        tail(inf) = 0 exactly, neither evaluated."""
         fin = np.isfinite(s)
-        sf = np.where(fin, s, 1.0)
+        pos = fin & (s > 0.0)
+        if not pos.any():
+            return np.zeros(b.shape), np.broadcast_to(~fin, b.shape)
+        sf = np.where(pos, s, 1.0)
         rs = np.sqrt(sf)
         x = np.broadcast_to(a / rs, b.shape)
         beta = b * rs
         with np.errstate(under="ignore"):
             damp = np.exp(-(xi - u * sf) ** 2 / (4.0 * diffusivity * sf)
                           - diffusivity * lam * sf)
-        near = beta < _GL_EDGE
-        past = (~near & (x < beta)) | ~fin
+        near = (beta < _GL_EDGE) & pos
+        past = (~near & (x < beta) & pos) | ~fin
         out = np.zeros(b.shape)
         tail = past & fin
         out[tail] = (damp[tail] * (_erfcx(beta[tail] - x[tail]) + _erfcx(beta[tail] + x[tail]))
                      / (4.0 * b[tail] * sqrt_d))
-        head = ~past & ~near
+        head = ~past & ~near & pos
         out[head] = (damp[head] * (_erfcx(x[head] - beta[head]) - _erfcx(x[head] + beta[head]))
                      / (4.0 * b[head] * sqrt_d))
-        near &= fin
         if near.any():
             xs, bs = x[near], beta[near]
             mean_slope = _erfcx_slope(xs)

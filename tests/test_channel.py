@@ -358,6 +358,21 @@ class TestContinuousKernel:
         # moving along it.
         tau0 = 32.0 * (3.0 / math.pi) ** 2 / 0.5
         assert (taus[1::2] > tau0).sum() > 500 and (ends[1::2] > tau0).sum() > 200
+        # Over both cases more than 500 rows take the modes alone from
+        # |xi| >= xi*, in at least three |xi| blocks, beside far rows that the
+        # bound check sends back to the split.
+        b = duct.boundary
+        xi = np.abs(obs[:, 0] - src[:, 0])
+        edge = channel._far_edge(b)
+        far, back = [], 0
+        for drift, lo, rows in [(np.full(n, 0.6), np.zeros(n), np.ones(n, dtype=bool)),
+                                (0.6 - vel[:, 0], ends, (vel[:, 1:] == 0.0).all(axis=1))]:
+            rows_far = channel._far_rows(b, 0.5, src, obs, drift, lo, taus, rows)[0]
+            far.append(rows_far)
+            back += np.count_nonzero(rows & (xi >= edge)) - rows_far.size
+        far = np.concatenate(far)
+        blocks = np.unique(np.floor(np.log2(xi[far] / edge)))
+        assert far.size > 500 and blocks.size >= 3 and back > 500
         cases = {"windy duct": {}, "moving piece": {"velocity": vel, "taus_end": ends}}
         for name, extra in cases.items():
             batch = unit_continuous_kernel(duct, src, obs, taus, **extra)

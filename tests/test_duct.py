@@ -205,3 +205,111 @@ def test_erfcx_slope_matches_mpmath():
                                  - 2 * mpmath.mpf(v) * mpmath.exp(mpmath.mpf(v) ** 2)
                                  * mpmath.erfc(v)) for v in z])
     assert channel._erfcx_slope(z) == pytest.approx(expect, rel=3e-14, abs=0.0)
+
+
+def _far_axis():
+    """Axial offsets just inside and just outside xi* and each block edge
+    above it, alternately downstream and upstream."""
+    edge = channel._far_edge(DUCT)
+    return [s * f * edge * 2.0 ** j for j in range(4)
+            for s, f in ((1.0, 0.99), (-1.0, 1.01), (-1.0, 0.99), (1.0, 1.01))]
+
+
+def _far_obs():
+    xs = np.array(_far_axis())
+    ys = np.resize([0.2, 1.4, 2.9, 0.0], xs.size)
+    zs = np.resize([2.4, 0.9, 0.1, 2.5], xs.size)
+    return np.column_stack([SRC[0] + xs, ys, zs])
+
+
+@pytest.mark.parametrize("wind", [0.0, 1e-6, 0.5], ids=["still", "near_still", "windy"])
+def test_far_rows_are_the_image_sum(wind):
+    # Rows on both sides of xi* and of each block edge, seen from tau*/2 to
+    # the steady state and over a window that stopped at half the age.
+    env = Environment(diffusivity=0.5, wind=Velocity(wind, 0.0, 0.0), boundary=DUCT)
+    obs = _far_obs()
+    n = len(obs)
+    taken = 0
+    for t in _ages(0.5, wind):
+        for end in [0.0] + [t / 2] * math.isfinite(t):
+            got = unit_continuous_kernel(env, SRC, obs, np.full(n, t), taus_end=np.full(n, end))
+            want = [duct_oracle.continuous(W, H, 0.5, wind, SRC, r, t, tau_end=end) for r in obs]
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (t, end)
+            far, _ = channel._far_rows(DUCT, 0.5, np.broadcast_to(SRC, (n, 3)), obs,
+                                       np.full(n, wind), np.full(n, end), np.full(n, t),
+                                       np.ones(n, dtype=bool))
+            taken += far.size
+    assert taken > 3 * n
+
+
+def test_far_rows_never_reach_the_images(monkeypatch):
+    env = Environment(diffusivity=0.5, wind=Velocity(0.5, 0.0, 0.0), boundary=DUCT)
+    seen = []
+    image_kernel = channel._image_kernel
+    monkeypatch.setattr(channel, "_image_kernel",
+                        lambda env, flips, offsets, src, obs, *a:
+                        seen.append(obs.copy()) or image_kernel(env, flips, offsets, src, obs, *a))
+    # 1 m from the source, then one row in each block from xi* on.
+    xs = [1.0, 3.0, 6.0, 12.0, 24.0]
+    obs = np.column_stack([xs, [2.8, 0.4, 1.5, 2.0, 0.1], [0.2, 2.2, 1.2, 0.5, 2.4]])
+    for t in [60.0, 3600.0, math.inf]:
+        got = unit_continuous_kernel(env, SRC, obs, np.full(len(xs), t))
+        want = [duct_oracle.continuous(W, H, 0.5, 0.5, SRC, r, t) for r in obs]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
+    assert len(seen) == 3
+    assert all(np.array_equal(rows, obs[:1]) for rows in seen)
+
+
+@pytest.mark.parametrize("wind", [0.0, 0.5])
+def test_young_far_rows_keep_the_split(monkeypatch, wind):
+    # At tau*/2 = 1 s the row 15 m away reads under 1e-40: the bound on the
+    # modes its table drops exceeds e^-32 of what it keeps, so it takes the
+    # images as before, though its block has a table.
+    env = Environment(diffusivity=0.5, wind=Velocity(wind, 0.0, 0.0), boundary=DUCT)
+    obs, t = np.array([[15.0, 1.0, 1.0]]), 0.16 * min(W, H) ** 2 / 0.5 / 2
+    block = math.floor(math.log2(15.0 / channel._far_edge(DUCT)))
+    assert channel._far_modes(DUCT, wind / (2.0 * 0.5), block) is not None
+    far, _ = channel._far_rows(DUCT, 0.5, SRC[None, :], obs, np.full(1, wind), np.zeros(1),
+                               np.full(1, t), np.ones(1, dtype=bool))
+    assert far.size == 0
+    seen = []
+    image_kernel = channel._image_kernel
+    monkeypatch.setattr(channel, "_image_kernel",
+                        lambda *a: seen.append(a[4].copy()) or image_kernel(*a))
+    got = unit_continuous_kernel(env, SRC, obs, [t])[0]
+    assert [rows.tolist() for rows in seen] == [obs.tolist()]
+    want = duct_oracle.continuous(W, H, 0.5, wind, SRC, obs[0], t)
+    assert 0.0 < want < 1e-40
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("xi", [-3.0, 0.0, 2.0, 15.0])
+@pytest.mark.parametrize("u", [0.0, 0.5])
+def test_axial_span_from_age_zero(xi, u):
+    # lo = 0 is the head's exact 0, with nothing evaluated at it: the same
+    # span as from 1e-300, where every term has underflowed.
+    lam = channel._duct_modes(DUCT)[4]
+    hi = np.array([[0.5], [2.0], [20.0]] + [[math.inf]] * (u > 0))
+    rows = hi.shape[0]
+    with np.errstate(all="raise"):
+        got = channel._axial_span(np.full((rows, 1), xi), np.full((rows, 1), u), lam,
+                                  np.zeros((rows, 1)), hi, 0.5)
+    want = channel._axial_span(np.full((rows, 1), xi), np.full((rows, 1), u), lam,
+                               np.full((rows, 1), 1e-300), hi, 0.5)
+    assert np.isfinite(got).all()
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_young_rows_past_the_last_kept_mode_keep_their_digits():
+    # Blocks 4 and 5 keep mode (0, 0) alone. Block 5 drops every other mode
+    # past e^-64, where a tail summed only that far read 0: its row, near
+    # 1e-268, then took mode (0, 0) alone and read 1e-3 off.
+    env = Environment(diffusivity=0.5, wind=Velocity(1e-6, 0.0, 0.0), boundary=DUCT)
+    obs, taus = np.array([(78.0, 1.5, 1.2), (-70.0, 2.0, 0.3)]), np.array([5.0, 4.0])
+    for block in (4, 5):
+        table, tail = channel._far_modes(DUCT, 2.0 ** -19, block)
+        assert table[4].tolist() == [0.0] and tail > 0.0
+    got = unit_continuous_kernel(env, SRC, obs, taus)
+    want = [duct_oracle.continuous(W, H, 0.5, 1e-6, SRC, r, t) for r, t in zip(obs, taus)]
+    assert 0.0 < max(want) < 1e-250
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
