@@ -340,12 +340,10 @@ def _gauss1d(dx: np.ndarray, four_dt: np.ndarray) -> np.ndarray:
 # another: at 0.85 the first far block keeps 120-150 modes in still air and
 # in a drift of 1 m/s at D = 0.5 for a 3 x 2.5, 2 x 2 or 6 x 1 m duct, under
 # the split's 165-220 images and modes; from 0.6 to 1.1 it moved the
-# benchmark duct's time by less than the noise. _FAR_REACH caps the modes a
-# far table enumerates, out to exp(-2 _TAIL), at that many times the split's.
+# benchmark duct's time by less than the noise.
 _TAIL = 32.0
 _SPLIT_AGE = 0.16
 _FAR_EDGE = 0.85
-_FAR_REACH = 8.0
 
 
 def _split_scale(b: Boundary) -> float:
@@ -832,7 +830,15 @@ def _far_modes(b: RectangularDuctReflecting, q: float,
     kappa_00, is at most e^(u xi / 2D - |xi| kappa_00) tail / 2D: its
     |xi| >= xi_lo, its kappa >= sqrt(lambda), and kappa - kappa_00 falls
     as kappa_00 grows to q. None when more modes are kept than the split at
-    tau* has images and modes, whose work they would replace.
+    tau* has images and modes, whose work they would replace, or when
+    2 _TAIL / xi_lo vanishes against a lattice cell, so that no tail can be
+    bounded.
+
+    The kept modes fill the quarter disc lambda <= s^2 + 2 q s, s = _TAIL /
+    xi_lo, and the lattice cells, of area pi^2 / (W H), whose lower corners
+    they are cover it, so at least W H (s^2 + 2 q s) / 4 pi are kept: a
+    block past that count is refused before its lattice is enumerated,
+    which bounds the enumeration, out to twice s, at a few times the work.
 
     The sum is taken term by term over wavenumbers |k| = sqrt(lambda) up to
     rho, one lattice cell's diagonal past every mode with xi_lo (kappa - q)
@@ -844,11 +850,13 @@ def _far_modes(b: RectangularDuctReflecting, q: float,
     Past r, kappa - q grows at least at r / sqrt(q^2 + r^2) per unit |k|,
     which bounds both integrals in closed form."""
     xi_lo = math.ldexp(_far_edge(b), block)
-    t = 2.0 * _TAIL / xi_lo
-    cell = math.pi * math.hypot(1.0 / b.width, 1.0 / b.height)
-    rho = math.sqrt(t * t + 2.0 * q * t) + cell  # kappa - q <= t: lambda <= t^2 + 2 q t
+    s = _TAIL / xi_lo
     work = len(_image_stack(b, _split_scale(b))[0]) + _duct_modes(b)[4].size
-    if (b.width * rho / math.pi + 2.0) * (b.height * rho / math.pi + 2.0) > _FAR_REACH * work:
+    if b.width * b.height * (s * s + 2.0 * q * s) / (4.0 * math.pi) > work:
+        return None
+    cell = math.pi * math.hypot(1.0 / b.width, 1.0 / b.height)
+    rho = math.sqrt(4.0 * s * s + 4.0 * q * s) + cell  # kappa - q <= 2 s
+    if rho == cell:
         return None
     ky, kz = (math.pi / L * np.arange(math.floor(L * rho / math.pi) + 2.0)
               for L in (b.width, b.height))
@@ -882,7 +890,10 @@ def _far_rows(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
     [lo, hi] from the cross-section modes alone, and their values: those
     with |xi| >= xi*, each through the _far_modes table of its |xi| block
     and of kappa_00 rounded up to a power of 2, whose bound on the dropped
-    modes lies under exp(-_TAIL) of what the table keeps. Mode (0, 0), the
+    modes lies under exp(-_TAIL) of what the table keeps. The rounding lets
+    the pieces of a path walked along the duct, each at its own drift,
+    share a few tables; a table per exact drift would cost each piece its
+    own table and its own _mode_kernel call. Mode (0, 0), the
     cross-section mean, must clear that bound first, so a young row, whose
     mean is tiny, skips the table. Every test reads the row's own values
     only."""
@@ -891,11 +902,15 @@ def _far_rows(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
         q = np.abs(drift) / (2.0 * diffusivity)
     cand = np.flatnonzero(rows & (np.abs(xi) >= _far_edge(b)) & (hi > lo)
                           & np.isfinite(xi) & np.isfinite(q))
-    if not cand.size:
-        return cand, np.zeros(0)
     block = np.frexp(np.abs(xi[cand]) / _far_edge(b))[1] - 1
     frac, exp2 = np.frexp(q[cand])
     top = np.where(frac > 0.0, np.ldexp(1.0, exp2 - (frac == 0.5)), 0.0)
+    keys = list(zip(block.tolist(), top.tolist()))
+    tables = {key: _far_modes(b, key[1], key[0]) for key in sorted(set(keys))}
+    has = np.array([tables[key] is not None for key in keys], dtype=bool)
+    cand, block, top = cand[has], block[has], top[has]
+    if not cand.size:
+        return cand, np.zeros(0)
     with np.errstate(over="ignore", under="ignore"):
         # e^(u xi / 2D - |xi| kappa_00) e^_TAIL / 2D, e^_TAIL / 2D downstream
         scale = np.where(drift[cand] * xi[cand] > 0.0, 1.0,
@@ -904,8 +919,7 @@ def _far_rows(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
     mean = _axial_span(xi[cand, None], drift[cand, None], np.zeros(1), lo[cand, None],
                        hi[cand, None], diffusivity)[:, 0] / (b.width * b.height)
     far, values = [cand[:0]], [np.zeros(0)]
-    for key in sorted(set(zip(block.tolist(), top.tolist()))):
-        found = _far_modes(b, key[1], key[0])
+    for key, found in tables.items():
         if found is None:
             continue
         table, tail = found

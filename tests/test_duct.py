@@ -313,3 +313,48 @@ def test_young_rows_past_the_last_kept_mode_keep_their_digits():
     want = [duct_oracle.continuous(W, H, 0.5, 1e-6, SRC, r, t) for r, t in zip(obs, taus)]
     assert 0.0 < max(want) < 1e-250
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("wind", [0.0, 0.5])
+def test_rows_past_every_far_table_keep_the_split(wind):
+    # From about 1e18 m in still air and 1e34 m in this wind, 2 _TAIL / xi_lo
+    # vanishes against a lattice cell and no table can bound what it drops:
+    # those rows keep the split and read its values, with no warning and no
+    # division by zero.
+    env = Environment(diffusivity=0.5, wind=Velocity(wind, 0.0, 0.0), boundary=DUCT)
+    xs = np.array([1e18, -1e18, 1e34, -1e34, 1e100])
+    obs = np.column_stack([xs, np.full(5, 2.0), np.full(5, 0.5)])
+    for x in xs[np.abs(xs) >= (1e34 if wind else 1e18)]:
+        block = int(np.frexp(abs(x) / channel._far_edge(DUCT))[1]) - 1
+        assert channel._far_modes(DUCT, wind / (2.0 * 0.5), block) is None
+    for t in [60.0, 3600.0] + [math.inf] * (wind > 0):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = unit_continuous_kernel(env, SRC, obs, np.full(5, t))
+        # Only the steady plume reaches that far: rate / (u W H) downstream.
+        want = [1.0 / (wind * W * H) if math.isinf(t) and x > 0 else 0.0 for x in xs]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
+
+
+@pytest.mark.parametrize("q", [0.0, 0.25, 1.0, 4.0])
+def test_far_tables_keep_at_least_their_disc(q):
+    # _far_modes refuses a block before enumerating its lattice when
+    # W H (s^2 + 2 q s) / 4 pi, s = _TAIL / xi_lo, passes the split's work.
+    # That count is a lower bound on the modes the table keeps, so the
+    # refusal changes no table: a block is refused just when it keeps more.
+    work = len(channel._image_stack(DUCT, channel._split_scale(DUCT))[0]) + \
+        channel._duct_modes(DUCT)[4].size
+    refused = 0
+    for block in range(-3, 6):
+        xi_lo = math.ldexp(channel._far_edge(DUCT), block)
+        s = channel._TAIL / xi_lo
+        top = math.sqrt(s * s + 2.0 * q * s)
+        ky, kz = (math.pi / L * np.arange(math.floor(L * top / math.pi) + 3.0) for L in (W, H))
+        lam = channel._mode_lattice(DUCT, ky, kz)[2]
+        decay = xi_lo * lam / np.where(lam > 0.0, np.hypot(q, np.sqrt(lam)) + q, 1.0)
+        kept = np.count_nonzero(decay <= channel._TAIL)
+        assert kept >= W * H * (s * s + 2.0 * q * s) / (4.0 * math.pi), block
+        found = channel._far_modes(DUCT, q, block)
+        assert (found is None) == (kept > work), block
+        assert found is None or found[0][4].size == kept, block
+        refused += found is None
+    assert 0 < refused < 9
