@@ -358,3 +358,25 @@ def test_far_tables_keep_at_least_their_disc(q):
         assert found is None or found[0][4].size == kept, block
         refused += found is None
     assert 0 < refused < 9
+
+
+def test_pieces_at_many_speeds_along_the_duct_share_tables():
+    # The pieces of a path walked along the duct each drift at their own
+    # speed. With kappa_00 rounded up to a power of 2, these 24 drifts,
+    # 0.21 to 0.77 m/s, share the three tables of their octaves; a table
+    # per exact drift would cost each piece its own table and its own
+    # _mode_kernel call.
+    env = Environment(diffusivity=0.5, wind=Velocity(0.5, 0.0, 0.0), boundary=DUCT)
+    n = 24
+    vel = np.column_stack([np.linspace(-0.27, 0.29, n), np.zeros(n), np.zeros(n)])
+    obs = np.column_stack([np.full(n, 12.0), np.resize([0.3, 1.7, 2.6], n),
+                           np.resize([2.2, 0.4, 1.3], n)])
+    channel._far_modes.cache_clear()
+    got = unit_continuous_kernel(env, SRC, obs, np.full(n, 60.0), velocity=vel)
+    assert channel._far_modes.cache_info().misses == 3
+    far, _ = channel._far_rows(DUCT, 0.5, np.broadcast_to(SRC, (n, 3)), obs, 0.5 - vel[:, 0],
+                               np.zeros(n), np.full(n, 60.0), np.ones(n, dtype=bool))
+    assert far.size == n
+    want = [duct_oracle.continuous(W, H, 0.5, 0.5, SRC, r, 60.0, velocity=v)
+            for r, v in zip(obs, vel)]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
