@@ -331,7 +331,10 @@ _BLOCK_PAIRS = 2 ** 12
 
 
 def _gauss1d(dx: np.ndarray, four_dt: np.ndarray) -> np.ndarray:
-    return np.exp(-(dx * dx) / four_dt) / np.sqrt(math.pi * four_dt)
+    # Past |dx| ~ 1.3e154, or at a subnormal four_dt, the exponent overflows
+    # to -inf and the factor takes its exact limit 0.
+    with np.errstate(over="ignore"):
+        return np.exp(-(dx * dx) / four_dt) / np.sqrt(math.pi * four_dt)
 
 
 # The duct's split (see the module docstring). tau* D / min(W, H)^2 is a
@@ -579,7 +582,8 @@ def _erfcx_slope(z: np.ndarray) -> np.ndarray:
     out = 2.0 * _INV_SQRT_PI - 2.0 * z * _erfcx(z)
     tail = z > 4.0
     if tail.any():
-        with np.errstate(under="ignore"):
+        # Past z ~ 1.3e154 z^2 overflows and t is its limit 0.
+        with np.errstate(over="ignore", under="ignore"):
             t = 1.0 / z[tail] ** 2
             out[tail] = 2.0 * t * _rational(t, _ERFCX_TAIL)
     return out
@@ -763,13 +767,13 @@ def _image_kernel(env: Environment, flips: np.ndarray, offsets: np.ndarray,
     for lo in range(0, n, block):
         sl = slice(lo, lo + block)
         dr = obs[sl, None, :] - (src[sl, None, :] * flips + offsets)  # (n, M, 3)
-        d = np.sqrt((dr * dr).sum(axis=2))
+        d = _norm(dr)
         if vel is None:
             v_dot_dr, speed = dr @ env.wind_arr, env.wind.speed
         else:
             drift = env.wind_arr - vel[sl, None, :] * flips
             v_dot_dr = (dr * drift).sum(axis=2)
-            speed = np.sqrt((drift * drift).sum(axis=2))
+            speed = _norm(drift)
         def speed_of(pairs):
             return speed if vel is None else speed[pairs]
 
@@ -794,6 +798,17 @@ def _image_kernel(env: Environment, flips: np.ndarray, offsets: np.ndarray,
         out[sl] = kern.sum(axis=1)
         out[sl][emitting & (d[:, 0] < _SINGULAR_DIST)] = np.inf
     return out
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """|v| over the last axis: the root of the summed squares, or np.hypot
+    where that sum overflows (|v| past about 1.3e154)."""
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((v * v).sum(axis=-1))
+    big = np.isinf(norm)
+    if big.any():
+        norm[big] = np.hypot.reduce(v[big], axis=-1)
+    return norm
 
 
 def _mode_kernel(modes: tuple[np.ndarray, ...], diffusivity: float, src: np.ndarray,
@@ -983,7 +998,8 @@ def _axial_span(xi: np.ndarray, u: np.ndarray, lam: np.ndarray, lo: np.ndarray,
         rs = np.sqrt(sf)
         x = np.broadcast_to(a / rs, b.shape)
         beta = b * rs
-        with np.errstate(under="ignore"):
+        # Past |xi - u s| ~ 1.3e154 the square overflows and damp is its limit 0.
+        with np.errstate(over="ignore", under="ignore"):
             damp = np.exp(-(xi - u * sf) ** 2 / (4.0 * diffusivity * sf)
                           - diffusivity * lam * sf)
         near = (beta < _GL_EDGE) & pos

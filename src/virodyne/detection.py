@@ -602,16 +602,15 @@ def mutual_information(joint_counts) -> float:
     return float((p[mask] * log_ratio[mask]).sum())
 
 
-def joint_counts(sent, decided, n_symbols: int = 2) -> np.ndarray:
-    """Tally (sent, decided) pairs into an n x n count table."""
+def joint_counts(sent, decided) -> np.ndarray:
+    """Tally (sent, decided) bit pairs into a 2 x 2 count table."""
     s = np.asarray(sent, dtype=int)
     d = np.asarray(decided, dtype=int)
     if s.shape != d.shape:
         raise ValueError("sent and decided must have matching shapes")
-    if s.size and (min(s.min(), d.min()) < 0 or max(s.max(), d.max()) >= n_symbols):
-        raise ValueError(f"symbols must lie in [0, {n_symbols})")
-    return np.bincount((n_symbols * s + d).ravel(),
-                       minlength=n_symbols * n_symbols).reshape(n_symbols, n_symbols)
+    if s.size and (min(s.min(), d.min()) < 0 or max(s.max(), d.max()) > 1):
+        raise ValueError("symbols must lie in [0, 2)")
+    return np.bincount((2 * s + d).ravel(), minlength=4).reshape(2, 2)
 
 
 _SAMPLES_PER_SLOT = 8

@@ -102,7 +102,6 @@ class EpidemicSnapshot:
 class EpidemicState:
     """Full time series of snapshots for one run."""
 
-    agents: tuple[Agent, ...]
     snapshots: list[EpidemicSnapshot] = field(default_factory=list)
 
     def infection_curve(self) -> list[tuple[float, int]]:
@@ -114,36 +113,17 @@ def _dose_sample_times(t0: float, t1: float, breathing_rate: float) -> np.ndarra
     return np.linspace(t0, t1, n + 1)
 
 
-def _knot_table(agents: Sequence[Agent]) -> KnotTable | None:
-    """The agents' paths as one KnotTable, row i for agents[i]."""
-    return KnotTable([a.trajectory for a in agents]) if agents else None
-
-
-def accumulate_doses(observers: Sequence[Agent],
-                     infected_set: Iterable[tuple[Agent, float]],
-                     env: Environment, t0: float, t1: float) -> np.ndarray:
-    """Dose picked up by each observer over [t0, t1], kg s / m^3.
-
-    infected_set pairs each contagious agent with its emission start time.
-    An agent still inside its latency window adds nothing, as the kernel is
-    0 for tau <= 0. The agents' paths are read from one knot table.
-    """
-    infected = list(infected_set)
-    agents = [*observers, *(other for other, _ in infected)]
-    return _doses(_knot_table(agents), agents, np.arange(len(observers)),
-                  [(len(observers) + j, em) for j, (_, em) in enumerate(infected)],
-                  env, t0, t1)
-
-
 def _doses(table: KnotTable | None, agents: Sequence[Agent], observed: np.ndarray,
            infected: Sequence[tuple[int, float]], env: Environment, t0: float,
            t1: float) -> np.ndarray:
-    """accumulate_doses over table rows: agents[i] is the agent of row i,
-    observed the observers' rows and infected (row, emission start) pairs.
-    Per breathing rate, one table lookup reads every source and observer at
-    the breath times, then one unit_continuous_kernel call runs over
-    (observers x infected x breath samples), and the trapezoid rule gives
-    each observer's dose."""
+    """Dose picked up by each observer over [t0, t1], kg s / m^3, read
+    from table rows: agents[i] is the agent of row i, observed the
+    observers' rows and infected (row, emission start) pairs. An agent
+    still inside its latency window adds nothing, as the kernel is 0 for
+    tau <= 0. Per breathing rate, one table lookup reads every source and
+    observer at the breath times, then one unit_continuous_kernel call runs
+    over (observers x infected x breath samples), and the trapezoid rule
+    gives each observer's dose."""
     if t1 <= t0:
         raise ValueError("need t1 > t0")
     out = np.zeros(len(observed))
@@ -174,10 +154,10 @@ def step(
     config: EpidemicConfig,
     env: Environment,
     stream: np.random.Generator,
-    table: KnotTable | None = None,
+    table: KnotTable | None,
 ) -> EpidemicSnapshot:
     """Advance one coherence window, cut at the horizon; returns the next
-    snapshot. table is the agents' KnotTable, built here when not given."""
+    snapshot. table is the agents' KnotTable (None for no agents)."""
     t0 = snapshot.time
     t1 = t0 + config.step
     if config.horizon - t1 < 1e-9 * config.step:  # the last step, whole or short
@@ -189,8 +169,6 @@ def step(
                 for i in snapshot.infected_ids().tolist()]
     susceptible = np.flatnonzero(~np.isfinite(since))
 
-    if table is None:
-        table = _knot_table(agents)
     increments = np.zeros(len(agents))
     increments[susceptible] = _doses(table, agents, susceptible, infected, env, t0, t1)
 
@@ -216,12 +194,12 @@ def run(
     for i, a in enumerate(agents):
         if a.infected_since is not None:
             since0[i] = a.infected_since
-    state = EpidemicState(agents=agents)
+    state = EpidemicState()
     snap = EpidemicSnapshot(time=0.0, infected_since=since0,
                             cumulative_dose=np.zeros(n))
     state.snapshots.append(snap)
     stream = rng_stream(seed, 0)
-    table = _knot_table(agents)
+    table = KnotTable([a.trajectory for a in agents]) if agents else None
     while snap.time < config.horizon:
         snap = step(snap, agents, config, env, stream, table)
         state.snapshots.append(snap)

@@ -94,9 +94,6 @@ class Box:
         return bool((p >= self.lo_arr - _CONTAINS_TOL).all()
                     and (p <= self.hi_arr + _CONTAINS_TOL).all())
 
-    def sample_point(self, stream: np.random.Generator) -> np.ndarray:
-        return stream.uniform(self.lo, self.hi)
-
 
 class BoundaryPolicy(enum.Enum):
     REFLECT = "reflect"
@@ -245,14 +242,6 @@ class Trajectory:
         points.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
-
-    @property
-    def t_start(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
 
     def point_at(self, t: float) -> np.ndarray:
         """Where the path is at time t (see points_at)."""

@@ -95,12 +95,6 @@ class SubstitutionMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "states", tuple(self.states))
 
-    def index(self, state: str) -> int:
-        return self.states.index(state)
-
-    def prob(self, src: str, dst: str) -> float:
-        return float(self.matrix[self.index(src), self.index(dst)])
-
 
 def kimura_base_matrix(params: KimuraParams,
                        mode: str = SubstitutionMode.FULL) -> SubstitutionMatrix:
@@ -254,15 +248,15 @@ def mutation_direction(
     params: KimuraParams,
     level: str = "amino",
     mode: str = SubstitutionMode.FULL,
-    codon_weights: np.ndarray | None = None,
 ) -> DirectionReport:
     """Rank the likely mutation targets of one alignment position.
 
     level 'base': the position indexes a nucleotide column pushed through
     the 4x4 matrix. level 'codon' / 'amino': for nucleotide alignments the
-    position indexes a codon (three nucleotide columns); amino level for a
-    protein alignment uses the supplied codon weights (uniform-synonymous
-    fallback) to resolve codons.
+    position indexes a codon (three nucleotide columns), and amino level
+    weighs each synonymous codon by its observed share at that position
+    (uniform within unobserved classes). Amino level for a protein
+    alignment weighs synonymous codons uniformly.
     """
     base = kimura_base_matrix(params, mode)
     if level == "base":
@@ -278,16 +272,16 @@ def mutation_direction(
         source[[CODON_INDEX[c] for c in counts]] = list(source_dict.values())
         matrix = codon_matrix(base)
     elif level == "amino":
+        weights = None  # uniform within each synonym class
         if alignment.alphabet is Alphabet.NUCLEOTIDE:
             counts = _codon_column(alignment, position)
-            if codon_weights is None:
-                codon_weights = empirical_codon_weights(counts)
+            weights = empirical_codon_weights(counts)
             total = sum(counts.values())
             source = np.bincount(CODON_AMINO[[CODON_INDEX[c] for c in counts]],
                                  [n / total for n in counts.values()], minlength=21)
         else:
             source = column_distribution(alignment, position).probabilities
-        matrix = amino_matrix(codon_matrix(base), codon_weights)
+        matrix = amino_matrix(codon_matrix(base), weights)
     else:
         raise ValueError("level must be 'base', 'codon', or 'amino'")
     if level != "codon":  # codon sources keep first-occurrence order

@@ -142,26 +142,20 @@ def parse_fasta(source: Union[str, TextIO], alphabet: Alphabet) -> list[FastaRec
 
 @dataclass(frozen=True)
 class AlignmentMatrix:
-    """Equal-length residue rows, as ASCII codes and as symbol indices."""
+    """Equal-length residue rows, as symbol indices."""
 
     ids: tuple[str, ...]
-    matrix: np.ndarray        # (n, L) uint8 ASCII codes of the residues
     index: np.ndarray         # (n, L) uint8 index in alphabet.symbols, size if masked
     alphabet: Alphabet
     truncated_rows: int = 0   # rows shortened in non-strict mode
 
     @property
-    def mask(self) -> np.ndarray:
-        """(n, L) bool, True where the residue is countable."""
-        return self.index < self.alphabet.size
-
-    @property
     def n_sequences(self) -> int:
-        return int(self.matrix.shape[0])
+        return int(self.index.shape[0])
 
     @property
     def length(self) -> int:
-        return int(self.matrix.shape[1])
+        return int(self.index.shape[1])
 
 
 def build_alignment(records: Iterable[FastaRecord], alphabet: Alphabet,
@@ -186,12 +180,10 @@ def build_alignment(records: Iterable[FastaRecord], alphabet: Alphabet,
     truncated = sum(1 for n in lengths if n > target)
     # Non-ASCII (possible only in hand-built records) becomes a masked '?'.
     joined = "".join(r.sequence[:target] for r in recs).encode("ascii", "replace")
-    shape = (len(recs), target)
     return AlignmentMatrix(
         ids=tuple(r.identifier for r in recs),
-        matrix=np.frombuffer(joined, dtype=np.uint8).reshape(shape),
         index=np.frombuffer(joined.translate(alphabet.index_table),
-                            dtype=np.uint8).reshape(shape),
+                            dtype=np.uint8).reshape(len(recs), target),
         alphabet=alphabet,
         truncated_rows=truncated,
     )
@@ -222,11 +214,8 @@ def _symbol_counts(index: np.ndarray, alphabet: Alphabet) -> np.ndarray:
     return counts
 
 
-def column_distribution(alignment: AlignmentMatrix, position: int,
-                        pseudocount: float = 0.0) -> PositionDistribution:
+def column_distribution(alignment: AlignmentMatrix, position: int) -> PositionDistribution:
     """Residue distribution of one column, gaps and ambiguity excluded."""
-    if not 0 <= pseudocount < math.inf:  # NaN included
-        raise ValueError("pseudocount must be finite and >= 0")
     if not 1 <= position <= alignment.length:
         raise IndexError(f"position {position} outside 1..{alignment.length}")
     column = alignment.index[:, position - 1:position]
@@ -234,9 +223,7 @@ def column_distribution(alignment: AlignmentMatrix, position: int,
     valid = counts.sum()
     if valid == 0:
         raise NoData(f"column {position} holds no unmasked residues")
-    total = valid + pseudocount * alignment.alphabet.size
-    probs = (counts + pseudocount) / total
-    return PositionDistribution(position=position, probabilities=probs,
+    return PositionDistribution(position=position, probabilities=counts / valid,
                                 effective_count=int(valid),
                                 alphabet=alignment.alphabet)
 

@@ -1,6 +1,18 @@
+import numpy as np
 import pytest
 
+from virodyne import epidemic
+from virodyne.mobility import KnotTable
 from virodyne.seqstat import Alphabet, build_alignment, parse_fasta
+
+
+def observer_doses(observers, infected, env, t0, t1):
+    """Each observer's dose over [t0, t1] from (agent, emission start)
+    pairs, read as a step reads it: one KnotTable of every path."""
+    agents = [*observers, *(a for a, _ in infected)]
+    rows = [(len(observers) + j, start) for j, (_, start) in enumerate(infected)]
+    return epidemic._doses(KnotTable([a.trajectory for a in agents]), agents,
+                           np.arange(len(observers)), rows, env, t0, t1)
 
 
 def make_alignment(rows, alphabet=Alphabet.NUCLEOTIDE, strict=True):

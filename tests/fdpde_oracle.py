@@ -117,7 +117,7 @@ def solve_advection_diffusion(grid, diffusivity, velocity, sources, t_end,
                     injected_instant[k] = True
             else:
                 if t_mid >= src.start_time:
-                    pos = src.point_at(min(t_mid, src.trajectory.t_end)
+                    pos = src.point_at(min(t_mid, float(src.trajectory.times[-1]))
                                        if src.trajectory is not None else t_mid)
                     _deposit_cic(c, grid, pos, src.rate_at(t_mid) * dt)
         cp = _pad(c, boundary)

@@ -131,17 +131,14 @@ def positional_entropy(matrix, mask, alphabet: Alphabet,
     return ent, n_eff
 
 
-def column_distribution(matrix, mask, alphabet: Alphabet, position: int,
-                        pseudocount: float = 0.0):
+def column_distribution(matrix, mask, alphabet: Alphabet, position: int):
     """(probabilities, effective_count) of one 1-based column."""
     j = position - 1
     valid = matrix[:, j][mask[:, j]]
     if valid.size == 0:
         raise NoData(f"column {position} holds no unmasked residues")
-    symbols = alphabet.symbols
-    counts = np.array([(valid == s).sum() for s in symbols], dtype=float)
-    total = counts.sum() + pseudocount * len(symbols)
-    return (counts + pseudocount) / total, int(valid.size)
+    counts = np.array([(valid == s).sum() for s in alphabet.symbols], dtype=float)
+    return counts / counts.sum(), int(valid.size)
 
 
 def codon_counts(matrix, mask, position: int) -> dict[str, int]:

@@ -201,7 +201,7 @@ def _sample_waypoint(model: MobilityModel, kind: RandomWaypoint, start: np.ndarr
                      horizon: float, stream: np.random.Generator) -> Trajectory:
     rec = _Recorder(0.0, start)
     while rec.t < horizon - _EPS:
-        target = model.domain.sample_point(stream)
+        target = stream.uniform(model.domain.lo, model.domain.hi)
         speed = stream.uniform(kind.speed_min, kind.speed_max)
         dist = float(np.linalg.norm(target - rec.p))
         if dist < _EPS:
@@ -282,7 +282,7 @@ def leg_waypoint(model: MobilityModel, start, horizon: float,
     times, points = [0.0], [as_position(start).as_array().tolist()]
     legs = 0
     while times[-1] < horizon - _EPS:
-        target = model.domain.sample_point(stream)
+        target = stream.uniform(model.domain.lo, model.domain.hi)
         speed = stream.uniform(kind.speed_min, kind.speed_max)
         d = target - points[-1]
         dist = float(np.linalg.norm(d))

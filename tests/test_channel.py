@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import duct_oracle
 import quadrature_oracle
+from conftest import observer_doses
 from virodyne import channel
 from virodyne.channel import (
     Environment,
@@ -28,7 +29,7 @@ from virodyne.channel import (
     unit_instant_kernel,
 )
 from virodyne.core import Velocity
-from virodyne.epidemic import Agent, accumulate_doses
+from virodyne.epidemic import Agent
 from virodyne.errors import (
     FieldEvaluationError,
     OutOfDomain,
@@ -391,6 +392,15 @@ class TestContinuousKernel:
         assert down == pytest.approx(1.0 / (4 * math.pi * D * d), rel=1e-12)
         assert up == 0.0
 
+    def test_far_steady_value_is_the_point_source_limit(self):
+        # d^2 = 1e600 overflows a float; the distance is taken without it.
+        D, d = 0.5, 1e300
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = unit_continuous_kernel(Environment(diffusivity=D), np.zeros(3),
+                                         np.array([d, 0.0, 0.0]), [math.inf])[0]
+        assert got == pytest.approx(1.0 / (4 * math.pi * D * d), rel=1e-12)
+        assert got == pytest.approx(1.5915e-301, rel=1e-4)
+
     def test_static_wind_never_takes_quadrature(self, monkeypatch):
         def no_quadrature(*args, **kwargs):
             raise AssertionError("static constant-rate source sent to quadrature")
@@ -406,7 +416,7 @@ class TestContinuousKernel:
                          emission_rate=2e-3)
         sus = Agent(1, Trajectory.straight_line((5.0, 2.0, 1.5), (0.1, 0.0, 0.0),
                                                 0.0, 60.0), emission_rate=0.0)
-        dose = accumulate_doses([sus], [(infected, 5.0)], env, 40.0, 50.0)[0]
+        dose = observer_doses([sus], [(infected, 5.0)], env, 40.0, 50.0)[0]
         assert math.isfinite(dose) and dose > 0.0
 
 
@@ -458,7 +468,7 @@ _MOVING_BOXES = {
 
 
 def _path_distance(traj, obs):
-    ss = np.linspace(traj.t_start, traj.t_end, 2001)
+    ss = np.linspace(traj.times[0], traj.times[-1], 2001)
     return float(np.linalg.norm(traj.points_at(ss) - obs, axis=1).min())
 
 

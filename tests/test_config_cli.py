@@ -50,6 +50,10 @@ z_m = 0 50 11
 times_s = 30
 """
 
+# Coordinates whose squared distance from a source near the origin
+# overflows a float.
+FAR = ("1e155", "-1e155", "1e300", "-1e300")
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -617,6 +621,36 @@ class TestCli:
         row = out.read_text().splitlines()[-1].split(",")
         assert row[:4] == ["1.0", "0.0", "1.0", "60.0"]
         assert float(row[4]) == pytest.approx(1e-6 / (4 * math.pi * 0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("boundary", [
+        "", "\nboundary = halfspace",
+        "\nboundary = duct\nduct_width_m = 3\nduct_height_m = 2.5",
+    ], ids=["free", "halfspace", "duct"])
+    @pytest.mark.parametrize("kind, old, new", [
+        *((kind, "x_m = 1", f"x_m = {x}") for kind in ("continuous", "instant")
+          for x in FAR),
+        *((kind, "position_m = 0 1.5 1.2", f"position_m = {x} 1.5 1.2")
+          for kind in ("continuous", "instant") for x in FAR),
+        ("instant", "diffusivity_m2s = 0.5", "diffusivity_m2s = 5e-324"),
+        ("instant", "times_s = 60", "times_s = 5e-324"),
+    ])
+    def test_extreme_still_air_field_is_finite_and_quiet(self, tmp_path, capsys,
+                                                         boundary, kind, old, new):
+        # Past about 1.3e154 m a squared distance overflows a float, and a
+        # subnormal D or age overflows the Gaussian's exponent; each field
+        # takes its limit, 0 here, with no warning.
+        text = "\n".join([
+            "[environment]", "diffusivity_m2s = 0.5" + boundary, "[source]",
+            f"kind = {kind}", "position_m = 0 1.5 1.2",
+            "rate_kgs = 1e-6" if kind == "continuous" else "mass_kg = 1e-6",
+            "[grid]", "x_m = 1", "y_m = 1.5", "z_m = 1.2", "times_s = 60", ""])
+        assert old + "\n" in text
+        out = tmp_path / "grid.csv"
+        cfg = write(tmp_path, "far.cfg", text.replace(old + "\n", new + "\n"))
+        assert main(["field", "--config", cfg, "--out", str(out)]) == 0
+        rows = [r for r in out.read_text().splitlines() if not r.startswith("#")][1:]
+        assert rows and all(math.isfinite(float(r.split(",")[4])) for r in rows)
+        assert capsys.readouterr().err == ""
 
     def test_detect_refuses_a_non_finite_report(self, tmp_path, capsys):
         # A level of 1e308 + 1e308 overflows a float; the taps are refused

@@ -431,20 +431,19 @@ class TestMutualInformation:
         mi_quant = mutual_information(table)
         assert mi_decided <= mi_quant + 1e-3
 
-    @pytest.mark.parametrize("n_symbols", [2, 3])
-    def test_joint_counts_equal_add_at(self, n_symbols):
+    def test_joint_counts_equal_add_at(self):
         rng = rng_stream(21, 0)
-        sent = rng.integers(0, n_symbols, size=(64, 33))
-        decided = rng.integers(0, n_symbols, size=(64, 33))
-        table = np.zeros((n_symbols, n_symbols), dtype=np.int64)
+        sent = rng.integers(0, 2, size=(64, 33))
+        decided = rng.integers(0, 2, size=(64, 33))
+        table = np.zeros((2, 2), dtype=np.int64)
         np.add.at(table, (sent.ravel(), decided.ravel()), 1)
-        got = joint_counts(sent, decided, n_symbols)
+        got = joint_counts(sent, decided)
         assert got.dtype == table.dtype
         assert (got == table).all()
         with pytest.raises(ValueError):
-            joint_counts([0, n_symbols], [0, 0], n_symbols)
+            joint_counts([0, 2], [0, 0])
         with pytest.raises(ValueError):
-            joint_counts([0, 1], [-1, 0], n_symbols)
+            joint_counts([0, 1], [-1, 0])
 
     def test_counts_validation(self):
         with pytest.raises(ValueError):

@@ -6,13 +6,13 @@ import pytest
 from scipy import integrate
 
 import epidemic_oracle
+from conftest import observer_doses
 from virodyne import epidemic
 from virodyne.channel import Environment, RectangularDuctReflecting
 from virodyne.epidemic import (
     Agent,
     EpidemicConfig,
     EpidemicSnapshot,
-    accumulate_doses,
     run,
     step,
 )
@@ -40,14 +40,14 @@ def _static_agent(agent_id, pos, rate=0.0, horizon=1000.0, infected_since=None,
 class TestAccumulateDose:
     def test_no_infected_is_zero(self):
         sus = _static_agent(0, (1, 0, 0))
-        assert accumulate_doses([sus], [], ENV, 0.0, 10.0)[0] == 0.0
+        assert observer_doses([sus], [], ENV, 0.0, 10.0)[0] == 0.0
 
     def test_linearity_in_emission_rate(self):
         sus = _static_agent(0, (2, 0, 0))
         inf1 = _static_agent(1, (0, 0, 0), rate=1.0)
         inf2 = _static_agent(1, (0, 0, 0), rate=2.0)
-        d1 = accumulate_doses([sus], [(inf1, 0.0)], ENV, 50.0, 60.0)[0]
-        d2 = accumulate_doses([sus], [(inf2, 0.0)], ENV, 50.0, 60.0)[0]
+        d1 = observer_doses([sus], [(inf1, 0.0)], ENV, 50.0, 60.0)[0]
+        d2 = observer_doses([sus], [(inf2, 0.0)], ENV, 50.0, 60.0)[0]
         assert d2 == pytest.approx(2 * d1, rel=1e-12)
 
     def test_steady_state_increment(self):
@@ -57,7 +57,7 @@ class TestAccumulateDose:
         sus = _static_agent(0, (d, 0, 0), horizon=1e5)
         inf = _static_agent(1, (0, 0, 0), rate=Q, horizon=1e5)
         t0, t1 = 5e4, 5e4 + 20.0
-        got = accumulate_doses([sus], [(inf, 0.0)], ENV, t0, t1)[0]
+        got = observer_doses([sus], [(inf, 0.0)], ENV, t0, t1)[0]
         expect = 20.0 * Q / (4 * math.pi * 40.0 * d)
         # the erfc transient still holds the field ~0.12% below steady here
         assert got == pytest.approx(expect, rel=2e-3)
@@ -65,7 +65,7 @@ class TestAccumulateDose:
     def test_dose_decreases_with_distance(self):
         inf = _static_agent(1, (0, 0, 0), rate=1.0)
         observers = [_static_agent(0, (d, 0, 0)) for d in (1.0, 2.0, 4.0, 8.0)]
-        doses = accumulate_doses(observers, [(inf, 0.0)], ENV, 100.0, 110.0).tolist()
+        doses = observer_doses(observers, [(inf, 0.0)], ENV, 100.0, 110.0).tolist()
         assert all(a > b for a, b in zip(doses, doses[1:]))
 
     def test_observer_on_a_source_is_singular(self):
@@ -74,7 +74,7 @@ class TestAccumulateDose:
         sus = _static_agent(0, (1, 2, 3))
         inf = _static_agent(1, (1, 2, 3), rate=1.0, infected_since=-1.0)
         with pytest.raises(SingularPoint, match="diverges at the source"):
-            accumulate_doses([sus], [(inf, 0.0)], ENV, 0.0, 10.0)
+            observer_doses([sus], [(inf, 0.0)], ENV, 0.0, 10.0)
         config = EpidemicConfig(dose_coefficient=1.0, latency=0.0, step=10.0,
                                 horizon=30.0)
         with pytest.raises(SingularPoint, match="diverges at the source"):
@@ -84,7 +84,7 @@ class TestAccumulateDose:
     def test_interval_must_be_positive(self, t1):
         sus = _static_agent(0, (1, 0, 0))
         with pytest.raises(ValueError, match="t1 > t0"):
-            accumulate_doses([sus], [], ENV, 10.0, t1)
+            observer_doses([sus], [], ENV, 10.0, t1)
 
 
 class TestStep:
@@ -128,7 +128,7 @@ class TestStep:
                              horizon=25.0)
         state = run(agents, cfg, ENV, seed=0)
         assert [s.time for s in state.snapshots] == [0.0, 10.0, 20.0, 25.0]
-        last = accumulate_doses([agents[1]], [(agents[0], 0.0)], ENV, 20.0, 25.0)[0]
+        last = observer_doses([agents[1]], [(agents[0], 0.0)], ENV, 20.0, 25.0)[0]
         assert state.snapshots[-1].cumulative_dose[1] - state.snapshots[-2].cumulative_dose[1] \
             == pytest.approx(last, rel=1e-12)
         # Ten steps of 0.1 s sum to 0.9999999999999999; the last ends at 1.0.
@@ -174,12 +174,13 @@ class TestStep:
         snap = EpidemicSnapshot(time=0.0,
                                 infected_since=np.array([0.0, np.nan]),
                                 cumulative_dose=np.zeros(2))
-        nxt = step(snap, agents, cfg, ENV, rng_stream(0, 0))
+        table = KnotTable([a.trajectory for a in agents])
+        nxt = step(snap, agents, cfg, ENV, rng_stream(0, 0), table)
         assert nxt.cumulative_dose[1] == 0.0  # emission starts at t=5
         later = EpidemicSnapshot(time=6.0,
                                  infected_since=np.array([0.0, np.nan]),
                                  cumulative_dose=np.zeros(2))
-        nxt2 = step(later, agents, cfg, ENV, rng_stream(0, 0))
+        nxt2 = step(later, agents, cfg, ENV, rng_stream(0, 0), table)
         assert nxt2.cumulative_dose[1] > 0.0
 
     def test_cumulative_dose_frozen_after_infection(self):
@@ -265,7 +266,7 @@ class TestBatchedStepOracle:
         agents = []
         for i in range(n):
             stream = rng_stream(seed, i + 1)
-            traj = sample_trajectory(model, box.sample_point(stream), 80.0, stream)
+            traj = sample_trajectory(model, stream.uniform(box.lo, box.hi), 80.0, stream)
             agents.append(Agent(i, traj, emission_rate=1e-5 * (1 + i % 3),
                                 breathing_rate=breathing_rates[i % len(breathing_rates)],
                                 infected_since=-2.0 if i < 3 else None))
@@ -304,7 +305,8 @@ class TestBatchedStepOracle:
         assert built.call_count == 1
         snap, stream = state.snapshots[0], rng_stream(2, 0)
         for got in state.snapshots[1:]:
-            snap = step(snap, agents, cfg, env, stream)
+            snap = step(snap, agents, cfg, env, stream,
+                        KnotTable([a.trajectory for a in agents]))
             assert np.array_equal(got.infected_since, snap.infected_since, equal_nan=True)
             assert got.cumulative_dose.tobytes() == snap.cumulative_dose.tobytes()
 
@@ -317,5 +319,5 @@ class TestBatchedStepOracle:
         for t0, t1 in ((0.0, 10.0), (20.0, 27.5), (40.0, 41.0)):
             want = [epidemic_oracle.accumulate_dose(sus, infected, env, t0, t1)
                     for sus in agents[3:]]
-            got = accumulate_doses(agents[3:], infected, env, t0, t1)
+            got = observer_doses(agents[3:], infected, env, t0, t1)
             assert got.tolist() == want

@@ -158,8 +158,8 @@ class TestSampling:
         for kind in _all_models():
             model = MobilityModel(kind, ROOM)
             traj = sample_trajectory(model, (3, 3, 1), 45.0, rng_stream(1, 1))
-            assert traj.t_start == 0.0
-            assert traj.t_end == pytest.approx(45.0)
+            assert traj.times[0] == 0.0
+            assert traj.times[-1] == pytest.approx(45.0)
 
     def test_random_walk_msd_matches_theory(self):
         # Mean-squared displacement after n isotropic steps of length L is
@@ -208,7 +208,7 @@ def _pairs(kind, policy, horizon=200.0, seeds=range(8)):
     """(sampled, oracle) trajectory pairs from seeded starts in the room."""
     model = MobilityModel(kind, ROOM, boundary=policy)
     for seed in seeds:
-        start = ROOM.sample_point(rng_stream(seed, 99))
+        start = rng_stream(seed, 99).uniform(ROOM.lo, ROOM.hi)
         yield (sample_trajectory(model, start, horizon, rng_stream(seed, 0)),
                mobility_oracle.sample_trajectory(model, start, horizon,
                                                  rng_stream(seed, 0)))
@@ -255,7 +255,7 @@ class TestLegRule:
         # A scripted path, and a direction epoch outliving the horizon, are
         # one leg: p0 + v·t folded into the box.
         stream = rng_stream(seed, 7)
-        p0 = ROOM.sample_point(stream)
+        p0 = stream.uniform(ROOM.lo, ROOM.hi)
         ts = np.sort(stream.uniform(0.0, 90.0, size=200))
         v = stream.normal(size=3) * 2.0
         scripted = sample_trajectory(MobilityModel(Scripted(tuple(v)), ROOM), p0,
@@ -390,11 +390,11 @@ class TestPopulation:
                      for model in models]
             for i in range(40):
                 stream = rng_stream(seed, i + 1)
-                want = [mobility_oracle.sample_trajectory(models[0], box.sample_point(stream),
-                                                          horizon, stream)]
+                start = stream.uniform(box.lo, box.hi)
+                want = [mobility_oracle.sample_trajectory(models[0], start, horizon, stream)]
                 if seed < 4:  # the one-agent case of the same sampler
                     stream = rng_stream(seed, i + 1)
-                    want.append(sample_trajectory(models[1], box.sample_point(stream),
+                    want.append(sample_trajectory(models[1], stream.uniform(box.lo, box.hi),
                                                   horizon, stream))
                 for got in (paths[0][i], paths[1][i]):
                     for other in want:
@@ -408,7 +408,7 @@ class TestPopulation:
                 paths = sample_population(model, 60.0, [rng_stream(5, i + 1) for i in range(6)])
                 for i, got in enumerate(paths):
                     stream = rng_stream(5, i + 1)
-                    want = sample_trajectory(model, ROOM.sample_point(stream), 60.0, stream)
+                    want = sample_trajectory(model, stream.uniform(ROOM.lo, ROOM.hi), 60.0, stream)
                     assert got.times.tobytes() == want.times.tobytes()
                     assert got.points.tobytes() == want.points.tobytes()
         assert sample_population(model, 60.0, []) == []
@@ -427,7 +427,7 @@ class TestPopulation:
                                                             for i in range(20)])
                     for i, got in enumerate(paths):
                         stream = rng_stream(seed, i + 1)
-                        want = mobility_oracle.leg_sampler(model, box.sample_point(stream),
+                        want = mobility_oracle.leg_sampler(model, stream.uniform(box.lo, box.hi),
                                                            20.0, stream)
                         assert got.times.tobytes() == want.times.tobytes()
                         assert got.points.tobytes() == want.points.tobytes()
@@ -442,7 +442,8 @@ class TestPopulation:
         assert [s.zeros_drawn for s in streams] == [3] * 5
         for i, got in enumerate(paths):
             stream = _ZeroTriples(rng_stream(3, i + 1))
-            want = mobility_oracle.leg_sampler(model, ROOM.sample_point(stream), 12.0, stream)
+            start = stream.uniform(ROOM.lo, ROOM.hi)
+            want = mobility_oracle.leg_sampler(model, start, 12.0, stream)
             assert got.times.tobytes() == want.times.tobytes()
             assert got.points.tobytes() == want.points.tobytes()
 
@@ -455,7 +456,7 @@ class TestPopulation:
         wall_rounds = 0
         for seed in range(150):
             rng = np.random.default_rng(seed)
-            start = ROOM.sample_point(rng)
+            start = rng.uniform(ROOM.lo, ROOM.hi)
             draws = rng.random((64, 4))
             draws[np.arange(64), rng.integers(0, 3, 64)] = rng.integers(0, 2, 64)
             with mock.patch.object(mobility, "_leg", wraps=mobility._leg) as leg:
@@ -485,7 +486,7 @@ class TestPopulation:
                 for i in range(10):
                     stream = rng_stream(seed, i + 1)
                     try:
-                        mobility_oracle.leg_waypoint(model, box.sample_point(stream),
+                        mobility_oracle.leg_waypoint(model, stream.uniform(box.lo, box.hi),
                                                      horizon, stream)
                     except ValueError as exc:
                         want.append(str(exc))
@@ -508,7 +509,8 @@ class TestPopulation:
                 for i in range(10):
                     stream = rng_stream(seed, i + 1)
                     try:
-                        mobility_oracle.leg_sampler(model, box.sample_point(stream), 30.0, stream)
+                        mobility_oracle.leg_sampler(model, stream.uniform(box.lo, box.hi),
+                                                    30.0, stream)
                     except ValueError as exc:
                         want.append(str(exc))
                 with pytest.raises(ValueError) as got:

@@ -97,12 +97,12 @@ class TestBuildAlignment:
 
     def test_mask_marks_gaps_and_ambiguity(self):
         aln = make_alignment(["A-GN"])
-        assert aln.mask.tolist() == [[True, False, True, False]]
+        assert (aln.index < aln.alphabet.size).tolist() == [[True, False, True, False]]
 
-    def test_matrix_holds_ascii_codes(self):
+    def test_index_holds_symbol_indices(self):
         aln = make_alignment(["acgu", "N-TT"])
-        assert aln.matrix.dtype == np.uint8
-        assert aln.matrix.tobytes() == b"ACGTN-TT"
+        assert aln.index.dtype == np.uint8
+        assert aln.index.tolist() == [[0, 1, 2, 3], [4, 4, 3, 3]]
 
 
 class TestEntropy:
@@ -147,8 +147,6 @@ class TestEntropy:
         aln = make_alignment(["ACGT", "AAGT"])
         with pytest.raises(ValueError, match="finite and >= 0"):
             positional_entropy(aln, pseudocount=pseudocount)
-        with pytest.raises(ValueError, match="finite and >= 0"):
-            column_distribution(aln, 1, pseudocount=pseudocount)
 
     def test_permutation_invariance(self):
         rows = ["ACGTAC", "AAGTAC", "ACCTAC", "ACGAAC"]
