@@ -324,10 +324,13 @@ class FieldQuery:
 # Kernels
 # ---------------------------------------------------------------------------
 
-# (pairs, 3) float temporaries of 96 KiB stay under the allocator's default
-# mmap threshold (128 KiB in glibc), so blocks reuse heap memory instead of
-# faulting in fresh pages on every block.
-_BLOCK_PAIRS = 2 ** 12
+# A block's per-pair temporaries are planes, one float per pair: 64 KiB at
+# 2^13 pairs, and 128 KiB for erfcx's complex Horner arrays, so they stay
+# within the allocator's default mmap threshold (128 KiB in glibc) and
+# blocks reuse heap memory instead of faulting in fresh pages. Measured on
+# the benchmark (2 shared cores), 2^13 beat 2^12 and 2^14: one block holds a
+# still crowd's 4224 dose pairs, and larger blocks fell out of cache.
+_BLOCK_PAIRS = 2 ** 13
 
 
 def _gauss1d(dx: np.ndarray, four_dt: np.ndarray) -> np.ndarray:
@@ -414,7 +417,8 @@ def unit_instant_kernel(env: Environment, src_points: np.ndarray,
     """Concentration per unit released mass, vectorized over N evaluations.
 
     The image sum is a product of per-axis image sums, as the Gaussian
-    separates by axis; in a duct an axis past tau* takes its modes.
+    separates by axis; in a duct an axis past tau* takes its modes. A row
+    with a factor 0 is 0, even where its other factors overflow.
 
     src_points and obs_points broadcast against each other as (N, 3) or
     (3,); taus is (N,). Entries with tau <= 0 evaluate to 0 (nothing has
@@ -432,13 +436,18 @@ def unit_instant_kernel(env: Environment, src_points: np.ndarray,
     obs = obs[live]
     b = env.boundary
     images = _axis_images(b, _split_scale(b))
-    val = np.ones(tau.size)
+    val = np.zeros(tau.size)
     block = max(1, _BLOCK_PAIRS // max(len(s) * len(o) for s, o in images))
     for lo in range(0, tau.size, block):
         sl = slice(lo, lo + block)
-        for axis, (signs, offsets) in enumerate(images):
-            val[sl] = val[sl] * _axis_factor(obs[sl, axis], drifted[sl, axis], tau[sl], b,
-                                             env.diffusivity, axis, signs, offsets)
+        factors = [_axis_factor(obs[sl, axis], drifted[sl, axis], tau[sl], b,
+                                env.diffusivity, axis, signs, offsets)
+                   for axis, (signs, offsets) in enumerate(images)]
+        # In axis order, but only where no factor is 0: such a row stays 0
+        # even where the other two overflow (at a subnormal D or age).
+        nonzero = (factors[0] != 0.0) & (factors[1] != 0.0) & (factors[2] != 0.0)
+        np.multiply(factors[0], factors[1], out=val[sl], where=nonzero)
+        np.multiply(val[sl], factors[2], out=val[sl], where=nonzero)
     out[live] = val
     return out
 
@@ -597,37 +606,55 @@ _GL_WEIGHTS = np.array([0.36268378337836166, 0.3137066458778869,
 _GL_EDGE = 0.25
 
 
-def _pair_kernel(d: np.ndarray, v_dot_dr: np.ndarray, tau: np.ndarray,
+def _pair_kernel(d: np.ndarray, v_dot_dr: np.ndarray | None, tau: np.ndarray,
                  diffusivity: float, speed: float | np.ndarray,
                  end: np.ndarray | None = None) -> np.ndarray:
     """Per-unit-rate field of (image source, observer) pairs, d > 0 and
     tau > 0 (tau may be inf), all in one drift v or each in its own (speed
-    is |v|, one value or one per pair). With
+    is |v|, one value or one per pair); tau, end and a per-pair speed
+    broadcast against d. With
     a = v . dr / 2D, b = |v| d / 2D and y, x = (d -+ |v| tau) / 2 sqrt(D tau)
     the bracket is e^(a - b) erfc(y) + e^(a + b) erfc(x). Writing
     erfc(x) = e^(-x^2) erfcx(x) gives both terms the factor
     e^(a - b - y^2) = e^(a + b - x^2) <= e^(a - b) <= 1 (as v . dr <= |v| d),
-    so no exponent evaluated is positive. In still air (|v| = 0) the two
-    terms are equal and one erfcx serves both.
+    so no exponent evaluated is positive.
 
     y and x are p -+ q with p = d / 2 sqrt(D tau) and q = |v| sqrt(tau) / 2
     sqrt(D), both formed from sqrt(tau), so no age above 0 underflows
-    them.
+    them. In still air (speed the number 0; v_dot_dr is not read) a, b and
+    q vanish, so both terms are near = e^(-p^2) erfcx(p): one exp and one
+    erfcx give the bracket near + near, which is 2 at tau = inf (p = 0).
 
     Given `end` (finite, 0 < end < tau) it is the window K(tau) - K(end).
     Past the pair's peak at end (y < 0 there, hence also at tau) both
     kernels are near the steady value, so the window is taken as what
     K(end) still lacks of it less what K(tau) lacks, each
     e^(a - b) erfc(-y) - e^(a + b) erfc(x) (0 at tau = inf): no two nearly
-    equal values are subtracted."""
+    equal values are subtracted. In still air y = p >= 0, so that case
+    never arises."""
+    scale = 8.0 * math.pi * diffusivity * d
+    if not isinstance(speed, np.ndarray) and speed == 0.0:
+        def still(s):
+            if np.isinf(s).all():  # the steady bracket 2 (p = 0), without an erfcx
+                return 2.0 / scale
+            p = d / (2.0 * math.sqrt(diffusivity) * np.sqrt(s))
+            with np.errstate(over="ignore", under="ignore"):
+                near = np.exp(0.0 - p * p)
+            near = near * _erfcx(p)
+            return (near + near) / scale
+
+        return still(tau) if end is None else still(tau) - still(end)
     per_pair = isinstance(speed, np.ndarray)
     a_minus_b = (v_dot_dr - speed * d) / (2.0 * diffusivity)
-    scale = 8.0 * math.pi * diffusivity * d
 
     def at(s):
         """The bracket at ages s, and where s is finite its near, far and y."""
         bracket = 2.0 * np.exp(a_minus_b)  # the steady bracket, kept where s = inf
         fin = np.isfinite(s)
+        if fin.all():
+            fin = ...  # every age finite: whole planes, no pair gathered
+        else:
+            s, fin = np.broadcast_to(s, d.shape), np.broadcast_to(fin, d.shape)
         width = 2.0 * math.sqrt(diffusivity) * np.sqrt(s[fin])
         p = d[fin] / width
         q = width * ((speed[fin] if per_pair else speed) / (4.0 * diffusivity))
@@ -637,7 +664,7 @@ def _pair_kernel(d: np.ndarray, v_dot_dr: np.ndarray, tau: np.ndarray,
         with np.errstate(over="ignore", under="ignore"):
             damp = np.exp(a_minus_b[fin] - y * y)
         near = damp * _erfcx(np.abs(y))  # exp(a - b) erfc(|y|)
-        far = near if not per_pair and speed == 0.0 else damp * _erfcx(p + q)
+        far = damp * _erfcx(p + q)
         bracket[fin] = np.where(y >= 0.0, near, bracket[fin] - near) + far
         return bracket, fin, near, far, y
 
@@ -691,12 +718,14 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
     The exponents are combined before evaluation, so the result is finite
     for any |v| d / D. For a static source v is the wind w.
 
-    A static source (velocity None) keeps a scalar drift: v . dr is one
-    matrix-vector product with w and |v| one number for all pairs. Sending
-    it through the per-pair drift of a moving source (u = 0) costs about half
-    as much again: 0.57 -> 0.88 ms for 3000 still-air free-space pairs,
-    1.9 -> 2.9 ms for 4000 windy half-space pairs, 5.4 -> 7.3 ms for 200
-    windy duct points at 60 s (2 shared cores, numpy 2.4).
+    A static source (velocity None) keeps a scalar drift: |v| is one
+    number for all pairs, v . dr one dot of the dr planes with w, and in
+    still air neither is formed, as the bracket takes one exp and one erfcx
+    (_pair_kernel). Sending it through the per-pair drift of a moving
+    source (u = 0) costs 0.22 -> 0.40 ms for 3000 still-air free-space
+    pairs and 0.83 -> 1.11 ms for 4000 windy half-space pairs; 200 windy
+    duct points at 60 s, where the modes dominate, take 3.0 ms either way
+    (best of 40 interleaved calls, 2 shared cores, numpy 2.4).
 
     A source moving at constant velocity u (velocity, (N, 3) or (3,)) is,
     seen at the observation time, a static source at the point it occupies
@@ -758,41 +787,52 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
 def _image_kernel(env: Environment, flips: np.ndarray, offsets: np.ndarray,
                   src: np.ndarray, obs: np.ndarray, taus: np.ndarray,
                   vel: np.ndarray | None, ends: np.ndarray | None) -> np.ndarray:
-    """unit_continuous_kernel over the images (flips, offsets), per row."""
-    n = taus.size
-    m = len(flips)
+    """unit_continuous_kernel over the images (flips, offsets), per row.
+    A block of rows works on (rows, M) planes, one per axis: dr along each
+    axis, d, and for a moving source its drift. Where every pair of the
+    block is live (and every one still emits, or every one has stopped)
+    the pair kernel runs on the whole planes, with no pair gathered or
+    scattered; a row's sum over its images is the pairwise sum of its
+    plane row."""
+    n, m = taus.size, len(flips)
     D = env.diffusivity
     out = np.zeros(n)
     block = max(1, _BLOCK_PAIRS // m)
+    # Per axis: the observers', sources' and velocities' columns as (n, 1)
+    # and the maps' flips and offsets as (M,).
+    obs_t, src_t = obs.T[:, :, None], src.T[:, :, None]
+    vel_t = None if vel is None else vel.T[:, :, None]
+    maps = list(zip(flips.T, offsets.T))
+
     for lo in range(0, n, block):
         sl = slice(lo, lo + block)
-        dr = obs[sl, None, :] - (src[sl, None, :] * flips + offsets)  # (n, M, 3)
-        d = _norm(dr)
+        dr = [o - (s * flip + offset)
+              for o, s, (flip, offset) in zip(obs_t[:, sl], src_t[:, sl], maps)]
+        d = _length(*dr)
         if vel is None:
-            v_dot_dr, speed = dr @ env.wind_arr, env.wind.speed
+            drift, speed = env.wind_arr, env.wind.speed
         else:
-            drift = env.wind_arr - vel[sl, None, :] * flips
-            v_dot_dr = (dr * drift).sum(axis=2)
-            speed = _norm(drift)
-        def speed_of(pairs):
-            return speed if vel is None else speed[pairs]
-
-        tau = taus[sl, None].repeat(m, axis=1)
-        end = 0.0 if ends is None else ends[sl, None].repeat(m, axis=1)
-        live = (tau > end) & (d >= _SINGULAR_DIST)
-        kern = np.zeros(d.shape)
-        stopped = live & (end > 0.0)
-        running = live & ~stopped
-        kern[running] = _pair_kernel(d[running], v_dot_dr[running], tau[running], D,
-                                     speed_of(running))
-        if ends is not None:
-            kern[stopped] = _pair_kernel(d[stopped], v_dot_dr[stopped], tau[stopped], D,
-                                         speed_of(stopped), end[stopped])
+            drift = [w - v * flip for w, v, (flip, _) in zip(env.wind_arr, vel_t[:, sl], maps)]
+            speed = _length(*drift)
+        v_dot_dr = None if vel is None and not env.has_wind else (
+            (dr[0] * drift[0] + dr[1] * drift[1]) + dr[2] * drift[2])
+        tau = taus[sl, None]
+        if ends is None:
+            end = 0.0
+            kern = _on_pairs(None, (tau > 0.0) & (d >= _SINGULAR_DIST), _pair_kernel, d,
+                             v_dot_dr, tau, D, speed)
+        else:
+            end = ends[sl, None]
+            live = (tau > end) & (d >= _SINGULAR_DIST)
+            stopped = live & (end > 0.0)
+            kern = _on_pairs(None, live & ~stopped, _pair_kernel, d, v_dot_dr, tau, D, speed)
+            kern = _on_pairs(kern, stopped, _pair_kernel, d, v_dot_dr, tau, D, speed, end)
             np.maximum(kern, 0.0, out=kern)
             on_path = (tau > end) & (end > 0.0) & (d < _SINGULAR_DIST)
             if on_path.any():
-                kern[on_path] = _on_path_kernel(end[on_path], tau[on_path], D,
-                                                speed_of(on_path))
+                kern[on_path] = _on_path_kernel(
+                    *(np.broadcast_to(a, d.shape)[on_path] for a in (end, tau)), D,
+                    speed if vel is None else speed[on_path])
             end = end[:, 0]
         emitting = taus[sl] > end if ends is None else (taus[sl] > end) & (end == 0.0)
         out[sl] = kern.sum(axis=1)
@@ -800,14 +840,32 @@ def _image_kernel(env: Environment, flips: np.ndarray, offsets: np.ndarray,
     return out
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """|v| over the last axis: the root of the summed squares, or np.hypot
-    where that sum overflows (|v| past about 1.3e154)."""
+def _on_pairs(kern: np.ndarray | None, mask: np.ndarray, fn: Callable,
+              *args) -> np.ndarray:
+    """kern (zeros when None) with fn(*args) written over the pairs of
+    `mask`; each argument is a scalar, None or an array that broadcasts to
+    the mask. When the mask holds every pair, fn runs on the whole
+    arguments and its result replaces kern: no pair is gathered or
+    scattered."""
+    if mask.all():
+        return fn(*args)
+    if kern is None:
+        kern = np.zeros(mask.shape)
+    if mask.any():
+        kern[mask] = fn(*(a if np.ndim(a) == 0 else np.broadcast_to(a, mask.shape)[mask]
+                          for a in args))
+    return kern
+
+
+def _length(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|(x, y, z)| per element of three planes: the root of
+    (x^2 + y^2) + z^2, or np.hypot where that sum overflows (past about
+    1.3e154)."""
     with np.errstate(over="ignore"):
-        norm = np.sqrt((v * v).sum(axis=-1))
+        norm = np.sqrt((x * x + y * y) + z * z)
     big = np.isinf(norm)
     if big.any():
-        norm[big] = np.hypot.reduce(v[big], axis=-1)
+        norm[big] = np.hypot(np.hypot(x[big], y[big]), z[big])
     return norm
 
 
@@ -910,8 +968,9 @@ def _far_rows(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
     share a few tables; a table per exact drift would cost each piece its
     own table and its own _mode_kernel call. Mode (0, 0), the
     cross-section mean, must clear that bound first, so a young row, whose
-    mean is tiny, skips the table. Every test reads the row's own values
-    only."""
+    mean is tiny, skips the table; a closed-form bound on that mean
+    turns most such rows away before their mean is computed. Every test
+    reads the row's own values only."""
     xi = obs[:, 0] - src[:, 0]
     with np.errstate(over="ignore"):
         q = np.abs(drift) / (2.0 * diffusivity)
@@ -924,32 +983,52 @@ def _far_rows(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
     tables = {key: _far_modes(b, key[1], key[0]) for key in sorted(set(keys))}
     has = np.array([tables[key] is not None for key in keys], dtype=bool)
     cand, block, top = cand[has], block[has], top[has]
-    if not cand.size:
-        return cand, np.zeros(0)
+    tail = np.array([tables[key][1] for key, kept in zip(keys, has) if kept])
     with np.errstate(over="ignore", under="ignore"):
         # e^(u xi / 2D - |xi| kappa_00) e^_TAIL / 2D, e^_TAIL / 2D downstream
         scale = np.where(drift[cand] * xi[cand] > 0.0, 1.0,
                          np.exp(-2.0 * q[cand] * np.abs(xi[cand]))) * (
                              math.exp(_TAIL) / (2.0 * diffusivity))
+    limit = tail * scale
+    # A row whose mean is under half its limit (a factor 2 to spare for
+    # rounding) cannot clear it, and skips _axial_span.
+    young = 2.0 * _head_bound(b, diffusivity, xi[cand], drift[cand], hi[cand]) < limit
+    cand, block, top, limit = cand[~young], block[~young], top[~young], limit[~young]
+    if not cand.size:
+        return cand, np.zeros(0)
     mean = _axial_span(xi[cand, None], drift[cand, None], np.zeros(1), lo[cand, None],
                        hi[cand, None], diffusivity)[:, 0] / (b.width * b.height)
     far, values = [cand[:0]], [np.zeros(0)]
     for key, found in tables.items():
         if found is None:
             continue
-        table, tail = found
+        table = found[0]
         sel = (block == key[0]) & (top == key[1])
-        limit = tail * scale[sel]
-        clear = limit < mean[sel]
-        i, limit = cand[sel][clear], limit[clear]
+        clear = limit[sel] < mean[sel]
+        i, row_limit = cand[sel][clear], limit[sel][clear]
         step = max(1, _BLOCK_PAIRS // table[4].size)
         kept = np.concatenate([np.zeros(0)] + [
             _mode_kernel(table, diffusivity, src[j], obs[j], drift[j], lo[j], hi[j])
             for j in (i[k:k + step] for k in range(0, i.size, step))])
-        ok = limit < kept
+        ok = row_limit < kept
         far.append(i[ok])
         values.append(kept[ok])
     return np.concatenate(far), np.concatenate(values)
+
+
+def _head_bound(b: RectangularDuctReflecting, diffusivity: float, xi: np.ndarray,
+                u: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """An upper bound on mode (0, 0) of each row over ages [lo, hi], for
+    any lo >= 0: its integral over [0, hi] with the exponent at its least,
+    sqrt(hi / pi D) e^(-m^2 / 4 D hi) / (W H), where m, the smallest
+    |xi - u s| for s in [0, hi], is |xi| unless the drift carries the
+    source towards the observer (u xi > 0), and then max(|xi| - |u| hi, 0)."""
+    reach = np.abs(xi)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        down = u * xi > 0.0
+        reach[down] = np.maximum(reach[down] - np.abs(u[down]) * hi[down], 0.0)
+        return np.sqrt(hi / (math.pi * diffusivity)) * np.exp(
+            -(reach * reach) / (4.0 * diffusivity * hi)) / (b.width * b.height)
 
 
 def _axial_span(xi: np.ndarray, u: np.ndarray, lam: np.ndarray, lo: np.ndarray,

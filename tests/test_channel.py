@@ -382,6 +382,74 @@ class TestContinuousKernel:
                      for i in range(n)]
             assert np.array_equal(alone, batch), name
 
+    @pytest.mark.parametrize("boundary", [FreeSpace(), HalfSpaceReflecting(),
+                                          RectangularDuctReflecting(3.0, 2.5)],
+                             ids=["free", "halfspace", "duct"])
+    @pytest.mark.parametrize("wind", [0.0, 0.6], ids=["still", "windy"])
+    def test_rows_across_a_block_edge_match_rows_alone(self, boundary, wind):
+        # Static sources, rows on both sides of the image sum's first block
+        # edge (_BLOCK_PAIRS // M rows). The first block holds a row before
+        # emission and one on its source, so it gathers its live pairs; the
+        # next block is all live and takes whole planes, as does a live row
+        # alone. Every row keeps its bits either way.
+        env = Environment(diffusivity=0.5, boundary=boundary, wind=Velocity(
+            wind, 0.0 if boundary.walls.get(1) else wind / 3.0, 0.0))
+        edge = channel._BLOCK_PAIRS // len(channel.image_transforms(env))
+        n = edge + 6
+        rng = np.random.default_rng(17)
+        src = np.column_stack([rng.uniform(-1, 1, n), rng.uniform(0.1, 2.9, n),
+                               rng.uniform(0.1, 2.4, n)])
+        # Within 2 m along x of its source, so that no duct row is far.
+        obs = np.column_stack([src[:, 0] + rng.uniform(-2, 2, n), rng.uniform(0, 3, n),
+                               rng.uniform(0, 2.5, n)])
+        taus = rng.uniform(1e-3, 400.0, n)
+        taus[0], obs[1] = 0.0, src[1]
+        batch = unit_continuous_kernel(env, src, obs, taus)
+        assert batch[0] == 0.0 and batch[1] == np.inf
+        for i in [0, 1, 2, *range(edge - 6, n)]:
+            alone = unit_continuous_kernel(env, src[i], obs[i], taus[i:i + 1])
+            assert alone.tobytes() == batch[i:i + 1].tobytes(), i
+
+    def test_still_air_free_space_is_the_erfc_closed_form(self):
+        D = 0.5
+        rng = np.random.default_rng(23)
+        obs = rng.uniform(-3.0, 3.0, (300, 3))
+        taus = rng.uniform(1.0, 300.0, 300)
+        got = unit_continuous_kernel(Environment(diffusivity=D), np.zeros(3), obs, taus)
+        for value, r, tau in zip(got.tolist(), obs.tolist(), taus.tolist()):
+            d = math.hypot(*r)
+            want = math.erfc(d / (2.0 * math.sqrt(D * tau))) / (4.0 * math.pi * D * d)
+            assert value == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_still_air_half_space_is_the_sum_of_its_two_images(self):
+        rng = np.random.default_rng(29)
+        src = np.column_stack([rng.uniform(-2, 2, (200, 2)), rng.uniform(0, 2, 200)])
+        obs = np.column_stack([rng.uniform(-4, 4, (200, 2)), rng.uniform(0, 3, 200)])
+        taus = np.concatenate([rng.uniform(0.1, 300.0, 150), np.full(50, math.inf)])
+        half = unit_continuous_kernel(Environment(diffusivity=0.5, boundary=HalfSpaceReflecting()),
+                                      src, obs, taus)
+        free = Environment(diffusivity=0.5)
+        want = (unit_continuous_kernel(free, src, obs, taus)
+                + unit_continuous_kernel(free, src * [1.0, 1.0, -1.0], obs, taus))
+        assert half.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("boundary", [FreeSpace(), HalfSpaceReflecting(),
+                                          RectangularDuctReflecting(3.0, 2.5)],
+                             ids=["free", "halfspace", "duct"])
+    @pytest.mark.parametrize("wind", [0.0, 0.6], ids=["still", "windy"])
+    def test_observer_on_an_emitting_source_is_infinite(self, boundary, wind):
+        env = Environment(diffusivity=0.5, wind=Velocity(wind, 0.0, 0.0), boundary=boundary)
+        src = np.array([0.5, 1.5, 1.2])
+        obs = np.array([src, [2.0, 1.0, 1.0], src])
+        for ends in (None, 0.0):
+            got = unit_continuous_kernel(env, src, obs, [30.0, 30.0, 0.0], taus_end=ends)
+            assert got[0] == np.inf and 0.0 < got[1] < np.inf and got[2] == 0.0
+            alone = unit_continuous_kernel(env, src, src, [30.0], taus_end=ends)
+            assert alone[0] == np.inf
+        # Emission that stopped 10 s ago takes the finite on-path limit.
+        stopped = unit_continuous_kernel(env, src, src, [30.0], taus_end=[10.0])[0]
+        assert 0.0 < stopped < np.inf
+
     def test_hostile_exponents_stay_finite(self):
         # |v| d / 2D = 2.5e4: exp of either exponent alone overflows.
         D, d = 1e-3, 10.0

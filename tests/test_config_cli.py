@@ -633,20 +633,32 @@ class TestCli:
           for kind in ("continuous", "instant") for x in FAR),
         ("instant", "diffusivity_m2s = 0.5", "diffusivity_m2s = 5e-324"),
         ("instant", "times_s = 60", "times_s = 5e-324"),
+        # The observer 1 m from the source along y or z alone: the other two
+        # axis factors, about 1e160 each, overflow together, and the offset
+        # axis's factor 0 must still make the field 0.
+        *(pytest.param("instant", f"{what}\nx_m = 1\n{line}", f"{tiny}\nx_m = 0\n{moved}",
+                       id=f"instant-subnormal-{name}-along-{axis}")
+          for name, what, tiny in (("D", "diffusivity_m2s = 0.5", "diffusivity_m2s = 5e-324"),
+                                   ("age", "times_s = 60", "times_s = 5e-324"))
+          for axis, line, moved in (("y", "y_m = 1.5", "y_m = 2.5"),
+                                    ("z", "z_m = 1.2", "z_m = 2.2"))),
     ])
     def test_extreme_still_air_field_is_finite_and_quiet(self, tmp_path, capsys,
                                                          boundary, kind, old, new):
         # Past about 1.3e154 m a squared distance overflows a float, and a
         # subnormal D or age overflows the Gaussian's exponent; each field
-        # takes its limit, 0 here, with no warning.
+        # takes its limit, 0 here, with no warning. old and new hold one or
+        # more lines, each replaced by its counterpart.
         text = "\n".join([
             "[environment]", "diffusivity_m2s = 0.5" + boundary, "[source]",
             f"kind = {kind}", "position_m = 0 1.5 1.2",
             "rate_kgs = 1e-6" if kind == "continuous" else "mass_kg = 1e-6",
             "[grid]", "x_m = 1", "y_m = 1.5", "z_m = 1.2", "times_s = 60", ""])
-        assert old + "\n" in text
+        for line_old, line_new in zip(old.split("\n"), new.split("\n"), strict=True):
+            assert line_old + "\n" in text
+            text = text.replace(line_old + "\n", line_new + "\n")
         out = tmp_path / "grid.csv"
-        cfg = write(tmp_path, "far.cfg", text.replace(old + "\n", new + "\n"))
+        cfg = write(tmp_path, "far.cfg", text)
         assert main(["field", "--config", cfg, "--out", str(out)]) == 0
         rows = [r for r in out.read_text().splitlines() if not r.startswith("#")][1:]
         assert rows and all(math.isfinite(float(r.split(",")[4])) for r in rows)

@@ -2,12 +2,15 @@
 ones, against the explicit image sum of tests/duct_oracle.py."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import duct_oracle
+from test_golden_cli import GOLDEN, _assert_csv_matches
 from virodyne import channel
+from virodyne.cli import main
 from virodyne.channel import (
     Environment,
     FieldQuery,
@@ -380,3 +383,94 @@ def test_pieces_at_many_speeds_along_the_duct_share_tables():
     want = [duct_oracle.continuous(W, H, 0.5, 0.5, SRC, r, 60.0, velocity=v)
             for r, v in zip(obs, vel)]
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.5, -0.5, 3.0])
+def test_head_bound_holds_mode_zero(u):
+    # Mode (0, 0) over [lo, hi], downstream and upstream, from a millisecond
+    # to 10^4 s (and to the steady state in a drift), never exceeds the
+    # closed-form bound.
+    rng = np.random.default_rng(31)
+    n = 400
+    steady = 20 * (u != 0.0)
+    xi = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 10.0, n)
+    finite = 10.0 ** rng.uniform(-3.0, 4.0, n - steady)
+    hi = np.concatenate([finite, np.full(steady, math.inf)])
+    lo = np.concatenate([finite * rng.choice([0.0, 0.3, 0.9], n - steady),
+                         np.full(steady, 100.0)])
+    drift = np.full(n, u)
+    mean = channel._axial_span(xi[:, None], drift[:, None], np.zeros(1), lo[:, None],
+                               hi[:, None], 0.5)[:, 0] / (W * H)
+    bound = channel._head_bound(DUCT, 0.5, xi, drift, hi)
+    assert (mean <= bound).all()
+    assert np.count_nonzero(mean > 1e-6) > n // 8
+
+
+def _no_head_bound(b, diffusivity, xi, u, hi):
+    return np.full(xi.shape, np.inf)
+
+
+@pytest.mark.parametrize("wind", [0.0, 0.5, -0.5])
+def test_head_bound_turns_away_only_rows_that_fall_back(monkeypatch, wind):
+    # The far rows and their values, with the bound and with it switched
+    # off, over windows from age 0 and stopped at half the age.
+    obs = _far_obs()
+    n = len(obs)
+    src = np.broadcast_to(SRC, (n, 3))
+    ages = [0.1, 1.0, 2.0, 10.0, 60.0, 600.0, 3600.0]
+
+    def far_rows():
+        return [channel._far_rows(DUCT, 0.5, src, obs, np.full(n, wind), np.full(n, lo),
+                                  np.full(n, t), np.ones(n, dtype=bool))
+                for t in ages for lo in (0.0, t / 2)]
+
+    got = far_rows()
+    monkeypatch.setattr(channel, "_head_bound", _no_head_bound)
+    want = far_rows()
+    for (rows, values), (rows_want, values_want) in zip(got, want):
+        assert np.array_equal(rows, rows_want)
+        assert values.tobytes() == values_want.tobytes()
+    assert sum(rows.size for rows, _ in got) > n
+
+
+def _young_duct_cfg(path: Path) -> str:
+    """The 3 x 2.5 m still-air duct that CI sees at 1 s from x = 5 to 20 m."""
+    path.write_text("\n".join([
+        "[environment]", "diffusivity_m2s = 0.5", "boundary = duct", "duct_width_m = 3",
+        "duct_height_m = 2.5", "image_order = 10", "[source]", "kind = continuous",
+        "position_m = 0 1.5 1.2", "rate_kgs = 1e-6", "[grid]", "x_m = 5 20 4",
+        "y_m = 0.2 2.8 3", "z_m = 0.2 2.3 3", "times_s = 1", ""]))
+    return str(path)
+
+
+@pytest.mark.parametrize("wind", [0.0, 0.5])
+def test_young_far_rows_never_reach_the_axial_span(monkeypatch, wind):
+    # At 1 s every row of that grid lies past xi* and is far too faint for
+    # the far-row check: the closed-form bound turns each away before its
+    # mean is computed.
+    def no_span(*args):
+        raise AssertionError("a young far row reached _axial_span")
+
+    xs, ys, zs = np.meshgrid([5.0, 10.0, 15.0, 20.0], [0.2, 1.5, 2.8], [0.2, 1.25, 2.3],
+                             indexing="ij")
+    obs = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
+    n = len(obs)
+    monkeypatch.setattr(channel, "_axial_span", no_span)
+    far, values = channel._far_rows(DUCT, 0.5, np.broadcast_to([0.0, 1.5, 1.2], (n, 3)), obs,
+                                    np.full(n, wind), np.zeros(n), np.ones(n),
+                                    np.ones(n, dtype=bool))
+    assert far.size == 0 and values.size == 0
+
+
+def test_young_duct_field_keeps_its_bytes(tmp_path, monkeypatch):
+    # That duct's field is byte for byte the one the far check gives with
+    # the bound switched off, and matches the one recorded before the bound
+    # (to rel 1e-12, as every physical-layer golden: numpy's SIMD exp may
+    # differ by an ulp between CPUs).
+    cfg = _young_duct_cfg(tmp_path / "young.cfg")
+    got, want = tmp_path / "young.csv", tmp_path / "unbounded.csv"
+    assert main(["field", "--config", cfg, "--out", str(got)]) == 0
+    monkeypatch.setattr(channel, "_head_bound", _no_head_bound)
+    assert main(["field", "--config", cfg, "--out", str(want)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+    _assert_csv_matches(str(got), str(Path(GOLDEN) / "field_young_duct.csv"))
