@@ -333,10 +333,12 @@ class FieldQuery:
 _BLOCK_PAIRS = 2 ** 13
 
 
-def _gauss1d(dx: np.ndarray, four_dt: np.ndarray) -> np.ndarray:
-    # Past |dx| ~ 1.3e154, or at a subnormal four_dt, the exponent overflows
-    # to -inf and the factor takes its exact limit 0.
+def _gauss1d(x: np.ndarray, centre: np.ndarray, four_dt: np.ndarray) -> np.ndarray:
+    # Past |x - centre| ~ 1.3e154 (or past the largest float, where the
+    # difference itself is inf), or at a subnormal four_dt, the exponent
+    # overflows to -inf and the factor takes its exact limit 0.
     with np.errstate(over="ignore"):
+        dx = x - centre
         return np.exp(-(dx * dx) / four_dt) / np.sqrt(math.pi * four_dt)
 
 
@@ -397,7 +399,7 @@ def _axis_factor(x: np.ndarray, x0: np.ndarray, tau: np.ndarray, b: Boundary,
     def images(x, x0, tau):
         four_dt = 4.0 * diffusivity * tau
         offs = offsets[:, None]
-        return sum(_gauss1d(x - (offs + s * x0), four_dt) for s in signs).sum(axis=0)
+        return sum(_gauss1d(x, offs + s * x0, four_dt) for s in signs).sum(axis=0)
 
     length = b.walls.get(axis, 0.0)
     if not length:
@@ -806,8 +808,9 @@ def _image_kernel(env: Environment, flips: np.ndarray, offsets: np.ndarray,
 
     for lo in range(0, n, block):
         sl = slice(lo, lo + block)
-        dr = [o - (s * flip + offset)
-              for o, s, (flip, offset) in zip(obs_t[:, sl], src_t[:, sl], maps)]
+        with np.errstate(over="ignore"):  # a span past the largest float is inf
+            dr = [o - (s * flip + offset)
+                  for o, s, (flip, offset) in zip(obs_t[:, sl], src_t[:, sl], maps)]
         d = _length(*dr)
         if vel is None:
             drift, speed = env.wind_arr, env.wind.speed

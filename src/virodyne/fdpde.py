@@ -16,7 +16,8 @@ diffusive bound 1 / (2 D sum(1/h_i^2)) and the advective CFL bound
 min(h) / |v|max, an explicit one is checked against both, and every step
 checks dt |v|max <= min(h), so a NaN or infinite speed raises
 UnstableTimeStep instead of filling the field with NaN. A solve that would
-take more than 1e11 cell updates is refused before the field is allocated.
+take more than 1e11 cell updates, or whose sources would deposit more than
+a float holds in one cell, is refused before the field is allocated.
 
 There is one velocity path: a constant is the callable that returns it at
 every time. A velocity the same in every cell (shape (3,), or (cells, 3)
@@ -24,15 +25,21 @@ with a cell stride of 0, as np.broadcast_to gives) enters the stencil as
 three scalars; any other field is copied each step into a padded buffer.
 
 The field lives in one zero-initialised buffer with a layer of ghost cells,
-(nx+2, ny+2, nz+2), allocated once per solve; c is its interior view. Each
-step refreshes the ghost cells in place (edge copies for reflecting walls,
-zeros for absorbing ones) and evaluates the stencil on the flattened buffer:
-every neighbour term is one contiguous slice that runs from the first to the
-last interior cell, shifted by +-sx, +-sy or +-1 (the x and y strides of the
-padded buffer). The ghost cells inside that run are computed too and
-overwritten by the next refresh. All temporaries are preallocated, and the
+allocated once per solve and indexed through an (nx+2, ny+2, nz+2) view; c
+is that view's interior. In memory the axis with the fewest cells is the
+slowest and the one with the most the fastest (ties in x, y, z order), so
+the fewest ghost cells lie between interior ones. Each step refreshes the
+ghost cells in place (edge copies for reflecting walls, zeros for absorbing
+ones) and evaluates the stencil on the flattened buffer: every neighbour
+term is one contiguous slice that runs from the first to the last interior
+cell, shifted by plus or minus the view's element stride along x, y or z.
+The ghost cells inside that run are computed too and overwritten by the
+next refresh; a per-cell velocity is copied into a buffer of the same
+layout. A uniform velocity component that is exactly 0 adds only zeros, so
+its advection term is skipped. All temporaries are preallocated, and the
 arithmetic per cell is the same sequence of operations as the plain slice
-form (tests/fdpde_oracle.py), so fields are bit-identical to it.
+form (tests/fdpde_oracle.py), so fields are bit-identical to it: a skipped
+term could only flip the sign of a zero, and the interior is never -0.0.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .channel import SourceKind, SourceSpec
-from .errors import OutOfDomain, UnstableTimeStep
+from .errors import OutOfDomain, UnstableTimeStep, VirodyneError
 
 VelocityField = Union[Sequence[float], np.ndarray, Callable[[np.ndarray, float], np.ndarray]]
 
@@ -53,7 +60,10 @@ _CELL_STEP_BUDGET = 1e11  # cell updates (steps x cells), see solve_advection_di
 
 @dataclass(frozen=True)
 class FdGrid:
-    """Uniform cell-centered grid over an axis-aligned box."""
+    """Uniform cell-centered grid over an axis-aligned box. Its extents, its
+    cell widths squared and its cell volume must each be a finite, positive
+    normal float, so the solver's bounds and deposits never overflow or
+    divide by 0 (and 2h, at most 2/3 of an extent, is one too)."""
 
     lo: tuple[float, float, float]
     hi: tuple[float, float, float]
@@ -71,6 +81,13 @@ class FdGrid:
         object.__setattr__(self, "lo", tuple(float(v) for v in lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in hi))
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        extents = [b - a for a, b in zip(self.lo, self.hi)]
+        h = [e / n for e, n in zip(extents, self.shape)]
+        sizes = extents + [w * w for w in h] + [math.prod(h)]
+        if not all(np.finfo(float).tiny <= v < math.inf for v in sizes):
+            raise ValueError(f"grid box {self.lo} .. {self.hi} in {self.shape} cells has an "
+                             f"extent, squared cell width or cell volume that is not a "
+                             f"finite, positive normal float")
 
     @property
     def spacing(self) -> np.ndarray:
@@ -149,15 +166,19 @@ def _refresh_ghosts(padded: np.ndarray, boundary: str) -> None:
     """Make the ghost layer equal np.pad(interior, 1) in the boundary's mode.
 
     Reflecting: copy the edge planes axis by axis, so edges and corners end
-    up as clamped copies too. Absorbing: the flat update never writes the x
-    ghost planes, only the y and z faces, which are zeroed again."""
+    up as clamped copies too. Absorbing: the flat update never writes the
+    ghost planes of the axis slowest in memory (the largest stride), as they
+    lie outside its run; the other two axes' faces are zeroed again."""
     if boundary == "reflecting":
         padded[0], padded[-1] = padded[1], padded[-2]
         padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
         padded[:, :, 0], padded[:, :, -1] = padded[:, :, 1], padded[:, :, -2]
-    else:
-        padded[:, 0] = padded[:, -1] = 0.0
-        padded[:, :, 0] = padded[:, :, -1] = 0.0
+        return
+    slowest = int(np.argmax(padded.strides))
+    for axis in range(3):
+        if axis != slowest:
+            faces = np.moveaxis(padded, axis, 0)
+            faces[0] = faces[-1] = 0.0
 
 
 def _step_count(t_end: float, dt: float, n_cells: int, rounding) -> int:
@@ -189,12 +210,14 @@ def solve_advection_diffusion(
     The rate is read at that midpoint too, so the deposit smears a rate
     step by at most one dt.
 
-    diffusivity and t_end must be finite and > 0 (else ValueError). The
+    diffusivity and t_end must be finite and > 0 (else ValueError). Every
+    open rate times t_end plus every mass, over one cell volume, must be a
+    finite density, else VirodyneError before the field is allocated. The
     default dt is 0.4 times the smaller of the diffusive bound and the
     advective bound min(h) / |v|max at t=0, the step count rounded up; an
     explicit dt is rounded to t_end / n for the nearest count n. Either
     count is refused with UnstableTimeStep, before the field is allocated,
-    once steps x cells passes 1e11 cell updates (about half an hour at 5e7
+    once steps x cells passes 1e11 cell updates (about half an hour at 5.5e7
     per second): a tiny dt, or a huge D whose diffusive bound asks for
     billions of steps, raises at once instead of running for days. So does
     a dt that is not finite and > 0, a step above either bound, or a speed
@@ -204,13 +227,13 @@ def solve_advection_diffusion(
     velocity is read at t=0 and at each step's midpoint and must have shape
     (3,) or (cells, 3), else ValueError; the same in every cell ((3,), or a
     cell stride of 0) it enters the stencil as three scalars, else through
-    a padded (3, nx+2, ny+2, nz+2) buffer. Every step raises
+    a padded buffer in the field's memory order. Every step raises
     UnstableTimeStep unless dt |v|max <= min(h), so a flow that speeds up
     after t=0, or turns NaN or inf, fails loudly instead of blowing up.
 
     Cloud-in-cell weights are computed once per solve for a source without
     a trajectory and on every step for a moving one. The result's field is
-    a fresh contiguous copy of the padded buffer's interior.
+    a fresh C-contiguous (nx, ny, nz) copy of the padded buffer's interior.
     """
     if boundary not in ("absorbing", "reflecting"):
         raise ValueError("boundary must be 'absorbing' or 'reflecting'")
@@ -220,6 +243,15 @@ def solve_advection_diffusion(
     t_end = float(t_end)
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+    sources = list(sources)
+    volume = grid.cell_volume()
+    # At most every open rate for the whole run plus every mass, in one cell.
+    load = sum(src.strength if src.kind is SourceKind.INSTANT
+               else t_end * sum(q for begin, _, q in src.windows if begin < t_end)
+               for src in sources)
+    if not math.isfinite(load / volume):
+        raise VirodyneError(f"the sources may deposit {load:g} kg in one cell of "
+                            f"{volume:g} m^3, a density past the largest float")
     shape = grid.shape
     n_cells = math.prod(shape)
     if dt is not None:
@@ -231,14 +263,22 @@ def solve_advection_diffusion(
         constant = np.asarray(velocity, dtype=float)
         velocity = lambda _points, _t: constant
     centers = grid.cell_centers().reshape(-1, 3)
-    # The run of a flattened padded buffer from its first to its last interior
-    # cell. A velocity that varies in space gets such a buffer when it shows.
-    sy = shape[2] + 2
-    sx = (shape[1] + 2) * sy
-    first = sx + sy + 1
-    n = shape[0] * sx + shape[1] * sy + shape[2] - first + 1
-    padded_shape = tuple(k + 2 for k in shape)
+    # A padded buffer holds the axis with the fewest cells slowest in memory;
+    # `strides` are the element strides of its (x, y, z) view, and the flat
+    # run goes from the first to the last interior cell. A velocity that
+    # varies in space gets such a buffer when it shows.
+    order = sorted(range(3), key=lambda k: (shape[k], k))
+    memory_shape = tuple(shape[k] + 2 for k in order)
+    xyz = [order.index(k) for k in range(3)]
+    strides = [math.prod(memory_shape[j + 1:]) for j in xyz]
+    first = sum(strides)
+    n = sum((k - 1) * s for k, s in zip(shape, strides)) + 1
     vel_padded = None
+
+    def padded_zeros(*lead: int) -> tuple[np.ndarray, np.ndarray]:
+        """A zero buffer in memory order, and its (*lead, x, y, z) view."""
+        buf = np.zeros(lead + memory_shape)
+        return buf, buf.transpose(*range(len(lead)), *(len(lead) + j for j in xyz))
 
     def load_velocity(t: float) -> tuple:
         """The velocity at time t as (vx, vy, vz, |v|max): three floats for a
@@ -252,9 +292,10 @@ def solve_advection_diffusion(
             raise ValueError(f"velocity has shape {v.shape}; it must be (3,) or "
                              f"(cells, 3) = {centers.shape}")
         if vel_padded is None:
-            vel_padded = np.zeros((3,) + padded_shape)
-        vel_padded[:, 1:-1, 1:-1, 1:-1] = np.moveaxis(v.reshape(shape + (3,)), -1, 0)
-        bx, by, bz = vel_padded.reshape(3, -1)[:, first:first + n]
+            vel_padded = padded_zeros(3)
+        buf, view = vel_padded
+        view[:, 1:-1, 1:-1, 1:-1] = np.moveaxis(v.reshape(shape + (3,)), -1, 0)
+        bx, by, bz = buf.reshape(3, -1)[:, first:first + n]
         return bx, by, bz, math.sqrt(float((bx * bx + by * by + bz * bz).max()))
 
     vmax = load_velocity(0.0)[3]
@@ -273,15 +314,15 @@ def solve_advection_diffusion(
         raise UnstableTimeStep(f"dt={requested} runs as {n_steps} step(s) of {dt:.6g} s, "
                                f"which exceeds the stability bound {bound:.3g}")
 
-    padded = np.zeros(padded_shape)
+    buf, padded = padded_zeros()
     c = padded[1:-1, 1:-1, 1:-1]
-    flat = padded.reshape(-1)
+    flat = buf.reshape(-1)
+    sx, sy, sz = strides
     centre, xp, xm, yp, ym, zp, zm = (flat[first + o:first + o + n]
-                                      for o in (0, sx, -sx, sy, -sy, 1, -1))
+                                      for o in (0, sx, -sx, sy, -sy, sz, -sz))
     two_c, lap, term, adv = np.empty((4, n))
 
-    sources = list(sources)
-    lo, h_list, volume = list(grid.lo), h.tolist(), grid.cell_volume()
+    lo, h_list = list(grid.lo), h.tolist()
     hx2, hy2, hz2 = h[0] ** 2, h[1] ** 2, h[2] ** 2
     h2x, h2y, h2z = 2 * h[0], 2 * h[1], 2 * h[2]
     # Weights of the sources that stand still, worked out once.
@@ -321,19 +362,23 @@ def solve_advection_diffusion(
             np.add(term, m, out=term)
             np.divide(term, hh, out=term)
             np.add(lap, term, out=lap)
-        # v . grad(c) with central differences (p - m) / 2h.
-        np.subtract(xp, xm, out=term)
-        np.divide(term, h2x, out=term)
-        np.multiply(vx, term, out=adv)
-        for p, m, hh, v in ((yp, ym, h2y, vy), (zp, zm, h2z, vz)):
+        # v . grad(c) with central differences (p - m) / 2h. A uniform
+        # component that is exactly 0 is skipped; adv starts from the first
+        # that is not.
+        drifts = [(p, m, hh, v) for p, m, hh, v in
+                  ((xp, xm, h2x, vx), (yp, ym, h2y, vy), (zp, zm, h2z, vz))
+                  if not (isinstance(v, float) and v == 0.0)]
+        for i, (p, m, hh, v) in enumerate(drifts):
             np.subtract(p, m, out=term)
             np.divide(term, hh, out=term)
-            np.multiply(v, term, out=term)
-            np.add(adv, term, out=adv)
+            np.multiply(v, term, out=term if i else adv)
+            if i:
+                np.add(adv, term, out=adv)
         # c + dt (D lap - adv), written in place once every read is done.
         np.multiply(D, lap, out=lap)
-        np.subtract(lap, adv, out=lap)
+        if drifts:
+            np.subtract(lap, adv, out=lap)
         np.multiply(dt, lap, out=lap)
         np.add(centre, lap, out=centre)
         t += dt
-    return FdSolution(grid=grid, field=c.copy(), t_end=t, steps=n_steps)
+    return FdSolution(grid=grid, field=c.copy(order="C"), t_end=t, steps=n_steps)

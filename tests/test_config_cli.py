@@ -664,6 +664,26 @@ class TestCli:
         assert rows and all(math.isfinite(float(r.split(",")[4])) for r in rows)
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("boundary", ["", "\nboundary = halfspace"],
+                             ids=["free", "halfspace"])
+    @pytest.mark.parametrize("kind", ["continuous", "instant"])
+    def test_span_past_the_largest_float_is_zero_and_quiet(self, tmp_path, capsys,
+                                                           boundary, kind):
+        # From a source at x = -1.7e308 to an observer at 1.7e308 the span
+        # itself overflows a float; the field takes its limit 0 with no
+        # warning.
+        text = "\n".join([
+            "[environment]", "diffusivity_m2s = 0.5" + boundary, "[source]",
+            f"kind = {kind}", "position_m = -1.7e308 0 1",
+            "rate_kgs = 1e-6" if kind == "continuous" else "mass_kg = 1e-6",
+            "[grid]", "x_m = 1.7e308", "y_m = 0", "z_m = 1", "times_s = 60", ""])
+        out = tmp_path / "grid.csv"
+        assert main(["field", "--config", write(tmp_path, "span.cfg", text),
+                     "--out", str(out)]) == 0
+        rows = [r for r in out.read_text().splitlines() if not r.startswith("#")][1:]
+        assert [r.split(",")[4] for r in rows] == ["0.0"]
+        assert capsys.readouterr().err == ""
+
     def test_detect_refuses_a_non_finite_report(self, tmp_path, capsys):
         # A level of 1e308 + 1e308 overflows a float; the taps are refused
         # by name before a NaN can reach the report, and nothing is written.

@@ -47,11 +47,39 @@ class TestFdSolver:
         ((0, 0, 0), (np.inf, 1, 1)),
         ((-np.inf, 0, 0), (1, 1, 1)),
         ((0, 0, 0), (1, np.nan, 1)),
+        ((0, 0, 0), (1e-120,) * 3),  # the cell volume, 1.6e-362, underflows to 0
+        ((-1e308,) * 3, (1e308,) * 3),  # hi - lo overflows
+        ((0, 0, 0), (1e200,) * 3),  # h^2 overflows
+        ((0, 0, 0), (5e-160, 1, 1)),  # h^2 = 1.6e-320 is subnormal
+        ((0, 0, 0), (1e-310, 1, 1)),  # a subnormal extent
     ])
     def test_grid_bounds_must_be_finite(self, lo, hi):
-        # Unchecked, an infinite bound gives an all-zero field.
+        # Unchecked, an infinite bound gives an all-zero field, a cell volume
+        # of 0 divides by 0 in the deposit, and an extent or h^2 past the
+        # largest float overflows in the solver's bounds.
         with pytest.raises(ValueError):
             FdGrid(lo=lo, hi=hi, shape=(4, 4, 4))
+
+    @pytest.mark.parametrize("kind", ["continuous", "instant"])
+    def test_a_deposit_past_the_largest_float_is_refused_before_any_allocation(
+            self, kind, monkeypatch):
+        # 1e308 kg/s for 1 s, or a 1e308 kg puff, over a cell of 1e-3 m^3 is
+        # a density past the largest float; unchecked, the field filled with
+        # inf and NaN.
+        for name in ("zeros", "empty"):
+            monkeypatch.setattr(np, name, _refuse)
+        grid = FdGrid((0, 0, 0), (1, 1, 1), (10, 10, 10))
+        src = (SourceSpec.continuous(1e308, position=(0.5, 0.5, 0.5)) if kind == "continuous"
+               else SourceSpec.instant((0.5, 0.5, 0.5), 1e308))
+        with pytest.raises(VirodyneError, match="past the largest float"):
+            solve_advection_diffusion(grid, 0.1, _refuse, [src], t_end=1.0)
+
+    def test_a_rate_that_opens_after_the_run_is_not_counted(self):
+        grid = FdGrid((0, 0, 0), (1, 1, 1), (10, 10, 10))
+        src = SourceSpec.continuous([(0.0, 1e-6), (2.0, 1e308)], position=(0.5, 0.5, 0.5))
+        sol = solve_advection_diffusion(grid, 0.1, (0, 0, 0), [src], t_end=1.0)
+        assert np.isfinite(sol.field).all()
+        assert sol.field.sum() * grid.cell_volume() == pytest.approx(1e-6, rel=0.5)
 
     def test_stability_guard(self):
         grid = FdGrid((-5, -5, -5), (5, 5, 5), (11, 11, 11))

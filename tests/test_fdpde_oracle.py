@@ -93,6 +93,60 @@ CASES = {
         [SourceSpec.continuous(0.5, position=(1.1, -0.4, 0.5))], 2.0, {"dt": 0.05}),
 }
 
+
+
+def _toggling(points, t):
+    # With dt = 0.05 each component of a uniform gust switches between an
+    # exact 0 (x as +0.0, y as -0.0) and a drift on its own beat, so the set
+    # of skipped components changes from step to step, and one step in 8 is
+    # at rest.
+    k = int(t / 0.05) % 8
+    v = (0.3 if k & 1 else 0.0, -0.2 if k & 2 else -0.0, 0.05 if k & 4 else 0.0)
+    return np.broadcast_to(np.array(v), points.shape)
+
+
+def _still_column(points, t):
+    # A per-cell field whose z column is 0 in every cell: an array, never
+    # skipped, whose zeros must still keep the field's bits.
+    v = _swirl(points, t)
+    v[:, 2] = 0.0
+    return v
+
+
+def _cube(shape):
+    return FdGrid((-3.0, -2.0, -1.0), (3.0, 2.0, 1.0), shape)
+
+
+# The axis with the fewest cells goes slowest in memory: y here, with ties
+# and a 3-cell cube too. Absorbing cases whose slowest axis is not x check
+# that the flat run's unwritten ghost planes are the right ones.
+PAIR = [SourceSpec.continuous(0.5, position=(0.4, -0.3, 0.2)),
+        SourceSpec.instant((-0.9, 0.6, -0.4), 1.0, 0.1)]
+CASES.update({
+    "y fewest, absorbing": (_cube((12, 5, 9)), 0.3, (0.2, -0.1, 0.05), PAIR, 1.0, {}),
+    "y fewest, reflecting": (
+        _cube((12, 5, 9)), 0.3, _swirl, PAIR, 1.0, {"boundary": "reflecting"}),
+    "x and z tie fewest, absorbing": (_cube((6, 9, 6)), 0.3, _swirl, PAIR, 1.0, {}),
+    "x and z tie fewest, reflecting": (
+        _cube((6, 9, 6)), 0.3, (0.1, 0.2, -0.05), PAIR, 1.0, {"boundary": "reflecting"}),
+    "3 x 3 x 3, absorbing": (
+        _cube((3, 3, 3)), 0.3, (0.1, -0.2, 0.05), PAIR, 1.0, {}),
+    "3 x 3 x 3, reflecting": (
+        _cube((3, 3, 3)), 0.3, _swirl, PAIR, 1.0, {"boundary": "reflecting"}),
+    "z fewest, absorbing, per-cell": (
+        HALL, 0.5, _swirl, PLUME, 5.0, {"dt": 0.05}),
+    "wind with an exact 0": (
+        _cube((12, 5, 9)), 0.3, (0.2, 0.0, 0.05), PAIR, 1.0, {}),
+    "wind with a -0.0": (
+        _cube((6, 9, 6)), 0.3, (-0.0, 0.2, -0.05), PAIR, 1.0, {"boundary": "reflecting"}),
+    "wind of zeros and a -0.0": (
+        _cube((12, 5, 9)), 0.3, (0.0, -0.0, 0.0), PAIR, 1.0, {}),
+    "gust switching components off": (
+        _cube((12, 5, 9)), 0.3, _toggling, PAIR, 1.0, {"dt": 0.05}),
+    "per-cell field with a column of 0": (
+        _cube((12, 5, 9)), 0.3, _still_column, PAIR, 1.0, {"boundary": "reflecting"}),
+})
+
 # The oracle reshapes every callable's return to the grid, so it is handed
 # the same field broadcast to (cells, 3).
 ORACLE_VELOCITY = {
@@ -110,6 +164,7 @@ def test_fields_are_bit_identical_to_the_oracle(name):
     assert got.t_end == want.t_end
     assert got.field.flags.c_contiguous
     assert np.array_equal(got.field, want.field)
+    assert got.field.tobytes() == want.field.tobytes()
     assert got.field.max() > 0
 
 
@@ -122,6 +177,25 @@ def test_ghost_refresh_equals_np_pad(boundary):
     if boundary == "absorbing":
         # The flat update never writes the x ghost planes.
         padded[0] = padded[-1] = 0.0
+    fdpde._refresh_ghosts(padded, boundary)
+    interior = padded[1:-1, 1:-1, 1:-1]
+    mode = "edge" if boundary == "reflecting" else "constant"
+    assert np.array_equal(padded, np.pad(interior, 1, mode=mode))
+
+
+@pytest.mark.parametrize("boundary", ["absorbing", "reflecting"])
+@pytest.mark.parametrize("memory_order", [(1, 0, 2), (2, 0, 1), (0, 2, 1)])
+def test_ghost_refresh_of_a_transposed_buffer_equals_np_pad(boundary, memory_order):
+    # The solver's buffer holds its axes in any memory order behind an
+    # (x, y, z) view; for absorbing walls the planes of the axis slowest in
+    # memory are the ones the flat update never writes.
+    rng = np.random.default_rng(7)
+    shape = (6, 5, 4)
+    buf = rng.normal(size=tuple(shape[k] for k in memory_order))
+    padded = buf.transpose([memory_order.index(k) for k in range(3)])
+    assert padded.shape == shape
+    if boundary == "absorbing":
+        buf[0] = buf[-1] = 0.0
     fdpde._refresh_ghosts(padded, boundary)
     interior = padded[1:-1, 1:-1, 1:-1]
     mode = "edge" if boundary == "reflecting" else "constant"
