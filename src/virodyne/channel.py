@@ -590,7 +590,9 @@ def _erfcx_slope(z: np.ndarray) -> np.ndarray:
     z = 4 Cody's tail form erfcx(z) = (1/sqrt(pi) - t P5(t) / Q5(t)) / z,
     t = 1/z^2, makes it 2 t P5(t) / Q5(t), free of the difference's
     cancellation."""
-    out = 2.0 * _INV_SQRT_PI - 2.0 * z * _erfcx(z)
+    # At z = inf, z erfcx(z) is inf * 0; the tail form below replaces it.
+    with np.errstate(invalid="ignore"):
+        out = 2.0 * _INV_SQRT_PI - 2.0 * z * _erfcx(z)
     tail = z > 4.0
     if tail.any():
         # Past z ~ 1.3e154 z^2 overflows and t is its limit 0.
@@ -883,8 +885,11 @@ def _mode_kernel(modes: tuple[np.ndarray, ...], diffusivity: float, src: np.ndar
     ky, kz, m, n, lam, weight = modes
     cy = np.cos(np.outer(obs[:, 1], ky)) * np.cos(np.outer(src[:, 1], ky))
     cz = np.cos(np.outer(obs[:, 2], kz)) * np.cos(np.outer(src[:, 2], kz))
-    span = _axial_span((obs[:, 0] - src[:, 0])[:, None], drift[:, None], lam,
-                       lo[:, None], hi[:, None], diffusivity)
+    # A span past the largest float is inf, whose axial integral is 0.
+    with np.errstate(over="ignore"):
+        xi = obs[:, 0] - src[:, 0]
+    span = _axial_span(xi[:, None], drift[:, None], lam, lo[:, None], hi[:, None],
+                       diffusivity)
     return (weight * cy[:, m] * cz[:, n] * span).sum(axis=1)
 
 
@@ -974,8 +979,8 @@ def _far_rows(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
     mean is tiny, skips the table; a closed-form bound on that mean
     turns most such rows away before their mean is computed. Every test
     reads the row's own values only."""
-    xi = obs[:, 0] - src[:, 0]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an infinite xi or q is no candidate
+        xi = obs[:, 0] - src[:, 0]
         q = np.abs(drift) / (2.0 * diffusivity)
     cand = np.flatnonzero(rows & (np.abs(xi) >= _far_edge(b)) & (hi > lo)
                           & np.isfinite(xi) & np.isfinite(q))

@@ -13,6 +13,12 @@ Subcommands:
 Exit codes: 0 success, 1 domain error (degenerate data, failed estimation),
 2 usage error (unknown flags, malformed or missing configuration). Identical
 inputs and seed produce byte-identical artifacts.
+
+Import rule: this module imports no layer of the toolkit at its top but
+`core` and `errors`. A subcommand imports only the layers it runs
+(`virodyne entropy` loads no `channel`), and looks each layer name up in
+this module's namespace each time it runs, so a wrapper set on this module
+(`monkeypatch.setattr(cli, "localize", ...)`, a tracer) is the one called.
 """
 
 from __future__ import annotations
@@ -26,47 +32,46 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import Boundary, FieldQuery, Scenario, check_inside, evaluate_field
-from .config import LocalizeSection, ScenarioConfig, config_hash, load_config
-from .core import AMINO_NAMES, rng_stream
-from .detection import (
-    ChannelImpulseResponse,
-    DetectorConfig,
-    GaussianNoise,
-    NonCoherentDifference,
-    PoissonNoise,
-    SequenceML,
-    SymbolThreshold,
-    error_probability,
-    exact_error_probability,
-    mutual_information,
-)
-from .epidemic import Agent, EpidemicConfig, run as run_epidemic
+from .core import AMINO_NAMES, SubstitutionMode, rng_stream
 from .errors import ConfigError, InvalidParams, OutOfDomain, VirodyneError
-from .fileio import read_readings_csv, write_csv, write_json
-from .localization import SolverConfig, localize
-from .mobility import (
-    BoundaryPolicy,
-    Box,
-    MobilityModel,
-    RandomDirection,
-    RandomWalk,
-    RandomWaypoint,
-    Scripted,
-    sample_population,
-)
-from .mutation import KimuraParams, SubstitutionMode, mutation_direction
-from .seqstat import (
-    AlignmentMatrix,
-    Alphabet,
-    EntropyProfile,
-    build_alignment,
-    hotspots as select_hotspots,
-    parse_fasta,
-    positional_entropy,
-)
 
-_ALPHABETS = {"nt": Alphabet.NUCLEOTIDE, "aa": Alphabet.AMINO}
+# The layer of each name the subcommands use; run_epidemic and
+# select_hotspots are epidemic.run and seqstat.hotspots. No layer is
+# imported with this module: main binds the names of the layers a
+# subcommand runs before it runs it (see `command` in build_parser), and
+# reading a name on this module binds it too (PEP 562).
+_LAYERS = {
+    "channel": ("Boundary", "FieldQuery", "Scenario", "check_inside", "evaluate_field"),
+    "config": ("LocalizeSection", "ScenarioConfig", "config_hash", "load_config"),
+    "detection": ("ChannelImpulseResponse", "DetectorConfig", "GaussianNoise",
+                  "NonCoherentDifference", "PoissonNoise", "SequenceML", "SymbolThreshold",
+                  "error_probability", "exact_error_probability", "mutual_information"),
+    "epidemic": ("Agent", "EpidemicConfig", "run_epidemic"),
+    "fileio": ("write_csv", "write_json"),
+    "localization": ("SolverConfig", "localize", "read_readings_csv"),
+    "mobility": ("BoundaryPolicy", "Box", "MobilityModel", "RandomDirection", "RandomWalk",
+                 "RandomWaypoint", "Scripted", "sample_population"),
+    "mutation": ("KimuraParams", "mutation_direction"),
+    "seqstat": ("AlignmentMatrix", "Alphabet", "EntropyProfile", "build_alignment",
+                "parse_fasta", "positional_entropy", "select_hotspots"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+_RENAMED = {"run_epidemic": "run", "select_hotspots": "hotspots"}
+
+
+def __getattr__(name: str):
+    """Import the layer that holds `name` and bind the name here. A value
+    bound first wins, so a wrapper set on this module before the layer's
+    first use stays in place."""
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__package__}.{_LAYER_OF[name]}"
+    __import__(module)  # unlike importlib.import_module, -X importtime lists it
+    return globals().setdefault(name, getattr(sys.modules[module], _RENAMED.get(name, name)))
+
+
+# The --alphabet choices, as names of seqstat.Alphabet members.
+_ALPHABETS = {"nt": "NUCLEOTIDE", "aa": "AMINO"}
 
 
 def _meta(cfg: ScenarioConfig | None, seed: int | None = None,
@@ -93,7 +98,7 @@ def _scenario(args, *sections: str) -> tuple[ScenarioConfig, int]:
 
 def _alignment(args) -> AlignmentMatrix:
     """The --fasta file as an alignment of the --alphabet residues."""
-    alphabet = _ALPHABETS[args.alphabet]
+    alphabet = Alphabet[_ALPHABETS[args.alphabet]]
     with open(args.fasta, "r", encoding="utf-8") as fh:
         records = parse_fasta(fh, alphabet)
     return build_alignment(records, alphabet, strict_length=not args.no_strict)
@@ -136,15 +141,6 @@ def _cmd_field(args) -> int:
     return 0
 
 
-# Each [population] mobility kind: its class and the keys of its arguments.
-_MOBILITY = {
-    "walk": (RandomWalk, ("step_len_m", "step_dt_s")),
-    "waypoint": (RandomWaypoint, ("speed_min_mps", "speed_max_mps", "pause_s")),
-    "direction": (RandomDirection, ("speed_mps", "epoch_s")),
-    "scripted": (Scripted, ("velocity_mps",)),
-}
-
-
 def _build_population(cfg: ScenarioConfig, seed: int, boundary: Boundary) -> list[Agent]:
     """The agents, roaming a box that must lie inside the boundary's region."""
     pop = cfg.population
@@ -156,7 +152,13 @@ def _build_population(cfg: ScenarioConfig, seed: int, boundary: Boundary) -> lis
         raise ConfigError(str(exc), "domain_m") from None
     policy = (BoundaryPolicy.REFLECT if pop.boundary_policy == "reflect"
               else BoundaryPolicy.WRAP_TO_WAYPOINT)
-    cls, keys = _MOBILITY[pop.mobility]
+    # Each [population] mobility kind: its class and the keys of its arguments.
+    cls, keys = {
+        "walk": (RandomWalk, ("step_len_m", "step_dt_s")),
+        "waypoint": (RandomWaypoint, ("speed_min_mps", "speed_max_mps", "pause_s")),
+        "direction": (RandomDirection, ("speed_mps", "epoch_s")),
+        "scripted": (Scripted, ("velocity_mps",)),
+    }[pop.mobility]
     try:
         kind = cls(*(getattr(pop, k) for k in keys))
     except ValueError as exc:
@@ -351,40 +353,43 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--no-strict", action="store_true",
                          help="truncate unequal-length rows instead of failing")
 
-    def command(name: str, func, about: str, *parents) -> argparse.ArgumentParser:
+    def command(name: str, func, layers: tuple[str, ...], about: str,
+                *parents) -> argparse.ArgumentParser:
+        """A subcommand; main binds the names of `layers`, and of fileio,
+        which every subcommand writes through, before func runs."""
         p = sub.add_parser(name, help=about, parents=parents)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, layers=("fileio", *layers))
         return p
 
-    p = command("field", _cmd_field, "evaluate a concentration grid to CSV",
-                config, out)
+    p = command("field", _cmd_field, ("config", "channel"),
+                "evaluate a concentration grid to CSV", config, out)
     p.add_argument("--speed", type=float, default=None,
                    help="override source motion: straight line along +x, m/s")
     p.add_argument("--time", type=float, action="append", default=None,
                    help="override grid evaluation time(s), seconds")
 
-    p = command("epidemic", _cmd_epidemic, "run the SI simulation to CSV/JSON",
-                config, out, seed)
+    p = command("epidemic", _cmd_epidemic, ("config", "channel", "mobility", "epidemic"),
+                "run the SI simulation to CSV/JSON", config, out, seed)
     p.add_argument("--summary", default=None)
 
-    command("detect", _cmd_detect, "detection BER and mutual information to JSON",
-            config, out, seed)
+    command("detect", _cmd_detect, ("config", "detection"),
+            "detection BER and mutual information to JSON", config, out, seed)
 
-    p = command("localize", _cmd_localize, "estimate a source from readings CSV",
-                config, out)
+    p = command("localize", _cmd_localize, ("config", "localization"),
+                "estimate a source from readings CSV", config, out)
     p.add_argument("--readings", required=True)
 
-    command("entropy", _cmd_entropy, "per-position entropy profile to CSV",
-            fasta, profile, out)
+    command("entropy", _cmd_entropy, ("seqstat",),
+            "per-position entropy profile to CSV", fasta, profile, out)
 
-    p = command("hotspots", _cmd_hotspots, "ranked high-entropy positions to JSON",
-                fasta, profile, out)
+    p = command("hotspots", _cmd_hotspots, ("seqstat",),
+                "ranked high-entropy positions to JSON", fasta, profile, out)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--top", type=int, default=None)
     group.add_argument("--min-entropy", type=float, default=None)
 
-    p = command("direction", _cmd_direction, "ranked mutation targets for a position",
-                fasta)
+    p = command("direction", _cmd_direction, ("seqstat", "mutation"),
+                "ranked mutation targets for a position", fasta)
     p.add_argument("--position", type=int, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
@@ -405,6 +410,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for layer in args.layers:
+        for name in _LAYERS[layer]:
+            if name not in globals():
+                __getattr__(name)
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError) as exc:

@@ -24,7 +24,6 @@ from .channel import (
 )
 from .core import Velocity
 from .errors import ConfigError
-from .localization import SolverConfig
 from .mobility import Trajectory
 
 
@@ -86,6 +85,15 @@ _PARSERS = {"float": _parse_float, "int": _parse_int}
 def _key(parse: Callable, default=MISSING):
     """A key read by `parse`; without a default it is required."""
     return field(default=default, metadata={"parse": parse})
+
+
+def _solver_default(name: str):
+    """A key whose default is localization.SolverConfig's, read when the
+    section is built, so that loading a config imports no localization."""
+    def default():
+        from .localization import SolverConfig
+        return getattr(SolverConfig, name)
+    return field(default_factory=default)
 
 
 # A section's keys are its dataclass fields, in declaration order, so
@@ -240,8 +248,8 @@ class EpidemicSection:
 class LocalizeSection:
     source_kind: str = _key(_parse_choice("steady", "instant", "continuous"),
                             "steady")
-    grid_resolution: int = SolverConfig.grid_resolution
-    max_iterations: int = SolverConfig.max_iterations
+    grid_resolution: int = _solver_default("grid_resolution")
+    max_iterations: int = _solver_default("max_iterations")
     search_box_m: tuple = _key(_parse_floats_empty_or(6), ())
 
 
@@ -300,7 +308,7 @@ def _build_section(name: str, raw: dict[str, tuple[str, int]], section_line: int
         parse = keys[key].metadata.get("parse") or _PARSERS[keys[key].type]
         values[key] = parse(raw_val, key, line)
     for key, f in keys.items():
-        if key not in values and f.default is MISSING:
+        if key not in values and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing required key in [{name}]", key, section_line)
     return cls(**values)
 

@@ -22,6 +22,16 @@ NUCLEOTIDE_INDEX = {b: i for i, b in enumerate(NUCLEOTIDES)}
 # Purine<->purine and pyrimidine<->pyrimidine partners.
 TRANSITION_PARTNER = {"A": "G", "G": "A", "C": "T", "T": "C"}
 
+
+# Which substitutions a Kimura matrix keeps (virodyne.mutation).
+class SubstitutionMode:
+    FULL = "full"
+    TRANSITIONS_ONLY = "ts"
+    TRANSVERSIONS_ONLY = "tv"
+
+    ALL = (FULL, TRANSITIONS_ONLY, TRANSVERSIONS_ONLY)
+
+
 # 20 amino acids in one-letter alphabetical order, STOP ('*') as the 21st state.
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 STOP = "*"

@@ -58,6 +58,17 @@ VelocityField = Union[Sequence[float], np.ndarray, Callable[[np.ndarray, float],
 _CELL_STEP_BUDGET = 1e11  # cell updates (steps x cells), see solve_advection_diffusion
 
 
+def _line_aligned_rows(rows: int, n: int) -> np.ndarray:
+    """`rows` uninitialised float rows of n, each starting on a 64-byte cache
+    line: the stencil's scratch. Left where the allocator puts it, the block
+    made a step up to about 15% slower or faster from one process to the
+    next."""
+    width = -(-n // 8) * 8
+    raw = np.empty(rows * width + 7)
+    skip = -(raw.ctypes.data // 8) % 8
+    return raw[skip:skip + rows * width].reshape(rows, width)[:, :n]
+
+
 @dataclass(frozen=True)
 class FdGrid:
     """Uniform cell-centered grid over an axis-aligned box. Its extents, its
@@ -211,17 +222,18 @@ def solve_advection_diffusion(
     step by at most one dt.
 
     diffusivity and t_end must be finite and > 0 (else ValueError). Every
-    open rate times t_end plus every mass, over one cell volume, must be a
-    finite density, else VirodyneError before the field is allocated. The
-    default dt is 0.4 times the smaller of the diffusive bound and the
-    advective bound min(h) / |v|max at t=0, the step count rounded up; an
-    explicit dt is rounded to t_end / n for the nearest count n. Either
-    count is refused with UnstableTimeStep, before the field is allocated,
-    once steps x cells passes 1e11 cell updates (about half an hour at 5.5e7
-    per second): a tiny dt, or a huge D whose diffusive bound asks for
-    billions of steps, raises at once instead of running for days. So does
-    a dt that is not finite and > 0, a step above either bound, or a speed
-    at t=0 that is not finite.
+    open rate times t_end plus every mass, over one cell volume, is the
+    largest density; 4 times it times max(1, sum 1/h^2, D sum 1/h^2), which
+    bounds the stencil's intermediates, must be finite, else VirodyneError
+    before the field is allocated. The default dt is 0.4 times the smaller
+    of the diffusive bound and the advective bound min(h) / |v|max at t=0,
+    the step count rounded up; an explicit dt is rounded to t_end / n for
+    the nearest count n. Either count is refused with UnstableTimeStep,
+    before the field is allocated, once steps x cells passes 1e11 cell
+    updates (about half an hour at 5.5e7 per second): a tiny dt, or a huge
+    D whose diffusive bound asks for billions of steps, raises at once
+    instead of running for days. So does a dt that is not finite and > 0,
+    a step above either bound, or a speed at t=0 that is not finite.
 
     A constant velocity is the callable that returns it at every time. The
     velocity is read at t=0 and at each step's midpoint and must have shape
@@ -245,13 +257,20 @@ def solve_advection_diffusion(
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     sources = list(sources)
     volume = grid.cell_volume()
+    h = grid.spacing
+    inv_h2 = float((1.0 / h**2).sum())  # finite: FdGrid's h^2 are normal floats
     # At most every open rate for the whole run plus every mass, in one cell.
+    # The stencil's intermediates (2c, the Laplacian's partial sums and D
+    # times the Laplacian) stay within 4 x that density x max(1, sum 1/h^2,
+    # D sum 1/h^2).
     load = sum(src.strength if src.kind is SourceKind.INSTANT
                else t_end * sum(q for begin, _, q in src.windows if begin < t_end)
                for src in sources)
-    if not math.isfinite(load / volume):
+    peak = 4.0 * (load / volume) * max(1.0, inv_h2, D * inv_h2)
+    if not math.isfinite(peak):
         raise VirodyneError(f"the sources may deposit {load:g} kg in one cell of "
-                            f"{volume:g} m^3, a density past the largest float")
+                            f"{volume:g} m^3, which the stencil would carry past the "
+                            f"largest float")
     shape = grid.shape
     n_cells = math.prod(shape)
     if dt is not None:
@@ -301,9 +320,8 @@ def solve_advection_diffusion(
     vmax = load_velocity(0.0)[3]
     if not math.isfinite(vmax):
         raise UnstableTimeStep(f"the speed at t=0 is {vmax} m/s; it must be finite")
-    h = grid.spacing
     h_min = float(h.min())
-    diff_bound = 0.5 / (D * float((1.0 / h**2).sum()))
+    diff_bound = 0.5 / (D * inv_h2)
     adv_bound = h_min / vmax if vmax > 0 else math.inf
     bound = min(diff_bound, adv_bound)
     if dt is None:
@@ -320,7 +338,7 @@ def solve_advection_diffusion(
     sx, sy, sz = strides
     centre, xp, xm, yp, ym, zp, zm = (flat[first + o:first + o + n]
                                       for o in (0, sx, -sx, sy, -sy, sz, -sz))
-    two_c, lap, term, adv = np.empty((4, n))
+    two_c, lap, term, adv = _line_aligned_rows(4, n)
 
     lo, h_list = list(grid.lo), h.tolist()
     hx2, hy2, hz2 = h[0] ** 2, h[1] ** 2, h[2] ** 2

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import Environment, unit_continuous_kernel, unit_instant_kernel
 from .core import Position, as_position, seconds
-from .errors import SingularPoint, Unidentifiable
+from .errors import ConfigError, SingularPoint, Unidentifiable
 
 _FD_STEP = 1e-6           # central-difference step, relative to max(1, |p_k|)
 _STEP_TOL = 1e-8          # LM stops once |step| / max(1, |p|) is this small
@@ -45,6 +45,36 @@ class SensorReading:
             raise ValueError("sigma must be finite and > 0")
         if not math.isfinite(self.concentration):
             raise ValueError("concentration must be finite")
+
+
+def read_readings_csv(path: str) -> list[SensorReading]:
+    """Sensor readings CSV with header x,y,z,t,c,sigma; blank and '#' lines
+    are skipped. A missing or wrong header, a row of the wrong width and a
+    non-numeric cell raise ConfigError; row numbers count the header as
+    row 1."""
+    header = ["x", "y", "z", "t", "c", "sigma"]
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().splitlines()
+                 if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise ConfigError(f"no data in readings file {path}")
+    got = [h.strip() for h in lines[0].split(",")]
+    if got != header:
+        raise ConfigError(
+            f"readings header must be {','.join(header)}, got {','.join(got)}"
+        )
+    readings = []
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise ConfigError(f"expected {len(header)} columns on data row {i}")
+        try:
+            x, y, z, t, c, sigma = (float(p) for p in parts)
+        except ValueError:
+            raise ConfigError(f"non-numeric value on data row {i}") from None
+        readings.append(SensorReading(position=(x, y, z), time=t,
+                                      concentration=c, sigma=sigma))
+    return readings
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .core import (
     CODONS,
     NUCLEOTIDES,
     TRANSITION_PARTNER,
+    SubstitutionMode,
 )
 from .errors import InvalidParams, InvalidWeights, NoData
 from .seqstat import Alphabet, AlignmentMatrix, column_distribution
@@ -63,14 +64,6 @@ class KimuraParams:
     @property
     def mutation_mass(self) -> float:
         return self.q * (1.0 + 2.0 * self.gamma)
-
-
-class SubstitutionMode:
-    FULL = "full"
-    TRANSITIONS_ONLY = "ts"
-    TRANSVERSIONS_ONLY = "tv"
-
-    ALL = (FULL, TRANSITIONS_ONLY, TRANSVERSIONS_ONLY)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ def observer_doses(observers, infected, env, t0, t1):
                            np.arange(len(observers)), rows, env, t0, t1)
 
 
+# Six sensors around a steady source of rate 1 at (10, 5, 20) in the
+# walk_past.cfg environment, as the README's localize example reads them.
+READINGS_CSV = ("x,y,z,t,c,sigma\n0,0,0,60,8.68261e-05,1e-06\n30,0,10,60,8.68261e-05,1e-06\n"
+                "0,20,40,60,7.38858e-05,1e-06\n25,25,30,60,7.38858e-05,1e-06\n"
+                "15,-10,5,60,9.12816e-05,1e-06\n5,10,45,60,7.65735e-05,1e-06\n")
+
+
 def make_alignment(rows, alphabet=Alphabet.NUCLEOTIDE, strict=True):
     """Build an alignment from raw sequence strings."""
     fasta = "".join(f">s{i}\n{seq}\n" for i, seq in enumerate(rows))

@@ -32,6 +32,8 @@ from virodyne.core import Velocity
 from virodyne.errors import ConfigError
 from virodyne.localization import SolverConfig
 
+from conftest import READINGS_CSV
+
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """\
@@ -230,6 +232,43 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    # Each subcommand and the layers it must leave unloaded: the sequence
+    # commands run no physical layer, and each physical command runs no
+    # other stage's layers. A layer's import costs 4-13 ms at every start.
+    SEQUENCE_ONLY = ("channel", "config", "mobility", "localization", "detection",
+                     "epidemic")
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["entropy", "--fasta", "{fasta}"], SEQUENCE_ONLY),
+        (["hotspots", "--fasta", "{fasta}", "--top", "3"], SEQUENCE_ONLY),
+        (["direction", "--fasta", "{fasta}", "--position", "2", "--q", "1e-3",
+          "--gamma", "0.1", "--mode", "tv"], SEQUENCE_ONLY),
+        (["detect", "--config", "{configs}/detect_demo.cfg", "--seed", "1"],
+         ("epidemic", "localization", "seqstat", "mutation")),
+        (["field", "--config", "{configs}/walk_past.cfg"],
+         ("detection", "localization", "seqstat", "mutation")),
+        (["epidemic", "--config", "{configs}/epidemic_demo.cfg"],
+         ("detection", "localization", "seqstat", "mutation")),
+        (["localize", "--config", "{configs}/walk_past.cfg", "--readings", "{readings}"],
+         ("detection", "seqstat", "mutation")),
+    ], ids=["entropy", "hotspots", "direction", "detect", "field", "epidemic", "localize"])
+    def test_subcommand_imports_only_its_layers(self, tmp_path, argv, unloaded):
+        import virodyne
+
+        fasta, readings = tmp_path / "aligned.fasta", tmp_path / "readings.csv"
+        fasta.write_text(">a\nATGCAAGGT\n>b\nATGCATGGT\n>c\nATGCAAGCT\n>d\nATGCACGGA\n")
+        readings.write_text(READINGS_CSV)
+        argv = [a.format(fasta=fasta, readings=readings, configs=REPO_CONFIGS)
+                for a in argv] + ["--out", str(tmp_path / "out")]
+        env = dict(os.environ, PYTHONPATH=str(Path(virodyne.__file__).parents[1]))
+        code = ("import sys; from virodyne.cli import main; rc = main(sys.argv[1:]); "
+                "print(rc, *sorted(m for m in sys.modules if m.startswith('virodyne.')))")
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=120,
+                             capture_output=True, text=True, check=True)
+        rc, *loaded = out.stdout.splitlines()[-1].split()
+        assert rc == "0"
+        assert not {f"virodyne.{m}" for m in unloaded} & set(loaded), loaded
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["field", "--bogus"]) == 2
@@ -664,14 +703,18 @@ class TestCli:
         assert rows and all(math.isfinite(float(r.split(",")[4])) for r in rows)
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("boundary", ["", "\nboundary = halfspace"],
-                             ids=["free", "halfspace"])
+    @pytest.mark.parametrize("boundary", [
+        "", "\nboundary = halfspace",
+        "\nboundary = duct\nduct_width_m = 3\nduct_height_m = 2.5"],
+        ids=["free", "halfspace", "duct"])
     @pytest.mark.parametrize("kind", ["continuous", "instant"])
     def test_span_past_the_largest_float_is_zero_and_quiet(self, tmp_path, capsys,
                                                            boundary, kind):
         # From a source at x = -1.7e308 to an observer at 1.7e308 the span
         # itself overflows a float; the field takes its limit 0 with no
-        # warning.
+        # warning (RuntimeWarnings are errors here). In a duct the
+        # continuous field reads that span in the far-row test and in the
+        # modes' axial integral.
         text = "\n".join([
             "[environment]", "diffusivity_m2s = 0.5" + boundary, "[source]",
             f"kind = {kind}", "position_m = -1.7e308 0 1",
@@ -896,7 +939,7 @@ class TestFileIo:
 
     def test_trajectory_csv_non_numeric_names_row(self, tmp_path):
         from virodyne.errors import ConfigError
-        from virodyne.fileio import read_readings_csv
+        from virodyne.localization import read_readings_csv
         p = tmp_path / "r.csv"
         p.write_text("# seed = 0\nx,y,z,t,c,sigma\n0,0,0,1,2,1\n1,abc,0,1,2,1\n")
         with pytest.raises(ConfigError, match="non-numeric value on data row 3"):
@@ -904,7 +947,7 @@ class TestFileIo:
 
     def test_readings_csv_header_enforced(self, tmp_path):
         from virodyne.errors import ConfigError
-        from virodyne.fileio import read_readings_csv
+        from virodyne.localization import read_readings_csv
         p = tmp_path / "r.csv"
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigError):

@@ -60,19 +60,34 @@ class TestFdSolver:
         with pytest.raises(ValueError):
             FdGrid(lo=lo, hi=hi, shape=(4, 4, 4))
 
-    @pytest.mark.parametrize("kind", ["continuous", "instant"])
+    @pytest.mark.parametrize("kind, amount, diffusivity", [
+        ("continuous", 1e308, 0.1), ("instant", 1e308, 0.1),
+        ("instant", 1e305, 0.1), ("instant", 1e302, 10.0)],
+        ids=["continuous", "instant", "instant-laplacian", "instant-diffusivity"])
     def test_a_deposit_past_the_largest_float_is_refused_before_any_allocation(
-            self, kind, monkeypatch):
+            self, kind, amount, diffusivity, monkeypatch):
         # 1e308 kg/s for 1 s, or a 1e308 kg puff, over a cell of 1e-3 m^3 is
         # a density past the largest float; unchecked, the field filled with
-        # inf and NaN.
+        # inf and NaN. A 1e305 kg puff is a finite density, 1e308, but the
+        # Laplacian divides it by h^2 = 0.01 and overflowed; at D = 10 a
+        # 1e302 kg puff overflowed in D times the Laplacian.
         for name in ("zeros", "empty"):
             monkeypatch.setattr(np, name, _refuse)
         grid = FdGrid((0, 0, 0), (1, 1, 1), (10, 10, 10))
-        src = (SourceSpec.continuous(1e308, position=(0.5, 0.5, 0.5)) if kind == "continuous"
-               else SourceSpec.instant((0.5, 0.5, 0.5), 1e308))
+        src = (SourceSpec.continuous(amount, position=(0.5, 0.5, 0.5)) if kind == "continuous"
+               else SourceSpec.instant((0.55, 0.55, 0.55), amount))
         with pytest.raises(VirodyneError, match="past the largest float"):
-            solve_advection_diffusion(grid, 0.1, _refuse, [src], t_end=1.0)
+            solve_advection_diffusion(grid, diffusivity, _refuse, [src], t_end=1.0)
+
+    def test_a_deposit_under_the_stencil_bound_runs_quietly(self):
+        # 1e301 kg in one 1e-3 m^3 cell at D = 10 bounds the stencil's
+        # intermediates by 4 x 1e304 x (D sum 1/h^2 = 3000) = 1.2e308, under
+        # the largest float: the solve runs with no warning (RuntimeWarnings
+        # are errors here) and keeps a finite field.
+        grid = FdGrid((0, 0, 0), (1, 1, 1), (10, 10, 10))
+        src = SourceSpec.instant((0.55, 0.55, 0.55), 1e301)
+        sol = solve_advection_diffusion(grid, 10.0, (0, 0, 0), [src], t_end=0.01)
+        assert np.isfinite(sol.field).all() and sol.field.max() > 1e300
 
     def test_a_rate_that_opens_after_the_run_is_not_counted(self):
         grid = FdGrid((0, 0, 0), (1, 1, 1), (10, 10, 10))
@@ -353,3 +368,12 @@ class TestFdSolver:
         src = SourceSpec.continuous(2.0, trajectory=short, start_time=0.0)
         assert concentration_continuous(src, Environment(diffusivity=1.0),
                                         (0.0, 0.0, 0.0), 4.0) > 0
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 10666])
+def test_scratch_rows_start_on_cache_lines(n):
+    # The stencil's scratch rows each start on a 64-byte line, wherever the
+    # allocator put the block.
+    rows = fdpde._line_aligned_rows(4, n)
+    assert rows.shape == (4, n)
+    assert all(row.ctypes.data % 64 == 0 and row.flags.c_contiguous for row in rows)

@@ -25,7 +25,9 @@ from pathlib import Path
 import pytest
 
 from virodyne.cli import _ALPHABETS, main
-from virodyne.seqstat import build_alignment, parse_fasta, positional_entropy
+from virodyne.seqstat import Alphabet, build_alignment, parse_fasta, positional_entropy
+
+from conftest import READINGS_CSV
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -212,7 +214,7 @@ def test_entropy_rows_are_repr_of_each_value(tmp_path, alphabet):
     fasta.write_text(text)
     assert main(["entropy", "--alphabet", alphabet, "--fasta", str(fasta),
                  "--out", str(out)]) == 0
-    kind = _ALPHABETS[alphabet]
+    kind = Alphabet[_ALPHABETS[alphabet]]
     profile = positional_entropy(build_alignment(parse_fasta(text, kind), kind))
     want = [f"{i},{e!r},{n}" for i, e, n in zip(range(1, profile.length + 1),
                                                 profile.entropies.tolist(),
@@ -222,3 +224,70 @@ def test_entropy_rows_are_repr_of_each_value(tmp_path, alphabet):
     assert got[1:] == want
     assert got[3] == "3,nan,0"
     assert len(set(profile.entropies.tolist())) < profile.length  # repeats
+
+
+# The names a layer tracer wraps on the cli module (getattr, then setattr),
+# each with the artifact of a run that must call the wrapper: a golden
+# above, or, for sequence-ML detect and localize, which have none, the same
+# run unwrapped.
+TRACED = {
+    "load_config": "field_walk_past.csv",
+    "evaluate_field": "field_walk_past.csv",
+    "run_epidemic": "epidemic_demo.csv",
+    "error_probability": "sequence.json",
+    "localize": "estimate.json",
+    "parse_fasta": "entropy_nt.csv",
+    "build_alignment": "entropy_nt.csv",
+    "positional_entropy": "entropy_nt.csv",
+    "write_csv": "entropy_nt.csv",
+    "select_hotspots": "hotspots_nt.json",
+    "write_json": "hotspots_nt.json",
+    "mutation_direction": "direction_base.json",
+}
+
+
+def _traced_run(workdir: Path, artifact: str, out_name: str) -> Path:
+    """Run the command that writes `artifact`, to workdir / out_name."""
+    for name, text in INPUTS.items():
+        (workdir / name).write_text(text, encoding="utf-8", newline="")
+    (workdir / "readings.csv").write_text(READINGS_CSV)
+    (workdir / "sequence.cfg").write_text(
+        (CONFIGS / "detect_demo.cfg").read_text()
+        .replace("mode = threshold", "mode = sequence").replace("trials = 20000", "trials = 200"))
+    argv = {a: [*args, "--fasta", str(workdir / fasta)] for a, args, fasta in CASES}
+    argv.update({
+        "field_walk_past.csv": ["field", "--config", str(CONFIGS / "walk_past.cfg")],
+        "epidemic_demo.csv": ["epidemic", "--config", str(CONFIGS / "epidemic_demo.cfg")],
+        "sequence.json": ["detect", "--config", str(workdir / "sequence.cfg")],
+        "estimate.json": ["localize", "--config", str(CONFIGS / "walk_past.cfg"),
+                          "--readings", str(workdir / "readings.csv")],
+    })
+    out = workdir / out_name
+    assert main([*argv[artifact], "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", list(TRACED))
+def test_wrapper_set_on_cli_is_called(tmp_path, monkeypatch, name):
+    # The subcommands look each layer name up on the cli module when they
+    # run, so a wrapper set there is the one called, whether or not the
+    # layer was imported before, and the artifact keeps its bytes.
+    from virodyne import cli
+
+    artifact = TRACED[name]
+    want = Path(GOLDEN, artifact)
+    if not want.exists():
+        want = _traced_run(tmp_path, artifact, "unwrapped_" + artifact)
+    raw, calls = getattr(cli, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    got = _traced_run(tmp_path, artifact, artifact)
+    assert calls
+    if artifact in ("field_walk_past.csv", "epidemic_demo.csv"):
+        _assert_csv_matches(str(got), str(want))  # floats to rel 1e-12, as above
+    else:
+        assert got.read_bytes() == want.read_bytes()
