@@ -819,16 +819,22 @@ def _image_kernel(env: Environment, flips: np.ndarray, offsets: np.ndarray,
         else:
             drift = [w - v * flip for w, v, (flip, _) in zip(env.wind_arr, vel_t[:, sl], maps)]
             speed = _length(*drift)
+        # A pair whose d overflowed takes its limit 0, left out of the kernel;
+        # its dr reads 0 so that v . dr forms no inf - inf or inf * 0.
+        far = d == np.inf
+        if far.any():
+            dr = [np.where(far, 0.0, c) for c in dr]
         v_dot_dr = None if vel is None and not env.has_wind else (
             (dr[0] * drift[0] + dr[1] * drift[1]) + dr[2] * drift[2])
+        apart = (d >= _SINGULAR_DIST) & ~far
         tau = taus[sl, None]
         if ends is None:
             end = 0.0
-            kern = _on_pairs(None, (tau > 0.0) & (d >= _SINGULAR_DIST), _pair_kernel, d,
-                             v_dot_dr, tau, D, speed)
+            kern = _on_pairs(None, (tau > 0.0) & apart, _pair_kernel, d, v_dot_dr, tau, D,
+                             speed)
         else:
             end = ends[sl, None]
-            live = (tau > end) & (d >= _SINGULAR_DIST)
+            live = (tau > end) & apart
             stopped = live & (end > 0.0)
             kern = _on_pairs(None, live & ~stopped, _pair_kernel, d, v_dot_dr, tau, D, speed)
             kern = _on_pairs(kern, stopped, _pair_kernel, d, v_dot_dr, tau, D, speed, end)

@@ -201,6 +201,10 @@ def _sample_loglik(y: np.ndarray, x: np.ndarray, noise: NoiseModel) -> np.ndarra
 # raises ValueError before anything is allocated.
 _MAX_TABLE_BYTES = 1 << 27
 
+# The Viterbi decoder tabulates branch log-likelihoods this many samples at
+# a time, so a long frame's table stays the size of its back-pointers.
+_LL_BLOCK = 128
+
 
 def _count_under_cap(nbytes: float, who: str, what: str) -> int:
     """How many tables of nbytes fit under _MAX_TABLE_BYTES; at least one,
@@ -238,10 +242,12 @@ def _viterbi(y: np.ndarray, n_bits: int, cir: ChannelImpulseResponse,
     taps = cir.taps
     mem = taps.size - 1
     n_frames, n_samples = y.shape
-    # Per frame: one int8 back-pointer per state and sample, and about 16
-    # float64 entries per state in the branch metrics and their temporaries.
-    batch = _count_under_cap((1 << mem) * (n_samples + 128), f"{cir.memory} taps",
-                             "one frame's trellis")
+    # Per frame and state: one int8 back-pointer per sample; 16 bytes of
+    # branch log-likelihoods per sample of a block, with two more tables of
+    # that size while it is built; and about 16 float64 entries in the
+    # branch metrics and their temporaries.
+    batch = _count_under_cap((1 << mem) * (n_samples + 48 * min(n_samples, _LL_BLOCK) + 128),
+                             f"{cir.memory} taps", "one frame's trellis")
     if n_frames > batch:
         parts = [_viterbi(y[i:i + batch], n_bits, cir, noise)
                  for i in range(0, n_frames, batch)]
@@ -256,13 +262,16 @@ def _viterbi(y: np.ndarray, n_bits: int, cir: ChannelImpulseResponse,
     metric = np.full((n_frames, 1 << mem), -np.inf)
     metric[:, 0] = 0.0
     back = np.empty((n_samples, n_frames, 1 << mem), dtype=np.int8)
-    for i in range(n_samples):
-        branch = metric[:, prev] + _sample_loglik(y[:, i, None, None], x, noise)
-        if i >= n_bits:
-            branch[:, newest == 1] = -np.inf
-        take = branch[..., 1] > branch[..., 0]
-        back[i] = take
-        metric = np.where(take, branch[..., 1], branch[..., 0])
+    for start in range(0, n_samples, _LL_BLOCK):
+        # A block's branch log-likelihoods, (sample, frame, state, dropped
+        # bit); tail samples pin the newest bit to 0.
+        lls = _sample_loglik(y.T[start:start + _LL_BLOCK, :, None, None], x, noise)
+        lls[max(n_bits - start, 0):, :, newest == 1] = -np.inf
+        for i, row in enumerate(lls, start):
+            branch = metric[:, prev] + row
+            take = branch[..., 1] > branch[..., 0]
+            back[i] = take
+            metric = np.where(take, branch[..., 1], branch[..., 0])
     frames = np.arange(n_frames)
     state = np.argmax(metric, axis=1)
     ll = metric[frames, state]

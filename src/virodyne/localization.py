@@ -288,9 +288,12 @@ def localize(
     def g_matrix(r0s: np.ndarray) -> np.ndarray:
         # Guard the singularity at sensor positions: a source exactly on a
         # sensor cannot be scored, so nudge the evaluation point.
+        # Squared distances on per-axis (G, S) planes, summed in np.linalg.norm's
+        # order, so a nudge is decided as the norm would decide it.
         r0s = np.atleast_2d(r0s)
-        d = np.linalg.norm(sensor_pts[None, :, :] - r0s[:, None, :], axis=2)
-        return g(np.where(d.min(axis=1)[:, None] < 1e-9, r0s + 1e-9, r0s))
+        dx, dy, dz = (sensor_pts[None, :, k] - r0s[:, k, None] for k in range(3))
+        d2 = (dx * dx + dy * dy) + dz * dz
+        return g(np.where(np.sqrt(d2.min(axis=1))[:, None] < 1e-9, r0s + 1e-9, r0s))
 
     lo, hi = _search_box(readings, config)
     axes = [np.linspace(lo[k], hi[k], config.grid_resolution) for k in range(3)]

@@ -707,18 +707,30 @@ class TestCli:
         "", "\nboundary = halfspace",
         "\nboundary = duct\nduct_width_m = 3\nduct_height_m = 2.5"],
         ids=["free", "halfspace", "duct"])
-    @pytest.mark.parametrize("kind", ["continuous", "instant"])
+    @pytest.mark.parametrize("kind, wind, velocity", [
+        pytest.param("continuous", None, None, id="continuous"),
+        pytest.param("instant", None, None, id="instant"),
+        pytest.param("continuous", "1 0 0", None, id="windy"),
+        pytest.param("continuous", "0 1 0", None, id="cross-wind"),
+        pytest.param("continuous", "1 0 0", "1 0 0", id="windy-moving"),
+    ])
     def test_span_past_the_largest_float_is_zero_and_quiet(self, tmp_path, capsys,
-                                                           boundary, kind):
+                                                           boundary, kind, wind, velocity):
         # From a source at x = -1.7e308 to an observer at 1.7e308 the span
         # itself overflows a float; the field takes its limit 0 with no
         # warning (RuntimeWarnings are errors here). In a duct the
         # continuous field reads that span in the far-row test and in the
-        # modes' axial integral.
+        # modes' axial integral. In a 1 m/s wind v . dr - |v| d would read
+        # inf - inf, for a source moving with that wind too; across the span
+        # v . dr itself would read inf * 0.
+        if wind == "0 1 0" and "duct" in boundary:
+            pytest.skip("a duct takes wind along its axis only")
         text = "\n".join([
-            "[environment]", "diffusivity_m2s = 0.5" + boundary, "[source]",
+            "[environment]", "diffusivity_m2s = 0.5" + boundary,
+            *([f"wind_mps = {wind}"] if wind else []), "[source]",
             f"kind = {kind}", "position_m = -1.7e308 0 1",
             "rate_kgs = 1e-6" if kind == "continuous" else "mass_kg = 1e-6",
+            *([f"velocity_mps = {velocity}"] if velocity else []),
             "[grid]", "x_m = 1.7e308", "y_m = 0", "z_m = 1", "times_s = 60", ""])
         out = tmp_path / "grid.csv"
         assert main(["field", "--config", write(tmp_path, "span.cfg", text),
@@ -936,6 +948,75 @@ class TestFileIo:
         with pytest.raises(VirodyneError, match="not JSON compliant"):
             write_json(str(path), {"ber": [0.5, value]}, {"tool": "virodyne"})
         assert path.read_text() == "kept\n"
+
+    def test_rewrite_of_a_longer_file_leaves_only_the_new_bytes(self, tmp_path):
+        from virodyne.fileio import write_csv, write_json
+        csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+        write_csv(str(tmp_path / "fresh.csv"), ["a", "b"], ["1,2"], {"tool": "virodyne"})
+        write_json(str(tmp_path / "fresh.json"), {"ber": 0.5}, {"tool": "virodyne"})
+        for path in (csv_path, json_path):
+            path.write_bytes(b"stale artifact\n" * 1000)
+        write_csv(str(csv_path), ["a", "b"], ["1,2"], {"tool": "virodyne"})
+        write_json(str(json_path), {"ber": 0.5}, {"tool": "virodyne"})
+        assert csv_path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        assert csv_path.read_bytes() == b"# tool = virodyne\na,b\n1,2\n"
+        assert json_path.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    @pytest.mark.parametrize("argv", [
+        ["field", "--config", str(REPO_CONFIGS / "walk_past.cfg")],
+        ["detect", "--config", str(REPO_CONFIGS / "detect_demo.cfg"), "--seed", "1"],
+    ], ids=["field", "detect"])
+    def test_out_to_dev_null_runs(self, argv):
+        # A character device is written and never cut.
+        assert main(argv + ["--out", "/dev/null"]) == 0
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_new_artifact_mode_is_builtin_opens(self, tmp_path, umask):
+        from virodyne.fileio import write_json
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "builtin.json", "w") as fh:
+                fh.write("{}\n")
+            write_json(str(tmp_path / "new.json"), {})
+        finally:
+            os.umask(old)
+        assert (os.stat(tmp_path / "new.json").st_mode
+                == os.stat(tmp_path / "builtin.json").st_mode)
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        from virodyne import fileio
+        real_write = os.write
+        monkeypatch.setattr(fileio.os, "write", lambda fd, data: real_write(fd, data[:5]))
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"x" * 500)
+        fileio.write_csv(str(path), ["a", "b"], ["1.5,2.5", "3.5,4.5"])
+        assert path.read_bytes() == b"a,b\n1.5,2.5\n3.5,4.5\n"
+
+    def test_a_write_failing_partway_leaves_no_old_tail(self, tmp_path, monkeypatch):
+        # The first write lands 7 bytes, the second fails: the file holds
+        # those 7 bytes and none of the old artifact, and the write's own
+        # error reaches the caller.
+        from virodyne import fileio
+        real_write = os.write
+        failure = OSError(28, "No space left on device")
+        calls = []
+
+        def flaky(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise failure
+            return real_write(fd, data[:7])
+
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old artifact\n" * 200)
+        monkeypatch.setattr(fileio.os, "write", flaky)
+        with pytest.raises(OSError) as caught:
+            fileio.write_json(str(path), {"ber": 0.25})
+        monkeypatch.undo()
+        assert caught.value is failure
+        assert len(calls) == 2
+        assert path.read_bytes() == b'{\n  "be'
 
     def test_trajectory_csv_non_numeric_names_row(self, tmp_path):
         from virodyne.errors import ConfigError

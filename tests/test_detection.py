@@ -382,11 +382,30 @@ class TestExactErrorProbability:
                                                 .astype(int), cir), noise, stream)
                            for _ in range(10)])
         whole = _viterbi(frames, 10, cir, noise)
-        # Room for three frames per batch: 4 states x (12 samples + 128).
-        monkeypatch.setattr(detection, "_MAX_TABLE_BYTES", 3 * 4 * (12 + 128))
+        # Room for three frames per batch: 4 states x (12 samples + 48 x 12
+        # in the log-likelihood block + 128).
+        monkeypatch.setattr(detection, "_MAX_TABLE_BYTES", 3 * 4 * (12 + 48 * 12 + 128))
         batched = _viterbi(frames, 10, cir, noise)
         assert (batched[0] == whole[0]).all()
         assert (batched[1] == whole[1]).all()
+
+    @pytest.mark.parametrize("block", [1, 4, 5, 11])
+    def test_log_likelihood_blocks_leave_decisions_unchanged(self, monkeypatch, block):
+        # Frames of 12 samples whose tail, samples 10 and 11, sits inside a
+        # block (4), starts one (5) or spans two (11). The cap holds one
+        # frame with its block's table, and not with a whole frame's table.
+        stream = rng_stream(5, 0)
+        cir = ChannelImpulseResponse(taps=[1.0, 0.5, 0.25])
+        noise = GaussianNoise(1.0)
+        frames = np.array([apply_noise(modulate((stream.uniform(size=10) < 0.5)
+                                                .astype(int), cir), noise, stream)
+                           for _ in range(20)])
+        whole = _viterbi(frames, 10, cir, noise)
+        monkeypatch.setattr(detection, "_LL_BLOCK", block)
+        monkeypatch.setattr(detection, "_MAX_TABLE_BYTES", 4 * (12 + 48 * block + 128))
+        blocked = _viterbi(frames, 10, cir, noise)
+        assert (blocked[0] == whole[0]).all()
+        assert (blocked[1] == whole[1]).all()
 
 
 class TestMutualInformation:
