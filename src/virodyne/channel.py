@@ -59,6 +59,11 @@ steady one, so the table's lattice tail bounds what it drops; a row whose
 bound exceeds exp(-_TAIL) of what it keeps (a young row, or one whose value
 underflows to 0) keeps the split at tau*, as does every row of a block
 whose table would hold more modes than that split has images and modes.
+A mode's axial integral depends on a row only through its axial key
+(xi, drift and the ages lo and hi), which every row of a grid's
+cross-section plane shares; so a kernel call groups its rows by key once
+and takes that integral once per key and mode, for all its tables in one
+pass (_mode_kernel).
 The bounds assume every emission point lies inside the region the
 boundary declares; check_inside raises OutOfDomain for a point outside, and
 the field path calls it on every source.
@@ -329,7 +334,9 @@ class FieldQuery:
 # within the allocator's default mmap threshold (128 KiB in glibc) and
 # blocks reuse heap memory instead of faulting in fresh pages. Measured on
 # the benchmark (2 shared cores), 2^13 beat 2^12 and 2^14: one block holds a
-# still crowd's 4224 dose pairs, and larger blocks fell out of cache.
+# still crowd's 4224 dose pairs, and larger blocks fell out of cache. A
+# duct's modes take their (key, mode) axial integrals and their (row, mode)
+# terms in blocks of the same bound.
 _BLOCK_PAIRS = 2 ** 13
 
 
@@ -709,10 +716,12 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
     does not move across the duct takes the modes alone from age 0 (or
     from its taus_end) and no images, when the bound on the modes its
     table drops lies under exp(-_TAIL) of what the table keeps (_far_rows);
-    otherwise it keeps the split at tau*. Every choice reads the row's own
-    values, so a row's value does not depend on the batch. Its bounds
-    assume every emission point lies inside the duct, which evaluate_field
-    checks.
+    otherwise it keeps the split at tau*. Each of those two passes takes a
+    mode's axial integral once per distinct axial key (xi, drift, lo, hi)
+    of its rows, for all its tables together. Every choice reads the row's
+    own values, and every value has the arithmetic it has alone, so a
+    row's value does not depend on the batch. Its bounds assume every
+    emission point lies inside the duct, which evaluate_field checks.
 
     With dr = r - r0, d = |dr| and drift v, each image contributes
         K(tau) = exp(v . dr / 2D) / (8 pi D d)
@@ -770,6 +779,7 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
     out[far] = values
     along[far] = False
     modes = _duct_modes(b)
+    jobs, lo = [], np.zeros(n)
     for rows, scale, table in ((along, _split_scale(b), modes),
                                (cross, _TAIL * (max(b.walls.values()) / math.pi) ** 2,
                                 tuple(a[:1] for a in modes))):
@@ -780,11 +790,17 @@ def unit_continuous_kernel(env: Environment, src_points: np.ndarray,
             env, *_image_stack(b, scale), src[rows], obs[rows], np.minimum(taus[rows], split),
             None if vel is None else vel[rows],
             None if ends is None else np.minimum(ends[rows], split))
-        lo = np.full(n, split) if ends is None else np.maximum(ends, split)
+        lo[rows] = split if ends is None else np.maximum(ends[rows], split)
         old = np.flatnonzero(rows & (taus > lo))
-        block = max(1, _BLOCK_PAIRS // table[4].size)
-        for i in (old[k:k + block] for k in range(0, old.size, block)):
-            out[i] += _mode_kernel(table, env.diffusivity, src[i], obs[i], drift[i], lo[i], taus[i])
+        if old.size:
+            jobs.append((table, old))
+    if jobs:
+        with np.errstate(over="ignore"):  # a span past the largest float is inf
+            xi = obs[:, 0] - src[:, 0]
+        grouping = _axial_keys(xi, drift, lo, taus, np.concatenate([i for _, i in jobs]))
+        for (_, i), values in zip(jobs, _mode_kernel(jobs, env.diffusivity, src, obs,
+                                                     *grouping)):
+            out[i] += values
     return out
 
 
@@ -819,9 +835,11 @@ def _image_kernel(env: Environment, flips: np.ndarray, offsets: np.ndarray,
         else:
             drift = [w - v * flip for w, v, (flip, _) in zip(env.wind_arr, vel_t[:, sl], maps)]
             speed = _length(*drift)
-        # A pair whose d overflowed takes its limit 0, left out of the kernel;
-        # its dr reads 0 so that v . dr forms no inf - inf or inf * 0.
-        far = d == np.inf
+        # A pair whose d, or 8 pi D d, overflowed takes its limit 0, left out
+        # of the kernel (at most 2 / 8 pi D d, under the smallest normal
+        # float); its dr reads 0 so that v . dr forms no inf - inf or inf * 0.
+        with np.errstate(over="ignore"):
+            far = 8.0 * math.pi * D * d == np.inf
         if far.any():
             dr = [np.where(far, 0.0, c) for c in dr]
         v_dot_dr = None if vel is None and not env.has_wind else (
@@ -880,23 +898,92 @@ def _length(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return norm
 
 
-def _mode_kernel(modes: tuple[np.ndarray, ...], diffusivity: float, src: np.ndarray,
-                 obs: np.ndarray, drift: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray) -> np.ndarray:
+def _axial_keys(xi: np.ndarray, drift: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                rows: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The rows `rows` grouped by the bytes of their axial key (xi, drift,
+    lo, hi), of which a mode's axial integral is a function: the distinct
+    keys' four columns, and each row's key (an array over all rows, read
+    at `rows` only). In a duct grid every row of one cross-section plane
+    shares a key."""
+    cols = np.column_stack([xi[rows], drift[rows], lo[rows], hi[rows]])
+    _, first, inverse = np.unique(cols.view(np.dtype((np.void, 32))).ravel(),
+                                  return_index=True, return_inverse=True)
+    key = np.zeros(xi.size, dtype=np.intp)
+    key[rows] = inverse
+    return tuple(cols[first].T), key
+
+
+def _key_spans(keys: tuple[np.ndarray, ...], jobs: Sequence[tuple[np.ndarray, np.ndarray]],
+               diffusivity: float) -> list[np.ndarray]:
+    """Per job (key indices, lam): the axial integral (_axial_span) of each
+    of those keys in each mode lam, a (keys, modes) table. The pairs of all
+    jobs are evaluated together, whole keys at a time, in blocks of at most
+    _BLOCK_PAIRS pairs (one key's modes where a table holds more). A block
+    of one job's keys takes them as columns against its modes; a block
+    that joins several jobs gathers its pairs flat from the key columns
+    as it is evaluated. Either way each pair has the same arithmetic."""
+    xi, drift, lo, hi = keys
+    segments = [(ks[i:i + step], lam) for ks, lam in jobs
+                for step in [max(1, _BLOCK_PAIRS // lam.size)]
+                for i in range(0, ks.size, step)]
+    sizes = [ks.size * lam.size for ks, lam in segments]
+    spans = np.empty(sum(sizes))
+    start = i = 0
+    while i < len(segments):
+        j, size = i + 1, sizes[i]
+        while j < len(segments) and size + sizes[j] <= _BLOCK_PAIRS:
+            size, j = size + sizes[j], j + 1
+        if j == i + 1:
+            k, lam = segments[i][0][:, None], segments[i][1]
+        else:
+            k, lam = (np.concatenate(a) for a in zip(*(
+                (np.repeat(ks, lam.size), np.tile(lam, ks.size)) for ks, lam in segments[i:j])))
+        spans[start:start + size] = _axial_span(xi[k], drift[k], lam, lo[k], hi[k],
+                                                diffusivity).ravel()
+        start, i = start + size, j
+    bounds = np.cumsum([ks.size * lam.size for ks, lam in jobs])[:-1]
+    return [part.reshape(ks.size, lam.size)
+            for part, (ks, lam) in zip(np.split(spans, bounds), jobs)]
+
+
+def _mode_kernel(jobs: Sequence[tuple[tuple[np.ndarray, ...], np.ndarray]],
+                 diffusivity: float, src: np.ndarray, obs: np.ndarray,
+                 keys: tuple[np.ndarray, ...], key: np.ndarray) -> list[np.ndarray]:
     """Ages [lo, hi] (hi may be inf) of the unit-rate continuous kernel in a
-    duct, per row, from the cross-section modes of a _duct_modes table: for
-    a source at (x0, y0, z0) drifting at `drift` along the duct, the sum
-    over modes of weight cos(k_m y) cos(k_m y0) cos(k_n z) cos(k_n z0)
-    times the mode's axial integral over [lo, hi] (_axial_span)."""
-    ky, kz, m, n, lam, weight = modes
-    cy = np.cos(np.outer(obs[:, 1], ky)) * np.cos(np.outer(src[:, 1], ky))
-    cz = np.cos(np.outer(obs[:, 2], kz)) * np.cos(np.outer(src[:, 2], kz))
-    # A span past the largest float is inf, whose axial integral is 0.
-    with np.errstate(over="ignore"):
-        xi = obs[:, 0] - src[:, 0]
-    span = _axial_span(xi[:, None], drift[:, None], lam, lo[:, None], hi[:, None],
+    duct, for each job (table, rows) its rows' values from the cross-section
+    modes of a _duct_modes table: for a source at (x0, y0, z0) drifting
+    along the duct, the sum over modes of weight cos(k_m y) cos(k_m y0)
+    cos(k_n z) cos(k_n z0) times the mode's axial integral over [lo, hi]
+    (_axial_span). That integral depends on a row only through its axial
+    key (keys and key, from _axial_keys), so each job takes it once per
+    key and mode, and all jobs of a call in one pass (_key_spans).
+
+    A row's terms are summed along a C-ordered row, which numpy sums
+    pairwise. A product of fancy-indexed columns comes out C-ordered only
+    up to 2^15 elements (numpy 2.4), and past that in Fortran order, whose
+    rows numpy sums sequentially; so the order is made explicit, and rows
+    are taken _BLOCK_PAIRS terms at a time. A row's bits do not depend on
+    the batch."""
+    own = []  # per job: its keys, and each row's place among them
+    for table, rows in jobs:
+        seen = np.zeros(keys[0].size, dtype=bool)
+        seen[key[rows]] = True
+        own.append((np.flatnonzero(seen), (np.cumsum(seen) - 1)[key[rows]]))
+    spans = _key_spans(keys, [(ks, table[4]) for (ks, _), (table, _) in zip(own, jobs)],
                        diffusivity)
-    return (weight * cy[:, m] * cz[:, n] * span).sum(axis=1)
+    out = []
+    for (table, rows), (_, local), span in zip(jobs, own, spans):
+        ky, kz, m, n, lam, weight = table
+        cy = np.cos(np.outer(obs[rows, 1], ky)) * np.cos(np.outer(src[rows, 1], ky))
+        cz = np.cos(np.outer(obs[rows, 2], kz)) * np.cos(np.outer(src[rows, 2], kz))
+        values = np.empty(rows.size)
+        step = max(1, _BLOCK_PAIRS // lam.size)
+        for i in range(0, rows.size, step):
+            c = slice(i, i + step)
+            terms = weight * cy[c][:, m] * cz[c][:, n] * span[local[c]]
+            values[c] = np.ascontiguousarray(terms).sum(axis=1)
+        out.append(values)
+    return out
 
 
 def _far_edge(b: RectangularDuctReflecting) -> float:
@@ -980,11 +1067,13 @@ def _far_rows(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
     modes lies under exp(-_TAIL) of what the table keeps. The rounding lets
     the pieces of a path walked along the duct, each at its own drift,
     share a few tables; a table per exact drift would cost each piece its
-    own table and its own _mode_kernel call. Mode (0, 0), the
+    own table and its own pass over the modes. Mode (0, 0), the
     cross-section mean, must clear that bound first, so a young row, whose
     mean is tiny, skips the table; a closed-form bound on that mean
-    turns most such rows away before their mean is computed. Every test
-    reads the row's own values only."""
+    turns most such rows away before their mean is computed. The mean and
+    every table read one grouping of the rows by axial key (_axial_keys),
+    and all tables take one _mode_kernel call. Every test reads the row's
+    own values only."""
     with np.errstate(over="ignore"):  # an infinite xi or q is no candidate
         xi = obs[:, 0] - src[:, 0]
         q = np.abs(drift) / (2.0 * diffusivity)
@@ -992,12 +1081,16 @@ def _far_rows(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
                           & np.isfinite(xi) & np.isfinite(q))
     block = np.frexp(np.abs(xi[cand]) / _far_edge(b))[1] - 1
     frac, exp2 = np.frexp(q[cand])
-    top = np.where(frac > 0.0, np.ldexp(1.0, exp2 - (frac == 0.5)), 0.0)
-    keys = list(zip(block.tolist(), top.tolist()))
-    tables = {key: _far_modes(b, key[1], key[0]) for key in sorted(set(keys))}
-    has = np.array([tables[key] is not None for key in keys], dtype=bool)
-    cand, block, top = cand[has], block[has], top[has]
-    tail = np.array([tables[key][1] for key, kept in zip(keys, has) if kept])
+    exp2 -= frac == 0.5
+    top = np.where(frac > 0.0, np.ldexp(1.0, exp2), 0.0)
+    # One table per (block, top): top is 2^exp2, exp2 in [-1074, 1024], or
+    # 0, and blocks are at most about 1030.
+    _, first, which = np.unique(block * 4096 + np.where(frac > 0.0, exp2 + 2048, 0),
+                                return_index=True, return_inverse=True)
+    tables = [_far_modes(b, float(top[i]), int(block[i])) for i in first]
+    has = np.array([t is not None for t in tables], dtype=bool)[which]
+    tail = np.array([0.0 if t is None else t[1] for t in tables])[which]
+    cand, which, tail = cand[has], which[has], tail[has]
     with np.errstate(over="ignore", under="ignore"):
         # e^(u xi / 2D - |xi| kappa_00) e^_TAIL / 2D, e^_TAIL / 2D downstream
         scale = np.where(drift[cand] * xi[cand] > 0.0, 1.0,
@@ -1007,27 +1100,21 @@ def _far_rows(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
     # A row whose mean is under half its limit (a factor 2 to spare for
     # rounding) cannot clear it, and skips _axial_span.
     young = 2.0 * _head_bound(b, diffusivity, xi[cand], drift[cand], hi[cand]) < limit
-    cand, block, top, limit = cand[~young], block[~young], top[~young], limit[~young]
+    cand, which, limit = cand[~young], which[~young], limit[~young]
     if not cand.size:
         return cand, np.zeros(0)
-    mean = _axial_span(xi[cand, None], drift[cand, None], np.zeros(1), lo[cand, None],
-                       hi[cand, None], diffusivity)[:, 0] / (b.width * b.height)
-    far, values = [cand[:0]], [np.zeros(0)]
-    for key, found in tables.items():
-        if found is None:
-            continue
-        table = found[0]
-        sel = (block == key[0]) & (top == key[1])
-        clear = limit[sel] < mean[sel]
-        i, row_limit = cand[sel][clear], limit[sel][clear]
-        step = max(1, _BLOCK_PAIRS // table[4].size)
-        kept = np.concatenate([np.zeros(0)] + [
-            _mode_kernel(table, diffusivity, src[j], obs[j], drift[j], lo[j], hi[j])
-            for j in (i[k:k + step] for k in range(0, i.size, step))])
-        ok = row_limit < kept
-        far.append(i[ok])
-        values.append(kept[ok])
-    return np.concatenate(far), np.concatenate(values)
+    grouping = _axial_keys(xi, drift, lo, hi, cand)
+    keys, key = grouping
+    mean = _key_spans(keys, [(np.arange(keys[0].size), np.zeros(1))], diffusivity)[0][
+        key[cand], 0] / (b.width * b.height)
+    clear = limit < mean
+    sel = [(t[0], clear & (which == i)) for i, t in enumerate(tables) if t is not None]
+    sel = [(table, s) for table, s in sel if s.any()]
+    far = np.concatenate([cand[:0]] + [cand[s] for _, s in sel])
+    values = np.concatenate([np.zeros(0)] + _mode_kernel(
+        [(table, cand[s]) for table, s in sel], diffusivity, src, obs, *grouping))
+    ok = np.concatenate([limit[:0]] + [limit[s] for _, s in sel]) < values
+    return far[ok], values[ok]
 
 
 def _head_bound(b: RectangularDuctReflecting, diffusivity: float, xi: np.ndarray,

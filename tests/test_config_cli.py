@@ -714,11 +714,16 @@ class TestCli:
         pytest.param("continuous", "0 1 0", None, id="cross-wind"),
         pytest.param("continuous", "1 0 0", "1 0 0", id="windy-moving"),
     ])
+    @pytest.mark.parametrize("source, seen", [("-1.7e308", "1.7e308"), ("0", "1e308")],
+                             ids=["overflowing", "finite"])
     def test_span_past_the_largest_float_is_zero_and_quiet(self, tmp_path, capsys,
-                                                           boundary, kind, wind, velocity):
+                                                           boundary, kind, wind, velocity,
+                                                           source, seen):
         # From a source at x = -1.7e308 to an observer at 1.7e308 the span
-        # itself overflows a float; the field takes its limit 0 with no
-        # warning (RuntimeWarnings are errors here). In a duct the
+        # itself overflows a float; from x = 0 to 1e308 it is finite, but
+        # 8 pi D d past it overflows, and the kernel, at most 2 / (8 pi D d),
+        # lies under the smallest normal float. The field takes its limit 0
+        # with no warning (RuntimeWarnings are errors here). In a duct the
         # continuous field reads that span in the far-row test and in the
         # modes' axial integral. In a 1 m/s wind v . dr - |v| d would read
         # inf - inf, for a source moving with that wind too; across the span
@@ -728,10 +733,10 @@ class TestCli:
         text = "\n".join([
             "[environment]", "diffusivity_m2s = 0.5" + boundary,
             *([f"wind_mps = {wind}"] if wind else []), "[source]",
-            f"kind = {kind}", "position_m = -1.7e308 0 1",
+            f"kind = {kind}", f"position_m = {source} 0 1",
             "rate_kgs = 1e-6" if kind == "continuous" else "mass_kg = 1e-6",
             *([f"velocity_mps = {velocity}"] if velocity else []),
-            "[grid]", "x_m = 1.7e308", "y_m = 0", "z_m = 1", "times_s = 60", ""])
+            "[grid]", f"x_m = {seen}", "y_m = 0", "z_m = 1", "times_s = 60", ""])
         out = tmp_path / "grid.csv"
         assert main(["field", "--config", write(tmp_path, "span.cfg", text),
                      "--out", str(out)]) == 0

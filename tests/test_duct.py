@@ -121,21 +121,28 @@ def test_piece_keeping_pace_with_the_wind_across_the_duct():
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
 
 
+def _jobs_seen(monkeypatch) -> list[list[tuple]]:
+    """The (table, rows) jobs of every _mode_kernel call, recorded."""
+    calls = []
+    mode_kernel = channel._mode_kernel
+    monkeypatch.setattr(channel, "_mode_kernel",
+                        lambda jobs, *a: calls.append(jobs) or mode_kernel(jobs, *a))
+    return calls
+
+
 def test_square_duct_crossing_takes_mode_zero_alone(monkeypatch):
     # In a 2 x 2 m duct modes (1, 0) and (0, 1) tie at exactly exp(-32) of
     # mode (0, 0) at tau0: rows moving across take (0, 0) alone all the same.
     square = RectangularDuctReflecting(2.0, 2.0)
     env = Environment(diffusivity=0.5, wind=Velocity(0.4, 0.0, 0.0), boundary=square)
-    tables = []
-    mode_kernel = channel._mode_kernel
-    monkeypatch.setattr(channel, "_mode_kernel",
-                        lambda modes, *a: tables.append(modes) or mode_kernel(modes, *a))
+    calls = _jobs_seen(monkeypatch)
     vel = (0.1, 0.001, -0.0005)
     src, obs = np.array([0.0, 1.3, 0.6]), np.array([(4.0, 0.2, 1.9), (-1.0, 1.0, 1.0)])
     for t in [60.0, 600.0]:  # tau0 = 32 (2 / pi)^2 / 0.5 = 26 s
         got = unit_continuous_kernel(env, src, obs, np.full(2, t), velocity=vel)
         want = [duct_oracle.continuous(2.0, 2.0, 0.5, 0.4, src, r, t, velocity=vel) for r in obs]
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
+    tables = [table for jobs in calls for table, _ in jobs]
     assert len(tables) == 2
     for ky, kz, m, n, lam, weight in tables:
         assert (m.tolist(), n.tolist(), lam.tolist()) == ([0], [0], [0.0])
@@ -441,6 +448,55 @@ def _young_duct_cfg(path: Path) -> str:
         "position_m = 0 1.5 1.2", "rate_kgs = 1e-6", "[grid]", "x_m = 5 20 4",
         "y_m = 0.2 2.8 3", "z_m = 0.2 2.3 3", "times_s = 1", ""]))
     return str(path)
+
+
+def test_rows_sharing_axial_keys_keep_their_bits(monkeypatch):
+    # An 8 x 16 x 16 grid at 60 s in a 0.5 m/s wind: the 256 rows of each
+    # cross-section plane share one axial key, and a table serves more
+    # rows than _BLOCK_PAIRS // K, with more than 2^15 terms: about where
+    # numpy starts to lay a product of fancy-indexed columns out in Fortran
+    # order, whose row sums are sequential, not pairwise. Each row keeps
+    # the bits it has alone, and the image sum's value to 1e-12.
+    env = Environment(diffusivity=0.5, wind=Velocity(0.5, 0.0, 0.0), boundary=DUCT)
+    xs, ys, zs = np.meshgrid(np.linspace(1.0, 20.0, 8), np.linspace(0.1, 2.9, 16),
+                             np.linspace(0.1, 2.4, 16), indexing="ij")
+    obs = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
+    n = len(obs)
+    calls = _jobs_seen(monkeypatch)
+    batch = unit_continuous_kernel(env, SRC, obs, np.full(n, 60.0))
+    assert any(rows.size > channel._BLOCK_PAIRS // table[4].size
+               and rows.size * table[4].size > 2 ** 15
+               for jobs in calls for table, rows in jobs)
+    for i in range(n):
+        alone = unit_continuous_kernel(env, SRC, obs[i], [60.0])
+        assert alone.tobytes() == batch[i:i + 1].tobytes(), i
+    want = [duct_oracle.continuous(W, H, 0.5, 0.5, SRC, r, 60.0) for r in obs]
+    assert batch == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _windy_duct_cfg(path: Path) -> str:
+    """The benchmark duct's physics: 3 x 2.5 m, D = 0.5, a 0.5 m/s wind, a
+    12 x 5 x 5 grid from x = 1 to 20 m at 60 s."""
+    path.write_text("\n".join([
+        "[environment]", "diffusivity_m2s = 0.5", "wind_mps = 0.5 0 0", "boundary = duct",
+        "duct_width_m = 3", "duct_height_m = 2.5", "image_order = 10", "[source]",
+        "kind = continuous", "position_m = 0 1.1 0.9", "rate_kgs = 1e-6", "[grid]",
+        "x_m = 1 20 12", "y_m = 0.2 2.8 5", "z_m = 0.2 2.3 5", "times_s = 60", ""]))
+    return str(path)
+
+
+def test_windy_duct_field_keeps_its_bytes(tmp_path, monkeypatch):
+    # The benchmark duct's physics, whose field reads far tables in several
+    # |xi| blocks and the split's modes in one run, matches the field
+    # recorded before each mode's axial integral was taken once per axial
+    # key (to rel 1e-12, as every physical-layer golden).
+    cfg = _windy_duct_cfg(tmp_path / "windy.cfg")
+    got = tmp_path / "windy.csv"
+    calls = _jobs_seen(monkeypatch)
+    assert main(["field", "--config", cfg, "--out", str(got)]) == 0
+    tables = [table for jobs in calls for table, _ in jobs]
+    assert len(tables) > 3 and any(table is channel._duct_modes(DUCT) for table in tables)
+    _assert_csv_matches(str(got), str(Path(GOLDEN) / "field_windy_duct.csv"))
 
 
 @pytest.mark.parametrize("wind", [0.0, 0.5])
