@@ -617,13 +617,13 @@ _GL_WEIGHTS = np.array([0.36268378337836166, 0.3137066458778869,
 _GL_EDGE = 0.25
 
 
-def _pair_kernel(d: np.ndarray, v_dot_dr: np.ndarray | None, tau: np.ndarray,
+def _pair_kernel(d: np.ndarray, lead: np.ndarray | None, tau: np.ndarray,
                  diffusivity: float, speed: float | np.ndarray,
                  end: np.ndarray | None = None) -> np.ndarray:
     """Per-unit-rate field of (image source, observer) pairs, d > 0 and
     tau > 0 (tau may be inf), all in one drift v or each in its own (speed
-    is |v|, one value or one per pair); tau, end and a per-pair speed
-    broadcast against d. With
+    is |v|, one value or one per pair; lead is v . dr - |v| d, from
+    _lead); tau, end and a per-pair speed broadcast against d. With
     a = v . dr / 2D, b = |v| d / 2D and y, x = (d -+ |v| tau) / 2 sqrt(D tau)
     the bracket is e^(a - b) erfc(y) + e^(a + b) erfc(x). Writing
     erfc(x) = e^(-x^2) erfcx(x) gives both terms the factor
@@ -632,7 +632,7 @@ def _pair_kernel(d: np.ndarray, v_dot_dr: np.ndarray | None, tau: np.ndarray,
 
     y and x are p -+ q with p = d / 2 sqrt(D tau) and q = |v| sqrt(tau) / 2
     sqrt(D), both formed from sqrt(tau), so no age above 0 underflows
-    them. In still air (speed the number 0; v_dot_dr is not read) a, b and
+    them. In still air (speed the number 0; lead is not read) a, b and
     q vanish, so both terms are near = e^(-p^2) erfcx(p): one exp and one
     erfcx give the bracket near + near, which is 2 at tau = inf (p = 0).
 
@@ -648,15 +648,17 @@ def _pair_kernel(d: np.ndarray, v_dot_dr: np.ndarray | None, tau: np.ndarray,
         def still(s):
             if np.isinf(s).all():  # the steady bracket 2 (p = 0), without an erfcx
                 return 2.0 / scale
-            p = d / (2.0 * math.sqrt(diffusivity) * np.sqrt(s))
+            # At a tiny D, p past the largest float is inf, and near is 0.
             with np.errstate(over="ignore", under="ignore"):
+                p = d / (2.0 * math.sqrt(diffusivity) * np.sqrt(s))
                 near = np.exp(0.0 - p * p)
             near = near * _erfcx(p)
             return (near + near) / scale
 
         return still(tau) if end is None else still(tau) - still(end)
     per_pair = isinstance(speed, np.ndarray)
-    a_minus_b = (v_dot_dr - speed * d) / (2.0 * diffusivity)
+    with np.errstate(over="ignore"):  # at a tiny D, -inf: the steady factor 0
+        a_minus_b = lead / (2.0 * diffusivity)
 
     def at(s):
         """The bracket at ages s, and where s is finite its near, far and y."""
@@ -667,7 +669,8 @@ def _pair_kernel(d: np.ndarray, v_dot_dr: np.ndarray | None, tau: np.ndarray,
         else:
             s, fin = np.broadcast_to(s, d.shape), np.broadcast_to(fin, d.shape)
         width = 2.0 * math.sqrt(diffusivity) * np.sqrt(s[fin])
-        p = d[fin] / width
+        with np.errstate(over="ignore"):  # at a tiny D, inf: every term is 0
+            p = d[fin] / width
         q = width * ((speed[fin] if per_pair else speed) / (4.0 * diffusivity))
         y = p - q
         # Near s = 0 (subnormal ages) y^2 overflows: the exponent is -inf and
@@ -842,20 +845,19 @@ def _image_kernel(env: Environment, flips: np.ndarray, offsets: np.ndarray,
             far = 8.0 * math.pi * D * d == np.inf
         if far.any():
             dr = [np.where(far, 0.0, c) for c in dr]
-        v_dot_dr = None if vel is None and not env.has_wind else (
-            (dr[0] * drift[0] + dr[1] * drift[1]) + dr[2] * drift[2])
+        lead = None if vel is None and not env.has_wind else _lead(dr, drift, speed, d)
         apart = (d >= _SINGULAR_DIST) & ~far
         tau = taus[sl, None]
         if ends is None:
             end = 0.0
-            kern = _on_pairs(None, (tau > 0.0) & apart, _pair_kernel, d, v_dot_dr, tau, D,
+            kern = _on_pairs(None, (tau > 0.0) & apart, _pair_kernel, d, lead, tau, D,
                              speed)
         else:
             end = ends[sl, None]
             live = (tau > end) & apart
             stopped = live & (end > 0.0)
-            kern = _on_pairs(None, live & ~stopped, _pair_kernel, d, v_dot_dr, tau, D, speed)
-            kern = _on_pairs(kern, stopped, _pair_kernel, d, v_dot_dr, tau, D, speed, end)
+            kern = _on_pairs(None, live & ~stopped, _pair_kernel, d, lead, tau, D, speed)
+            kern = _on_pairs(kern, stopped, _pair_kernel, d, lead, tau, D, speed, end)
             np.maximum(kern, 0.0, out=kern)
             on_path = (tau > end) & (end > 0.0) & (d < _SINGULAR_DIST)
             if on_path.any():
@@ -867,6 +869,29 @@ def _image_kernel(env: Environment, flips: np.ndarray, offsets: np.ndarray,
         out[sl] = kern.sum(axis=1)
         out[sl][emitting & (d[:, 0] < _SINGULAR_DIST)] = np.inf
     return out
+
+
+def _lead(dr: list[np.ndarray], drift, speed, d: np.ndarray) -> np.ndarray:
+    """v . dr - |v| d per pair, the steady kernel's exponent times 2D: at
+    most 0, and -inf where it overflows. Where v . dr and |v| d both
+    overflow (a gale, or a span near the largest float whose 8 pi D d a
+    tiny D keeps finite) their difference reads nan; there it is formed
+    again from the drift times 2^-e, |v| = f 2^e with 1/2 <= f < 1, which
+    rounds every product as before, and scaled back. A pair at d = inf
+    keeps its nan: the kernel leaves it out."""
+    def form(r, v, s, dist):
+        return ((r[0] * v[0] + r[1] * v[1]) + r[2] * v[2]) - s * dist
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        lead = form(dr, drift, speed, d)
+    redo = np.isnan(lead) & (d < np.inf)
+    if redo.any():
+        s = np.broadcast_to(speed, d.shape)[redo]
+        e = np.frexp(s)[1]
+        v = [np.ldexp(np.broadcast_to(c, d.shape)[redo], -e) for c in drift]
+        with np.errstate(over="ignore"):
+            lead[redo] = np.ldexp(form([c[redo] for c in dr], v, np.ldexp(s, -e), d[redo]), e)
+    return lead
 
 
 def _on_pairs(kern: np.ndarray | None, mask: np.ndarray, fn: Callable,
@@ -913,39 +938,6 @@ def _axial_keys(xi: np.ndarray, drift: np.ndarray, lo: np.ndarray, hi: np.ndarra
     return tuple(cols[first].T), key
 
 
-def _key_spans(keys: tuple[np.ndarray, ...], jobs: Sequence[tuple[np.ndarray, np.ndarray]],
-               diffusivity: float) -> list[np.ndarray]:
-    """Per job (key indices, lam): the axial integral (_axial_span) of each
-    of those keys in each mode lam, a (keys, modes) table. The pairs of all
-    jobs are evaluated together, whole keys at a time, in blocks of at most
-    _BLOCK_PAIRS pairs (one key's modes where a table holds more). A block
-    of one job's keys takes them as columns against its modes; a block
-    that joins several jobs gathers its pairs flat from the key columns
-    as it is evaluated. Either way each pair has the same arithmetic."""
-    xi, drift, lo, hi = keys
-    segments = [(ks[i:i + step], lam) for ks, lam in jobs
-                for step in [max(1, _BLOCK_PAIRS // lam.size)]
-                for i in range(0, ks.size, step)]
-    sizes = [ks.size * lam.size for ks, lam in segments]
-    spans = np.empty(sum(sizes))
-    start = i = 0
-    while i < len(segments):
-        j, size = i + 1, sizes[i]
-        while j < len(segments) and size + sizes[j] <= _BLOCK_PAIRS:
-            size, j = size + sizes[j], j + 1
-        if j == i + 1:
-            k, lam = segments[i][0][:, None], segments[i][1]
-        else:
-            k, lam = (np.concatenate(a) for a in zip(*(
-                (np.repeat(ks, lam.size), np.tile(lam, ks.size)) for ks, lam in segments[i:j])))
-        spans[start:start + size] = _axial_span(xi[k], drift[k], lam, lo[k], hi[k],
-                                                diffusivity).ravel()
-        start, i = start + size, j
-    bounds = np.cumsum([ks.size * lam.size for ks, lam in jobs])[:-1]
-    return [part.reshape(ks.size, lam.size)
-            for part, (ks, lam) in zip(np.split(spans, bounds), jobs)]
-
-
 def _mode_kernel(jobs: Sequence[tuple[tuple[np.ndarray, ...], np.ndarray]],
                  diffusivity: float, src: np.ndarray, obs: np.ndarray,
                  keys: tuple[np.ndarray, ...], key: np.ndarray) -> list[np.ndarray]:
@@ -956,7 +948,8 @@ def _mode_kernel(jobs: Sequence[tuple[tuple[np.ndarray, ...], np.ndarray]],
     cos(k_n z) cos(k_n z0) times the mode's axial integral over [lo, hi]
     (_axial_span). That integral depends on a row only through its axial
     key (keys and key, from _axial_keys), so each job takes it once per
-    key and mode, and all jobs of a call in one pass (_key_spans).
+    key and mode: the (key, mode) pairs of all jobs of a call are taken
+    flat, _BLOCK_PAIRS at a time.
 
     A row's terms are summed along a C-ordered row, which numpy sums
     pairwise. A product of fancy-indexed columns comes out C-ordered only
@@ -964,16 +957,21 @@ def _mode_kernel(jobs: Sequence[tuple[tuple[np.ndarray, ...], np.ndarray]],
     rows numpy sums sequentially; so the order is made explicit, and rows
     are taken _BLOCK_PAIRS terms at a time. A row's bits do not depend on
     the batch."""
-    own = []  # per job: its keys, and each row's place among them
-    for table, rows in jobs:
-        seen = np.zeros(keys[0].size, dtype=bool)
-        seen[key[rows]] = True
-        own.append((np.flatnonzero(seen), (np.cumsum(seen) - 1)[key[rows]]))
-    spans = _key_spans(keys, [(ks, table[4]) for (ks, _), (table, _) in zip(own, jobs)],
-                       diffusivity)
-    out = []
-    for (table, rows), (_, local), span in zip(jobs, own, spans):
+    own = [np.unique(key[rows], return_inverse=True) for _, rows in jobs]
+    pair_key = np.concatenate([np.repeat(ks, table[4].size)
+                               for (ks, _), (table, _) in zip(own, jobs)])
+    pair_lam = np.concatenate([np.tile(table[4], ks.size)
+                               for (ks, _), (table, _) in zip(own, jobs)])
+    spans = np.empty(pair_key.size)
+    for i in range(0, spans.size, _BLOCK_PAIRS):
+        c = slice(i, i + _BLOCK_PAIRS)
+        xi, drift, lo, hi = (col[pair_key[c]] for col in keys)
+        spans[c] = _axial_span(xi, drift, pair_lam[c], lo, hi, diffusivity)
+    out, start = [], 0
+    for (table, rows), (ks, local) in zip(jobs, own):
         ky, kz, m, n, lam, weight = table
+        span = spans[start:start + ks.size * lam.size].reshape(ks.size, lam.size)
+        start += span.size
         cy = np.cos(np.outer(obs[rows, 1], ky)) * np.cos(np.outer(src[rows, 1], ky))
         cz = np.cos(np.outer(obs[rows, 2], kz)) * np.cos(np.outer(src[rows, 2], kz))
         values = np.empty(rows.size)
@@ -1067,13 +1065,11 @@ def _far_rows(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
     modes lies under exp(-_TAIL) of what the table keeps. The rounding lets
     the pieces of a path walked along the duct, each at its own drift,
     share a few tables; a table per exact drift would cost each piece its
-    own table and its own pass over the modes. Mode (0, 0), the
-    cross-section mean, must clear that bound first, so a young row, whose
-    mean is tiny, skips the table; a closed-form bound on that mean
-    turns most such rows away before their mean is computed. The mean and
-    every table read one grouping of the rows by axial key (_axial_keys),
-    and all tables take one _mode_kernel call. Every test reads the row's
-    own values only."""
+    own table and its own pass over the modes. A row whose value does not
+    clear that bound (a young row, whose value is tiny) keeps the split.
+    Every table reads one grouping of the rows by axial key (_axial_keys),
+    and all tables take one _mode_kernel call. The test reads the row's
+    own value only."""
     with np.errstate(over="ignore"):  # an infinite xi or q is no candidate
         xi = obs[:, 0] - src[:, 0]
         q = np.abs(drift) / (2.0 * diffusivity)
@@ -1097,47 +1093,23 @@ def _far_rows(b: RectangularDuctReflecting, diffusivity: float, src: np.ndarray,
                          np.exp(-2.0 * q[cand] * np.abs(xi[cand]))) * (
                              math.exp(_TAIL) / (2.0 * diffusivity))
     limit = tail * scale
-    # A row whose mean is under half its limit (a factor 2 to spare for
-    # rounding) cannot clear it, and skips _axial_span.
-    young = 2.0 * _head_bound(b, diffusivity, xi[cand], drift[cand], hi[cand]) < limit
-    cand, which, limit = cand[~young], which[~young], limit[~young]
     if not cand.size:
         return cand, np.zeros(0)
-    grouping = _axial_keys(xi, drift, lo, hi, cand)
-    keys, key = grouping
-    mean = _key_spans(keys, [(np.arange(keys[0].size), np.zeros(1))], diffusivity)[0][
-        key[cand], 0] / (b.width * b.height)
-    clear = limit < mean
-    sel = [(t[0], clear & (which == i)) for i, t in enumerate(tables) if t is not None]
-    sel = [(table, s) for table, s in sel if s.any()]
-    far = np.concatenate([cand[:0]] + [cand[s] for _, s in sel])
-    values = np.concatenate([np.zeros(0)] + _mode_kernel(
-        [(table, cand[s]) for table, s in sel], diffusivity, src, obs, *grouping))
-    ok = np.concatenate([limit[:0]] + [limit[s] for _, s in sel]) < values
+    sel = [(t[0], which == i) for i, t in enumerate(tables) if t is not None]
+    far = np.concatenate([cand[s] for _, s in sel])
+    values = np.concatenate(_mode_kernel([(table, cand[s]) for table, s in sel], diffusivity,
+                                         src, obs, *_axial_keys(xi, drift, lo, hi, cand)))
+    ok = np.concatenate([limit[s] for _, s in sel]) < values
     return far[ok], values[ok]
-
-
-def _head_bound(b: RectangularDuctReflecting, diffusivity: float, xi: np.ndarray,
-                u: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """An upper bound on mode (0, 0) of each row over ages [lo, hi], for
-    any lo >= 0: its integral over [0, hi] with the exponent at its least,
-    sqrt(hi / pi D) e^(-m^2 / 4 D hi) / (W H), where m, the smallest
-    |xi - u s| for s in [0, hi], is |xi| unless the drift carries the
-    source towards the observer (u xi > 0), and then max(|xi| - |u| hi, 0)."""
-    reach = np.abs(xi)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        down = u * xi > 0.0
-        reach[down] = np.maximum(reach[down] - np.abs(u[down]) * hi[down], 0.0)
-        return np.sqrt(hi / (math.pi * diffusivity)) * np.exp(
-            -(reach * reach) / (4.0 * diffusivity * hi)) / (b.width * b.height)
 
 
 def _axial_span(xi: np.ndarray, u: np.ndarray, lam: np.ndarray, lo: np.ndarray,
                 hi: np.ndarray, diffusivity: float) -> np.ndarray:
     """Per (row, mode): the integral over ages sigma in [lo, hi] of
     (4 pi D sigma)^(-1/2) exp(-(xi - u sigma)^2 / (4 D sigma) - D lam sigma),
-    the axial kernel of a drift u times a mode's decay; xi, u, lo and hi
-    are (R, 1) (hi may be inf) and lam is (K,).
+    the axial kernel of a drift u times a mode's decay; xi, u, lo, hi (hi
+    may be inf) and lam broadcast together, as (key, mode) pairs flat or
+    (R, 1) columns against (K,) modes.
 
     With a = |xi| / 2 sqrt(D), b^2 = u^2 / 4D + D lam, x = a / sqrt(s),
     beta = b sqrt(s) and damp = exp(-(xi - u s)^2 / 4Ds - D lam s) <= 1, the

@@ -469,6 +469,16 @@ class TestContinuousKernel:
         assert got == pytest.approx(1.0 / (4 * math.pi * D * d), rel=1e-12)
         assert got == pytest.approx(1.5915e-301, rel=1e-4)
 
+    def test_piece_keeping_pace_across_an_overflowing_span_is_zero(self):
+        # The piece's drift w - u is 0 and its span is inf, so |v| d reads
+        # 0 * inf: that pair is left out of the kernel, with no warning.
+        env = Environment(diffusivity=0.5, wind=Velocity(1.0, 0.0, 0.0))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = unit_continuous_kernel(env, np.array([-1.7e308, 0.0, 1.0]),
+                                         np.array([1.7e308, 0.0, 1.0]), [60.0],
+                                         velocity=np.array([1.0, 0.0, 0.0]))
+        assert got.tolist() == [0.0]
+
     def test_static_wind_never_takes_quadrature(self, monkeypatch):
         def no_quadrature(*args, **kwargs):
             raise AssertionError("static constant-rate source sent to quadrature")

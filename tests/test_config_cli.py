@@ -55,6 +55,9 @@ times_s = 30
 # Coordinates whose squared distance from a source near the origin
 # overflows a float.
 FAR = ("1e155", "-1e155", "1e300", "-1e300")
+SPAN_BOUNDARIES = {
+    "free": "", "halfspace": "\nboundary = halfspace",
+    "duct": "\nboundary = duct\nduct_width_m = 3\nduct_height_m = 2.5"}
 
 
 def write(tmp_path, name, text):
@@ -703,22 +706,31 @@ class TestCli:
         assert rows and all(math.isfinite(float(r.split(",")[4])) for r in rows)
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("boundary", [
-        "", "\nboundary = halfspace",
-        "\nboundary = duct\nduct_width_m = 3\nduct_height_m = 2.5"],
-        ids=["free", "halfspace", "duct"])
-    @pytest.mark.parametrize("kind, wind, velocity", [
-        pytest.param("continuous", None, None, id="continuous"),
-        pytest.param("instant", None, None, id="instant"),
-        pytest.param("continuous", "1 0 0", None, id="windy"),
-        pytest.param("continuous", "0 1 0", None, id="cross-wind"),
-        pytest.param("continuous", "1 0 0", "1 0 0", id="windy-moving"),
+    @pytest.mark.parametrize("boundary, kind, wind, velocity, diffusivity, source, seen", [
+        *(pytest.param(boundary, *case, "0.5", source, (seen, "0"), id=f"{span}-{name}-{where}")
+          for span, source, seen in (("overflowing", "-1.7e308", "1.7e308"),
+                                     ("finite", "0", "1e308"))
+          for name, case in (("continuous", ("continuous", None, None)),
+                             ("instant", ("instant", None, None)),
+                             ("windy", ("continuous", "1 0 0", None)),
+                             ("cross-wind", ("continuous", "0 1 0", None)),
+                             ("windy-moving", ("continuous", "1 0 0", "1 0 0")))
+          for where, boundary in SPAN_BOUNDARIES.items()),
+        # Finite spans whose v . dr and |v| d both overflow: a gale across
+        # the span (v . dr itself is inf - inf), and a tiny D in a wind, not
+        # yet in a duct, whose far-row test overflows |u| / 2D. In still air
+        # that D overflows d / 2 sqrt(D tau).
+        *(pytest.param(boundary, "continuous", "1e300 1e300 0", None, "0.5", "0",
+                       ("1e10", "-1e10"), id=f"gale-{where}")
+          for where, boundary in SPAN_BOUNDARIES.items() if where != "duct"),
+        *(pytest.param(boundary, "continuous", wind, None, "1e-300", "0", ("1e308", "0"),
+                       id=f"tiny-D-{name}-{where}")
+          for name, wind in (("still", None), ("1-mps", "1 0 0"), ("2-mps", "2 0 0"))
+          for where, boundary in SPAN_BOUNDARIES.items() if where != "duct" or not wind),
     ])
-    @pytest.mark.parametrize("source, seen", [("-1.7e308", "1.7e308"), ("0", "1e308")],
-                             ids=["overflowing", "finite"])
     def test_span_past_the_largest_float_is_zero_and_quiet(self, tmp_path, capsys,
                                                            boundary, kind, wind, velocity,
-                                                           source, seen):
+                                                           diffusivity, source, seen):
         # From a source at x = -1.7e308 to an observer at 1.7e308 the span
         # itself overflows a float; from x = 0 to 1e308 it is finite, but
         # 8 pi D d past it overflows, and the kernel, at most 2 / (8 pi D d),
@@ -731,12 +743,13 @@ class TestCli:
         if wind == "0 1 0" and "duct" in boundary:
             pytest.skip("a duct takes wind along its axis only")
         text = "\n".join([
-            "[environment]", "diffusivity_m2s = 0.5" + boundary,
+            "[environment]", f"diffusivity_m2s = {diffusivity}" + boundary,
             *([f"wind_mps = {wind}"] if wind else []), "[source]",
             f"kind = {kind}", f"position_m = {source} 0 1",
             "rate_kgs = 1e-6" if kind == "continuous" else "mass_kg = 1e-6",
             *([f"velocity_mps = {velocity}"] if velocity else []),
-            "[grid]", f"x_m = {seen}", "y_m = 0", "z_m = 1", "times_s = 60", ""])
+            "[grid]", f"x_m = {seen[0]}", f"y_m = {seen[1]}", "z_m = 1", "times_s = 60",
+            ""])
         out = tmp_path / "grid.csv"
         assert main(["field", "--config", write(tmp_path, "span.cfg", text),
                      "--out", str(out)]) == 0

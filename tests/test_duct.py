@@ -392,52 +392,28 @@ def test_pieces_at_many_speeds_along_the_duct_share_tables():
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("u", [0.0, 0.5, -0.5, 3.0])
-def test_head_bound_holds_mode_zero(u):
-    # Mode (0, 0) over [lo, hi], downstream and upstream, from a millisecond
-    # to 10^4 s (and to the steady state in a drift), never exceeds the
-    # closed-form bound.
-    rng = np.random.default_rng(31)
-    n = 400
-    steady = 20 * (u != 0.0)
-    xi = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 10.0, n)
-    finite = 10.0 ** rng.uniform(-3.0, 4.0, n - steady)
-    hi = np.concatenate([finite, np.full(steady, math.inf)])
-    lo = np.concatenate([finite * rng.choice([0.0, 0.3, 0.9], n - steady),
-                         np.full(steady, 100.0)])
-    drift = np.full(n, u)
-    mean = channel._axial_span(xi[:, None], drift[:, None], np.zeros(1), lo[:, None],
-                               hi[:, None], 0.5)[:, 0] / (W * H)
-    bound = channel._head_bound(DUCT, 0.5, xi, drift, hi)
-    assert (mean <= bound).all()
-    assert np.count_nonzero(mean > 1e-6) > n // 8
-
-
-def _no_head_bound(b, diffusivity, xi, u, hi):
-    return np.full(xi.shape, np.inf)
-
-
-@pytest.mark.parametrize("wind", [0.0, 0.5, -0.5])
-def test_head_bound_turns_away_only_rows_that_fall_back(monkeypatch, wind):
-    # The far rows and their values, with the bound and with it switched
-    # off, over windows from age 0 and stopped at half the age.
+@pytest.mark.parametrize("wind", [0.0, 0.5])
+def test_young_far_rows_fall_back(monkeypatch, wind):
+    # At 0.1, 1 and 5 s every far candidate of these rows (|xi| >= xi*)
+    # takes its table's value in one _mode_kernel call and finds it under
+    # the bound on what the table drops: none takes the modes alone, and
+    # each reads the split's value.
+    env = Environment(diffusivity=0.5, wind=Velocity(wind, 0.0, 0.0), boundary=DUCT)
     obs = _far_obs()
     n = len(obs)
-    src = np.broadcast_to(SRC, (n, 3))
-    ages = [0.1, 1.0, 2.0, 10.0, 60.0, 600.0, 3600.0]
-
-    def far_rows():
-        return [channel._far_rows(DUCT, 0.5, src, obs, np.full(n, wind), np.full(n, lo),
-                                  np.full(n, t), np.ones(n, dtype=bool))
-                for t in ages for lo in (0.0, t / 2)]
-
-    got = far_rows()
-    monkeypatch.setattr(channel, "_head_bound", _no_head_bound)
-    want = far_rows()
-    for (rows, values), (rows_want, values_want) in zip(got, want):
-        assert np.array_equal(rows, rows_want)
-        assert values.tobytes() == values_want.tobytes()
-    assert sum(rows.size for rows, _ in got) > n
+    cand = np.flatnonzero(np.abs(obs[:, 0] - SRC[0]) >= channel._far_edge(DUCT))
+    calls = _jobs_seen(monkeypatch)
+    for t in [0.1, 1.0, 5.0]:
+        calls.clear()
+        far, values = channel._far_rows(DUCT, 0.5, np.broadcast_to(SRC, (n, 3)), obs,
+                                        np.full(n, wind), np.zeros(n), np.full(n, t),
+                                        np.ones(n, dtype=bool))
+        assert len(calls) == 1, t
+        assert sorted(i for _, rows in calls[0] for i in rows.tolist()) == cand.tolist(), t
+        assert far.size == 0 and values.size == 0, t
+        got = unit_continuous_kernel(env, SRC, obs, np.full(n, t))
+        want = [duct_oracle.continuous(W, H, 0.5, wind, SRC, r, t) for r in obs]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
 
 
 def _young_duct_cfg(path: Path) -> str:
@@ -450,27 +426,30 @@ def _young_duct_cfg(path: Path) -> str:
     return str(path)
 
 
-def test_rows_sharing_axial_keys_keep_their_bits(monkeypatch):
-    # An 8 x 16 x 16 grid at 60 s in a 0.5 m/s wind: the 256 rows of each
+@pytest.mark.parametrize("t", [1.0, 60.0])
+def test_rows_sharing_axial_keys_keep_their_bits(monkeypatch, t):
+    # An 8 x 16 x 16 grid in a 0.5 m/s wind: the 256 rows of each
     # cross-section plane share one axial key, and a table serves more
     # rows than _BLOCK_PAIRS // K, with more than 2^15 terms: about where
     # numpy starts to lay a product of fancy-indexed columns out in Fortran
-    # order, whose row sums are sequential, not pairwise. Each row keeps
-    # the bits it has alone, and the image sum's value to 1e-12.
+    # order, whose row sums are sequential, not pairwise. At 1 s the far
+    # rows take their tables' values and fall back to the split; at 60 s
+    # they keep them. Each row keeps the bits it has alone, and the image
+    # sum's value to 1e-12.
     env = Environment(diffusivity=0.5, wind=Velocity(0.5, 0.0, 0.0), boundary=DUCT)
     xs, ys, zs = np.meshgrid(np.linspace(1.0, 20.0, 8), np.linspace(0.1, 2.9, 16),
                              np.linspace(0.1, 2.4, 16), indexing="ij")
     obs = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
     n = len(obs)
     calls = _jobs_seen(monkeypatch)
-    batch = unit_continuous_kernel(env, SRC, obs, np.full(n, 60.0))
+    batch = unit_continuous_kernel(env, SRC, obs, np.full(n, t))
     assert any(rows.size > channel._BLOCK_PAIRS // table[4].size
                and rows.size * table[4].size > 2 ** 15
                for jobs in calls for table, rows in jobs)
     for i in range(n):
-        alone = unit_continuous_kernel(env, SRC, obs[i], [60.0])
+        alone = unit_continuous_kernel(env, SRC, obs[i], [t])
         assert alone.tobytes() == batch[i:i + 1].tobytes(), i
-    want = [duct_oracle.continuous(W, H, 0.5, 0.5, SRC, r, 60.0) for r in obs]
+    want = [duct_oracle.continuous(W, H, 0.5, 0.5, SRC, r, t) for r in obs]
     assert batch == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -499,34 +478,12 @@ def test_windy_duct_field_keeps_its_bytes(tmp_path, monkeypatch):
     _assert_csv_matches(str(got), str(Path(GOLDEN) / "field_windy_duct.csv"))
 
 
-@pytest.mark.parametrize("wind", [0.0, 0.5])
-def test_young_far_rows_never_reach_the_axial_span(monkeypatch, wind):
-    # At 1 s every row of that grid lies past xi* and is far too faint for
-    # the far-row check: the closed-form bound turns each away before its
-    # mean is computed.
-    def no_span(*args):
-        raise AssertionError("a young far row reached _axial_span")
-
-    xs, ys, zs = np.meshgrid([5.0, 10.0, 15.0, 20.0], [0.2, 1.5, 2.8], [0.2, 1.25, 2.3],
-                             indexing="ij")
-    obs = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
-    n = len(obs)
-    monkeypatch.setattr(channel, "_axial_span", no_span)
-    far, values = channel._far_rows(DUCT, 0.5, np.broadcast_to([0.0, 1.5, 1.2], (n, 3)), obs,
-                                    np.full(n, wind), np.zeros(n), np.ones(n),
-                                    np.ones(n, dtype=bool))
-    assert far.size == 0 and values.size == 0
-
-
-def test_young_duct_field_keeps_its_bytes(tmp_path, monkeypatch):
-    # That duct's field is byte for byte the one the far check gives with
-    # the bound switched off, and matches the one recorded before the bound
-    # (to rel 1e-12, as every physical-layer golden: numpy's SIMD exp may
-    # differ by an ulp between CPUs).
+def test_young_duct_field_keeps_its_bytes(tmp_path):
+    # At 1 s every row of that grid lies past xi* and falls back to the
+    # split. Its field matches the recorded one (to rel 1e-12, as every
+    # physical-layer golden: numpy's SIMD exp may differ by an ulp between
+    # CPUs).
     cfg = _young_duct_cfg(tmp_path / "young.cfg")
-    got, want = tmp_path / "young.csv", tmp_path / "unbounded.csv"
+    got = tmp_path / "young.csv"
     assert main(["field", "--config", cfg, "--out", str(got)]) == 0
-    monkeypatch.setattr(channel, "_head_bound", _no_head_bound)
-    assert main(["field", "--config", cfg, "--out", str(want)]) == 0
-    assert got.read_bytes() == want.read_bytes()
     _assert_csv_matches(str(got), str(Path(GOLDEN) / "field_young_duct.csv"))
